@@ -3,6 +3,8 @@ coupled to two cavity modes: equilibrium and driven ground-state phase
 diagrams from the dressed-state block spectrum, drive-renormalized model
 parameters, and echo-based verification of the approximation chain."""
 
+__version__ = "0.1.0"
+
 from .config import ConfigError, RunConfig, config_hash, parse_config
 from .dynamics import (
     ATOMIC_PRESETS,
@@ -54,5 +56,3 @@ from .spectrum import (
     phase_grid,
     sweep_grid,
 )
-
-__version__ = "0.1.0"

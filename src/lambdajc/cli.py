@@ -10,10 +10,11 @@ Commands:
     echo              overlap of two Hamiltonian branches over time
 
 Every run writes a CSV data file plus manifest.json into the output
-directory.  Runs are cached: an unchanged configuration with a complete
-manifest is not recomputed, and an interrupted sweep resumes from its
-completion ledger.  Outputs are written in cell-index order so the bytes
-are identical for any worker count.
+directory.  Runs are cached: the same command on an unchanged
+configuration with a complete manifest is not recomputed, and an
+interrupted sweep resumes from its completion ledger.  Outputs are
+written in cell-index order so the bytes are identical for any worker
+count.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime or validity
 failure (validity failures only fail the run under --strict).
@@ -30,12 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import (
     AxisConfig,
     ConfigError,
     RunConfig,
-    TOOL_VERSION,
-    canonical_dict,
     config_hash,
     parse_config,
 )
@@ -128,14 +128,15 @@ def _ledger_path(out_dir: Path) -> Path:
     return out_dir / "cells.jsonl"
 
 
-def _write_manifest(out_dir: Path, digest: str, cells_total: int,
+def _write_manifest(out_dir: Path, command: str, digest: str, cells_total: int,
                     cells_done: int, deviations: list[str]):
     shown = deviations[:MAX_MANIFEST_DEVIATIONS]
     if len(deviations) > MAX_MANIFEST_DEVIATIONS:
         shown.append(f"... {len(deviations) - MAX_MANIFEST_DEVIATIONS} more")
     doc = {
+        "command": command,
         "config_hash": digest,
-        "version": TOOL_VERSION,
+        "version": __version__,
         "cells_total": cells_total,
         "cells_done": cells_done,
         "deviations": shown,
@@ -155,22 +156,22 @@ def _read_manifest(out_dir: Path) -> dict | None:
 
 
 def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict]:
-    """chunk index -> payload for every completed chunk of this config."""
+    """chunk index -> payload for every completed chunk of this config;
+    a line that does not parse (a torn tail left by a kill) is skipped."""
     path = _ledger_path(out_dir)
     done: dict[int, dict] = {}
-    if not path.exists():
-        return done
     try:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                if entry.get("config_hash") == digest:
-                    done[int(entry["chunk"])] = entry["data"]
-    except (OSError, json.JSONDecodeError, KeyError, ValueError):
-        return {}
+            lines = fh.readlines()
+    except OSError:
+        return done
+    for line in lines:
+        try:
+            entry = json.loads(line)
+            if entry.get("config_hash") == digest:
+                done[int(entry["chunk"])] = entry["data"]
+        except (AttributeError, KeyError, TypeError, ValueError):
+            continue
     return done
 
 
@@ -311,7 +312,7 @@ def _run_grid(command: str, cfg: RunConfig, out_dir: Path, digest: str,
     vals1, vals2 = ax1.values(), ax2.values()
     cells_total = vals1.size * vals2.size
     done = _load_ledger(out_dir, digest)
-    _write_manifest(out_dir, digest, cells_total, vals2.size * len(done), [])
+    _write_manifest(out_dir, command, digest, cells_total, vals2.size * len(done), [])
 
     ax1_t = (ax1.name, ax1.parameter, vals1.tolist())
     ax2_t = (ax2.name, ax2.parameter, vals2.tolist())
@@ -328,7 +329,7 @@ def _run_grid(command: str, cfg: RunConfig, out_dir: Path, digest: str,
     try:
         _run_chunks(_grid_worker, payloads, workers, record, abort_after_chunks)
     except KeyboardInterrupt:
-        _write_manifest(out_dir, digest, cells_total,
+        _write_manifest(out_dir, command, digest, cells_total,
                         vals2.size * len(done), ["interrupted"])
         raise
 
@@ -371,7 +372,7 @@ def _run_effective(cfg: RunConfig, out_dir: Path, digest: str, workers: int,
     chunk_size = 256
     chunks = [values[k:k + chunk_size] for k in range(0, values.size, chunk_size)]
     done = _load_ledger(out_dir, digest)
-    _write_manifest(out_dir, digest, cells_total,
+    _write_manifest(out_dir, "effective-params", digest, cells_total,
                     sum(len(done[c]) for c in done), [])
     payloads = [(ci, _model_fields(cfg.model),
                  (drive.amplitude, drive.frequency), axis.parameter,
@@ -386,7 +387,7 @@ def _run_effective(cfg: RunConfig, out_dir: Path, digest: str, workers: int,
         _run_chunks(_effective_worker, payloads, workers, record,
                     abort_after_chunks)
     except KeyboardInterrupt:
-        _write_manifest(out_dir, digest, cells_total,
+        _write_manifest(out_dir, "effective-params", digest, cells_total,
                         sum(len(v) for v in done.values()), ["interrupted"])
         raise
     rows = [row for ci in range(len(chunks)) for row in done[ci]]
@@ -409,11 +410,9 @@ def _run_echo(cfg: RunConfig, out_dir: Path, digest: str) -> tuple[list[str], in
         variants = (Variant.DRIVE_ROTATED, Variant.DOMINANT_SIDEBAND)
     else:
         variants = (Variant.EFFECTIVE_FULL, Variant.EFFECTIVE_JC)
-    spec_a = HamiltonianSpec(variant=variants[0], sys=cfg.model, drive=drive,
-                             sideband_eps=trunc.sideband_eps)
-    spec_b = HamiltonianSpec(variant=variants[1], sys=cfg.model, drive=drive,
-                             sideband_eps=trunc.sideband_eps)
-    _write_manifest(out_dir, digest, 1, 0, [])
+    spec_a = HamiltonianSpec(variant=variants[0], sys=cfg.model, drive=drive)
+    spec_b = HamiltonianSpec(variant=variants[1], sys=cfg.model, drive=drive)
+    _write_manifest(out_dir, "echo", digest, 1, 0, [])
     echo = loschmidt_echo(spec_a, spec_b, space, psi0, t_max=dyn.t_max,
                           samples=dyn.samples, dt_max=dyn.dt_max)
     write_echo_csv(echo, out_dir / _CSV_NAME["echo"])
@@ -449,15 +448,17 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     digest = config_hash(cfg)
     manifest = _read_manifest(out_dir)
     csv_path = out_dir / _CSV_NAME[command]
-    if (manifest is not None
-            and manifest.get("config_hash") == digest
+    same_run = (manifest is not None
+                and manifest.get("config_hash") == digest
+                and manifest.get("command") == command)
+    if (same_run
             and manifest.get("cells_total") == manifest.get("cells_done")
             and manifest.get("cells_total", 0) > 0
             and csv_path.exists()):
         print(f"cache hit: {csv_path} is up to date (config {digest})")
-        return 0
-    if manifest is not None and manifest.get("config_hash") != digest:
-        # stale results from another configuration: start clean
+        return _finish(manifest.get("deviations", []), strict)
+    if manifest is not None and not same_run:
+        # stale results from another configuration or command: start clean
         _ledger_path(out_dir).unlink(missing_ok=True)
 
     try:
@@ -481,15 +482,22 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _write_manifest(out_dir, digest, total, done, deviations)
+    _write_manifest(out_dir, command, digest, total, done, deviations)
     _ledger_path(out_dir).unlink(missing_ok=True)
+    code = _finish(deviations, strict)
+    if code == 0:
+        print(f"wrote {csv_path} ({total} cells, config {digest})")
+    return code
+
+
+def _finish(deviations: list[str], strict: bool) -> int:
+    """Report a run's deviations; under --strict any of them fails it."""
     for line in deviations:
         print(f"deviation: {line}")
     if strict and deviations:
         print("error: validity deviations present and --strict is set",
               file=sys.stderr)
         return 2
-    print(f"wrote {csv_path} ({total} cells, config {digest})")
     return 0
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .dynamics import ATOMIC_PRESETS
 from .params import DriveParams, SystemParams
-
-TOOL_VERSION = "0.1.0"
+from .specfun import DEFAULT_SIDEBAND_EPS
+from .spectrum import DRIVEN_BLOCK_WINDOW, STATIC_BLOCK_WINDOW
 
 SWEEPABLE_PARAMETERS = ("g1", "g2", "A_D", "omega_D", "Omega1", "Omega2")
 
@@ -57,13 +57,13 @@ class AxisConfig:
 class TruncationConfig:
     n_c1: int = 6
     n_c2: int = 6
-    block_window: int | None = None   # None: 8 for static runs, 5 for driven
-    sideband_eps: float = 1e-10
+    block_window: int | None = None   # None: the static or driven default
+    sideband_eps: float = DEFAULT_SIDEBAND_EPS   # accepted and hashed; affects no output
 
     def window_for(self, driven: bool) -> int:
         if self.block_window is not None:
             return self.block_window
-        return 5 if driven else 8
+        return DRIVEN_BLOCK_WINDOW if driven else STATIC_BLOCK_WINDOW
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def parse_config(doc) -> RunConfig:
         block_window=_integer("truncation", "block_window",
                               trunc_doc.get("block_window"), allow_none=True),
         sideband_eps=_number("truncation", "sideband_eps",
-                             trunc_doc.get("sideband_eps", 1e-10)),
+                             trunc_doc.get("sideband_eps", DEFAULT_SIDEBAND_EPS)),
     )
     if trunc.n_c1 < 1 or trunc.n_c2 < 1:
         raise ConfigError("truncation: Fock cutoffs n_c1, n_c2 must be >= 1")

@@ -10,15 +10,16 @@ lexicographic with the atom outermost and mode 2 innermost:
 Hamiltonian variants
 --------------------
 Every variant is assembled as a list of (constant sparse operator, scalar
-coefficient) terms with coefficients of the form A * exp(i*phi*t).  Each
+coefficient) terms with coefficients of the form
+A * exp(i*(phi*t + z*sin(w_D*t))); z = 0 except in the drive frame.  Each
 physical term is constructed once and its exact Hermitian conjugate is
 added alongside, so the instantaneous sum is Hermitian by construction and
 no conjugate phase can ever be entered with the wrong sign.
 
     JC_STATIC         excitation-conserving lab-frame model.
     DRIVE_ROTATED     drive frame: all Bessel-weighted sidebands of both the
-                      co-rotating and counter-rotating couplings, truncated
-                      at orders where |J| drops below sideband_eps.
+                      co-rotating and counter-rotating couplings, summed in
+                      closed form by Jacobi-Anger (z = theta, 2*theta).
     DOMINANT_SIDEBAND drive frame keeping only the zeroth co-rotating and
                       the slowest counter-rotating sideband of each mode.
     EFFECTIVE_FULL    time-independent effective model including the
@@ -37,9 +38,10 @@ Time-independent variants are diagonalized once and sampled exactly.
 Time-dependent variants use a fourth-order commutator-free exponential
 integrator (two Gauss-node exponentials per step, each applied by a Taylor
 expansion run to machine precision), which preserves the norm to roundoff.
-The internal step is min(dt_max, 2*pi/(80*phi_max)); at that step the
-scheme's sampled amplitudes are converged far below the 1e-6 contract the
-test suite enforces by step halving.
+The internal step is min(dt_max, 2*pi/(80*phi_max)), where phi_max is the
+peak instantaneous frequency max(|phi| + |z|*w_D) over the terms; at that
+step the scheme's sampled amplitudes are converged far below the 1e-6
+contract the test suite enforces by step halving.
 """
 
 from __future__ import annotations
@@ -53,9 +55,7 @@ import scipy.sparse as sp
 
 from .effective import effective_for_drive
 from .params import DriveParams, SystemParams
-from .specfun import DEFAULT_SIDEBAND_EPS, bessel_j_row, sideband_cutoff
 
-DEFAULT_CUTOFF = 6
 DEFAULT_T_MAX = 200.0
 DEFAULT_SAMPLES = 2000
 COHERENT_LEAKAGE_MAX = 1e-12
@@ -248,19 +248,21 @@ class HamiltonianSpec:
     variant: Variant
     sys: SystemParams
     drive: DriveParams | None = None
-    sideband_eps: float = DEFAULT_SIDEBAND_EPS
 
     def __post_init__(self):
         variant = Variant(self.variant)
         object.__setattr__(self, "variant", variant)
         if variant in _NEEDS_DRIVE and self.drive is None:
             raise ValueError(f"variant {variant.value} requires drive parameters")
-        if not (self.sideband_eps > 0):
-            raise ValueError("sideband_eps must be positive")
 
     @property
     def frame(self) -> str:
         return _FRAME[self.variant]
+
+
+def _coefficient(amplitude, phase, depth, rate, t):
+    """amplitude * exp(i*(phase*t + depth*sin(rate*t))), elementwise."""
+    return amplitude * np.exp(1j * (phase * t + depth * np.sin(rate * t)))
 
 
 @dataclass(frozen=True)
@@ -268,6 +270,8 @@ class Term:
     op: sp.csr_matrix
     amplitude: complex
     phase: float
+    depth: float = 0.0
+    rate: float = 0.0
 
 
 @dataclass
@@ -278,25 +282,29 @@ class TermList:
 
     @property
     def phi_max(self) -> float:
-        return max((abs(t.phase) for t in self.terms), default=0.0)
+        return max((abs(t.phase) + abs(t.depth) * t.rate for t in self.terms),
+                   default=0.0)
 
     @property
     def time_independent(self) -> bool:
-        return all(t.phase == 0.0 for t in self.terms)
+        return all(t.phase == 0.0 and t.depth == 0.0 for t in self.terms)
 
     def matrix_at(self, t: float) -> sp.csr_matrix:
         """Instantaneous Hamiltonian (mostly for verification)."""
         total = sp.csr_matrix((self.space.dim, self.space.dim), dtype=complex)
         for term in self.terms:
-            total = total + term.op.astype(complex) * (term.amplitude * np.exp(1j * term.phase * t))
+            coeff = _coefficient(term.amplitude, term.phase, term.depth, term.rate, t)
+            total = total + term.op.astype(complex) * coeff
         return total.tocsr()
 
 
-def _pair(terms: list[Term], op: sp.csr_matrix, amplitude: float, phase: float):
+def _pair(terms: list[Term], op: sp.csr_matrix, amplitude: float, phase: float,
+          depth: float = 0.0, rate: float = 0.0):
     """Append a physical term together with its exact Hermitian conjugate."""
-    terms.append(Term(op=op, amplitude=complex(amplitude), phase=float(phase)))
+    terms.append(Term(op=op, amplitude=complex(amplitude), phase=float(phase),
+                      depth=float(depth), rate=float(rate)))
     terms.append(Term(op=op.conj().T.tocsr(), amplitude=complex(np.conj(amplitude)),
-                      phase=-float(phase)))
+                      phase=-float(phase), depth=-float(depth), rate=float(rate)))
 
 
 def _self_adjoint(terms: list[Term], op: sp.csr_matrix, amplitude: float):
@@ -323,29 +331,16 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
 
     drive = spec.drive
     sb, eff = effective_for_drive(sys, drive)
-    wd = drive.frequency
-    theta = drive.theta
 
     if spec.variant is Variant.DRIVE_ROTATED:
-        p1 = sideband_cutoff(theta, spec.sideband_eps)
-        p2 = sideband_cutoff(2.0 * theta, spec.sideband_eps)
-        j1 = bessel_j_row(p1, abs(theta))
-        j2 = bessel_j_row(p2, abs(2.0 * theta))
-
-        def weight(row, order):
-            value = row[abs(order)]
-            return -value if (order < 0 and order % 2 != 0) else value
-
+        # sum_p g J_p(z) exp(i(phi + p wd)t) = g exp(i(phi t + z sin(wd t)))
+        theta, wd = drive.theta, drive.frequency
         base1 = 2.0 * sys.omega1 + sys.omega2 + sys.Omega1
         base2 = 2.0 * sys.omega2 + sys.omega1 + sys.Omega2
-        for p in range(-p1, p1 + 1):
-            _pair(terms, s31a1, sys.g1 * weight(j1, p), sb.delta1 + p * wd)
-        for n in range(-p1, p1 + 1):
-            _pair(terms, s31a1d, sys.g1 * weight(j1, n), base1 + n * wd)
-        for q in range(-p2, p2 + 1):
-            _pair(terms, s32a2, sys.g2 * weight(j2, q), sb.delta2 + q * wd)
-        for m in range(-p2, p2 + 1):
-            _pair(terms, s32a2d, sys.g2 * weight(j2, m), base2 + m * wd)
+        _pair(terms, s31a1, sys.g1, sb.delta1, theta, wd)
+        _pair(terms, s31a1d, sys.g1, base1, theta, wd)
+        _pair(terms, s32a2, sys.g2, sb.delta2, 2.0 * theta, wd)
+        _pair(terms, s32a2d, sys.g2, base2, 2.0 * theta, wd)
         return TermList(terms=terms, space=space, frame=spec.frame)
 
     if spec.variant is Variant.DOMINANT_SIDEBAND:
@@ -414,9 +409,11 @@ class _CombinedOperator:
                 self.map[slot, k] += v
         self.amplitudes = np.array([t.amplitude for t in terms])
         self.phases = np.array([t.phase for t in terms])
+        self.depths = np.array([t.depth for t in terms])
+        self.rates = np.array([t.rate for t in terms])
 
     def data_at(self, t: float) -> np.ndarray:
-        coeff = self.amplitudes * np.exp(1j * self.phases * t)
+        coeff = _coefficient(self.amplitudes, self.phases, self.depths, self.rates, t)
         return self.map @ coeff
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
@@ -454,10 +451,10 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
            samples: int = DEFAULT_SAMPLES) -> EvolutionResult:
     """Propagate psi0 and sample the state on a uniform time grid.
 
-    dt_max must respect the sampling bound 2*pi/(20*phi_max) of the fastest
-    retained coefficient oscillation; the integrator then substeps at
-    min(dt_max, 2*pi/(80*phi_max)) so halving dt_max perturbs sampled
-    amplitudes far below 1e-6.
+    dt_max must respect the sampling bound 2*pi/(20*phi_max), where phi_max
+    is the peak instantaneous frequency max(|phi| + |z|*w_D) of any
+    coefficient; the integrator then substeps at min(dt_max, bound/4) so
+    halving dt_max perturbs sampled amplitudes far below 1e-6.
     """
     if (psi0.space.n_c1, psi0.space.n_c2) != (space.n_c1, space.n_c2):
         raise ValueError("initial state lives in a different space")

@@ -1,6 +1,6 @@
 """Integer-order Bessel functions of the first kind and sideband truncation.
 
-The drive enters the rotated-frame Hamiltonian only through J_n(theta) and
+The drive enters the effective couplings only through J_n(theta) and
 J_m(2 theta) weights, so a self-contained, high-accuracy evaluator for
 integer orders is the one special function this package needs.
 
@@ -84,8 +84,8 @@ def _miller_row(n_max: int, x: float) -> np.ndarray:
 def bessel_j_row(n_max: int, x: float) -> np.ndarray:
     """Return the array [J_0(x), J_1(x), ..., J_{n_max}(x)].
 
-    This is the workhorse used by the sideband assembly: Miller's algorithm
-    produces every order of one argument in a single pass.
+    Single orders and the sideband cutoff scan both read this row: Miller's
+    algorithm produces every order of one argument in a single pass.
     """
     if n_max < 0:
         raise ValueError(f"n_max >= 0 required, got {n_max}")
@@ -113,21 +113,7 @@ def bessel_j(n: int, x: float) -> float:
     n = int(n)
     if abs(n) > MAX_ORDER:
         raise ValueError(f"|order| <= {MAX_ORDER} supported, got {n}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"bessel argument must be finite, got {x!r}")
-    if abs(x) > MAX_ARGUMENT:
-        raise ValueError(f"|x| <= {MAX_ARGUMENT:g} supported, got {x}")
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2 == 1:
-            sign = -sign
-    if x < 0:
-        x = -x
-        if n % 2 == 1:
-            sign = -sign
-    return sign * float(bessel_j_row(n, x)[n])
+    return bessel_j_any(n, x)
 
 
 def bessel_j_any(n: int, x: float) -> float:

@@ -9,6 +9,7 @@ import pytest
 
 from lambdajc.cli import (
     OUTPUT_ENV_VAR,
+    _load_ledger,
     main,
     run_command,
     write_csv,
@@ -226,6 +227,44 @@ class TestRunCommand:
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
                 == (tmp_path / "full" / "grid.csv").read_bytes())
 
+    def test_command_change_invalidates_cache(self, tmp_path, capsys):
+        cfg = parse_config(TINY_STATIC)
+        assert run_command("driven-phase", cfg, out_dir=tmp_path / "fresh") == 0
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "out") == 0
+        static = (tmp_path / "out" / "grid.csv").read_bytes()
+        capsys.readouterr()
+        assert run_command("driven-phase", cfg, out_dir=tmp_path / "out") == 0
+        assert "cache hit" not in capsys.readouterr().out
+        driven = (tmp_path / "out" / "grid.csv").read_bytes()
+        assert driven == (tmp_path / "fresh" / "grid.csv").read_bytes()
+        assert driven != static
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["command"] == "driven-phase"
+
+    def test_interrupted_ledger_not_resumed_by_other_command(self, tmp_path):
+        cfg = parse_config(TINY_STATIC)
+        run_command("driven-phase", cfg, out_dir=tmp_path / "fresh")
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path / "part",
+                        _abort_after_chunks=3)
+        assert run_command("driven-phase", cfg, out_dir=tmp_path / "part") == 0
+        assert ((tmp_path / "part" / "grid.csv").read_bytes()
+                == (tmp_path / "fresh" / "grid.csv").read_bytes())
+
+    def test_torn_ledger_tail_keeps_complete_lines(self, tmp_path):
+        cfg = parse_config(TINY_STATIC)
+        run_command("static-phase", cfg, out_dir=tmp_path / "full")
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path / "part",
+                        _abort_after_chunks=3)
+        ledger = tmp_path / "part" / "cells.jsonl"
+        with open(ledger, "a", encoding="utf-8") as fh:
+            fh.write('{"config_hash": "' + config_hash(cfg) + '", "chunk": 3, "da')
+        assert sorted(_load_ledger(tmp_path / "part", config_hash(cfg))) == [0, 1, 2]
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
+        assert ((tmp_path / "part" / "grid.csv").read_bytes()
+                == (tmp_path / "full" / "grid.csv").read_bytes())
+
     def test_driven_phase_records_deviations(self, tmp_path):
         cfg = parse_config(TINY_DRIVEN)
         assert run_command("driven-phase", cfg, out_dir=tmp_path) == 0
@@ -233,10 +272,19 @@ class TestRunCommand:
         # the slow drive caps the ground label on the window edge
         assert any("window-capped" in d for d in manifest["deviations"])
 
-    def test_strict_mode_fails_on_deviations(self, tmp_path):
+    def test_strict_mode_fails_on_deviations(self, tmp_path, capsys):
         cfg = parse_config(TINY_DRIVEN)
         assert run_command("driven-phase", cfg, out_dir=tmp_path,
                            strict=True) == 2
+        # a cache hit fails on the deviations stored in the manifest
+        capsys.readouterr()
+        assert run_command("driven-phase", cfg, out_dir=tmp_path,
+                           strict=True) == 2
+        captured = capsys.readouterr()
+        assert "cache hit" in captured.out
+        assert "window-capped" in captured.out
+        assert "--strict" in captured.err
+        assert run_command("driven-phase", cfg, out_dir=tmp_path) == 0
 
     def test_effective_params_csv(self, tmp_path):
         cfg = parse_config({

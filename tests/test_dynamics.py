@@ -121,6 +121,10 @@ class TestAssembly:
         assert len(assemble_terms(_spec(Variant.DOMINANT_SIDEBAND), space).terms) == 8
         assert len(assemble_terms(_spec(Variant.EFFECTIVE_FULL), space).terms) == 12
         assert len(assemble_terms(_spec(Variant.EFFECTIVE_JC), space).terms) == 8
+        for theta, wd in ((0.2, 0.18), (0.8, 0.33), (2.5, 0.18)):
+            spec = _spec(Variant.DRIVE_ROTATED,
+                         drive=DriveParams.from_theta(theta, wd))
+            assert len(assemble_terms(spec, space).terms) == 8
 
     def test_rotated_collapses_at_zero_amplitude(self):
         space = build_space(2, 2)
@@ -151,6 +155,8 @@ class TestAssembly:
                 partner_key = None
                 for other_k, other in pending.items():
                     if (other.phase == -term.phase
+                            and other.depth == -term.depth
+                            and other.rate == term.rate
                             and abs(other.amplitude - np.conj(term.amplitude)) < 1e-15
                             and is_adjoint(other.op, term.op)):
                         partner_key = other_k
@@ -253,17 +259,34 @@ class TestEvolve:
 
     def test_matches_reference_integrator_time_dependent(self):
         from scipy.integrate import solve_ivp
+        from scipy.special import jv
         space = build_space(1, 1)
+        theta, wd = 0.8, 0.33
         spec = _spec(Variant.DRIVE_ROTATED,
-                     drive=DriveParams.from_theta(0.8, 0.33))
-        terms = assemble_terms(spec, space)
+                     drive=DriveParams.from_theta(theta, wd))
         psi0 = coherent_state(space, 0.0, 0.0, "2+3")
         res = evolve(spec, space, psi0, t_max=20.0, samples=5)
 
-        mats = [(t.op.toarray(), t.amplitude, t.phase) for t in terms.terms]
+        # the drive-rotated Hamiltonian as the explicit sideband series
+        # sum_{|p| <= 40} g J_p(z) exp(i(phi + p wd)t) of each coupling
+        s = RESONANT
+        a1, a2 = space.lower1().toarray(), space.lower2().toarray()
+        s31, s32 = space.sigma(3, 1).toarray(), space.sigma(3, 2).toarray()
+        families = [
+            (s31 @ a1, s.g1, 2 * s.omega1 + s.omega2 - s.Omega1, theta),
+            (s31 @ a1.T, s.g1, 2 * s.omega1 + s.omega2 + s.Omega1, theta),
+            (s32 @ a2, s.g2, 2 * s.omega2 + s.omega1 - s.Omega2, 2 * theta),
+            (s32 @ a2.T, s.g2, 2 * s.omega2 + s.omega1 + s.Omega2, 2 * theta),
+        ]
+        orders = np.arange(-40, 41)
+        series = [(op, g * jv(orders, z), phi + orders * wd)
+                  for op, g, phi, z in families]
 
         def rhs(t, y):
-            H = sum(m * (a * np.exp(1j * p * t)) for m, a, p in mats)
+            H = np.zeros((space.dim, space.dim), complex)
+            for op, weights, rates in series:
+                c = np.sum(weights * np.exp(1j * rates * t))
+                H += c * op + np.conj(c) * op.T
             return -1j * (H @ y)
 
         ref = solve_ivp(rhs, (0.0, 20.0), psi0.amplitudes, method="DOP853",
