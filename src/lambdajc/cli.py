@@ -23,6 +23,7 @@ failure (validity failures only fail the run under --strict).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -47,9 +48,9 @@ from .dynamics import (
     coherent_state,
     loschmidt_echo,
 )
-from .effective import effective_parameters, find_sidebands, validity_report
+from .effective import effective_table
 from .params import DriveParams, SystemParams
-from .spectrum import AxisSpec, categorize, compute_grid_row
+from .spectrum import AxisSpec, assemble_grid, categorize, compute_grid_row
 
 COMMANDS = ("static-phase", "driven-phase", "effective-params", "echo")
 OUTPUT_ENV_VAR = "LAMBDAJC_OUT"
@@ -83,31 +84,41 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _replace_atomically(path: Path, write):
+    """Run write(fh) on a temp file beside path, then rename it onto path.
+
+    A failure part way leaves the previous file whole and no temp file
+    behind, so a cache check never sees a torn output.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path: Path, columns, rows):
     """Write rows (iterables aligned with columns) with round-trip exact
     floating point formatting."""
+    def write(fh):
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _replace_atomically(path, write)
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
-def write_grid_csv(grid, path: Path):
-    rows = []
-    for i, v1 in enumerate(grid.axis1.values):
-        for j, v2 in enumerate(grid.axis2.values):
-            label = (int(grid.n_label[i, j]), int(grid.m_label[i, j]))
-            rows.append((
-                grid.axis1.name, v1, grid.axis2.name, v2,
-                grid.energy[i, j], label[0], label[1],
-                categorize(*label).value, grid.gap[i, j],
-                bool(grid.window_capped[i, j]), bool(grid.rwa_ok[i, j]),
-                bool(grid.hierarchy_ok[i, j]),
-            ))
-    write_csv(path, GRID_CSV_COLUMNS, rows)
+def _file_digest(path: Path) -> str | None:
+    """blake2b hex digest of a file's bytes, None when it cannot be read."""
+    try:
+        return hashlib.blake2b(path.read_bytes()).hexdigest()
+    except OSError:
+        return None
 
 
 def write_echo_csv(echo, path: Path):
@@ -129,7 +140,8 @@ def _ledger_path(out_dir: Path) -> Path:
 
 
 def _write_manifest(out_dir: Path, command: str, digest: str, cells_total: int,
-                    cells_done: int, deviations: list[str]):
+                    cells_done: int, deviations: list[str],
+                    csv_digest: str | None = None):
     shown = deviations[:MAX_MANIFEST_DEVIATIONS]
     if len(deviations) > MAX_MANIFEST_DEVIATIONS:
         shown.append(f"... {len(deviations) - MAX_MANIFEST_DEVIATIONS} more")
@@ -140,9 +152,10 @@ def _write_manifest(out_dir: Path, command: str, digest: str, cells_total: int,
         "cells_total": cells_total,
         "cells_done": cells_done,
         "deviations": shown,
+        "csv_blake2b": csv_digest,
     }
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    _manifest_path(out_dir).write_text(text, encoding="utf-8")
+    _replace_atomically(_manifest_path(out_dir), lambda fh: fh.write(text))
 
 
 def _read_manifest(out_dir: Path) -> dict | None:
@@ -202,24 +215,17 @@ def _grid_worker(payload):
 
 def _effective_worker(payload):
     (chunk, model_fields, drive_fields, parameter, values) = payload
-    sys_t = SystemParams(*model_fields)
     base = DriveParams(*drive_fields)
-    rows = []
-    for v in values:
-        if parameter == "omega_D":
-            drive = DriveParams(amplitude=base.amplitude, frequency=float(v))
-        else:
-            drive = DriveParams(amplitude=float(v), frequency=base.frequency)
-        sb = find_sidebands(sys_t, drive)
-        eff = effective_parameters(sys_t, drive, sb)
-        report = validity_report(sys_t, drive, sb, eff)
-        rows.append([drive.frequency, drive.theta, sb.n0, sb.m0,
-                     sb.Delta_n0, sb.Delta_m0,
-                     eff.Omega1_eff, eff.Omega2_eff,
-                     eff.omega1_eff, eff.omega2_eff,
-                     eff.gr1, eff.gr2, eff.gc1, eff.gc2,
-                     bool(report.rwa_ok)])
-    return chunk, rows
+    values = np.array(values)
+    amplitude, frequency = base.amplitude, base.frequency
+    if parameter == "omega_D":
+        frequency = values
+    else:
+        amplitude = values
+    table = effective_table(*model_fields, amplitude, frequency)
+    columns = [np.broadcast_to(c, values.shape).tolist() for c in (
+        frequency, *(table[k] for k in EFFECTIVE_CSV_COLUMNS[1:]))]
+    return chunk, [list(row) for row in zip(*columns)]
 
 
 def _run_chunks(worker, payloads, workers: int, on_done,
@@ -333,34 +339,23 @@ def _run_grid(command: str, cfg: RunConfig, out_dir: Path, digest: str,
                         vals2.size * len(done), ["interrupted"])
         raise
 
-    rows = []
-    deviations: list[str] = []
-    n_capped = n_rwa = n_hier = 0
-    for i in range(vals1.size):
-        data = done[i]
-        for j in range(vals2.size):
-            label = (int(data["n_label"][j]), int(data["m_label"][j]))
-            capped = bool(data["window_capped"][j])
-            rwa = bool(data["rwa_ok"][j])
-            hier = bool(data["hierarchy_ok"][j])
-            n_capped += capped
-            n_rwa += not rwa
-            n_hier += not hier
-            rows.append((ax1.name, vals1[i], ax2.name, vals2[j],
-                         data["energy"][j], label[0], label[1],
-                         categorize(*label).value, data["gap"][j],
-                         capped, rwa, hier))
-    if n_capped:
-        deviations.append(f"{n_capped}/{cells_total} cells window-capped "
-                          f"(block_window={window})")
-    if n_rwa:
-        deviations.append(f"{n_rwa}/{cells_total} cells fail the "
-                          "counter-rotating validity rule")
-    if n_hier:
-        deviations.append(f"{n_hier}/{cells_total} cells fail the "
-                          "drive-hierarchy validity rule")
-    write_csv(out_dir / _CSV_NAME[command], GRID_CSV_COLUMNS, rows)
-    return deviations, cells_total, cells_total
+    grid = assemble_grid(
+        AxisSpec(ax1.name, ax1.parameter, vals1), AxisSpec(ax2.name, ax2.parameter, vals2),
+        window, [{k: np.asarray(v) for k, v in done[i].items()} for i in range(vals1.size)])
+    write_csv(out_dir / _CSV_NAME[command], GRID_CSV_COLUMNS, _grid_rows(grid))
+    return grid.deviations, cells_total, cells_total
+
+
+def _grid_rows(grid):
+    """CSV rows of a PhaseGrid, axis1-major."""
+    columns = [grid.energy, grid.n_label, grid.m_label, grid.gap,
+               grid.window_capped, grid.rwa_ok, grid.hierarchy_ok]
+    name1, name2 = grid.axis1.name, grid.axis2.name
+    vals2 = grid.axis2.values.tolist()
+    for v1, *row in zip(grid.axis1.values.tolist(), *(c.tolist() for c in columns)):
+        for v2, energy, n, m, gap, capped, rwa, hier in zip(vals2, *row):
+            yield (name1, v1, name2, v2, energy, n, m, categorize(n, m).value,
+                   gap, capped, rwa, hier)
 
 
 def _run_effective(cfg: RunConfig, out_dir: Path, digest: str, workers: int,
@@ -453,10 +448,13 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
                 and manifest.get("command") == command)
     if (same_run
             and manifest.get("cells_total") == manifest.get("cells_done")
-            and manifest.get("cells_total", 0) > 0
-            and csv_path.exists()):
-        print(f"cache hit: {csv_path} is up to date (config {digest})")
-        return _finish(manifest.get("deviations", []), strict)
+            and manifest.get("cells_total", 0) > 0):
+        stored = manifest.get("csv_blake2b")
+        if stored is not None and stored == _file_digest(csv_path):
+            print(f"cache hit: {csv_path} is up to date (config {digest})")
+            return _finish(manifest.get("deviations", []), strict)
+        print(f"cache miss: {csv_path} is missing or differs from the manifest "
+              "digest; recomputing")
     if manifest is not None and not same_run:
         # stale results from another configuration or command: start clean
         _ledger_path(out_dir).unlink(missing_ok=True)
@@ -482,7 +480,8 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _write_manifest(out_dir, command, digest, total, done, deviations)
+    _write_manifest(out_dir, command, digest, total, done, deviations,
+                    _file_digest(csv_path))
     _ledger_path(out_dir).unlink(missing_ok=True)
     code = _finish(deviations, strict)
     if code == 0:

@@ -27,12 +27,20 @@ flag rather than hiding.
 The frame change is bookkeeping-exact: delta1 + Omega1_eff = 2 omega1_eff +
 omega2_eff and D_{n0} - Omega1_eff = 2 omega1_eff + omega2_eff (same for
 mode 2), identities the test suite checks on random draws.
+
+The formulas are written once, as array stages that accept floats or
+arrays.  effective_table runs them over whole sweep rows (the driven grid
+and the effective-params command); find_sidebands, effective_parameters
+and validity_report are their one-point forms and agree with it bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .params import DriveParams, SystemParams
 from .specfun import bessel_j, bessel_j_any
@@ -89,64 +97,156 @@ class ValidityReport:
 
 def detunings(sys: SystemParams) -> tuple[float, float]:
     """Cavity detunings of the two transition/mode pairs."""
-    delta1 = 2.0 * sys.omega1 + sys.omega2 - sys.Omega1
-    delta2 = 2.0 * sys.omega2 + sys.omega1 - sys.Omega2
-    return delta1, delta2
+    return _detunings(sys.omega1, sys.omega2, sys.Omega1, sys.Omega2)
 
 
-def _argmin_order(base: float, omega_d: float) -> tuple[int, float]:
-    """Integer n in [-LIMIT, LIMIT] minimizing |base + n * omega_d|.
+# ---------------------------------------------------------------------------
+# array stages: every argument may be a float or an array, elementwise.
+# Plain operators serve both; the few steps that need a numpy call on arrays
+# keep a Python branch for floats so the one-point forms stay cheap.
+
+
+def _clip(x, bound):
+    if isinstance(x, np.ndarray):
+        return np.clip(x, -bound, bound)
+    return max(-bound, min(bound, x))
+
+
+def _ratio_or_inf(num, den):
+    """|num / den|, infinite where den == 0."""
+    if isinstance(den, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den != 0.0, abs(num / den), np.inf)
+    return abs(num / den) if den != 0.0 else math.inf
+
+
+def _detunings(omega1, omega2, Omega1, Omega2):
+    return 2.0 * omega1 + omega2 - Omega1, 2.0 * omega2 + omega1 - Omega2
+
+
+def _argmin_order(base, omega_d):
+    """Integer n in [-LIMIT, LIMIT] minimizing |base + n * omega_d|, and the
+    minimized value base + n * omega_d; n is returned as a float.
 
     Exact ties are broken toward the more negative integer so sweeps are
-    deterministic.
+    deterministic.  x // 1.0 is floor(x), elementwise on arrays.
     """
-    target = -base / omega_d
-    if target <= -SIDEBAND_SEARCH_LIMIT:
-        n = -SIDEBAND_SEARCH_LIMIT
-        return n, base + n * omega_d
-    if target >= SIDEBAND_SEARCH_LIMIT:
-        n = SIDEBAND_SEARCH_LIMIT
-        return n, base + n * omega_d
-    lo = int(math.floor(target))
-    hi = int(math.ceil(target))
-    v_lo = base + lo * omega_d
-    v_hi = base + hi * omega_d
-    if abs(v_lo) < abs(v_hi):
-        return lo, v_lo
-    if abs(v_hi) < abs(v_lo):
-        return hi, v_hi
-    return min(lo, hi), (v_lo if lo <= hi else v_hi)
+    target = _clip(-base / omega_d, SIDEBAND_SEARCH_LIMIT)
+    lo = target // 1.0
+    hi = -(-target // 1.0)
+    n = lo + (hi - lo) * (abs(base + hi * omega_d) < abs(base + lo * omega_d))
+    return n, base + n * omega_d
+
+
+def _sidebands(omega1, omega2, Omega1, Omega2, omega_d):
+    """(n0, m0, Delta_n0, Delta_m0, delta1, delta2)."""
+    delta1, delta2 = _detunings(omega1, omega2, Omega1, Omega2)
+    n0, dn0 = _argmin_order(2.0 * omega1 + omega2 + Omega1, omega_d)
+    m0, dm0 = _argmin_order(2.0 * omega2 + omega1 + Omega2, omega_d)
+    return n0, m0, dn0, dm0, delta1, delta2
+
+
+def _bessel_each(fn, orders, x):
+    """fn(order, x) evaluated once per distinct (order, x) pair.
+
+    Along a sweep row theta and the sideband orders rarely change, so the
+    scalar Bessel evaluator runs a handful of times instead of per cell.
+    """
+    if not isinstance(x, np.ndarray):
+        return fn(int(orders), x)
+    orders, x = np.broadcast_arrays(orders, x)
+    keys = list(zip(orders.ravel().tolist(), x.ravel().tolist()))
+    memo = {key: fn(*key) for key in dict.fromkeys(keys)}
+    return np.array([memo[key] for key in keys]).reshape(x.shape)
+
+
+def _effective(d1, d2, dn, dm, n0, m0, g1, g2, theta) -> dict:
+    """The EffectiveParams fields for resolved sidebands."""
+    return {
+        "Omega1_eff": (dn - d1) / 2.0,
+        "Omega2_eff": (dm - d2) / 2.0,
+        "omega1_eff": ((2.0 * d1 - d2) + (2.0 * dn - dm)) / 6.0,
+        "omega2_eff": ((2.0 * d2 - d1) + (2.0 * dm - dn)) / 6.0,
+        "gr1": g1 * _bessel_each(bessel_j, 0, theta),
+        "gr2": g2 * _bessel_each(bessel_j, 0, 2.0 * theta),
+        "gc1": g1 * _bessel_each(bessel_j_any, n0, theta),
+        "gc2": g2 * _bessel_each(bessel_j_any, m0, 2.0 * theta),
+    }
+
+
+def _validity(d1, d2, dn, dm, g1, g2, gc1, gc2, omega_d, hierarchy_max, rwa_max):
+    """(ratios keyed by RATIO_NAMES, hierarchy_ok, rwa_ok)."""
+    ratios = {
+        "delta1/omega_D": abs(d1) / omega_d,
+        "delta2/omega_D": abs(d2) / omega_d,
+        "Delta_n0/omega_D": abs(dn) / omega_d,
+        "Delta_m0/omega_D": abs(dm) / omega_d,
+        "g1/omega_D": g1 / omega_d,
+        "g2/omega_D": g2 / omega_d,
+    }
+    hierarchy_ok = True
+    for r in ratios.values():
+        hierarchy_ok = hierarchy_ok & (r < hierarchy_max)
+    # A vanishing sideband phase makes the counter-rotating term secular:
+    # report the ratio as infinite and fail the audit outright.
+    ratios["gc1/Delta_n0"] = _ratio_or_inf(gc1, dn)
+    ratios["gc2/Delta_m0"] = _ratio_or_inf(gc2, dm)
+    rwa_ok = (ratios["gc1/Delta_n0"] < rwa_max) & (ratios["gc2/Delta_m0"] < rwa_max)
+    return ratios, hierarchy_ok, rwa_ok
+
+
+RATIO_NAMES = ("delta1/omega_D", "delta2/omega_D", "Delta_n0/omega_D",
+               "Delta_m0/omega_D", "g1/omega_D", "g2/omega_D",
+               "gc1/Delta_n0", "gc2/Delta_m0")
+
+
+def effective_table(omega1, omega2, Omega1, Omega2, g1, g2, amplitude, frequency,
+                    hierarchy_max: float = HIERARCHY_RATIO_MAX,
+                    rwa_max: float = RWA_RATIO_MAX) -> dict[str, np.ndarray]:
+    """find_sidebands, effective_parameters and validity_report at once for
+    every element of the broadcast model and drive arrays.
+
+    Keys: theta, the SidebandInfo and EffectiveParams field names,
+    RATIO_NAMES, hierarchy_ok and rwa_ok; every value has the broadcast
+    shape.  Each element equals the scalar functions' result bit for bit.
+    """
+    (omega1, omega2, Omega1, Omega2, g1, g2, amplitude, frequency) = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in
+          (omega1, omega2, Omega1, Omega2, g1, g2, amplitude, frequency)))
+    if np.any(frequency <= 0):
+        raise ValueError(f"drive frequency > 0 required, got {frequency.min()}")
+    theta = amplitude / frequency
+    n0, m0, dn, dm, d1, d2 = _sidebands(omega1, omega2, Omega1, Omega2, frequency)
+    n0, m0 = n0.astype(np.int64), m0.astype(np.int64)
+    eff = _effective(d1, d2, dn, dm, n0, m0, g1, g2, theta)
+    ratios, hierarchy_ok, rwa_ok = _validity(d1, d2, dn, dm, g1, g2, eff["gc1"],
+                                             eff["gc2"], frequency, hierarchy_max,
+                                             rwa_max)
+    return {"theta": theta, "n0": n0, "m0": m0, "Delta_n0": dn, "Delta_m0": dm,
+            "delta1": d1, "delta2": d2, **eff, **ratios,
+            "hierarchy_ok": hierarchy_ok, "rwa_ok": rwa_ok}
+
+
+# ---------------------------------------------------------------------------
+# one-point forms
 
 
 def find_sidebands(sys: SystemParams, drive: DriveParams) -> SidebandInfo:
     """Resolve the dominant counter-rotating sideband order of each mode."""
     if drive.frequency <= 0:
         raise ValueError(f"drive frequency > 0 required, got {drive.frequency}")
-    delta1, delta2 = detunings(sys)
-    base1 = 2.0 * sys.omega1 + sys.omega2 + sys.Omega1
-    base2 = 2.0 * sys.omega2 + sys.omega1 + sys.Omega2
-    n0, dn0 = _argmin_order(base1, drive.frequency)
-    m0, dm0 = _argmin_order(base2, drive.frequency)
-    return SidebandInfo(n0=n0, m0=m0, Delta_n0=dn0, Delta_m0=dm0,
-                        delta1=delta1, delta2=delta2)
+    n0, m0, dn0, dm0, delta1, delta2 = _sidebands(
+        sys.omega1, sys.omega2, sys.Omega1, sys.Omega2, drive.frequency)
+    return SidebandInfo(n0=int(n0), m0=int(m0), Delta_n0=float(dn0),
+                        Delta_m0=float(dm0), delta1=delta1, delta2=delta2)
 
 
 def effective_parameters(sys: SystemParams, drive: DriveParams,
                          sb: SidebandInfo) -> EffectiveParams:
     """Effective frequencies and couplings for the resolved sidebands."""
-    theta = drive.theta
-    d1, d2 = sb.delta1, sb.delta2
-    dn, dm = sb.Delta_n0, sb.Delta_m0
-    return EffectiveParams(
-        Omega1_eff=(dn - d1) / 2.0,
-        Omega2_eff=(dm - d2) / 2.0,
-        omega1_eff=((2.0 * d1 - d2) + (2.0 * dn - dm)) / 6.0,
-        omega2_eff=((2.0 * d2 - d1) + (2.0 * dm - dn)) / 6.0,
-        gr1=sys.g1 * bessel_j(0, theta),
-        gr2=sys.g2 * bessel_j(0, 2.0 * theta),
-        gc1=sys.g1 * bessel_j_any(sb.n0, theta),
-        gc2=sys.g2 * bessel_j_any(sb.m0, 2.0 * theta),
-    )
+    eff = _effective(sb.delta1, sb.delta2, sb.Delta_n0, sb.Delta_m0, sb.n0, sb.m0,
+                     sys.g1, sys.g2, drive.theta)
+    return EffectiveParams(**{k: float(v) for k, v in eff.items()})
 
 
 def effective_for_drive(sys: SystemParams, drive: DriveParams) -> tuple[SidebandInfo, EffectiveParams]:
@@ -197,22 +297,8 @@ def validity_report(sys: SystemParams, drive: DriveParams, sb: SidebandInfo,
                     hierarchy_max: float = HIERARCHY_RATIO_MAX,
                     rwa_max: float = RWA_RATIO_MAX) -> ValidityReport:
     """Audit the two approximation layers behind the effective model."""
-    wd = drive.frequency
-    ratios = {
-        "delta1/omega_D": abs(sb.delta1) / wd,
-        "delta2/omega_D": abs(sb.delta2) / wd,
-        "Delta_n0/omega_D": abs(sb.Delta_n0) / wd,
-        "Delta_m0/omega_D": abs(sb.Delta_m0) / wd,
-        "g1/omega_D": sys.g1 / wd,
-        "g2/omega_D": sys.g2 / wd,
-    }
-    hierarchy_ok = all(r < hierarchy_max for r in ratios.values())
-    # A vanishing sideband phase makes the counter-rotating term secular:
-    # report the ratio as infinite and fail the audit outright.
-    gc_ratios = []
-    for gc, delta in ((eff.gc1, sb.Delta_n0), (eff.gc2, sb.Delta_m0)):
-        gc_ratios.append(abs(gc / delta) if delta != 0.0 else math.inf)
-    ratios["gc1/Delta_n0"] = gc_ratios[0]
-    ratios["gc2/Delta_m0"] = gc_ratios[1]
-    rwa_ok = gc_ratios[0] < rwa_max and gc_ratios[1] < rwa_max
-    return ValidityReport(ratios=ratios, hierarchy_ok=hierarchy_ok, rwa_ok=rwa_ok)
+    ratios, hierarchy_ok, rwa_ok = _validity(
+        sb.delta1, sb.delta2, sb.Delta_n0, sb.Delta_m0, sys.g1, sys.g2,
+        eff.gc1, eff.gc2, drive.frequency, hierarchy_max, rwa_max)
+    return ValidityReport(ratios={k: float(v) for k, v in ratios.items()},
+                          hierarchy_ok=bool(hierarchy_ok), rwa_ok=bool(rwa_ok))

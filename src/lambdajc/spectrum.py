@@ -32,6 +32,16 @@ The lowest eigenvalue of each block is computed by the closed-form
 trigonometric solution of the symmetric 3x3 characteristic polynomial with
 a Newton polish and an exact-diagonal fallback; grid sweeps evaluate
 millions of blocks, so this is the hot path.
+
+Grids are evaluated by one row engine.  compute_grid_row broadcasts the
+swept field over the axis-2 values, stacks every cell's blocks into one
+(cells, W+1, W+1) table for a single kernel call, and takes each cell's
+label as the first minimum of its flattened table and its gap from a
+partition.  Driven rows first pass the whole row through
+effective.effective_table, so sidebands, effective parameters and the
+validity audit are array code too.  ground_search and driven_phase_point
+are one-cell rows of the same core; no per-cell parameter objects are
+built on the grid path.
 """
 
 from __future__ import annotations
@@ -41,14 +51,7 @@ from enum import Enum
 
 import numpy as np
 
-from .effective import (
-    EffectiveParams,
-    SidebandInfo,
-    ValidityReport,
-    effective_parameters,
-    find_sidebands,
-    validity_report,
-)
+from .effective import RATIO_NAMES, ValidityReport, effective_table
 from .params import DriveParams, SystemParams
 
 STATIC_BLOCK_WINDOW = 8
@@ -132,14 +135,19 @@ class PhaseGrid:
     deviations: list[str] = field(default_factory=list)
 
     def cell(self, i: int, j: int) -> PhasePoint:
-        label = (int(self.n_label[i, j]), int(self.m_label[i, j]))
-        return PhasePoint(
-            label=label,
-            category=categorize(*label),
-            energy=float(self.energy[i, j]),
-            gap=float(self.gap[i, j]),
-            window_capped=bool(self.window_capped[i, j]),
-        )
+        return _point(vars(self), (i, j))
+
+
+def _point(cells, index) -> PhasePoint:
+    """The PhasePoint at index of per-cell arrays keyed like PhaseGrid."""
+    label = (int(cells["n_label"][index]), int(cells["m_label"][index]))
+    return PhasePoint(
+        label=label,
+        category=categorize(*label),
+        energy=float(cells["energy"][index]),
+        gap=float(cells["gap"][index]),
+        window_capped=bool(cells["window_capped"][index]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +237,16 @@ def ground_occupations(block: DressedBlock) -> tuple[float, float]:
     return float(exp_n1), float(exp_n2)
 
 
-def ground_energy_table(omega1: float, omega2: float, Omega1: float, Omega2: float,
-                        g1: float, g2: float, block_window: int) -> np.ndarray:
+def ground_energy_table(omega1, omega2, Omega1, Omega2, g1, g2,
+                        block_window: int) -> np.ndarray:
     """Ground energies of every block with labels in [0, block_window]^2.
 
     Takes raw floats rather than SystemParams so the driven engine can feed
     effective parameters that violate the static positivity invariants
     (negative effective frequencies, sign-flipped couplings).  The block
-    spectrum only depends on the couplings through their squares.
+    spectrum only depends on the couplings through their squares.  The
+    parameters may also be arrays of shape (..., 1, 1): the result then
+    holds one (block_window + 1)^2 table per leading index.
     """
     if block_window < 1:
         raise ValueError(f"block_window >= 1 required, got {block_window}")
@@ -245,20 +255,61 @@ def ground_energy_table(omega1: float, omega2: float, Omega1: float, Omega2: flo
     return _lowest_eig_sym3(h11, h22, h33, h12, h13)
 
 
+def _search_tables(tables: np.ndarray, window: int, forced_cap=False) -> dict:
+    """Ground label, energy, gap and window flag of each table stacked along
+    axis 0, as arrays keyed like PhaseGrid."""
+    flat = tables.reshape(tables.shape[0], -1)
+    k = np.argmin(flat, axis=1)  # first minimum in C order = lexicographic tie-break
+    energy = np.take_along_axis(flat, k[:, None], axis=1)[:, 0]
+    second = np.partition(flat, 1, axis=1)[:, 1]
+    n_lab, m_lab = np.divmod(k, window + 1)
+    return {
+        "energy": energy,
+        "n_label": n_lab,
+        "m_label": m_lab,
+        "gap": np.maximum(second - energy, 0.0),
+        "window_capped": forced_cap | (n_lab == window) | (m_lab == window),
+    }
+
+
 def _search_table(table: np.ndarray, window: int, forced_cap: bool = False) -> PhasePoint:
-    flat = table.ravel()
-    k = int(np.argmin(flat))  # first minimum in C order = lexicographic tie-break
-    n_lab, m_lab = divmod(k, window + 1)
-    energy = float(flat[k])
-    second = float(np.partition(flat, 1)[1])
-    on_edge = n_lab == window or m_lab == window
-    return PhasePoint(
-        label=(n_lab, m_lab),
-        category=categorize(n_lab, m_lab),
-        energy=energy,
-        gap=max(second - energy, 0.0),
-        window_capped=forced_cap or on_edge,
-    )
+    return _point(_search_tables(table[None], window, forced_cap), 0)
+
+
+_MODEL_FIELDS = ("omega1", "omega2", "Omega1", "Omega2", "g1", "g2")
+_DRIVE_FIELDS = ("A_D", "omega_D")
+_EFFECTIVE_MODEL = ("omega1_eff", "omega2_eff", "Omega1_eff", "Omega2_eff", "gr1", "gr2")
+
+
+def _ground_cells(fields: dict[str, np.ndarray],
+                  block_window: int) -> tuple[dict, dict | None]:
+    """The row core: ground search of every cell of equal-length field arrays.
+
+    fields holds the six model fields, plus A_D and omega_D for a driven
+    row.
+    All cells go through one (cells, W+1, W+1) block table and one kernel
+    call.  Returns the per-cell arrays keyed like PhaseGrid and, when
+    driven, the effective_table the blocks were built from.
+    """
+    model = [fields[k] for k in _MODEL_FIELDS]
+    eff = None
+    forced = False
+    if "omega_D" in fields:
+        eff = effective_table(*model, fields["A_D"], fields["omega_D"])
+        model = [eff[k] for k in _EFFECTIVE_MODEL]
+        # a non-positive effective cavity frequency sends the block energies
+        # down without bound in that photon index
+        forced = (eff["Omega1_eff"] <= 0.0) | (eff["Omega2_eff"] <= 0.0)
+    table = ground_energy_table(*(a[:, None, None] for a in model), block_window)
+    return _search_tables(table, block_window, forced), eff
+
+
+def _one_cell(sys: SystemParams, drive: DriveParams | None = None) -> dict:
+    fields = {k: np.array([getattr(sys, k)]) for k in _MODEL_FIELDS}
+    if drive is not None:
+        fields.update(A_D=np.array([drive.amplitude]),
+                      omega_D=np.array([drive.frequency]))
+    return fields
 
 
 def ground_search(sys: SystemParams, block_window: int = STATIC_BLOCK_WINDOW) -> PhasePoint:
@@ -268,9 +319,8 @@ def ground_search(sys: SystemParams, block_window: int = STATIC_BLOCK_WINDOW) ->
     window_capped flag reports an argmin sitting on the window edge, i.e. a
     window too small to trust.
     """
-    table = ground_energy_table(sys.omega1, sys.omega2, sys.Omega1, sys.Omega2,
-                                sys.g1, sys.g2, block_window)
-    return _search_table(table, block_window)
+    cells, _ = _ground_cells(_one_cell(sys), block_window)
+    return _point(cells, 0)
 
 
 def driven_phase_point(sys: SystemParams, drive: DriveParams,
@@ -285,92 +335,78 @@ def driven_phase_point(sys: SystemParams, drive: DriveParams,
     construction; the window_capped flag records this rather than
     rejecting the point.
     """
-    sb = find_sidebands(sys, drive)
-    eff = effective_parameters(sys, drive, sb)
-    report = validity_report(sys, drive, sb, eff)
-    table = ground_energy_table(eff.omega1_eff, eff.omega2_eff,
-                                eff.Omega1_eff, eff.Omega2_eff,
-                                eff.gr1, eff.gr2, block_window)
-    forced = eff.Omega1_eff <= 0.0 or eff.Omega2_eff <= 0.0
-    return _search_table(table, block_window, forced_cap=forced), report
+    cells, eff = _ground_cells(_one_cell(sys, drive), block_window)
+    report = ValidityReport(ratios={k: float(eff[k][0]) for k in RATIO_NAMES},
+                            hierarchy_ok=bool(eff["hierarchy_ok"][0]),
+                            rwa_ok=bool(eff["rwa_ok"][0]))
+    return _point(cells, 0), report
 
 
 # ---------------------------------------------------------------------------
 # grids
 
 
-_STATIC_AXIS_FIELDS = ("g1", "g2", "Omega1", "Omega2", "omega1", "omega2")
-_DRIVE_AXIS_FIELDS = ("A_D", "omega_D")
-
-
-def _apply_axis(sys: SystemParams, drive: DriveParams | None,
-                parameter: str, value: float):
-    if parameter in _STATIC_AXIS_FIELDS:
-        return sys.replace(**{parameter: value}), drive
-    if parameter == "A_D":
-        if drive is None:
-            raise ValueError("axis maps A_D but no drive block is configured")
-        return sys, DriveParams(amplitude=value, frequency=drive.frequency)
-    if parameter == "omega_D":
-        if drive is None:
-            raise ValueError("axis maps omega_D but no drive block is configured")
-        return sys, DriveParams(amplitude=drive.amplitude, frequency=value)
-    raise ValueError(f"unknown sweep parameter {parameter!r}")
+def _row_fields(sys: SystemParams, drive: DriveParams | None, axis1: AxisSpec,
+                axis2: AxisSpec, i: int) -> dict[str, np.ndarray]:
+    """Field arrays of row i: axis1 fixed at its i-th value, axis2 swept."""
+    values = {k: getattr(sys, k) for k in _MODEL_FIELDS}
+    if drive is not None:
+        values.update(A_D=drive.amplitude, omega_D=drive.frequency)
+    for axis, value in ((axis1, axis1.values[i]), (axis2, axis2.values)):
+        if axis.parameter in _DRIVE_FIELDS and drive is None:
+            raise ValueError(
+                f"axis maps {axis.parameter} but no drive block is configured")
+        if axis.parameter not in values:
+            raise ValueError(f"unknown sweep parameter {axis.parameter!r}")
+        values[axis.parameter] = value
+    n2 = axis2.values.size
+    fields = {k: np.broadcast_to(np.asarray(v, dtype=float), (n2,))
+              for k, v in values.items()}
+    # every field constraint is a bound, so the row's extremes validate it
+    for pick in (np.min, np.max):
+        SystemParams(**{k: pick(fields[k]) for k in _MODEL_FIELDS})
+        if drive is not None:
+            DriveParams(pick(fields["A_D"]), pick(fields["omega_D"]))
+    return fields
 
 
 def compute_grid_row(sys_template: SystemParams, drive_template: DriveParams | None,
                      axis1: AxisSpec, axis2: AxisSpec, block_window: int,
                      i: int) -> dict[str, np.ndarray]:
-    """All cells of one axis1 row, in axis2 order.
+    """All cells of one axis1 row, in axis2 order, as arrays keyed like
+    PhaseGrid.
 
-    Each cell is an independent pure computation; the result arrays do not
+    The row is one (n2, W+1, W+1) block table through one kernel call; each
+    cell's result depends only on its own parameters, so the arrays do not
     depend on how rows are batched across workers.
     """
-    n2 = axis2.values.size
-    out = {
-        "energy": np.empty(n2), "n_label": np.empty(n2, dtype=int),
-        "m_label": np.empty(n2, dtype=int), "gap": np.empty(n2),
-        "window_capped": np.zeros(n2, dtype=bool),
-        "rwa_ok": np.ones(n2, dtype=bool),
-        "hierarchy_ok": np.ones(n2, dtype=bool),
-    }
-    sys_i, drive_i = _apply_axis(sys_template, drive_template, axis1.parameter,
-                                 float(axis1.values[i]))
-    for j, vj in enumerate(axis2.values):
-        sys_ij, drive_ij = _apply_axis(sys_i, drive_i, axis2.parameter, float(vj))
-        if drive_template is None:
-            point = ground_search(sys_ij, block_window)
-        else:
-            point, report = driven_phase_point(sys_ij, drive_ij, block_window)
-            out["rwa_ok"][j] = report.rwa_ok
-            out["hierarchy_ok"][j] = report.hierarchy_ok
-        out["energy"][j] = point.energy
-        out["n_label"][j] = point.n_label
-        out["m_label"][j] = point.m_label
-        out["gap"][j] = point.gap
-        out["window_capped"][j] = point.window_capped
-    return out
+    fields = _row_fields(sys_template, drive_template, axis1, axis2, i)
+    row, eff = _ground_cells(fields, block_window)
+    for key in ("rwa_ok", "hierarchy_ok"):
+        row[key] = eff[key] if eff is not None else np.ones(axis2.values.size, dtype=bool)
+    return row
 
 
-def _assemble_grid(axis1: AxisSpec, axis2: AxisSpec, block_window: int,
-                   rows: list[dict[str, np.ndarray]]) -> PhaseGrid:
+def assemble_grid(axis1: AxisSpec, axis2: AxisSpec, block_window: int,
+                  rows: list[dict[str, np.ndarray]]) -> PhaseGrid:
+    """Stack computed rows into a PhaseGrid and tally its deviations: cells
+    window-capped and cells failing either validity audit."""
     stack = {k: np.stack([r[k] for r in rows]) for k in rows[0]}
     grid = PhaseGrid(axis1=axis1, axis2=axis2, block_window=block_window,
                      energy=stack["energy"], n_label=stack["n_label"],
                      m_label=stack["m_label"], gap=stack["gap"],
                      window_capped=stack["window_capped"],
                      rwa_ok=stack["rwa_ok"], hierarchy_ok=stack["hierarchy_ok"])
-    capped = int(grid.window_capped.sum())
-    if capped:
-        grid.deviations.append(
-            f"{capped} of {grid.window_capped.size} cells have the ground label "
-            f"on the block-window edge (window={block_window})")
-    if not grid.rwa_ok.all():
-        grid.deviations.append(
-            f"{int((~grid.rwa_ok).sum())} cells fail the counter-rotating audit")
-    if not grid.hierarchy_ok.all():
-        grid.deviations.append(
-            f"{int((~grid.hierarchy_ok).sum())} cells fail the drive-hierarchy audit")
+    tally = (
+        (np.count_nonzero(grid.window_capped),
+         f"cells window-capped (block_window={block_window})"),
+        (np.count_nonzero(~grid.rwa_ok),
+         "cells fail the counter-rotating validity rule"),
+        (np.count_nonzero(~grid.hierarchy_ok),
+         "cells fail the drive-hierarchy validity rule"),
+    )
+    total = grid.window_capped.size
+    grid.deviations = [f"{count}/{total} {what}" for count, what in tally if count]
     return grid
 
 
@@ -380,7 +416,7 @@ def sweep_grid(sys_template: SystemParams, drive_template: DriveParams | None,
     rows = [compute_grid_row(sys_template, drive_template, axis1, axis2,
                              block_window, i)
             for i in range(axis1.values.size)]
-    return _assemble_grid(axis1, axis2, block_window, rows)
+    return assemble_grid(axis1, axis2, block_window, rows)
 
 
 def phase_grid(sys_template: SystemParams, g1_over_Omega1: np.ndarray,

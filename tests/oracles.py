@@ -85,6 +85,22 @@ def dense_block_ground(sys, n: int, m: int) -> float:
     return float(np.linalg.eigvalsh(mat)[0])
 
 
+def dense_ground_table(omega1, omega2, Omega1, Omega2, g1, g2, window: int):
+    """Lowest eigenvalue of every block with labels in [0, window]^2 by a
+    dense eigensolver, and the largest block-element magnitude (>= 1).
+
+    Takes raw floats so effective parameters of any sign can be fed in.
+    """
+    n, m = np.mgrid[0:window + 1, 0:window + 1].astype(float)
+    mats = np.zeros((window + 1, window + 1, 3, 3))
+    mats[..., 0, 0] = omega1 + omega2 + Omega1 * n + Omega2 * (m - 1)
+    mats[..., 1, 1] = -omega1 + Omega1 * (n + 1) + Omega2 * (m - 1)
+    mats[..., 2, 2] = -omega2 + Omega1 * n + Omega2 * m
+    mats[..., 0, 1] = mats[..., 1, 0] = g1 * np.sqrt(n + 1)
+    mats[..., 0, 2] = mats[..., 2, 0] = g2 * np.sqrt(m)
+    return np.linalg.eigvalsh(mats)[..., 0], max(float(np.abs(mats).max()), 1.0)
+
+
 def expm_propagate(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     """Dense matrix-exponential propagation for a constant Hamiltonian."""
     out = np.empty((len(times), psi0.size), dtype=complex)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lambdajc import cli
 from lambdajc.cli import (
     OUTPUT_ENV_VAR,
     _load_ledger,
@@ -14,12 +15,10 @@ from lambdajc.cli import (
     run_command,
     write_csv,
     write_echo_csv,
-    write_grid_csv,
 )
 from lambdajc.config import ConfigError, config_hash, parse_config
 from lambdajc.dynamics import EchoResult
 from lambdajc.params import SystemParams
-from lambdajc.spectrum import AxisSpec, sweep_grid
 
 TINY_STATIC = {
     "sweep": [
@@ -142,12 +141,15 @@ class TestConfigHash:
 
 class TestWriters:
     def test_grid_csv_shape(self, tmp_path):
-        grid = sweep_grid(SystemParams(), None,
-                          AxisSpec("g1", "g1", np.array([0.0, 1.0])),
-                          AxisSpec("g2", "g2", np.array([0.0, 1.0])), 4)
-        path = tmp_path / "grid.csv"
-        write_grid_csv(grid, path)
-        lines = path.read_text().splitlines()
+        cfg = parse_config({
+            "truncation": {"block_window": 4},
+            "sweep": [
+                {"name": "g1", "start": 0.0, "stop": 1.0, "points": 2, "parameter": "g1"},
+                {"name": "g2", "start": 0.0, "stop": 1.0, "points": 2, "parameter": "g2"},
+            ],
+        })
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        lines = (tmp_path / "grid.csv").read_text().splitlines()
         assert len(lines) == 5
         assert lines[0].split(",")[0] == "axis1_name"
         categories = {line.split(",")[7] for line in lines[1:]}
@@ -198,6 +200,43 @@ class TestRunCommand:
         assert "cache hit" in out
         assert (tmp_path / "grid.csv").read_bytes() == first
         assert (tmp_path / "grid.csv").stat().st_mtime_ns == mtime
+
+    def test_truncated_csv_is_recomputed(self, tmp_path, capsys):
+        cfg = parse_config(TINY_STATIC)
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        path = tmp_path / "grid.csv"
+        full = path.read_bytes()
+        path.write_bytes(b"".join(full.splitlines(keepends=True)[:4]))
+        capsys.readouterr()
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert len(path.read_text().splitlines()) == 1 + 9 * 7
+        assert path.read_bytes() == full
+        # the restored file is a cache hit again
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        assert "cache hit" in capsys.readouterr().out
+
+    def test_failed_write_keeps_previous_csv(self, tmp_path, monkeypatch):
+        cfg = parse_config(TINY_STATIC)
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        previous = (tmp_path / "grid.csv").read_bytes()
+        real_fmt = cli._fmt
+        calls = []
+
+        def failing_fmt(value):
+            calls.append(value)
+            if len(calls) > 5 * len(cli.GRID_CSV_COLUMNS):
+                raise RuntimeError("disk gone")
+            return real_fmt(value)
+
+        monkeypatch.setattr(cli, "_fmt", failing_fmt)
+        doc = json.loads(json.dumps(TINY_STATIC))
+        doc["model"] = {"g1": 0.06}
+        with pytest.raises(RuntimeError, match="disk gone"):
+            run_command("static-phase", parse_config(doc), out_dir=tmp_path)
+        assert (tmp_path / "grid.csv").read_bytes() == previous
+        assert {p.name for p in tmp_path.iterdir()} <= {
+            "grid.csv", "manifest.json", "cells.jsonl"}
 
     def test_config_change_invalidates_cache(self, tmp_path, capsys):
         cfg = parse_config(TINY_STATIC)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lambdajc.effective import HIERARCHY_RATIO_MAX, RWA_RATIO_MAX, effective_table
 from lambdajc.params import DriveParams, SystemParams
 from lambdajc.spectrum import (
     AxisSpec,
@@ -11,6 +12,7 @@ from lambdajc.spectrum import (
     block_ground_energy,
     block_matrix,
     categorize,
+    compute_grid_row,
     driven_phase_grid,
     driven_phase_point,
     ground_energy_table,
@@ -22,7 +24,13 @@ from lambdajc.spectrum import (
     sweep_grid,
 )
 
-from oracles import dense_block_ground, resonant_block_ground
+from oracles import (
+    bessel_signed,
+    brute_sideband,
+    dense_block_ground,
+    dense_ground_table,
+    resonant_block_ground,
+)
 
 RESONANT = SystemParams()
 
@@ -222,7 +230,6 @@ class TestPhaseGrid:
         ax1 = AxisSpec("g1", "g1", np.linspace(0.0, 4.0, 7))
         ax2 = AxisSpec("g2", "g2", np.linspace(0.0, 3.0, 5))
         full = sweep_grid(RESONANT, None, ax1, ax2, 6)
-        from lambdajc.spectrum import compute_grid_row
         rows = [compute_grid_row(RESONANT, None, ax1, ax2, 6, i)
                 for i in reversed(range(7))]
         stacked = np.stack([rows[6 - i]["energy"] for i in range(7)])
@@ -314,3 +321,134 @@ def test_driven_grid_mode1_detuning_axis():
 def test_label_sequence_collapses_duplicates():
     labels = [(0, 0), (0, 0), (1, 0), (1, 0), (0, 0), (2, 0)]
     assert label_sequence(labels) == [(0, 0), (1, 0), (0, 0), (2, 0)]
+
+
+MODEL_FIELDS = ("omega1", "omega2", "Omega1", "Omega2", "g1", "g2")
+
+
+def oracle_effective(cell):
+    """Effective model of one driven cell from the brute-force sideband scan
+    and the series Bessel values."""
+    w1, w2, O1, O2, g1, g2 = (cell[k] for k in MODEL_FIELDS)
+    wd = cell["omega_D"]
+    theta = cell["A_D"] / wd
+    d1, d2 = 2 * w1 + w2 - O1, 2 * w2 + w1 - O2
+    n0, dn = brute_sideband(2 * w1 + w2 + O1, wd)
+    m0, dm = brute_sideband(2 * w2 + w1 + O2, wd)
+    eff = {
+        "n0": n0, "m0": m0,
+        "Omega1_eff": (dn - d1) / 2, "Omega2_eff": (dm - d2) / 2,
+        "omega1_eff": ((2 * d1 - d2) + (2 * dn - dm)) / 6,
+        "omega2_eff": ((2 * d2 - d1) + (2 * dm - dn)) / 6,
+        "gr1": g1 * bessel_signed(0, theta), "gr2": g2 * bessel_signed(0, 2 * theta),
+        "gc1": g1 * bessel_signed(n0, theta), "gc2": g2 * bessel_signed(m0, 2 * theta),
+    }
+    scales = (abs(d1), abs(d2), abs(dn), abs(dm), g1, g2)
+    eff["hierarchy_ok"] = all(x / wd < HIERARCHY_RATIO_MAX for x in scales)
+    eff["rwa_ok"] = all(delta != 0 and abs(gc / delta) < RWA_RATIO_MAX
+                        for gc, delta in ((eff["gc1"], dn), (eff["gc2"], dm)))
+    return eff
+
+
+class TestRowEngineOracles:
+    """Every cell of a row against a dense eigensolver over all blocks, the
+    exhaustive sideband scan and the series Bessel values."""
+
+    def check_row(self, sys, drive, axis1, axis2, window, i):
+        row = compute_grid_row(sys, drive, axis1, axis2, window, i)
+        base = {k: getattr(sys, k) for k in MODEL_FIELDS}
+        if drive is not None:
+            base.update(A_D=drive.amplitude, omega_D=drive.frequency)
+        base[axis1.parameter] = float(axis1.values[i])
+        cells = [{**base, axis2.parameter: float(v)} for v in axis2.values]
+        if drive is not None:
+            engine = effective_table(*([c[k] for c in cells] for k in
+                                       (*MODEL_FIELDS, "A_D", "omega_D")))
+        seen = {"capped": 0, "forced": 0}
+        for j, cell in enumerate(cells):
+            model = [cell[k] for k in MODEL_FIELDS]
+            forced = False
+            if drive is not None:
+                eff = oracle_effective(cell)
+                assert (engine["n0"][j], engine["m0"][j]) == (eff["n0"], eff["m0"])
+                for key in ("gr1", "gr2", "gc1", "gc2"):
+                    assert engine[key][j] == pytest.approx(eff[key], rel=1e-12, abs=1e-15)
+                assert row["rwa_ok"][j] == eff["rwa_ok"]
+                assert row["hierarchy_ok"][j] == eff["hierarchy_ok"]
+                model = [eff[k] for k in ("omega1_eff", "omega2_eff", "Omega1_eff",
+                                          "Omega2_eff", "gr1", "gr2")]
+                forced = eff["Omega1_eff"] <= 0 or eff["Omega2_eff"] <= 0
+            else:
+                assert row["rwa_ok"][j] and row["hierarchy_ok"][j]
+            table, scale = dense_ground_table(*model, window)
+            flat = np.sort(table.ravel())
+            tol = 1e-12 * scale
+            # first label in lexicographic order that reaches the minimum
+            ties = np.argwhere(table <= flat[0] + tol)
+            label = tuple(int(x) for x in ties[0])
+            assert (row["n_label"][j], row["m_label"][j]) == label, (i, j, cell)
+            assert abs(row["energy"][j] - flat[0]) <= tol
+            assert abs(row["gap"][j] - (flat[1] - flat[0])) <= tol
+            on_edge = window in label
+            assert row["window_capped"][j] == (on_edge or forced)
+            seen["capped"] += on_edge
+            seen["forced"] += forced
+        return seen
+
+    def test_zero_coupling_rows(self):
+        # g1 = g2 = 0 is exactly diagonal; equal cavity frequencies make
+        # blocks (n, m) and (m, n) tie exactly
+        sys = SystemParams(omega1=0.3, omega2=0.3, Omega1=1.0, Omega2=1.0,
+                           g1=0.0, g2=0.0)
+        ax1 = AxisSpec("g1", "g1", np.array([0.0, 0.8, 2.6]))
+        ax2 = AxisSpec("g2", "g2", np.array([0.0, 0.5, 1.0, 1.7, 3.0]))
+        for i in range(3):
+            self.check_row(sys, None, ax1, ax2, 6, i)
+        self.check_row(RESONANT, None, ax2, ax1, 8, 0)
+
+    def test_exact_ties_break_lexicographically(self):
+        # omega_D = 0.5 gives Omega1_eff = 0 exactly; with g1 = 0 every
+        # block (n, m) then has the same matrix for all n, so the minimum is
+        # an exact tie across n and must resolve to n = 0.  At Omega2 = 1.03
+        # only Omega1_eff <= 0 forces the cap: the label is off the edge.
+        drive = DriveParams(amplitude=0.15, frequency=0.5)
+        ax1 = AxisSpec("Omega2", "Omega2", np.array([1.0, 1.03]))
+        ax2 = AxisSpec("g2", "g2", np.linspace(0.0, 0.4, 9))
+        sys = RESONANT.replace(g1=0.0)
+        for i in range(2):
+            self.check_row(sys, drive, ax1, ax2, 5, i)
+            row = compute_grid_row(sys, drive, ax1, ax2, 5, i)
+            assert np.all(row["n_label"] == 0)
+            assert np.all(row["window_capped"])
+        assert np.any(row["m_label"] < 5)
+
+    def test_window_capped_edge(self):
+        ax1 = AxisSpec("g1", "g1", np.array([3.0, 40.0]))
+        ax2 = AxisSpec("g2", "g2", np.array([0.0, 2.0, 25.0]))
+        seen = [self.check_row(RESONANT, None, ax1, ax2, 4, i) for i in range(2)]
+        assert sum(s["capped"] for s in seen) > 0
+
+    def test_negative_effective_frequency_forces_cap(self):
+        # omega_D = 0.18 on the resonant defaults gives Omega1_eff = -0.01
+        drive = DriveParams(amplitude=0.09, frequency=0.18)
+        ax1 = AxisSpec("g1", "g1", np.array([0.03, 0.3]))
+        ax2 = AxisSpec("Omega2", "Omega2", np.linspace(0.97, 1.0, 7))
+        seen = [self.check_row(RESONANT, drive, ax1, ax2, 5, i) for i in range(2)]
+        assert sum(s["forced"] for s in seen) > 0
+
+    def test_driven_amplitude_on_axis2(self):
+        # theta, hence every Bessel argument, changes from cell to cell
+        drive = DriveParams(amplitude=0.0, frequency=0.49)
+        ax1 = AxisSpec("Omega2", "Omega2", np.array([0.95, 1.0]))
+        ax2 = AxisSpec("A_D", "A_D", np.linspace(0.0, 1.2, 13))
+        for i in range(2):
+            self.check_row(RESONANT.replace(g1=0.04, g2=0.06), drive, ax1, ax2, 5, i)
+
+    def test_driven_frequency_on_axis2(self):
+        # the sideband orders n0, m0 step along the row
+        drive = DriveParams(amplitude=0.05, frequency=0.2)
+        ax1 = AxisSpec("g2", "g2", np.array([0.02, 0.5]))
+        ax2 = AxisSpec("omega_D", "omega_D", np.linspace(0.15, 6.0, 41))
+        for i in range(2):
+            self.check_row(RESONANT, drive, ax1, ax2, 5, i)
+        assert len({brute_sideband(2.5, float(wd))[0] for wd in ax2.values}) > 5
