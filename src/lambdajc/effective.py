@@ -200,9 +200,8 @@ RATIO_NAMES = ("delta1/omega_D", "delta2/omega_D", "Delta_n0/omega_D",
                "gc1/Delta_n0", "gc2/Delta_m0")
 
 
-def effective_table(omega1, omega2, Omega1, Omega2, g1, g2, amplitude, frequency,
-                    hierarchy_max: float = HIERARCHY_RATIO_MAX,
-                    rwa_max: float = RWA_RATIO_MAX) -> dict[str, np.ndarray]:
+def effective_table(omega1, omega2, Omega1, Omega2, g1, g2, amplitude,
+                    frequency) -> dict[str, np.ndarray]:
     """find_sidebands, effective_parameters and validity_report at once for
     every element of the broadcast model and drive arrays.
 
@@ -220,8 +219,8 @@ def effective_table(omega1, omega2, Omega1, Omega2, g1, g2, amplitude, frequency
     n0, m0 = n0.astype(np.int64), m0.astype(np.int64)
     eff = _effective(d1, d2, dn, dm, n0, m0, g1, g2, theta)
     ratios, hierarchy_ok, rwa_ok = _validity(d1, d2, dn, dm, g1, g2, eff["gc1"],
-                                             eff["gc2"], frequency, hierarchy_max,
-                                             rwa_max)
+                                             eff["gc2"], frequency, HIERARCHY_RATIO_MAX,
+                                             RWA_RATIO_MAX)
     return {"theta": theta, "n0": n0, "m0": m0, "Delta_n0": dn, "Delta_m0": dm,
             "delta1": d1, "delta2": d2, **eff, **ratios,
             "hierarchy_ok": hierarchy_ok, "rwa_ok": rwa_ok}

@@ -272,10 +272,6 @@ def _search_tables(tables: np.ndarray, window: int, forced_cap=False) -> dict:
     }
 
 
-def _search_table(table: np.ndarray, window: int, forced_cap: bool = False) -> PhasePoint:
-    return _point(_search_tables(table[None], window, forced_cap), 0)
-
-
 _MODEL_FIELDS = ("omega1", "omega2", "Omega1", "Omega2", "g1", "g2")
 _DRIVE_FIELDS = ("A_D", "omega_D")
 _EFFECTIVE_MODEL = ("omega1_eff", "omega2_eff", "Omega1_eff", "Omega2_eff", "gr1", "gr2")

@@ -8,7 +8,7 @@ from lambdajc.params import DriveParams, SystemParams
 from lambdajc.spectrum import (
     AxisSpec,
     PhaseCategory,
-    _search_table,
+    _search_tables,
     block_ground_energy,
     block_matrix,
     categorize,
@@ -153,8 +153,8 @@ class TestGroundSearch:
         table = np.full((3, 3), 5.0)
         table[1, 0] = -1.0
         table[0, 1] = -1.0
-        point = _search_table(table, 2)
-        assert point.label == (0, 1)
+        cells = _search_tables(table[None], 2)
+        assert (cells["n_label"][0], cells["m_label"][0]) == (0, 1)
 
     def test_edge_argmin_sets_flag(self):
         # strong mode-1 coupling pushes the minimum to the window edge
