@@ -11,10 +11,13 @@ Commands:
 
 Every run writes a CSV data file plus manifest.json into the output
 directory.  Runs are cached: the same command on an unchanged
-configuration with a complete manifest is not recomputed, and an
-interrupted sweep resumes from its completion ledger.  Outputs are
-written in cell-index order so the bytes are identical for any worker
-count.
+configuration with a complete manifest is not recomputed.  The three sweep
+commands share one runner: a sweep is a list of chunks (grid rows, or
+256-point slices of the effective-params axis) and a picklable function
+from a chunk to a dict of column arrays.  The runner keeps the cells.jsonl
+ledger of finished chunks, from which an interrupted sweep resumes, and
+writes the CSV chunk by chunk in index order, a column at a time, so the
+bytes are identical for any worker count.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime or validity
 failure (validity failures only fail the run under --strict).
@@ -28,7 +31,9 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,11 +55,13 @@ from .dynamics import (
 )
 from .effective import effective_table
 from .params import DriveParams, SystemParams
-from .spectrum import AxisSpec, assemble_grid, categorize, compute_grid_row
+from .specfun import MAX_ARGUMENT
+from .spectrum import AxisSpec, category_values, compute_grid_row, tally_deviations
 
 COMMANDS = ("static-phase", "driven-phase", "effective-params", "echo")
 OUTPUT_ENV_VAR = "LAMBDAJC_OUT"
 ECHO_ALPHA = 0.01
+EFFECTIVE_CHUNK = 256
 
 GRID_CSV_COLUMNS = ("axis1_name", "axis1_value", "axis2_name", "axis2_value",
                     "energy", "n_label", "m_label", "category", "gap",
@@ -74,14 +81,13 @@ _CSV_NAME = {
 MAX_MANIFEST_DEVIATIONS = 100
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _format_column(values: np.ndarray) -> list[str]:
+    """The CSV text of each value of a 1-D column, by dtype: round-trip
+    exact floats, plain integers, true/false booleans, strings as they are."""
+    if values.dtype.kind == "b":
+        return np.where(values, "true", "false").tolist()
+    return list(map("{:.17g}".format if values.dtype.kind == "f" else str,
+                    values.tolist()))
 
 
 def _replace_atomically(path: Path, write):
@@ -100,13 +106,20 @@ def _replace_atomically(path: Path, write):
         raise
 
 
-def write_csv(path: Path, columns, rows):
-    """Write rows (iterables aligned with columns) with round-trip exact
-    floating point formatting."""
+def write_csv(path: Path, columns, chunks):
+    """Write a CSV with header columns from an iterable of chunks.
+
+    A chunk is a sequence of values aligned with columns: 1-D arrays of one
+    length, or scalars repeated down the chunk.  Each chunk is formatted a
+    column at a time and written before the next one is read.
+    """
     def write(fh):
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for chunk in chunks:
+            text = [_format_column(np.atleast_1d(v)) for v in chunk]
+            rows = max(map(len, text))
+            text = [t * rows if len(t) == 1 else t for t in text]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
     try:
         _replace_atomically(path, write)
     except OSError as exc:
@@ -119,12 +132,6 @@ def _file_digest(path: Path) -> str | None:
         return hashlib.blake2b(path.read_bytes()).hexdigest()
     except OSError:
         return None
-
-
-def write_echo_csv(echo, path: Path):
-    rows = zip(echo.times, echo.fidelity, echo.norm_a, echo.norm_b,
-               echo.leakage_series)
-    write_csv(path, ECHO_CSV_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +175,11 @@ def _read_manifest(out_dir: Path) -> dict | None:
         return None
 
 
-def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict]:
-    """chunk index -> payload for every completed chunk of this config;
+def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]:
+    """chunk index -> column arrays of every completed chunk of this config;
     a line that does not parse (a torn tail left by a kill) is skipped."""
     path = _ledger_path(out_dir)
-    done: dict[int, dict] = {}
+    done: dict[int, dict[str, np.ndarray]] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -182,13 +189,16 @@ def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict]:
         try:
             entry = json.loads(line)
             if entry.get("config_hash") == digest:
-                done[int(entry["chunk"])] = entry["data"]
+                done[int(entry["chunk"])] = {
+                    k: np.asarray(v) for k, v in entry["data"].items()}
         except (AttributeError, KeyError, TypeError, ValueError):
             continue
     return done
 
 
-def _append_ledger(out_dir: Path, digest: str, chunk: int, data):
+def _append_ledger(out_dir: Path, digest: str, chunk: int,
+                   columns: dict[str, np.ndarray]):
+    data = {k: v.tolist() for k, v in columns.items()}
     with open(_ledger_path(out_dir), "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"config_hash": digest, "chunk": chunk,
                              "data": data}) + "\n")
@@ -196,55 +206,112 @@ def _append_ledger(out_dir: Path, digest: str, chunk: int, data):
 
 
 # ---------------------------------------------------------------------------
-# worker payloads (module level so process pools can pickle them)
+# the sweep runner
 
 
-def _model_fields(sys: SystemParams) -> tuple:
-    return (sys.omega1, sys.omega2, sys.Omega1, sys.Omega2, sys.g1, sys.g2)
+class _Sweep(NamedTuple):
+    """compute(chunk) gives a chunk's columns as a dict of equal-length
+    arrays and must pickle for pool workers; csv_chunk(index, columns) gives
+    them aligned with csv_columns; unit and window word the deviations."""
+
+    compute: Callable
+    chunks: Sequence
+    cells: int
+    csv_columns: tuple[str, ...]
+    csv_chunk: Callable
+    unit: str
+    window: int | None = None
 
 
-def _grid_worker(payload):
-    (i, model_fields, drive_fields, ax1, ax2, window) = payload
-    sys_t = SystemParams(*model_fields)
-    drive_t = DriveParams(*drive_fields) if drive_fields is not None else None
-    axis1 = AxisSpec(ax1[0], ax1[1], np.array(ax1[2]))
-    axis2 = AxisSpec(ax2[0], ax2[1], np.array(ax2[2]))
-    row = compute_grid_row(sys_t, drive_t, axis1, axis2, window, i)
-    return i, {k: v.tolist() for k, v in row.items()}
-
-
-def _effective_worker(payload):
-    (chunk, model_fields, drive_fields, parameter, values) = payload
-    base = DriveParams(*drive_fields)
-    values = np.array(values)
-    amplitude, frequency = base.amplitude, base.frequency
-    if parameter == "omega_D":
-        frequency = values
-    else:
-        amplitude = values
-    table = effective_table(*model_fields, amplitude, frequency)
-    columns = [np.broadcast_to(c, values.shape).tolist() for c in (
-        frequency, *(table[k] for k in EFFECTIVE_CSV_COLUMNS[1:]))]
-    return chunk, [list(row) for row in zip(*columns)]
-
-
-def _run_chunks(worker, payloads, workers: int, on_done,
+def _run_chunks(compute, todo: dict, workers: int, on_done,
                 abort_after: int | None):
-    """Run chunk payloads, invoking on_done(index, data) as results land.
+    """Run compute on each chunk of todo (index -> chunk), invoking
+    on_done(index, columns) as results land.
 
     Results are keyed by chunk index, so completion order never affects the
     output.  The abort hook (tests only) is honored on the sequential path.
     """
-    if workers > 1 and len(payloads) > 1:
+    if workers > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, data in pool.map(worker, payloads):
-                on_done(index, data)
+            for index, columns in zip(todo, pool.map(compute, todo.values())):
+                on_done(index, columns)
         return
-    for count, payload in enumerate(payloads, start=1):
-        index, data = worker(payload)
-        on_done(index, data)
+    for count, (index, chunk) in enumerate(todo.items(), start=1):
+        on_done(index, compute(chunk))
         if abort_after is not None and count >= abort_after:
             raise KeyboardInterrupt("aborted for resume test")
+
+
+def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
+               workers: int, abort_after: int | None) -> list[str]:
+    """Compute the chunks the resume ledger lacks, then write the CSV;
+    returns the deviation lines."""
+    done = _load_ledger(out_dir, digest)
+
+    def cells_done():
+        return sum(len(next(iter(c.values()))) for c in done.values())
+
+    def record(index, columns):
+        _append_ledger(out_dir, digest, index, columns)
+        done[index] = columns
+
+    _write_manifest(out_dir, command, digest, sweep.cells, cells_done(), [])
+    todo = {i: chunk for i, chunk in enumerate(sweep.chunks) if i not in done}
+    try:
+        _run_chunks(sweep.compute, todo, workers, record, abort_after)
+    except KeyboardInterrupt:
+        _write_manifest(out_dir, command, digest, sweep.cells, cells_done(),
+                        ["interrupted"])
+        raise
+    parts = [done[i] for i in range(len(sweep.chunks))]
+    stacked = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    write_csv(out_dir / _CSV_NAME[command], sweep.csv_columns,
+              (sweep.csv_chunk(i, p) for i, p in enumerate(parts)))
+    return tally_deviations(stacked, sweep.unit, sweep.window)
+
+
+def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
+    """A phase grid by axis-1 rows, or the effective-params table by
+    EFFECTIVE_CHUNK-point slices."""
+    if command == "effective-params":
+        values = axes[0].values()
+        return _Sweep(partial(_effective_columns, cfg.model, cfg.drive_or_default(),
+                              axes[0].parameter),
+                      [values[k:k + EFFECTIVE_CHUNK]
+                       for k in range(0, values.size, EFFECTIVE_CHUNK)],
+                      values.size, EFFECTIVE_CSV_COLUMNS,
+                      lambda i, columns: [columns[k] for k in EFFECTIVE_CSV_COLUMNS],
+                      "sweep points")
+    driven = command == "driven-phase"
+    drive = cfg.drive_or_default() if driven else None
+    window = cfg.truncation.window_for(driven)
+    ax1, ax2 = (AxisSpec(ax.name, ax.parameter, ax.values()) for ax in axes)
+
+    def csv_chunk(i, row):
+        return (ax1.name, ax1.values[i], ax2.name, ax2.values, row["energy"],
+                row["n_label"], row["m_label"],
+                category_values(row["n_label"], row["m_label"]), row["gap"],
+                row["window_capped"], row["rwa_ok"], row["hierarchy_ok"])
+
+    return _Sweep(partial(compute_grid_row, cfg.model, drive, ax1, ax2, window),
+                  range(ax1.values.size), ax1.values.size * ax2.values.size,
+                  GRID_CSV_COLUMNS, csv_chunk, "cells", window)
+
+
+def _effective_columns(model: SystemParams, drive: DriveParams, parameter: str,
+                       values: np.ndarray) -> dict[str, np.ndarray]:
+    """The effective-params CSV columns at values of parameter (omega_D or
+    A_D), the other drive field fixed."""
+    amplitude, frequency = drive.amplitude, drive.frequency
+    if parameter == "omega_D":
+        frequency = values
+    else:
+        amplitude = values
+    table = effective_table(model.omega1, model.omega2, model.Omega1,
+                            model.Omega2, model.g1, model.g2, amplitude, frequency)
+    table["omega_D"] = frequency
+    return {k: np.broadcast_to(table[k], values.shape)
+            for k in EFFECTIVE_CSV_COLUMNS}
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +335,8 @@ def _default_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
             AxisConfig(name="Omega2", start=0.97 * model.Omega2,
                        stop=1.0 * model.Omega2, points=61, parameter="Omega2"),
         ]
-    if command == "effective-params":
-        return [AxisConfig(name="omega_D", start=0.05, stop=6.0, points=1200,
-                           parameter="omega_D")]
-    return []
+    return [AxisConfig(name="omega_D", start=0.05, stop=6.0, points=1200,
+                       parameter="omega_D")]
 
 
 _POSITIVE_AXIS_FIELDS = ("Omega1", "Omega2", "omega_D")
@@ -279,12 +344,16 @@ _NON_NEGATIVE_AXIS_FIELDS = ("g1", "g2", "A_D")
 
 
 def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
-    axes = cfg.sweep if cfg.sweep else _default_axes(command, cfg)
-    need = {"static-phase": 2, "driven-phase": 2, "effective-params": 1,
-            "echo": 0}[command]
-    if len(axes) != need:
-        raise ConfigError(
-            f"{command} needs exactly {need} sweep axes, got {len(axes)}")
+    """The command's validated sweep axes (none for echo).  Every command
+    but static-phase also has its drive checked over the sweep: the largest
+    Bessel argument 2 theta = 2 A_D / omega_D must be one specfun supports."""
+    axes = []
+    if command != "echo":
+        axes = cfg.sweep if cfg.sweep else _default_axes(command, cfg)
+        need = 1 if command == "effective-params" else 2
+        if len(axes) != need:
+            raise ConfigError(
+                f"{command} needs exactly {need} sweep axes, got {len(axes)}")
     if command == "effective-params" and axes[0].parameter not in ("omega_D", "A_D"):
         raise ConfigError("effective-params sweeps omega_D or A_D")
     if command == "static-phase":
@@ -301,6 +370,15 @@ def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
             raise ConfigError(
                 f"sweep axis {ax.name!r}: {ax.parameter} >= 0 required, "
                 f"range reaches {low}")
+    if command != "static-phase":
+        drive = cfg.drive_or_default()
+        field = {"A_D": [drive.amplitude], "omega_D": [drive.frequency]}
+        field.update((ax.parameter, ax.values()) for ax in axes if ax.parameter in field)
+        argument = 2.0 * max(field["A_D"]) / min(field["omega_D"])
+        if argument > MAX_ARGUMENT:
+            raise ConfigError(
+                f"drive: Bessel argument 2*A_D/omega_D reaches {argument:g}, "
+                f"above the supported {MAX_ARGUMENT:g}")
     return axes
 
 
@@ -308,94 +386,7 @@ def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
 # commands
 
 
-def _run_grid(command: str, cfg: RunConfig, out_dir: Path, digest: str,
-              workers: int, abort_after_chunks: int | None) -> tuple[list[str], int, int]:
-    axes = _resolve_axes(command, cfg)
-    driven = command == "driven-phase"
-    drive = cfg.drive_or_default() if driven else None
-    window = cfg.truncation.window_for(driven)
-    ax1, ax2 = axes
-    vals1, vals2 = ax1.values(), ax2.values()
-    cells_total = vals1.size * vals2.size
-    done = _load_ledger(out_dir, digest)
-    _write_manifest(out_dir, command, digest, cells_total, vals2.size * len(done), [])
-
-    ax1_t = (ax1.name, ax1.parameter, vals1.tolist())
-    ax2_t = (ax2.name, ax2.parameter, vals2.tolist())
-    drive_t = None
-    if drive is not None:
-        drive_t = (drive.amplitude, drive.frequency)
-    payloads = [(i, _model_fields(cfg.model), drive_t, ax1_t, ax2_t, window)
-                for i in range(vals1.size) if i not in done]
-
-    def record(i, data):
-        _append_ledger(out_dir, digest, i, data)
-        done[i] = data
-
-    try:
-        _run_chunks(_grid_worker, payloads, workers, record, abort_after_chunks)
-    except KeyboardInterrupt:
-        _write_manifest(out_dir, command, digest, cells_total,
-                        vals2.size * len(done), ["interrupted"])
-        raise
-
-    grid = assemble_grid(
-        AxisSpec(ax1.name, ax1.parameter, vals1), AxisSpec(ax2.name, ax2.parameter, vals2),
-        window, [{k: np.asarray(v) for k, v in done[i].items()} for i in range(vals1.size)])
-    write_csv(out_dir / _CSV_NAME[command], GRID_CSV_COLUMNS, _grid_rows(grid))
-    return grid.deviations, cells_total, cells_total
-
-
-def _grid_rows(grid):
-    """CSV rows of a PhaseGrid, axis1-major."""
-    columns = [grid.energy, grid.n_label, grid.m_label, grid.gap,
-               grid.window_capped, grid.rwa_ok, grid.hierarchy_ok]
-    name1, name2 = grid.axis1.name, grid.axis2.name
-    vals2 = grid.axis2.values.tolist()
-    for v1, *row in zip(grid.axis1.values.tolist(), *(c.tolist() for c in columns)):
-        for v2, energy, n, m, gap, capped, rwa, hier in zip(vals2, *row):
-            yield (name1, v1, name2, v2, energy, n, m, categorize(n, m).value,
-                   gap, capped, rwa, hier)
-
-
-def _run_effective(cfg: RunConfig, out_dir: Path, digest: str, workers: int,
-                   abort_after_chunks: int | None) -> tuple[list[str], int, int]:
-    axis = _resolve_axes("effective-params", cfg)[0]
-    drive = cfg.drive_or_default()
-    values = axis.values()
-    cells_total = values.size
-    chunk_size = 256
-    chunks = [values[k:k + chunk_size] for k in range(0, values.size, chunk_size)]
-    done = _load_ledger(out_dir, digest)
-    _write_manifest(out_dir, "effective-params", digest, cells_total,
-                    sum(len(done[c]) for c in done), [])
-    payloads = [(ci, _model_fields(cfg.model),
-                 (drive.amplitude, drive.frequency), axis.parameter,
-                 chunk.tolist())
-                for ci, chunk in enumerate(chunks) if ci not in done]
-
-    def record(ci, chunk_rows):
-        _append_ledger(out_dir, digest, ci, chunk_rows)
-        done[ci] = chunk_rows
-
-    try:
-        _run_chunks(_effective_worker, payloads, workers, record,
-                    abort_after_chunks)
-    except KeyboardInterrupt:
-        _write_manifest(out_dir, "effective-params", digest, cells_total,
-                        sum(len(v) for v in done.values()), ["interrupted"])
-        raise
-    rows = [row for ci in range(len(chunks)) for row in done[ci]]
-    n_rwa = sum(1 for row in rows if not row[-1])
-    deviations = []
-    if n_rwa:
-        deviations.append(f"{n_rwa}/{cells_total} sweep points fail the "
-                          "counter-rotating validity rule")
-    write_csv(out_dir / _CSV_NAME["effective-params"], EFFECTIVE_CSV_COLUMNS, rows)
-    return deviations, cells_total, cells_total
-
-
-def _run_echo(cfg: RunConfig, out_dir: Path, digest: str) -> tuple[list[str], int, int]:
+def _run_echo(cfg: RunConfig, out_dir: Path, digest: str) -> list[str]:
     drive = cfg.drive_or_default()
     trunc = cfg.truncation
     dyn = cfg.dynamics
@@ -410,8 +401,10 @@ def _run_echo(cfg: RunConfig, out_dir: Path, digest: str) -> tuple[list[str], in
     _write_manifest(out_dir, "echo", digest, 1, 0, [])
     echo = loschmidt_echo(spec_a, spec_b, space, psi0, t_max=dyn.t_max,
                           samples=dyn.samples, dt_max=dyn.dt_max)
-    write_echo_csv(echo, out_dir / _CSV_NAME["echo"])
-    return list(echo.warnings), 1, 1
+    write_csv(out_dir / _CSV_NAME["echo"], ECHO_CSV_COLUMNS,
+              [(echo.times, echo.fidelity, echo.norm_a, echo.norm_b,
+                echo.leakage_series)])
+    return list(echo.warnings)
 
 
 def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
@@ -425,6 +418,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
+    axes = _resolve_axes(command, cfg)
     if out_dir is None:
         out_dir = os.environ.get(OUTPUT_ENV_VAR) or cfg.output
     out_dir = Path(out_dir)
@@ -460,18 +454,14 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
         _ledger_path(out_dir).unlink(missing_ok=True)
 
     try:
-        if command in ("static-phase", "driven-phase"):
-            deviations, total, done = _run_grid(command, cfg, out_dir, digest,
-                                                workers, _abort_after_chunks)
-        elif command == "effective-params":
-            deviations, total, done = _run_effective(cfg, out_dir, digest,
-                                                     workers, _abort_after_chunks)
+        if command == "echo":
+            cells = 1
+            deviations = _run_echo(cfg, out_dir, digest)
         else:
-            deviations, total, done = _run_echo(cfg, out_dir, digest)
-    except ConfigError:
-        raise
-    except KeyboardInterrupt:
-        raise
+            sweep = _sweep(command, cfg, axes)
+            cells = sweep.cells
+            deviations = _run_sweep(command, sweep, out_dir, digest, workers,
+                                    _abort_after_chunks)
     except TruncationError as exc:
         # the configured cutoffs cannot represent the requested state
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -480,12 +470,12 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _write_manifest(out_dir, command, digest, total, done, deviations,
+    _write_manifest(out_dir, command, digest, cells, cells, deviations,
                     _file_digest(csv_path))
     _ledger_path(out_dir).unlink(missing_ok=True)
     code = _finish(deviations, strict)
     if code == 0:
-        print(f"wrote {csv_path} ({total} cells, config {digest})")
+        print(f"wrote {csv_path} ({cells} cells, config {digest})")
     return code
 
 

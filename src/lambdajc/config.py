@@ -4,7 +4,10 @@ A run is fully described by one JSON document.  Unknown keys are rejected
 by name; every physical invariant is validated up front so sweeps cannot
 fail halfway through.  The canonical form (fully defaulted, sorted keys,
 numbers normalized to their shortest float representation) feeds a 64-bit
-content digest used for result caching: any field change changes the hash.
+content digest used for result caching: a change to any field that can
+change the output bytes changes the hash.  The output directory, the
+worker count and truncation.sideband_eps cannot, so they are accepted and
+validated but left out of the hash.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class TruncationConfig:
     n_c1: int = 6
     n_c2: int = 6
     block_window: int | None = None   # None: the static or driven default
-    sideband_eps: float = DEFAULT_SIDEBAND_EPS   # accepted and hashed; affects no output
+    sideband_eps: float = DEFAULT_SIDEBAND_EPS   # accepted, not hashed; affects no output
 
     def window_for(self, driven: bool) -> int:
         if self.block_window is not None:
@@ -242,7 +245,8 @@ def parse_config(doc) -> RunConfig:
 
 
 def canonical_dict(cfg: RunConfig) -> dict:
-    """Fully defaulted plain-data form used for hashing and the manifest."""
+    """Fully defaulted plain-data form of every field that can change the
+    output bytes, used for hashing."""
     out = {
         "model": {k: float(getattr(cfg.model, k)) for k in _MODEL_KEYS},
         "drive": None if cfg.drive is None else {
@@ -253,7 +257,6 @@ def canonical_dict(cfg: RunConfig) -> dict:
             "n_c1": cfg.truncation.n_c1,
             "n_c2": cfg.truncation.n_c2,
             "block_window": cfg.truncation.block_window,
-            "sideband_eps": float(cfg.truncation.sideband_eps),
         },
         "sweep": [
             {"name": ax.name, "start": float(ax.start), "stop": float(ax.stop),
@@ -267,8 +270,6 @@ def canonical_dict(cfg: RunConfig) -> dict:
             "initial_state": cfg.dynamics.initial_state,
             "pair": cfg.dynamics.pair,
         },
-        "output": cfg.output,
-        "workers": cfg.workers,
     }
     return out
 

@@ -68,14 +68,18 @@ class PhaseCategory(str, Enum):
     MIXED = "mixed"
 
 
+#: Category values indexed by 2 * (n_label != 0) + (m_label != 0).
+_CATEGORY_VALUES = np.array([c.value for c in (PhaseCategory.NORMAL, PhaseCategory.Y2,
+                                               PhaseCategory.Y1, PhaseCategory.MIXED)])
+
+
+def category_values(n_label, m_label) -> np.ndarray:
+    """The PhaseCategory value of every cell of the label arrays."""
+    return _CATEGORY_VALUES[2 * (np.asarray(n_label) != 0) + (np.asarray(m_label) != 0)]
+
+
 def categorize(n_label: int, m_label: int) -> PhaseCategory:
-    if n_label == 0 and m_label == 0:
-        return PhaseCategory.NORMAL
-    if m_label == 0:
-        return PhaseCategory.Y1
-    if n_label == 0:
-        return PhaseCategory.Y2
-    return PhaseCategory.MIXED
+    return PhaseCategory(category_values(n_label, m_label))
 
 
 @dataclass(frozen=True)
@@ -383,27 +387,29 @@ def compute_grid_row(sys_template: SystemParams, drive_template: DriveParams | N
     return row
 
 
+#: (cell key, the value that flags a cell, what a flagged cell is) of each
+#: deviation line, in manifest order.
+_AUDITS = (("window_capped", True, "window-capped (block_window={})"),
+           ("rwa_ok", False, "fail the counter-rotating validity rule"),
+           ("hierarchy_ok", False, "fail the drive-hierarchy validity rule"))
+
+
+def tally_deviations(cells: dict[str, np.ndarray], unit: str = "cells",
+                     block_window: int | None = None) -> list[str]:
+    """One "count/total unit what" line per audit that some cells fail;
+    audits whose key cells lacks are skipped."""
+    tally = [(np.count_nonzero(cells[key] == flag), cells[key].size, what)
+             for key, flag, what in _AUDITS if key in cells]
+    return [f"{count}/{total} {unit} {what.format(block_window)}"
+            for count, total, what in tally if count]
+
+
 def assemble_grid(axis1: AxisSpec, axis2: AxisSpec, block_window: int,
                   rows: list[dict[str, np.ndarray]]) -> PhaseGrid:
-    """Stack computed rows into a PhaseGrid and tally its deviations: cells
-    window-capped and cells failing either validity audit."""
+    """Stack computed rows into a PhaseGrid and tally its deviations."""
     stack = {k: np.stack([r[k] for r in rows]) for k in rows[0]}
-    grid = PhaseGrid(axis1=axis1, axis2=axis2, block_window=block_window,
-                     energy=stack["energy"], n_label=stack["n_label"],
-                     m_label=stack["m_label"], gap=stack["gap"],
-                     window_capped=stack["window_capped"],
-                     rwa_ok=stack["rwa_ok"], hierarchy_ok=stack["hierarchy_ok"])
-    tally = (
-        (np.count_nonzero(grid.window_capped),
-         f"cells window-capped (block_window={block_window})"),
-        (np.count_nonzero(~grid.rwa_ok),
-         "cells fail the counter-rotating validity rule"),
-        (np.count_nonzero(~grid.hierarchy_ok),
-         "cells fail the drive-hierarchy validity rule"),
-    )
-    total = grid.window_capped.size
-    grid.deviations = [f"{count}/{total} {what}" for count, what in tally if count]
-    return grid
+    return PhaseGrid(axis1=axis1, axis2=axis2, block_window=block_window,
+                     **stack, deviations=tally_deviations(stack, "cells", block_window))
 
 
 def sweep_grid(sys_template: SystemParams, drive_template: DriveParams | None,

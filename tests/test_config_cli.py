@@ -14,7 +14,6 @@ from lambdajc.cli import (
     main,
     run_command,
     write_csv,
-    write_echo_csv,
 )
 from lambdajc.config import ConfigError, config_hash, parse_config
 from lambdajc.dynamics import EchoResult
@@ -119,13 +118,10 @@ class TestConfigHash:
             ("drive", "frequency", 0.2),
             ("truncation", "n_c1", 7),
             ("truncation", "block_window", 6),
-            ("truncation", "sideband_eps", 1e-9),
             ("dynamics", "t_max", 101.0),
             ("dynamics", "samples", 501),
             ("dynamics", "initial_state", "1-2"),
             ("dynamics", "pair", "effective"),
-            ("output", None, "elsewhere"),
-            ("workers", None, 3),
         ]
         for section, key, value in mutations:
             doc = json.loads(json.dumps(base))
@@ -155,14 +151,16 @@ class TestWriters:
         categories = {line.split(",")[7] for line in lines[1:]}
         assert categories <= {"normal", "y1", "y2", "mixed"}
 
-    def test_echo_csv_shape(self, tmp_path):
+    def test_echo_csv_shape(self, tmp_path, monkeypatch):
         echo = EchoResult(
             times=np.array([0.0, 1.0, 2.0]),
             fidelity=np.array([1.0, 0.999, 0.998]),
             norm_a=np.ones(3), norm_b=np.ones(3),
             leakage_series=np.zeros(3), norm_drift=0.0, leakage=0.0)
+        monkeypatch.setattr(cli, "loschmidt_echo", lambda *args, **kwargs: echo)
+        cfg = parse_config({"truncation": {"n_c1": 2, "n_c2": 2}})
+        assert run_command("echo", cfg, out_dir=tmp_path) == 0
         path = tmp_path / "echo.csv"
-        write_echo_csv(echo, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 4
         assert lines[0] == "t,fidelity,norm_a,norm_b,leakage"
@@ -220,16 +218,17 @@ class TestRunCommand:
         cfg = parse_config(TINY_STATIC)
         assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
         previous = (tmp_path / "grid.csv").read_bytes()
-        real_fmt = cli._fmt
+        real_format = cli._format_column
         calls = []
 
-        def failing_fmt(value):
-            calls.append(value)
+        def failing_format(values):
+            # one call per column of a grid row: fail in the sixth row
+            calls.append(values)
             if len(calls) > 5 * len(cli.GRID_CSV_COLUMNS):
                 raise RuntimeError("disk gone")
-            return real_fmt(value)
+            return real_format(values)
 
-        monkeypatch.setattr(cli, "_fmt", failing_fmt)
+        monkeypatch.setattr(cli, "_format_column", failing_format)
         doc = json.loads(json.dumps(TINY_STATIC))
         doc["model"] = {"g1": 0.06}
         with pytest.raises(RuntimeError, match="disk gone"):
@@ -237,6 +236,29 @@ class TestRunCommand:
         assert (tmp_path / "grid.csv").read_bytes() == previous
         assert {p.name for p in tmp_path.iterdir()} <= {
             "grid.csv", "manifest.json", "cells.jsonl"}
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("workers", None, 2),
+        ("output", None, "elsewhere"),
+        ("truncation", "sideband_eps", 1e-9),
+    ])
+    def test_inert_field_change_is_cache_hit(self, tmp_path, capsys,
+                                             section, key, value):
+        cfg = parse_config(TINY_STATIC)
+        assert run_command("static-phase", cfg, out_dir=tmp_path, workers=1) == 0
+        first = (tmp_path / "grid.csv").read_bytes()
+        mtime = (tmp_path / "grid.csv").stat().st_mtime_ns
+        doc = json.loads(json.dumps(TINY_STATIC))
+        if key is None:
+            doc[section] = value
+        else:
+            doc[section] = {key: value}
+        capsys.readouterr()
+        assert run_command("static-phase", parse_config(doc), out_dir=tmp_path,
+                           workers=1) == 0
+        assert "cache hit" in capsys.readouterr().out
+        assert (tmp_path / "grid.csv").read_bytes() == first
+        assert (tmp_path / "grid.csv").stat().st_mtime_ns == mtime
 
     def test_config_change_invalidates_cache(self, tmp_path, capsys):
         cfg = parse_config(TINY_STATIC)
@@ -265,6 +287,21 @@ class TestRunCommand:
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
                 == (tmp_path / "full" / "grid.csv").read_bytes())
+
+    def test_driven_resume_after_interrupt(self, tmp_path):
+        cfg = parse_config(TINY_DRIVEN)
+        run_command("driven-phase", cfg, out_dir=tmp_path / "full")
+        with pytest.raises(KeyboardInterrupt):
+            run_command("driven-phase", cfg, out_dir=tmp_path / "part",
+                        _abort_after_chunks=2)
+        manifest = json.loads((tmp_path / "part" / "manifest.json").read_text())
+        assert manifest["deviations"] == ["interrupted"]
+        assert manifest["cells_done"] == 2 * 4
+        assert sorted(_load_ledger(tmp_path / "part", config_hash(cfg))) == [0, 1]
+        assert run_command("driven-phase", cfg, out_dir=tmp_path / "part") == 0
+        for name in ("grid.csv", "manifest.json"):
+            assert ((tmp_path / "part" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes())
 
     def test_command_change_invalidates_cache(self, tmp_path, capsys):
         cfg = parse_config(TINY_STATIC)
@@ -337,6 +374,19 @@ class TestRunCommand:
         assert len(lines) == 41
         first = lines[1].split(",")
         assert first[-1] in ("true", "false")
+
+    def test_effective_params_worker_count_does_not_change_bytes(self, tmp_path):
+        cfg = parse_config({
+            "drive": {"amplitude": 0.09, "frequency": 0.18},
+            "sweep": [{"name": "omega_D", "start": 0.1, "stop": 2.0,
+                       "points": 600, "parameter": "omega_D"}],
+        })
+        assert 600 > 2 * cli.EFFECTIVE_CHUNK
+        run_command("effective-params", cfg, out_dir=tmp_path / "w1", workers=1)
+        run_command("effective-params", cfg, out_dir=tmp_path / "w2", workers=2)
+        for name in ("effective_params.csv", "manifest.json"):
+            assert ((tmp_path / "w1" / name).read_bytes()
+                    == (tmp_path / "w2" / name).read_bytes())
 
     def test_echo_smoke(self, tmp_path):
         cfg = parse_config({
@@ -434,6 +484,39 @@ class TestRunCommand:
         run_command("driven-phase", cfg, out_dir=tmp_path / "w2", workers=2)
         assert ((tmp_path / "w1" / "grid.csv").read_bytes()
                 == (tmp_path / "w2" / "grid.csv").read_bytes())
+
+
+class TestDriveValidation:
+    """2 theta = 2 A_D / omega_D past specfun.MAX_ARGUMENT is a config
+    error before anything is written, for every command that reads the
+    drive."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("driven-phase", {"sweep": [
+            {"name": "A_D", "start": 0.0, "stop": 60.0, "points": 3,
+             "parameter": "A_D"},
+            {"name": "Omega2", "start": 0.985, "stop": 1.0, "points": 2,
+             "parameter": "Omega2"}]}),
+        ("effective-params", {"sweep": [
+            {"name": "omega_D", "start": 0.1, "stop": 1.0, "points": 3,
+             "parameter": "omega_D"}]}),
+        ("echo", {"truncation": {"n_c1": 2, "n_c2": 2},
+                  "dynamics": {"t_max": 1.0, "samples": 4}}),
+    ])
+    def test_bessel_argument_out_of_range(self, tmp_path, capsys, command, extra):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"drive": {"amplitude": 60.0, "frequency": 0.1}, **extra}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "2*A_D/omega_D reaches 1200" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert not (out / "cells.jsonl").exists()
+
+    def test_static_phase_ignores_drive(self, tmp_path):
+        cfg = parse_config({"drive": {"amplitude": 60.0, "frequency": 0.1},
+                            **TINY_STATIC})
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
 
 
 class TestMainEntry:
