@@ -19,6 +19,11 @@ ledger of finished chunks, from which an interrupted sweep resumes, and
 writes the CSV chunk by chunk in index order, a column at a time, so the
 bytes are identical for any worker count.
 
+Before anything is written, every sweep axis endpoint is checked by
+building the SystemParams or DriveParams it implies, and the worker count,
+from --workers or the config, by config.worker_count.  A manifest.json that
+is not a JSON object counts as no manifest.
+
 Exit codes: 0 success, 1 configuration error, 2 runtime or validity
 failure (validity failures only fail the run under --strict).
 """
@@ -44,6 +49,7 @@ from .config import (
     RunConfig,
     config_hash,
     parse_config,
+    worker_count,
 )
 from .dynamics import (
     HamiltonianSpec,
@@ -54,7 +60,14 @@ from .dynamics import (
     loschmidt_echo,
 )
 from .effective import effective_table
-from .params import DriveParams, SystemParams
+from .params import (
+    DRIVE_AXES,
+    MODEL_FIELDS,
+    DriveParams,
+    SystemParams,
+    from_sweep_values,
+    sweep_values,
+)
 from .specfun import MAX_ARGUMENT
 from .spectrum import AxisSpec, category_values, compute_grid_row, tally_deviations
 
@@ -170,9 +183,10 @@ def _read_manifest(out_dir: Path) -> dict | None:
     if not path.exists():
         return None
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return None
+    return doc if isinstance(doc, dict) else None
 
 
 def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]:
@@ -302,14 +316,11 @@ def _effective_columns(model: SystemParams, drive: DriveParams, parameter: str,
                        values: np.ndarray) -> dict[str, np.ndarray]:
     """The effective-params CSV columns at values of parameter (omega_D or
     A_D), the other drive field fixed."""
-    amplitude, frequency = drive.amplitude, drive.frequency
-    if parameter == "omega_D":
-        frequency = values
-    else:
-        amplitude = values
-    table = effective_table(model.omega1, model.omega2, model.Omega1,
-                            model.Omega2, model.g1, model.g2, amplitude, frequency)
-    table["omega_D"] = frequency
+    fields = sweep_values(model, drive)
+    fields[parameter] = values
+    table = effective_table(*(fields[k] for k in MODEL_FIELDS),
+                            fields["A_D"], fields["omega_D"])
+    table["omega_D"] = fields["omega_D"]
     return {k: np.broadcast_to(table[k], values.shape)
             for k in EFFECTIVE_CSV_COLUMNS}
 
@@ -339,14 +350,13 @@ def _default_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
                        parameter="omega_D")]
 
 
-_POSITIVE_AXIS_FIELDS = ("Omega1", "Omega2", "omega_D")
-_NON_NEGATIVE_AXIS_FIELDS = ("g1", "g2", "A_D")
-
-
 def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
-    """The command's validated sweep axes (none for echo).  Every command
-    but static-phase also has its drive checked over the sweep: the largest
-    Bessel argument 2 theta = 2 A_D / omega_D must be one specfun supports."""
+    """The command's validated sweep axes (none for echo).
+
+    Each axis endpoint must make valid SystemParams and DriveParams.  Every
+    command but static-phase also has its drive checked over the sweep: the
+    largest Bessel argument 2 theta = 2 A_D / omega_D must be one specfun
+    supports."""
     axes = []
     if command != "echo":
         axes = cfg.sweep if cfg.sweep else _default_axes(command, cfg)
@@ -354,27 +364,23 @@ def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
         if len(axes) != need:
             raise ConfigError(
                 f"{command} needs exactly {need} sweep axes, got {len(axes)}")
-    if command == "effective-params" and axes[0].parameter not in ("omega_D", "A_D"):
+    if command == "effective-params" and axes[0].parameter not in DRIVE_AXES:
         raise ConfigError("effective-params sweeps omega_D or A_D")
     if command == "static-phase":
-        for ax in axes:
-            if ax.parameter in ("A_D", "omega_D"):
-                raise ConfigError("static-phase cannot sweep drive parameters")
+        if any(ax.parameter in DRIVE_AXES for ax in axes):
+            raise ConfigError("static-phase cannot sweep drive parameters")
+    drive = None if command == "static-phase" else cfg.drive_or_default()
+    values = sweep_values(cfg.model, drive)
     for ax in axes:
-        low = min(ax.start, ax.stop)
-        if ax.parameter in _POSITIVE_AXIS_FIELDS and low <= 0:
-            raise ConfigError(
-                f"sweep axis {ax.name!r}: {ax.parameter} > 0 required, "
-                f"range reaches {low}")
-        if ax.parameter in _NON_NEGATIVE_AXIS_FIELDS and low < 0:
-            raise ConfigError(
-                f"sweep axis {ax.name!r}: {ax.parameter} >= 0 required, "
-                f"range reaches {low}")
-    if command != "static-phase":
-        drive = cfg.drive_or_default()
-        field = {"A_D": [drive.amplitude], "omega_D": [drive.frequency]}
-        field.update((ax.parameter, ax.values()) for ax in axes if ax.parameter in field)
-        argument = 2.0 * max(field["A_D"]) / min(field["omega_D"])
+        for end in (ax.start, ax.stop):
+            try:
+                from_sweep_values({**values, ax.parameter: end})
+            except ValueError as exc:
+                raise ConfigError(f"sweep axis {ax.name!r}: {exc}") from exc
+    if drive is not None:
+        span = {k: [values[k]] for k in DRIVE_AXES}
+        span.update((ax.parameter, ax.values()) for ax in axes if ax.parameter in span)
+        argument = 2.0 * max(span["A_D"]) / min(span["omega_D"])
         if argument > MAX_ARGUMENT:
             raise ConfigError(
                 f"drive: Bessel argument 2*A_D/omega_D reaches {argument:g}, "
@@ -419,6 +425,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
     axes = _resolve_axes(command, cfg)
+    workers = worker_count(cfg.workers if workers is None else workers)
     if out_dir is None:
         out_dir = os.environ.get(OUTPUT_ENV_VAR) or cfg.output
     out_dir = Path(out_dir)
@@ -428,12 +435,6 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
         print(f"error: cannot create output directory {out_dir}: {exc}",
               file=sys.stderr)
         return 2
-    if workers is None:
-        if cfg.workers == "auto":
-            workers = os.cpu_count() or 1
-        else:
-            workers = int(cfg.workers)
-
     digest = config_hash(cfg)
     manifest = _read_manifest(out_dir)
     csv_path = out_dir / _CSV_NAME[command]

@@ -1,54 +1,71 @@
 """Run configuration: JSON parsing, validation, defaults, canonical hash.
 
-A run is fully described by one JSON document.  Unknown keys are rejected
-by name; every physical invariant is validated up front so sweeps cannot
-fail halfway through.  The canonical form (fully defaulted, sorted keys,
-numbers normalized to their shortest float representation) feeds a 64-bit
-content digest used for result caching: a change to any field that can
-change the output bytes changes the hash.  The output directory, the
-worker count and truncation.sideband_eps cannot, so they are accepted and
-validated but left out of the hash.
+A run is fully described by one JSON document whose sections mirror the
+dataclasses below and in params: each section's keys are its dataclass's
+fields, a missing key takes the field's default, each value is checked
+against the field's annotated type, and the dataclass itself checks its
+constraints.  Unknown keys are rejected by name; every physical invariant
+is validated up front so sweeps cannot fail halfway through.  The canonical
+form (the fully defaulted dataclasses as plain data, sorted keys, numbers
+as floats or integers by field type) feeds a 64-bit content digest used
+for result caching: a change to any field that can change the output bytes
+changes the hash.  The output directory, the worker count and
+truncation.sideband_eps cannot, so they are accepted and validated but left
+out of the hash.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .dynamics import ATOMIC_PRESETS
+from .dynamics import ATOMIC_PRESETS, DEFAULT_SAMPLES, DEFAULT_T_MAX
 from .params import DriveParams, SystemParams
 from .specfun import DEFAULT_SIDEBAND_EPS
 from .spectrum import DRIVEN_BLOCK_WINDOW, STATIC_BLOCK_WINDOW
 
 SWEEPABLE_PARAMETERS = ("g1", "g2", "A_D", "omega_D", "Omega1", "Omega2")
 
-#: Default drive: the slow published operating frequency with a modest
-#: amplitude-to-frequency ratio of 0.2.
-DEFAULT_DRIVE = {"amplitude": 0.036, "frequency": 0.18}
-
-_MODEL_KEYS = ("omega1", "omega2", "Omega1", "Omega2", "g1", "g2")
-_DRIVE_KEYS = ("amplitude", "frequency")
-_TRUNCATION_KEYS = ("n_c1", "n_c2", "block_window", "sideband_eps")
-_AXIS_KEYS = ("name", "start", "stop", "points", "parameter")
-_DYNAMICS_KEYS = ("t_max", "dt_max", "samples", "initial_state", "pair")
-_TOP_KEYS = ("model", "drive", "truncation", "sweep", "dynamics", "output", "workers")
-
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
 
 
+def worker_count(workers: int | str) -> int:
+    """The pool size a workers value asks for: a positive integer, or
+    "auto" for one worker per CPU."""
+    if workers == "auto":
+        return os.cpu_count() or 1
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError("workers must be a positive integer or 'auto'")
+    return workers
+
+
 @dataclass(frozen=True)
 class AxisConfig:
-    name: str
     start: float
     stop: float
     points: int
     parameter: str
+    name: str | None = None   # None: the parameter
+
+    def __post_init__(self):
+        if self.name is None:
+            object.__setattr__(self, "name", self.parameter)
+        if self.parameter not in SWEEPABLE_PARAMETERS:
+            raise ConfigError(f"parameter must be one of {SWEEPABLE_PARAMETERS}, "
+                              f"got {self.parameter!r}")
+        if self.points < 1:
+            raise ConfigError("points must be >= 1")
+        if self.points > 1 and not self.stop > self.start:
+            raise ConfigError("stop must exceed start for points > 1")
 
     def values(self) -> np.ndarray:
         if self.points == 1:
@@ -63,6 +80,14 @@ class TruncationConfig:
     block_window: int | None = None   # None: the static or driven default
     sideband_eps: float = DEFAULT_SIDEBAND_EPS   # accepted, not hashed; affects no output
 
+    def __post_init__(self):
+        if self.n_c1 < 1 or self.n_c2 < 1:
+            raise ConfigError("Fock cutoffs n_c1, n_c2 must be >= 1")
+        if self.block_window is not None and self.block_window < 1:
+            raise ConfigError("block_window must be >= 1")
+        if not self.sideband_eps > 0:
+            raise ConfigError("sideband_eps must be > 0")
+
     def window_for(self, driven: bool) -> int:
         if self.block_window is not None:
             return self.block_window
@@ -71,12 +96,25 @@ class TruncationConfig:
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    t_max: float = 200.0
+    t_max: float = DEFAULT_T_MAX
     dt_max: float | None = None
-    samples: int = 2000
+    samples: int = DEFAULT_SAMPLES
     initial_state: str = "2"
     pair: str = "rotated"    # "rotated": full vs dominant sideband;
                              # "effective": effective-full vs effective-jc
+
+    def __post_init__(self):
+        if not self.t_max > 0:
+            raise ConfigError("t_max must be > 0")
+        if self.dt_max is not None and not self.dt_max > 0:
+            raise ConfigError("dt_max must be > 0")
+        if self.samples < 2:
+            raise ConfigError("samples must be >= 2")
+        if self.initial_state not in ATOMIC_PRESETS:
+            raise ConfigError(f"initial_state must be one of {sorted(ATOMIC_PRESETS)}, "
+                              f"got {self.initial_state!r}")
+        if self.pair not in ("rotated", "effective"):
+            raise ConfigError("pair must be 'rotated' or 'effective'")
 
 
 @dataclass
@@ -89,38 +127,69 @@ class RunConfig:
     output: str = "runs"
     workers: int | str = 1
 
+    def __post_init__(self):
+        if len(self.sweep) > 2:
+            raise ConfigError("at most two sweep axes are supported")
+        if not isinstance(self.output, str) or not self.output:
+            raise ConfigError("output must be a non-empty directory path")
+        worker_count(self.workers)
+
     def drive_or_default(self) -> DriveParams:
-        if self.drive is not None:
-            return self.drive
-        return DriveParams(**DEFAULT_DRIVE)
+        return self.drive if self.drive is not None else DriveParams()
 
 
-def _check_keys(section: str, doc: dict, allowed: tuple[str, ...]):
+def _check_keys(section: str, doc: dict, cls):
+    names = {f.name for f in dataclasses.fields(cls)}
     for key in doc:
-        if key not in allowed:
+        if key not in names:
             raise ConfigError(f"unknown key {key!r} in {section}")
 
 
-def _number(section: str, key: str, value, allow_none=False):
-    if value is None and allow_none:
+def _scalar(where: str, hint, value):
+    """A section value checked against its field's type: numbers must be
+    finite (integers for int fields), None only where the field allows it,
+    anything else is read as text."""
+    kinds = get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    if not math.isfinite(float(value)):
-        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
-    return float(value)
+    if float in kinds:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where} must be a number, got {value!r}")
+        if not math.isfinite(float(value)):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
+        return float(value)
+    if int in kinds:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return value
+    return str(value)
 
 
-def _integer(section: str, key: str, value, allow_none=False):
-    if value is None and allow_none:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
-    return int(value)
+def _section(cls, section: str, doc):
+    """The dataclass cls built from the JSON object doc; a missing key
+    takes the field's default and a violated constraint is reported under
+    section."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section} must be an object")
+    _check_keys(section, doc, cls)
+    hints = get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        required = (f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING)
+        if required and f.name not in doc:
+            raise ConfigError(f"{section} is missing required key {f.name!r}")
+    kwargs = {k: _scalar(f"{section}.{k}", hints[k], v) for k, v in doc.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def parse_config(doc) -> RunConfig:
-    """Validate a parsed JSON document (or JSON text) into a RunConfig."""
+    """Validate a parsed JSON document (or JSON text) into a RunConfig.
+
+    A key whose field holds a dataclass (or a list of them, for sweep) is a
+    section; output and workers are checked by RunConfig itself."""
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
@@ -130,147 +199,29 @@ def parse_config(doc) -> RunConfig:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
-    _check_keys("config", doc, _TOP_KEYS)
-
-    model_doc = doc.get("model", {})
-    if not isinstance(model_doc, dict):
-        raise ConfigError("model must be an object")
-    _check_keys("model", model_doc, _MODEL_KEYS)
-    model_kwargs = {k: _number("model", k, v) for k, v in model_doc.items()}
-    try:
-        model = SystemParams(**model_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"model constraint violated: {exc}") from exc
-
-    drive = None
-    if "drive" in doc and doc["drive"] is not None:
-        drive_doc = doc["drive"]
-        if not isinstance(drive_doc, dict):
-            raise ConfigError("drive must be an object")
-        _check_keys("drive", drive_doc, _DRIVE_KEYS)
-        merged = dict(DEFAULT_DRIVE)
-        merged.update({k: _number("drive", k, v) for k, v in drive_doc.items()})
-        try:
-            drive = DriveParams(**merged)
-        except ValueError as exc:
-            raise ConfigError(f"drive constraint violated: {exc}") from exc
-
-    trunc_doc = doc.get("truncation", {})
-    if not isinstance(trunc_doc, dict):
-        raise ConfigError("truncation must be an object")
-    _check_keys("truncation", trunc_doc, _TRUNCATION_KEYS)
-    trunc = TruncationConfig(
-        n_c1=_integer("truncation", "n_c1", trunc_doc.get("n_c1", 6)),
-        n_c2=_integer("truncation", "n_c2", trunc_doc.get("n_c2", 6)),
-        block_window=_integer("truncation", "block_window",
-                              trunc_doc.get("block_window"), allow_none=True),
-        sideband_eps=_number("truncation", "sideband_eps",
-                             trunc_doc.get("sideband_eps", DEFAULT_SIDEBAND_EPS)),
-    )
-    if trunc.n_c1 < 1 or trunc.n_c2 < 1:
-        raise ConfigError("truncation: Fock cutoffs n_c1, n_c2 must be >= 1")
-    if trunc.block_window is not None and trunc.block_window < 1:
-        raise ConfigError("truncation: block_window must be >= 1")
-    if not (trunc.sideband_eps > 0):
-        raise ConfigError("truncation: sideband_eps must be > 0")
-
-    sweep_doc = doc.get("sweep", [])
-    if isinstance(sweep_doc, dict):
-        sweep_doc = [sweep_doc]
-    if not isinstance(sweep_doc, list):
-        raise ConfigError("sweep must be a list of axis objects")
-    axes: list[AxisConfig] = []
-    for idx, axis_doc in enumerate(sweep_doc):
-        section = f"sweep[{idx}]"
-        if not isinstance(axis_doc, dict):
-            raise ConfigError(f"{section} must be an object")
-        _check_keys(section, axis_doc, _AXIS_KEYS)
-        for req in ("start", "stop", "points", "parameter"):
-            if req not in axis_doc:
-                raise ConfigError(f"{section} is missing required key {req!r}")
-        parameter = axis_doc["parameter"]
-        if parameter not in SWEEPABLE_PARAMETERS:
-            raise ConfigError(
-                f"{section}.parameter must be one of {SWEEPABLE_PARAMETERS}, "
-                f"got {parameter!r}")
-        points = _integer(section, "points", axis_doc["points"])
-        if points < 1:
-            raise ConfigError(f"{section}.points must be >= 1")
-        start = _number(section, "start", axis_doc["start"])
-        stop = _number(section, "stop", axis_doc["stop"])
-        if points > 1 and not stop > start:
-            raise ConfigError(f"{section}: stop must exceed start for points > 1")
-        axes.append(AxisConfig(name=str(axis_doc.get("name", parameter)),
-                               start=start, stop=stop, points=points,
-                               parameter=parameter))
-    if len(axes) > 2:
-        raise ConfigError("at most two sweep axes are supported")
-
-    dyn_doc = doc.get("dynamics", {})
-    if not isinstance(dyn_doc, dict):
-        raise ConfigError("dynamics must be an object")
-    _check_keys("dynamics", dyn_doc, _DYNAMICS_KEYS)
-    dyn = DynamicsConfig(
-        t_max=_number("dynamics", "t_max", dyn_doc.get("t_max", 200.0)),
-        dt_max=_number("dynamics", "dt_max", dyn_doc.get("dt_max"), allow_none=True),
-        samples=_integer("dynamics", "samples", dyn_doc.get("samples", 2000)),
-        initial_state=str(dyn_doc.get("initial_state", "2")),
-        pair=str(dyn_doc.get("pair", "rotated")),
-    )
-    if not (dyn.t_max > 0):
-        raise ConfigError("dynamics.t_max must be > 0")
-    if dyn.dt_max is not None and not (dyn.dt_max > 0):
-        raise ConfigError("dynamics.dt_max must be > 0")
-    if dyn.samples < 2:
-        raise ConfigError("dynamics.samples must be >= 2")
-    if dyn.initial_state not in ATOMIC_PRESETS:
-        raise ConfigError(
-            f"dynamics.initial_state must be one of {sorted(ATOMIC_PRESETS)}, "
-            f"got {dyn.initial_state!r}")
-    if dyn.pair not in ("rotated", "effective"):
-        raise ConfigError("dynamics.pair must be 'rotated' or 'effective'")
-
-    output = doc.get("output", "runs")
-    if not isinstance(output, str) or not output:
-        raise ConfigError("output must be a non-empty directory path")
-
-    workers = doc.get("workers", 1)
-    if workers == "auto":
-        pass
-    elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers must be a positive integer or 'auto'")
-
-    return RunConfig(model=model, drive=drive, truncation=trunc, sweep=axes,
-                     dynamics=dyn, output=output, workers=workers)
+    _check_keys("config", doc, RunConfig)
+    hints = get_type_hints(RunConfig)
+    kwargs = {}
+    for key, value in doc.items():
+        kinds = get_args(hints[key]) or (hints[key],)
+        if get_origin(hints[key]) is list:
+            if isinstance(value, dict):
+                value = [value]
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be a list of axis objects")
+            value = [_section(kinds[0], f"{key}[{i}]", v) for i, v in enumerate(value)]
+        elif dataclasses.is_dataclass(kinds[0]) and not (
+                value is None and type(None) in kinds):
+            value = _section(kinds[0], key, value)
+        kwargs[key] = value
+    return RunConfig(**kwargs)
 
 
 def canonical_dict(cfg: RunConfig) -> dict:
     """Fully defaulted plain-data form of every field that can change the
     output bytes, used for hashing."""
-    out = {
-        "model": {k: float(getattr(cfg.model, k)) for k in _MODEL_KEYS},
-        "drive": None if cfg.drive is None else {
-            "amplitude": float(cfg.drive.amplitude),
-            "frequency": float(cfg.drive.frequency),
-        },
-        "truncation": {
-            "n_c1": cfg.truncation.n_c1,
-            "n_c2": cfg.truncation.n_c2,
-            "block_window": cfg.truncation.block_window,
-        },
-        "sweep": [
-            {"name": ax.name, "start": float(ax.start), "stop": float(ax.stop),
-             "points": ax.points, "parameter": ax.parameter}
-            for ax in cfg.sweep
-        ],
-        "dynamics": {
-            "t_max": float(cfg.dynamics.t_max),
-            "dt_max": None if cfg.dynamics.dt_max is None else float(cfg.dynamics.dt_max),
-            "samples": cfg.dynamics.samples,
-            "initial_state": cfg.dynamics.initial_state,
-            "pair": cfg.dynamics.pair,
-        },
-    }
+    out = dataclasses.asdict(cfg)
+    del out["output"], out["workers"], out["truncation"]["sideband_eps"]
     return out
 
 

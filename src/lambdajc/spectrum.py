@@ -52,7 +52,13 @@ from enum import Enum
 import numpy as np
 
 from .effective import RATIO_NAMES, ValidityReport, effective_table
-from .params import DriveParams, SystemParams
+from .params import (
+    MODEL_FIELDS,
+    DriveParams,
+    SystemParams,
+    from_sweep_values,
+    sweep_values,
+)
 
 STATIC_BLOCK_WINDOW = 8
 DRIVEN_BLOCK_WINDOW = 5
@@ -276,8 +282,6 @@ def _search_tables(tables: np.ndarray, window: int, forced_cap=False) -> dict:
     }
 
 
-_MODEL_FIELDS = ("omega1", "omega2", "Omega1", "Omega2", "g1", "g2")
-_DRIVE_FIELDS = ("A_D", "omega_D")
 _EFFECTIVE_MODEL = ("omega1_eff", "omega2_eff", "Omega1_eff", "Omega2_eff", "gr1", "gr2")
 
 
@@ -291,7 +295,7 @@ def _ground_cells(fields: dict[str, np.ndarray],
     call.  Returns the per-cell arrays keyed like PhaseGrid and, when
     driven, the effective_table the blocks were built from.
     """
-    model = [fields[k] for k in _MODEL_FIELDS]
+    model = [fields[k] for k in MODEL_FIELDS]
     eff = None
     forced = False
     if "omega_D" in fields:
@@ -305,11 +309,7 @@ def _ground_cells(fields: dict[str, np.ndarray],
 
 
 def _one_cell(sys: SystemParams, drive: DriveParams | None = None) -> dict:
-    fields = {k: np.array([getattr(sys, k)]) for k in _MODEL_FIELDS}
-    if drive is not None:
-        fields.update(A_D=np.array([drive.amplitude]),
-                      omega_D=np.array([drive.frequency]))
-    return fields
+    return {k: np.array([v]) for k, v in sweep_values(sys, drive).items()}
 
 
 def ground_search(sys: SystemParams, block_window: int = STATIC_BLOCK_WINDOW) -> PhasePoint:
@@ -349,24 +349,18 @@ def driven_phase_point(sys: SystemParams, drive: DriveParams,
 def _row_fields(sys: SystemParams, drive: DriveParams | None, axis1: AxisSpec,
                 axis2: AxisSpec, i: int) -> dict[str, np.ndarray]:
     """Field arrays of row i: axis1 fixed at its i-th value, axis2 swept."""
-    values = {k: getattr(sys, k) for k in _MODEL_FIELDS}
-    if drive is not None:
-        values.update(A_D=drive.amplitude, omega_D=drive.frequency)
+    values = sweep_values(sys, drive)
     for axis, value in ((axis1, axis1.values[i]), (axis2, axis2.values)):
-        if axis.parameter in _DRIVE_FIELDS and drive is None:
-            raise ValueError(
-                f"axis maps {axis.parameter} but no drive block is configured")
         if axis.parameter not in values:
-            raise ValueError(f"unknown sweep parameter {axis.parameter!r}")
+            raise ValueError(f"sweep parameter {axis.parameter!r} is not a field of "
+                             f"the {'model or drive' if drive else 'undriven model'}")
         values[axis.parameter] = value
     n2 = axis2.values.size
     fields = {k: np.broadcast_to(np.asarray(v, dtype=float), (n2,))
               for k, v in values.items()}
     # every field constraint is a bound, so the row's extremes validate it
     for pick in (np.min, np.max):
-        SystemParams(**{k: pick(fields[k]) for k in _MODEL_FIELDS})
-        if drive is not None:
-            DriveParams(pick(fields["A_D"]), pick(fields["omega_D"]))
+        from_sweep_values({k: pick(v) for k, v in fields.items()})
     return fields
 
 

@@ -134,6 +134,40 @@ class TestConfigHash:
         doc["sweep"][0]["points"] = 5
         assert config_hash(parse_config(doc)) != h0
 
+    @pytest.mark.parametrize("doc, digest", [
+        ({}, "24c2ca7fff7381d3"),
+        ({"model": {"g1": 0.05, "g2": 0.05},
+          "drive": {"amplitude": 0.036, "frequency": 0.18},
+          "truncation": {"block_window": 5},
+          "sweep": [
+              {"name": "A_D", "start": 0.0, "stop": 0.45, "points": 151,
+               "parameter": "A_D"},
+              {"name": "Omega2", "start": 0.985, "stop": 1.0, "points": 61,
+               "parameter": "Omega2"}],
+          "output": "runs/driven"}, "e883844714d2cdfd"),
+        ({"model": {"g1": 0.05, "g2": 0.05},
+          "drive": {"amplitude": 0.036, "frequency": 0.18},
+          "truncation": {"n_c1": 6, "n_c2": 6},
+          "dynamics": {"t_max": 200.0, "samples": 2000, "initial_state": "2",
+                       "pair": "rotated"},
+          "output": "runs/echo"}, "d40d00090bd02690"),
+        ({"drive": {"amplitude": 0.036, "frequency": 0.18},
+          "sweep": [{"name": "omega_D", "start": 0.05, "stop": 6.0,
+                     "points": 2400, "parameter": "omega_D"}],
+          "output": "runs/effective"}, "9f4ec3a8d0b7c136"),
+        ({"model": {"omega1": 0.5, "omega2": 0.25, "Omega1": 1.25, "Omega2": 1.0},
+          "truncation": {"block_window": 8},
+          "sweep": [
+              {"name": "g1", "start": 0.0, "stop": 5.625, "points": 301,
+               "parameter": "g1"},
+              {"name": "g2", "start": 0.0, "stop": 4.5, "points": 301,
+               "parameter": "g2"}],
+          "output": "runs/static"}, "d36f12cb2dae6281"),
+    ], ids=["empty", "driven", "echo", "effective", "static"])
+    def test_hash_is_pinned(self, doc, digest):
+        # a cache key that drifts silently recomputes every stored run
+        assert config_hash(parse_config(doc)) == digest
+
 
 class TestWriters:
     def test_grid_csv_shape(self, tmp_path):
@@ -260,6 +294,16 @@ class TestRunCommand:
         assert (tmp_path / "grid.csv").read_bytes() == first
         assert (tmp_path / "grid.csv").stat().st_mtime_ns == mtime
 
+    @pytest.mark.parametrize("text", ["[]", '"done"', "3"])
+    def test_non_object_manifest_is_recomputed(self, tmp_path, capsys, text):
+        cfg = parse_config(TINY_STATIC)
+        (tmp_path / "manifest.json").write_text(text)
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert len((tmp_path / "grid.csv").read_text().splitlines()) == 1 + 9 * 7
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config_hash"] == config_hash(cfg)
+
     def test_config_change_invalidates_cache(self, tmp_path, capsys):
         cfg = parse_config(TINY_STATIC)
         run_command("static-phase", cfg, out_dir=tmp_path)
@@ -347,6 +391,15 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         # the slow drive caps the ground label on the window edge
         assert any("window-capped" in d for d in manifest["deviations"])
+
+    def test_driven_sample_shows_phase_structure(self, tmp_path):
+        sample = Path(__file__).parent.parent / "configs" / "driven_phase.json"
+        cfg = parse_config(sample.read_text())
+        assert run_command("driven-phase", cfg, out_dir=tmp_path) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "grid.csv").read_text().splitlines()[1:]]
+        assert {"y1", "y2"} <= {row[7] for row in rows}
+        assert sum(row[9] == "true" for row in rows) < len(rows)
 
     def test_strict_mode_fails_on_deviations(self, tmp_path, capsys):
         cfg = parse_config(TINY_DRIVEN)
@@ -477,6 +530,18 @@ class TestRunCommand:
         ]})
         with pytest.raises(ConfigError, match="g1 >= 0"):
             run_command("static-phase", cfg, out_dir=tmp_path)
+        cfg = parse_config({"sweep": [
+            {"name": "a", "start": -0.1, "stop": 0.3, "points": 3, "parameter": "A_D"},
+            {"name": "b", "start": 0.985, "stop": 1.0, "points": 3, "parameter": "Omega2"},
+        ]})
+        with pytest.raises(ConfigError, match="amplitude >= 0"):
+            run_command("driven-phase", cfg, out_dir=tmp_path)
+        cfg = parse_config({"sweep": [
+            {"name": "w", "start": 0.0, "stop": 1.0, "points": 3, "parameter": "omega_D"},
+        ]})
+        with pytest.raises(ConfigError, match="frequency > 0"):
+            run_command("effective-params", cfg, out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_driven_worker_count_does_not_change_bytes(self, tmp_path):
         cfg = parse_config(TINY_DRIVEN)
@@ -520,6 +585,16 @@ class TestDriveValidation:
 
 
 class TestMainEntry:
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_flag_below_one_exits_1(self, tmp_path, capsys, workers):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(TINY_STATIC))
+        out = tmp_path / "out"
+        assert main(["static-phase", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", workers]) == 1
+        assert "workers must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["static-phase", "--config", str(tmp_path / "nope.json")]) == 1
 
