@@ -17,7 +17,13 @@ commands share one runner: a sweep is a list of chunks (grid rows, or
 from a chunk to a dict of column arrays.  The runner keeps the cells.jsonl
 ledger of finished chunks, from which an interrupted sweep resumes, and
 writes the CSV chunk by chunk in index order, a column at a time, so the
-bytes are identical for any worker count.
+bytes are identical for any worker count.  Text fields are quoted per RFC
+4180.
+
+The manifest and every ledger entry carry OUTPUT_VERSION: a cache hit
+needs the current version, the config hash, the command and the CSV's
+digest to match, and a ledger entry is resumed only with the current
+version, the config hash and the shape its chunk computes to.
 
 Before anything is written, every sweep axis endpoint is checked by
 building the SystemParams or DriveParams it implies, and the worker count,
@@ -69,12 +75,23 @@ from .params import (
     sweep_values,
 )
 from .specfun import MAX_ARGUMENT
-from .spectrum import AxisSpec, category_values, compute_grid_row, tally_deviations
+from .spectrum import (
+    CELL_FIELDS,
+    AxisSpec,
+    category_values,
+    compute_grid_row,
+    tally_deviations,
+)
 
 COMMANDS = ("static-phase", "driven-phase", "effective-params", "echo")
 OUTPUT_ENV_VAR = "LAMBDAJC_OUT"
 ECHO_ALPHA = 0.01
 EFFECTIVE_CHUNK = 256
+
+#: Version of the output format and numbers.  Raise it with every change
+#: that alters any output byte: a manifest or ledger entry of another
+#: version is never served or resumed.
+OUTPUT_VERSION = 2
 
 GRID_CSV_COLUMNS = ("axis1_name", "axis1_value", "axis2_name", "axis2_value",
                     "energy", "n_label", "m_label", "category", "gap",
@@ -94,13 +111,26 @@ _CSV_NAME = {
 MAX_MANIFEST_DEVIATIONS = 100
 
 
+def _quote(text: str) -> str:
+    """text as one CSV field (RFC 4180): enclosed in double quotes, with
+    inner quotes doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _format_column(values: np.ndarray) -> list[str]:
     """The CSV text of each value of a 1-D column, by dtype: round-trip
-    exact floats, plain integers, true/false booleans, strings as they are."""
-    if values.dtype.kind == "b":
+    exact floats, plain integers, true/false booleans, quoted text."""
+    kind = values.dtype.kind
+    if kind == "b":
         return np.where(values, "true", "false").tolist()
-    return list(map("{:.17g}".format if values.dtype.kind == "f" else str,
-                    values.tolist()))
+    if kind == "f":
+        return list(map("{:.17g}".format, values.tolist()))
+    text = list(map(str, values.tolist()))
+    if kind in "UO" and any(_quote(t) != t for t in set(text)):
+        text = list(map(_quote, text))
+    return text
 
 
 def _replace_atomically(path: Path, write):
@@ -168,6 +198,7 @@ def _write_manifest(out_dir: Path, command: str, digest: str, cells_total: int,
     doc = {
         "command": command,
         "config_hash": digest,
+        "output_version": OUTPUT_VERSION,
         "version": __version__,
         "cells_total": cells_total,
         "cells_done": cells_done,
@@ -190,8 +221,9 @@ def _read_manifest(out_dir: Path) -> dict | None:
 
 
 def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]:
-    """chunk index -> column arrays of every completed chunk of this config;
-    a line that does not parse (a torn tail left by a kill) is skipped."""
+    """chunk index -> column arrays of every completed chunk of this config
+    and OUTPUT_VERSION; a line that does not parse (a torn tail left by a
+    kill) is skipped.  _run_sweep checks each entry's shape."""
     path = _ledger_path(out_dir)
     done: dict[int, dict[str, np.ndarray]] = {}
     try:
@@ -202,7 +234,8 @@ def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]
     for line in lines:
         try:
             entry = json.loads(line)
-            if entry.get("config_hash") == digest:
+            if (entry.get("config_hash") == digest
+                    and entry.get("output_version") == OUTPUT_VERSION):
                 done[int(entry["chunk"])] = {
                     k: np.asarray(v) for k, v in entry["data"].items()}
         except (AttributeError, KeyError, TypeError, ValueError):
@@ -214,8 +247,8 @@ def _append_ledger(out_dir: Path, digest: str, chunk: int,
                    columns: dict[str, np.ndarray]):
     data = {k: v.tolist() for k, v in columns.items()}
     with open(_ledger_path(out_dir), "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"config_hash": digest, "chunk": chunk,
-                             "data": data}) + "\n")
+        fh.write(json.dumps({"config_hash": digest, "output_version": OUTPUT_VERSION,
+                             "chunk": chunk, "data": data}) + "\n")
         fh.flush()
 
 
@@ -225,16 +258,28 @@ def _append_ledger(out_dir: Path, digest: str, chunk: int,
 
 class _Sweep(NamedTuple):
     """compute(chunk) gives a chunk's columns as a dict of equal-length
-    arrays and must pickle for pool workers; csv_chunk(index, columns) gives
-    them aligned with csv_columns; unit and window word the deviations."""
+    arrays, keyed by keys and sizes[index] long, and must pickle for pool
+    workers; csv_chunk(index, columns) gives them aligned with csv_columns;
+    unit and window word the deviations."""
 
     compute: Callable
     chunks: Sequence
-    cells: int
+    keys: tuple[str, ...]
+    sizes: Sequence[int]
     csv_columns: tuple[str, ...]
     csv_chunk: Callable
     unit: str
     window: int | None = None
+
+    @property
+    def cells(self) -> int:
+        return sum(self.sizes)
+
+    def fits(self, index: int, columns: dict[str, np.ndarray]) -> bool:
+        """Whether a ledger entry has the shape compute gives chunk index."""
+        return (0 <= index < len(self.chunks)
+                and sorted(columns) == sorted(self.keys)
+                and all(v.shape == (self.sizes[index],) for v in columns.values()))
 
 
 def _run_chunks(compute, todo: dict, workers: int, on_done,
@@ -260,7 +305,8 @@ def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
                workers: int, abort_after: int | None) -> list[str]:
     """Compute the chunks the resume ledger lacks, then write the CSV;
     returns the deviation lines."""
-    done = _load_ledger(out_dir, digest)
+    done = {i: columns for i, columns in _load_ledger(out_dir, digest).items()
+            if sweep.fits(i, columns)}
 
     def cells_done():
         return sum(len(next(iter(c.values()))) for c in done.values())
@@ -289,11 +335,12 @@ def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
     EFFECTIVE_CHUNK-point slices."""
     if command == "effective-params":
         values = axes[0].values()
+        chunks = [values[k:k + EFFECTIVE_CHUNK]
+                  for k in range(0, values.size, EFFECTIVE_CHUNK)]
         return _Sweep(partial(_effective_columns, cfg.model, cfg.drive_or_default(),
                               axes[0].parameter),
-                      [values[k:k + EFFECTIVE_CHUNK]
-                       for k in range(0, values.size, EFFECTIVE_CHUNK)],
-                      values.size, EFFECTIVE_CSV_COLUMNS,
+                      chunks, EFFECTIVE_CSV_COLUMNS, [c.size for c in chunks],
+                      EFFECTIVE_CSV_COLUMNS,
                       lambda i, columns: [columns[k] for k in EFFECTIVE_CSV_COLUMNS],
                       "sweep points")
     driven = command == "driven-phase"
@@ -308,7 +355,8 @@ def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
                 row["window_capped"], row["rwa_ok"], row["hierarchy_ok"])
 
     return _Sweep(partial(compute_grid_row, cfg.model, drive, ax1, ax2, window),
-                  range(ax1.values.size), ax1.values.size * ax2.values.size,
+                  range(ax1.values.size), CELL_FIELDS,
+                  [ax2.values.size] * ax1.values.size,
                   GRID_CSV_COLUMNS, csv_chunk, "cells", window)
 
 
@@ -440,7 +488,8 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     csv_path = out_dir / _CSV_NAME[command]
     same_run = (manifest is not None
                 and manifest.get("config_hash") == digest
-                and manifest.get("command") == command)
+                and manifest.get("command") == command
+                and manifest.get("output_version") == OUTPUT_VERSION)
     if (same_run
             and manifest.get("cells_total") == manifest.get("cells_done")
             and manifest.get("cells_total", 0) > 0):
@@ -451,7 +500,8 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
         print(f"cache miss: {csv_path} is missing or differs from the manifest "
               "digest; recomputing")
     if manifest is not None and not same_run:
-        # stale results from another configuration or command: start clean
+        # stale results from another configuration, command or output
+        # version: start clean
         _ledger_path(out_dir).unlink(missing_ok=True)
 
     try:

@@ -148,7 +148,7 @@ def _check_keys(section: str, doc: dict, cls):
 def _scalar(where: str, hint, value):
     """A section value checked against its field's type: numbers must be
     finite (integers for int fields), None only where the field allows it,
-    anything else is read as text."""
+    text fields take strings only."""
     kinds = get_args(hint) or (hint,)
     if value is None and type(None) in kinds:
         return None
@@ -162,7 +162,9 @@ def _scalar(where: str, hint, value):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
         return value
-    return str(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
 
 
 def _section(cls, section: str, doc):

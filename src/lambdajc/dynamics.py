@@ -36,12 +36,16 @@ Propagation
 -----------
 Time-independent variants are diagonalized once and sampled exactly.
 Time-dependent variants use a fourth-order commutator-free exponential
-integrator (two Gauss-node exponentials per step, each applied by a Taylor
-expansion run to machine precision), which preserves the norm to roundoff.
-The internal step is min(dt_max, 2*pi/(80*phi_max)), where phi_max is the
-peak instantaneous frequency max(|phi| + |z|*w_D) over the terms; at that
-step the scheme's sampled amplitudes are converged far below the 1e-6
-contract the test suite enforces by step halving.
+integrator (CF4: two Gauss-node exponentials per substep).  A TermList
+holds one fixed-pattern CSR operator whose data is rewritten in place for
+each exponential, and each exponential is a Taylor polynomial whose degree
+is fixed once per run from a norm bound so that the dropped remainder is
+below unit roundoff; the scheme preserves the norm to roundoff.  The
+substep is chosen once per run: the longest one, within dt_max and the
+sampling bound 2*pi/(20*phi_max), whose error in the sampled amplitudes,
+estimated by a Richardson pair on the first substep and added up over the
+run, is at most STEP_TOL (1e-7).  phi_max is the peak instantaneous
+frequency max(|phi| + |z|*w_D) over the terms.
 """
 
 from __future__ import annotations
@@ -276,9 +280,32 @@ class Term:
 
 @dataclass
 class TermList:
+    """The term list of one variant and its one operator representation: a
+    fixed sparsity pattern (the union of the term operators) with the
+    (nnz, terms) map from term coefficients to CSR data, so the
+    instantaneous Hamiltonian is one product map @ c(t) on that pattern."""
+
     terms: list[Term]
     space: HilbertSpace
     frame: str
+
+    def __post_init__(self):
+        dim = self.space.dim
+        coos = [term.op.tocoo() for term in self.terms]
+        rows = np.concatenate([c.row for c in coos]).astype(np.int64)
+        cols = np.concatenate([c.col for c in coos])
+        union = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
+        self._indices, self._indptr = union.indices, union.indptr
+        # row-major position of every pattern entry, ascending
+        slots = np.repeat(np.arange(dim), np.diff(union.indptr)) * dim + union.indices
+        which = np.repeat(np.arange(len(coos)), [c.nnz for c in coos])
+        # duplicate entries of one operator add up, as in the operator itself
+        self.data_map = sp.csr_matrix(
+            (np.concatenate([c.data for c in coos]).astype(complex),
+             (np.searchsorted(slots, rows * dim + cols), which)),
+            shape=(union.nnz, len(coos))).toarray()
+        self._params = [np.array([getattr(t, k) for t in self.terms])
+                        for k in ("amplitude", "phase", "depth", "rate")]
 
     @property
     def phi_max(self) -> float:
@@ -289,13 +316,31 @@ class TermList:
     def time_independent(self) -> bool:
         return all(t.phase == 0.0 and t.depth == 0.0 for t in self.terms)
 
+    @property
+    def norm_bound(self) -> float:
+        """The 1-norm of sum_k |a_k| |O_k| (entrywise moduli), a bound on
+        ||H(t)||_1 at every t since |c_k(t)| = |a_k|; H(t) is Hermitian, so
+        it bounds ||H(t)||_2 too."""
+        moduli = np.abs(self.data_map) @ np.abs(self._params[0])
+        return float(np.bincount(self._indices, moduli, self.space.dim).max())
+
+    def coefficients(self, t) -> np.ndarray:
+        """Every term's coefficient at times t, shape (terms, *t.shape)."""
+        t = np.asarray(t, dtype=float)
+        shape = (-1,) + (1,) * t.ndim
+        return _coefficient(*(p.reshape(shape) for p in self._params), t)
+
+    def operator(self, data: np.ndarray | None = None) -> sp.csr_matrix:
+        """A CSR matrix on the fixed pattern holding data (zeros if None);
+        its data array may be overwritten in place."""
+        if data is None:
+            data = np.zeros(self.data_map.shape[0], dtype=complex)
+        dim = self.space.dim
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(dim, dim))
+
     def matrix_at(self, t: float) -> sp.csr_matrix:
-        """Instantaneous Hamiltonian (mostly for verification)."""
-        total = sp.csr_matrix((self.space.dim, self.space.dim), dtype=complex)
-        for term in self.terms:
-            coeff = _coefficient(term.amplitude, term.phase, term.depth, term.rate, t)
-            total = total + term.op.astype(complex) * coeff
-        return total.tocsr()
+        """Instantaneous Hamiltonian H(t)."""
+        return self.operator(self.data_map @ self.coefficients(t))
 
 
 def _pair(terms: list[Term], op: sp.csr_matrix, amplitude: float, phase: float,
@@ -382,60 +427,89 @@ class EvolutionResult:
         return StateVector(amplitudes=amps, space=space)
 
 
-class _CombinedOperator:
-    """Fixed union sparsity pattern over every term operator, with a dense
-    map from term coefficients to CSR data.  Rebuilding the instantaneous
-    Hamiltonian is then one small matrix-vector product per evaluation."""
-
-    def __init__(self, terms: list[Term], dim: int):
-        pattern = None
-        for term in terms:
-            marker = sp.csr_matrix(
-                (np.ones_like(term.op.data), term.op.indices, term.op.indptr),
-                shape=(dim, dim))
-            pattern = marker if pattern is None else pattern + marker
-        pattern = pattern.tocsr()
-        pattern.sum_duplicates()
-        pattern.sort_indices()
-        self.indptr = pattern.indptr
-        self.indices = pattern.indices
-        self.shape = (dim, dim)
-        self.map = np.zeros((pattern.nnz, len(terms)))
-        for k, term in enumerate(terms):
-            coo = term.op.tocoo()
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                row_lo, row_hi = self.indptr[r], self.indptr[r + 1]
-                slot = row_lo + np.searchsorted(self.indices[row_lo:row_hi], c)
-                self.map[slot, k] += v
-        self.amplitudes = np.array([t.amplitude for t in terms])
-        self.phases = np.array([t.phase for t in terms])
-        self.depths = np.array([t.depth for t in terms])
-        self.rates = np.array([t.rate for t in terms])
-
-    def data_at(self, t: float) -> np.ndarray:
-        coeff = _coefficient(self.amplitudes, self.phases, self.depths, self.rates, t)
-        return self.map @ coeff
-
-    def csr(self, data: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+#: Largest error the default substep may leave in the sampled amplitudes
+#: (max |delta psi| over a run), as _substeps estimates it.
+STEP_TOL = 1e-7
+_MAX_TAYLOR_DEGREE = 63
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Gauss-Legendre nodes of a substep and the fourth-order commutator-free
+# weights: a substep from t applies exp(-ih(X_HI H_early + X_LO H_late)),
+# then exp(-ih(X_LO H_early + X_HI H_late)), H_early/late = H(t + node*h)
+_CF4_NODES = np.array([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0])
+_X_HI, _X_LO = 0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0
 
 
-def _expm_apply(H: sp.csr_matrix, factor: complex, psi: np.ndarray) -> np.ndarray:
-    """exp(factor*H) @ psi by the Taylor series, run to machine precision.
+def _taylor_degree(terms: TermList, h: float) -> int:
+    """Taylor degree for every exponential of a CF4 substep of length h.
 
-    The step operators here satisfy ||factor*H|| << 1, so the series
-    converges in a handful of matrix-vector products; the result is unitary
-    to roundoff whenever factor*H is anti-Hermitian.
+    Each exponent is h times a mix of two H(t) whose weights sum to 1/sqrt(3)
+    in magnitude, so theta = h * norm_bound / sqrt(3) bounds its norm, and
+    the smallest m with theta^(m+1)/(m+1)! * e^theta below unit roundoff
+    bounds the dropped remainder (the degree is chosen from a norm bound as
+    in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).
+    """
+    theta = h * terms.norm_bound / _SQRT3
+    power = 1.0
+    for m in range(_MAX_TAYLOR_DEGREE + 1):
+        power *= theta / (m + 1)          # theta^(m+1) / (m+1)!
+        if power * math.exp(theta) <= _UNIT_ROUNDOFF:
+            return m
+    raise RuntimeError("propagator Taylor series failed to converge; "
+                       "internal step too large")
+
+
+def _expm_apply(H: sp.csr_matrix, factor: complex, psi: np.ndarray,
+                degree: int) -> np.ndarray:
+    """exp(factor*H) @ psi by its Taylor polynomial of the given degree.
+
+    With the degree from _taylor_degree the dropped remainder is below unit
+    roundoff, so the result is unitary to roundoff whenever factor*H is
+    anti-Hermitian.
     """
     out = psi.copy()
     term = psi
-    for k in range(1, 64):
-        term = factor * (H @ term) / k
-        out = out + term
-        if np.linalg.norm(term) <= 1e-18 * np.linalg.norm(out):
-            return out
-    raise RuntimeError("propagator Taylor series failed to converge; "
-                       "internal step too large")
+    for k in range(1, degree + 1):
+        term = H @ term
+        term *= factor / k
+        out += term
+    return out
+
+
+def _cf4_steps(terms: TermList, H: sp.csr_matrix, psi: np.ndarray, t0: float,
+               h: float, nsub: int, degree: int) -> np.ndarray:
+    """psi advanced from t0 by nsub CF4 substeps of length h.
+
+    The coefficients at all 2*nsub Gauss nodes come from one call; H is a
+    TermList.operator whose data is overwritten for each exponential.
+    """
+    nodes = t0 + h * (np.arange(nsub)[:, None] + _CF4_NODES)
+    early, late = np.moveaxis(terms.coefficients(nodes), -1, 0)
+    mixed = np.stack([_X_HI * early + _X_LO * late,
+                      _X_LO * early + _X_HI * late], axis=-1)
+    for weights in mixed.reshape(len(terms.terms), -1).T:
+        np.dot(terms.data_map, weights, out=H.data)
+        psi = _expm_apply(H, -1j * h, psi, degree)
+    return psi
+
+
+def _substeps(terms: TermList, H: sp.csr_matrix, psi: np.ndarray, t0: float,
+              interval: float, n_min: int, intervals: int) -> int:
+    """CF4 substeps per sample interval: the fewest, n_min or more, whose
+    estimated error in the sampled amplitudes over the run is at most
+    STEP_TOL.
+
+    A Richardson pair on the first substep (one step of interval/n_min
+    against two of half that) estimates the local error of the coarse step
+    as 16/15 of their largest amplitude difference.  The run's local errors
+    are taken to add up, and each scales as h^5, so n substeps per interval
+    leave about n_min * intervals * error * (n_min/n)^4.
+    """
+    h = interval / n_min
+    degree = _taylor_degree(terms, h)
+    coarse = _cf4_steps(terms, H, psi, t0, h, 1, degree)
+    fine = _cf4_steps(terms, H, psi, t0, h / 2, 2, degree)
+    error = n_min * intervals * 16.0 / 15.0 * float(np.max(np.abs(coarse - fine)))
+    return max(n_min, math.ceil(n_min * (error / STEP_TOL) ** 0.25))
 
 
 def _sample_grid(t_max: float, samples: int) -> np.ndarray:
@@ -453,8 +527,10 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
 
     dt_max must respect the sampling bound 2*pi/(20*phi_max), where phi_max
     is the peak instantaneous frequency max(|phi| + |z|*w_D) of any
-    coefficient; the integrator then substeps at min(dt_max, bound/4) so
-    halving dt_max perturbs sampled amplitudes far below 1e-6.
+    coefficient.  The CF4 substep is the longest one within dt_max and that
+    bound whose estimated error in the sampled amplitudes over the run is
+    at most STEP_TOL (see _substeps), so halving dt_max perturbs sampled
+    amplitudes far below 1e-6.
     """
     if (psi0.space.n_c1, psi0.space.n_c2) != (space.n_c1, space.n_c2):
         raise ValueError("initial state lives in a different space")
@@ -462,6 +538,7 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
     times = _sample_grid(t_max, samples)
     if dt_max is not None and dt_max <= 0:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
+    h_max = dt_max if dt_max is not None else math.inf
     phi_max = terms.phi_max
     if phi_max > 0:
         bound = 2.0 * math.pi / (20.0 * phi_max)
@@ -469,9 +546,7 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
             raise ValueError(
                 f"dt_max={dt_max:g} exceeds the sampling bound {bound:g} "
                 f"(20 steps per fastest oscillation)")
-        h_target = min(dt_max if dt_max is not None else math.inf, bound / 4.0)
-    else:
-        h_target = math.inf
+        h_max = min(h_max, bound)
 
     dim = space.dim
     states = np.empty((times.size, dim), dtype=complex)
@@ -485,21 +560,14 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
         for i, t in enumerate(times[1:], start=1):
             states[i] = vecs @ (np.exp(-1j * evals * t) * coeff)
     else:
-        combined = _CombinedOperator(terms.terms, dim)
+        H = terms.operator()
         interval = times[1] - times[0]
-        nsub = max(1, int(math.ceil(interval / h_target)))
+        nsub = _substeps(terms, H, psi, times[0], interval,
+                         max(1, math.ceil(interval / h_max)), times.size - 1)
         h = interval / nsub
-        # Gauss-Legendre nodes and the fourth-order commutator-free weights
-        c_lo, c_hi = 0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0
-        x_lo, x_hi = 0.25 - _SQRT3 / 6.0, 0.25 + _SQRT3 / 6.0
+        degree = _taylor_degree(terms, h)
         for i in range(1, times.size):
-            t0 = times[i - 1]
-            for k in range(nsub):
-                t = t0 + k * h
-                d_early = combined.data_at(t + c_lo * h)
-                d_late = combined.data_at(t + c_hi * h)
-                psi = _expm_apply(combined.csr(x_hi * d_early + x_lo * d_late), -1j * h, psi)
-                psi = _expm_apply(combined.csr(x_lo * d_early + x_hi * d_late), -1j * h, psi)
+            psi = _cf4_steps(terms, H, psi, times[i - 1], h, nsub, degree)
             states[i] = psi
 
     norms = np.linalg.norm(states, axis=1)

@@ -148,6 +148,11 @@ class PhaseGrid:
         return _point(vars(self), (i, j))
 
 
+#: The per-cell arrays of a PhaseGrid, which compute_grid_row returns for a row.
+CELL_FIELDS = ("energy", "n_label", "m_label", "gap", "window_capped", "rwa_ok",
+               "hierarchy_ok")
+
+
 def _point(cells, index) -> PhasePoint:
     """The PhasePoint at index of per-cell arrays keyed like PhaseGrid."""
     label = (int(cells["n_label"][index]), int(cells["m_label"][index]))

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -549,6 +551,181 @@ class TestRunCommand:
         run_command("driven-phase", cfg, out_dir=tmp_path / "w2", workers=2)
         assert ((tmp_path / "w1" / "grid.csv").read_bytes()
                 == (tmp_path / "w2" / "grid.csv").read_bytes())
+
+
+GRID_5X4 = {
+    "sweep": [
+        {"name": "g1", "start": 0.0, "stop": 4.0, "points": 5, "parameter": "g1"},
+        {"name": "g2", "start": 0.0, "stop": 3.0, "points": 4, "parameter": "g2"},
+    ],
+}
+
+SAMPLES = Path(__file__).parent.parent / "configs"
+
+
+def _blake2b(path: Path) -> str:
+    return hashlib.blake2b(path.read_bytes()).hexdigest()
+
+
+def _rewrite_ledger(path: Path, change):
+    """Apply change(entry) to every cells.jsonl entry in place."""
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    for entry in entries:
+        change(entry)
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+
+
+TINY_ECHO = {"truncation": {"n_c1": 3, "n_c2": 3},
+             "dynamics": {"t_max": 10.0, "samples": 20}}
+
+
+class TestOutputVersion:
+    @pytest.mark.parametrize("stored", ["missing", "previous"])
+    @pytest.mark.parametrize("command, doc, csv_name", [
+        ("static-phase", TINY_STATIC, "grid.csv"), ("echo", TINY_ECHO, "echo.csv")])
+    def test_manifest_of_other_output_version_is_recomputed(
+            self, tmp_path, capsys, stored, command, doc, csv_name):
+        cfg = parse_config(doc)
+        assert run_command(command, cfg, out_dir=tmp_path) == 0
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["csv_blake2b"] == _blake2b(tmp_path / csv_name)
+        current = manifest.pop("output_version", None)
+        if stored == "previous":
+            manifest["output_version"] = current - 1
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_command(command, cfg, out_dir=tmp_path) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        manifest = json.loads(path.read_text())
+        assert manifest["output_version"] == cli.OUTPUT_VERSION
+        assert manifest["csv_blake2b"] == _blake2b(tmp_path / csv_name)
+
+    def test_ledger_entry_of_other_output_version_is_recomputed(self, tmp_path):
+        cfg = parse_config(TINY_STATIC)
+        run_command("static-phase", cfg, out_dir=tmp_path / "full")
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path / "part",
+                        _abort_after_chunks=3)
+        ledger = tmp_path / "part" / "cells.jsonl"
+
+        def stale(entry):
+            # what an older program wrote: other numbers, no current version
+            entry.pop("output_version", None)
+            entry["data"]["energy"] = [0.0] * len(entry["data"]["energy"])
+        _rewrite_ledger(ledger, stale)
+        assert _load_ledger(tmp_path / "part", config_hash(cfg)) == {}
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
+        assert ((tmp_path / "part" / "grid.csv").read_bytes()
+                == (tmp_path / "full" / "grid.csv").read_bytes())
+
+
+class TestLedgerShape:
+    def test_short_chunk_is_recomputed(self, tmp_path, capsys):
+        cfg = parse_config(GRID_5X4)
+        run_command("static-phase", cfg, out_dir=tmp_path / "full")
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path / "part",
+                        _abort_after_chunks=1)
+        ledger = tmp_path / "part" / "cells.jsonl"
+
+        def short(entry):
+            entry["data"] = {k: v[:2] for k, v in entry["data"].items()}
+        _rewrite_ledger(ledger, short)
+        capsys.readouterr()
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
+        assert "20 cells" in capsys.readouterr().out
+        grid = tmp_path / "part" / "grid.csv"
+        assert len(grid.read_text().splitlines()) == 1 + 20
+        assert grid.read_bytes() == (tmp_path / "full" / "grid.csv").read_bytes()
+        manifest = json.loads((tmp_path / "part" / "manifest.json").read_text())
+        assert manifest["csv_blake2b"] == _blake2b(tmp_path / "full" / "grid.csv")
+
+    @pytest.mark.parametrize("corrupt", [
+        "missing_column", "extra_column", "two_dimensional", "chunk_out_of_range",
+        "negative_chunk"])
+    def test_malformed_entry_is_recomputed(self, tmp_path, corrupt):
+        cfg = parse_config(GRID_5X4)
+        run_command("static-phase", cfg, out_dir=tmp_path / "full")
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path / "part",
+                        _abort_after_chunks=2)
+        ledger = tmp_path / "part" / "cells.jsonl"
+
+        def change(entry):
+            data = entry["data"]
+            if corrupt == "missing_column":
+                del data["gap"]
+            elif corrupt == "extra_column":
+                data["spare"] = data["gap"]
+            elif corrupt == "two_dimensional":
+                data["energy"] = [data["energy"]]
+            elif corrupt == "chunk_out_of_range":
+                entry["chunk"] += 5
+            else:
+                entry["chunk"] -= 2
+        _rewrite_ledger(ledger, change)
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
+        assert ((tmp_path / "part" / "grid.csv").read_bytes()
+                == (tmp_path / "full" / "grid.csv").read_bytes())
+
+    def test_valid_entries_are_reused(self, tmp_path, monkeypatch):
+        cfg = parse_config(GRID_5X4)
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path,
+                        _abort_after_chunks=3)
+        rows = []
+        real = cli.compute_grid_row
+
+        def counted(*args):
+            rows.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(cli, "compute_grid_row", counted)
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        assert rows == [3, 4]
+
+
+class TestCsvQuoting:
+    def test_text_fields_round_trip_through_csv_reader(self, tmp_path):
+        doc = json.loads(json.dumps(TINY_STATIC))
+        doc["sweep"][0]["name"] = "g1,x"
+        doc["sweep"][1]["name"] = 'say "g2"'
+        assert run_command("static-phase", parse_config(doc), out_dir=tmp_path) == 0
+        with open(tmp_path / "grid.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 9 * 7
+        assert {len(row) for row in rows} == {12}
+        assert {(row[0], row[2]) for row in rows[1:]} == {("g1,x", 'say "g2"')}
+
+    @pytest.mark.parametrize("name", [{"a": 1}, 3, ["g1"], True])
+    def test_non_string_axis_name_rejected(self, name):
+        doc = json.loads(json.dumps(TINY_STATIC))
+        doc["sweep"][0]["name"] = name
+        with pytest.raises(ConfigError, match="name must be a string"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("section, key", [
+        ("dynamics", "initial_state"), ("dynamics", "pair")])
+    def test_non_string_text_field_rejected(self, section, key):
+        with pytest.raises(ConfigError, match=f"{key} must be a string"):
+            parse_config({section: {key: 2}})
+
+    @pytest.mark.parametrize("command, config, csv_name, digest", [
+        ("static-phase", "static_phase.json", "grid.csv",
+         "2ebf9534af83f771f48b6a92249cfbff543d046a6171163a9d19a408cfa83667"
+         "b2140ca33a0727ab5faa28ac605bccfff1c45bc87422285cae7dcdd0dc069ab0"),
+        ("driven-phase", "driven_phase.json", "grid.csv",
+         "682e667ca4c155b02031b0c20608fa52025d592d8f0f74e2a308422daf7fd6b3"
+         "2420769bbd91e213cc91cb5951dd14bb5ac66c569b3ed356c61ca37fb220df50"),
+        ("effective-params", "effective_params.json", "effective_params.csv",
+         "01b2d64420b46f043697ab55560448a14ed7635b649af36ad1653d2cbae1740a"
+         "d18bbf2a1c40b4afdf87bef920aedc8d84aeb17327677d9bd66c7297acdaf0df"),
+    ])
+    def test_sample_configs_keep_csv_bytes(self, tmp_path, command, config,
+                                           csv_name, digest):
+        cfg = parse_config((SAMPLES / config).read_text())
+        assert run_command(command, cfg, out_dir=tmp_path) == 0
+        assert _blake2b(tmp_path / csv_name) == digest
 
 
 class TestDriveValidation:

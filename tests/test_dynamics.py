@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lambdajc.config import parse_config
 from lambdajc.dynamics import (
+    STEP_TOL,
     HamiltonianSpec,
     TruncationError,
     Variant,
@@ -15,11 +18,13 @@ from lambdajc.dynamics import (
     loschmidt_echo,
     sector_states,
 )
+from lambdajc.dynamics import _expm_apply, _taylor_degree
 from lambdajc.params import DriveParams, SystemParams
 from lambdajc.spectrum import block_ground_energy, block_matrix
 
 from oracles import expm_propagate
 
+SAMPLES = Path(__file__).parent.parent / "configs"
 RESONANT = SystemParams()
 DRIVE = DriveParams(amplitude=0.036, frequency=0.18)  # theta = 0.2
 
@@ -173,6 +178,21 @@ class TestAssembly:
                 H = terms.matrix_at(float(t)).toarray()
                 assert np.abs(H - H.conj().T).max() < 1e-12
 
+    def test_matrix_at_matches_per_term_sum(self):
+        space = build_space(2, 2)
+        rng = np.random.default_rng(21)
+        drive = DriveParams.from_theta(0.8, 0.33)
+        for variant in Variant:
+            terms = assemble_terms(_spec(variant, drive=drive), space)
+            for t in rng.uniform(0.0, 300.0, 20):
+                expected = sum(
+                    term.op.toarray() * term.amplitude
+                    * np.exp(1j * (term.phase * t + term.depth * np.sin(term.rate * t)))
+                    for term in terms.terms)
+                H = terms.matrix_at(float(t)).toarray()
+                assert np.abs(H - expected).max() < 1e-13
+                assert np.linalg.norm(H, 2) <= terms.norm_bound * (1 + 1e-12)
+
     def test_effective_variants_are_time_independent(self):
         space = build_space(2, 2)
         assert assemble_terms(_spec(Variant.EFFECTIVE_FULL), space).phi_max == 0.0
@@ -319,6 +339,36 @@ class TestEvolve:
         r1 = evolve(spec, space, psi0, t_max=40.0, samples=11, dt_max=bound / 4)
         r2 = evolve(spec, space, psi0, t_max=40.0, samples=11, dt_max=bound / 8)
         assert np.max(np.abs(r1.states - r2.states)) < 1e-6
+
+    def test_taylor_degree_reaches_roundoff(self):
+        # one exponential at the chosen degree against the dense oracle, up
+        # to steps far longer than the integrator takes
+        space = build_space(2, 2)
+        terms = assemble_terms(_spec(Variant.DRIVE_ROTATED,
+                                     drive=DriveParams.from_theta(0.8, 0.33)), space)
+        rng = np.random.default_rng(8)
+        psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        psi0 /= np.linalg.norm(psi0)
+        H = terms.matrix_at(1.7)
+        for h in (0.05, 0.5, 2.0):
+            degree = _taylor_degree(terms, h)
+            ours = _expm_apply(H, -1j * h, psi0, degree)
+            ref = expm_propagate(H.toarray(), psi0, [h])[0]
+            assert np.max(np.abs(ours - ref)) < 1e-14
+
+    def test_default_step_meets_tolerance(self):
+        # configs/echo.json's model and drive over the default horizon
+        cfg = parse_config((SAMPLES / "echo.json").read_text())
+        space = build_space(cfg.truncation.n_c1, cfg.truncation.n_c2)
+        psi0 = coherent_state(space, 0.01, 0.01, cfg.dynamics.initial_state)
+        interval = 200.0 / 1999
+        for variant in (Variant.DRIVE_ROTATED, Variant.DOMINANT_SIDEBAND):
+            spec = HamiltonianSpec(variant=variant, sys=cfg.model,
+                                   drive=cfg.drive_or_default())
+            res = evolve(spec, space, psi0, t_max=200.0, samples=2000)
+            ref = evolve(spec, space, psi0, t_max=200.0, samples=2000,
+                         dt_max=interval / 16)
+            assert np.max(np.abs(res.states - ref.states)) <= STEP_TOL
 
     def test_leakage_warning_on_tight_cutoff(self):
         space = build_space(1, 1)
