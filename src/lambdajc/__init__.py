@@ -36,7 +36,7 @@ from .effective import (
     validity_report,
 )
 from .params import DriveParams, SystemParams
-from .specfun import bessel_j, bessel_j_any, bessel_j_row, sideband_cutoff
+from .specfun import bessel_j, bessel_j_any, bessel_j_row
 from .spectrum import (
     AxisSpec,
     DressedBlock,

@@ -23,12 +23,14 @@ bytes are identical for any worker count.  Text fields are quoted per RFC
 The manifest and every ledger entry carry OUTPUT_VERSION: a cache hit
 needs the current version, the config hash, the command and the CSV's
 digest to match, and a ledger entry is resumed only with the current
-version, the config hash and the shape its chunk computes to.
+version, the config hash and the shape and dtype kinds its chunk computes
+to.
 
 Before anything is written, every sweep axis endpoint is checked by
 building the SystemParams or DriveParams it implies, and the worker count,
 from --workers or the config, by config.worker_count.  A manifest.json that
-is not a JSON object counts as no manifest.
+is not a JSON object, or whose cell counts or deviations have the wrong JSON
+type, counts as no manifest.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime or validity
 failure (validity failures only fail the run under --strict).
@@ -58,9 +60,9 @@ from .config import (
     worker_count,
 )
 from .dynamics import (
+    ECHO_PAIRS,
     HamiltonianSpec,
     TruncationError,
-    Variant,
     build_space,
     coherent_state,
     loschmidt_echo,
@@ -76,7 +78,7 @@ from .params import (
 )
 from .specfun import MAX_ARGUMENT
 from .spectrum import (
-    CELL_FIELDS,
+    CELL_KINDS,
     AxisSpec,
     category_values,
     compute_grid_row,
@@ -97,9 +99,13 @@ GRID_CSV_COLUMNS = ("axis1_name", "axis1_value", "axis2_name", "axis2_value",
                     "energy", "n_label", "m_label", "category", "gap",
                     "window_capped", "rwa_ok", "hierarchy_ok")
 ECHO_CSV_COLUMNS = ("t", "fidelity", "norm_a", "norm_b", "leakage")
-EFFECTIVE_CSV_COLUMNS = ("omega_D", "theta", "n0", "m0", "Delta_n0", "Delta_m0",
-                         "Omega1_eff", "Omega2_eff", "omega1_eff", "omega2_eff",
-                         "gr1", "gr2", "gc1", "gc2", "rwa_ok")
+#: The effective-params CSV columns, which _effective_columns returns for a
+#: chunk, and the dtype kind of each.
+EFFECTIVE_KINDS = {"omega_D": "f", "theta": "f", "n0": "i", "m0": "i",
+                   "Delta_n0": "f", "Delta_m0": "f", "Omega1_eff": "f",
+                   "Omega2_eff": "f", "omega1_eff": "f", "omega2_eff": "f",
+                   "gr1": "f", "gr2": "f", "gc1": "f", "gc2": "f", "rwa_ok": "b"}
+EFFECTIVE_CSV_COLUMNS = tuple(EFFECTIVE_KINDS)
 
 _CSV_NAME = {
     "static-phase": "grid.csv",
@@ -107,8 +113,6 @@ _CSV_NAME = {
     "effective-params": "effective_params.csv",
     "echo": "echo.csv",
 }
-
-MAX_MANIFEST_DEVIATIONS = 100
 
 
 def _quote(text: str) -> str:
@@ -192,9 +196,6 @@ def _ledger_path(out_dir: Path) -> Path:
 def _write_manifest(out_dir: Path, command: str, digest: str, cells_total: int,
                     cells_done: int, deviations: list[str],
                     csv_digest: str | None = None):
-    shown = deviations[:MAX_MANIFEST_DEVIATIONS]
-    if len(deviations) > MAX_MANIFEST_DEVIATIONS:
-        shown.append(f"... {len(deviations) - MAX_MANIFEST_DEVIATIONS} more")
     doc = {
         "command": command,
         "config_hash": digest,
@@ -202,7 +203,7 @@ def _write_manifest(out_dir: Path, command: str, digest: str, cells_total: int,
         "version": __version__,
         "cells_total": cells_total,
         "cells_done": cells_done,
-        "deviations": shown,
+        "deviations": deviations,
         "csv_blake2b": csv_digest,
     }
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -217,13 +218,22 @@ def _read_manifest(out_dir: Path) -> dict | None:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return None
-    return doc if isinstance(doc, dict) else None
+    if not isinstance(doc, dict):
+        return None
+    deviations = doc.get("deviations")
+    if (type(doc.get("cells_total")) is not int
+            or type(doc.get("cells_done")) is not int
+            or type(deviations) is not list
+            or any(type(line) is not str for line in deviations)):
+        return None
+    return doc
 
 
 def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]:
     """chunk index -> column arrays of every completed chunk of this config
     and OUTPUT_VERSION; a line that does not parse (a torn tail left by a
-    kill) is skipped.  _run_sweep checks each entry's shape."""
+    kill) or whose chunk is not a JSON integer (true or 1.0 would key
+    chunk 1) is skipped.  _run_sweep checks each entry's shape and dtype kinds."""
     path = _ledger_path(out_dir)
     done: dict[int, dict[str, np.ndarray]] = {}
     try:
@@ -235,8 +245,9 @@ def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]
         try:
             entry = json.loads(line)
             if (entry.get("config_hash") == digest
-                    and entry.get("output_version") == OUTPUT_VERSION):
-                done[int(entry["chunk"])] = {
+                    and entry.get("output_version") == OUTPUT_VERSION
+                    and type(entry["chunk"]) is int):
+                done[entry["chunk"]] = {
                     k: np.asarray(v) for k, v in entry["data"].items()}
         except (AttributeError, KeyError, TypeError, ValueError):
             continue
@@ -258,13 +269,13 @@ def _append_ledger(out_dir: Path, digest: str, chunk: int,
 
 class _Sweep(NamedTuple):
     """compute(chunk) gives a chunk's columns as a dict of equal-length
-    arrays, keyed by keys and sizes[index] long, and must pickle for pool
-    workers; csv_chunk(index, columns) gives them aligned with csv_columns;
-    unit and window word the deviations."""
+    arrays, sizes[index] long, keyed and of dtype kind as in kinds, and must
+    pickle for pool workers; csv_chunk(index, columns) gives them aligned
+    with csv_columns; unit and window word the deviations."""
 
     compute: Callable
     chunks: Sequence
-    keys: tuple[str, ...]
+    kinds: dict[str, str]
     sizes: Sequence[int]
     csv_columns: tuple[str, ...]
     csv_chunk: Callable
@@ -276,10 +287,13 @@ class _Sweep(NamedTuple):
         return sum(self.sizes)
 
     def fits(self, index: int, columns: dict[str, np.ndarray]) -> bool:
-        """Whether a ledger entry has the shape compute gives chunk index."""
+        """Whether a ledger entry has the shape and the dtype kinds compute
+        gives chunk index."""
         return (0 <= index < len(self.chunks)
-                and sorted(columns) == sorted(self.keys)
-                and all(v.shape == (self.sizes[index],) for v in columns.values()))
+                and sorted(columns) == sorted(self.kinds)
+                and all(v.shape == (self.sizes[index],)
+                        and v.dtype.kind == self.kinds[k]
+                        for k, v in columns.items()))
 
 
 def _run_chunks(compute, todo: dict, workers: int, on_done,
@@ -339,7 +353,7 @@ def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
                   for k in range(0, values.size, EFFECTIVE_CHUNK)]
         return _Sweep(partial(_effective_columns, cfg.model, cfg.drive_or_default(),
                               axes[0].parameter),
-                      chunks, EFFECTIVE_CSV_COLUMNS, [c.size for c in chunks],
+                      chunks, EFFECTIVE_KINDS, [c.size for c in chunks],
                       EFFECTIVE_CSV_COLUMNS,
                       lambda i, columns: [columns[k] for k in EFFECTIVE_CSV_COLUMNS],
                       "sweep points")
@@ -355,7 +369,7 @@ def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
                 row["window_capped"], row["rwa_ok"], row["hierarchy_ok"])
 
     return _Sweep(partial(compute_grid_row, cfg.model, drive, ax1, ax2, window),
-                  range(ax1.values.size), CELL_FIELDS,
+                  range(ax1.values.size), CELL_KINDS,
                   [ax2.values.size] * ax1.values.size,
                   GRID_CSV_COLUMNS, csv_chunk, "cells", window)
 
@@ -446,12 +460,8 @@ def _run_echo(cfg: RunConfig, out_dir: Path, digest: str) -> list[str]:
     dyn = cfg.dynamics
     space = build_space(trunc.n_c1, trunc.n_c2)
     psi0 = coherent_state(space, ECHO_ALPHA, ECHO_ALPHA, dyn.initial_state)
-    if dyn.pair == "rotated":
-        variants = (Variant.DRIVE_ROTATED, Variant.DOMINANT_SIDEBAND)
-    else:
-        variants = (Variant.EFFECTIVE_FULL, Variant.EFFECTIVE_JC)
-    spec_a = HamiltonianSpec(variant=variants[0], sys=cfg.model, drive=drive)
-    spec_b = HamiltonianSpec(variant=variants[1], sys=cfg.model, drive=drive)
+    spec_a, spec_b = (HamiltonianSpec(variant=v, sys=cfg.model, drive=drive)
+                      for v in ECHO_PAIRS[dyn.pair])
     _write_manifest(out_dir, "echo", digest, 1, 0, [])
     echo = loschmidt_echo(spec_a, spec_b, space, psi0, t_max=dyn.t_max,
                           samples=dyn.samples, dt_max=dyn.dt_max)
@@ -491,12 +501,12 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
                 and manifest.get("command") == command
                 and manifest.get("output_version") == OUTPUT_VERSION)
     if (same_run
-            and manifest.get("cells_total") == manifest.get("cells_done")
-            and manifest.get("cells_total", 0) > 0):
+            and manifest["cells_total"] == manifest["cells_done"]
+            and manifest["cells_total"] > 0):
         stored = manifest.get("csv_blake2b")
         if stored is not None and stored == _file_digest(csv_path):
             print(f"cache hit: {csv_path} is up to date (config {digest})")
-            return _finish(manifest.get("deviations", []), strict)
+            return _finish(manifest["deviations"], strict)
         print(f"cache miss: {csv_path} is missing or differs from the manifest "
               "digest; recomputing")
     if manifest is not None and not same_run:

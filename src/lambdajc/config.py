@@ -9,9 +9,8 @@ is validated up front so sweeps cannot fail halfway through.  The canonical
 form (the fully defaulted dataclasses as plain data, sorted keys, numbers
 as floats or integers by field type) feeds a 64-bit content digest used
 for result caching: a change to any field that can change the output bytes
-changes the hash.  The output directory, the worker count and
-truncation.sideband_eps cannot, so they are accepted and validated but left
-out of the hash.
+changes the hash.  The output directory and the worker count cannot, so
+they are validated but left out of the hash.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .dynamics import ATOMIC_PRESETS, DEFAULT_SAMPLES, DEFAULT_T_MAX
+from .dynamics import ATOMIC_PRESETS, DEFAULT_SAMPLES, DEFAULT_T_MAX, ECHO_PAIRS
 from .params import DriveParams, SystemParams
-from .specfun import DEFAULT_SIDEBAND_EPS
 from .spectrum import DRIVEN_BLOCK_WINDOW, STATIC_BLOCK_WINDOW
 
 SWEEPABLE_PARAMETERS = ("g1", "g2", "A_D", "omega_D", "Omega1", "Omega2")
@@ -78,15 +76,12 @@ class TruncationConfig:
     n_c1: int = 6
     n_c2: int = 6
     block_window: int | None = None   # None: the static or driven default
-    sideband_eps: float = DEFAULT_SIDEBAND_EPS   # accepted, not hashed; affects no output
 
     def __post_init__(self):
         if self.n_c1 < 1 or self.n_c2 < 1:
             raise ConfigError("Fock cutoffs n_c1, n_c2 must be >= 1")
         if self.block_window is not None and self.block_window < 1:
             raise ConfigError("block_window must be >= 1")
-        if not self.sideband_eps > 0:
-            raise ConfigError("sideband_eps must be > 0")
 
     def window_for(self, driven: bool) -> int:
         if self.block_window is not None:
@@ -100,8 +95,7 @@ class DynamicsConfig:
     dt_max: float | None = None
     samples: int = DEFAULT_SAMPLES
     initial_state: str = "2"
-    pair: str = "rotated"    # "rotated": full vs dominant sideband;
-                             # "effective": effective-full vs effective-jc
+    pair: str = "rotated"    # a key of ECHO_PAIRS
 
     def __post_init__(self):
         if not self.t_max > 0:
@@ -113,7 +107,7 @@ class DynamicsConfig:
         if self.initial_state not in ATOMIC_PRESETS:
             raise ConfigError(f"initial_state must be one of {sorted(ATOMIC_PRESETS)}, "
                               f"got {self.initial_state!r}")
-        if self.pair not in ("rotated", "effective"):
+        if self.pair not in ECHO_PAIRS:
             raise ConfigError("pair must be 'rotated' or 'effective'")
 
 
@@ -223,7 +217,7 @@ def canonical_dict(cfg: RunConfig) -> dict:
     """Fully defaulted plain-data form of every field that can change the
     output bytes, used for hashing."""
     out = dataclasses.asdict(cfg)
-    del out["output"], out["workers"], out["truncation"]["sideband_eps"]
+    del out["output"], out["workers"]
     return out
 
 

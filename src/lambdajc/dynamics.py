@@ -57,7 +57,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .effective import effective_for_drive
+from .effective import _sideband_bases, effective_for_drive
 from .params import DriveParams, SystemParams
 
 DEFAULT_T_MAX = 200.0
@@ -87,6 +87,12 @@ _FRAME = {
     Variant.DOMINANT_SIDEBAND: "drive-rotated",
     Variant.EFFECTIVE_FULL: "effective",
     Variant.EFFECTIVE_JC: "effective",
+}
+
+#: The two branches of each echo pair the CLI runs, by config name.
+ECHO_PAIRS = {
+    "rotated": (Variant.DRIVE_ROTATED, Variant.DOMINANT_SIDEBAND),
+    "effective": (Variant.EFFECTIVE_FULL, Variant.EFFECTIVE_JC),
 }
 
 _NEEDS_DRIVE = {
@@ -167,9 +173,6 @@ class StateVector:
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
         self.amplitudes = amps
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 #: Atomic-part presets for the bundled initial states: the bare second
@@ -287,7 +290,6 @@ class TermList:
 
     terms: list[Term]
     space: HilbertSpace
-    frame: str
 
     def __post_init__(self):
         dim = self.space.dim
@@ -372,7 +374,7 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
         _self_adjoint(terms, space.number2(), sys.Omega2)
         _pair(terms, s31a1, sys.g1, 0.0)
         _pair(terms, s32a2, sys.g2, 0.0)
-        return TermList(terms=terms, space=space, frame=spec.frame)
+        return TermList(terms=terms, space=space)
 
     drive = spec.drive
     sb, eff = effective_for_drive(sys, drive)
@@ -380,20 +382,19 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
     if spec.variant is Variant.DRIVE_ROTATED:
         # sum_p g J_p(z) exp(i(phi + p wd)t) = g exp(i(phi t + z sin(wd t)))
         theta, wd = drive.theta, drive.frequency
-        base1 = 2.0 * sys.omega1 + sys.omega2 + sys.Omega1
-        base2 = 2.0 * sys.omega2 + sys.omega1 + sys.Omega2
+        base1, base2 = _sideband_bases(sys.omega1, sys.omega2, sys.Omega1, sys.Omega2)
         _pair(terms, s31a1, sys.g1, sb.delta1, theta, wd)
         _pair(terms, s31a1d, sys.g1, base1, theta, wd)
         _pair(terms, s32a2, sys.g2, sb.delta2, 2.0 * theta, wd)
         _pair(terms, s32a2d, sys.g2, base2, 2.0 * theta, wd)
-        return TermList(terms=terms, space=space, frame=spec.frame)
+        return TermList(terms=terms, space=space)
 
     if spec.variant is Variant.DOMINANT_SIDEBAND:
         _pair(terms, s31a1, eff.gr1, sb.delta1)
         _pair(terms, s31a1d, eff.gc1, sb.Delta_n0)
         _pair(terms, s32a2, eff.gr2, sb.delta2)
         _pair(terms, s32a2d, eff.gc2, sb.Delta_m0)
-        return TermList(terms=terms, space=space, frame=spec.frame)
+        return TermList(terms=terms, space=space)
 
     # time-independent effective variants
     _self_adjoint(terms, (space.sigma(3, 3) - space.sigma(2, 2)).tocsr(), eff.omega2_eff)
@@ -405,7 +406,7 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
     if spec.variant is Variant.EFFECTIVE_FULL:
         _pair(terms, s31a1d, eff.gc1, 0.0)
         _pair(terms, s32a2d, eff.gc2, 0.0)
-    return TermList(terms=terms, space=space, frame=spec.frame)
+    return TermList(terms=terms, space=space)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +422,6 @@ class EvolutionResult:
     norm_drift: float
     leakage: float
     warnings: list[str] = field(default_factory=list)
-
-    def state(self, i: int, space: HilbertSpace) -> StateVector:
-        amps = self.states[i] / np.linalg.norm(self.states[i])
-        return StateVector(amplitudes=amps, space=space)
 
 
 #: Largest error the default substep may leave in the sampled amplitudes

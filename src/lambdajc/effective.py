@@ -138,11 +138,17 @@ def _argmin_order(base, omega_d):
     return n, base + n * omega_d
 
 
+def _sideband_bases(omega1, omega2, Omega1, Omega2):
+    """The counter-rotating phases at order zero, D_0 of each mode."""
+    return 2.0 * omega1 + omega2 + Omega1, 2.0 * omega2 + omega1 + Omega2
+
+
 def _sidebands(omega1, omega2, Omega1, Omega2, omega_d):
     """(n0, m0, Delta_n0, Delta_m0, delta1, delta2)."""
     delta1, delta2 = _detunings(omega1, omega2, Omega1, Omega2)
-    n0, dn0 = _argmin_order(2.0 * omega1 + omega2 + Omega1, omega_d)
-    m0, dm0 = _argmin_order(2.0 * omega2 + omega1 + Omega2, omega_d)
+    base1, base2 = _sideband_bases(omega1, omega2, Omega1, Omega2)
+    n0, dn0 = _argmin_order(base1, omega_d)
+    m0, dm0 = _argmin_order(base2, omega_d)
     return n0, m0, dn0, dm0, delta1, delta2
 
 
@@ -174,30 +180,23 @@ def _effective(d1, d2, dn, dm, n0, m0, g1, g2, theta) -> dict:
     }
 
 
-def _validity(d1, d2, dn, dm, g1, g2, gc1, gc2, omega_d, hierarchy_max, rwa_max):
-    """(ratios keyed by RATIO_NAMES, hierarchy_ok, rwa_ok)."""
-    ratios = {
-        "delta1/omega_D": abs(d1) / omega_d,
-        "delta2/omega_D": abs(d2) / omega_d,
-        "Delta_n0/omega_D": abs(dn) / omega_d,
-        "Delta_m0/omega_D": abs(dm) / omega_d,
-        "g1/omega_D": g1 / omega_d,
-        "g2/omega_D": g2 / omega_d,
-    }
-    hierarchy_ok = True
-    for r in ratios.values():
-        hierarchy_ok = hierarchy_ok & (r < hierarchy_max)
-    # A vanishing sideband phase makes the counter-rotating term secular:
-    # report the ratio as infinite and fail the audit outright.
-    ratios["gc1/Delta_n0"] = _ratio_or_inf(gc1, dn)
-    ratios["gc2/Delta_m0"] = _ratio_or_inf(gc2, dm)
-    rwa_ok = (ratios["gc1/Delta_n0"] < rwa_max) & (ratios["gc2/Delta_m0"] < rwa_max)
-    return ratios, hierarchy_ok, rwa_ok
-
-
 RATIO_NAMES = ("delta1/omega_D", "delta2/omega_D", "Delta_n0/omega_D",
                "Delta_m0/omega_D", "g1/omega_D", "g2/omega_D",
                "gc1/Delta_n0", "gc2/Delta_m0")
+
+
+def _validity(d1, d2, dn, dm, g1, g2, gc1, gc2, omega_d):
+    """(ratios keyed by RATIO_NAMES, hierarchy_ok, rwa_ok)."""
+    hierarchy = [abs(d1) / omega_d, abs(d2) / omega_d, abs(dn) / omega_d,
+                 abs(dm) / omega_d, g1 / omega_d, g2 / omega_d]
+    # A vanishing sideband phase makes the counter-rotating term secular:
+    # report the ratio as infinite and fail the audit outright.
+    rwa = [_ratio_or_inf(gc1, dn), _ratio_or_inf(gc2, dm)]
+    hierarchy_ok = True
+    for r in hierarchy:
+        hierarchy_ok = hierarchy_ok & (r < HIERARCHY_RATIO_MAX)
+    rwa_ok = (rwa[0] < RWA_RATIO_MAX) & (rwa[1] < RWA_RATIO_MAX)
+    return dict(zip(RATIO_NAMES, hierarchy + rwa)), hierarchy_ok, rwa_ok
 
 
 def effective_table(omega1, omega2, Omega1, Omega2, g1, g2, amplitude,
@@ -219,8 +218,7 @@ def effective_table(omega1, omega2, Omega1, Omega2, g1, g2, amplitude,
     n0, m0 = n0.astype(np.int64), m0.astype(np.int64)
     eff = _effective(d1, d2, dn, dm, n0, m0, g1, g2, theta)
     ratios, hierarchy_ok, rwa_ok = _validity(d1, d2, dn, dm, g1, g2, eff["gc1"],
-                                             eff["gc2"], frequency, HIERARCHY_RATIO_MAX,
-                                             RWA_RATIO_MAX)
+                                             eff["gc2"], frequency)
     return {"theta": theta, "n0": n0, "m0": m0, "Delta_n0": dn, "Delta_m0": dm,
             "delta1": d1, "delta2": d2, **eff, **ratios,
             "hierarchy_ok": hierarchy_ok, "rwa_ok": rwa_ok}
@@ -292,12 +290,10 @@ def omega_zero_frequencies(sys: SystemParams,
 
 
 def validity_report(sys: SystemParams, drive: DriveParams, sb: SidebandInfo,
-                    eff: EffectiveParams,
-                    hierarchy_max: float = HIERARCHY_RATIO_MAX,
-                    rwa_max: float = RWA_RATIO_MAX) -> ValidityReport:
+                    eff: EffectiveParams) -> ValidityReport:
     """Audit the two approximation layers behind the effective model."""
     ratios, hierarchy_ok, rwa_ok = _validity(
         sb.delta1, sb.delta2, sb.Delta_n0, sb.Delta_m0, sys.g1, sys.g2,
-        eff.gc1, eff.gc2, drive.frequency, hierarchy_max, rwa_max)
+        eff.gc1, eff.gc2, drive.frequency)
     return ValidityReport(ratios={k: float(v) for k, v in ratios.items()},
                           hierarchy_ok=bool(hierarchy_ok), rwa_ok=bool(rwa_ok))

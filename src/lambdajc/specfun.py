@@ -1,4 +1,4 @@
-"""Integer-order Bessel functions of the first kind and sideband truncation.
+"""Integer-order Bessel functions of the first kind.
 
 The drive enters the effective couplings only through J_n(theta) and
 J_m(2 theta) weights, so a self-contained, high-accuracy evaluator for
@@ -31,10 +31,6 @@ MAX_ORDER = 64
 MAX_ARGUMENT = 1.0e3
 _SERIES_CUTOFF = 1.0
 _RESCALE_LIMIT = 1.0e250
-
-#: Default tolerance for dropping sideband orders: far below every coupling
-#: scale used by the sweep engines (couplings are of order 5e-2).
-DEFAULT_SIDEBAND_EPS = 1.0e-10
 
 
 def _series_row(n_max: int, x: float) -> np.ndarray:
@@ -84,8 +80,8 @@ def _miller_row(n_max: int, x: float) -> np.ndarray:
 def bessel_j_row(n_max: int, x: float) -> np.ndarray:
     """Return the array [J_0(x), J_1(x), ..., J_{n_max}(x)].
 
-    Single orders and the sideband cutoff scan both read this row: Miller's
-    algorithm produces every order of one argument in a single pass.
+    Single orders read this row: Miller's algorithm produces every order of
+    one argument in a single pass.
     """
     if n_max < 0:
         raise ValueError(f"n_max >= 0 required, got {n_max}")
@@ -150,27 +146,3 @@ def bessel_j_any(n: int, x: float) -> float:
             return 0.0
     return sign * float(bessel_j_row(n, x)[n])
 
-
-def sideband_cutoff(z: float, eps: float = DEFAULT_SIDEBAND_EPS) -> int:
-    """Smallest P with |J_p(z)| < eps for every |p| > P.
-
-    Beyond the turning point p ~ |z| the magnitudes decay monotonically and
-    super-exponentially, so P is the largest order whose magnitude still
-    reaches eps.  Always finite.
-    """
-    if not (eps > 0):
-        raise ValueError(f"eps > 0 required, got {eps}")
-    z = abs(float(z))
-    if not math.isfinite(z):
-        raise ValueError(f"sideband argument must be finite, got {z!r}")
-    if z == 0.0:
-        return 0
-    hi = max(16, int(math.ceil(1.5 * z)) + 40)
-    while True:
-        row = np.abs(bessel_j_row(hi, z))
-        # the scan is trustworthy once the tail is decisively below eps
-        if row[-1] < eps * 1e-3 and row[-2] < eps * 1e-3:
-            break
-        hi *= 2
-    above = np.nonzero(row >= eps)[0]
-    return int(above[-1]) if above.size else 0

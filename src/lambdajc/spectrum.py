@@ -103,14 +103,6 @@ class PhasePoint:
     gap: float
     window_capped: bool = False
 
-    @property
-    def n_label(self) -> int:
-        return self.label[0]
-
-    @property
-    def m_label(self) -> int:
-        return self.label[1]
-
 
 @dataclass(frozen=True)
 class AxisSpec:
@@ -148,9 +140,11 @@ class PhaseGrid:
         return _point(vars(self), (i, j))
 
 
-#: The per-cell arrays of a PhaseGrid, which compute_grid_row returns for a row.
-CELL_FIELDS = ("energy", "n_label", "m_label", "gap", "window_capped", "rwa_ok",
-               "hierarchy_ok")
+#: The per-cell arrays of a PhaseGrid, which compute_grid_row returns for a
+#: row, and the dtype kind of each.
+CELL_KINDS = {"energy": "f", "n_label": "i", "m_label": "i", "gap": "f",
+              "window_capped": "b", "rwa_ok": "b", "hierarchy_ok": "b"}
+CELL_FIELDS = tuple(CELL_KINDS)
 
 
 def _point(cells, index) -> PhasePoint:
@@ -466,8 +460,7 @@ def driven_phase_grid(sys_template: SystemParams, drive_template: DriveParams,
     ax2 = AxisSpec(ratio_name, parameter, cavity_vals[order])
     grid = sweep_grid(sys_template, drive_template, ax1, ax2, block_window)
     inverse = np.argsort(order)
-    for key in ("energy", "n_label", "m_label", "gap", "window_capped",
-                "rwa_ok", "hierarchy_ok"):
+    for key in CELL_FIELDS:
         setattr(grid, key, getattr(grid, key)[:, inverse])
     grid.axis2 = AxisSpec(ratio_name, f"detuning{detuning_mode}_ratio", ratios)
     return grid

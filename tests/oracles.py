@@ -62,12 +62,6 @@ def brute_sideband(base: float, omega_d: float, span: int = 2_000_000):
     return best_n, base + best_n * omega_d
 
 
-def brute_cutoff(z: float, eps: float, max_order: int = 64) -> int:
-    vals = [abs(bessel_series(p, abs(z))) for p in range(max_order + 1)]
-    above = [p for p, v in enumerate(vals) if v >= eps]
-    return max(above) if above else 0
-
-
 def resonant_block_ground(n: int, m: int, g1: float, g2: float,
                           omega1=0.5, omega2=0.25, Omega1=1.25, Omega2=1.0):
     """Closed form at zero detuning: common diagonal minus the coupling norm."""

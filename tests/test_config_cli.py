@@ -104,7 +104,7 @@ class TestConfigHash:
         base = {
             "model": {"omega1": 0.5, "g1": 0.05},
             "drive": {"amplitude": 0.09, "frequency": 0.18},
-            "truncation": {"n_c1": 6, "block_window": 5, "sideband_eps": 1e-10},
+            "truncation": {"n_c1": 6, "block_window": 5},
             "sweep": [{"name": "a", "start": 0.0, "stop": 1.0, "points": 4,
                        "parameter": "g1"}],
             "dynamics": {"t_max": 100.0, "samples": 500, "initial_state": "2",
@@ -276,7 +276,6 @@ class TestRunCommand:
     @pytest.mark.parametrize("section, key, value", [
         ("workers", None, 2),
         ("output", None, "elsewhere"),
-        ("truncation", "sideband_eps", 1e-9),
     ])
     def test_inert_field_change_is_cache_hit(self, tmp_path, capsys,
                                              section, key, value):
@@ -305,6 +304,25 @@ class TestRunCommand:
         assert len((tmp_path / "grid.csv").read_text().splitlines()) == 1 + 9 * 7
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config_hash"] == config_hash(cfg)
+
+    @pytest.mark.parametrize("fields", [
+        {"cells_total": "63", "cells_done": "63"},
+        {"cells_total": None, "cells_done": None},
+        {"deviations": "oops"},
+        {"deviations": ["fine", 3]},
+    ], ids=["text_cells", "null_cells", "text_deviations", "number_deviation"])
+    def test_mistyped_manifest_is_recomputed(self, tmp_path, capsys, fields):
+        cfg = parse_config(TINY_STATIC)
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        full = (tmp_path / "grid.csv").read_bytes()
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, **fields}))
+        capsys.readouterr()
+        assert run_command("static-phase", cfg, out_dir=tmp_path, strict=True) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert (tmp_path / "grid.csv").read_bytes() == full
+        assert json.loads(path.read_text()) == manifest
 
     def test_config_change_invalidates_cache(self, tmp_path, capsys):
         cfg = parse_config(TINY_STATIC)
@@ -643,7 +661,7 @@ class TestLedgerShape:
 
     @pytest.mark.parametrize("corrupt", [
         "missing_column", "extra_column", "two_dimensional", "chunk_out_of_range",
-        "negative_chunk"])
+        "negative_chunk", "bool_energy", "text_label", "bool_chunk"])
     def test_malformed_entry_is_recomputed(self, tmp_path, corrupt):
         cfg = parse_config(GRID_5X4)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
@@ -662,12 +680,34 @@ class TestLedgerShape:
                 data["energy"] = [data["energy"]]
             elif corrupt == "chunk_out_of_range":
                 entry["chunk"] += 5
-            else:
+            elif corrupt == "negative_chunk":
                 entry["chunk"] -= 2
+            elif corrupt == "bool_energy":
+                data["energy"] = [True] * len(data["energy"])
+            elif corrupt == "text_label":
+                data["n_label"] = ["x,y"] * len(data["n_label"])
+            else:
+                # chunks 0 and 1 filed as true and false, which equal 1 and
+                # 0, each other's index
+                entry["chunk"] = entry["chunk"] == 0
         _rewrite_ledger(ledger, change)
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
                 == (tmp_path / "full" / "grid.csv").read_bytes())
+
+    @pytest.mark.parametrize("command, doc", [
+        ("static-phase", GRID_5X4), ("driven-phase", TINY_DRIVEN),
+        ("effective-params", {"sweep": [{"start": 0.1, "stop": 2.0, "points": 300,
+                                         "parameter": "omega_D"}]})])
+    def test_ledger_entries_fit_their_sweep(self, tmp_path, command, doc):
+        # a kind map that disagreed with compute would recompute every
+        # resumed chunk
+        cfg = parse_config(doc)
+        with pytest.raises(KeyboardInterrupt):
+            run_command(command, cfg, out_dir=tmp_path, _abort_after_chunks=1)
+        sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
+        entries = _load_ledger(tmp_path, config_hash(cfg))
+        assert list(entries) == [0] and sweep.fits(0, entries[0])
 
     def test_valid_entries_are_reused(self, tmp_path, monkeypatch):
         cfg = parse_config(GRID_5X4)
@@ -770,6 +810,17 @@ class TestMainEntry:
         assert main(["static-phase", "--config", str(cfg_path), "--out", str(out),
                      "--workers", workers]) == 1
         assert "workers must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_retired_sideband_eps_key_exits_1(self, tmp_path, capsys):
+        # truncation.sideband_eps changed no output since the closed-form
+        # sidebands and is no longer a config key
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**TINY_STATIC,
+                                        "truncation": {"sideband_eps": 1e-9}}))
+        out = tmp_path / "out"
+        assert main(["static-phase", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "unknown key 'sideband_eps' in truncation" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lambdajc.specfun import bessel_j, bessel_j_any, bessel_j_row, sideband_cutoff
+from lambdajc.specfun import bessel_j, bessel_j_any, bessel_j_row
 
-from oracles import bessel_series, bessel_signed, bisect_root, brute_cutoff
+from oracles import bessel_series, bessel_signed, bisect_root
 
 # First positive root of J_0, located by the series + bisection oracle.
 J0_FIRST_ROOT = 2.404825557695773
@@ -127,23 +127,3 @@ class TestDeepOrders:
     def test_argument_cap_still_applies(self):
         with pytest.raises(ValueError):
             bessel_j_any(100, 2.0e3)
-
-
-def test_cutoff_trivial_and_scan():
-    assert sideband_cutoff(0.0, 1e-8) == 0
-    assert sideband_cutoff(2.5, 1e-10) == brute_cutoff(2.5, 1e-10) == 14
-    for z in (0.2, 1.0, 3.3, 6.0):
-        for eps in (1e-8, 1e-10, 1e-12):
-            assert sideband_cutoff(z, eps) == brute_cutoff(z, eps)
-
-
-def test_cutoff_monotone_in_argument():
-    cuts = [sideband_cutoff(z, 1e-10) for z in np.linspace(0.0, 8.0, 81)]
-    assert all(b >= a for a, b in zip(cuts, cuts[1:]))
-
-
-def test_cutoff_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        sideband_cutoff(1.0, 0.0)
-    with pytest.raises(ValueError):
-        sideband_cutoff(1.0, -1e-9)
