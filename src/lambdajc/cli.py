@@ -20,11 +20,11 @@ writes the CSV chunk by chunk in index order, a column at a time, so the
 bytes are identical for any worker count.  Text fields are quoted per RFC
 4180.
 
-The manifest and every ledger entry carry OUTPUT_VERSION: a cache hit
-needs the current version, the config hash, the command and the CSV's
-digest to match, and a ledger entry is resumed only with the current
-version, the config hash and the shape and dtype kinds its chunk computes
-to.
+One rule decides what a run may reuse: a readable manifest of this
+config hash, command and OUTPUT_VERSION.  Under it, a cache hit also needs
+the CSV's digest to match, and a ledger entry is resumed only with the
+current version, the config hash and the shape and dtype kinds its chunk
+computes to; without it, the ledger is deleted before any work.
 
 Before anything is written, every sweep axis endpoint is checked by
 building the SystemParams or DriveParams it implies, and the worker count,
@@ -107,6 +107,8 @@ EFFECTIVE_KINDS = {"omega_D": "f", "theta": "f", "n0": "i", "m0": "i",
                    "gr1": "f", "gr2": "f", "gc1": "f", "gc2": "f", "rwa_ok": "b"}
 EFFECTIVE_CSV_COLUMNS = tuple(EFFECTIVE_KINDS)
 
+_MANIFEST = "manifest.json"
+_LEDGER = "cells.jsonl"
 _CSV_NAME = {
     "static-phase": "grid.csv",
     "driven-phase": "grid.csv",
@@ -185,14 +187,6 @@ def _file_digest(path: Path) -> str | None:
 # manifest and ledger
 
 
-def _manifest_path(out_dir: Path) -> Path:
-    return out_dir / "manifest.json"
-
-
-def _ledger_path(out_dir: Path) -> Path:
-    return out_dir / "cells.jsonl"
-
-
 def _write_manifest(out_dir: Path, command: str, digest: str, cells_total: int,
                     cells_done: int, deviations: list[str],
                     csv_digest: str | None = None):
@@ -207,11 +201,11 @@ def _write_manifest(out_dir: Path, command: str, digest: str, cells_total: int,
         "csv_blake2b": csv_digest,
     }
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    _replace_atomically(_manifest_path(out_dir), lambda fh: fh.write(text))
+    _replace_atomically(out_dir / _MANIFEST, lambda fh: fh.write(text))
 
 
 def _read_manifest(out_dir: Path) -> dict | None:
-    path = _manifest_path(out_dir)
+    path = out_dir / _MANIFEST
     if not path.exists():
         return None
     try:
@@ -234,10 +228,9 @@ def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]
     and OUTPUT_VERSION; a line that does not parse (a torn tail left by a
     kill) or whose chunk is not a JSON integer (true or 1.0 would key
     chunk 1) is skipped.  _run_sweep checks each entry's shape and dtype kinds."""
-    path = _ledger_path(out_dir)
     done: dict[int, dict[str, np.ndarray]] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(out_dir / _LEDGER, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError:
         return done
@@ -252,15 +245,6 @@ def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]
         except (AttributeError, KeyError, TypeError, ValueError):
             continue
     return done
-
-
-def _append_ledger(out_dir: Path, digest: str, chunk: int,
-                   columns: dict[str, np.ndarray]):
-    data = {k: v.tolist() for k, v in columns.items()}
-    with open(_ledger_path(out_dir), "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"config_hash": digest, "output_version": OUTPUT_VERSION,
-                             "chunk": chunk, "data": data}) + "\n")
-        fh.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +309,25 @@ def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
     def cells_done():
         return sum(len(next(iter(c.values()))) for c in done.values())
 
-    def record(index, columns):
-        _append_ledger(out_dir, digest, index, columns)
-        done[index] = columns
-
+    # the manifest goes first, so a ledger line always sits beside its
+    # run's manifest
     _write_manifest(out_dir, command, digest, sweep.cells, cells_done(), [])
     todo = {i: chunk for i, chunk in enumerate(sweep.chunks) if i not in done}
-    try:
-        _run_chunks(sweep.compute, todo, workers, record, abort_after)
-    except KeyboardInterrupt:
-        _write_manifest(out_dir, command, digest, sweep.cells, cells_done(),
-                        ["interrupted"])
-        raise
+    with open(out_dir / _LEDGER, "a", encoding="utf-8") as ledger:
+        def record(index, columns):
+            data = {k: v.tolist() for k, v in columns.items()}
+            ledger.write(json.dumps({"config_hash": digest,
+                                     "output_version": OUTPUT_VERSION,
+                                     "chunk": index, "data": data}) + "\n")
+            ledger.flush()
+            done[index] = columns
+
+        try:
+            _run_chunks(sweep.compute, todo, workers, record, abort_after)
+        except KeyboardInterrupt:
+            _write_manifest(out_dir, command, digest, sweep.cells, cells_done(),
+                            ["interrupted"])
+            raise
     parts = [done[i] for i in range(len(sweep.chunks))]
     stacked = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
     write_csv(out_dir / _CSV_NAME[command], sweep.csv_columns,
@@ -500,19 +491,17 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
                 and manifest.get("config_hash") == digest
                 and manifest.get("command") == command
                 and manifest.get("output_version") == OUTPUT_VERSION)
-    if (same_run
-            and manifest["cells_total"] == manifest["cells_done"]
-            and manifest["cells_total"] > 0):
-        stored = manifest.get("csv_blake2b")
-        if stored is not None and stored == _file_digest(csv_path):
+    if not same_run:
+        # no readable manifest, or another configuration, command or output
+        # version: nothing here is this run's, so start clean
+        (out_dir / _LEDGER).unlink(missing_ok=True)
+    elif manifest.get("csv_blake2b") is not None:
+        # only a finished run's manifest carries its CSV's digest
+        if manifest["csv_blake2b"] == _file_digest(csv_path):
             print(f"cache hit: {csv_path} is up to date (config {digest})")
             return _finish(manifest["deviations"], strict)
         print(f"cache miss: {csv_path} is missing or differs from the manifest "
               "digest; recomputing")
-    if manifest is not None and not same_run:
-        # stale results from another configuration, command or output
-        # version: start clean
-        _ledger_path(out_dir).unlink(missing_ok=True)
 
     try:
         if command == "echo":
@@ -533,7 +522,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
 
     _write_manifest(out_dir, command, digest, cells, cells, deviations,
                     _file_digest(csv_path))
-    _ledger_path(out_dir).unlink(missing_ok=True)
+    (out_dir / _LEDGER).unlink(missing_ok=True)
     code = _finish(deviations, strict)
     if code == 0:
         print(f"wrote {csv_path} ({cells} cells, config {digest})")

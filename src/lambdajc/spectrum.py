@@ -428,7 +428,6 @@ def phase_grid(sys_template: SystemParams, g1_over_Omega1: np.ndarray,
 def driven_phase_grid(sys_template: SystemParams, drive_template: DriveParams,
                       theta_axis: np.ndarray, detuning_ratio_axis: np.ndarray,
                       block_window: int = DRIVEN_BLOCK_WINDOW,
-                      theta_factor: float = 1.0,
                       detuning_mode: int = 2) -> PhaseGrid:
     """Driven diagram over (theta, detuning ratio) at fixed drive frequency.
 
@@ -436,10 +435,8 @@ def driven_phase_grid(sys_template: SystemParams, drive_template: DriveParams,
     omega_D.  The detuning axis varies the chosen cavity frequency at fixed
     atomic frequencies: for detuning_mode=2 the ratio is delta2/Omega2 and
     Omega2 = (2 omega2 + omega1)/(1 + ratio); mode 1 is the mirror image.
-    Pass theta_factor=2 to interpret the first axis as 2*theta.
     """
-    theta = np.asarray(theta_axis, dtype=float) / theta_factor
-    amp = theta * drive_template.frequency
+    amp = np.asarray(theta_axis, dtype=float) * drive_template.frequency
     if amp.size > 1 and not np.all(np.diff(amp) > 0):
         raise ValueError("theta axis must be strictly increasing")
     if detuning_mode not in (1, 2):
@@ -452,8 +449,7 @@ def driven_phase_grid(sys_template: SystemParams, drive_template: DriveParams,
         parameter, ratio_name = "Omega1", "delta1/Omega1"
     ratios = np.asarray(detuning_ratio_axis, dtype=float)
     cavity_vals = base / (1.0 + ratios)
-    name1 = "theta" if theta_factor == 1.0 else f"{theta_factor:g}*theta"
-    ax1 = AxisSpec(name1, "A_D", amp)
+    ax1 = AxisSpec("theta", "A_D", amp)
     # the cavity frequency decreases as the ratio grows; AxisSpec wants
     # increasing values, so sweep in reversed order and flip back
     order = np.argsort(cavity_vals)
@@ -511,17 +507,12 @@ def locate_boundary(sys: SystemParams, parameter: str,
     return 0.5 * (lo + hi)
 
 
-def label_sequence(grid_or_labels) -> list[tuple[int, int]]:
-    """Ordered distinct labels along a 1-D scan (consecutive duplicates
-    collapsed)."""
-    if isinstance(grid_or_labels, PhaseGrid):
-        n = grid_or_labels.n_label.ravel()
-        m = grid_or_labels.m_label.ravel()
-        labels = list(zip(n.tolist(), m.tolist()))
-    else:
-        labels = [tuple(map(int, lab)) for lab in grid_or_labels]
+def label_sequence(labels) -> list[tuple[int, int]]:
+    """Ordered distinct (n, m) labels along a 1-D scan (consecutive
+    duplicates collapsed)."""
     out: list[tuple[int, int]] = []
-    for lab in labels:
+    for n, m in labels:
+        lab = (int(n), int(m))
         if not out or out[-1] != lab:
             out.append(lab)
     return out

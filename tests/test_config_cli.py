@@ -37,6 +37,15 @@ TINY_DRIVEN = {
     ],
 }
 
+#: A drive and a coupling grid on which static and driven rows differ.
+DRIVEN_G1G2 = {
+    "drive": {"amplitude": 0.036, "frequency": 0.18},
+    "sweep": [
+        {"name": "g1", "start": 0.0, "stop": 0.5, "points": 5, "parameter": "g1"},
+        {"name": "g2", "start": 0.0, "stop": 0.5, "points": 4, "parameter": "g2"},
+    ],
+}
+
 
 class TestParseConfig:
     def test_empty_document_gives_defaults(self):
@@ -390,6 +399,26 @@ class TestRunCommand:
         assert run_command("driven-phase", cfg, out_dir=tmp_path / "part") == 0
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
                 == (tmp_path / "fresh" / "grid.csv").read_bytes())
+
+    @pytest.mark.parametrize("manifest", ["removed", "not_an_object"])
+    def test_foreign_ledger_without_manifest_is_not_resumed(self, tmp_path,
+                                                            manifest):
+        # the command is not in the config hash, so only the manifest tells
+        # a static-phase ledger from a driven-phase one
+        cfg = parse_config(DRIVEN_G1G2)
+        assert run_command("driven-phase", cfg, out_dir=tmp_path / "fresh") == 0
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path / "part",
+                        _abort_after_chunks=2)
+        path = tmp_path / "part" / "manifest.json"
+        if manifest == "removed":
+            path.unlink()
+        else:
+            path.write_text("[]")
+        assert run_command("driven-phase", cfg, out_dir=tmp_path / "part") == 0
+        for name in ("grid.csv", "manifest.json"):
+            assert ((tmp_path / "part" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
 
     def test_torn_ledger_tail_keeps_complete_lines(self, tmp_path):
         cfg = parse_config(TINY_STATIC)
@@ -799,6 +828,31 @@ class TestDriveValidation:
         cfg = parse_config({"drive": {"amplitude": 60.0, "frequency": 0.1},
                             **TINY_STATIC})
         assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+
+
+class TestStockSweeps:
+    """Without --config each command sweeps its coded axes, scaled by the
+    default model (Omega1 = 1.25, Omega2 = 1.0) and drive (omega_D = 0.18)."""
+
+    @pytest.mark.parametrize("command, expected", [
+        ("static-phase", [("g1", 0.0, 4.5 * 1.25, 181), ("g2", 0.0, 4.5, 181)]),
+        ("driven-phase", [("A_D", 0.0, 2.5 * 0.18, 121),
+                          ("Omega2", 0.97, 1.0, 61)]),
+        ("effective-params", [("omega_D", 0.05, 6.0, 1200)]),
+    ])
+    def test_default_axes(self, command, expected):
+        axes = cli._resolve_axes(command, parse_config({}))
+        assert [(ax.name, ax.parameter, ax.start, ax.stop, ax.points)
+                for ax in axes] == [
+            (name, name, pytest.approx(start, rel=1e-15),
+             pytest.approx(stop, rel=1e-15), points)
+            for name, start, stop, points in expected]
+
+    def test_effective_params_without_config(self, tmp_path):
+        assert main(["effective-params", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "effective_params.csv").read_text().splitlines()
+        assert rows[0] == ",".join(cli.EFFECTIVE_CSV_COLUMNS)
+        assert len(rows) == 1 + 1200
 
 
 class TestMainEntry:

@@ -124,6 +124,12 @@ class TestDeepOrders:
         assert value == pytest.approx(leading, rel=1e-1)
         assert bessel_j_any(-70, 2.0) == value  # even-order reflection
 
+    @pytest.mark.parametrize("n, x", [(150, 1.5), (120, 1.0), (-121, 1.0)])
+    def test_rescaled_recurrence_matches_series(self, n, x):
+        # the trial values of these recurrences pass the rescale limit once
+        # on the way down; -121 checks the odd-order reflection sign
+        assert bessel_j_any(n, x) == pytest.approx(bessel_signed(n, x), rel=1e-14)
+
     def test_argument_cap_still_applies(self):
         with pytest.raises(ValueError):
             bessel_j_any(100, 2.0e3)

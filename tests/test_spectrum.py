@@ -291,7 +291,7 @@ def test_driven_grid_shapes_and_validity_columns():
     grid = driven_phase_grid(RESONANT, drive,
                              theta_axis=np.linspace(0.35, 1.7, 4),
                              detuning_ratio_axis=np.linspace(0.0, 0.015, 3),
-                             block_window=5, theta_factor=1.0)
+                             block_window=5)
     assert grid.energy.shape == (4, 3)
     assert grid.rwa_ok.shape == (4, 3)
     assert grid.axis2.values[0] == 0.0
