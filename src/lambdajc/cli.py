@@ -16,9 +16,17 @@ commands share one runner: a sweep is a list of chunks (grid rows, or
 256-point slices of the effective-params axis) and a picklable function
 from a chunk to a dict of column arrays.  The runner keeps the cells.jsonl
 ledger of finished chunks, from which an interrupted sweep resumes, and
-writes the CSV chunk by chunk in index order, a column at a time, so the
-bytes are identical for any worker count.  Text fields are quoted per RFC
-4180.
+writes the CSV chunk by chunk in index order, a column at a time.  Text
+fields are quoted per RFC 4180.
+
+Under --workers a pool task is a contiguous batch of chunks, about
+BATCHES_PER_WORKER per worker, and the pool has no more workers than
+batches.  Workers format each chunk's CSV text and ledger line, so the
+parent only writes strings; resumed chunks, and every chunk of a
+sequential run, are formatted in the parent by the same two helpers.  The
+bytes therefore do not depend on the worker count or the batching.  A
+batch reaches the ledger as a whole, as soon as it finishes, so an
+interrupt may recompute up to one batch per worker.
 
 One rule decides what a run may reuse: a readable manifest of this
 config hash, command and OUTPUT_VERSION.  Under it, a cache hit also needs
@@ -43,7 +51,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -89,6 +97,10 @@ COMMANDS = ("static-phase", "driven-phase", "effective-params", "echo")
 OUTPUT_ENV_VAR = "LAMBDAJC_OUT"
 ECHO_ALPHA = 0.01
 EFFECTIVE_CHUNK = 256
+#: Pool tasks per worker: a pool task is a contiguous batch of chunks, so
+#: a worker is sent a few tasks, not one per chunk, and the last batches
+#: still even out the workers' load.
+BATCHES_PER_WORKER = 4
 
 #: Version of the output format and numbers.  Raise it with every change
 #: that alters any output byte: a manifest or ledger entry of another
@@ -155,20 +167,26 @@ def _replace_atomically(path: Path, write):
         raise
 
 
+def _chunk_text(chunk) -> str:
+    """The CSV lines of one chunk: a sequence of values aligned with the
+    columns, 1-D arrays of one length or scalars repeated down the chunk,
+    formatted a column at a time."""
+    text = [_format_column(np.atleast_1d(v)) for v in chunk]
+    rows = max(map(len, text))
+    text = [t * rows if len(t) == 1 else t for t in text]
+    return "\n".join(map(",".join, zip(*text))) + "\n"
+
+
 def write_csv(path: Path, columns, chunks):
     """Write a CSV with header columns from an iterable of chunks.
 
-    A chunk is a sequence of values aligned with columns: 1-D arrays of one
-    length, or scalars repeated down the chunk.  Each chunk is formatted a
-    column at a time and written before the next one is read.
+    A chunk is its CSV text, as _chunk_text gives it, or the values
+    _chunk_text formats.  Each chunk is written before the next one is read.
     """
     def write(fh):
         fh.write(",".join(columns) + "\n")
         for chunk in chunks:
-            text = [_format_column(np.atleast_1d(v)) for v in chunk]
-            rows = max(map(len, text))
-            text = [t * rows if len(t) == 1 else t for t in text]
-            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
+            fh.write(chunk if isinstance(chunk, str) else _chunk_text(chunk))
     try:
         _replace_atomically(path, write)
     except OSError as exc:
@@ -223,6 +241,13 @@ def _read_manifest(out_dir: Path) -> dict | None:
     return doc
 
 
+def _ledger_line(digest: str, index: int, columns: dict[str, np.ndarray]) -> str:
+    """The cells.jsonl line that records chunk index's columns."""
+    data = {k: v.tolist() for k, v in columns.items()}
+    return json.dumps({"config_hash": digest, "output_version": OUTPUT_VERSION,
+                       "chunk": index, "data": data}) + "\n"
+
+
 def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]:
     """chunk index -> column arrays of every completed chunk of this config
     and OUTPUT_VERSION; a line that does not parse (a torn tail left by a
@@ -253,9 +278,9 @@ def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]
 
 class _Sweep(NamedTuple):
     """compute(chunk) gives a chunk's columns as a dict of equal-length
-    arrays, sizes[index] long, keyed and of dtype kind as in kinds, and must
-    pickle for pool workers; csv_chunk(index, columns) gives them aligned
-    with csv_columns; unit and window word the deviations."""
+    arrays, sizes[index] long, keyed and of dtype kind as in kinds;
+    csv_chunk(index, columns) gives them aligned with csv_columns.  Both
+    must pickle for pool workers.  unit and window word the deviations."""
 
     compute: Callable
     chunks: Sequence
@@ -280,21 +305,44 @@ class _Sweep(NamedTuple):
                         for k, v in columns.items()))
 
 
-def _run_chunks(compute, todo: dict, workers: int, on_done,
-                abort_after: int | None):
-    """Run compute on each chunk of todo (index -> chunk), invoking
-    on_done(index, columns) as results land.
+def _finished_batch(compute, csv_chunk, digest: str, items) -> list[tuple]:
+    """(index, columns, CSV text, ledger line) of each (index, chunk) item
+    of a batch: the task a pool worker runs, so the parent only writes
+    strings."""
+    out = []
+    for index, chunk in items:
+        columns = compute(chunk)
+        out.append((index, columns, _chunk_text(csv_chunk(index, columns)),
+                    _ledger_line(digest, index, columns)))
+    return out
 
-    Results are keyed by chunk index, so completion order never affects the
-    output.  The abort hook (tests only) is honored on the sequential path.
+
+def _run_chunks(sweep: _Sweep, digest: str, todo: dict, workers: int, on_done,
+                abort_after: int | None):
+    """Compute each chunk of todo (index -> chunk), invoking on_done(index,
+    columns, CSV text, ledger line) as results land.
+
+    A pool task is a contiguous batch of chunks, about BATCHES_PER_WORKER
+    per worker, and the pool has no more workers than batches; its workers
+    also format each chunk's CSV text and ledger line.  A batch is recorded
+    as soon as it finishes, whatever its place, so an interrupt loses at
+    most the batches in flight.  The sequential path builds the ledger line
+    here and leaves the text None, for write_csv to format at write time.
+    The abort hook (tests only) is honored on the sequential path.
     """
     if workers > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, columns in zip(todo, pool.map(compute, todo.values())):
-                on_done(index, columns)
+        items = list(todo.items())
+        size = -(-len(items) // (BATCHES_PER_WORKER * workers))
+        batches = [items[k:k + size] for k in range(0, len(items), size)]
+        task = partial(_finished_batch, sweep.compute, sweep.csv_chunk, digest)
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
+            for future in as_completed([pool.submit(task, b) for b in batches]):
+                for result in future.result():
+                    on_done(*result)
         return
     for count, (index, chunk) in enumerate(todo.items(), start=1):
-        on_done(index, compute(chunk))
+        columns = sweep.compute(chunk)
+        on_done(index, columns, None, _ledger_line(digest, index, columns))
         if abort_after is not None and count >= abort_after:
             raise KeyboardInterrupt("aborted for resume test")
 
@@ -305,6 +353,7 @@ def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
     returns the deviation lines."""
     done = {i: columns for i, columns in _load_ledger(out_dir, digest).items()
             if sweep.fits(i, columns)}
+    texts: dict[int, str] = {}
 
     def cells_done():
         return sum(len(next(iter(c.values()))) for c in done.values())
@@ -314,24 +363,25 @@ def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
     _write_manifest(out_dir, command, digest, sweep.cells, cells_done(), [])
     todo = {i: chunk for i, chunk in enumerate(sweep.chunks) if i not in done}
     with open(out_dir / _LEDGER, "a", encoding="utf-8") as ledger:
-        def record(index, columns):
-            data = {k: v.tolist() for k, v in columns.items()}
-            ledger.write(json.dumps({"config_hash": digest,
-                                     "output_version": OUTPUT_VERSION,
-                                     "chunk": index, "data": data}) + "\n")
+        def record(index, columns, text, line):
+            ledger.write(line)
             ledger.flush()
             done[index] = columns
+            if text is not None:
+                texts[index] = text
 
         try:
-            _run_chunks(sweep.compute, todo, workers, record, abort_after)
+            _run_chunks(sweep, digest, todo, workers, record, abort_after)
         except KeyboardInterrupt:
             _write_manifest(out_dir, command, digest, sweep.cells, cells_done(),
                             ["interrupted"])
             raise
     parts = [done[i] for i in range(len(sweep.chunks))]
     stacked = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    # a resumed chunk, or any chunk of a sequential run, is formatted here
     write_csv(out_dir / _CSV_NAME[command], sweep.csv_columns,
-              (sweep.csv_chunk(i, p) for i, p in enumerate(parts)))
+              (texts.pop(i) if i in texts else sweep.csv_chunk(i, p)
+               for i, p in enumerate(parts)))
     return tally_deviations(stacked, sweep.unit, sweep.window)
 
 
@@ -345,24 +395,30 @@ def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
         return _Sweep(partial(_effective_columns, cfg.model, cfg.drive_or_default(),
                               axes[0].parameter),
                       chunks, EFFECTIVE_KINDS, [c.size for c in chunks],
-                      EFFECTIVE_CSV_COLUMNS,
-                      lambda i, columns: [columns[k] for k in EFFECTIVE_CSV_COLUMNS],
-                      "sweep points")
+                      EFFECTIVE_CSV_COLUMNS, _effective_csv_chunk, "sweep points")
     driven = command == "driven-phase"
     drive = cfg.drive_or_default() if driven else None
     window = cfg.truncation.window_for(driven)
     ax1, ax2 = (AxisSpec(ax.name, ax.parameter, ax.values()) for ax in axes)
-
-    def csv_chunk(i, row):
-        return (ax1.name, ax1.values[i], ax2.name, ax2.values, row["energy"],
-                row["n_label"], row["m_label"],
-                category_values(row["n_label"], row["m_label"]), row["gap"],
-                row["window_capped"], row["rwa_ok"], row["hierarchy_ok"])
-
     return _Sweep(partial(compute_grid_row, cfg.model, drive, ax1, ax2, window),
                   range(ax1.values.size), CELL_KINDS,
                   [ax2.values.size] * ax1.values.size,
-                  GRID_CSV_COLUMNS, csv_chunk, "cells", window)
+                  GRID_CSV_COLUMNS, partial(_grid_csv_chunk, ax1, ax2), "cells",
+                  window)
+
+
+def _grid_csv_chunk(ax1: AxisSpec, ax2: AxisSpec, i: int,
+                    row: dict[str, np.ndarray]) -> tuple:
+    """Grid row i's values aligned with GRID_CSV_COLUMNS."""
+    return (ax1.name, ax1.values[i], ax2.name, ax2.values, row["energy"],
+            row["n_label"], row["m_label"],
+            category_values(row["n_label"], row["m_label"]), row["gap"],
+            row["window_capped"], row["rwa_ok"], row["hierarchy_ok"])
+
+
+def _effective_csv_chunk(i: int, columns: dict[str, np.ndarray]) -> list:
+    """An effective-params chunk's columns aligned with EFFECTIVE_CSV_COLUMNS."""
+    return [columns[k] for k in EFFECTIVE_CSV_COLUMNS]
 
 
 def _effective_columns(model: SystemParams, drive: DriveParams, parameter: str,

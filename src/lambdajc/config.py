@@ -38,9 +38,14 @@ class ConfigError(ValueError):
 
 def worker_count(workers: int | str) -> int:
     """The pool size a workers value asks for: a positive integer, or
-    "auto" for one worker per CPU."""
+    "auto" for one worker per CPU this process may run on (its affinity
+    mask, which taskset and container limits narrow, where the platform
+    reports one)."""
     if workers == "auto":
-        return os.cpu_count() or 1
+        try:
+            return len(os.sched_getaffinity(0)) or 1
+        except (AttributeError, OSError):
+            return os.cpu_count() or 1
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigError("workers must be a positive integer or 'auto'")
     return workers

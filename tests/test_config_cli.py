@@ -17,7 +17,7 @@ from lambdajc.cli import (
     run_command,
     write_csv,
 )
-from lambdajc.config import ConfigError, config_hash, parse_config
+from lambdajc.config import ConfigError, config_hash, parse_config, worker_count
 from lambdajc.dynamics import EchoResult
 from lambdajc.params import SystemParams
 
@@ -853,6 +853,126 @@ class TestStockSweeps:
         rows = (tmp_path / "effective_params.csv").read_text().splitlines()
         assert rows[0] == ",".join(cli.EFFECTIVE_CSV_COLUMNS)
         assert len(rows) == 1 + 1200
+
+
+#: One sweep of each command with 13 chunks, so that 10 are left after an
+#: interrupt at 3: more than BATCHES_PER_WORKER per worker of a two-worker
+#: pool, which then sends batches of several chunks.
+MANY_CHUNKS = {
+    "static-phase": {"sweep": [
+        {"name": "g1", "start": 0.0, "stop": 4.0, "points": 13, "parameter": "g1"},
+        {"name": "g2", "start": 0.0, "stop": 3.0, "points": 4, "parameter": "g2"},
+    ]},
+    "driven-phase": {**TINY_DRIVEN, "sweep": [
+        {"name": "A_D", "start": 0.01, "stop": 0.3, "points": 13, "parameter": "A_D"},
+        {"name": "Omega2", "start": 0.985, "stop": 1.0, "points": 4,
+         "parameter": "Omega2"},
+    ]},
+    "effective-params": {**TINY_DRIVEN, "sweep": [
+        {"name": "omega_D", "start": 0.1, "stop": 2.0, "points": 12 * 256 + 100,
+         "parameter": "omega_D"},
+    ]},
+}
+
+
+class TestPool:
+    """A pool task is a contiguous batch of chunks whose CSV text and ledger
+    lines the worker formats; resumed chunks are formatted in the parent."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class Recording(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        return sizes
+
+    @pytest.mark.parametrize("command", sorted(MANY_CHUNKS))
+    def test_mixed_resume_matches_one_shot_run(self, tmp_path, pool_sizes,
+                                               command):
+        cfg = parse_config(MANY_CHUNKS[command])
+        sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
+        assert len(sweep.chunks) - 3 > cli.BATCHES_PER_WORKER * 2
+        assert run_command(command, cfg, out_dir=tmp_path / "full", workers=1) == 0
+        with pytest.raises(KeyboardInterrupt):
+            run_command(command, cfg, out_dir=tmp_path / "part",
+                        _abort_after_chunks=3)
+        assert run_command(command, cfg, out_dir=tmp_path / "part", workers=2) == 0
+        assert pool_sizes == [2]
+        for name in (cli._CSV_NAME[command], "manifest.json"):
+            assert ((tmp_path / "part" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes())
+
+    def test_parent_formats_only_resumed_chunks(self, tmp_path, monkeypatch):
+        cfg = parse_config(MANY_CHUNKS["static-phase"])
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path, _abort_after_chunks=3)
+        real_format = cli._format_column
+        calls = []
+
+        def counting_format(values):
+            # pool workers count into their own copy of calls
+            calls.append(values)
+            return real_format(values)
+
+        monkeypatch.setattr(cli, "_format_column", counting_format)
+        assert run_command("static-phase", cfg, out_dir=tmp_path, workers=2) == 0
+        assert len(calls) == 3 * len(cli.GRID_CSV_COLUMNS)
+
+    def test_pool_results_match_sequential(self):
+        cfg = parse_config(MANY_CHUNKS["static-phase"])
+        sweep = cli._sweep("static-phase", cfg, cli._resolve_axes("static-phase", cfg))
+        todo = dict(enumerate(sweep.chunks))
+
+        def run(workers):
+            out = []
+            cli._run_chunks(sweep, "digest", todo, workers,
+                            lambda *result: out.append(result), None)
+            return out
+
+        # batches are recorded as they finish, in any order
+        sequential, pooled = run(1), sorted(run(2), key=lambda r: r[0])
+        assert [r[0] for r in pooled] == [r[0] for r in sequential] == list(todo)
+        for (index, columns, text, line), pooled_result in zip(sequential, pooled):
+            assert text is None
+            assert pooled_result[2] == cli._chunk_text(sweep.csv_chunk(index, columns))
+            assert pooled_result[3] == line
+
+    def test_pool_has_no_more_workers_than_batches(self, tmp_path, pool_sizes):
+        three_rows = json.loads(json.dumps(GRID_5X4))
+        three_rows["sweep"][0]["points"] = 3
+        cfg = parse_config(three_rows)
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "w8",
+                           workers=8) == 0
+        assert pool_sizes == [3]
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "w1",
+                           workers=1) == 0
+        assert ((tmp_path / "w8" / "grid.csv").read_bytes()
+                == (tmp_path / "w1" / "grid.csv").read_bytes())
+
+    def test_resume_pool_has_no_more_workers_than_chunks_left(self, tmp_path,
+                                                              pool_sizes):
+        cfg = parse_config(GRID_5X4)
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path,
+                        _abort_after_chunks=3)
+        assert run_command("static-phase", cfg, out_dir=tmp_path, workers=8) == 0
+        assert pool_sizes == [2]
+
+    def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        assert worker_count("auto") == 2
+
+    def test_auto_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        assert worker_count("auto") == 16
 
 
 class TestMainEntry:
