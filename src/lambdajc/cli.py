@@ -35,8 +35,9 @@ current version, the config hash and the shape and dtype kinds its chunk
 computes to; without it, the ledger is deleted before any work.
 
 Before anything is written, every sweep axis endpoint is checked by
-building the SystemParams or DriveParams it implies, and the worker count,
-from --workers or the config, by config.worker_count.  A manifest.json that
+building the SystemParams or DriveParams it implies, an echo's dt_max
+against the sampling bound of both branches, and the worker count, from
+--workers or the config, by config.worker_count.  A manifest.json that
 is not a JSON object, or whose cell counts or deviations have the wrong JSON
 type, counts as no manifest.
 
@@ -71,9 +72,11 @@ from .dynamics import (
     ECHO_PAIRS,
     HamiltonianSpec,
     TruncationError,
+    assemble_terms,
     build_space,
     coherent_state,
     loschmidt_echo,
+    step_limit,
 )
 from .effective import effective_table
 from .params import (
@@ -105,7 +108,7 @@ BATCHES_PER_WORKER = 4
 #: Version of the output format and numbers.  Raise it with every change
 #: that alters any output byte: a manifest or ledger entry of another
 #: version is never served or resumed.
-OUTPUT_VERSION = 2
+OUTPUT_VERSION = 3
 
 GRID_CSV_COLUMNS = ("axis1_name", "axis1_value", "axis2_name", "axis2_value",
                     "energy", "n_label", "m_label", "category", "gap",
@@ -465,7 +468,8 @@ def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
     Each axis endpoint must make valid SystemParams and DriveParams.  Every
     command but static-phase also has its drive checked over the sweep: the
     largest Bessel argument 2 theta = 2 A_D / omega_D must be one specfun
-    supports."""
+    supports.  An echo's dt_max must be within the sampling bound of both
+    branches of its pair."""
     axes = []
     if command != "echo":
         axes = cfg.sweep if cfg.sweep else _default_axes(command, cfg)
@@ -494,6 +498,15 @@ def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
             raise ConfigError(
                 f"drive: Bessel argument 2*A_D/omega_D reaches {argument:g}, "
                 f"above the supported {MAX_ARGUMENT:g}")
+    if command == "echo" and cfg.dynamics.dt_max is not None:
+        # the bound depends on the term phases only, not on the cutoffs
+        space = build_space(1, 1)
+        for variant in ECHO_PAIRS[cfg.dynamics.pair]:
+            spec = HamiltonianSpec(variant=variant, sys=cfg.model, drive=drive)
+            try:
+                step_limit(assemble_terms(spec, space), cfg.dynamics.dt_max)
+            except ValueError as exc:
+                raise ConfigError(f"dynamics: {variant.value}: {exc}") from exc
     return axes
 
 

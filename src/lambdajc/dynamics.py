@@ -34,18 +34,27 @@ EFFECTIVE_FULL vs EFFECTIVE_JC) because cross-frame overlaps are not frame
 
 Propagation
 -----------
-Time-independent variants are diagonalized once and sampled exactly.
-Time-dependent variants use a fourth-order commutator-free exponential
-integrator (CF4: two Gauss-node exponentials per substep).  A TermList
-holds one fixed-pattern CSR operator whose data is rewritten in place for
-each exponential, and each exponential is a Taylor polynomial whose degree
-is fixed once per run from a norm bound so that the dropped remainder is
-below unit roundoff; the scheme preserves the norm to roundoff.  The
-substep is chosen once per run: the longest one, within dt_max and the
-sampling bound 2*pi/(20*phi_max), whose error in the sampled amplitudes,
-estimated by a Richardson pair on the first substep and added up over the
-run, is at most STEP_TOL (1e-7).  phi_max is the peak instantaneous
-frequency max(|phi| + |z|*w_D) over the terms.
+A variant whose every coefficient is a pure phase A*exp(i*phi*t) is
+stationary in a diagonal frame: for one real diagonal K with
+K_r - K_c = phi on every entry (r, c) of every term (TermList.frame),
+H(t) = exp(iKt) H(0) exp(-iKt), so psi(t) = exp(iKt) exp(-i(H(0) + K)t)
+psi(0) is sampled exactly from one diagonalization.  K = 0 for the
+time-independent variants; DOMINANT_SIDEBAND has K = alpha*n1 + beta*n2 +
+e_atom (see _dominant_frame).  DRIVE_ROTATED has no such frame, since its
+z*sin(w_D*t) phases are not linear in t; it uses a fourth-order
+commutator-free exponential integrator (CF4: two Gauss-node exponentials
+per substep).  A TermList holds one fixed-pattern CSR operator whose data
+is rewritten in place for each exponential, the weights of every
+exponential of the run are evaluated in one call, and each exponential is
+a Taylor polynomial whose degree is fixed once per run from a norm bound
+so that the dropped remainder is below unit roundoff; the scheme preserves
+the norm to roundoff.  The substep is chosen once per run: the longest
+one, within dt_max and the sampling bound 2*pi/(20*phi_max), whose error
+in the sampled amplitudes, estimated by a Richardson pair on the first
+substep and added up over the run, is at most STEP_TOL (1e-7).  phi_max is
+the peak instantaneous frequency max(|phi| + |z|*w_D) over the terms.
+dt_max is checked against that bound for every variant, but it sets only
+the CF4 substep.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .effective import _sideband_bases, effective_for_drive
+from .effective import SidebandInfo, _sideband_bases, effective_for_drive
 from .params import DriveParams, SystemParams
 
 DEFAULT_T_MAX = 200.0
@@ -286,10 +295,15 @@ class TermList:
     """The term list of one variant and its one operator representation: a
     fixed sparsity pattern (the union of the term operators) with the
     (nnz, terms) map from term coefficients to CSR data, so the
-    instantaneous Hamiltonian is one product map @ c(t) on that pattern."""
+    instantaneous Hamiltonian is one product map @ c(t) on that pattern.
+
+    frame is the diagonal of a real K with K_r - K_c = phase on every entry
+    (r, c) of every term, so that H(t) = exp(iKt) H(0) exp(-iKt); None when
+    the variant has no such frame."""
 
     terms: list[Term]
     space: HilbertSpace
+    frame: np.ndarray | None = None
 
     def __post_init__(self):
         dim = self.space.dim
@@ -313,10 +327,6 @@ class TermList:
     def phi_max(self) -> float:
         return max((abs(t.phase) + abs(t.depth) * t.rate for t in self.terms),
                    default=0.0)
-
-    @property
-    def time_independent(self) -> bool:
-        return all(t.phase == 0.0 and t.depth == 0.0 for t in self.terms)
 
     @property
     def norm_bound(self) -> float:
@@ -374,7 +384,7 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
         _self_adjoint(terms, space.number2(), sys.Omega2)
         _pair(terms, s31a1, sys.g1, 0.0)
         _pair(terms, s32a2, sys.g2, 0.0)
-        return TermList(terms=terms, space=space)
+        return TermList(terms=terms, space=space, frame=np.zeros(space.dim))
 
     drive = spec.drive
     sb, eff = effective_for_drive(sys, drive)
@@ -394,7 +404,7 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
         _pair(terms, s31a1d, eff.gc1, sb.Delta_n0)
         _pair(terms, s32a2, eff.gr2, sb.delta2)
         _pair(terms, s32a2d, eff.gc2, sb.Delta_m0)
-        return TermList(terms=terms, space=space)
+        return TermList(terms=terms, space=space, frame=_dominant_frame(sb, space))
 
     # time-independent effective variants
     _self_adjoint(terms, (space.sigma(3, 3) - space.sigma(2, 2)).tocsr(), eff.omega2_eff)
@@ -406,7 +416,21 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
     if spec.variant is Variant.EFFECTIVE_FULL:
         _pair(terms, s31a1d, eff.gc1, 0.0)
         _pair(terms, s32a2d, eff.gc2, 0.0)
-    return TermList(terms=terms, space=space)
+    return TermList(terms=terms, space=space, frame=np.zeros(space.dim))
+
+
+def _dominant_frame(sb: SidebandInfo, space: HilbertSpace) -> np.ndarray:
+    """K = alpha*n1 + beta*n2 + e_atom, the frame of DOMINANT_SIDEBAND.
+
+    |3><1| a1 (phase delta1) and |3><1| a1' (phase Delta_n0) ask for
+    e3 - e1 - alpha = delta1 and e3 - e1 + alpha = Delta_n0, and mode 2
+    likewise with beta, e2, delta2 and Delta_m0; e3 = 0 fixes the offset.
+    """
+    alpha = (sb.Delta_n0 - sb.delta1) / 2.0
+    beta = (sb.Delta_m0 - sb.delta2) / 2.0
+    e_atom = np.array([-(sb.Delta_n0 + sb.delta1) / 2.0,
+                       -(sb.Delta_m0 + sb.delta2) / 2.0, 0.0])
+    return alpha * space._n1 + beta * space._n2 + e_atom[space._atom - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -472,19 +496,26 @@ def _expm_apply(H: sp.csr_matrix, factor: complex, psi: np.ndarray,
     return out
 
 
-def _cf4_steps(terms: TermList, H: sp.csr_matrix, psi: np.ndarray, t0: float,
-               h: float, nsub: int, degree: int) -> np.ndarray:
-    """psi advanced from t0 by nsub CF4 substeps of length h.
-
-    The coefficients at all 2*nsub Gauss nodes come from one call; H is a
-    TermList.operator whose data is overwritten for each exponential.
-    """
-    nodes = t0 + h * (np.arange(nsub)[:, None] + _CF4_NODES)
+def _cf4_weights(terms: TermList, starts: np.ndarray, h: float,
+                 nsub: int) -> np.ndarray:
+    """The term weights of every exponential of nsub CF4 substeps of length
+    h from each start time, shape (starts, 2*nsub, terms) in the order the
+    exponentials apply; the coefficients at all their Gauss nodes come from
+    one call."""
+    nodes = starts[:, None, None] + h * (np.arange(nsub)[:, None] + _CF4_NODES)
     early, late = np.moveaxis(terms.coefficients(nodes), -1, 0)
     mixed = np.stack([_X_HI * early + _X_LO * late,
                       _X_LO * early + _X_HI * late], axis=-1)
-    for weights in mixed.reshape(len(terms.terms), -1).T:
-        np.dot(terms.data_map, weights, out=H.data)
+    return np.moveaxis(mixed, 0, -1).reshape(starts.size, 2 * nsub, -1)
+
+
+def _cf4_steps(terms: TermList, H: sp.csr_matrix, psi: np.ndarray,
+               weights: np.ndarray, h: float, degree: int) -> np.ndarray:
+    """psi advanced by the exponentials of substeps of length h, one per row
+    of weights (one start time of _cf4_weights); H is a TermList.operator
+    whose data is overwritten for each exponential."""
+    for row in weights:
+        np.dot(terms.data_map, row, out=H.data)
         psi = _expm_apply(H, -1j * h, psi, degree)
     return psi
 
@@ -503,10 +534,30 @@ def _substeps(terms: TermList, H: sp.csr_matrix, psi: np.ndarray, t0: float,
     """
     h = interval / n_min
     degree = _taylor_degree(terms, h)
-    coarse = _cf4_steps(terms, H, psi, t0, h, 1, degree)
-    fine = _cf4_steps(terms, H, psi, t0, h / 2, 2, degree)
+    start = np.array([t0])
+    coarse = _cf4_steps(terms, H, psi, _cf4_weights(terms, start, h, 1)[0],
+                        h, degree)
+    fine = _cf4_steps(terms, H, psi, _cf4_weights(terms, start, h / 2, 2)[0],
+                      h / 2, degree)
     error = n_min * intervals * 16.0 / 15.0 * float(np.max(np.abs(coarse - fine)))
     return max(n_min, math.ceil(n_min * (error / STEP_TOL) ** 0.25))
+
+
+def step_limit(terms: TermList, dt_max: float | None) -> float:
+    """The longest substep evolve may take for terms: dt_max (inf if None)
+    within the sampling bound 2*pi/(20*phi_max).  A dt_max that is not
+    positive or exceeds the bound raises ValueError."""
+    phi_max = terms.phi_max
+    bound = 2.0 * math.pi / (20.0 * phi_max) if phi_max > 0 else math.inf
+    if dt_max is None:
+        return bound
+    if dt_max <= 0:
+        raise ValueError(f"dt_max must be positive, got {dt_max}")
+    if dt_max > bound * (1 + 1e-12):
+        raise ValueError(
+            f"dt_max={dt_max:g} exceeds the sampling bound {bound:g} "
+            f"(20 steps per fastest oscillation)")
+    return min(dt_max, bound)
 
 
 def _sample_grid(t_max: float, samples: int) -> np.ndarray:
@@ -524,7 +575,9 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
 
     dt_max must respect the sampling bound 2*pi/(20*phi_max), where phi_max
     is the peak instantaneous frequency max(|phi| + |z|*w_D) of any
-    coefficient.  The CF4 substep is the longest one within dt_max and that
+    coefficient; step_limit checks it for every variant.  A variant with a
+    TermList.frame is sampled exactly, so dt_max changes nothing there.
+    Otherwise the CF4 substep is the longest one within dt_max and that
     bound whose estimated error in the sampled amplitudes over the run is
     at most STEP_TOL (see _substeps), so halving dt_max perturbs sampled
     amplitudes far below 1e-6.
@@ -533,29 +586,22 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
         raise ValueError("initial state lives in a different space")
     terms = assemble_terms(spec, space)
     times = _sample_grid(t_max, samples)
-    if dt_max is not None and dt_max <= 0:
-        raise ValueError(f"dt_max must be positive, got {dt_max}")
-    h_max = dt_max if dt_max is not None else math.inf
-    phi_max = terms.phi_max
-    if phi_max > 0:
-        bound = 2.0 * math.pi / (20.0 * phi_max)
-        if dt_max is not None and dt_max > bound * (1 + 1e-12):
-            raise ValueError(
-                f"dt_max={dt_max:g} exceeds the sampling bound {bound:g} "
-                f"(20 steps per fastest oscillation)")
-        h_max = min(h_max, bound)
+    h_max = step_limit(terms, dt_max)
 
-    dim = space.dim
-    states = np.empty((times.size, dim), dtype=complex)
+    states = np.empty((times.size, space.dim), dtype=complex)
     psi = psi0.amplitudes.astype(complex).copy()
     states[0] = psi
 
-    if terms.time_independent:
+    if terms.frame is not None:
+        # psi(t) = exp(iKt) exp(-i(H(0) + K)t) psi(0)
+        K = terms.frame
         H = terms.matrix_at(0.0).toarray()
+        H[np.diag_indices_from(H)] += K
         evals, vecs = np.linalg.eigh(H)
         coeff = vecs.conj().T @ psi
         for i, t in enumerate(times[1:], start=1):
-            states[i] = vecs @ (np.exp(-1j * evals * t) * coeff)
+            states[i] = np.exp(1j * K * t) * (
+                vecs @ (np.exp(-1j * evals * t) * coeff))
     else:
         H = terms.operator()
         interval = times[1] - times[0]
@@ -563,8 +609,9 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
                          max(1, math.ceil(interval / h_max)), times.size - 1)
         h = interval / nsub
         degree = _taylor_degree(terms, h)
-        for i in range(1, times.size):
-            psi = _cf4_steps(terms, H, psi, times[i - 1], h, nsub, degree)
+        weights = _cf4_weights(terms, times[:-1], h, nsub)
+        for i, interval_weights in enumerate(weights, start=1):
+            psi = _cf4_steps(terms, H, psi, interval_weights, h, degree)
             states[i] = psi
 
     norms = np.linalg.norm(states, axis=1)

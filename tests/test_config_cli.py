@@ -552,6 +552,23 @@ class TestRunCommand:
         assert run_command("echo", cfg, out_dir=tmp_path) == 1
         assert "cutoff" in capsys.readouterr().err
 
+    def test_echo_dt_max_past_sampling_bound_is_config_error(self, tmp_path,
+                                                             capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"dynamics": {"t_max": 5.0, "samples": 11, "dt_max": 5.0}}))
+        out = tmp_path / "out"
+        assert main(["echo", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "dt_max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_effective_echo_takes_any_dt_max(self, tmp_path):
+        # neither effective branch oscillates, so no dt_max is past a bound
+        cfg = parse_config({"truncation": {"n_c1": 2, "n_c2": 2},
+                            "dynamics": {"t_max": 5.0, "samples": 11,
+                                         "dt_max": 5.0, "pair": "effective"}})
+        assert run_command("echo", cfg, out_dir=tmp_path) == 0
+
     def test_axis_count_validation(self, tmp_path):
         cfg = parse_config({"sweep": [{"name": "g1", "start": 0.0, "stop": 1.0,
                                        "points": 3, "parameter": "g1"}]})

@@ -193,6 +193,32 @@ class TestAssembly:
                 assert np.abs(H - expected).max() < 1e-13
                 assert np.linalg.norm(H, 2) <= terms.norm_bound * (1 + 1e-12)
 
+    def test_frame_rotates_the_initial_hamiltonian(self):
+        # H(t) = exp(iKt) H(0) exp(-iKt) for every variant with a frame
+        space = build_space(2, 3)
+        rng = np.random.default_rng(31)
+        framed = 0
+        for drive in (DRIVE, DriveParams.from_theta(0.8, 0.33),
+                      DriveParams.from_theta(1.3, 0.61)):
+            for variant in Variant:
+                terms = assemble_terms(_spec(variant, sys=random_params(rng),
+                                             drive=drive), space)
+                if terms.frame is None:
+                    continue
+                framed += 1
+                K = terms.frame
+                H0 = terms.matrix_at(0.0).toarray()
+                for t in rng.uniform(0.0, 300.0, 10):
+                    phase = np.exp(1j * K * t)
+                    rotated = phase[:, None] * H0 * phase.conj()[None, :]
+                    H = terms.matrix_at(float(t)).toarray()
+                    assert np.abs(H - rotated).max() < 1e-13
+        assert framed == 12
+
+    def test_drive_rotated_has_no_frame(self):
+        space = build_space(2, 2)
+        assert assemble_terms(_spec(Variant.DRIVE_ROTATED), space).frame is None
+
     def test_effective_variants_are_time_independent(self):
         space = build_space(2, 2)
         assert assemble_terms(_spec(Variant.EFFECTIVE_FULL), space).phi_max == 0.0
@@ -312,6 +338,31 @@ class TestEvolve:
         ref = solve_ivp(rhs, (0.0, 20.0), psi0.amplitudes, method="DOP853",
                         rtol=1e-12, atol=1e-14, t_eval=res.times)
         assert np.max(np.abs(res.states.T - ref.y)) < 1e-8
+
+    def test_dominant_sideband_matches_reference_integrator(self):
+        from scipy.integrate import solve_ivp
+        space = build_space(2, 2)
+        # detuned, so that every term phase and alpha, beta, e1 and e2 of
+        # the frame differ from zero
+        sys = SystemParams(omega1=0.6, omega2=0.3, Omega1=1.1, Omega2=0.9,
+                           g1=0.3, g2=0.2)
+        spec = _spec(Variant.DOMINANT_SIDEBAND, sys=sys,
+                     drive=DriveParams.from_theta(0.8, 0.33))
+        psi0 = coherent_state(space, 0.0, 0.0, "2+3")
+        res = evolve(spec, space, psi0, t_max=20.0, samples=5)
+
+        # H(t) summed term by term from each term's own phase
+        terms = [(term.op.toarray() * term.amplitude, term.phase)
+                 for term in assemble_terms(spec, space).terms]
+
+        def rhs(t, y):
+            H = sum(op * np.exp(1j * phase * t) for op, phase in terms)
+            return -1j * (H @ y)
+
+        ref = solve_ivp(rhs, (0.0, 20.0), psi0.amplitudes, method="DOP853",
+                        rtol=1e-12, atol=1e-14, t_eval=res.times)
+        assert np.max(np.abs(psi0.amplitudes - res.states[-1])) > 0.1
+        assert np.max(np.abs(res.states.T - ref.y)) < 1e-10
 
     def test_norm_preservation(self):
         space = build_space(3, 3)
