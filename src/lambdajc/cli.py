@@ -14,25 +14,25 @@ directory.  Runs are cached: the same command on an unchanged
 configuration with a complete manifest is not recomputed.  The three sweep
 commands share one runner: a sweep is a list of chunks (grid rows, or
 256-point slices of the effective-params axis) and a picklable function
-from a chunk to a dict of column arrays.  The runner keeps the cells.jsonl
-ledger of finished chunks, from which an interrupted sweep resumes, and
-writes the CSV chunk by chunk in index order, a column at a time.  Text
-fields are quoted per RFC 4180.
+from a chunk to a dict of column arrays.  One function turns a chunk into
+its record (row count, cells failing each validity audit, CSV text with
+text fields quoted per RFC 4180), a line of the cells.jsonl ledger from
+which an interrupted sweep resumes.  The CSV is the records' text in index
+order; the deviations come from their summed counts.
 
 Under --workers a pool task is a contiguous batch of chunks, about
 BATCHES_PER_WORKER per worker, and the pool has no more workers than
-batches.  Workers format each chunk's CSV text and ledger line, so the
-parent only writes strings; resumed chunks, and every chunk of a
-sequential run, are formatted in the parent by the same two helpers.  The
-bytes therefore do not depend on the worker count or the batching.  A
-batch reaches the ledger as a whole, as soon as it finishes, so an
-interrupt may recompute up to one batch per worker.
+batches; a sequential run makes the same records in the parent, and a
+resumed record is written verbatim, so the bytes do not depend on the
+worker count or the batching.  A batch reaches the ledger as a whole, as
+soon as it finishes, so an interrupt may recompute up to one batch per
+worker.
 
 One rule decides what a run may reuse: a readable manifest of this
 config hash, command and OUTPUT_VERSION.  Under it, a cache hit also needs
 the CSV's digest to match, and a ledger entry is resumed only with the
-current version, the config hash and the shape and dtype kinds its chunk
-computes to; without it, the ledger is deleted before any work.
+current version, the config hash and a record that fits its chunk
+(_Sweep.fits); without it, the ledger is deleted before any work.
 
 Before anything is written, every sweep axis endpoint is checked by
 building the SystemParams or DriveParams it implies, an echo's dt_max
@@ -42,17 +42,21 @@ is not a JSON object, or whose cell counts or deviations have the wrong JSON
 type, counts as no manifest.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime or validity
-failure (validity failures only fail the run under --strict).
+failure (validity failures only fail the run under --strict, and a pool
+worker that dies is a runtime failure).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -89,11 +93,12 @@ from .params import (
 )
 from .specfun import MAX_ARGUMENT
 from .spectrum import (
-    CELL_KINDS,
+    AUDITS,
     AxisSpec,
+    audit_counts,
     category_values,
     compute_grid_row,
-    tally_deviations,
+    deviation_lines,
 )
 
 COMMANDS = ("static-phase", "driven-phase", "effective-params", "echo")
@@ -114,13 +119,10 @@ GRID_CSV_COLUMNS = ("axis1_name", "axis1_value", "axis2_name", "axis2_value",
                     "energy", "n_label", "m_label", "category", "gap",
                     "window_capped", "rwa_ok", "hierarchy_ok")
 ECHO_CSV_COLUMNS = ("t", "fidelity", "norm_a", "norm_b", "leakage")
-#: The effective-params CSV columns, which _effective_columns returns for a
-#: chunk, and the dtype kind of each.
-EFFECTIVE_KINDS = {"omega_D": "f", "theta": "f", "n0": "i", "m0": "i",
-                   "Delta_n0": "f", "Delta_m0": "f", "Omega1_eff": "f",
-                   "Omega2_eff": "f", "omega1_eff": "f", "omega2_eff": "f",
-                   "gr1": "f", "gr2": "f", "gc1": "f", "gc2": "f", "rwa_ok": "b"}
-EFFECTIVE_CSV_COLUMNS = tuple(EFFECTIVE_KINDS)
+#: The effective-params CSV columns, which _effective_columns returns.
+EFFECTIVE_CSV_COLUMNS = ("omega_D", "theta", "n0", "m0", "Delta_n0", "Delta_m0",
+                         "Omega1_eff", "Omega2_eff", "omega1_eff", "omega2_eff",
+                         "gr1", "gr2", "gc1", "gc2", "rwa_ok")
 
 _MANIFEST = "manifest.json"
 _LEDGER = "cells.jsonl"
@@ -180,16 +182,12 @@ def _chunk_text(chunk) -> str:
     return "\n".join(map(",".join, zip(*text))) + "\n"
 
 
-def write_csv(path: Path, columns, chunks):
-    """Write a CSV with header columns from an iterable of chunks.
-
-    A chunk is its CSV text, as _chunk_text gives it, or the values
-    _chunk_text formats.  Each chunk is written before the next one is read.
-    """
+def write_csv(path: Path, columns, texts):
+    """Write a CSV with header columns from an iterable of chunk texts, as
+    _chunk_text gives them.  Each text is written before the next is read."""
     def write(fh):
         fh.write(",".join(columns) + "\n")
-        for chunk in chunks:
-            fh.write(chunk if isinstance(chunk, str) else _chunk_text(chunk))
+        fh.writelines(texts)
     try:
         _replace_atomically(path, write)
     except OSError as exc:
@@ -244,19 +242,12 @@ def _read_manifest(out_dir: Path) -> dict | None:
     return doc
 
 
-def _ledger_line(digest: str, index: int, columns: dict[str, np.ndarray]) -> str:
-    """The cells.jsonl line that records chunk index's columns."""
-    data = {k: v.tolist() for k, v in columns.items()}
-    return json.dumps({"config_hash": digest, "output_version": OUTPUT_VERSION,
-                       "chunk": index, "data": data}) + "\n"
-
-
-def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]:
-    """chunk index -> column arrays of every completed chunk of this config
+def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict]:
+    """chunk index -> ledger entry of every chunk recorded for this config
     and OUTPUT_VERSION; a line that does not parse (a torn tail left by a
     kill) or whose chunk is not a JSON integer (true or 1.0 would key
-    chunk 1) is skipped.  _run_sweep checks each entry's shape and dtype kinds."""
-    done: dict[int, dict[str, np.ndarray]] = {}
+    chunk 1) is skipped.  _run_sweep resumes only entries that fit."""
+    done: dict[int, dict] = {}
     try:
         with open(out_dir / _LEDGER, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -268,8 +259,7 @@ def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]
             if (entry.get("config_hash") == digest
                     and entry.get("output_version") == OUTPUT_VERSION
                     and type(entry["chunk"]) is int):
-                done[entry["chunk"]] = {
-                    k: np.asarray(v) for k, v in entry["data"].items()}
+                done[entry["chunk"]] = entry
         except (AttributeError, KeyError, TypeError, ValueError):
             continue
     return done
@@ -281,13 +271,12 @@ def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict[str, np.ndarray]]
 
 class _Sweep(NamedTuple):
     """compute(chunk) gives a chunk's columns as a dict of equal-length
-    arrays, sizes[index] long, keyed and of dtype kind as in kinds;
-    csv_chunk(index, columns) gives them aligned with csv_columns.  Both
-    must pickle for pool workers.  unit and window word the deviations."""
+    arrays, sizes[index] long; csv_chunk(index, columns) gives them aligned
+    with csv_columns.  Both must pickle for pool workers.  unit and window
+    word the deviations."""
 
     compute: Callable
     chunks: Sequence
-    kinds: dict[str, str]
     sizes: Sequence[int]
     csv_columns: tuple[str, ...]
     csv_chunk: Callable
@@ -298,54 +287,60 @@ class _Sweep(NamedTuple):
     def cells(self) -> int:
         return sum(self.sizes)
 
-    def fits(self, index: int, columns: dict[str, np.ndarray]) -> bool:
-        """Whether a ledger entry has the shape and the dtype kinds compute
-        gives chunk index."""
+    def fits(self, index: int, entry: dict) -> bool:
+        """Whether a ledger entry is a whole record of chunk index: rows
+        its size, a count in [0, rows] per audit, and a text of rows
+        newline-ended CSV records of len(csv_columns) fields each."""
+        rows, counts, text = (entry.get(k) for k in ("rows", "counts", "text"))
         return (0 <= index < len(self.chunks)
-                and sorted(columns) == sorted(self.kinds)
-                and all(v.shape == (self.sizes[index],)
-                        and v.dtype.kind == self.kinds[k]
-                        for k, v in columns.items()))
+                and type(rows) is int and rows == self.sizes[index]
+                and type(counts) is list and len(counts) == len(AUDITS)
+                and all(type(c) is int and 0 <= c <= rows for c in counts)
+                and type(text) is str and text.endswith("\n")
+                and [len(r) for r in csv.reader(io.StringIO(text, newline=""))]
+                == [len(self.csv_columns)] * rows)
 
 
-def _finished_batch(compute, csv_chunk, digest: str, items) -> list[tuple]:
-    """(index, columns, CSV text, ledger line) of each (index, chunk) item
-    of a batch: the task a pool worker runs, so the parent only writes
-    strings."""
-    out = []
-    for index, chunk in items:
-        columns = compute(chunk)
-        out.append((index, columns, _chunk_text(csv_chunk(index, columns)),
-                    _ledger_line(digest, index, columns)))
-    return out
+def _chunk_entry(compute, csv_chunk, digest: str, index: int, chunk) -> dict:
+    """The ledger entry of chunk index: its row count, how many of its cells
+    fail each audit, and its CSV text."""
+    columns = compute(chunk)
+    return {"config_hash": digest, "output_version": OUTPUT_VERSION,
+            "chunk": index, "rows": len(next(iter(columns.values()))),
+            "counts": audit_counts(columns),
+            "text": _chunk_text(csv_chunk(index, columns))}
+
+
+def _batch_entries(compute, csv_chunk, digest: str, items) -> list[dict]:
+    """The ledger entry of each (index, chunk) item of a batch: the task a
+    pool worker runs."""
+    return [_chunk_entry(compute, csv_chunk, digest, index, chunk)
+            for index, chunk in items]
 
 
 def _run_chunks(sweep: _Sweep, digest: str, todo: dict, workers: int, on_done,
                 abort_after: int | None):
-    """Compute each chunk of todo (index -> chunk), invoking on_done(index,
-    columns, CSV text, ledger line) as results land.
+    """Compute the ledger entry of each chunk of todo (index -> chunk),
+    invoking on_done(entry) as results land.
 
     A pool task is a contiguous batch of chunks, about BATCHES_PER_WORKER
-    per worker, and the pool has no more workers than batches; its workers
-    also format each chunk's CSV text and ledger line.  A batch is recorded
-    as soon as it finishes, whatever its place, so an interrupt loses at
-    most the batches in flight.  The sequential path builds the ledger line
-    here and leaves the text None, for write_csv to format at write time.
-    The abort hook (tests only) is honored on the sequential path.
+    per worker, and the pool has no more workers than batches.  A batch is
+    recorded as soon as it finishes, whatever its place, so an interrupt
+    loses at most the batches in flight.  The abort hook (tests only) is
+    honored on the sequential path.
     """
     if workers > 1 and len(todo) > 1:
         items = list(todo.items())
         size = -(-len(items) // (BATCHES_PER_WORKER * workers))
         batches = [items[k:k + size] for k in range(0, len(items), size)]
-        task = partial(_finished_batch, sweep.compute, sweep.csv_chunk, digest)
+        task = partial(_batch_entries, sweep.compute, sweep.csv_chunk, digest)
         with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
             for future in as_completed([pool.submit(task, b) for b in batches]):
-                for result in future.result():
-                    on_done(*result)
+                for entry in future.result():
+                    on_done(entry)
         return
     for count, (index, chunk) in enumerate(todo.items(), start=1):
-        columns = sweep.compute(chunk)
-        on_done(index, columns, None, _ledger_line(digest, index, columns))
+        on_done(_chunk_entry(sweep.compute, sweep.csv_chunk, digest, index, chunk))
         if abort_after is not None and count >= abort_after:
             raise KeyboardInterrupt("aborted for resume test")
 
@@ -354,38 +349,32 @@ def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
                workers: int, abort_after: int | None) -> list[str]:
     """Compute the chunks the resume ledger lacks, then write the CSV;
     returns the deviation lines."""
-    done = {i: columns for i, columns in _load_ledger(out_dir, digest).items()
-            if sweep.fits(i, columns)}
-    texts: dict[int, str] = {}
+    done = {i: entry for i, entry in _load_ledger(out_dir, digest).items()
+            if sweep.fits(i, entry)}
 
     def cells_done():
-        return sum(len(next(iter(c.values()))) for c in done.values())
+        return sum(entry["rows"] for entry in done.values())
 
     # the manifest goes first, so a ledger line always sits beside its
     # run's manifest
     _write_manifest(out_dir, command, digest, sweep.cells, cells_done(), [])
     todo = {i: chunk for i, chunk in enumerate(sweep.chunks) if i not in done}
     with open(out_dir / _LEDGER, "a", encoding="utf-8") as ledger:
-        def record(index, columns, text, line):
-            ledger.write(line)
+        def record(entry):
+            ledger.write(json.dumps(entry) + "\n")
             ledger.flush()
-            done[index] = columns
-            if text is not None:
-                texts[index] = text
+            done[entry["chunk"]] = entry
 
         try:
             _run_chunks(sweep, digest, todo, workers, record, abort_after)
-        except KeyboardInterrupt:
+        except (KeyboardInterrupt, BrokenProcessPool):
             _write_manifest(out_dir, command, digest, sweep.cells, cells_done(),
                             ["interrupted"])
             raise
-    parts = [done[i] for i in range(len(sweep.chunks))]
-    stacked = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-    # a resumed chunk, or any chunk of a sequential run, is formatted here
     write_csv(out_dir / _CSV_NAME[command], sweep.csv_columns,
-              (texts.pop(i) if i in texts else sweep.csv_chunk(i, p)
-               for i, p in enumerate(parts)))
-    return tally_deviations(stacked, sweep.unit, sweep.window)
+              (done[i]["text"] for i in range(len(sweep.chunks))))
+    counts = [sum(c) for c in zip(*(entry["counts"] for entry in done.values()))]
+    return deviation_lines(counts, sweep.cells, sweep.unit, sweep.window)
 
 
 def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
@@ -397,15 +386,14 @@ def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
                   for k in range(0, values.size, EFFECTIVE_CHUNK)]
         return _Sweep(partial(_effective_columns, cfg.model, cfg.drive_or_default(),
                               axes[0].parameter),
-                      chunks, EFFECTIVE_KINDS, [c.size for c in chunks],
+                      chunks, [c.size for c in chunks],
                       EFFECTIVE_CSV_COLUMNS, _effective_csv_chunk, "sweep points")
     driven = command == "driven-phase"
     drive = cfg.drive_or_default() if driven else None
     window = cfg.truncation.window_for(driven)
     ax1, ax2 = (AxisSpec(ax.name, ax.parameter, ax.values()) for ax in axes)
     return _Sweep(partial(compute_grid_row, cfg.model, drive, ax1, ax2, window),
-                  range(ax1.values.size), CELL_KINDS,
-                  [ax2.values.size] * ax1.values.size,
+                  range(ax1.values.size), [ax2.values.size] * ax1.values.size,
                   GRID_CSV_COLUMNS, partial(_grid_csv_chunk, ax1, ax2), "cells",
                   window)
 
@@ -526,8 +514,8 @@ def _run_echo(cfg: RunConfig, out_dir: Path, digest: str) -> list[str]:
     echo = loschmidt_echo(spec_a, spec_b, space, psi0, t_max=dyn.t_max,
                           samples=dyn.samples, dt_max=dyn.dt_max)
     write_csv(out_dir / _CSV_NAME["echo"], ECHO_CSV_COLUMNS,
-              [(echo.times, echo.fidelity, echo.norm_a, echo.norm_b,
-                echo.leakage_series)])
+              [_chunk_text((echo.times, echo.fidelity, echo.norm_a, echo.norm_b,
+                            echo.leakage_series))])
     return list(echo.warnings)
 
 
@@ -585,7 +573,8 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
         # the configured cutoffs cannot represent the requested state
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, BrokenProcessPool) as exc:
+        # a dead pool worker leaves the ledger for a rerun to resume
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

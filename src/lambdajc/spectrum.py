@@ -140,11 +140,9 @@ class PhaseGrid:
         return _point(vars(self), (i, j))
 
 
-#: The per-cell arrays of a PhaseGrid, which compute_grid_row returns for a
-#: row, and the dtype kind of each.
-CELL_KINDS = {"energy": "f", "n_label": "i", "m_label": "i", "gap": "f",
-              "window_capped": "b", "rwa_ok": "b", "hierarchy_ok": "b"}
-CELL_FIELDS = tuple(CELL_KINDS)
+#: The per-cell arrays of a PhaseGrid, which compute_grid_row returns per row.
+CELL_FIELDS = ("energy", "n_label", "m_label", "gap", "window_capped", "rwa_ok",
+               "hierarchy_ok")
 
 
 def _point(cells, index) -> PhasePoint:
@@ -382,27 +380,34 @@ def compute_grid_row(sys_template: SystemParams, drive_template: DriveParams | N
 
 #: (cell key, the value that flags a cell, what a flagged cell is) of each
 #: deviation line, in manifest order.
-_AUDITS = (("window_capped", True, "window-capped (block_window={})"),
-           ("rwa_ok", False, "fail the counter-rotating validity rule"),
-           ("hierarchy_ok", False, "fail the drive-hierarchy validity rule"))
+AUDITS = (("window_capped", True, "window-capped (block_window={})"),
+          ("rwa_ok", False, "fail the counter-rotating validity rule"),
+          ("hierarchy_ok", False, "fail the drive-hierarchy validity rule"))
 
 
-def tally_deviations(cells: dict[str, np.ndarray], unit: str = "cells",
-                     block_window: int | None = None) -> list[str]:
-    """One "count/total unit what" line per audit that some cells fail;
-    audits whose key cells lacks are skipped."""
-    tally = [(np.count_nonzero(cells[key] == flag), cells[key].size, what)
-             for key, flag, what in _AUDITS if key in cells]
+def audit_counts(cells: dict[str, np.ndarray]) -> list[int]:
+    """How many cells fail each audit, in AUDITS order; 0 for an audit
+    whose key cells lacks."""
+    return [int(np.count_nonzero(cells[key] == flag)) if key in cells else 0
+            for key, flag, _ in AUDITS]
+
+
+def deviation_lines(counts: list[int], total: int, unit: str = "cells",
+                    block_window: int | None = None) -> list[str]:
+    """One "count/total unit what" line per audit that some of total cells
+    fail, from audit_counts summed over them."""
     return [f"{count}/{total} {unit} {what.format(block_window)}"
-            for count, total, what in tally if count]
+            for count, (_, _, what) in zip(counts, AUDITS) if count]
 
 
 def assemble_grid(axis1: AxisSpec, axis2: AxisSpec, block_window: int,
                   rows: list[dict[str, np.ndarray]]) -> PhaseGrid:
     """Stack computed rows into a PhaseGrid and tally its deviations."""
     stack = {k: np.stack([r[k] for r in rows]) for k in rows[0]}
+    deviations = deviation_lines(audit_counts(stack), stack["energy"].size,
+                                 "cells", block_window)
     return PhaseGrid(axis1=axis1, axis2=axis2, block_window=block_window,
-                     **stack, deviations=tally_deviations(stack, "cells", block_window))
+                     **stack, deviations=deviations)
 
 
 def sweep_grid(sys_template: SystemParams, drive_template: DriveParams | None,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lambdajc import cli
+from lambdajc import cli, spectrum
 from lambdajc.cli import (
     OUTPUT_ENV_VAR,
     _load_ledger,
@@ -215,7 +215,7 @@ class TestWriters:
     def test_float_round_trip(self, tmp_path):
         value = 0.1 + 0.2 / 7.0
         path = tmp_path / "x.csv"
-        write_csv(path, ("v",), [(value,)])
+        write_csv(path, ("v",), [cli._chunk_text((value,))])
         back = float(path.read_text().splitlines()[1])
         assert back == value
 
@@ -263,17 +263,18 @@ class TestRunCommand:
         cfg = parse_config(TINY_STATIC)
         assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
         previous = (tmp_path / "grid.csv").read_bytes()
-        real_format = cli._format_column
-        calls = []
+        real_write = cli.write_csv
 
-        def failing_format(values):
-            # one call per column of a grid row: fail in the sixth row
-            calls.append(values)
-            if len(calls) > 5 * len(cli.GRID_CSV_COLUMNS):
-                raise RuntimeError("disk gone")
-            return real_format(values)
+        def failing_write(path, columns, texts):
+            def five_then_failure():
+                # a grid row per text: fail in the sixth row
+                for count, text in enumerate(texts):
+                    if count == 5:
+                        raise RuntimeError("disk gone")
+                    yield text
+            return real_write(path, columns, five_then_failure())
 
-        monkeypatch.setattr(cli, "_format_column", failing_format)
+        monkeypatch.setattr(cli, "write_csv", failing_write)
         doc = json.loads(json.dumps(TINY_STATIC))
         doc["model"] = {"g1": 0.06}
         with pytest.raises(RuntimeError, match="disk gone"):
@@ -428,7 +429,7 @@ class TestRunCommand:
                         _abort_after_chunks=3)
         ledger = tmp_path / "part" / "cells.jsonl"
         with open(ledger, "a", encoding="utf-8") as fh:
-            fh.write('{"config_hash": "' + config_hash(cfg) + '", "chunk": 3, "da')
+            fh.write('{"config_hash": "' + config_hash(cfg) + '", "chunk": 3, "te')
         assert sorted(_load_ledger(tmp_path / "part", config_hash(cfg))) == [0, 1, 2]
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
@@ -639,6 +640,16 @@ def _rewrite_ledger(path: Path, change):
     path.write_text("".join(json.dumps(e) + "\n" for e in entries))
 
 
+def _records(entry: dict) -> list[list[str]]:
+    """The fields of each CSV record of a ledger entry's text, whose axis
+    names hold no comma or quote."""
+    return [line.split(",") for line in entry["text"].splitlines()]
+
+
+def _text(records: list[list[str]]) -> str:
+    return "".join(",".join(record) + "\n" for record in records)
+
+
 TINY_ECHO = {"truncation": {"n_c1": 3, "n_c2": 3},
              "dynamics": {"t_max": 10.0, "samples": 20}}
 
@@ -676,7 +687,10 @@ class TestOutputVersion:
         def stale(entry):
             # what an older program wrote: other numbers, no current version
             entry.pop("output_version", None)
-            entry["data"]["energy"] = [0.0] * len(entry["data"]["energy"])
+            records = _records(entry)
+            for record in records:
+                record[4] = "0"
+            entry["text"] = _text(records)
         _rewrite_ledger(ledger, stale)
         assert _load_ledger(tmp_path / "part", config_hash(cfg)) == {}
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
@@ -685,6 +699,10 @@ class TestOutputVersion:
 
 
 class TestLedgerShape:
+    """A ledger entry is resumed only if it is a whole record of its chunk:
+    its stated rows, one count in [0, rows] per audit, and a text of that
+    many newline-ended CSV records of one field per column."""
+
     def test_short_chunk_is_recomputed(self, tmp_path, capsys):
         cfg = parse_config(GRID_5X4)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
@@ -694,7 +712,10 @@ class TestLedgerShape:
         ledger = tmp_path / "part" / "cells.jsonl"
 
         def short(entry):
-            entry["data"] = {k: v[:2] for k, v in entry["data"].items()}
+            # a consistent record of two cells, where the chunk has four
+            entry["text"] = _text(_records(entry)[:2])
+            entry["rows"] = 2
+            entry["counts"] = [min(c, 2) for c in entry["counts"]]
         _rewrite_ledger(ledger, short)
         capsys.readouterr()
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
@@ -707,7 +728,9 @@ class TestLedgerShape:
 
     @pytest.mark.parametrize("corrupt", [
         "missing_column", "extra_column", "two_dimensional", "chunk_out_of_range",
-        "negative_chunk", "bool_energy", "text_label", "bool_chunk"])
+        "negative_chunk", "bool_count", "text_label", "bool_chunk", "float_rows",
+        "short_text", "blank_line", "unterminated_text", "text_not_string",
+        "count_above_rows", "negative_count", "missing_count"])
     def test_malformed_entry_is_recomputed(self, tmp_path, corrupt):
         cfg = parse_config(GRID_5X4)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
@@ -717,37 +740,89 @@ class TestLedgerShape:
         ledger = tmp_path / "part" / "cells.jsonl"
 
         def change(entry):
-            data = entry["data"]
+            records = _records(entry)
             if corrupt == "missing_column":
-                del data["gap"]
+                for record in records:
+                    del record[8]
             elif corrupt == "extra_column":
-                data["spare"] = data["gap"]
+                for record in records:
+                    record.append(record[8])
+            elif corrupt == "text_label":
+                # an unquoted comma splits the field in two
+                for record in records:
+                    record[5] = "x,y"
+            elif corrupt == "short_text":
+                del records[-1]
+            elif corrupt == "blank_line":
+                records.append([])
             elif corrupt == "two_dimensional":
-                data["energy"] = [data["energy"]]
+                entry["counts"] = [entry["counts"]]
             elif corrupt == "chunk_out_of_range":
                 entry["chunk"] += 5
             elif corrupt == "negative_chunk":
                 entry["chunk"] -= 2
-            elif corrupt == "bool_energy":
-                data["energy"] = [True] * len(data["energy"])
-            elif corrupt == "text_label":
-                data["n_label"] = ["x,y"] * len(data["n_label"])
-            else:
+            elif corrupt == "bool_count":
+                # false equals 0, but is not a JSON integer
+                entry["counts"] = [c == 0 for c in entry["counts"]]
+            elif corrupt == "float_rows":
+                entry["rows"] = float(entry["rows"])
+            elif corrupt == "count_above_rows":
+                entry["counts"][0] = entry["rows"] + 1
+            elif corrupt == "negative_count":
+                entry["counts"][1] = -1
+            elif corrupt == "missing_count":
+                del entry["counts"][-1]
+            elif corrupt == "bool_chunk":
                 # chunks 0 and 1 filed as true and false, which equal 1 and
                 # 0, each other's index
                 entry["chunk"] = entry["chunk"] == 0
+            entry["text"] = _text(records)
+            if corrupt == "unterminated_text":
+                # the next chunk's first record would run on from this one
+                entry["text"] = entry["text"][:-1]
+            elif corrupt == "text_not_string":
+                entry["text"] = entry["text"].splitlines(keepends=True)
         _rewrite_ledger(ledger, change)
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
                 == (tmp_path / "full" / "grid.csv").read_bytes())
+
+    def test_old_format_entry_is_recomputed(self, tmp_path, monkeypatch):
+        # earlier releases of this output version recorded a chunk's columns
+        # under "data" and no text
+        cfg = parse_config(GRID_5X4)
+        run_command("static-phase", cfg, out_dir=tmp_path / "full")
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path / "part",
+                        _abort_after_chunks=2)
+        sweep = cli._sweep("static-phase", cfg, cli._resolve_axes("static-phase", cfg))
+
+        def old(entry):
+            columns = sweep.compute(entry["chunk"])
+            for key in ("rows", "counts", "text"):
+                del entry[key]
+            entry["data"] = {k: v.tolist() for k, v in columns.items()}
+        _rewrite_ledger(tmp_path / "part" / "cells.jsonl", old)
+        rows = []
+        real = cli.compute_grid_row
+
+        def counted(*args):
+            rows.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(cli, "compute_grid_row", counted)
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
+        assert rows == [0, 1, 2, 3, 4]
+        for name in ("grid.csv", "manifest.json"):
+            assert ((tmp_path / "part" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes())
 
     @pytest.mark.parametrize("command, doc", [
         ("static-phase", GRID_5X4), ("driven-phase", TINY_DRIVEN),
         ("effective-params", {"sweep": [{"start": 0.1, "stop": 2.0, "points": 300,
                                          "parameter": "omega_D"}]})])
     def test_ledger_entries_fit_their_sweep(self, tmp_path, command, doc):
-        # a kind map that disagreed with compute would recompute every
-        # resumed chunk
+        # a fit rule that disagreed with the entries the runner writes
+        # would recompute every resumed chunk
         cfg = parse_config(doc)
         with pytest.raises(KeyboardInterrupt):
             run_command(command, cfg, out_dir=tmp_path, _abort_after_chunks=1)
@@ -782,6 +857,30 @@ class TestCsvQuoting:
         assert len(rows) == 1 + 9 * 7
         assert {len(row) for row in rows} == {12}
         assert {(row[0], row[2]) for row in rows[1:]} == {("g1,x", 'say "g2"')}
+
+    def test_quoted_axis_names_resume(self, tmp_path, monkeypatch):
+        # a quoted field holds a comma or a doubled quote, and is still one
+        # field of the record a ledger entry must hold
+        doc = json.loads(json.dumps(GRID_5X4))
+        doc["sweep"][0]["name"] = "g1,x"
+        doc["sweep"][1]["name"] = 'say "g2"'
+        cfg = parse_config(doc)
+        run_command("static-phase", cfg, out_dir=tmp_path / "full")
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path / "part",
+                        _abort_after_chunks=2)
+        rows = []
+        real = cli.compute_grid_row
+
+        def counted(*args):
+            rows.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(cli, "compute_grid_row", counted)
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
+        assert rows == [2, 3, 4]
+        for name in ("grid.csv", "manifest.json"):
+            assert ((tmp_path / "part" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes())
 
     @pytest.mark.parametrize("name", [{"a": 1}, 3, ["g1"], True])
     def test_non_string_axis_name_rejected(self, name):
@@ -892,9 +991,28 @@ MANY_CHUNKS = {
 }
 
 
+#: A driven grid whose cells fail each audit in part or in whole: a one-shot
+#: run reads 52/52 window-capped, 18/52 counter-rotating and 52/52
+#: drive-hierarchy.
+DRIVEN_AUDITS = {
+    "model": {"g1": 0.2, "g2": 0.2},
+    "drive": {"amplitude": 0.036, "frequency": 0.18},
+    "truncation": {"block_window": 5},
+    "sweep": [
+        {"name": "A_D", "start": 0.0, "stop": 0.54, "points": 13, "parameter": "A_D"},
+        {"name": "Omega2", "start": 0.97, "stop": 1.0, "points": 4,
+         "parameter": "Omega2"},
+    ],
+}
+
+#: Each MANY_CHUNKS sweep, by its command, and DRIVEN_AUDITS.
+MIXED_RESUME = {**{command: (command, doc) for command, doc in MANY_CHUNKS.items()},
+                "driven-phase-audits": ("driven-phase", DRIVEN_AUDITS)}
+
+
 class TestPool:
-    """A pool task is a contiguous batch of chunks whose CSV text and ledger
-    lines the worker formats; resumed chunks are formatted in the parent."""
+    """A pool task is a contiguous batch of chunks whose ledger entries, CSV
+    text included, the worker makes; resumed entries are written verbatim."""
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -908,10 +1026,10 @@ class TestPool:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
         return sizes
 
-    @pytest.mark.parametrize("command", sorted(MANY_CHUNKS))
-    def test_mixed_resume_matches_one_shot_run(self, tmp_path, pool_sizes,
-                                               command):
-        cfg = parse_config(MANY_CHUNKS[command])
+    @pytest.mark.parametrize("case", sorted(MIXED_RESUME))
+    def test_mixed_resume_matches_one_shot_run(self, tmp_path, pool_sizes, case):
+        command, doc = MIXED_RESUME[case]
+        cfg = parse_config(doc)
         sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
         assert len(sweep.chunks) - 3 > cli.BATCHES_PER_WORKER * 2
         assert run_command(command, cfg, out_dir=tmp_path / "full", workers=1) == 0
@@ -923,8 +1041,15 @@ class TestPool:
         for name in (cli._CSV_NAME[command], "manifest.json"):
             assert ((tmp_path / "part" / name).read_bytes()
                     == (tmp_path / "full" / name).read_bytes())
+        if case == "driven-phase-audits":
+            deviations = json.loads((tmp_path / "part" / "manifest.json")
+                                    .read_text())["deviations"]
+            assert [line.split()[0] for line in deviations] == [
+                "52/52", "18/52", "52/52"]
 
-    def test_parent_formats_only_resumed_chunks(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resumed_chunks_are_written_verbatim(self, tmp_path, monkeypatch,
+                                                 workers):
         cfg = parse_config(MANY_CHUNKS["static-phase"])
         with pytest.raises(KeyboardInterrupt):
             run_command("static-phase", cfg, out_dir=tmp_path, _abort_after_chunks=3)
@@ -937,8 +1062,11 @@ class TestPool:
             return real_format(values)
 
         monkeypatch.setattr(cli, "_format_column", counting_format)
-        assert run_command("static-phase", cfg, out_dir=tmp_path, workers=2) == 0
-        assert len(calls) == 3 * len(cli.GRID_CSV_COLUMNS)
+        assert run_command("static-phase", cfg, out_dir=tmp_path,
+                           workers=workers) == 0
+        # the parent formats the ten chunks it computes itself, none it resumes
+        computed = 10 if workers == 1 else 0
+        assert len(calls) == computed * len(cli.GRID_CSV_COLUMNS)
 
     def test_pool_results_match_sequential(self):
         cfg = parse_config(MANY_CHUNKS["static-phase"])
@@ -947,17 +1075,18 @@ class TestPool:
 
         def run(workers):
             out = []
-            cli._run_chunks(sweep, "digest", todo, workers,
-                            lambda *result: out.append(result), None)
+            cli._run_chunks(sweep, "digest", todo, workers, out.append, None)
             return out
 
         # batches are recorded as they finish, in any order
-        sequential, pooled = run(1), sorted(run(2), key=lambda r: r[0])
-        assert [r[0] for r in pooled] == [r[0] for r in sequential] == list(todo)
-        for (index, columns, text, line), pooled_result in zip(sequential, pooled):
-            assert text is None
-            assert pooled_result[2] == cli._chunk_text(sweep.csv_chunk(index, columns))
-            assert pooled_result[3] == line
+        sequential, pooled = run(1), sorted(run(2), key=lambda e: e["chunk"])
+        assert [e["chunk"] for e in sequential] == list(todo)
+        assert pooled == sequential
+        for entry in sequential:
+            columns = sweep.compute(entry["chunk"])
+            assert entry["text"] == cli._chunk_text(
+                sweep.csv_chunk(entry["chunk"], columns))
+            assert entry["rows"] == 4
 
     def test_pool_has_no_more_workers_than_batches(self, tmp_path, pool_sizes):
         three_rows = json.loads(json.dumps(GRID_5X4))
@@ -979,6 +1108,44 @@ class TestPool:
                         _abort_after_chunks=3)
         assert run_command("static-phase", cfg, out_dir=tmp_path, workers=8) == 0
         assert pool_sizes == [2]
+
+    def test_dead_worker_exits_2_and_keeps_finished_chunks(self, tmp_path,
+                                                           monkeypatch, capsys):
+        cfg = parse_config(MANY_CHUNKS["static-phase"])
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "full") == 0
+        real = spectrum.compute_grid_row
+
+        def dying(*args):
+            if args[-1] == 5:
+                os._exit(1)  # as a worker killed by the OOM killer
+            return real(*args)
+
+        # pickled by name, so forked workers look it up in the patched module
+        dying.__module__, dying.__qualname__ = real.__module__, real.__qualname__
+        monkeypatch.setattr(spectrum, "compute_grid_row", dying)
+        monkeypatch.setattr(cli, "compute_grid_row", dying)
+        out = tmp_path / "part"
+        capsys.readouterr()
+        assert run_command("static-phase", cfg, out_dir=out, workers=2) == 2
+        assert "error: " in capsys.readouterr().err
+        # the worker that runs row 5 has finished an earlier batch
+        recorded = sorted(_load_ledger(out, config_hash(cfg)))
+        assert recorded and 5 not in recorded
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["cells_done"] == 4 * len(recorded)
+        assert manifest["csv_blake2b"] is None
+        monkeypatch.undo()
+
+        rows = []
+
+        def counted(*args):
+            rows.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(cli, "compute_grid_row", counted)
+        assert run_command("static-phase", cfg, out_dir=out) == 0
+        assert rows == [i for i in range(13) if i not in recorded]
+        for name in ("grid.csv", "manifest.json"):
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
     def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
