@@ -18,7 +18,9 @@ from a chunk to a dict of column arrays.  One function turns a chunk into
 its record (row count, cells failing each validity audit, CSV text with
 text fields quoted per RFC 4180), a line of the cells.jsonl ledger from
 which an interrupted sweep resumes.  The CSV is the records' text in index
-order; the deviations come from their summed counts.
+order, streamed into its temp file as the records land, so the parent
+holds only the texts that land ahead of an earlier chunk; the deviations
+come from their summed counts.
 
 Under --workers a pool task is a contiguous batch of chunks, about
 BATCHES_PER_WORKER per worker, and the pool has no more workers than
@@ -195,11 +197,17 @@ def write_csv(path: Path, columns, texts):
 
 
 def _file_digest(path: Path) -> str | None:
-    """blake2b hex digest of a file's bytes, None when it cannot be read."""
+    """blake2b hex digest of a file's bytes, None when it cannot be read.
+    The file is read a megabyte at a time, so a large CSV is never held
+    whole."""
+    digest = hashlib.blake2b()
     try:
-        return hashlib.blake2b(path.read_bytes()).hexdigest()
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
     except OSError:
         return None
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +326,14 @@ def _batch_entries(compute, csv_chunk, digest: str, items) -> list[dict]:
             for index, chunk in items]
 
 
-def _run_chunks(sweep: _Sweep, digest: str, todo: dict, workers: int, on_done,
+def _run_chunks(sweep: _Sweep, digest: str, todo: dict, workers: int,
                 abort_after: int | None):
-    """Compute the ledger entry of each chunk of todo (index -> chunk),
-    invoking on_done(entry) as results land.
+    """Yield the ledger entry of each chunk of todo (index -> chunk) as it
+    lands.
 
     A pool task is a contiguous batch of chunks, about BATCHES_PER_WORKER
     per worker, and the pool has no more workers than batches.  A batch is
-    recorded as soon as it finishes, whatever its place, so an interrupt
+    yielded as soon as it finishes, whatever its place, so an interrupt
     loses at most the batches in flight.  The abort hook (tests only) is
     honored on the sequential path.
     """
@@ -336,43 +344,59 @@ def _run_chunks(sweep: _Sweep, digest: str, todo: dict, workers: int, on_done,
         task = partial(_batch_entries, sweep.compute, sweep.csv_chunk, digest)
         with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
             for future in as_completed([pool.submit(task, b) for b in batches]):
-                for entry in future.result():
-                    on_done(entry)
+                yield from future.result()
         return
     for count, (index, chunk) in enumerate(todo.items(), start=1):
-        on_done(_chunk_entry(sweep.compute, sweep.csv_chunk, digest, index, chunk))
+        yield _chunk_entry(sweep.compute, sweep.csv_chunk, digest, index, chunk)
         if abort_after is not None and count >= abort_after:
             raise KeyboardInterrupt("aborted for resume test")
 
 
 def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
                workers: int, abort_after: int | None) -> list[str]:
-    """Compute the chunks the resume ledger lacks, then write the CSV;
-    returns the deviation lines."""
+    """Compute the chunks the resume ledger lacks and write the CSV as they
+    land; returns the deviation lines.
+
+    Each chunk's text goes to the CSV temp file as soon as every chunk
+    before it is in, so only texts that land out of order (resumed, or
+    from the pool) are held; done keeps each chunk's rows and counts.
+    """
     done = {i: entry for i, entry in _load_ledger(out_dir, digest).items()
             if sweep.fits(i, entry)}
+    held = {i: entry.pop("text") for i, entry in done.items()}
 
     def cells_done():
         return sum(entry["rows"] for entry in done.values())
 
+    def texts():
+        """The chunks' texts in index order, computing the missing ones."""
+        written = 0
+
+        def ready():
+            nonlocal written
+            while written in held:
+                yield held.pop(written)
+                written += 1
+
+        yield from ready()
+        todo = {i: chunk for i, chunk in enumerate(sweep.chunks) if i not in done}
+        with open(out_dir / _LEDGER, "a", encoding="utf-8") as ledger:
+            try:
+                for entry in _run_chunks(sweep, digest, todo, workers, abort_after):
+                    ledger.write(json.dumps(entry) + "\n")
+                    ledger.flush()
+                    held[entry["chunk"]] = entry.pop("text")
+                    done[entry["chunk"]] = entry
+                    yield from ready()
+            except (KeyboardInterrupt, BrokenProcessPool):
+                _write_manifest(out_dir, command, digest, sweep.cells, cells_done(),
+                                ["interrupted"])
+                raise
+
     # the manifest goes first, so a ledger line always sits beside its
     # run's manifest
     _write_manifest(out_dir, command, digest, sweep.cells, cells_done(), [])
-    todo = {i: chunk for i, chunk in enumerate(sweep.chunks) if i not in done}
-    with open(out_dir / _LEDGER, "a", encoding="utf-8") as ledger:
-        def record(entry):
-            ledger.write(json.dumps(entry) + "\n")
-            ledger.flush()
-            done[entry["chunk"]] = entry
-
-        try:
-            _run_chunks(sweep, digest, todo, workers, record, abort_after)
-        except (KeyboardInterrupt, BrokenProcessPool):
-            _write_manifest(out_dir, command, digest, sweep.cells, cells_done(),
-                            ["interrupted"])
-            raise
-    write_csv(out_dir / _CSV_NAME[command], sweep.csv_columns,
-              (done[i]["text"] for i in range(len(sweep.chunks))))
+    write_csv(out_dir / _CSV_NAME[command], sweep.csv_columns, texts())
     counts = [sum(c) for c in zip(*(entry["counts"] for entry in done.values()))]
     return deviation_lines(counts, sweep.cells, sweep.unit, sweep.window)
 

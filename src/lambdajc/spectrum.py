@@ -30,14 +30,19 @@ Phase taxonomy over the block label of the global ground state:
 
 The lowest eigenvalue of each block is computed by the closed-form
 trigonometric solution of the symmetric 3x3 characteristic polynomial with
-a Newton polish and an exact-diagonal fallback; grid sweeps evaluate
-millions of blocks, so this is the hot path.
+a Newton polish and an exact-diagonal fallback.
 
 Grids are evaluated by one row engine.  compute_grid_row broadcasts the
-swept field over the axis-2 values, stacks every cell's blocks into one
-(cells, W+1, W+1) table for a single kernel call, and takes each cell's
-label as the first minimum of its flattened table and its gap from a
-partition.  Driven rows first pass the whole row through
+swept field over the axis-2 values and builds the elements of every
+cell's blocks once.  Each block's lowest eigenvalue is bounded below by
+Weyl's inequality (smallest diagonal minus hypot(h12, h13)) and above by
+the smallest diagonal or a Rayleigh quotient that is exact at resonance.
+Only blocks whose lower bound reaches the cell's second-smallest upper
+bound, within a rounding margin, go through the kernel, in one call per
+row; the others cannot be the first or second lowest, so they enter the
+table as +inf.  Each cell's label is the first minimum of its flattened
+table and its gap comes from a partition, with the bytes the full table
+(ground_energy_table) gives.  Driven rows first pass the whole row through
 effective.effective_table, so sidebands, effective parameters and the
 validity audit are array code too.  ground_search and driven_phase_point
 are one-cell rows of the same core; no per-cell parameter objects are
@@ -192,12 +197,14 @@ def _lowest_eig_sym3(h11, h22, h33, h12, h13):
 
     Trigonometric closed form, then up to two guarded Newton steps on the
     characteristic polynomial.  Exactly diagonal inputs short-circuit to
-    min of the diagonal.
+    min of the diagonal.  Elementwise: each output depends only on its own
+    five inputs, so evaluating a subset of blocks gives the same bytes.
     """
-    h11 = np.asarray(h11, dtype=float)
-    b = np.broadcast(h11, h22, h33, h12, h13)
-    h11, h22, h33, h12, h13 = (np.broadcast_to(a, b.shape).astype(float)
-                               for a in (h11, h22, h33, h12, h13))
+    if not all(type(a) is np.ndarray and a.dtype == np.float64
+               and a.shape == h11.shape for a in (h11, h22, h33, h12, h13)):
+        b = np.broadcast(h11, h22, h33, h12, h13)
+        h11, h22, h33, h12, h13 = (np.broadcast_to(a, b.shape).astype(float)
+                                   for a in (h11, h22, h33, h12, h13))
     q = (h11 + h22 + h33) / 3.0
     a, bb, e = h11 - q, h22 - q, h33 - q
     p2 = a * a + bb * bb + e * e + 2.0 * (h12 * h12 + h13 * h13)
@@ -209,17 +216,18 @@ def _lowest_eig_sym3(h11, h22, h33, h12, h13):
     lam = q + 2.0 * p * np.cos(phi + _TWO_PI_3)
     lam = np.where(diagonal, np.minimum(np.minimum(h11, h22), h33), lam)
 
-    scale = np.maximum.reduce([np.abs(h11), np.abs(h22), np.abs(h33),
-                               np.abs(h12), np.abs(h13), np.full(b.shape, 1e-300)])
-    for _ in range(2):
-        u, v, w = h11 - lam, h22 - lam, h33 - lam
-        f = u * v * w - h12 * h12 * w - h13 * h13 * v
-        df = -(v * w + u * w + u * v) + h12 * h12 + h13 * h13
-        with np.errstate(divide="ignore", invalid="ignore"):
+    scale = np.maximum(np.maximum(np.maximum(np.abs(h11), np.abs(h22)),
+                                  np.maximum(np.abs(h33), np.abs(h12))),
+                       np.maximum(np.abs(h13), 1e-300))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            u, v, w = h11 - lam, h22 - lam, h33 - lam
+            f = u * v * w - h12 * h12 * w - h13 * h13 * v
+            df = -(v * w + u * w + u * v) + h12 * h12 + h13 * h13
             step = np.where(np.abs(df) > 0, f / df, 0.0)
-        # keep the polish local so it can never hop to another root
-        step = np.where(np.abs(step) < 1e-3 * scale, step, 0.0)
-        lam = lam - step
+            # keep the polish local so it can never hop to another root
+            step = np.where(np.abs(step) < 1e-3 * scale, step, 0.0)
+            lam = lam - step
     return lam
 
 
@@ -244,6 +252,16 @@ def ground_occupations(block: DressedBlock) -> tuple[float, float]:
     return float(exp_n1), float(exp_n2)
 
 
+def _window_elements(params, block_window: int):
+    """Elements of every block with labels in [0, block_window]^2: params
+    are the six model values, broadcast against the (W+1, W+1) label
+    grid."""
+    if block_window < 1:
+        raise ValueError(f"block_window >= 1 required, got {block_window}")
+    n, m = np.mgrid[0:block_window + 1, 0:block_window + 1]
+    return _block_elements(*params, n, m)
+
+
 def ground_energy_table(omega1, omega2, Omega1, Omega2, g1, g2,
                         block_window: int) -> np.ndarray:
     """Ground energies of every block with labels in [0, block_window]^2.
@@ -255,11 +273,63 @@ def ground_energy_table(omega1, omega2, Omega1, Omega2, g1, g2,
     parameters may also be arrays of shape (..., 1, 1): the result then
     holds one (block_window + 1)^2 table per leading index.
     """
-    if block_window < 1:
-        raise ValueError(f"block_window >= 1 required, got {block_window}")
-    n, m = np.mgrid[0:block_window + 1, 0:block_window + 1]
-    h11, h22, h33, h12, h13 = _block_elements(omega1, omega2, Omega1, Omega2, g1, g2, n, m)
-    return _lowest_eig_sym3(h11, h22, h33, h12, h13)
+    return _lowest_eig_sym3(*_window_elements(
+        (omega1, omega2, Omega1, Omega2, g1, g2), block_window))
+
+
+def _block_bounds(h11, h22, h33, h12, h13):
+    """Lower and upper bounds on each block's lowest eigenvalue.
+
+    Lower (Weyl): the smallest diagonal minus r = hypot(h12, h13), the
+    largest eigenvalue of the off-diagonal part.  Upper (Rayleigh-Ritz):
+    the smallest diagonal, or the Rayleigh quotient of
+    (1, -h12/r, -h13/r)/sqrt(2) when that is lower; at resonance
+    (h11 = h22 = h33) both bounds are the eigenvalue itself.
+    """
+    low_diag = np.minimum(np.minimum(h11, h22), h33)
+    w2, w3 = h12 * h12, h13 * h13
+    r2 = w2 + w3
+    r = np.sqrt(r2)
+    coupled = r2 > 0.0
+    quotient = 0.5 * (h11 + (w2 * h22 + w3 * h33) / np.where(coupled, r2, 1.0)) - r
+    return low_diag - r, np.minimum(low_diag, np.where(coupled, quotient, np.inf))
+
+
+#: A block is evaluated when its lower bound is within PRUNE_MARGIN times
+#: its cell's block scale of the cell's threshold; the margin covers the
+#: rounding of the bounds and of the kernel.
+PRUNE_MARGIN = 1e-12
+#: Block scales over which the kernel's cubic terms stay normal floats; a
+#: cell outside them, or with a NaN or inf element, is evaluated in full.
+_TRUSTED_SCALE = (1e-100, 1e100)
+
+
+def _pruned_ground_table(h11, h22, h33, h12, h13) -> np.ndarray:
+    """(cells, blocks) table of the lowest eigenvalue of each block whose
+    lower bound can reach its cell's two lowest energies, +inf elsewhere.
+
+    The elements are shaped (cells, ...).  Per cell, tau is the
+    second-smallest upper bound, so at least two energies lie at or below
+    it; a block whose lower bound exceeds tau lies strictly above the
+    cell's second-lowest energy.  Replacing it by +inf leaves the first
+    minimum, its energy and the second-lowest energy as the full table has
+    them, and the kernel evaluates the rest with the same bytes.
+    """
+    cells = h11.shape[0]
+    h = [np.reshape(a, (cells, -1)) for a in (h11, h22, h33, h12, h13)]
+    lower, upper = _block_bounds(*h)
+    # the cell's block scale: its largest |element|
+    scale = np.abs(h[0])
+    for a in h[1:]:
+        scale = np.maximum(scale, np.abs(a))
+    scale = scale.max(axis=1)
+    tau = np.partition(upper, 1, axis=1)[:, 1]
+    trusted = (scale >= _TRUSTED_SCALE[0]) & (scale <= _TRUSTED_SCALE[1])
+    keep = np.flatnonzero((lower <= (tau + PRUNE_MARGIN * scale)[:, None])
+                          | ~trusted[:, None])
+    table = np.full(lower.shape, np.inf)
+    table.flat[keep] = _lowest_eig_sym3(*(a.take(keep) for a in h))
+    return table
 
 
 def _search_tables(tables: np.ndarray, window: int, forced_cap=False) -> dict:
@@ -288,9 +358,10 @@ def _ground_cells(fields: dict[str, np.ndarray],
 
     fields holds the six model fields, plus A_D and omega_D for a driven
     row.
-    All cells go through one (cells, W+1, W+1) block table and one kernel
-    call.  Returns the per-cell arrays keyed like PhaseGrid and, when
-    driven, the effective_table the blocks were built from.
+    The blocks of all cells are built once and pruned by their bounds
+    (_pruned_ground_table), and the rest go through one kernel call.
+    Returns the per-cell arrays keyed like PhaseGrid and, when driven, the
+    effective_table the blocks were built from.
     """
     model = [fields[k] for k in MODEL_FIELDS]
     eff = None
@@ -301,7 +372,8 @@ def _ground_cells(fields: dict[str, np.ndarray],
         # a non-positive effective cavity frequency sends the block energies
         # down without bound in that photon index
         forced = (eff["Omega1_eff"] <= 0.0) | (eff["Omega2_eff"] <= 0.0)
-    table = ground_energy_table(*(a[:, None, None] for a in model), block_window)
+    table = _pruned_ground_table(*_window_elements(
+        [a[:, None, None] for a in model], block_window))
     return _search_tables(table, block_window, forced), eff
 
 
@@ -367,9 +439,9 @@ def compute_grid_row(sys_template: SystemParams, drive_template: DriveParams | N
     """All cells of one axis1 row, in axis2 order, as arrays keyed like
     PhaseGrid.
 
-    The row is one (n2, W+1, W+1) block table through one kernel call; each
-    cell's result depends only on its own parameters, so the arrays do not
-    depend on how rows are batched across workers.
+    The row is one (n2, W+1, W+1) block table, pruned by bounds, and one
+    kernel call; each cell's result depends only on its own parameters, so
+    the arrays do not depend on how rows are batched across workers.
     """
     fields = _row_fields(sys_template, drive_template, axis1, axis2, i)
     row, eff = _ground_cells(fields, block_window)

@@ -362,6 +362,43 @@ class TestRunCommand:
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
                 == (tmp_path / "full" / "grid.csv").read_bytes())
 
+    def test_interrupted_run_leaves_no_csv_and_no_temp_file(self, tmp_path):
+        cfg = parse_config(TINY_STATIC)
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path, _abort_after_chunks=3)
+        assert {p.name for p in tmp_path.iterdir()} == {"manifest.json", "cells.jsonl"}
+
+    def test_rows_stream_into_the_csv_as_they_land(self, tmp_path, monkeypatch):
+        # a resumed run: rows 0-2 come from the ledger, the rest are computed
+        cfg = parse_config(TINY_STATIC)
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=tmp_path / "part",
+                        _abort_after_chunks=3)
+        events = []
+        real_row, real_write = cli.compute_grid_row, cli.write_csv
+
+        def counted(*args):
+            events.append(f"row {args[-1]}")
+            return real_row(*args)
+
+        def watched(path, columns, texts):
+            def each():
+                for text in texts:
+                    events.append("text")
+                    yield text
+            return real_write(path, columns, each())
+
+        monkeypatch.setattr(cli, "compute_grid_row", counted)
+        monkeypatch.setattr(cli, "write_csv", watched)
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
+        # each row's text is written before the next row is computed
+        assert events == ["text"] * 3 + [e for i in range(3, 9)
+                                         for e in (f"row {i}", "text")]
+        monkeypatch.undo()
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "full") == 0
+        assert ((tmp_path / "part" / "grid.csv").read_bytes()
+                == (tmp_path / "full" / "grid.csv").read_bytes())
+
     def test_driven_resume_after_interrupt(self, tmp_path):
         cfg = parse_config(TINY_DRIVEN)
         run_command("driven-phase", cfg, out_dir=tmp_path / "full")
@@ -1074,9 +1111,7 @@ class TestPool:
         todo = dict(enumerate(sweep.chunks))
 
         def run(workers):
-            out = []
-            cli._run_chunks(sweep, "digest", todo, workers, out.append, None)
-            return out
+            return list(cli._run_chunks(sweep, "digest", todo, workers, None))
 
         # batches are recorded as they finish, in any order
         sequential, pooled = run(1), sorted(run(2), key=lambda e: e["chunk"])

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from lambdajc.effective import HIERARCHY_RATIO_MAX, RWA_RATIO_MAX, effective_table
+from lambdajc import spectrum
 from lambdajc.params import DriveParams, SystemParams
 from lambdajc.spectrum import (
+    _EFFECTIVE_MODEL,
     AxisSpec,
     PhaseCategory,
+    _ground_cells,
+    _row_fields,
     _search_tables,
     block_ground_energy,
     block_matrix,
@@ -356,6 +360,7 @@ class TestRowEngineOracles:
 
     def check_row(self, sys, drive, axis1, axis2, window, i):
         row = compute_grid_row(sys, drive, axis1, axis2, window, i)
+        assert_pruned_matches_full(_row_fields(sys, drive, axis1, axis2, i), window)
         base = {k: getattr(sys, k) for k in MODEL_FIELDS}
         if drive is not None:
             base.update(A_D=drive.amplitude, omega_D=drive.frequency)
@@ -452,3 +457,131 @@ class TestRowEngineOracles:
         for i in range(2):
             self.check_row(RESONANT, drive, ax1, ax2, 5, i)
         assert len({brute_sideband(2.5, float(wd))[0] for wd in ax2.values}) > 5
+
+
+def assert_pruned_matches_full(fields, window):
+    """The pruned row core gives every key of every cell as the search over
+    the full block table does, NaN for NaN."""
+    cells, eff = _ground_cells(fields, window)
+    forced = False
+    model = [fields[k] for k in MODEL_FIELDS]
+    if eff is not None:
+        model = [eff[k] for k in _EFFECTIVE_MODEL]
+        forced = (eff["Omega1_eff"] <= 0.0) | (eff["Omega2_eff"] <= 0.0)
+    table = ground_energy_table(*(np.asarray(a)[:, None, None] for a in model), window)
+    full = _search_tables(table, window, forced)
+    assert cells.keys() == full.keys()
+    for key in full:
+        assert np.array_equal(cells[key], full[key], equal_nan=True), key
+
+
+def static_fields(omega1, omega2, Omega1, Omega2, g1, g2):
+    """Static row fields, each broadcast to the longest argument."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                   for a in (omega1, omega2, Omega1, Omega2, g1, g2)))
+    return dict(zip(MODEL_FIELDS, (np.atleast_1d(a) for a in arrays)))
+
+
+#: configs/static_phase.json: an exactly resonant model (h11 = h22 = h33)
+STATIC_SAMPLE = (0.5, 0.25, 1.25, 1.0)
+
+
+class TestPrunedGroundSearch:
+    """The bound-and-prune search against the search over the full table,
+    key by key and cell by cell."""
+
+    @pytest.mark.parametrize("window", range(1, 10))
+    def test_random_detuned_models(self, window):
+        rng = np.random.default_rng(100 + window)
+        for _ in range(12):
+            cells = 40
+            fields = static_fields(rng.uniform(-1.0, 2.0, cells),
+                                   rng.uniform(-1.0, 2.0, cells),
+                                   rng.uniform(0.05, 3.0, cells),
+                                   rng.uniform(0.05, 3.0, cells),
+                                   rng.uniform(0.0, 3.0, cells),
+                                   rng.uniform(0.0, 3.0, cells))
+            assert_pruned_matches_full(fields, window)
+
+    def test_sign_flipped_and_non_positive_parameters(self):
+        # effective parameters may take any sign; the bounds hold for any
+        # real symmetric block
+        rng = np.random.default_rng(17)
+        for window in (1, 5, 8):
+            for _ in range(10):
+                fields = static_fields(*(rng.uniform(-3.0, 3.0, 60) for _ in range(6)))
+                fields["Omega1"][::4] = 0.0
+                fields["g2"][::3] = 0.0
+                assert_pruned_matches_full(fields, window)
+
+    def test_forced_cap_rows(self):
+        # Omega1_eff = -0.01 at omega_D = 0.18, and exactly 0 at 0.5
+        for frequency in (0.18, 0.5):
+            drive = DriveParams(amplitude=0.3 * frequency, frequency=frequency)
+            for sys in (RESONANT, RESONANT.replace(g1=0.0)):
+                ax1 = AxisSpec("g2", "g2", np.array([0.0, 0.05, 0.4]))
+                ax2 = AxisSpec("A_D", "A_D", np.linspace(0.0, 1.0, 21))
+                for i in range(3):
+                    fields = _row_fields(sys, drive, ax1, ax2, i)
+                    assert_pruned_matches_full(fields, 5)
+                cells, _ = _ground_cells(fields, 5)
+                assert cells["window_capped"].all()
+
+    def test_resonant_sample_model_ties(self):
+        # at resonance both bounds equal every block's energy, so the
+        # threshold sits on the second-lowest energy itself
+        g1 = np.linspace(0.0, 5.625, 301)
+        g2 = np.linspace(0.0, 4.5, 301)
+        for i in range(0, 301, 6):
+            assert_pruned_matches_full(static_fields(*STATIC_SAMPLE, g1[i], g2), 8)
+            assert_pruned_matches_full(static_fields(*STATIC_SAMPLE, g2, g1[i]), 8)
+
+    def test_zero_coupling_ties(self):
+        # g = 0: every block is diagonal; Omega1 = 0 as well makes every n
+        # of a given m the same block, an exact tie across n
+        axis = np.linspace(0.0, 2.0, 21)
+        for window in (1, 4, 8):
+            assert_pruned_matches_full(static_fields(*STATIC_SAMPLE, 0.0, 0.0), window)
+            assert_pruned_matches_full(static_fields(0.3, 0.3, 1.0, 1.0, 0.0, axis), window)
+            fields = static_fields(0.5, 0.25, 0.0, axis + 0.1, 0.0, 0.0)
+            assert_pruned_matches_full(fields, window)
+            cells, _ = _ground_cells(fields, window)
+            assert np.all(cells["n_label"] == 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_cells_keep_their_bytes(self):
+        g2 = np.linspace(0.0, 3.0, 12)
+        for key, value in (("g2", np.nan), ("g1", np.inf), ("Omega1", np.inf),
+                           ("omega1", -np.inf), ("Omega2", np.nan)):
+            fields = static_fields(*STATIC_SAMPLE, 0.7, g2)
+            fields[key] = fields[key].copy()
+            fields[key][3::4] = value
+            assert_pruned_matches_full(fields, 6)
+        fields = static_fields(*STATIC_SAMPLE, 1e200, g2)
+        assert_pruned_matches_full(fields, 6)
+
+    def test_sample_model_evaluates_few_blocks(self, monkeypatch):
+        evaluated = []
+        kernel = spectrum._lowest_eig_sym3
+
+        def counted(*h):
+            evaluated.append(np.size(h[0]))
+            return kernel(*h)
+
+        monkeypatch.setattr(spectrum, "_lowest_eig_sym3", counted)
+        g1 = np.linspace(0.0, 5.625, 301)
+        g2 = np.linspace(0.0, 4.5, 301)
+        rows = range(0, 301, 10)
+        for i in rows:
+            _ground_cells(static_fields(*STATIC_SAMPLE, g1[i], g2), 8)
+        # one kernel call per row, on at most 4 of the 81 blocks per cell
+        assert len(evaluated) == len(rows)
+        assert sum(evaluated) <= 4 * len(rows) * g2.size
+
+    def test_window_below_one_raises_on_grid_path(self):
+        ax1 = AxisSpec("g1", "g1", np.array([0.5]))
+        ax2 = AxisSpec("g2", "g2", np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="block_window"):
+            compute_grid_row(RESONANT, None, ax1, ax2, 0, 0)
+        with pytest.raises(ValueError, match="block_window"):
+            ground_search(RESONANT, block_window=0)
