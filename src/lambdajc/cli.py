@@ -13,14 +13,14 @@ Every run writes a CSV data file plus manifest.json into the output
 directory.  Runs are cached: the same command on an unchanged
 configuration with a complete manifest is not recomputed.  The three sweep
 commands share one runner: a sweep is a list of chunks (grid rows, or
-256-point slices of the effective-params axis) and a picklable function
-from a chunk to a dict of column arrays.  One function turns a chunk into
-its record (row count, cells failing each validity audit, CSV text with
-text fields quoted per RFC 4180), a line of the cells.jsonl ledger from
-which an interrupted sweep resumes.  The CSV is the records' text in index
-order, streamed into its temp file as the records land, so the parent
-holds only the texts that land ahead of an earlier chunk; the deviations
-come from their summed counts.
+256-point slices of the effective-params axis) and one picklable function
+that gives every CSV column of a chunk by name.  One function turns a
+chunk into its record (row count, cells failing each validity audit, CSV
+text with text fields quoted per RFC 4180), a line of the cells.jsonl
+ledger from which an interrupted sweep resumes.  The CSV is the records'
+text in index order, streamed into its temp file as the records land, so
+the parent holds only the texts that land ahead of an earlier chunk; the
+deviations come from their summed counts.
 
 Under --workers a pool task is a contiguous batch of chunks, about
 BATCHES_PER_WORKER per worker, and the pool has no more workers than
@@ -278,16 +278,14 @@ def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict]:
 
 
 class _Sweep(NamedTuple):
-    """compute(chunk) gives a chunk's columns as a dict of equal-length
-    arrays, sizes[index] long; csv_chunk(index, columns) gives them aligned
-    with csv_columns.  Both must pickle for pool workers.  unit and window
-    word the deviations."""
+    """compute(chunk) gives every CSV column of a chunk by name: arrays
+    sizes[index] long, or scalars repeated down the chunk.  It must pickle
+    for pool workers.  unit and window word the deviations."""
 
     compute: Callable
     chunks: Sequence
     sizes: Sequence[int]
     csv_columns: tuple[str, ...]
-    csv_chunk: Callable
     unit: str
     window: int | None = None
 
@@ -309,51 +307,47 @@ class _Sweep(NamedTuple):
                 == [len(self.csv_columns)] * rows)
 
 
-def _chunk_entry(compute, csv_chunk, digest: str, index: int, chunk) -> dict:
+def _chunk_entry(compute, csv_columns, digest: str, index: int, chunk) -> dict:
     """The ledger entry of chunk index: its row count, how many of its cells
     fail each audit, and its CSV text."""
     columns = compute(chunk)
+    values = [columns[k] for k in csv_columns]
     return {"config_hash": digest, "output_version": OUTPUT_VERSION,
-            "chunk": index, "rows": len(next(iter(columns.values()))),
-            "counts": audit_counts(columns),
-            "text": _chunk_text(csv_chunk(index, columns))}
+            "chunk": index, "rows": max(map(np.size, values)),
+            "counts": audit_counts(columns), "text": _chunk_text(values)}
 
 
-def _batch_entries(compute, csv_chunk, digest: str, items) -> list[dict]:
+def _batch_entries(compute, csv_columns, digest: str, items) -> list[dict]:
     """The ledger entry of each (index, chunk) item of a batch: the task a
     pool worker runs."""
-    return [_chunk_entry(compute, csv_chunk, digest, index, chunk)
+    return [_chunk_entry(compute, csv_columns, digest, index, chunk)
             for index, chunk in items]
 
 
-def _run_chunks(sweep: _Sweep, digest: str, todo: dict, workers: int,
-                abort_after: int | None):
+def _run_chunks(sweep: _Sweep, digest: str, todo: dict, workers: int):
     """Yield the ledger entry of each chunk of todo (index -> chunk) as it
     lands.
 
     A pool task is a contiguous batch of chunks, about BATCHES_PER_WORKER
     per worker, and the pool has no more workers than batches.  A batch is
     yielded as soon as it finishes, whatever its place, so an interrupt
-    loses at most the batches in flight.  The abort hook (tests only) is
-    honored on the sequential path.
+    loses at most the batches in flight.
     """
     if workers > 1 and len(todo) > 1:
         items = list(todo.items())
         size = -(-len(items) // (BATCHES_PER_WORKER * workers))
         batches = [items[k:k + size] for k in range(0, len(items), size)]
-        task = partial(_batch_entries, sweep.compute, sweep.csv_chunk, digest)
+        task = partial(_batch_entries, sweep.compute, sweep.csv_columns, digest)
         with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
             for future in as_completed([pool.submit(task, b) for b in batches]):
                 yield from future.result()
         return
-    for count, (index, chunk) in enumerate(todo.items(), start=1):
-        yield _chunk_entry(sweep.compute, sweep.csv_chunk, digest, index, chunk)
-        if abort_after is not None and count >= abort_after:
-            raise KeyboardInterrupt("aborted for resume test")
+    for index, chunk in todo.items():
+        yield _chunk_entry(sweep.compute, sweep.csv_columns, digest, index, chunk)
 
 
 def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
-               workers: int, abort_after: int | None) -> list[str]:
+               workers: int) -> list[str]:
     """Compute the chunks the resume ledger lacks and write the CSV as they
     land; returns the deviation lines.
 
@@ -382,7 +376,7 @@ def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
         todo = {i: chunk for i, chunk in enumerate(sweep.chunks) if i not in done}
         with open(out_dir / _LEDGER, "a", encoding="utf-8") as ledger:
             try:
-                for entry in _run_chunks(sweep, digest, todo, workers, abort_after):
+                for entry in _run_chunks(sweep, digest, todo, workers):
                     ledger.write(json.dumps(entry) + "\n")
                     ledger.flush()
                     held[entry["chunk"]] = entry.pop("text")
@@ -410,34 +404,30 @@ def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
                   for k in range(0, values.size, EFFECTIVE_CHUNK)]
         return _Sweep(partial(_effective_columns, cfg.model, cfg.drive_or_default(),
                               axes[0].parameter),
-                      chunks, [c.size for c in chunks],
-                      EFFECTIVE_CSV_COLUMNS, _effective_csv_chunk, "sweep points")
+                      chunks, [c.size for c in chunks], EFFECTIVE_CSV_COLUMNS,
+                      "sweep points")
     driven = command == "driven-phase"
     drive = cfg.drive_or_default() if driven else None
     window = cfg.truncation.window_for(driven)
     ax1, ax2 = (AxisSpec(ax.name, ax.parameter, ax.values()) for ax in axes)
-    return _Sweep(partial(compute_grid_row, cfg.model, drive, ax1, ax2, window),
+    return _Sweep(partial(_grid_columns, cfg.model, drive, ax1, ax2, window),
                   range(ax1.values.size), [ax2.values.size] * ax1.values.size,
-                  GRID_CSV_COLUMNS, partial(_grid_csv_chunk, ax1, ax2), "cells",
-                  window)
+                  GRID_CSV_COLUMNS, "cells", window)
 
 
-def _grid_csv_chunk(ax1: AxisSpec, ax2: AxisSpec, i: int,
-                    row: dict[str, np.ndarray]) -> tuple:
-    """Grid row i's values aligned with GRID_CSV_COLUMNS."""
-    return (ax1.name, ax1.values[i], ax2.name, ax2.values, row["energy"],
-            row["n_label"], row["m_label"],
-            category_values(row["n_label"], row["m_label"]), row["gap"],
-            row["window_capped"], row["rwa_ok"], row["hierarchy_ok"])
-
-
-def _effective_csv_chunk(i: int, columns: dict[str, np.ndarray]) -> list:
-    """An effective-params chunk's columns aligned with EFFECTIVE_CSV_COLUMNS."""
-    return [columns[k] for k in EFFECTIVE_CSV_COLUMNS]
+def _grid_columns(model: SystemParams, drive: DriveParams | None, ax1: AxisSpec,
+                  ax2: AxisSpec, window: int, i: int) -> dict:
+    """The GRID_CSV_COLUMNS of grid row i: compute_grid_row's cells, the
+    axes and each cell's phase category."""
+    row = compute_grid_row(model, drive, ax1, ax2, window, i)
+    row.update(axis1_name=ax1.name, axis1_value=ax1.values[i],
+               axis2_name=ax2.name, axis2_value=ax2.values,
+               category=category_values(row["n_label"], row["m_label"]))
+    return row
 
 
 def _effective_columns(model: SystemParams, drive: DriveParams, parameter: str,
-                       values: np.ndarray) -> dict[str, np.ndarray]:
+                       values: np.ndarray) -> dict:
     """The effective-params CSV columns at values of parameter (omega_D or
     A_D), the other drive field fixed."""
     fields = sweep_values(model, drive)
@@ -445,8 +435,7 @@ def _effective_columns(model: SystemParams, drive: DriveParams, parameter: str,
     table = effective_table(*(fields[k] for k in MODEL_FIELDS),
                             fields["A_D"], fields["omega_D"])
     table["omega_D"] = fields["omega_D"]
-    return {k: np.broadcast_to(table[k], values.shape)
-            for k in EFFECTIVE_CSV_COLUMNS}
+    return {k: table[k] for k in EFFECTIVE_CSV_COLUMNS}
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +533,11 @@ def _run_echo(cfg: RunConfig, out_dir: Path, digest: str) -> list[str]:
 
 
 def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
-                workers: int | None = None, strict: bool = False,
-                _abort_after_chunks: int | None = None) -> int:
+                workers: int | None = None, strict: bool = False) -> int:
     """Execute one command; returns the process exit code.
 
     Output directory precedence: explicit out_dir argument, then the
     LAMBDAJC_OUT environment variable, then the config's output field.
-    _abort_after_chunks is a test hook that simulates an interrupted sweep.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
@@ -591,8 +578,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
         else:
             sweep = _sweep(command, cfg, axes)
             cells = sweep.cells
-            deviations = _run_sweep(command, sweep, out_dir, digest, workers,
-                                    _abort_after_chunks)
+            deviations = _run_sweep(command, sweep, out_dir, digest, workers)
     except TruncationError as exc:
         # the configured cutoffs cannot represent the requested state
         print(f"configuration error: {exc}", file=sys.stderr)

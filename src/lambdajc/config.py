@@ -218,19 +218,11 @@ def parse_config(doc) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def canonical_dict(cfg: RunConfig) -> dict:
-    """Fully defaulted plain-data form of every field that can change the
-    output bytes, used for hashing."""
-    out = dataclasses.asdict(cfg)
-    del out["output"], out["workers"]
-    return out
-
-
-def canonical_json(cfg: RunConfig) -> str:
-    return json.dumps(canonical_dict(cfg), sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(cfg: RunConfig) -> str:
-    """64-bit content digest of the canonicalized configuration."""
-    digest = hashlib.blake2b(canonical_json(cfg).encode("utf-8"), digest_size=8)
-    return digest.hexdigest()
+    """64-bit content digest of the configuration's canonical form: every
+    field that can change the output bytes, fully defaulted, as JSON with
+    sorted keys."""
+    doc = dataclasses.asdict(cfg)
+    del doc["output"], doc["workers"]
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()

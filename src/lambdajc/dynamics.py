@@ -104,11 +104,6 @@ ECHO_PAIRS = {
     "effective": (Variant.EFFECTIVE_FULL, Variant.EFFECTIVE_JC),
 }
 
-_NEEDS_DRIVE = {
-    Variant.DRIVE_ROTATED, Variant.DOMINANT_SIDEBAND,
-    Variant.EFFECTIVE_FULL, Variant.EFFECTIVE_JC,
-}
-
 
 class HilbertSpace:
     """Truncated atom (x) mode-1 (x) mode-2 product space."""
@@ -268,7 +263,8 @@ class HamiltonianSpec:
     def __post_init__(self):
         variant = Variant(self.variant)
         object.__setattr__(self, "variant", variant)
-        if variant in _NEEDS_DRIVE and self.drive is None:
+        # every frame but the lab frame is the drive's or derived from it
+        if _FRAME[variant] != "lab" and self.drive is None:
             raise ValueError(f"variant {variant.value} requires drive parameters")
 
     @property

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DriveParams, SystemParams
+from .params import DriveParams, SystemParams, transition_frequencies
 from .specfun import bessel_j, bessel_j_any
 
 SIDEBAND_SEARCH_LIMIT = 10**6
@@ -121,7 +121,8 @@ def _ratio_or_inf(num, den):
 
 
 def _detunings(omega1, omega2, Omega1, Omega2):
-    return 2.0 * omega1 + omega2 - Omega1, 2.0 * omega2 + omega1 - Omega2
+    w1, w2 = transition_frequencies(omega1, omega2)
+    return w1 - Omega1, w2 - Omega2
 
 
 def _argmin_order(base, omega_d):
@@ -140,7 +141,8 @@ def _argmin_order(base, omega_d):
 
 def _sideband_bases(omega1, omega2, Omega1, Omega2):
     """The counter-rotating phases at order zero, D_0 of each mode."""
-    return 2.0 * omega1 + omega2 + Omega1, 2.0 * omega2 + omega1 + Omega2
+    w1, w2 = transition_frequencies(omega1, omega2)
+    return w1 + Omega1, w2 + Omega2
 
 
 def _sidebands(omega1, omega2, Omega1, Omega2, omega_d):
@@ -277,8 +279,7 @@ def omega_zero_frequencies(sys: SystemParams,
     if lo <= 0 <= hi:
         raise ValueError("order range must exclude 0 (zero order has no zero crossing)")
     out: list[ZeroCrossing] = []
-    base1 = 2.0 * sys.omega1 + sys.omega2
-    base2 = 2.0 * sys.omega2 + sys.omega1
+    base1, base2 = transition_frequencies(sys.omega1, sys.omega2)
     for order in range(lo, hi + 1):
         wd1 = -2.0 * base1 / order
         if wd1 > 0:

@@ -77,6 +77,12 @@ class DriveParams:
         return cls(amplitude=theta * frequency, frequency=frequency)
 
 
+def transition_frequencies(omega1, omega2):
+    """The transition frequencies 2 omega1 + omega2 (mode 1) and
+    2 omega2 + omega1 (mode 2), for floats and arrays alike."""
+    return 2.0 * omega1 + omega2, 2.0 * omega2 + omega1
+
+
 MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
 
 #: The sweep name of each drive field.

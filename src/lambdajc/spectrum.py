@@ -63,6 +63,7 @@ from .params import (
     SystemParams,
     from_sweep_values,
     sweep_values,
+    transition_frequencies,
 )
 
 STATIC_BLOCK_WINDOW = 8
@@ -192,6 +193,10 @@ def block_matrix(sys: SystemParams, n_ph: int, m_ph: int) -> DressedBlock:
     return DressedBlock(n_ph=n_ph, m_ph=m_ph, matrix=mat)
 
 
+#: Block scale above which the kernel's cubic terms (~160 scale^3) could overflow.
+_KERNEL_MAX_SCALE = 2.0 ** 330
+
+
 def _lowest_eig_sym3(h11, h22, h33, h12, h13):
     """Smallest eigenvalue of [[h11,h12,h13],[h12,h22,0],[h13,0,h33]].
 
@@ -199,26 +204,41 @@ def _lowest_eig_sym3(h11, h22, h33, h12, h13):
     characteristic polynomial.  Exactly diagonal inputs short-circuit to
     min of the diagonal.  Elementwise: each output depends only on its own
     five inputs, so evaluating a subset of blocks gives the same bytes.
+    A block with an element above _KERNEL_MAX_SCALE is evaluated scaled by
+    a power of two, which changes no rounding, and where p^3 underflows
+    det_b is the determinant of (A - qI)/p; other blocks keep their bytes.
     """
     if not all(type(a) is np.ndarray and a.dtype == np.float64
                and a.shape == h11.shape for a in (h11, h22, h33, h12, h13)):
         b = np.broadcast(h11, h22, h33, h12, h13)
         h11, h22, h33, h12, h13 = (np.broadcast_to(a, b.shape).astype(float)
                                    for a in (h11, h22, h33, h12, h13))
+    scale = np.maximum(np.maximum(np.maximum(np.abs(h11), np.abs(h22)),
+                                  np.maximum(np.abs(h33), np.abs(h12))),
+                       np.maximum(np.abs(h13), 1e-300))
+    huge = (scale > _KERNEL_MAX_SCALE) & (scale < np.inf)
+    if huge.any():
+        shift = np.where(huge, np.frexp(scale)[1], 0)
+        h = (np.ldexp(x, -shift) for x in (h11, h22, h33, h12, h13))
+        return np.ldexp(_lowest_eig_sym3(*h), shift)
     q = (h11 + h22 + h33) / 3.0
     a, bb, e = h11 - q, h22 - q, h33 - q
     p2 = a * a + bb * bb + e * e + 2.0 * (h12 * h12 + h13 * h13)
     diagonal = p2 <= 0.0
     p = np.sqrt(np.where(diagonal, 1.0, p2) / 6.0)
-    det_b = (a * (bb * e) - h12 * (h12 * e) - h13 * (h13 * bb)) / (p * p * p)
+    p3 = p * p * p
+    tiny = p3 < np.finfo(float).tiny
+    d11, d22, d33, d12, d13 = a, bb, e, h12, h13
+    if tiny.any():
+        over = np.where(tiny, p, 1.0)
+        d11, d22, d33, d12, d13 = (x / over for x in (a, bb, e, h12, h13))
+        p3 = np.where(tiny, 1.0, p3)
+    det_b = (d11 * (d22 * d33) - d12 * (d12 * d33) - d13 * (d13 * d22)) / p3
     r = np.clip(det_b / 2.0, -1.0, 1.0)
     phi = np.arccos(r) / 3.0
     lam = q + 2.0 * p * np.cos(phi + _TWO_PI_3)
     lam = np.where(diagonal, np.minimum(np.minimum(h11, h22), h33), lam)
 
-    scale = np.maximum(np.maximum(np.maximum(np.abs(h11), np.abs(h22)),
-                                  np.maximum(np.abs(h33), np.abs(h12))),
-                       np.maximum(np.abs(h13), 1e-300))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(2):
             u, v, w = h11 - lam, h22 - lam, h33 - lam
@@ -317,7 +337,9 @@ def _pruned_ground_table(h11, h22, h33, h12, h13) -> np.ndarray:
     """
     cells = h11.shape[0]
     h = [np.reshape(a, (cells, -1)) for a in (h11, h22, h33, h12, h13)]
-    lower, upper = _block_bounds(*h)
+    # bounds overflow only outside _TRUSTED_SCALE, where they are not used
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = _block_bounds(*h)
     # the cell's block scale: its largest |element|
     scale = np.abs(h[0])
     for a in h[1:]:
@@ -518,12 +540,10 @@ def driven_phase_grid(sys_template: SystemParams, drive_template: DriveParams,
         raise ValueError("theta axis must be strictly increasing")
     if detuning_mode not in (1, 2):
         raise ValueError(f"detuning_mode must be 1 or 2, got {detuning_mode}")
-    if detuning_mode == 2:
-        base = 2.0 * sys_template.omega2 + sys_template.omega1
-        parameter, ratio_name = "Omega2", "delta2/Omega2"
-    else:
-        base = 2.0 * sys_template.omega1 + sys_template.omega2
-        parameter, ratio_name = "Omega1", "delta1/Omega1"
+    base = transition_frequencies(sys_template.omega1,
+                                  sys_template.omega2)[detuning_mode - 1]
+    parameter, ratio_name = (f"Omega{detuning_mode}",
+                             f"delta{detuning_mode}/Omega{detuning_mode}")
     ratios = np.asarray(detuning_ratio_axis, dtype=float)
     cavity_vals = base / (1.0 + ratios)
     ax1 = AxisSpec("theta", "A_D", amp)
@@ -543,12 +563,6 @@ def driven_phase_grid(sys_template: SystemParams, drive_template: DriveParams,
 # boundary localization
 
 
-def block_energy_at(sys: SystemParams, parameter: str, value: float,
-                    label: tuple[int, int]) -> float:
-    sys_v = sys.replace(**{parameter: value})
-    return block_ground_energy(block_matrix(sys_v, *label))
-
-
 def locate_boundary(sys: SystemParams, parameter: str,
                     block_a: tuple[int, int], block_b: tuple[int, int],
                     lo: float, hi: float, tol: float | None = None) -> float:
@@ -559,10 +573,14 @@ def locate_boundary(sys: SystemParams, parameter: str,
     if tol is None:
         scale = {"g1": sys.Omega1, "g2": sys.Omega2}.get(parameter, 1.0)
         tol = BOUNDARY_RATIO_TOL * scale
-    diff_lo = (block_energy_at(sys, parameter, lo, block_a)
-               - block_energy_at(sys, parameter, lo, block_b))
-    diff_hi = (block_energy_at(sys, parameter, hi, block_a)
-               - block_energy_at(sys, parameter, hi, block_b))
+
+    def diff(x: float) -> float:
+        """E_a - E_b with the parameter at x."""
+        sys_x = sys.replace(**{parameter: x})
+        return (block_ground_energy(block_matrix(sys_x, *block_a))
+                - block_ground_energy(block_matrix(sys_x, *block_b)))
+
+    diff_lo, diff_hi = diff(lo), diff(hi)
     if diff_lo == 0.0:
         return lo
     if diff_hi == 0.0:
@@ -573,8 +591,7 @@ def locate_boundary(sys: SystemParams, parameter: str,
             f"along {parameter}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        diff_mid = (block_energy_at(sys, parameter, mid, block_a)
-                    - block_energy_at(sys, parameter, mid, block_b))
+        diff_mid = diff(mid)
         if diff_mid == 0.0:
             return mid
         if np.sign(diff_mid) == np.sign(diff_lo):

@@ -47,6 +47,25 @@ DRIVEN_G1G2 = {
 }
 
 
+def _interrupt(command, cfg, out_dir, after):
+    """Run command into out_dir and interrupt it, as Ctrl-C would, once the
+    runner has made the ledger entries of `after` chunks."""
+    real = cli._chunk_entry
+    made = 0
+
+    def entry(*args):
+        nonlocal made
+        if made == after:
+            raise KeyboardInterrupt
+        made += 1
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_chunk_entry", entry)
+        with pytest.raises(KeyboardInterrupt):
+            run_command(command, cfg, out_dir=out_dir)
+
+
 class TestParseConfig:
     def test_empty_document_gives_defaults(self):
         cfg = parse_config({})
@@ -354,9 +373,7 @@ class TestRunCommand:
     def test_resume_after_interrupt(self, tmp_path):
         cfg = parse_config(TINY_STATIC)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=3)
+        _interrupt("static-phase", cfg, tmp_path / "part", 3)
         assert (tmp_path / "part" / "cells.jsonl").exists()
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
@@ -364,16 +381,13 @@ class TestRunCommand:
 
     def test_interrupted_run_leaves_no_csv_and_no_temp_file(self, tmp_path):
         cfg = parse_config(TINY_STATIC)
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path, _abort_after_chunks=3)
+        _interrupt("static-phase", cfg, tmp_path, 3)
         assert {p.name for p in tmp_path.iterdir()} == {"manifest.json", "cells.jsonl"}
 
     def test_rows_stream_into_the_csv_as_they_land(self, tmp_path, monkeypatch):
         # a resumed run: rows 0-2 come from the ledger, the rest are computed
         cfg = parse_config(TINY_STATIC)
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=3)
+        _interrupt("static-phase", cfg, tmp_path / "part", 3)
         events = []
         real_row, real_write = cli.compute_grid_row, cli.write_csv
 
@@ -402,9 +416,7 @@ class TestRunCommand:
     def test_driven_resume_after_interrupt(self, tmp_path):
         cfg = parse_config(TINY_DRIVEN)
         run_command("driven-phase", cfg, out_dir=tmp_path / "full")
-        with pytest.raises(KeyboardInterrupt):
-            run_command("driven-phase", cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=2)
+        _interrupt("driven-phase", cfg, tmp_path / "part", 2)
         manifest = json.loads((tmp_path / "part" / "manifest.json").read_text())
         assert manifest["deviations"] == ["interrupted"]
         assert manifest["cells_done"] == 2 * 4
@@ -431,9 +443,7 @@ class TestRunCommand:
     def test_interrupted_ledger_not_resumed_by_other_command(self, tmp_path):
         cfg = parse_config(TINY_STATIC)
         run_command("driven-phase", cfg, out_dir=tmp_path / "fresh")
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=3)
+        _interrupt("static-phase", cfg, tmp_path / "part", 3)
         assert run_command("driven-phase", cfg, out_dir=tmp_path / "part") == 0
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
                 == (tmp_path / "fresh" / "grid.csv").read_bytes())
@@ -445,9 +455,7 @@ class TestRunCommand:
         # a static-phase ledger from a driven-phase one
         cfg = parse_config(DRIVEN_G1G2)
         assert run_command("driven-phase", cfg, out_dir=tmp_path / "fresh") == 0
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=2)
+        _interrupt("static-phase", cfg, tmp_path / "part", 2)
         path = tmp_path / "part" / "manifest.json"
         if manifest == "removed":
             path.unlink()
@@ -461,9 +469,7 @@ class TestRunCommand:
     def test_torn_ledger_tail_keeps_complete_lines(self, tmp_path):
         cfg = parse_config(TINY_STATIC)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=3)
+        _interrupt("static-phase", cfg, tmp_path / "part", 3)
         ledger = tmp_path / "part" / "cells.jsonl"
         with open(ledger, "a", encoding="utf-8") as fh:
             fh.write('{"config_hash": "' + config_hash(cfg) + '", "chunk": 3, "te')
@@ -549,9 +555,7 @@ class TestRunCommand:
         }
         cfg = parse_config(doc)
         run_command("effective-params", cfg, out_dir=tmp_path / "full")
-        with pytest.raises(KeyboardInterrupt):
-            run_command("effective-params", cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=1)
+        _interrupt("effective-params", cfg, tmp_path / "part", 1)
         assert run_command("effective-params", cfg,
                            out_dir=tmp_path / "part") == 0
         assert ((tmp_path / "part" / "effective_params.csv").read_bytes()
@@ -662,6 +666,10 @@ GRID_5X4 = {
     ],
 }
 
+#: A static grid of one-cell rows.
+ONE_POINT_AXIS2 = {"sweep": [GRID_5X4["sweep"][0],
+                             {**GRID_5X4["sweep"][1], "stop": 0.0, "points": 1}]}
+
 SAMPLES = Path(__file__).parent.parent / "configs"
 
 
@@ -716,9 +724,7 @@ class TestOutputVersion:
     def test_ledger_entry_of_other_output_version_is_recomputed(self, tmp_path):
         cfg = parse_config(TINY_STATIC)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=3)
+        _interrupt("static-phase", cfg, tmp_path / "part", 3)
         ledger = tmp_path / "part" / "cells.jsonl"
 
         def stale(entry):
@@ -743,9 +749,7 @@ class TestLedgerShape:
     def test_short_chunk_is_recomputed(self, tmp_path, capsys):
         cfg = parse_config(GRID_5X4)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=1)
+        _interrupt("static-phase", cfg, tmp_path / "part", 1)
         ledger = tmp_path / "part" / "cells.jsonl"
 
         def short(entry):
@@ -771,9 +775,7 @@ class TestLedgerShape:
     def test_malformed_entry_is_recomputed(self, tmp_path, corrupt):
         cfg = parse_config(GRID_5X4)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=2)
+        _interrupt("static-phase", cfg, tmp_path / "part", 2)
         ledger = tmp_path / "part" / "cells.jsonl"
 
         def change(entry):
@@ -829,16 +831,14 @@ class TestLedgerShape:
         # under "data" and no text
         cfg = parse_config(GRID_5X4)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=2)
+        _interrupt("static-phase", cfg, tmp_path / "part", 2)
         sweep = cli._sweep("static-phase", cfg, cli._resolve_axes("static-phase", cfg))
 
         def old(entry):
             columns = sweep.compute(entry["chunk"])
             for key in ("rows", "counts", "text"):
                 del entry[key]
-            entry["data"] = {k: v.tolist() for k, v in columns.items()}
+            entry["data"] = {k: np.asarray(v).tolist() for k, v in columns.items()}
         _rewrite_ledger(tmp_path / "part" / "cells.jsonl", old)
         rows = []
         real = cli.compute_grid_row
@@ -856,22 +856,26 @@ class TestLedgerShape:
     @pytest.mark.parametrize("command, doc", [
         ("static-phase", GRID_5X4), ("driven-phase", TINY_DRIVEN),
         ("effective-params", {"sweep": [{"start": 0.1, "stop": 2.0, "points": 300,
+                                         "parameter": "omega_D"}]}),
+        # single-row chunks: one-cell grid rows, and a last slice of one point
+        ("static-phase", ONE_POINT_AXIS2),
+        ("effective-params", {"sweep": [{"start": 0.1, "stop": 2.0, "points": 257,
                                          "parameter": "omega_D"}]})])
-    def test_ledger_entries_fit_their_sweep(self, tmp_path, command, doc):
+    def test_ledger_entries_fit_their_sweep(self, command, doc):
         # a fit rule that disagreed with the entries the runner writes
         # would recompute every resumed chunk
         cfg = parse_config(doc)
-        with pytest.raises(KeyboardInterrupt):
-            run_command(command, cfg, out_dir=tmp_path, _abort_after_chunks=1)
         sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
-        entries = _load_ledger(tmp_path, config_hash(cfg))
-        assert list(entries) == [0] and sweep.fits(0, entries[0])
+        todo = dict(enumerate(sweep.chunks))
+        # as the ledger stores and loads them
+        entries = [json.loads(json.dumps(e))
+                   for e in cli._run_chunks(sweep, "digest", todo, 1)]
+        assert [e["chunk"] for e in entries] == list(todo)
+        assert all(sweep.fits(e["chunk"], e) for e in entries)
 
     def test_valid_entries_are_reused(self, tmp_path, monkeypatch):
         cfg = parse_config(GRID_5X4)
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path,
-                        _abort_after_chunks=3)
+        _interrupt("static-phase", cfg, tmp_path, 3)
         rows = []
         real = cli.compute_grid_row
 
@@ -903,9 +907,7 @@ class TestCsvQuoting:
         doc["sweep"][1]["name"] = 'say "g2"'
         cfg = parse_config(doc)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=2)
+        _interrupt("static-phase", cfg, tmp_path / "part", 2)
         rows = []
         real = cli.compute_grid_row
 
@@ -1070,9 +1072,7 @@ class TestPool:
         sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
         assert len(sweep.chunks) - 3 > cli.BATCHES_PER_WORKER * 2
         assert run_command(command, cfg, out_dir=tmp_path / "full", workers=1) == 0
-        with pytest.raises(KeyboardInterrupt):
-            run_command(command, cfg, out_dir=tmp_path / "part",
-                        _abort_after_chunks=3)
+        _interrupt(command, cfg, tmp_path / "part", 3)
         assert run_command(command, cfg, out_dir=tmp_path / "part", workers=2) == 0
         assert pool_sizes == [2]
         for name in (cli._CSV_NAME[command], "manifest.json"):
@@ -1088,8 +1088,7 @@ class TestPool:
     def test_resumed_chunks_are_written_verbatim(self, tmp_path, monkeypatch,
                                                  workers):
         cfg = parse_config(MANY_CHUNKS["static-phase"])
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path, _abort_after_chunks=3)
+        _interrupt("static-phase", cfg, tmp_path, 3)
         real_format = cli._format_column
         calls = []
 
@@ -1105,23 +1104,24 @@ class TestPool:
         computed = 10 if workers == 1 else 0
         assert len(calls) == computed * len(cli.GRID_CSV_COLUMNS)
 
-    def test_pool_results_match_sequential(self):
-        cfg = parse_config(MANY_CHUNKS["static-phase"])
-        sweep = cli._sweep("static-phase", cfg, cli._resolve_axes("static-phase", cfg))
+    @pytest.mark.parametrize("command", sorted(MANY_CHUNKS))
+    def test_pool_results_match_sequential(self, command):
+        cfg = parse_config(MANY_CHUNKS[command])
+        sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
         todo = dict(enumerate(sweep.chunks))
 
         def run(workers):
-            return list(cli._run_chunks(sweep, "digest", todo, workers, None))
+            return list(cli._run_chunks(sweep, "digest", todo, workers))
 
         # batches are recorded as they finish, in any order
         sequential, pooled = run(1), sorted(run(2), key=lambda e: e["chunk"])
         assert [e["chunk"] for e in sequential] == list(todo)
         assert pooled == sequential
         for entry in sequential:
-            columns = sweep.compute(entry["chunk"])
+            columns = sweep.compute(sweep.chunks[entry["chunk"]])
             assert entry["text"] == cli._chunk_text(
-                sweep.csv_chunk(entry["chunk"], columns))
-            assert entry["rows"] == 4
+                [columns[k] for k in sweep.csv_columns])
+            assert entry["rows"] == sweep.sizes[entry["chunk"]]
 
     def test_pool_has_no_more_workers_than_batches(self, tmp_path, pool_sizes):
         three_rows = json.loads(json.dumps(GRID_5X4))
@@ -1138,9 +1138,7 @@ class TestPool:
     def test_resume_pool_has_no_more_workers_than_chunks_left(self, tmp_path,
                                                               pool_sizes):
         cfg = parse_config(GRID_5X4)
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=tmp_path,
-                        _abort_after_chunks=3)
+        _interrupt("static-phase", cfg, tmp_path, 3)
         assert run_command("static-phase", cfg, out_dir=tmp_path, workers=8) == 0
         assert pool_sizes == [2]
 

@@ -8,6 +8,7 @@ from lambdajc import spectrum
 from lambdajc.params import DriveParams, SystemParams
 from lambdajc.spectrum import (
     _EFFECTIVE_MODEL,
+    STATIC_BLOCK_WINDOW,
     AxisSpec,
     PhaseCategory,
     _ground_cells,
@@ -127,6 +128,34 @@ class TestBlockGroundEnergy:
             e_g2 = [block_ground_energy(block_matrix(RESONANT.replace(g2=float(g)), n, m))
                     for g in gs]
             assert all(later - earlier <= 1e-12 for earlier, later in zip(e_g2, e_g2[1:]))
+
+
+class TestKernelRange:
+    """The closed form where the cube of a resonant block's spread
+    underflows (couplings below about 1e-103) and where its cubic terms
+    would overflow (elements above about 1e102)."""
+
+    @pytest.mark.parametrize("g1", [1e-110, 1e-200, 1e200])
+    def test_every_block_matches_dense_eigensolver(self, g1):
+        sys = RESONANT.replace(g1=g1, g2=0.0)
+        for n in range(STATIC_BLOCK_WINDOW + 1):
+            for m in range(STATIC_BLOCK_WINDOW + 1):
+                block = block_matrix(sys, n, m)
+                assert block_ground_energy(block) == pytest.approx(
+                    np.linalg.eigvalsh(block.matrix)[0], rel=1e-12, abs=0.0), (n, m)
+
+    @pytest.mark.parametrize("g1", [1e-110, 1e-200, 1e200])
+    def test_ground_search_is_finite(self, g1):
+        sys = RESONANT.replace(g1=g1, g2=0.0)
+        point = ground_search(sys)
+        dense = {(n, m): dense_block_ground(sys, n, m)
+                 for n in range(STATIC_BLOCK_WINDOW + 1)
+                 for m in range(STATIC_BLOCK_WINDOW + 1)}
+        lowest, second = sorted(dense.values())[:2]
+        assert point.label == min(dense, key=dense.get)
+        assert point.energy == pytest.approx(lowest, rel=1e-12, abs=0.0)
+        # at g1 = 1e200 the m labels of n = 8 agree to all digits
+        assert point.gap == pytest.approx(second - lowest, abs=1e-12 * abs(lowest))
 
 
 class TestGroundSearch:
@@ -559,6 +588,13 @@ class TestPrunedGroundSearch:
             assert_pruned_matches_full(fields, 6)
         fields = static_fields(*STATIC_SAMPLE, 1e200, g2)
         assert_pruned_matches_full(fields, 6)
+
+    @pytest.mark.parametrize("g1", [1e-110, 1e-200, 1e200])
+    def test_extreme_couplings_match_full_table(self, g1):
+        fields = static_fields(*STATIC_SAMPLE, g1, 0.0)
+        assert_pruned_matches_full(fields, 8)
+        cells, _ = _ground_cells(fields, 8)
+        assert np.isfinite(cells["energy"]).all() and np.isfinite(cells["gap"]).all()
 
     def test_sample_model_evaluates_few_blocks(self, monkeypatch):
         evaluated = []
