@@ -17,18 +17,19 @@ commands share one runner: a sweep is a list of chunks (grid rows, or
 that gives every CSV column of a chunk by name.  One function turns a
 chunk into its record (row count, cells failing each validity audit, CSV
 text with text fields quoted per RFC 4180), a line of the cells.jsonl
-ledger from which an interrupted sweep resumes.  The CSV is the records'
-text in index order, streamed into its temp file as the records land, so
-the parent holds only the texts that land ahead of an earlier chunk; the
-deviations come from their summed counts.
+ledger from which an interrupted sweep resumes.  The CSV is written chunk
+by chunk in index order into its temp file: a resumed record's text
+verbatim, any other record's once it is appended to the ledger.  Those
+records are one stream in index order, from map or, under --workers, the
+pool's map.  The deviations come from the records' summed counts.
 
-Under --workers a pool task is a contiguous batch of chunks, about
-BATCHES_PER_WORKER per worker, and the pool has no more workers than
-batches; a sequential run makes the same records in the parent, and a
-resumed record is written verbatim, so the bytes do not depend on the
-worker count or the batching.  A batch reaches the ledger as a whole, as
-soon as it finishes, so an interrupt may recompute up to one batch per
-worker.
+The pool's map sends contiguous batches of chunks, about
+BATCHES_PER_WORKER per worker, to no more workers than batches.  Workers
+and a sequential run make the same records, so the bytes do not depend on
+the worker count or the batching.  A batch that finishes ahead of an
+earlier one reaches the ledger only when the earlier one does, so an
+interrupt may recompute it too; the stream is closed on every way out,
+which cancels the batches no worker has started.
 
 One rule decides what a run may reuse: a readable manifest of this
 config hash, command and OUTPUT_VERSION.  Under it, a cache hit also needs
@@ -57,8 +58,9 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -317,80 +319,65 @@ def _chunk_entry(compute, csv_columns, digest: str, index: int, chunk) -> dict:
             "counts": audit_counts(columns), "text": _chunk_text(values)}
 
 
-def _batch_entries(compute, csv_columns, digest: str, items) -> list[dict]:
-    """The ledger entry of each (index, chunk) item of a batch: the task a
-    pool worker runs."""
-    return [_chunk_entry(compute, csv_columns, digest, index, chunk)
-            for index, chunk in items]
-
-
 def _run_chunks(sweep: _Sweep, digest: str, todo: dict, workers: int):
-    """Yield the ledger entry of each chunk of todo (index -> chunk) as it
-    lands.
+    """Yield the ledger entry of each chunk of todo (index -> chunk), in
+    index order.
 
-    A pool task is a contiguous batch of chunks, about BATCHES_PER_WORKER
-    per worker, and the pool has no more workers than batches.  A batch is
-    yielded as soon as it finishes, whatever its place, so an interrupt
-    loses at most the batches in flight.
+    Under workers, the pool's map sends contiguous batches of chunks, about
+    BATCHES_PER_WORKER per worker, and the pool has no more workers than
+    batches.  A batch that finishes ahead of an earlier one waits for it.
+    Closing the generator cancels the batches no worker has started.
     """
+    entry = partial(_chunk_entry, sweep.compute, sweep.csv_columns, digest)
     if workers > 1 and len(todo) > 1:
-        items = list(todo.items())
-        size = -(-len(items) // (BATCHES_PER_WORKER * workers))
-        batches = [items[k:k + size] for k in range(0, len(items), size)]
-        task = partial(_batch_entries, sweep.compute, sweep.csv_columns, digest)
-        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
-            for future in as_completed([pool.submit(task, b) for b in batches]):
-                yield from future.result()
-        return
-    for index, chunk in todo.items():
-        yield _chunk_entry(sweep.compute, sweep.csv_columns, digest, index, chunk)
+        size = -(-len(todo) // (BATCHES_PER_WORKER * workers))
+        batches = -(-len(todo) // size)
+        with ProcessPoolExecutor(max_workers=min(workers, batches)) as pool:
+            yield from pool.map(entry, todo.keys(), todo.values(), chunksize=size)
+    else:
+        yield from map(entry, todo.keys(), todo.values())
 
 
 def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
                workers: int) -> list[str]:
     """Compute the chunks the resume ledger lacks and write the CSV as they
-    land; returns the deviation lines.
+    come; returns the deviation lines.
 
-    Each chunk's text goes to the CSV temp file as soon as every chunk
-    before it is in, so only texts that land out of order (resumed, or
-    from the pool) are held; done keeps each chunk's rows and counts.
+    Chunk by chunk in index order, a resumed text is written verbatim and
+    any other chunk's entry, the next from _run_chunks, is appended to the
+    ledger before its text is written; done keeps each chunk's rows and
+    counts.  The stream of entries is closed on every way out.
     """
     done = {i: entry for i, entry in _load_ledger(out_dir, digest).items()
             if sweep.fits(i, entry)}
-    held = {i: entry.pop("text") for i, entry in done.items()}
+    if done:
+        print(f"resumed {len(done)} of {len(sweep.chunks)} chunks from {_LEDGER}")
+    todo = {i: chunk for i, chunk in enumerate(sweep.chunks) if i not in done}
 
     def cells_done():
         return sum(entry["rows"] for entry in done.values())
 
-    def texts():
-        """The chunks' texts in index order, computing the missing ones."""
-        written = 0
-
-        def ready():
-            nonlocal written
-            while written in held:
-                yield held.pop(written)
-                written += 1
-
-        yield from ready()
-        todo = {i: chunk for i, chunk in enumerate(sweep.chunks) if i not in done}
-        with open(out_dir / _LEDGER, "a", encoding="utf-8") as ledger:
-            try:
-                for entry in _run_chunks(sweep, digest, todo, workers):
-                    ledger.write(json.dumps(entry) + "\n")
-                    ledger.flush()
-                    held[entry["chunk"]] = entry.pop("text")
-                    done[entry["chunk"]] = entry
-                    yield from ready()
-            except (KeyboardInterrupt, BrokenProcessPool):
-                _write_manifest(out_dir, command, digest, sweep.cells, cells_done(),
-                                ["interrupted"])
-                raise
+    def texts(stream, ledger):
+        for i in range(len(sweep.chunks)):
+            if i not in done:
+                entry = next(stream)
+                ledger.write(json.dumps(entry) + "\n")
+                ledger.flush()
+                done[i] = entry
+            yield done[i].pop("text")
 
     # the manifest goes first, so a ledger line always sits beside its
     # run's manifest
     _write_manifest(out_dir, command, digest, sweep.cells, cells_done(), [])
-    write_csv(out_dir / _CSV_NAME[command], sweep.csv_columns, texts())
+    try:
+        with (open(out_dir / _LEDGER, "a", encoding="utf-8") as ledger,
+              closing(_run_chunks(sweep, digest, todo, workers)) as stream):
+            write_csv(out_dir / _CSV_NAME[command], sweep.csv_columns,
+                      texts(stream, ledger))
+    except (KeyboardInterrupt, BrokenProcessPool):
+        _write_manifest(out_dir, command, digest, sweep.cells, cells_done(),
+                        ["interrupted"])
+        raise
     counts = [sum(c) for c in zip(*(entry["counts"] for entry in done.values()))]
     return deviation_lines(counts, sweep.cells, sweep.unit, sweep.window)
 

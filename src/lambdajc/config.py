@@ -129,6 +129,10 @@ class RunConfig:
     def __post_init__(self):
         if len(self.sweep) > 2:
             raise ConfigError("at most two sweep axes are supported")
+        if len({ax.parameter for ax in self.sweep}) < len(self.sweep):
+            # two axes, so both sweep the first one's parameter
+            raise ConfigError(
+                f"sweep parameter {self.sweep[0].parameter!r} is swept twice")
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError("output must be a non-empty directory path")
         worker_count(self.workers)

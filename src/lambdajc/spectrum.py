@@ -440,6 +440,8 @@ def driven_phase_point(sys: SystemParams, drive: DriveParams,
 def _row_fields(sys: SystemParams, drive: DriveParams | None, axis1: AxisSpec,
                 axis2: AxisSpec, i: int) -> dict[str, np.ndarray]:
     """Field arrays of row i: axis1 fixed at its i-th value, axis2 swept."""
+    if axis1.parameter == axis2.parameter:
+        raise ValueError(f"sweep parameter {axis1.parameter!r} is swept twice")
     values = sweep_values(sys, drive)
     for axis, value in ((axis1, axis1.values[i]), (axis2, axis2.values)):
         if axis.parameter not in values:

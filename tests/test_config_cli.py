@@ -617,6 +617,24 @@ class TestRunCommand:
         with pytest.raises(ConfigError, match="axes"):
             run_command("static-phase", cfg, out_dir=tmp_path)
 
+    @pytest.mark.parametrize("command, parameter", [("static-phase", "g1"),
+                                                    ("driven-phase", "A_D")])
+    def test_axes_of_one_parameter_exit_1(self, tmp_path, capsys, command,
+                                          parameter):
+        # axis 2 would set the parameter of every cell, under axis 1's labels
+        doc = {"sweep": [
+            {"name": "a", "start": 0.0, "stop": 0.4, "points": 3, "parameter": parameter},
+            {"name": "b", "start": 0.0, "stop": 0.1, "points": 2, "parameter": parameter},
+        ]}
+        with pytest.raises(ConfigError, match=f"{parameter}.*twice"):
+            run_command(command, parse_config(doc), out_dir=tmp_path / "lib")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "twice" in capsys.readouterr().err
+        assert not (tmp_path / "lib").exists() and not out.exists()
+
     def test_static_rejects_drive_axis(self, tmp_path):
         cfg = parse_config({"sweep": [
             {"name": "a", "start": 0.0, "stop": 1.0, "points": 3, "parameter": "A_D"},
@@ -1050,8 +1068,9 @@ MIXED_RESUME = {**{command: (command, doc) for command, doc in MANY_CHUNKS.items
 
 
 class TestPool:
-    """A pool task is a contiguous batch of chunks whose ledger entries, CSV
-    text included, the worker makes; resumed entries are written verbatim."""
+    """The pool's map sends contiguous batches of chunks whose ledger
+    entries, CSV text included, the workers make, and hands them back in
+    chunk order; resumed entries are written verbatim."""
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -1084,6 +1103,15 @@ class TestPool:
             assert [line.split()[0] for line in deviations] == [
                 "52/52", "18/52", "52/52"]
 
+    def test_resume_reports_the_chunks_it_resumed(self, tmp_path, capsys):
+        cfg = parse_config(MANY_CHUNKS["static-phase"])
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "full") == 0
+        assert "resumed" not in capsys.readouterr().out
+        _interrupt("static-phase", cfg, tmp_path / "part", 3)
+        capsys.readouterr()
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
+        assert "resumed 3 of 13 chunks from cells.jsonl" in capsys.readouterr().out
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resumed_chunks_are_written_verbatim(self, tmp_path, monkeypatch,
                                                  workers):
@@ -1104,8 +1132,11 @@ class TestPool:
         computed = 10 if workers == 1 else 0
         assert len(calls) == computed * len(cli.GRID_CSV_COLUMNS)
 
-    @pytest.mark.parametrize("command", sorted(MANY_CHUNKS))
-    def test_pool_results_match_sequential(self, command):
+    # three workers cut the 13 chunks into batches of another size
+    @pytest.mark.parametrize("command, workers", [
+        pytest.param(command, workers, id=command if workers == 2 else f"{command}-3")
+        for workers in (2, 3) for command in sorted(MANY_CHUNKS)])
+    def test_pool_results_match_sequential(self, command, workers):
         cfg = parse_config(MANY_CHUNKS[command])
         sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
         todo = dict(enumerate(sweep.chunks))
@@ -1113,8 +1144,7 @@ class TestPool:
         def run(workers):
             return list(cli._run_chunks(sweep, "digest", todo, workers))
 
-        # batches are recorded as they finish, in any order
-        sequential, pooled = run(1), sorted(run(2), key=lambda e: e["chunk"])
+        sequential, pooled = run(1), run(workers)
         assert [e["chunk"] for e in sequential] == list(todo)
         assert pooled == sequential
         for entry in sequential:

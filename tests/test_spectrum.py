@@ -259,6 +259,12 @@ class TestPhaseGrid:
         # |dE/dg1| <= sqrt(window+1); allow a generous Lipschitz margin
         assert np.max(np.abs(np.diff(energies))) <= 4.0 * step
 
+    def test_rejects_axes_of_one_parameter(self):
+        ax1 = AxisSpec("a", "g1", np.linspace(0.0, 4.0, 3))
+        ax2 = AxisSpec("b", "g1", np.linspace(0.0, 1.0, 2))
+        with pytest.raises(ValueError, match="g1.*twice"):
+            sweep_grid(RESONANT, None, ax1, ax2, 6)
+
     def test_deterministic_under_chunked_evaluation(self):
         ax1 = AxisSpec("g1", "g1", np.linspace(0.0, 4.0, 7))
         ax2 = AxisSpec("g2", "g2", np.linspace(0.0, 3.0, 5))
