@@ -200,7 +200,7 @@ def write_csv(path: Path, columns, texts):
 
 def _file_digest(path: Path) -> str | None:
     """blake2b hex digest of a file's bytes, None when it cannot be read.
-    The file is read a megabyte at a time, so a large CSV is never held
+    The file is read a megabyte at a time, so a large CSV is never kept
     whole."""
     digest = hashlib.blake2b()
     try:
