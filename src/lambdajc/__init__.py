@@ -12,6 +12,7 @@ from .dynamics import (
     EvolutionResult,
     HamiltonianSpec,
     HilbertSpace,
+    PropagationError,
     StateVector,
     TermList,
     TruncationError,

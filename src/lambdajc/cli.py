@@ -45,8 +45,9 @@ is not a JSON object, or whose cell counts or deviations have the wrong JSON
 type, counts as no manifest.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime or validity
-failure (validity failures only fail the run under --strict, and a pool
-worker that dies is a runtime failure).
+failure (validity failures only fail the run under --strict; a pool
+worker that dies and an echo the propagator cannot take are runtime
+failures).
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from .config import (
 from .dynamics import (
     ECHO_PAIRS,
     HamiltonianSpec,
+    PropagationError,
     TruncationError,
     assemble_terms,
     build_space,
@@ -570,8 +572,9 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
         # the configured cutoffs cannot represent the requested state
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, BrokenProcessPool) as exc:
-        # a dead pool worker leaves the ledger for a rerun to resume
+    except (OSError, BrokenProcessPool, PropagationError) as exc:
+        # a dead pool worker leaves the ledger for a rerun to resume; an
+        # echo the propagator cannot take leaves its manifest unfinished
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,12 +9,12 @@ lexicographic with the atom outermost and mode 2 innermost:
 
 Hamiltonian variants
 --------------------
-Every variant is assembled as a list of (constant sparse operator, scalar
-coefficient) terms with coefficients of the form
-A * exp(i*(phi*t + z*sin(w_D*t))); z = 0 except in the drive frame.  Each
-physical term is constructed once and its exact Hermitian conjugate is
-added alongside, so the instantaneous sum is Hermitian by construction and
-no conjugate phase can ever be entered with the wrong sign.
+Every variant is a list of (constant real operator, scalar coefficient)
+terms: each operator written from the basis index arrays, each
+coefficient A * exp(i*(phi*t + z*sin(w_D*t))), z = 0 except in the drive
+frame.  Each physical term is constructed once and its exact Hermitian
+conjugate is added alongside, so the instantaneous sum is Hermitian by
+construction and no conjugate phase can ever be entered with the wrong sign.
 
     JC_STATIC         excitation-conserving lab-frame model.
     DRIVE_ROTATED     drive frame: all Bessel-weighted sidebands of both the
@@ -82,6 +82,11 @@ class TruncationError(ValueError):
     """Raised when a requested state cannot be represented at the cutoff."""
 
 
+class PropagationError(RuntimeError):
+    """Raised when no Taylor degree keeps a substep's remainder below unit
+    roundoff (the Hamiltonian's norm bound is too large for the substep)."""
+
+
 class Variant(str, Enum):
     JC_STATIC = "jc-static"
     DRIVE_ROTATED = "drive-rotated"
@@ -135,28 +140,23 @@ class HilbertSpace:
             raise ValueError(f"index {i} outside [0, {self.dim})")
         return int(self._atom[i]), int(self._n1[i]), int(self._n2[i])
 
-    # -- elementary operators (CSR, real) --
+    # -- the model's operators (COO, real), written from the index arrays --
 
-    def sigma(self, k: int, j: int) -> sp.csr_matrix:
-        """|k><j| on the atomic factor."""
-        at = sp.csr_matrix(([1.0], ([k - 1], [j - 1])), shape=(3, 3))
-        return sp.kron(sp.kron(at, sp.identity(self.d1)), sp.identity(self.d2)).tocsr()
+    def diagonal(self, entries: np.ndarray) -> sp.coo_matrix:
+        """The diagonal operator with these entries; zeros are left out."""
+        keep = np.flatnonzero(entries)
+        return sp.coo_matrix((entries[keep], (keep, keep)), shape=(self.dim, self.dim))
 
-    def lower1(self) -> sp.csr_matrix:
-        a = sp.diags(np.sqrt(np.arange(1.0, self.d1)), 1)
-        return sp.kron(sp.kron(sp.identity(3), a), sp.identity(self.d2)).tocsr()
-
-    def lower2(self) -> sp.csr_matrix:
-        a = sp.diags(np.sqrt(np.arange(1.0, self.d2)), 1)
-        return sp.kron(sp.kron(sp.identity(3), sp.identity(self.d1)), a).tocsr()
-
-    def number1(self) -> sp.csr_matrix:
-        a = self.lower1()
-        return (a.T @ a).tocsr()
-
-    def number2(self) -> sp.csr_matrix:
-        a = self.lower2()
-        return (a.T @ a).tocsr()
+    def jump(self, k: int, mode: int, create: bool) -> sp.coo_matrix:
+        """|3><k| a_mode, or |3><k| a_mode' if create: column (k, n1, n2) goes
+        to row (3, n1 -+ 1, n2) or (3, n1, n2 -+ 1), weighted by the square
+        root of the larger photon number."""
+        n, top = (self._n1, self.n_c1) if mode == 1 else (self._n2, self.n_c2)
+        step = 1 if create else -1
+        cols = np.flatnonzero((self._atom == k) & (0 <= n + step) & (n + step <= top))
+        rows = cols + (3 - k) * self.d1 * self.d2 + step * (self.d2 if mode == 1 else 1)
+        weights = np.sqrt(np.maximum(n[cols], n[cols] + step))
+        return sp.coo_matrix((weights, (rows, cols)), shape=(self.dim, self.dim))
 
 
 def build_space(n_c1: int, n_c2: int) -> HilbertSpace:
@@ -174,7 +174,8 @@ class StateVector:
             raise ValueError(f"amplitude vector has shape {amps.shape}, "
                              f"expected ({self.space.dim},)")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-10:
+        # written so that a NaN norm is rejected too
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
         self.amplitudes = amps
 
@@ -230,8 +231,8 @@ def coherent_state(space: HilbertSpace, alpha1: complex, alpha2: complex,
         if at.shape != (3,):
             raise ValueError("atomic part must be a length-3 vector or a preset name")
         nrm = np.linalg.norm(at)
-        if nrm == 0:
-            raise ValueError("atomic part must be non-zero")
+        if not 0 < nrm < math.inf:
+            raise ValueError(f"atomic part must be non-zero and finite, norm {nrm}")
         at = at / nrm
     parts = []
     for alpha, cutoff, label in ((alpha1, space.n_c1, "mode 1"),
@@ -279,7 +280,7 @@ def _coefficient(amplitude, phase, depth, rate, t):
 
 @dataclass(frozen=True)
 class Term:
-    op: sp.csr_matrix
+    op: sp.coo_matrix
     amplitude: complex
     phase: float
     depth: float = 0.0
@@ -288,8 +289,8 @@ class Term:
 
 @dataclass
 class TermList:
-    """The term list of one variant and its one operator representation: a
-    fixed sparsity pattern (the union of the term operators) with the
+    """The term list of one variant and its one operator representation: one
+    CSR pattern, the sorted union of the term operators' entries, with the
     (nnz, terms) map from term coefficients to CSR data, so the
     instantaneous Hamiltonian is one product map @ c(t) on that pattern.
 
@@ -303,19 +304,16 @@ class TermList:
 
     def __post_init__(self):
         dim = self.space.dim
-        coos = [term.op.tocoo() for term in self.terms]
-        rows = np.concatenate([c.row for c in coos]).astype(np.int64)
-        cols = np.concatenate([c.col for c in coos])
-        union = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
-        self._indices, self._indptr = union.indices, union.indptr
-        # row-major position of every pattern entry, ascending
-        slots = np.repeat(np.arange(dim), np.diff(union.indptr)) * dim + union.indices
-        which = np.repeat(np.arange(len(coos)), [c.nnz for c in coos])
+        ops = [term.op for term in self.terms]
+        # row-major position of every entry; the pattern is their sorted union
+        keys = np.concatenate([op.row.astype(np.int64) * dim + op.col for op in ops])
+        slots, slot = np.unique(keys, return_inverse=True)
+        self._indices = slots % dim
+        self._indptr = np.searchsorted(slots, np.arange(dim + 1) * dim)
+        which = np.repeat(np.arange(len(ops)), [op.nnz for op in ops])
+        self.data_map = np.zeros((slots.size, len(ops)), dtype=complex)
         # duplicate entries of one operator add up, as in the operator itself
-        self.data_map = sp.csr_matrix(
-            (np.concatenate([c.data for c in coos]).astype(complex),
-             (np.searchsorted(slots, rows * dim + cols), which)),
-            shape=(union.nnz, len(coos))).toarray()
+        np.add.at(self.data_map, (slot, which), np.concatenate([op.data for op in ops]))
         self._params = [np.array([getattr(t, k) for t in self.terms])
                         for k in ("amplitude", "phase", "depth", "rate")]
 
@@ -351,16 +349,16 @@ class TermList:
         return self.operator(self.data_map @ self.coefficients(t))
 
 
-def _pair(terms: list[Term], op: sp.csr_matrix, amplitude: float, phase: float,
+def _pair(terms: list[Term], op: sp.coo_matrix, amplitude: float, phase: float,
           depth: float = 0.0, rate: float = 0.0):
     """Append a physical term together with its exact Hermitian conjugate."""
     terms.append(Term(op=op, amplitude=complex(amplitude), phase=float(phase),
                       depth=float(depth), rate=float(rate)))
-    terms.append(Term(op=op.conj().T.tocsr(), amplitude=complex(np.conj(amplitude)),
+    terms.append(Term(op=op.T, amplitude=complex(np.conj(amplitude)),
                       phase=-float(phase), depth=-float(depth), rate=float(rate)))
 
 
-def _self_adjoint(terms: list[Term], op: sp.csr_matrix, amplitude: float):
+def _self_adjoint(terms: list[Term], op: sp.coo_matrix, amplitude: float):
     terms.append(Term(op=op, amplitude=complex(amplitude), phase=0.0))
 
 
@@ -368,16 +366,19 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
     """Build the term list of the requested variant on the given space."""
     sys = spec.sys
     terms: list[Term] = []
-    s31a1 = (space.sigma(3, 1) @ space.lower1()).tocsr()
-    s31a1d = (space.sigma(3, 1) @ space.lower1().T).tocsr()
-    s32a2 = (space.sigma(3, 2) @ space.lower2()).tocsr()
-    s32a2d = (space.sigma(3, 2) @ space.lower2().T).tocsr()
+    s31a1, s31a1d = space.jump(1, 1, False), space.jump(1, 1, True)
+    s32a2, s32a2d = space.jump(2, 2, False), space.jump(2, 2, True)
+    level = np.eye(3)[space._atom - 1].T          # level[k-1]: diagonal of |k><k|
+    s33_s11, s33_s22 = (space.diagonal(level[2] - level[k]) for k in (0, 1))
+    # sqrt(n) * sqrt(n), not n: the value of the product a'a (2.0000000000000004
+    # at n = 2), on which the effective pair's echo CSV bytes depend
+    n1, n2 = (space.diagonal(np.sqrt(n) * np.sqrt(n)) for n in (space._n1, space._n2))
 
     if spec.variant is Variant.JC_STATIC:
-        _self_adjoint(terms, (space.sigma(3, 3) - space.sigma(1, 1)).tocsr(), sys.omega1)
-        _self_adjoint(terms, (space.sigma(3, 3) - space.sigma(2, 2)).tocsr(), sys.omega2)
-        _self_adjoint(terms, space.number1(), sys.Omega1)
-        _self_adjoint(terms, space.number2(), sys.Omega2)
+        _self_adjoint(terms, s33_s11, sys.omega1)
+        _self_adjoint(terms, s33_s22, sys.omega2)
+        _self_adjoint(terms, n1, sys.Omega1)
+        _self_adjoint(terms, n2, sys.Omega2)
         _pair(terms, s31a1, sys.g1, 0.0)
         _pair(terms, s32a2, sys.g2, 0.0)
         return TermList(terms=terms, space=space, frame=np.zeros(space.dim))
@@ -403,10 +404,10 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
         return TermList(terms=terms, space=space, frame=_dominant_frame(sb, space))
 
     # time-independent effective variants
-    _self_adjoint(terms, (space.sigma(3, 3) - space.sigma(2, 2)).tocsr(), eff.omega2_eff)
-    _self_adjoint(terms, (space.sigma(3, 3) - space.sigma(1, 1)).tocsr(), eff.omega1_eff)
-    _self_adjoint(terms, space.number2(), eff.Omega2_eff)
-    _self_adjoint(terms, space.number1(), eff.Omega1_eff)
+    _self_adjoint(terms, s33_s22, eff.omega2_eff)
+    _self_adjoint(terms, s33_s11, eff.omega1_eff)
+    _self_adjoint(terms, n2, eff.Omega2_eff)
+    _self_adjoint(terms, n1, eff.Omega1_eff)
     _pair(terms, s31a1, eff.gr1, 0.0)
     _pair(terms, s32a2, eff.gr2, 0.0)
     if spec.variant is Variant.EFFECTIVE_FULL:
@@ -465,14 +466,19 @@ def _taylor_degree(terms: TermList, h: float) -> int:
     bounds the dropped remainder (the degree is chosen from a norm bound as
     in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).
     """
-    theta = h * terms.norm_bound / _SQRT3
+    theta = float(h * terms.norm_bound / _SQRT3)   # overflows to inf silently
+    try:
+        growth = math.exp(theta)
+    except OverflowError:
+        growth = math.inf
     power = 1.0
     for m in range(_MAX_TAYLOR_DEGREE + 1):
         power *= theta / (m + 1)          # theta^(m+1) / (m+1)!
-        if power * math.exp(theta) <= _UNIT_ROUNDOFF:
+        if power * growth <= _UNIT_ROUNDOFF:
             return m
-    raise RuntimeError("propagator Taylor series failed to converge; "
-                       "internal step too large")
+    raise PropagationError(
+        f"propagator Taylor series failed to converge: norm bound "
+        f"{terms.norm_bound:.3g} is too large for the substep {h:.3g}")
 
 
 def _expm_apply(H: sp.csr_matrix, factor: complex, psi: np.ndarray,
@@ -619,10 +625,11 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
         norm_drift=float(np.max(np.abs(norms - 1.0))),
         leakage=float(leak.max()),
     )
-    if result.norm_drift > NORM_DRIFT_MAX:
+    # NaN states must warn as well, hence the negated comparisons
+    if not result.norm_drift <= NORM_DRIFT_MAX:
         result.warnings.append(
             f"norm drift {result.norm_drift:.3e} exceeds {NORM_DRIFT_MAX:g}")
-    if result.leakage > LEAKAGE_WARN:
+    if not result.leakage <= LEAKAGE_WARN:
         result.warnings.append(
             f"truncation: top Fock level population {result.leakage:.3e} "
             f"exceeds {LEAKAGE_WARN:g}; raise the cutoffs")

@@ -570,11 +570,14 @@ def locate_boundary(sys: SystemParams, parameter: str,
                     lo: float, hi: float, tol: float | None = None) -> float:
     """Bisect the level crossing E_a(x) = E_b(x) of two blocks along one
     model parameter.  tol defaults to BOUNDARY_RATIO_TOL scaled by the
-    matching cavity frequency for coupling parameters.
+    matching cavity frequency for coupling parameters and must be positive;
+    the bisection also ends when lo and hi are adjacent floats.
     """
     if tol is None:
         scale = {"g1": sys.Omega1, "g2": sys.Omega2}.get(parameter, 1.0)
         tol = BOUNDARY_RATIO_TOL * scale
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
 
     def diff(x: float) -> float:
         """E_a - E_b with the parameter at x."""
@@ -593,6 +596,8 @@ def locate_boundary(sys: SystemParams, parameter: str,
             f"along {parameter}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
         diff_mid = diff(mid)
         if diff_mid == 0.0:
             return mid

@@ -2,8 +2,8 @@
 
 Everything here is deliberately brute force and shares no code with the
 package: ascending power series for Bessel values, bisection for roots,
-exhaustive integer scans for sideband minima, dense eigensolvers and dense
-matrix exponentials for dynamics.
+exhaustive integer scans for sideband minima, dense eigensolvers, dense
+matrix exponentials and dense Kronecker-product operators for dynamics.
 """
 
 import math
@@ -101,3 +101,24 @@ def expm_propagate(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     for i, t in enumerate(times):
         out[i] = scipy.linalg.expm(-1j * H * t) @ psi0
     return out
+
+
+def kron_sigma(k: int, j: int, n_c1: int, n_c2: int) -> np.ndarray:
+    """|k><j| (x) 1 (x) 1 on the atom (x) mode-1 (x) mode-2 space, dense."""
+    at = np.zeros((3, 3))
+    at[k - 1, j - 1] = 1.0
+    return np.kron(np.kron(at, np.eye(n_c1 + 1)), np.eye(n_c2 + 1))
+
+
+def kron_lower(mode: int, n_c1: int, n_c2: int) -> np.ndarray:
+    """The lowering operator of one mode on the product space, dense."""
+    factors = [np.eye(3), np.eye(n_c1 + 1), np.eye(n_c2 + 1)]
+    cutoff = (n_c1, n_c2)[mode - 1]
+    factors[mode] = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+    return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
+
+def kron_number(mode: int, n_c1: int, n_c2: int) -> np.ndarray:
+    """a'a of one mode on the product space, dense."""
+    a = kron_lower(mode, n_c1, n_c2)
+    return a.T @ a

@@ -604,6 +604,21 @@ class TestRunCommand:
         assert "dt_max" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("g1", [300.0, 1e150])
+    def test_propagator_failure_is_runtime_error(self, tmp_path, capsys, g1):
+        # a valid config whose coupling no Taylor degree can take in one
+        # substep: one error line and exit 2, and nothing cached
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "model": {"g1": g1}, "truncation": {"n_c1": 2, "n_c2": 2},
+            "dynamics": {"t_max": 1.0, "samples": 3}}))
+        out = tmp_path / "out"
+        assert main(["echo", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: propagator")
+        assert json.loads((out / "manifest.json").read_text())["csv_blake2b"] is None
+        assert not (out / "echo.csv").exists()
+
     def test_effective_echo_takes_any_dt_max(self, tmp_path):
         # neither effective branch oscillates, so no dt_max is past a bound
         cfg = parse_config({"truncation": {"n_c1": 2, "n_c2": 2},

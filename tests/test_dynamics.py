@@ -9,6 +9,7 @@ from lambdajc.config import parse_config
 from lambdajc.dynamics import (
     STEP_TOL,
     HamiltonianSpec,
+    StateVector,
     TruncationError,
     Variant,
     assemble_terms,
@@ -22,7 +23,7 @@ from lambdajc.dynamics import _expm_apply, _taylor_degree
 from lambdajc.params import DriveParams, SystemParams
 from lambdajc.spectrum import block_ground_energy, block_matrix
 
-from oracles import expm_propagate
+from oracles import expm_propagate, kron_lower, kron_number, kron_sigma
 
 SAMPLES = Path(__file__).parent.parent / "configs"
 RESONANT = SystemParams()
@@ -57,7 +58,7 @@ class TestHilbertSpace:
 
     def test_lowering_matrix_element(self):
         space = build_space(2, 2)
-        a1 = space.lower1()
+        a1 = kron_lower(1, 2, 2)
         src = space.index(1, 1, 0)
         dst = space.index(1, 0, 0)
         assert a1[dst, src] == pytest.approx(1.0)
@@ -82,7 +83,7 @@ class TestCoherentState:
     def test_mean_occupation(self):
         space = build_space(6, 6)
         psi = coherent_state(space, 0.01, 0.01, "2")
-        n1 = space.number1()
+        n1 = kron_number(1, 6, 6)
         occ = np.vdot(psi.amplitudes, n1 @ psi.amplitudes).real
         assert occ == pytest.approx(1e-4, abs=1e-12)
 
@@ -104,6 +105,16 @@ class TestCoherentState:
         space = build_space(1, 1)
         with pytest.raises(ValueError, match="preset"):
             coherent_state(space, 0.0, 0.0, "nope")
+
+    def test_rejects_nan_amplitudes(self):
+        space = build_space(2, 2)
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(np.full(space.dim, np.nan), space)
+
+    def test_rejects_nan_atomic_part(self):
+        space = build_space(2, 2)
+        with pytest.raises(ValueError, match="finite"):
+            coherent_state(space, 0.0, 0.0, [np.nan, 1.0, 0.0])
 
     def test_explicit_atomic_vector(self):
         space = build_space(2, 2)
@@ -130,6 +141,38 @@ class TestAssembly:
             spec = _spec(Variant.DRIVE_ROTATED,
                          drive=DriveParams.from_theta(theta, wd))
             assert len(assemble_terms(spec, space).terms) == 8
+
+    @pytest.mark.parametrize("cutoffs", [(2, 3), (3, 1)])
+    def test_term_operators_are_kronecker_products(self, cutoffs):
+        # exact equality: unequal cutoffs catch a swapped mode stride, and
+        # the number operators must hold a'a's sqrt(n) * sqrt(n), not n
+        s = {kj: kron_sigma(*kj, *cutoffs) for kj in ((1, 1), (2, 2), (3, 3),
+                                                     (3, 1), (3, 2))}
+        a1, a2 = kron_lower(1, *cutoffs), kron_lower(2, *cutoffs)
+        n1, n2 = kron_number(1, *cutoffs), kron_number(2, *cutoffs)
+
+        def pairs(*ops):
+            return [x for op in ops for x in (op, op.T)]
+
+        s31a1, s31a1d = s[3, 1] @ a1, s[3, 1] @ a1.T
+        s32a2, s32a2d = s[3, 2] @ a2, s[3, 2] @ a2.T
+        rotated = pairs(s31a1, s31a1d, s32a2, s32a2d)
+        effective = [s[3, 3] - s[2, 2], s[3, 3] - s[1, 1], n2, n1,
+                     *pairs(s31a1, s32a2)]
+        expected = {
+            Variant.JC_STATIC: [s[3, 3] - s[1, 1], s[3, 3] - s[2, 2], n1, n2,
+                                *pairs(s31a1, s32a2)],
+            Variant.DRIVE_ROTATED: rotated,
+            Variant.DOMINANT_SIDEBAND: rotated,
+            Variant.EFFECTIVE_FULL: effective + pairs(s31a1d, s32a2d),
+            Variant.EFFECTIVE_JC: effective,
+        }
+        space = build_space(*cutoffs)
+        for variant in Variant:
+            terms = assemble_terms(_spec(variant), space).terms
+            assert len(terms) == len(expected[variant])
+            for term, op in zip(terms, expected[variant]):
+                assert np.array_equal(term.op.toarray(), op), variant
 
     def test_rotated_collapses_at_zero_amplitude(self):
         space = build_space(2, 2)
@@ -231,25 +274,25 @@ class TestAssembly:
     def test_excitation_conservation_jc_forms(self):
         space = build_space(3, 3)
         n_ops = (
-            space.number1() - space.sigma(1, 1),
-            space.number2() - space.sigma(2, 2),
+            kron_number(1, 3, 3) - kron_sigma(1, 1, 3, 3),
+            kron_number(2, 3, 3) - kron_sigma(2, 2, 3, 3),
         )
         rng = np.random.default_rng(13)
         for variant in (Variant.JC_STATIC, Variant.EFFECTIVE_JC):
             for _ in range(5):
                 spec = _spec(variant, sys=random_params(rng))
-                H = assemble_terms(spec, space).matrix_at(0.0)
+                H = assemble_terms(spec, space).matrix_at(0.0).toarray()
                 for N in n_ops:
-                    comm = (H @ N - N @ H).toarray()
+                    comm = H @ N - N @ H
                     assert np.abs(comm).max() < 1e-12
 
     def test_counter_terms_break_conservation(self):
         space = build_space(3, 3)
-        N1 = space.number1() - space.sigma(1, 1)
+        N1 = kron_number(1, 3, 3) - kron_sigma(1, 1, 3, 3)
         spec = _spec(Variant.EFFECTIVE_FULL,
                      drive=DriveParams.from_theta(1.2, 0.49))
-        H = assemble_terms(spec, space).matrix_at(0.0)
-        comm = (H @ N1 - N1 @ H).toarray()
+        H = assemble_terms(spec, space).matrix_at(0.0).toarray()
+        comm = H @ N1 - N1 @ H
         assert np.abs(comm).max() > 1e-8
 
 
@@ -288,7 +331,6 @@ class TestEvolve:
         spec = _spec(Variant.JC_STATIC)
         H = assemble_terms(spec, space).matrix_at(0.0).toarray()
         evals, vecs = np.linalg.eigh(H)
-        from lambdajc.dynamics import StateVector
         psi0 = StateVector(amplitudes=vecs[:, 3].astype(complex), space=space)
         res = evolve(spec, space, psi0, t_max=11.0, samples=23)
         overlap = np.abs(res.states @ psi0.amplitudes.conj())
@@ -316,8 +358,8 @@ class TestEvolve:
         # the drive-rotated Hamiltonian as the explicit sideband series
         # sum_{|p| <= 40} g J_p(z) exp(i(phi + p wd)t) of each coupling
         s = RESONANT
-        a1, a2 = space.lower1().toarray(), space.lower2().toarray()
-        s31, s32 = space.sigma(3, 1).toarray(), space.sigma(3, 2).toarray()
+        a1, a2 = kron_lower(1, 1, 1), kron_lower(2, 1, 1)
+        s31, s32 = kron_sigma(3, 1, 1, 1), kron_sigma(3, 2, 1, 1)
         families = [
             (s31 @ a1, s.g1, 2 * s.omega1 + s.omega2 - s.Omega1, theta),
             (s31 @ a1.T, s.g1, 2 * s.omega1 + s.omega2 + s.Omega1, theta),
@@ -420,6 +462,14 @@ class TestEvolve:
             ref = evolve(spec, space, psi0, t_max=200.0, samples=2000,
                          dt_max=interval / 16)
             assert np.max(np.abs(res.states - ref.states)) <= STEP_TOL
+
+    def test_nan_state_warns(self):
+        space = build_space(2, 2)
+        psi0 = coherent_state(space, 0.0, 0.0, "2")
+        psi0.amplitudes[space.index(1, 0, 0)] = np.nan
+        res = evolve(_spec(Variant.JC_STATIC), space, psi0, t_max=1.0, samples=3)
+        assert math.isnan(res.norm_drift) and math.isnan(res.leakage)
+        assert [w.split()[0] for w in res.warnings] == ["norm", "truncation:"]
 
     def test_leakage_warning_on_tight_cutoff(self):
         space = build_space(1, 1)

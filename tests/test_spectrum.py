@@ -290,6 +290,33 @@ class TestLocateBoundary:
         with pytest.raises(ValueError):
             locate_boundary(RESONANT, "g1", (0, 0), (1, 0), 0.0, 0.5)
 
+    @pytest.fixture
+    def capped_energy(self, monkeypatch):
+        # a cap on the energy evaluations stands in for a timeout, so that a
+        # bisection that never ends fails instead of hanging
+        energy = spectrum.block_ground_energy
+        calls = []
+
+        def counted(block):
+            calls.append(block)
+            assert len(calls) <= 1000, "bisection does not end"
+            return energy(block)
+
+        monkeypatch.setattr(spectrum, "block_ground_energy", counted)
+
+    def test_rejects_tolerance_not_positive(self, capped_energy):
+        sys = SystemParams(Omega1=1.0, g1=1.0, g2=0.0)
+        for tol in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                locate_boundary(sys, "g1", (0, 0), (1, 0), 0.5, 5.0, tol=tol)
+
+    def test_tolerance_below_float_spacing_ends(self, capped_energy):
+        # the bisection stops once its midpoint rounds to an endpoint
+        sys = SystemParams(Omega1=1.0, g1=1.0, g2=0.0)
+        g1_star = locate_boundary(sys, "g1", (0, 0), (1, 0), 0.5, 5.0, tol=1e-300)
+        assert g1_star == pytest.approx(
+            locate_boundary(sys, "g1", (0, 0), (1, 0), 0.5, 5.0), abs=1e-4)
+
 
 class TestDrivenPhasePoint:
     def test_fast_drive_matches_static(self):
