@@ -334,6 +334,11 @@ def _run_chunks(sweep: _Sweep, digest: str, todo: dict, workers: int):
     if workers > 1 and len(todo) > 1:
         size = -(-len(todo) // (BATCHES_PER_WORKER * workers))
         batches = -(-len(todo) // size)
+        # Freeing one 16 MiB block raises glibc's heap trim threshold (it
+        # follows the largest freed mmapped block, up to 32 MiB), so the
+        # workers forked below keep the heap pages each row frees rather than
+        # returning them and faulting them in again for the next row.
+        np.empty(1 << 24, dtype=np.uint8)
         with ProcessPoolExecutor(max_workers=min(workers, batches)) as pool:
             yield from pool.map(entry, todo.keys(), todo.values(), chunksize=size)
     else:

@@ -43,8 +43,9 @@ time-independent variants; DOMINANT_SIDEBAND has K = alpha*n1 + beta*n2 +
 e_atom (see _dominant_frame).  DRIVE_ROTATED has no such frame, since its
 z*sin(w_D*t) phases are not linear in t; it uses a fourth-order
 commutator-free exponential integrator (CF4: two Gauss-node exponentials
-per substep).  A TermList holds one fixed-pattern CSR operator whose data
-is rewritten in place for each exponential, the weights of every
+per substep).  A TermList stores its entries once, on one fixed pattern
+laid out as padded rows; for each exponential their values are rewritten
+and the products are taken row by row with numpy, the weights of every
 exponential of the run are evaluated in one call, and each exponential is
 a Taylor polynomial whose degree is fixed once per run from a norm bound
 so that the dropped remainder is below unit roundoff; the scheme preserves
@@ -64,7 +65,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .effective import SidebandInfo, _sideband_bases, effective_for_drive
 from .params import DriveParams, SystemParams
@@ -83,8 +83,9 @@ class TruncationError(ValueError):
 
 
 class PropagationError(RuntimeError):
-    """Raised when no Taylor degree keeps a substep's remainder below unit
-    roundoff (the Hamiltonian's norm bound is too large for the substep)."""
+    """Raised when the Hamiltonian's norm bound is too large to propagate:
+    past what the eigensolver of a framed variant takes, or such that no
+    Taylor degree keeps a substep's remainder below unit roundoff."""
 
 
 class Variant(str, Enum):
@@ -108,6 +109,10 @@ ECHO_PAIRS = {
     "rotated": (Variant.DRIVE_ROTATED, Variant.DOMINANT_SIDEBAND),
     "effective": (Variant.EFFECTIVE_FULL, Variant.EFFECTIVE_JC),
 }
+
+
+#: An operator as the (rows, cols, values) arrays of its entries.
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class HilbertSpace:
@@ -140,14 +145,15 @@ class HilbertSpace:
             raise ValueError(f"index {i} outside [0, {self.dim})")
         return int(self._atom[i]), int(self._n1[i]), int(self._n2[i])
 
-    # -- the model's operators (COO, real), written from the index arrays --
+    # -- the model's operators, written from the index arrays as the
+    # (rows, cols, values) of their entries; every operator is real --
 
-    def diagonal(self, entries: np.ndarray) -> sp.coo_matrix:
+    def diagonal(self, entries: np.ndarray) -> Entries:
         """The diagonal operator with these entries; zeros are left out."""
         keep = np.flatnonzero(entries)
-        return sp.coo_matrix((entries[keep], (keep, keep)), shape=(self.dim, self.dim))
+        return keep, keep, entries[keep]
 
-    def jump(self, k: int, mode: int, create: bool) -> sp.coo_matrix:
+    def jump(self, k: int, mode: int, create: bool) -> Entries:
         """|3><k| a_mode, or |3><k| a_mode' if create: column (k, n1, n2) goes
         to row (3, n1 -+ 1, n2) or (3, n1, n2 -+ 1), weighted by the square
         root of the larger photon number."""
@@ -155,8 +161,7 @@ class HilbertSpace:
         step = 1 if create else -1
         cols = np.flatnonzero((self._atom == k) & (0 <= n + step) & (n + step <= top))
         rows = cols + (3 - k) * self.d1 * self.d2 + step * (self.d2 if mode == 1 else 1)
-        weights = np.sqrt(np.maximum(n[cols], n[cols] + step))
-        return sp.coo_matrix((weights, (rows, cols)), shape=(self.dim, self.dim))
+        return rows, cols, np.sqrt(np.maximum(n[cols], n[cols] + step))
 
 
 def build_space(n_c1: int, n_c2: int) -> HilbertSpace:
@@ -280,7 +285,7 @@ def _coefficient(amplitude, phase, depth, rate, t):
 
 @dataclass(frozen=True)
 class Term:
-    op: sp.coo_matrix
+    op: Entries
     amplitude: complex
     phase: float
     depth: float = 0.0
@@ -289,10 +294,13 @@ class Term:
 
 @dataclass
 class TermList:
-    """The term list of one variant and its one operator representation: one
-    CSR pattern, the sorted union of the term operators' entries, with the
-    (nnz, terms) map from term coefficients to CSR data, so the
-    instantaneous Hamiltonian is one product map @ c(t) on that pattern.
+    """The term list of one variant and its one operator representation: a
+    fixed pattern, the sorted union of the term operators' entries, with
+    the (nnz, terms) map from term coefficients to the values on it, so the
+    instantaneous Hamiltonian's values are one product data_map @ c(t).
+    The pattern is kept as padded rows (ELL): row i of columns and slots
+    holds the column and pattern index of each entry of row i in order,
+    padded to the widest row with column 0 and slot nnz (a zero value).
 
     frame is the diagonal of a real K with K_r - K_c = phase on every entry
     (r, c) of every term, so that H(t) = exp(iKt) H(0) exp(-iKt); None when
@@ -306,14 +314,19 @@ class TermList:
         dim = self.space.dim
         ops = [term.op for term in self.terms]
         # row-major position of every entry; the pattern is their sorted union
-        keys = np.concatenate([op.row.astype(np.int64) * dim + op.col for op in ops])
-        slots, slot = np.unique(keys, return_inverse=True)
-        self._indices = slots % dim
-        self._indptr = np.searchsorted(slots, np.arange(dim + 1) * dim)
-        which = np.repeat(np.arange(len(ops)), [op.nnz for op in ops])
-        self.data_map = np.zeros((slots.size, len(ops)), dtype=complex)
+        keys = np.concatenate([r.astype(np.int64) * dim + c for r, c, _ in ops])
+        pattern, slot = np.unique(keys, return_inverse=True)
+        self._rows, self._cols = np.divmod(pattern, dim)
+        which = np.repeat(np.arange(len(ops)), [v.size for *_, v in ops])
+        self.data_map = np.zeros((pattern.size, len(ops)), dtype=complex)
         # duplicate entries of one operator add up, as in the operator itself
-        np.add.at(self.data_map, (slot, which), np.concatenate([op.data for op in ops]))
+        np.add.at(self.data_map, (slot, which), np.concatenate([v for *_, v in ops]))
+        # each entry's place in its row: its slot less its row's first slot
+        place = np.arange(pattern.size) - np.searchsorted(self._rows, self._rows)
+        width = int(place.max()) + 1
+        self.slots = np.full((dim, width), pattern.size)
+        self.slots[self._rows, place] = np.arange(pattern.size)
+        self.columns = np.append(self._cols, 0)[self.slots]
         self._params = [np.array([getattr(t, k) for t in self.terms])
                         for k in ("amplitude", "phase", "depth", "rate")]
 
@@ -328,7 +341,7 @@ class TermList:
         ||H(t)||_1 at every t since |c_k(t)| = |a_k|; H(t) is Hermitian, so
         it bounds ||H(t)||_2 too."""
         moduli = np.abs(self.data_map) @ np.abs(self._params[0])
-        return float(np.bincount(self._indices, moduli, self.space.dim).max())
+        return float(np.bincount(self._cols, moduli, self.space.dim).max())
 
     def coefficients(self, t) -> np.ndarray:
         """Every term's coefficient at times t, shape (terms, *t.shape)."""
@@ -336,29 +349,26 @@ class TermList:
         shape = (-1,) + (1,) * t.ndim
         return _coefficient(*(p.reshape(shape) for p in self._params), t)
 
-    def operator(self, data: np.ndarray | None = None) -> sp.csr_matrix:
-        """A CSR matrix on the fixed pattern holding data (zeros if None);
-        its data array may be overwritten in place."""
-        if data is None:
-            data = np.zeros(self.data_map.shape[0], dtype=complex)
+    def matrix_at(self, t: float) -> np.ndarray:
+        """Instantaneous Hamiltonian H(t), dense."""
         dim = self.space.dim
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=(dim, dim))
-
-    def matrix_at(self, t: float) -> sp.csr_matrix:
-        """Instantaneous Hamiltonian H(t)."""
-        return self.operator(self.data_map @ self.coefficients(t))
+        H = np.zeros((dim, dim), dtype=complex)
+        H[self._rows, self._cols] = self.data_map @ self.coefficients(t)
+        return H
 
 
-def _pair(terms: list[Term], op: sp.coo_matrix, amplitude: float, phase: float,
+def _pair(terms: list[Term], op: Entries, amplitude: float, phase: float,
           depth: float = 0.0, rate: float = 0.0):
-    """Append a physical term together with its exact Hermitian conjugate."""
+    """Append a physical term together with its exact Hermitian conjugate;
+    op is real, so its adjoint swaps rows and columns."""
+    rows, cols, values = op
     terms.append(Term(op=op, amplitude=complex(amplitude), phase=float(phase),
                       depth=float(depth), rate=float(rate)))
-    terms.append(Term(op=op.T, amplitude=complex(np.conj(amplitude)),
+    terms.append(Term(op=(cols, rows, values), amplitude=complex(np.conj(amplitude)),
                       phase=-float(phase), depth=-float(depth), rate=float(rate)))
 
 
-def _self_adjoint(terms: list[Term], op: sp.coo_matrix, amplitude: float):
+def _self_adjoint(terms: list[Term], op: Entries, amplitude: float):
     terms.append(Term(op=op, amplitude=complex(amplitude), phase=0.0))
 
 
@@ -449,6 +459,9 @@ class EvolutionResult:
 #: (max |delta psi| over a run), as _substeps estimates it.
 STEP_TOL = 1e-7
 _MAX_TAYLOR_DEGREE = 63
+# Largest norm bound of H(0) + K the framed path diagonalizes: past it the
+# squares of the entries overflow, and LAPACK has aborted the interpreter
+_EIGH_NORM_MAX = math.sqrt(np.finfo(float).max)
 _UNIT_ROUNDOFF = 2.0 ** -53
 # Gauss-Legendre nodes of a substep and the fourth-order commutator-free
 # weights: a substep from t applies exp(-ih(X_HI H_early + X_LO H_late)),
@@ -481,9 +494,10 @@ def _taylor_degree(terms: TermList, h: float) -> int:
         f"{terms.norm_bound:.3g} is too large for the substep {h:.3g}")
 
 
-def _expm_apply(H: sp.csr_matrix, factor: complex, psi: np.ndarray,
-                degree: int) -> np.ndarray:
-    """exp(factor*H) @ psi by its Taylor polynomial of the given degree.
+def _expm_apply(columns: np.ndarray, values: np.ndarray, factor: complex,
+                psi: np.ndarray, degree: int) -> np.ndarray:
+    """exp(factor*H) @ psi by its Taylor polynomial of the given degree, for
+    the H with values on the padded rows of TermList.columns.
 
     With the degree from _taylor_degree the dropped remainder is below unit
     roundoff, so the result is unitary to roundoff whenever factor*H is
@@ -492,7 +506,8 @@ def _expm_apply(H: sp.csr_matrix, factor: complex, psi: np.ndarray,
     out = psi.copy()
     term = psi
     for k in range(1, degree + 1):
-        term = H @ term
+        # H @ term, each row summed from zero in pattern order
+        term = np.einsum("ij,ij->i", values, term[columns])
         term *= factor / k
         out += term
     return out
@@ -511,18 +526,19 @@ def _cf4_weights(terms: TermList, starts: np.ndarray, h: float,
     return np.moveaxis(mixed, 0, -1).reshape(starts.size, 2 * nsub, -1)
 
 
-def _cf4_steps(terms: TermList, H: sp.csr_matrix, psi: np.ndarray,
-               weights: np.ndarray, h: float, degree: int) -> np.ndarray:
+def _cf4_steps(terms: TermList, psi: np.ndarray, weights: np.ndarray,
+               h: float, degree: int) -> np.ndarray:
     """psi advanced by the exponentials of substeps of length h, one per row
-    of weights (one start time of _cf4_weights); H is a TermList.operator
-    whose data is overwritten for each exponential."""
+    of weights (one start time of _cf4_weights)."""
+    # the pattern's values, then the zero that pads the rows
+    data = np.zeros(terms.data_map.shape[0] + 1, dtype=complex)
     for row in weights:
-        np.dot(terms.data_map, row, out=H.data)
-        psi = _expm_apply(H, -1j * h, psi, degree)
+        np.dot(terms.data_map, row, out=data[:-1])
+        psi = _expm_apply(terms.columns, data[terms.slots], -1j * h, psi, degree)
     return psi
 
 
-def _substeps(terms: TermList, H: sp.csr_matrix, psi: np.ndarray, t0: float,
+def _substeps(terms: TermList, psi: np.ndarray, t0: float,
               interval: float, n_min: int, intervals: int) -> int:
     """CF4 substeps per sample interval: the fewest, n_min or more, whose
     estimated error in the sampled amplitudes over the run is at most
@@ -537,9 +553,8 @@ def _substeps(terms: TermList, H: sp.csr_matrix, psi: np.ndarray, t0: float,
     h = interval / n_min
     degree = _taylor_degree(terms, h)
     start = np.array([t0])
-    coarse = _cf4_steps(terms, H, psi, _cf4_weights(terms, start, h, 1)[0],
-                        h, degree)
-    fine = _cf4_steps(terms, H, psi, _cf4_weights(terms, start, h / 2, 2)[0],
+    coarse = _cf4_steps(terms, psi, _cf4_weights(terms, start, h, 1)[0], h, degree)
+    fine = _cf4_steps(terms, psi, _cf4_weights(terms, start, h / 2, 2)[0],
                       h / 2, degree)
     error = n_min * intervals * 16.0 / 15.0 * float(np.max(np.abs(coarse - fine)))
     return max(n_min, math.ceil(n_min * (error / STEP_TOL) ** 0.25))
@@ -597,7 +612,12 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
     if terms.frame is not None:
         # psi(t) = exp(iKt) exp(-i(H(0) + K)t) psi(0)
         K = terms.frame
-        H = terms.matrix_at(0.0).toarray()
+        norm = terms.norm_bound + float(np.max(np.abs(K)))
+        if not norm <= _EIGH_NORM_MAX:
+            raise PropagationError(
+                f"propagator cannot diagonalize the Hamiltonian: norm bound "
+                f"{norm:.3g} exceeds {_EIGH_NORM_MAX:.3g}")
+        H = terms.matrix_at(0.0)
         H[np.diag_indices_from(H)] += K
         evals, vecs = np.linalg.eigh(H)
         coeff = vecs.conj().T @ psi
@@ -605,15 +625,14 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
             states[i] = np.exp(1j * K * t) * (
                 vecs @ (np.exp(-1j * evals * t) * coeff))
     else:
-        H = terms.operator()
         interval = times[1] - times[0]
-        nsub = _substeps(terms, H, psi, times[0], interval,
+        nsub = _substeps(terms, psi, times[0], interval,
                          max(1, math.ceil(interval / h_max)), times.size - 1)
         h = interval / nsub
         degree = _taylor_degree(terms, h)
         weights = _cf4_weights(terms, times[:-1], h, nsub)
         for i, interval_weights in enumerate(weights, start=1):
-            psi = _cf4_steps(terms, H, psi, interval_weights, h, degree)
+            psi = _cf4_steps(terms, psi, interval_weights, h, degree)
             states[i] = psi
 
     norms = np.linalg.norm(states, axis=1)

@@ -103,6 +103,15 @@ def expm_propagate(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     return out
 
 
+def dense(op, dim: int) -> np.ndarray:
+    """An operator given as the (rows, cols, values) of its entries, dense;
+    repeated entries add up."""
+    rows, cols, values = op
+    out = np.zeros((dim, dim))
+    np.add.at(out, (rows, cols), values)
+    return out
+
+
 def kron_sigma(k: int, j: int, n_c1: int, n_c2: int) -> np.ndarray:
     """|k><j| (x) 1 (x) 1 on the atom (x) mode-1 (x) mode-2 space, dense."""
     at = np.zeros((3, 3))

@@ -619,6 +619,25 @@ class TestRunCommand:
         assert json.loads((out / "manifest.json").read_text())["csv_blake2b"] is None
         assert not (out / "echo.csv").exists()
 
+    def test_framed_propagator_failure_is_runtime_error(self, tmp_path):
+        # a coupling near the float limit once aborted the interpreter inside
+        # the eigensolver of the framed path, so the CLI runs in its own process
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "model": {"g1": 1e305}, "truncation": {"n_c1": 2, "n_c2": 2},
+            "dynamics": {"t_max": 1.0, "samples": 3, "pair": "effective"}}))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lambdajc.cli", "echo",
+             "--config", str(cfg_path), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")})
+        assert proc.returncode == 2, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: propagator")
+        assert json.loads((out / "manifest.json").read_text())["csv_blake2b"] is None
+        assert not (out / "echo.csv").exists()
+
     def test_effective_echo_takes_any_dt_max(self, tmp_path):
         # neither effective branch oscillates, so no dt_max is past a bound
         cfg = parse_config({"truncation": {"n_c1": 2, "n_c2": 2},
@@ -1258,6 +1277,17 @@ class TestMainEntry:
         assert main(["static-phase", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "unknown key 'sideband_eps' in truncation" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_cli_imports_no_scipy(self):
+        # numpy is the only runtime dependency; scipy serves the tests alone
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, lambdajc.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["static-phase", "--config", str(tmp_path / "nope.json")]) == 1

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from lambdajc.config import parse_config
 from lambdajc.dynamics import (
@@ -23,7 +22,7 @@ from lambdajc.dynamics import _expm_apply, _taylor_degree
 from lambdajc.params import DriveParams, SystemParams
 from lambdajc.spectrum import block_ground_energy, block_matrix
 
-from oracles import expm_propagate, kron_lower, kron_number, kron_sigma
+from oracles import dense, expm_propagate, kron_lower, kron_number, kron_sigma
 
 SAMPLES = Path(__file__).parent.parent / "configs"
 RESONANT = SystemParams()
@@ -124,6 +123,12 @@ class TestCoherentState:
         assert pop[space.index(3, 0, 0)] == pytest.approx(0.5)
 
 
+def padded_values(terms, t):
+    """H(t)'s values on the padded rows of terms.columns: the pattern's
+    values and the zero the padding slot points at."""
+    return np.append(terms.data_map @ terms.coefficients(t), 0.0)[terms.slots]
+
+
 def _spec(variant, sys=RESONANT, drive=DRIVE):
     needs_drive = variant is not Variant.JC_STATIC
     return HamiltonianSpec(variant=variant, sys=sys,
@@ -172,7 +177,7 @@ class TestAssembly:
             terms = assemble_terms(_spec(variant), space).terms
             assert len(terms) == len(expected[variant])
             for term, op in zip(terms, expected[variant]):
-                assert np.array_equal(term.op.toarray(), op), variant
+                assert np.array_equal(dense(term.op, space.dim), op), variant
 
     def test_rotated_collapses_at_zero_amplitude(self):
         space = build_space(2, 2)
@@ -184,11 +189,12 @@ class TestAssembly:
     def test_effective_jc_decoupled_is_diagonal(self):
         space = build_space(2, 2)
         spec = _spec(Variant.EFFECTIVE_JC, sys=RESONANT.replace(g1=0.0, g2=0.0))
-        H = assemble_terms(spec, space).matrix_at(0.3).toarray()
+        H = assemble_terms(spec, space).matrix_at(0.3)
         assert np.allclose(H, np.diag(np.diag(H)), atol=1e-15)
 
     def test_conjugate_partner_present(self):
         def is_adjoint(a, b):
+            a, b = dense(a, space.dim), dense(b, space.dim)
             return (abs(a - b.conj().T)).max() < 1e-15
 
         space = build_space(2, 2)
@@ -218,7 +224,7 @@ class TestAssembly:
         for variant in Variant:
             terms = assemble_terms(_spec(variant), space)
             for t in rng.uniform(0.0, 300.0, 100):
-                H = terms.matrix_at(float(t)).toarray()
+                H = terms.matrix_at(float(t))
                 assert np.abs(H - H.conj().T).max() < 1e-12
 
     def test_matrix_at_matches_per_term_sum(self):
@@ -229,10 +235,10 @@ class TestAssembly:
             terms = assemble_terms(_spec(variant, drive=drive), space)
             for t in rng.uniform(0.0, 300.0, 20):
                 expected = sum(
-                    term.op.toarray() * term.amplitude
+                    dense(term.op, space.dim) * term.amplitude
                     * np.exp(1j * (term.phase * t + term.depth * np.sin(term.rate * t)))
                     for term in terms.terms)
-                H = terms.matrix_at(float(t)).toarray()
+                H = terms.matrix_at(float(t))
                 assert np.abs(H - expected).max() < 1e-13
                 assert np.linalg.norm(H, 2) <= terms.norm_bound * (1 + 1e-12)
 
@@ -250,11 +256,11 @@ class TestAssembly:
                     continue
                 framed += 1
                 K = terms.frame
-                H0 = terms.matrix_at(0.0).toarray()
+                H0 = terms.matrix_at(0.0)
                 for t in rng.uniform(0.0, 300.0, 10):
                     phase = np.exp(1j * K * t)
                     rotated = phase[:, None] * H0 * phase.conj()[None, :]
-                    H = terms.matrix_at(float(t)).toarray()
+                    H = terms.matrix_at(float(t))
                     assert np.abs(H - rotated).max() < 1e-13
         assert framed == 12
 
@@ -281,7 +287,7 @@ class TestAssembly:
         for variant in (Variant.JC_STATIC, Variant.EFFECTIVE_JC):
             for _ in range(5):
                 spec = _spec(variant, sys=random_params(rng))
-                H = assemble_terms(spec, space).matrix_at(0.0).toarray()
+                H = assemble_terms(spec, space).matrix_at(0.0)
                 for N in n_ops:
                     comm = H @ N - N @ H
                     assert np.abs(comm).max() < 1e-12
@@ -291,7 +297,7 @@ class TestAssembly:
         N1 = kron_number(1, 3, 3) - kron_sigma(1, 1, 3, 3)
         spec = _spec(Variant.EFFECTIVE_FULL,
                      drive=DriveParams.from_theta(1.2, 0.49))
-        H = assemble_terms(spec, space).matrix_at(0.0).toarray()
+        H = assemble_terms(spec, space).matrix_at(0.0)
         comm = H @ N1 - N1 @ H
         assert np.abs(comm).max() > 1e-8
 
@@ -303,7 +309,7 @@ class TestSectorEquivalence:
         for _ in range(8):
             sys = random_params(rng)
             H = assemble_terms(_spec(Variant.JC_STATIC, sys=sys), space)
-            dense = H.matrix_at(0.0).toarray().real
+            dense = H.matrix_at(0.0).real
             for n in range(0, 6):
                 for m in range(1, 7):
                     idx = sector_states(space, n, m)
@@ -329,7 +335,7 @@ class TestEvolve:
     def test_eigenvector_acquires_phase_only(self):
         space = build_space(2, 2)
         spec = _spec(Variant.JC_STATIC)
-        H = assemble_terms(spec, space).matrix_at(0.0).toarray()
+        H = assemble_terms(spec, space).matrix_at(0.0)
         evals, vecs = np.linalg.eigh(H)
         psi0 = StateVector(amplitudes=vecs[:, 3].astype(complex), space=space)
         res = evolve(spec, space, psi0, t_max=11.0, samples=23)
@@ -341,7 +347,7 @@ class TestEvolve:
         spec = _spec(Variant.EFFECTIVE_JC)
         psi0 = coherent_state(space, 0.01, 0.01, "2")
         res = evolve(spec, space, psi0, t_max=50.0, samples=26)
-        H = assemble_terms(spec, space).matrix_at(0.0).toarray()
+        H = assemble_terms(spec, space).matrix_at(0.0)
         ref = expm_propagate(H, psi0.amplitudes, res.times)
         assert np.max(np.abs(res.states - ref)) < 1e-8
 
@@ -394,7 +400,7 @@ class TestEvolve:
         res = evolve(spec, space, psi0, t_max=20.0, samples=5)
 
         # H(t) summed term by term from each term's own phase
-        terms = [(term.op.toarray() * term.amplitude, term.phase)
+        terms = [(dense(term.op, space.dim) * term.amplitude, term.phase)
                  for term in assemble_terms(spec, space).terms]
 
         def rhs(t, y):
@@ -445,9 +451,34 @@ class TestEvolve:
         H = terms.matrix_at(1.7)
         for h in (0.05, 0.5, 2.0):
             degree = _taylor_degree(terms, h)
-            ours = _expm_apply(H, -1j * h, psi0, degree)
-            ref = expm_propagate(H.toarray(), psi0, [h])[0]
+            ours = _expm_apply(terms.columns, padded_values(terms, 1.7), -1j * h,
+                               psi0, degree)
+            ref = expm_propagate(H, psi0, [h])[0]
             assert np.max(np.abs(ours - ref)) < 1e-14
+
+    @pytest.mark.parametrize("cutoffs", [(2, 3), (3, 1)])
+    def test_product_adds_in_csr_order(self, cutoffs):
+        # the padded-row product sums each row in the order of scipy's CSR
+        # product, on which the drive-rotated echo bytes depend: the Taylor
+        # polynomial is the same, bit for bit, with scipy's product in it
+        import scipy.sparse
+        space = build_space(*cutoffs)
+        rng = np.random.default_rng(41)
+        drive = DriveParams.from_theta(0.8, 0.33)
+        for variant in Variant:
+            terms = assemble_terms(_spec(variant, sys=random_params(rng),
+                                         drive=drive), space)
+            for t in rng.uniform(0.0, 300.0, 5):
+                H = scipy.sparse.csr_matrix(terms.matrix_at(float(t)))
+                x = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+                ours = _expm_apply(terms.columns, padded_values(terms, float(t)),
+                                   -0.5j, x, 6)
+                ref, term = x.copy(), x
+                for k in range(1, 7):
+                    term = H @ term
+                    term *= -0.5j / k
+                    ref += term
+                assert np.array_equal(ours, ref), variant
 
     def test_default_step_meets_tolerance(self):
         # configs/echo.json's model and drive over the default horizon
