@@ -460,7 +460,8 @@ class EvolutionResult:
 STEP_TOL = 1e-7
 _MAX_TAYLOR_DEGREE = 63
 # Largest norm bound of H(0) + K the framed path diagonalizes: past it the
-# squares of the entries overflow, and LAPACK has aborted the interpreter
+# squares of entries overflow, and near the float limit the eigensolver has
+# aborted the interpreter
 _EIGH_NORM_MAX = math.sqrt(np.finfo(float).max)
 _UNIT_ROUNDOFF = 2.0 ** -53
 # Gauss-Legendre nodes of a substep and the fourth-order commutator-free
