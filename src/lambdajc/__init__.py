@@ -37,7 +37,7 @@ from .effective import (
     validity_report,
 )
 from .params import DriveParams, SystemParams
-from .specfun import bessel_j, bessel_j_any
+from .specfun import bessel_j
 from .spectrum import (
     AxisSpec,
     DressedBlock,

@@ -26,10 +26,10 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .dynamics import ATOMIC_PRESETS, DEFAULT_SAMPLES, DEFAULT_T_MAX, ECHO_PAIRS
-from .params import DriveParams, SystemParams
+from .params import DRIVE_AXES, DriveParams, SystemParams
 from .spectrum import DRIVEN_BLOCK_WINDOW, STATIC_BLOCK_WINDOW
 
-SWEEPABLE_PARAMETERS = ("g1", "g2", "A_D", "omega_D", "Omega1", "Omega2")
+SWEEPABLE_PARAMETERS = ("g1", "g2", *DRIVE_AXES, "Omega1", "Omega2")
 
 
 class ConfigError(ValueError):

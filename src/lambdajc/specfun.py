@@ -2,7 +2,9 @@
 
 The drive enters the effective couplings only through J_n(theta) and
 J_m(2 theta) weights, so a self-contained, high-accuracy evaluator for
-integer orders is the one special function this package needs.
+integer orders is the one special function this package needs.  bessel_j
+is that evaluator, for every integer order; bessel_j_row gives a whole row
+of orders of one argument.
 
 Evaluation scheme
 -----------------
@@ -27,6 +29,8 @@ import math
 
 import numpy as np
 
+#: Orders up to this run the recurrence with no underflow screen; deeper
+#: orders are screened first (see bessel_j).
 MAX_ORDER = 64
 MAX_ARGUMENT = 1.0e3
 _SERIES_CUTOFF = 1.0
@@ -100,26 +104,15 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
 
 
 def bessel_j(n: int, x: float) -> float:
-    """J_n(x) for integer order n (|n| <= 64) and |x| <= 1e3.
+    """J_n(x) for any integer order n and |x| <= 1e3.
 
     Absolute accuracy is comfortably below 1e-12 across the supported
     domain; the property suite pins normalisation, recurrence and
-    reflection identities.
-    """
-    n = int(n)
-    if abs(n) > MAX_ORDER:
-        raise ValueError(f"|order| <= {MAX_ORDER} supported, got {n}")
-    return bessel_j_any(n, x)
-
-
-def bessel_j_any(n: int, x: float) -> float:
-    """J_n(x) without the public order cap; |x| <= 1e3 still applies.
-
-    Slow drives resolve sideband orders far beyond 64 whose Bessel weights
-    underflow to zero; this variant serves the sideband engine for exactly
-    that regime.  Orders in the decayed region n > |x| are first screened
-    with the rigorous bound |J_n(x)| <= (x/2)^n / n!; anything below the
-    double-precision floor returns 0.0 without running the recurrence.
+    reflection identities.  Slow drives resolve sideband orders far beyond
+    MAX_ORDER whose weights underflow to zero: there, orders in the decayed
+    region n > |x| are first screened with the rigorous bound
+    |J_n(x)| <= (x/2)^n / n!, and anything below the double-precision floor
+    returns 0.0 without running the recurrence.
     """
     n = int(n)
     x = float(x)
@@ -145,4 +138,3 @@ def bessel_j_any(n: int, x: float) -> float:
         if log_bound < -745.0:
             return 0.0
     return sign * float(bessel_j_row(n, x)[n])
-

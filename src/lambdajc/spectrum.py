@@ -193,7 +193,8 @@ def block_matrix(sys: SystemParams, n_ph: int, m_ph: int) -> DressedBlock:
     return DressedBlock(n_ph=n_ph, m_ph=m_ph, matrix=mat)
 
 
-#: Block scale above which the kernel's cubic terms (~160 scale^3) could overflow.
+#: Block scale above which the kernel's cubic terms (~160 scale^3) could
+#: overflow; below its inverse they could fall into subnormals.
 _KERNEL_MAX_SCALE = 2.0 ** 330
 
 
@@ -204,9 +205,11 @@ def _lowest_eig_sym3(h11, h22, h33, h12, h13):
     characteristic polynomial.  Exactly diagonal inputs short-circuit to
     min of the diagonal.  Elementwise: each output depends only on its own
     five inputs, so evaluating a subset of blocks gives the same bytes.
-    A block with an element above _KERNEL_MAX_SCALE is evaluated scaled by
-    a power of two, which changes no rounding, and where p^3 underflows
-    det_b is the determinant of (A - qI)/p; other blocks keep their bytes.
+    A nonzero block whose largest element lies above _KERNEL_MAX_SCALE or
+    below its inverse is evaluated scaled by a power of two, which changes
+    no rounding, so the result is homogeneous in the common scale of the
+    elements; where p^3 underflows det_b is the determinant of (A - qI)/p.
+    Other blocks keep their bytes.
     """
     if not all(type(a) is np.ndarray and a.dtype == np.float64
                and a.shape == h11.shape for a in (h11, h22, h33, h12, h13)):
@@ -215,10 +218,11 @@ def _lowest_eig_sym3(h11, h22, h33, h12, h13):
                                    for a in (h11, h22, h33, h12, h13))
     scale = np.maximum(np.maximum(np.maximum(np.abs(h11), np.abs(h22)),
                                   np.maximum(np.abs(h33), np.abs(h12))),
-                       np.maximum(np.abs(h13), 1e-300))
-    huge = (scale > _KERNEL_MAX_SCALE) & (scale < np.inf)
-    if huge.any():
-        shift = np.where(huge, np.frexp(scale)[1], 0)
+                       np.abs(h13))
+    outside = (scale > _KERNEL_MAX_SCALE) | (scale < 1.0 / _KERNEL_MAX_SCALE)
+    rescale = outside & (scale > 0.0) & (scale < np.inf)
+    if rescale.any():
+        shift = np.where(rescale, np.frexp(scale)[1], 0)
         h = (np.ldexp(x, -shift) for x in (h11, h22, h33, h12, h13))
         return np.ldexp(_lowest_eig_sym3(*h), shift)
     q = (h11 + h22 + h33) / 3.0

@@ -1,14 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lambdajc.effective import (
     detunings,
     effective_parameters,
+    effective_table,
     find_sidebands,
     omega_zero_frequencies,
     validity_report,
 )
-from lambdajc.params import DriveParams, SystemParams
+from lambdajc.params import MODEL_FIELDS, DriveParams, SystemParams
+from lambdajc.specfun import MAX_ORDER
 
 from oracles import bessel_series, brute_sideband
 
@@ -243,3 +247,41 @@ class TestValleyStructure:
             for shift in (-1e-3, 1e-3):
                 sb = find_sidebands(RESONANT, drive_for(0.1, z.omega_d + shift))
                 assert sb.n0 == z.order
+
+
+class TestOnePointForms:
+    def test_match_effective_table_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        points = []
+        for i in range(300):
+            sys = SystemParams(
+                omega1=float(rng.uniform(-1.0, 2.0)),
+                omega2=float(rng.uniform(-1.0, 2.0)),
+                Omega1=float(rng.uniform(0.1, 3.0)),
+                Omega2=float(rng.uniform(0.1, 3.0)),
+                g1=float(rng.uniform(0.0, 3.0)),
+                g2=0.0 if i % 10 == 0 else float(rng.uniform(0.0, 3.0)),
+            )
+            # one draw in three is a slow drive, whose sideband orders lie
+            # beyond MAX_ORDER
+            slow = i % 3 == 0
+            frequency = float(rng.uniform(0.025, 0.035) if slow else rng.uniform(0.05, 6.0))
+            points.append((sys, drive_for(float(rng.uniform(0.0, 3.0)), frequency)))
+        # omega_D = 0.5 puts the mode-1 sideband phase exactly at zero
+        points.append((RESONANT, drive_for(0.3, 0.5)))
+        table = effective_table(*([getattr(p, k) for p, _ in points] for k in MODEL_FIELDS),
+                                [d.amplitude for _, d in points],
+                                [d.frequency for _, d in points])
+        for i, (sys, drive) in enumerate(points):
+            sb = find_sidebands(sys, drive)
+            eff = effective_parameters(sys, drive, sb)
+            report = validity_report(sys, drive, sb, eff)
+            for record in (sb, eff):
+                for f in dataclasses.fields(record):
+                    assert getattr(record, f.name) == table[f.name][i], (i, f.name)
+            for name, value in report.ratios.items():
+                assert value == table[name][i], (i, name)
+            assert report.hierarchy_ok == table["hierarchy_ok"][i]
+            assert report.rwa_ok == table["rwa_ok"][i]
+        assert np.abs(table["n0"]).max() > MAX_ORDER
+        assert np.isinf(table["gc1/Delta_n0"][-1])

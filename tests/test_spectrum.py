@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,8 +133,9 @@ class TestBlockGroundEnergy:
 
 class TestKernelRange:
     """The closed form where the cube of a resonant block's spread
-    underflows (couplings below about 1e-103) and where its cubic terms
-    would overflow (elements above about 1e102)."""
+    underflows (couplings below about 1e-103), where its cubic terms
+    would overflow (elements above about 1e102) or fall into subnormals
+    (elements below about 1e-100)."""
 
     @pytest.mark.parametrize("g1", [1e-110, 1e-200, 1e200])
     def test_every_block_matches_dense_eigensolver(self, g1):
@@ -156,6 +158,45 @@ class TestKernelRange:
         assert point.energy == pytest.approx(lowest, rel=1e-12, abs=0.0)
         # at g1 = 1e200 the m labels of n = 8 agree to all digits
         assert point.gap == pytest.approx(second - lowest, abs=1e-12 * abs(lowest))
+
+    @pytest.mark.parametrize("k", [340, 530, 600, 1000])
+    def test_scale_invariance(self, k):
+        # the spectrum is homogeneous in the block elements: scaling every
+        # element by 2^-k scales the lowest eigenvalue by exactly 2^-k.
+        # Elements are multiples of 2^-20, so the scaled inputs stay normal.
+        rng = np.random.default_rng(17)
+        params = [rng.uniform(lo, hi, (300, 1, 1)) for lo, hi in
+                  ((-1.0, 2.0), (-1.0, 2.0), (0.1, 3.0), (0.1, 3.0), (0.0, 3.0), (0.0, 3.0))]
+        h = [np.round(x * 2.0**20) / 2.0**20
+             for x in spectrum._window_elements(params, 4)]
+        unit = spectrum._lowest_eig_sym3(*h)
+        scaled = spectrum._lowest_eig_sym3(*(np.ldexp(x, -k) for x in h))
+        assert np.array_equal(scaled, np.ldexp(unit, -k))
+
+    def test_scaled_static_grid_keeps_its_labels(self):
+        # the static sample model and a 7x7 coupling grid with every
+        # frequency and coupling scaled by 2^-540
+        def grid(k):
+            sys = SystemParams(omega1=math.ldexp(0.5, k), omega2=math.ldexp(0.25, k),
+                               Omega1=math.ldexp(1.25, k), Omega2=math.ldexp(1.0, k))
+            ax1 = AxisSpec("g1", "g1", np.linspace(0.0, math.ldexp(5.625, k), 7))
+            ax2 = AxisSpec("g2", "g2", np.linspace(0.0, math.ldexp(4.5, k), 7))
+            return sweep_grid(sys, None, ax1, ax2, STATIC_BLOCK_WINDOW)
+
+        unit = grid(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scaled = grid(-540)
+        assert not np.isnan(scaled.energy).any()
+        assert np.array_equal(scaled.n_label, unit.n_label)
+        assert np.array_equal(scaled.m_label, unit.m_label)
+        assert np.array_equal(scaled.energy, np.ldexp(unit.energy, -540))
+
+    def test_scaled_ground_search_label(self):
+        sys = RESONANT.replace(g1=3.2, g2=3.0)
+        assert ground_search(sys).label == (0, 1)
+        tiny = SystemParams(**{f: math.ldexp(getattr(sys, f), -600) for f in MODEL_FIELDS})
+        assert ground_search(tiny).label == (0, 1)
 
 
 class TestGroundSearch:
