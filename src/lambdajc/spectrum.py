@@ -32,6 +32,11 @@ The lowest eigenvalue of each block is computed by the closed-form
 trigonometric solution of the symmetric 3x3 characteristic polynomial with
 a Newton polish and an exact-diagonal fallback.
 
+Every cell, and every block in the kernel, is evaluated at unit scale:
+divided by 2^e, e the frexp exponent of its largest magnitude, with its
+energies multiplied back.  That changes no rounding, so no result depends
+on the unit the frequencies (with hbar = 1, energies) are written in.
+
 Grids are evaluated by one row engine.  compute_grid_row broadcasts the
 swept field over the axis-2 values and builds the elements of every
 cell's blocks once.  Each block's lowest eigenvalue is bounded below by
@@ -193,43 +198,36 @@ def block_matrix(sys: SystemParams, n_ph: int, m_ph: int) -> DressedBlock:
     return DressedBlock(n_ph=n_ph, m_ph=m_ph, matrix=mat)
 
 
-#: Block scale above which the kernel's cubic terms (~160 scale^3) could
-#: overflow; below its inverse they could fall into subnormals.
-_KERNEL_MAX_SCALE = 2.0 ** 330
-
-
 def _lowest_eig_sym3(h11, h22, h33, h12, h13):
     """Smallest eigenvalue of [[h11,h12,h13],[h12,h22,0],[h13,0,h33]].
 
-    Trigonometric closed form, then up to two guarded Newton steps on the
-    characteristic polynomial.  Exactly diagonal inputs short-circuit to
-    min of the diagonal.  Elementwise: each output depends only on its own
-    five inputs, so evaluating a subset of blocks gives the same bytes.
-    A nonzero block whose largest element lies above _KERNEL_MAX_SCALE or
-    below its inverse is evaluated scaled by a power of two, which changes
-    no rounding, so the result is homogeneous in the common scale of the
-    elements; where p^3 underflows det_b is the determinant of (A - qI)/p.
-    Other blocks keep their bytes.
+    Each block is evaluated at unit scale: its elements are divided by
+    2^e, e the frexp exponent of its largest |element| (0 for a zero, inf
+    or NaN), and the result is multiplied back.  Scaling by a power of two
+    changes no rounding, so the result is homogeneous in the common scale
+    of the elements.  Trigonometric closed form, then up to two guarded
+    Newton steps on the characteristic polynomial.  A block whose spread
+    p = sqrt(p2 / 6) rounds to zero (exactly diagonal, or p2 / 6 below the
+    subnormals) short-circuits to the min of its diagonal; where p^3
+    underflows det_b is the determinant of (A - qI)/p.  Elementwise: each
+    output depends only on its own five inputs, so evaluating a subset of
+    blocks gives the same bytes.
     """
     if not all(type(a) is np.ndarray and a.dtype == np.float64
                and a.shape == h11.shape for a in (h11, h22, h33, h12, h13)):
         b = np.broadcast(h11, h22, h33, h12, h13)
         h11, h22, h33, h12, h13 = (np.broadcast_to(a, b.shape).astype(float)
                                    for a in (h11, h22, h33, h12, h13))
-    scale = np.maximum(np.maximum(np.maximum(np.abs(h11), np.abs(h22)),
-                                  np.maximum(np.abs(h33), np.abs(h12))),
-                       np.abs(h13))
-    outside = (scale > _KERNEL_MAX_SCALE) | (scale < 1.0 / _KERNEL_MAX_SCALE)
-    rescale = outside & (scale > 0.0) & (scale < np.inf)
-    if rescale.any():
-        shift = np.where(rescale, np.frexp(scale)[1], 0)
-        h = (np.ldexp(x, -shift) for x in (h11, h22, h33, h12, h13))
-        return np.ldexp(_lowest_eig_sym3(*h), shift)
+    scale, shift = np.frexp(np.maximum(np.maximum(np.maximum(np.abs(h11), np.abs(h22)),
+                                                  np.maximum(np.abs(h33), np.abs(h12))),
+                                       np.abs(h13)))
+    h11, h22, h33, h12, h13 = (np.ldexp(x, -shift) for x in (h11, h22, h33, h12, h13))
     q = (h11 + h22 + h33) / 3.0
     a, bb, e = h11 - q, h22 - q, h33 - q
     p2 = a * a + bb * bb + e * e + 2.0 * (h12 * h12 + h13 * h13)
-    diagonal = p2 <= 0.0
-    p = np.sqrt(np.where(diagonal, 1.0, p2) / 6.0)
+    p = np.sqrt(p2 / 6.0)
+    diagonal = p == 0.0
+    p = np.where(diagonal, 1.0, p)
     p3 = p * p * p
     tiny = p3 < np.finfo(float).tiny
     d11, d22, d33, d12, d13 = a, bb, e, h12, h13
@@ -252,7 +250,7 @@ def _lowest_eig_sym3(h11, h22, h33, h12, h13):
             # keep the polish local so it can never hop to another root
             step = np.where(np.abs(step) < 1e-3 * scale, step, 0.0)
             lam = lam - step
-    return lam
+    return np.ldexp(lam, shift)
 
 
 def block_ground_energy(block: DressedBlock) -> float:
@@ -314,45 +312,42 @@ def _block_bounds(h11, h22, h33, h12, h13):
     w2, w3 = h12 * h12, h13 * h13
     r2 = w2 + w3
     r = np.sqrt(r2)
-    coupled = r2 > 0.0
+    # a subnormal r2 leaves the products w * h too few digits to bound
+    # the eigenvalue
+    coupled = r2 >= np.finfo(float).tiny
     quotient = 0.5 * (h11 + (w2 * h22 + w3 * h33) / np.where(coupled, r2, 1.0)) - r
     return low_diag - r, np.minimum(low_diag, np.where(coupled, quotient, np.inf))
 
 
-#: A block is evaluated when its lower bound is within PRUNE_MARGIN times
-#: its cell's block scale of the cell's threshold; the margin covers the
-#: rounding of the bounds and of the kernel.
+#: A block is evaluated when its lower bound is within PRUNE_MARGIN * 2(W+1)
+#: of its cell's threshold.  Cells are searched at unit scale, where every
+#: element of a W-window block lies below 2(W+1) (|h11| and |h22| come near
+#: it at W = 1), so the margin covers the rounding of the bounds and of the
+#: kernel.
 PRUNE_MARGIN = 1e-12
-#: Block scales over which the kernel's cubic terms stay normal floats; a
-#: cell outside them, or with a NaN or inf element, is evaluated in full.
-_TRUSTED_SCALE = (1e-100, 1e100)
 
 
-def _pruned_ground_table(h11, h22, h33, h12, h13) -> np.ndarray:
+def _pruned_ground_table(model, block_window: int, finite) -> np.ndarray:
     """(cells, blocks) table of the lowest eigenvalue of each block whose
     lower bound can reach its cell's two lowest energies, +inf elsewhere.
 
-    The elements are shaped (cells, ...).  Per cell, tau is the
+    model holds the six parameter arrays of the cells at unit scale: each
+    cell's largest |parameter| lies below 1.  Per cell, tau is the
     second-smallest upper bound, so at least two energies lie at or below
     it; a block whose lower bound exceeds tau lies strictly above the
     cell's second-lowest energy.  Replacing it by +inf leaves the first
     minimum, its energy and the second-lowest energy as the full table has
-    them, and the kernel evaluates the rest with the same bytes.
+    them, and the kernel evaluates the rest with the same bytes.  A cell
+    that is not finite has no bounds and is evaluated in full.
     """
-    cells = h11.shape[0]
-    h = [np.reshape(a, (cells, -1)) for a in (h11, h22, h33, h12, h13)]
-    # bounds overflow only outside _TRUSTED_SCALE, where they are not used
-    with np.errstate(over="ignore", invalid="ignore"):
+    h = [a.reshape(a.shape[0], -1) for a in
+         _window_elements([a[:, None, None] for a in model], block_window)]
+    # non-finite cells give NaN bounds, which are not used
+    with np.errstate(invalid="ignore"):
         lower, upper = _block_bounds(*h)
-    # the cell's block scale: its largest |element|
-    scale = np.abs(h[0])
-    for a in h[1:]:
-        scale = np.maximum(scale, np.abs(a))
-    scale = scale.max(axis=1)
     tau = np.partition(upper, 1, axis=1)[:, 1]
-    trusted = (scale >= _TRUSTED_SCALE[0]) & (scale <= _TRUSTED_SCALE[1])
-    keep = np.flatnonzero((lower <= (tau + PRUNE_MARGIN * scale)[:, None])
-                          | ~trusted[:, None])
+    margin = PRUNE_MARGIN * 2 * (block_window + 1)
+    keep = np.flatnonzero((lower <= (tau + margin)[:, None]) | ~finite[:, None])
     table = np.full(lower.shape, np.inf)
     table.flat[keep] = _lowest_eig_sym3(*(a.take(keep) for a in h))
     return table
@@ -384,8 +379,11 @@ def _ground_cells(fields: dict[str, np.ndarray],
 
     fields holds the six model fields, plus A_D and omega_D for a driven
     row.
-    The blocks of all cells are built once and pruned by their bounds
-    (_pruned_ground_table), and the rest go through one kernel call.
+    Each cell's six model parameters are divided by 2^e, e the frexp
+    exponent of its largest |parameter| (0 for a zero, inf or NaN), and its
+    energy and gap are multiplied back.  The blocks of all cells are built
+    once and pruned by their bounds (_pruned_ground_table), and the rest go
+    through one kernel call.
     Returns the per-cell arrays keyed like PhaseGrid and, when driven, the
     effective_table the blocks were built from.
     """
@@ -398,9 +396,14 @@ def _ground_cells(fields: dict[str, np.ndarray],
         # a non-positive effective cavity frequency sends the block energies
         # down without bound in that photon index
         forced = (eff["Omega1_eff"] <= 0.0) | (eff["Omega2_eff"] <= 0.0)
-    table = _pruned_ground_table(*_window_elements(
-        [a[:, None, None] for a in model], block_window))
-    return _search_tables(table, block_window, forced), eff
+    largest = np.max(np.abs(model), axis=0)
+    shift = np.frexp(largest)[1]
+    table = _pruned_ground_table([np.ldexp(a, -shift) for a in model], block_window,
+                                 np.isfinite(largest))
+    cells = _search_tables(table, block_window, forced)
+    for key in ("energy", "gap"):
+        cells[key] = np.ldexp(cells[key], shift)
+    return cells, eff
 
 
 def _one_cell(sys: SystemParams, drive: DriveParams | None = None) -> dict:
@@ -452,13 +455,12 @@ def _row_fields(sys: SystemParams, drive: DriveParams | None, axis1: AxisSpec,
             raise ValueError(f"sweep parameter {axis.parameter!r} is not a field of "
                              f"the {'model or drive' if drive else 'undriven model'}")
         values[axis.parameter] = value
-    n2 = axis2.values.size
-    fields = {k: np.broadcast_to(np.asarray(v, dtype=float), (n2,))
-              for k, v in values.items()}
-    # every field constraint is a bound, so the row's extremes validate it
-    for pick in (np.min, np.max):
-        from_sweep_values({k: pick(v) for k, v in fields.items()})
-    return fields
+    # every field constraint is a bound and axis2 increases, so its two
+    # ends validate the row
+    for end in (axis2.values[0], axis2.values[-1]):
+        from_sweep_values({**values, axis2.parameter: end})
+    return {k: np.broadcast_to(np.asarray(v, dtype=float), (axis2.values.size,))
+            for k, v in values.items()}
 
 
 def compute_grid_row(sys_template: SystemParams, drive_template: DriveParams | None,

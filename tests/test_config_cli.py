@@ -251,6 +251,26 @@ class TestRunCommand:
         assert manifest["config_hash"] == config_hash(cfg)
         assert not (tmp_path / "cells.jsonl").exists()
 
+    @pytest.mark.parametrize("scale, g1, g2", [
+        # the static sample's model written in a unit 2^100 times as large
+        (2.0**-100, (4.7e-120, 9.4e-120, 3), (3.57e-75, 7.1e-75, 3)),
+        # couplings whose h12^2 + h13^2 is subnormal
+        (1.0, (3.5556433873827877e-162, 3.6e-162, 2), (0.0, 1.6e-162, 3)),
+    ], ids=["unit-2^-100", "subnormal-coupling-norm"])
+    def test_tiny_couplings_keep_the_gap(self, tmp_path, scale, g1, g2):
+        model = {"omega1": 0.5, "omega2": 0.25, "Omega1": 1.25, "Omega2": 1.0}
+        doc = {"model": {k: v * scale for k, v in model.items()},
+               "truncation": {"block_window": 8},
+               "sweep": [{"name": name, "parameter": name, "start": start * scale,
+                          "stop": stop * scale, "points": points}
+                         for name, (start, stop, points) in (("g1", g1), ("g2", g2))]}
+        assert run_command("static-phase", parse_config(doc), out_dir=tmp_path) == 0
+        with open(tmp_path / "grid.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == g1[2] * g2[2]
+        # the gap from block (0, 0) at -0.25 to (0, 1) at 0.75, in the unit
+        assert [float(row["gap"]) for row in rows] == [scale] * len(rows)
+
     def test_cache_hit_and_byte_identical(self, tmp_path, capsys):
         cfg = parse_config(TINY_STATIC)
         assert run_command("static-phase", cfg, out_dir=tmp_path) == 0

@@ -132,10 +132,10 @@ class TestBlockGroundEnergy:
 
 
 class TestKernelRange:
-    """The closed form where the cube of a resonant block's spread
-    underflows (couplings below about 1e-103), where its cubic terms
-    would overflow (elements above about 1e102) or fall into subnormals
-    (elements below about 1e-100)."""
+    """The closed form at every scale: each block is evaluated with its
+    largest element normalised into [0.5, 1) by a power of two, including
+    blocks whose spread cubed underflows (resonant couplings below about
+    1e-103) and whose spread squared falls into subnormals."""
 
     @pytest.mark.parametrize("g1", [1e-110, 1e-200, 1e200])
     def test_every_block_matches_dense_eigensolver(self, g1):
@@ -191,6 +191,44 @@ class TestKernelRange:
         assert np.array_equal(scaled.n_label, unit.n_label)
         assert np.array_equal(scaled.m_label, unit.m_label)
         assert np.array_equal(scaled.energy, np.ldexp(unit.energy, -540))
+
+    def test_spread_below_subnormals_is_diagonal(self):
+        # p2 = 2 h12^2 = 2^-1073 is nonzero, but p2 / 6 rounds to zero
+        assert spectrum._lowest_eig_sym3(0.75, 0.75, 0.75, 2.0**-537, 0.0) == 0.75
+        table = ground_energy_table(*STATIC_SAMPLE, 5.239601353002548e-163, 0.0, 8)
+        dense, _ = dense_ground_table(*STATIC_SAMPLE, 5.239601353002548e-163, 0.0, 8)
+        assert np.allclose(table, dense, rtol=1e-15, atol=0.0)
+        point = ground_search(SystemParams(*STATIC_SAMPLE, 7.879418302766859e-163,
+                                           1.5758836605533718e-162))
+        assert (point.label, point.energy, point.gap) == ((0, 0), -0.25, 1.0)
+
+    def test_homogeneous_near_resonance(self):
+        # near-resonant blocks, whose spread is 1e-170 to 1e-1 of their
+        # diagonal: scaling every element by 2^k scales the lowest
+        # eigenvalue by exactly 2^k
+        rng = np.random.default_rng(23)
+        size = 20_000
+        diag = rng.uniform(0.5, 2.0, size)
+        eps = 10.0 ** rng.uniform(-170.0, -1.0, size)
+        h = [diag, diag + eps * rng.uniform(-1.0, 1.0, size),
+             diag + eps * rng.uniform(-1.0, 1.0, size),
+             eps * rng.uniform(-1.0, 1.0, size), eps * rng.uniform(-1.0, 1.0, size)]
+        unit = spectrum._lowest_eig_sym3(*h)
+        assert np.isfinite(unit).all()
+        for k in (-320, -200, 200, 320):
+            scaled = spectrum._lowest_eig_sym3(*(np.ldexp(x, k) for x in h))
+            assert np.array_equal(scaled, np.ldexp(unit, k)), k
+
+    @pytest.mark.parametrize("k", [-320, -200, -100, 100, 320])
+    def test_ground_search_is_unit_free(self, k):
+        # hbar = 1, so writing every frequency in a unit 2^-k times as large
+        # changes the label of no cell and scales its energy and gap exactly
+        model = (*STATIC_SAMPLE, 4.703564751425735e-120, 3.573901020227392e-75)
+        unit = ground_search(SystemParams(*model))
+        scaled = ground_search(SystemParams(*(math.ldexp(x, k) for x in model)))
+        assert scaled.label == unit.label
+        assert scaled.energy == math.ldexp(unit.energy, k)
+        assert scaled.gap == math.ldexp(unit.gap, k)
 
     def test_scaled_ground_search_label(self):
         sys = RESONANT.replace(g1=3.2, g2=3.0)
@@ -299,6 +337,17 @@ class TestPhaseGrid:
         step = (ratios[1] - ratios[0]) * RESONANT.Omega1
         # |dE/dg1| <= sqrt(window+1); allow a generous Lipschitz margin
         assert np.max(np.abs(np.diff(energies))) <= 4.0 * step
+
+    def test_row_validates_its_axis_values(self):
+        ax1 = AxisSpec("g1", "g1", np.array([0.5]))
+        for values in ([-0.1, 0.2], [0.1, np.inf]):
+            with pytest.raises(ValueError, match="g2"):
+                compute_grid_row(RESONANT, None, ax1, AxisSpec("g2", "g2", values), 4, 0)
+        ax1 = AxisSpec("Omega1", "Omega1", np.array([0.0, 1.0]))
+        ax2 = AxisSpec("g2", "g2", np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="Omega1 > 0 required"):
+            compute_grid_row(RESONANT, None, ax1, ax2, 4, 0)
+        compute_grid_row(RESONANT, None, ax1, ax2, 4, 1)
 
     def test_rejects_axes_of_one_parameter(self):
         ax1 = AxisSpec("a", "g1", np.linspace(0.0, 4.0, 3))
@@ -544,6 +593,16 @@ class TestRowEngineOracles:
         seen = [self.check_row(RESONANT, drive, ax1, ax2, 5, i) for i in range(2)]
         assert sum(s["forced"] for s in seen) > 0
 
+    def test_subnormal_coupling_norm_row(self):
+        # h12^2 + h13^2 is subnormal: the Rayleigh quotient cannot bound
+        # these blocks, the smallest diagonal still does
+        ax1 = AxisSpec("g2", "g2", np.array([0.0, 1e-162]))
+        ax2 = AxisSpec("g1", "g1", np.geomspace(1e-164, 1e-160, 41))
+        for i in range(2):
+            self.check_row(SystemParams(*STATIC_SAMPLE), None, ax1, ax2, 8, i)
+        point = ground_search(SystemParams(*STATIC_SAMPLE, 3.5556433873827877e-162, 0.0))
+        assert point.gap == 1.0
+
     def test_driven_amplitude_on_axis2(self):
         # theta, hence every Bessel argument, changes from cell to cell
         drive = DriveParams(amplitude=0.0, frequency=0.49)
@@ -663,7 +722,7 @@ class TestPrunedGroundSearch:
         fields = static_fields(*STATIC_SAMPLE, 1e200, g2)
         assert_pruned_matches_full(fields, 6)
 
-    @pytest.mark.parametrize("g1", [1e-110, 1e-200, 1e200])
+    @pytest.mark.parametrize("g1", [1e-110, 1e-200, 1e200, 3.5556433873827877e-162])
     def test_extreme_couplings_match_full_table(self, g1):
         fields = static_fields(*STATIC_SAMPLE, g1, 0.0)
         assert_pruned_matches_full(fields, 8)
