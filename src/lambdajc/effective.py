@@ -215,8 +215,9 @@ def effective_table(omega1, omega2, Omega1, Omega2, g1, g2, amplitude,
     (omega1, omega2, Omega1, Omega2, g1, g2, amplitude, frequency) = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in
           (omega1, omega2, Omega1, Omega2, g1, g2, amplitude, frequency)))
-    if np.any(frequency <= 0):
-        raise ValueError(f"drive frequency > 0 required, got {frequency.min()}")
+    bad = ~(np.isfinite(frequency) & (frequency > 0))
+    if np.any(bad):
+        raise ValueError(f"finite drive frequency > 0 required, got {frequency[bad][0]}")
     theta = amplitude / frequency
     n0, m0, dn, dm, d1, d2 = _sidebands(omega1, omega2, Omega1, Omega2, frequency)
     n0, m0 = n0.astype(np.int64), m0.astype(np.int64)

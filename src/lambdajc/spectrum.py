@@ -544,8 +544,6 @@ def driven_phase_grid(sys_template: SystemParams, drive_template: DriveParams,
     Omega2 = (2 omega2 + omega1)/(1 + ratio); mode 1 is the mirror image.
     """
     amp = np.asarray(theta_axis, dtype=float) * drive_template.frequency
-    if amp.size > 1 and not np.all(np.diff(amp) > 0):
-        raise ValueError("theta axis must be strictly increasing")
     if detuning_mode not in (1, 2):
         raise ValueError(f"detuning_mode must be 1 or 2, got {detuning_mode}")
     base = transition_frequencies(sys_template.omega1,
@@ -553,6 +551,8 @@ def driven_phase_grid(sys_template: SystemParams, drive_template: DriveParams,
     parameter, ratio_name = (f"Omega{detuning_mode}",
                              f"delta{detuning_mode}/Omega{detuning_mode}")
     ratios = np.asarray(detuning_ratio_axis, dtype=float)
+    if np.any(ratios <= -1.0):
+        raise ValueError(f"detuning ratios > -1 required, got {ratios[ratios <= -1.0][0]}")
     cavity_vals = base / (1.0 + ratios)
     ax1 = AxisSpec("theta", "A_D", amp)
     # the cavity frequency decreases as the ratio grows; AxisSpec wants

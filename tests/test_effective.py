@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,18 @@ class TestValleyStructure:
             for shift in (-1e-3, 1e-3):
                 sb = find_sidebands(RESONANT, drive_for(0.1, z.omega_d + shift))
                 assert sb.n0 == z.order
+
+
+class TestEffectiveTableValidation:
+    @pytest.mark.parametrize("frequency", [0.0, -0.18, float("inf"), float("nan")])
+    def test_rejects_frequency_not_finite_and_positive(self, frequency):
+        # inf used to warn and return nan couplings; nan used to fail
+        # inside the Bessel evaluator with a misleading message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="drive frequency"):
+                effective_table(*(getattr(RESONANT, k) for k in MODEL_FIELDS),
+                                0.036, [0.18, frequency])
 
 
 class TestOnePointForms:

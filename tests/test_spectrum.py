@@ -474,6 +474,20 @@ def test_driven_grid_mode1_detuning_axis():
                           detuning_mode=3)
 
 
+def test_driven_grid_rejects_ratio_at_minus_one_and_decreasing_theta():
+    drive = DriveParams(amplitude=0.09, frequency=0.18)
+    # a ratio of -1 puts the cavity frequency at infinity: rejected before
+    # the division can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="detuning ratios"):
+            driven_phase_grid(RESONANT, drive, np.array([0.1]),
+                              np.array([0.0, -1.0]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        driven_phase_grid(RESONANT, drive, np.array([0.5, 0.2]),
+                          np.array([0.0]))
+
+
 def test_label_sequence_collapses_duplicates():
     labels = [(0, 0), (0, 0), (1, 0), (1, 0), (0, 0), (2, 0)]
     assert label_sequence(labels) == [(0, 0), (1, 0), (0, 0), (2, 0)]
