@@ -15,27 +15,26 @@ configuration with a complete manifest is not recomputed.  The three sweep
 commands share one runner: a sweep is a list of chunks (grid rows, or
 256-point slices of the effective-params axis) and one picklable function
 that gives every CSV column of a chunk by name.  One function turns a
-chunk into its record (row count, cells failing each validity audit, CSV
-text with text fields quoted per RFC 4180), a line of the cells.jsonl
-ledger from which an interrupted sweep resumes.  The CSV is written chunk
-by chunk in index order into its temp file: a resumed record's text
-verbatim, any other record's once it is appended to the ledger.  Those
-records are one stream in index order, from map or, under --workers, the
-pool's map.  The deviations come from the records' summed counts.
+chunk into its audit counts (cells failing each validity audit) and its
+CSV text, with text fields quoted per RFC 4180.  The texts are one stream
+in index order, from map or, under --workers, the pool's map, written and
+flushed one by one into a partial file that is renamed onto the CSV when
+whole.  An interrupted sweep resumes from the whole chunks that head its
+partial CSV: their text is written again verbatim, and their audit
+columns give their counts.
 
 The pool's map sends contiguous batches of chunks, about
 BATCHES_PER_WORKER per worker, to no more workers than batches.  Workers
-and a sequential run make the same records, so the bytes do not depend on
+and a sequential run make the same texts, so the bytes do not depend on
 the worker count or the batching.  A batch that finishes ahead of an
-earlier one reaches the ledger only when the earlier one does, so an
-interrupt may recompute it too; the stream is closed on every way out,
-which cancels the batches no worker has started.
+earlier one is written only when the earlier one is, so an interrupt may
+recompute it too; the stream is closed on every way out, which cancels
+the batches no worker has started.
 
 One rule decides what a run may reuse: a readable manifest of this
 config hash, command and OUTPUT_VERSION.  Under it, a cache hit also needs
-the CSV's digest to match, and a ledger entry is resumed only with the
-current version, the config hash and a record that fits its chunk
-(_Sweep.fits); without it, the ledger is deleted before any work.
+the CSV's digest to match, and the partial CSV is resumed; without it, the
+partial CSV is deleted before any work.
 
 Before anything is written, every sweep axis endpoint is checked by
 building the SystemParams or DriveParams it implies, an echo's dt_max
@@ -63,6 +62,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -99,7 +99,6 @@ from .params import (
 )
 from .specfun import MAX_ARGUMENT
 from .spectrum import (
-    AUDITS,
     AxisSpec,
     audit_counts,
     category_values,
@@ -117,8 +116,8 @@ EFFECTIVE_CHUNK = 256
 BATCHES_PER_WORKER = 4
 
 #: Version of the output format and numbers.  Raise it with every change
-#: that alters any output byte: a manifest or ledger entry of another
-#: version is never served or resumed.
+#: that alters any output byte: a run whose manifest has another version
+#: is never served or resumed.
 OUTPUT_VERSION = 3
 
 GRID_CSV_COLUMNS = ("axis1_name", "axis1_value", "axis2_name", "axis2_value",
@@ -131,7 +130,6 @@ EFFECTIVE_CSV_COLUMNS = ("omega_D", "theta", "n0", "m0", "Delta_n0", "Delta_m0",
                          "gr1", "gr2", "gc1", "gc2", "rwa_ok")
 
 _MANIFEST = "manifest.json"
-_LEDGER = "cells.jsonl"
 _CSV_NAME = {
     "static-phase": "grid.csv",
     "driven-phase": "grid.csv",
@@ -162,22 +160,6 @@ def _format_column(values: np.ndarray) -> list[str]:
     return text
 
 
-def _replace_atomically(path: Path, write):
-    """Run write(fh) on a temp file beside path, then rename it onto path.
-
-    A failure part way leaves the previous file whole and no temp file
-    behind, so a cache check never sees a torn output.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _chunk_text(chunk) -> str:
     """The CSV lines of one chunk: a sequence of values aligned with the
     columns, 1-D arrays of one length or scalars repeated down the chunk,
@@ -188,14 +170,25 @@ def _chunk_text(chunk) -> str:
     return "\n".join(map(",".join, zip(*text))) + "\n"
 
 
+def _partial(path: Path) -> Path:
+    """The file a CSV is written into until it is whole; not a .csv file."""
+    return path.with_name(f".{path.name}.partial")
+
+
 def write_csv(path: Path, columns, texts):
     """Write a CSV with header columns from an iterable of chunk texts, as
-    _chunk_text gives them.  Each text is written before the next is read."""
-    def write(fh):
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(texts)
+    _chunk_text gives them, into path's partial file, then rename it onto
+    path.  Each text is written and flushed before the next is read, so a
+    failure part way leaves the previous CSV whole and the partial as far
+    as it got: the record a sweep resumes from."""
+    part = _partial(path)
     try:
-        _replace_atomically(path, write)
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(columns) + "\n")
+            for text in texts:
+                fh.write(text)
+                fh.flush()
+        os.replace(part, path)
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
 
@@ -215,7 +208,7 @@ def _file_digest(path: Path) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# manifest and ledger
+# the manifest
 
 
 def _write_manifest(out_dir: Path, command: str, digest: str, cells_total: int,
@@ -231,8 +224,16 @@ def _write_manifest(out_dir: Path, command: str, digest: str, cells_total: int,
         "deviations": deviations,
         "csv_blake2b": csv_digest,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    _replace_atomically(out_dir / _MANIFEST, lambda fh: fh.write(text))
+    # renamed onto the manifest when whole, so a failure part way leaves the
+    # previous manifest whole and a cache check never sees a torn one
+    tmp = out_dir / f".{_MANIFEST}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
+                       encoding="utf-8", newline="\n")
+        os.replace(tmp, out_dir / _MANIFEST)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_manifest(out_dir: Path) -> dict | None:
@@ -252,29 +253,6 @@ def _read_manifest(out_dir: Path) -> dict | None:
             or any(type(line) is not str for line in deviations)):
         return None
     return doc
-
-
-def _load_ledger(out_dir: Path, digest: str) -> dict[int, dict]:
-    """chunk index -> ledger entry of every chunk recorded for this config
-    and OUTPUT_VERSION; a line that does not parse (a torn tail left by a
-    kill) or whose chunk is not a JSON integer (true or 1.0 would key
-    chunk 1) is skipped.  _run_sweep resumes only entries that fit."""
-    done: dict[int, dict] = {}
-    try:
-        with open(out_dir / _LEDGER, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError:
-        return done
-    for line in lines:
-        try:
-            entry = json.loads(line)
-            if (entry.get("config_hash") == digest
-                    and entry.get("output_version") == OUTPUT_VERSION
-                    and type(entry["chunk"]) is int):
-                done[entry["chunk"]] = entry
-        except (AttributeError, KeyError, TypeError, ValueError):
-            continue
-    return done
 
 
 # ---------------------------------------------------------------------------
@@ -297,40 +275,61 @@ class _Sweep(NamedTuple):
     def cells(self) -> int:
         return sum(self.sizes)
 
-    def fits(self, index: int, entry: dict) -> bool:
-        """Whether a ledger entry is a whole record of chunk index: rows
-        its size, a count in [0, rows] per audit, and a text of rows
-        newline-ended CSV records of len(csv_columns) fields each."""
-        rows, counts, text = (entry.get(k) for k in ("rows", "counts", "text"))
-        return (0 <= index < len(self.chunks)
-                and type(rows) is int and rows == self.sizes[index]
-                and type(counts) is list and len(counts) == len(AUDITS)
-                and all(type(c) is int and 0 <= c <= rows for c in counts)
-                and type(text) is str and text.endswith("\n")
-                and [len(r) for r in csv.reader(io.StringIO(text, newline=""))]
-                == [len(self.csv_columns)] * rows)
+
+#: How a true flag reads in the CSV.
+_TRUE = _format_column(np.array([True]))[0]
 
 
-def _chunk_entry(compute, csv_columns, digest: str, index: int, chunk) -> dict:
-    """The ledger entry of chunk index: its row count, how many of its cells
-    fail each audit, and its CSV text."""
+def _chunk_entry(compute, csv_columns, chunk) -> tuple[list[int], str]:
+    """How many cells of a chunk fail each audit, and its CSV text."""
     columns = compute(chunk)
-    values = [columns[k] for k in csv_columns]
-    return {"config_hash": digest, "output_version": OUTPUT_VERSION,
-            "chunk": index, "rows": max(map(np.size, values)),
-            "counts": audit_counts(columns), "text": _chunk_text(values)}
+    return audit_counts(columns), _chunk_text([columns[k] for k in csv_columns])
 
 
-def _run_chunks(sweep: _Sweep, digest: str, todo: dict, workers: int):
-    """Yield the ledger entry of each chunk of todo (index -> chunk), in
-    index order.
+def _resume(path: Path, sweep: _Sweep) -> tuple[list[list[int]], str]:
+    """The audit counts of each whole chunk that heads a sweep's partial
+    CSV, in index order, and the text of those chunks.
+
+    Under the header of csv_columns, chunk i is whole when it holds
+    sizes[i] records of len(csv_columns) fields and its text ends in a line
+    break (csv.reader reads a record torn by a kill as whole).  A partial
+    that cannot be read, or is not UTF-8, resumes nothing.
+    """
+    header = ",".join(sweep.csv_columns) + "\n"
+    counts: list[list[int]] = []
+    end = len(header)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        if not text.startswith(header):
+            return counts, ""
+        body = io.StringIO(text, newline="")
+        body.seek(end)
+        reader = csv.reader(body)
+        for size in sweep.sizes:
+            records = list(islice(reader, size))
+            if (len(records) < size or text[body.tell() - 1] != "\n"
+                    or any(len(r) != len(sweep.csv_columns) for r in records)):
+                break
+            counts.append(audit_counts({k: np.array(v) == _TRUE for k, v in
+                                        zip(sweep.csv_columns, zip(*records))}))
+            end = body.tell()
+    except (OSError, ValueError, csv.Error):
+        return [], ""
+    return counts, text[len(header):end]
+
+
+def _run_chunks(sweep: _Sweep, start: int, workers: int):
+    """Yield the audit counts and CSV text of each chunk from index start
+    on, in index order.
 
     Under workers, the pool's map sends contiguous batches of chunks, about
     BATCHES_PER_WORKER per worker, and the pool has no more workers than
     batches.  A batch that finishes ahead of an earlier one waits for it.
     Closing the generator cancels the batches no worker has started.
     """
-    entry = partial(_chunk_entry, sweep.compute, sweep.csv_columns, digest)
+    entry = partial(_chunk_entry, sweep.compute, sweep.csv_columns)
+    todo = sweep.chunks[start:]
     if workers > 1 and len(todo) > 1:
         size = -(-len(todo) // (BATCHES_PER_WORKER * workers))
         batches = -(-len(todo) // size)
@@ -340,53 +339,45 @@ def _run_chunks(sweep: _Sweep, digest: str, todo: dict, workers: int):
         # returning them and faulting them in again for the next row.
         np.empty(1 << 24, dtype=np.uint8)
         with ProcessPoolExecutor(max_workers=min(workers, batches)) as pool:
-            yield from pool.map(entry, todo.keys(), todo.values(), chunksize=size)
+            yield from pool.map(entry, todo, chunksize=size)
     else:
-        yield from map(entry, todo.keys(), todo.values())
+        yield from map(entry, todo)
 
 
 def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
                workers: int) -> list[str]:
-    """Compute the chunks the resume ledger lacks and write the CSV as they
-    come; returns the deviation lines.
+    """Write the whole chunks that head the partial CSV verbatim as one
+    text, then each chunk _run_chunks computes as it comes; returns the
+    deviation lines.  counts keeps the audit counts of each chunk written;
+    the stream of chunks is closed on every way out."""
+    path = out_dir / _CSV_NAME[command]
+    counts, head = _resume(_partial(path), sweep)
+    if counts:
+        print(f"resumed {len(counts)} of {len(sweep.chunks)} chunks "
+              f"from {_partial(path).name}")
 
-    Chunk by chunk in index order, a resumed text is written verbatim and
-    any other chunk's entry, the next from _run_chunks, is appended to the
-    ledger before its text is written; done keeps each chunk's rows and
-    counts.  The stream of entries is closed on every way out.
-    """
-    done = {i: entry for i, entry in _load_ledger(out_dir, digest).items()
-            if sweep.fits(i, entry)}
-    if done:
-        print(f"resumed {len(done)} of {len(sweep.chunks)} chunks from {_LEDGER}")
-    todo = {i: chunk for i, chunk in enumerate(sweep.chunks) if i not in done}
+    def texts(stream):
+        if head:
+            yield head
+        for chunk_counts, text in stream:
+            yield text
+            counts.append(chunk_counts)
 
     def cells_done():
-        return sum(entry["rows"] for entry in done.values())
+        return sum(sweep.sizes[:len(counts)])
 
-    def texts(stream, ledger):
-        for i in range(len(sweep.chunks)):
-            if i not in done:
-                entry = next(stream)
-                ledger.write(json.dumps(entry) + "\n")
-                ledger.flush()
-                done[i] = entry
-            yield done[i].pop("text")
-
-    # the manifest goes first, so a ledger line always sits beside its
+    # the manifest goes first, so a partial CSV always sits beside its
     # run's manifest
     _write_manifest(out_dir, command, digest, sweep.cells, cells_done(), [])
     try:
-        with (open(out_dir / _LEDGER, "a", encoding="utf-8") as ledger,
-              closing(_run_chunks(sweep, digest, todo, workers)) as stream):
-            write_csv(out_dir / _CSV_NAME[command], sweep.csv_columns,
-                      texts(stream, ledger))
+        with closing(_run_chunks(sweep, len(counts), workers)) as stream:
+            write_csv(path, sweep.csv_columns, texts(stream))
     except (KeyboardInterrupt, BrokenProcessPool):
         _write_manifest(out_dir, command, digest, sweep.cells, cells_done(),
                         ["interrupted"])
         raise
-    counts = [sum(c) for c in zip(*(entry["counts"] for entry in done.values()))]
-    return deviation_lines(counts, sweep.cells, sweep.unit, sweep.window)
+    totals = [sum(c) for c in zip(*counts)]
+    return deviation_lines(totals, sweep.cells, sweep.unit, sweep.window)
 
 
 def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
@@ -556,7 +547,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     if not same_run:
         # no readable manifest, or another configuration, command or output
         # version: nothing here is this run's, so start clean
-        (out_dir / _LEDGER).unlink(missing_ok=True)
+        _partial(csv_path).unlink(missing_ok=True)
     elif manifest.get("csv_blake2b") is not None:
         # only a finished run's manifest carries its CSV's digest
         if manifest["csv_blake2b"] == _file_digest(csv_path):
@@ -578,14 +569,13 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (OSError, BrokenProcessPool, PropagationError) as exc:
-        # a dead pool worker leaves the ledger for a rerun to resume; an
+        # a dead pool worker leaves the partial CSV for a rerun to resume; an
         # echo the propagator cannot take leaves its manifest unfinished
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     _write_manifest(out_dir, command, digest, cells, cells, deviations,
                     _file_digest(csv_path))
-    (out_dir / _LEDGER).unlink(missing_ok=True)
     code = _finish(deviations, strict)
     if code == 0:
         print(f"wrote {csv_path} ({cells} cells, config {digest})")

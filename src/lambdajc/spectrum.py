@@ -551,6 +551,9 @@ def driven_phase_grid(sys_template: SystemParams, drive_template: DriveParams,
     parameter, ratio_name = (f"Omega{detuning_mode}",
                              f"delta{detuning_mode}/Omega{detuning_mode}")
     ratios = np.asarray(detuning_ratio_axis, dtype=float)
+    bad = ratios[~np.isfinite(ratios)]
+    if bad.size:
+        raise ValueError(f"detuning ratios must be finite, got {bad.tolist()}")
     if np.any(ratios <= -1.0):
         raise ValueError(f"detuning ratios > -1 required, got {ratios[ratios <= -1.0][0]}")
     cavity_vals = base / (1.0 + ratios)
@@ -575,10 +578,12 @@ def locate_boundary(sys: SystemParams, parameter: str,
                     block_a: tuple[int, int], block_b: tuple[int, int],
                     lo: float, hi: float, tol: float | None = None) -> float:
     """Bisect the level crossing E_a(x) = E_b(x) of two blocks along one
-    model parameter.  tol defaults to BOUNDARY_RATIO_TOL scaled by the
-    matching cavity frequency for coupling parameters and must be positive;
-    the bisection also ends when lo and hi are adjacent floats.
+    model parameter in lo < hi.  tol defaults to BOUNDARY_RATIO_TOL scaled
+    by the matching cavity frequency for coupling parameters and must be
+    positive; the bisection also ends when lo and hi are adjacent floats.
     """
+    if not lo < hi:
+        raise ValueError(f"bracket must have lo < hi, got [{lo}, {hi}]")
     if tol is None:
         scale = {"g1": sys.Omega1, "g2": sys.Omega2}.get(parameter, 1.0)
         tol = BOUNDARY_RATIO_TOL * scale

@@ -12,7 +12,6 @@ import pytest
 from lambdajc import cli, spectrum
 from lambdajc.cli import (
     OUTPUT_ENV_VAR,
-    _load_ledger,
     main,
     run_command,
     write_csv,
@@ -49,7 +48,7 @@ DRIVEN_G1G2 = {
 
 def _interrupt(command, cfg, out_dir, after):
     """Run command into out_dir and interrupt it, as Ctrl-C would, once the
-    runner has made the ledger entries of `after` chunks."""
+    runner has computed `after` chunks."""
     real = cli._chunk_entry
     made = 0
 
@@ -64,6 +63,13 @@ def _interrupt(command, cfg, out_dir, after):
         patch.setattr(cli, "_chunk_entry", entry)
         with pytest.raises(KeyboardInterrupt):
             run_command(command, cfg, out_dir=out_dir)
+
+
+def _whole_chunks(command, cfg, out_dir) -> int:
+    """How many whole chunks head the partial CSV in out_dir."""
+    sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
+    counts, _ = cli._resume(out_dir / f".{cli._CSV_NAME[command]}.partial", sweep)
+    return len(counts)
 
 
 class TestParseConfig:
@@ -249,7 +255,7 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["cells_total"] == manifest["cells_done"] == 63
         assert manifest["config_hash"] == config_hash(cfg)
-        assert not (tmp_path / "cells.jsonl").exists()
+        assert {p.name for p in tmp_path.iterdir()} == {"grid.csv", "manifest.json"}
 
     @pytest.mark.parametrize("scale, g1, g2", [
         # the static sample's model written in a unit 2^100 times as large
@@ -320,7 +326,7 @@ class TestRunCommand:
             run_command("static-phase", parse_config(doc), out_dir=tmp_path)
         assert (tmp_path / "grid.csv").read_bytes() == previous
         assert {p.name for p in tmp_path.iterdir()} <= {
-            "grid.csv", "manifest.json", "cells.jsonl"}
+            "grid.csv", "manifest.json", ".grid.csv.partial"}
 
     @pytest.mark.parametrize("section, key, value", [
         ("workers", None, 2),
@@ -394,7 +400,7 @@ class TestRunCommand:
         cfg = parse_config(TINY_STATIC)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("static-phase", cfg, tmp_path / "part", 3)
-        assert (tmp_path / "part" / "cells.jsonl").exists()
+        assert _whole_chunks("static-phase", cfg, tmp_path / "part") == 3
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
                 == (tmp_path / "full" / "grid.csv").read_bytes())
@@ -402,10 +408,13 @@ class TestRunCommand:
     def test_interrupted_run_leaves_no_csv_and_no_temp_file(self, tmp_path):
         cfg = parse_config(TINY_STATIC)
         _interrupt("static-phase", cfg, tmp_path, 3)
-        assert {p.name for p in tmp_path.iterdir()} == {"manifest.json", "cells.jsonl"}
+        # the partial CSV is no .csv file: what the rerun resumes from
+        assert {p.name for p in tmp_path.iterdir()} == {"manifest.json",
+                                                        ".grid.csv.partial"}
 
     def test_rows_stream_into_the_csv_as_they_land(self, tmp_path, monkeypatch):
-        # a resumed run: rows 0-2 come from the ledger, the rest are computed
+        # a resumed run: rows 0-2 come from the partial CSV as one text, the
+        # rest are computed
         cfg = parse_config(TINY_STATIC)
         _interrupt("static-phase", cfg, tmp_path / "part", 3)
         events = []
@@ -426,8 +435,8 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "write_csv", watched)
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
         # each row's text is written before the next row is computed
-        assert events == ["text"] * 3 + [e for i in range(3, 9)
-                                         for e in (f"row {i}", "text")]
+        assert events == ["text"] + [e for i in range(3, 9)
+                                     for e in (f"row {i}", "text")]
         monkeypatch.undo()
         assert run_command("static-phase", cfg, out_dir=tmp_path / "full") == 0
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
@@ -440,7 +449,7 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "part" / "manifest.json").read_text())
         assert manifest["deviations"] == ["interrupted"]
         assert manifest["cells_done"] == 2 * 4
-        assert sorted(_load_ledger(tmp_path / "part", config_hash(cfg))) == [0, 1]
+        assert _whole_chunks("driven-phase", cfg, tmp_path / "part") == 2
         assert run_command("driven-phase", cfg, out_dir=tmp_path / "part") == 0
         for name in ("grid.csv", "manifest.json"):
             assert ((tmp_path / "part" / name).read_bytes()
@@ -471,8 +480,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("manifest", ["removed", "not_an_object"])
     def test_foreign_ledger_without_manifest_is_not_resumed(self, tmp_path,
                                                             manifest):
-        # the command is not in the config hash, so only the manifest tells
-        # a static-phase ledger from a driven-phase one
+        # neither the config hash nor the partial CSV holds the command, so
+        # only the manifest tells a static-phase partial from a driven-phase one
         cfg = parse_config(DRIVEN_G1G2)
         assert run_command("driven-phase", cfg, out_dir=tmp_path / "fresh") == 0
         _interrupt("static-phase", cfg, tmp_path / "part", 2)
@@ -490,10 +499,11 @@ class TestRunCommand:
         cfg = parse_config(TINY_STATIC)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("static-phase", cfg, tmp_path / "part", 3)
-        ledger = tmp_path / "part" / "cells.jsonl"
-        with open(ledger, "a", encoding="utf-8") as fh:
-            fh.write('{"config_hash": "' + config_hash(cfg) + '", "chunk": 3, "te')
-        assert sorted(_load_ledger(tmp_path / "part", config_hash(cfg))) == [0, 1, 2]
+        # csv.reader reads a record torn by the kill, "torn,5" without its line
+        # break, as a whole one
+        with open(tmp_path / "part" / ".grid.csv.partial", "a") as fh:
+            fh.write("torn,5")
+        assert _whole_chunks("static-phase", cfg, tmp_path / "part") == 3
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
                 == (tmp_path / "full" / "grid.csv").read_bytes())
@@ -749,18 +759,12 @@ def _blake2b(path: Path) -> str:
     return hashlib.blake2b(path.read_bytes()).hexdigest()
 
 
-def _rewrite_ledger(path: Path, change):
-    """Apply change(entry) to every cells.jsonl entry in place."""
-    entries = [json.loads(line) for line in path.read_text().splitlines()]
-    for entry in entries:
-        change(entry)
-    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
-
-
-def _records(entry: dict) -> list[list[str]]:
-    """The fields of each CSV record of a ledger entry's text, whose axis
-    names hold no comma or quote."""
-    return [line.split(",") for line in entry["text"].splitlines()]
+def _chunks(path: Path, size: int) -> tuple[str, list[list[list[str]]]]:
+    """The header of a partial CSV and its records in chunks of size, for
+    axis names that hold no comma, quote or line break."""
+    header, *lines = path.read_text().splitlines()
+    records = [line.split(",") for line in lines]
+    return header, [records[k:k + size] for k in range(0, len(records), size)]
 
 
 def _text(records: list[list[str]]) -> str:
@@ -797,42 +801,41 @@ class TestOutputVersion:
         cfg = parse_config(TINY_STATIC)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("static-phase", cfg, tmp_path / "part", 3)
-        ledger = tmp_path / "part" / "cells.jsonl"
-
-        def stale(entry):
-            # what an older program wrote: other numbers, no current version
-            entry.pop("output_version", None)
-            records = _records(entry)
-            for record in records:
-                record[4] = "0"
-            entry["text"] = _text(records)
-        _rewrite_ledger(ledger, stale)
-        assert _load_ledger(tmp_path / "part", config_hash(cfg)) == {}
+        # what an older program left: other numbers, beside a manifest of its
+        # own output version
+        partial = tmp_path / "part" / ".grid.csv.partial"
+        header, chunks = _chunks(partial, 7)
+        for record in (r for chunk in chunks for r in chunk):
+            record[4] = "0"
+        partial.write_text(header + "\n" + "".join(map(_text, chunks)))
+        assert _whole_chunks("static-phase", cfg, tmp_path / "part") == 3
+        path = tmp_path / "part" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["output_version"] -= 1
+        path.write_text(json.dumps(manifest))
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
                 == (tmp_path / "full" / "grid.csv").read_bytes())
 
 
 class TestLedgerShape:
-    """A ledger entry is resumed only if it is a whole record of its chunk:
-    its stated rows, one count in [0, rows] per audit, and a text of that
-    many newline-ended CSV records of one field per column."""
+    """The partial CSV is the resume ledger.  A chunk at its head is resumed
+    only if it is whole: under the sweep's header, its size of records of
+    one field per column, its text ending in a line break.  The first chunk
+    that is not whole and every chunk after it are computed."""
 
     def test_short_chunk_is_recomputed(self, tmp_path, capsys):
         cfg = parse_config(GRID_5X4)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("static-phase", cfg, tmp_path / "part", 1)
-        ledger = tmp_path / "part" / "cells.jsonl"
-
-        def short(entry):
-            # a consistent record of two cells, where the chunk has four
-            entry["text"] = _text(_records(entry)[:2])
-            entry["rows"] = 2
-            entry["counts"] = [min(c, 2) for c in entry["counts"]]
-        _rewrite_ledger(ledger, short)
+        partial = tmp_path / "part" / ".grid.csv.partial"
+        header, [chunk] = _chunks(partial, 4)
+        # two whole records, where the chunk has four
+        partial.write_text(header + "\n" + _text(chunk[:2]))
         capsys.readouterr()
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
-        assert "20 cells" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "resumed" not in out and "20 cells" in out
         grid = tmp_path / "part" / "grid.csv"
         assert len(grid.read_text().splitlines()) == 1 + 20
         assert grid.read_bytes() == (tmp_path / "full" / "grid.csv").read_bytes()
@@ -840,78 +843,43 @@ class TestLedgerShape:
         assert manifest["csv_blake2b"] == _blake2b(tmp_path / "full" / "grid.csv")
 
     @pytest.mark.parametrize("corrupt", [
-        "missing_column", "extra_column", "two_dimensional", "chunk_out_of_range",
-        "negative_chunk", "bool_count", "text_label", "bool_chunk", "float_rows",
-        "short_text", "blank_line", "unterminated_text", "text_not_string",
-        "count_above_rows", "negative_count", "missing_count"])
-    def test_malformed_entry_is_recomputed(self, tmp_path, corrupt):
+        "missing_column", "extra_column", "text_label", "short_text", "blank_line",
+        "unterminated_text", "torn_full_record", "other_header", "not_utf8"])
+    def test_malformed_entry_is_recomputed(self, tmp_path, monkeypatch, corrupt):
         cfg = parse_config(GRID_5X4)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("static-phase", cfg, tmp_path / "part", 2)
-        ledger = tmp_path / "part" / "cells.jsonl"
-
-        def change(entry):
-            records = _records(entry)
+        partial = tmp_path / "part" / ".grid.csv.partial"
+        header, [first, last] = _chunks(partial, 4)
+        # the second chunk, or the whole partial, as a kill or another
+        # writer could leave it
+        for record in last:
             if corrupt == "missing_column":
-                for record in records:
-                    del record[8]
+                del record[8]
             elif corrupt == "extra_column":
-                for record in records:
-                    record.append(record[8])
+                record.append(record[8])
             elif corrupt == "text_label":
                 # an unquoted comma splits the field in two
-                for record in records:
-                    record[5] = "x,y"
-            elif corrupt == "short_text":
-                del records[-1]
-            elif corrupt == "blank_line":
-                records.append([])
-            elif corrupt == "two_dimensional":
-                entry["counts"] = [entry["counts"]]
-            elif corrupt == "chunk_out_of_range":
-                entry["chunk"] += 5
-            elif corrupt == "negative_chunk":
-                entry["chunk"] -= 2
-            elif corrupt == "bool_count":
-                # false equals 0, but is not a JSON integer
-                entry["counts"] = [c == 0 for c in entry["counts"]]
-            elif corrupt == "float_rows":
-                entry["rows"] = float(entry["rows"])
-            elif corrupt == "count_above_rows":
-                entry["counts"][0] = entry["rows"] + 1
-            elif corrupt == "negative_count":
-                entry["counts"][1] = -1
-            elif corrupt == "missing_count":
-                del entry["counts"][-1]
-            elif corrupt == "bool_chunk":
-                # chunks 0 and 1 filed as true and false, which equal 1 and
-                # 0, each other's index
-                entry["chunk"] = entry["chunk"] == 0
-            entry["text"] = _text(records)
-            if corrupt == "unterminated_text":
-                # the next chunk's first record would run on from this one
-                entry["text"] = entry["text"][:-1]
-            elif corrupt == "text_not_string":
-                entry["text"] = entry["text"].splitlines(keepends=True)
-        _rewrite_ledger(ledger, change)
-        assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
-        assert ((tmp_path / "part" / "grid.csv").read_bytes()
-                == (tmp_path / "full" / "grid.csv").read_bytes())
-
-    def test_old_format_entry_is_recomputed(self, tmp_path, monkeypatch):
-        # earlier releases of this output version recorded a chunk's columns
-        # under "data" and no text
-        cfg = parse_config(GRID_5X4)
-        run_command("static-phase", cfg, out_dir=tmp_path / "full")
-        _interrupt("static-phase", cfg, tmp_path / "part", 2)
-        sweep = cli._sweep("static-phase", cfg, cli._resolve_axes("static-phase", cfg))
-
-        def old(entry):
-            columns = sweep.compute(entry["chunk"])
-            for key in ("rows", "counts", "text"):
-                del entry[key]
-            entry["data"] = {k: np.asarray(v).tolist() for k, v in columns.items()}
-        _rewrite_ledger(tmp_path / "part" / "cells.jsonl", old)
+                record[5] = "x,y"
+        if corrupt == "short_text":
+            del last[-1]
+        elif corrupt == "blank_line":
+            last.insert(-1, [])
+        elif corrupt == "other_header":
+            # of the same length, over records of the same shape
+            header = header.replace("energy", "ENERGY")
+        text = _text(last)
+        if corrupt == "unterminated_text":
+            text = text[:-1]
+        elif corrupt == "torn_full_record":
+            # torn inside the last field, true or false: the record still
+            # has every field
+            text = text[:-3]
+        data = (header + "\n" + _text(first) + text).encode()
+        if corrupt == "not_utf8":
+            # a two-byte character torn after its first byte
+            data += "\u00e9".encode()[:1]
+        partial.write_bytes(data)
         rows = []
         real = cli.compute_grid_row
 
@@ -920,7 +888,10 @@ class TestLedgerShape:
             return real(*args)
         monkeypatch.setattr(cli, "compute_grid_row", counted)
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
-        assert rows == [0, 1, 2, 3, 4]
+        resumed = 0 if corrupt in ("other_header", "not_utf8") else 1
+        assert rows == list(range(resumed, 5))
+        assert {p.name for p in (tmp_path / "part").iterdir()} == {
+            "grid.csv", "manifest.json"}
         for name in ("grid.csv", "manifest.json"):
             assert ((tmp_path / "part" / name).read_bytes()
                     == (tmp_path / "full" / name).read_bytes())
@@ -933,17 +904,16 @@ class TestLedgerShape:
         ("static-phase", ONE_POINT_AXIS2),
         ("effective-params", {"sweep": [{"start": 0.1, "stop": 2.0, "points": 257,
                                          "parameter": "omega_D"}]})])
-    def test_ledger_entries_fit_their_sweep(self, command, doc):
-        # a fit rule that disagreed with the entries the runner writes
+    def test_ledger_entries_fit_their_sweep(self, tmp_path, command, doc):
+        # a whole-chunk rule that disagreed with the texts the runner writes
         # would recompute every resumed chunk
         cfg = parse_config(doc)
         sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
-        todo = dict(enumerate(sweep.chunks))
-        # as the ledger stores and loads them
-        entries = [json.loads(json.dumps(e))
-                   for e in cli._run_chunks(sweep, "digest", todo, 1)]
-        assert [e["chunk"] for e in entries] == list(todo)
-        assert all(sweep.fits(e["chunk"], e) for e in entries)
+        entries = list(cli._run_chunks(sweep, 0, 1))
+        text = "".join(t for _, t in entries)
+        path = tmp_path / "partial"
+        path.write_text(",".join(sweep.csv_columns) + "\n" + text)
+        assert cli._resume(path, sweep) == ([c for c, _ in entries], text)
 
     def test_valid_entries_are_reused(self, tmp_path, monkeypatch):
         cfg = parse_config(GRID_5X4)
@@ -972,10 +942,10 @@ class TestCsvQuoting:
         assert {(row[0], row[2]) for row in rows[1:]} == {("g1,x", 'say "g2"')}
 
     def test_quoted_axis_names_resume(self, tmp_path, monkeypatch):
-        # a quoted field holds a comma or a doubled quote, and is still one
-        # field of the record a ledger entry must hold
+        # a quoted field holds a comma, a doubled quote or a line break, and
+        # is still one field of the record a resumed chunk must hold
         doc = json.loads(json.dumps(GRID_5X4))
-        doc["sweep"][0]["name"] = "g1,x"
+        doc["sweep"][0]["name"] = "g1,x\r\ny"
         doc["sweep"][1]["name"] = 'say "g2"'
         cfg = parse_config(doc)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
@@ -1048,8 +1018,7 @@ class TestDriveValidation:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "2*A_D/omega_D reaches 1200" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
-        assert not (out / "cells.jsonl").exists()
+        assert not out.exists()
 
     def test_static_phase_ignores_drive(self, tmp_path):
         cfg = parse_config({"drive": {"amplitude": 60.0, "frequency": 0.1},
@@ -1122,9 +1091,9 @@ MIXED_RESUME = {**{command: (command, doc) for command, doc in MANY_CHUNKS.items
 
 
 class TestPool:
-    """The pool's map sends contiguous batches of chunks whose ledger
-    entries, CSV text included, the workers make, and hands them back in
-    chunk order; resumed entries are written verbatim."""
+    """The pool's map sends contiguous batches of chunks whose audit counts
+    and CSV text the workers make, and hands them back in chunk order;
+    resumed chunks are written verbatim."""
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -1164,7 +1133,8 @@ class TestPool:
         _interrupt("static-phase", cfg, tmp_path / "part", 3)
         capsys.readouterr()
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
-        assert "resumed 3 of 13 chunks from cells.jsonl" in capsys.readouterr().out
+        assert ("resumed 3 of 13 chunks from .grid.csv.partial"
+                in capsys.readouterr().out)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resumed_chunks_are_written_verbatim(self, tmp_path, monkeypatch,
@@ -1193,19 +1163,20 @@ class TestPool:
     def test_pool_results_match_sequential(self, command, workers):
         cfg = parse_config(MANY_CHUNKS[command])
         sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
-        todo = dict(enumerate(sweep.chunks))
 
-        def run(workers):
-            return list(cli._run_chunks(sweep, "digest", todo, workers))
+        def run(workers, start=0):
+            return list(cli._run_chunks(sweep, start, workers))
 
         sequential, pooled = run(1), run(workers)
-        assert [e["chunk"] for e in sequential] == list(todo)
+        assert len(sequential) == len(sweep.chunks)
         assert pooled == sequential
-        for entry in sequential:
-            columns = sweep.compute(sweep.chunks[entry["chunk"]])
-            assert entry["text"] == cli._chunk_text(
-                [columns[k] for k in sweep.csv_columns])
-            assert entry["rows"] == sweep.sizes[entry["chunk"]]
+        # a resumed run starts at its first missing chunk
+        assert run(workers, 3) == sequential[3:]
+        for chunk, size, (counts, text) in zip(sweep.chunks, sweep.sizes, sequential):
+            columns = sweep.compute(chunk)
+            assert text == cli._chunk_text([columns[k] for k in sweep.csv_columns])
+            assert len(text.splitlines()) == size
+            assert counts == spectrum.audit_counts(columns)
 
     def test_pool_has_no_more_workers_than_batches(self, tmp_path, pool_sizes):
         three_rows = json.loads(json.dumps(GRID_5X4))
@@ -1246,10 +1217,10 @@ class TestPool:
         assert run_command("static-phase", cfg, out_dir=out, workers=2) == 2
         assert "error: " in capsys.readouterr().err
         # the worker that runs row 5 has finished an earlier batch
-        recorded = sorted(_load_ledger(out, config_hash(cfg)))
-        assert recorded and 5 not in recorded
+        whole = _whole_chunks("static-phase", cfg, out)
+        assert 0 < whole <= 5
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["cells_done"] == 4 * len(recorded)
+        assert manifest["cells_done"] == 4 * whole
         assert manifest["csv_blake2b"] is None
         monkeypatch.undo()
 
@@ -1260,7 +1231,7 @@ class TestPool:
             return real(*args)
         monkeypatch.setattr(cli, "compute_grid_row", counted)
         assert run_command("static-phase", cfg, out_dir=out) == 0
-        assert rows == [i for i in range(13) if i not in recorded]
+        assert rows == list(range(whole, 13))
         for name in ("grid.csv", "manifest.json"):
             assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 

@@ -400,6 +400,14 @@ class TestLocateBoundary:
             with pytest.raises(ValueError, match="tol"):
                 locate_boundary(sys, "g1", (0, 0), (1, 0), 0.5, 5.0, tol=tol)
 
+    @pytest.mark.parametrize("lo, hi", [(6.0, 0.0), (3.0, 3.0), (math.nan, 6.0)])
+    def test_rejects_bracket_not_increasing(self, lo, hi):
+        # reversed, the bracket would end the bisection at once and give its
+        # midpoint, 3.0, where the crossing is at 3.0178
+        sys = RESONANT.replace(g2=0.05)
+        with pytest.raises(ValueError, match="lo < hi"):
+            locate_boundary(sys, "g1", (0, 0), (1, 0), lo, hi)
+
     def test_tolerance_below_float_spacing_ends(self, capped_energy):
         # the bisection stops once its midpoint rounds to an endpoint
         sys = SystemParams(Omega1=1.0, g1=1.0, g2=0.0)
@@ -464,11 +472,18 @@ def test_driven_grid_mode1_detuning_axis():
                              block_window=5, detuning_mode=1)
     assert grid.axis2.name == "delta1/Omega1"
     assert grid.energy.shape == (3, 4)
-    # the realized cavity frequency reproduces the requested ratio
+    # each cell is the driven point at Omega1 = base / (1 + ratio), bit for bit
     base = 2 * RESONANT.omega1 + RESONANT.omega2
-    for r in ratios:
-        Omega1 = base / (1 + r)
-        assert (base - Omega1) / Omega1 == pytest.approx(r, abs=1e-14)
+    for i, theta in enumerate(np.linspace(0.2, 1.0, 3)):
+        for j, r in enumerate(ratios):
+            point, report = driven_phase_point(
+                RESONANT.replace(Omega1=base / (1 + r)),
+                DriveParams.from_theta(theta, 0.18), block_window=5)
+            assert (grid.energy[i, j], grid.gap[i, j]) == (point.energy, point.gap)
+            assert (grid.n_label[i, j], grid.m_label[i, j]) == point.label
+            assert grid.window_capped[i, j] == point.window_capped
+            assert grid.rwa_ok[i, j] == report.rwa_ok
+            assert grid.hierarchy_ok[i, j] == report.hierarchy_ok
     with pytest.raises(ValueError, match="detuning_mode"):
         driven_phase_grid(RESONANT, drive, np.array([0.1]), ratios,
                           detuning_mode=3)
@@ -486,6 +501,14 @@ def test_driven_grid_rejects_ratio_at_minus_one_and_decreasing_theta():
     with pytest.raises(ValueError, match="strictly increasing"):
         driven_phase_grid(RESONANT, drive, np.array([0.5, 0.2]),
                           np.array([0.0]))
+
+
+@pytest.mark.parametrize("ratios", [[0.0, math.nan], [math.inf, 0.0], [math.nan]])
+def test_driven_grid_rejects_ratios_not_finite(ratios):
+    drive = DriveParams(amplitude=0.09, frequency=0.18)
+    with pytest.raises(ValueError, match="detuning ratios must be finite, got "
+                                         r"\[(nan|inf)\]"):
+        driven_phase_grid(RESONANT, drive, np.array([0.1]), np.array(ratios))
 
 
 def test_label_sequence_collapses_duplicates():
