@@ -12,16 +12,16 @@ Commands:
 Every run writes a CSV data file plus manifest.json into the output
 directory.  Runs are cached: the same command on an unchanged
 configuration with a complete manifest is not recomputed.  The three sweep
-commands share one runner: a sweep is a list of chunks (grid rows, or
-256-point slices of the effective-params axis) and one picklable function
-that gives every CSV column of a chunk by name.  One function turns a
-chunk into its audit counts (cells failing each validity audit) and its
-CSV text, with text fields quoted per RFC 4180.  The texts are one stream
-in index order, from map or, under --workers, the pool's map, written and
-flushed one by one into a partial file that is renamed onto the CSV when
-whole.  An interrupted sweep resumes from the whole chunks that head its
-partial CSV: their text is written again verbatim, and their audit
-columns give their counts.
+commands share one runner: a sweep is its flattened cells, cut into
+chunks by spectrum.chunk_slices as sweep_grid cuts a grid, and one
+picklable function that gives every CSV column of a chunk by name.  One
+function turns a chunk into its audit counts (cells failing each validity
+audit) and its CSV text, with text fields quoted per RFC 4180.  The texts
+are one stream in index order, from map or, under --workers, the pool's
+map, written and flushed one by one into a partial file that is renamed
+onto the CSV when whole.  An interrupted sweep resumes from the whole
+chunks that head its partial CSV, a record per cell: their text is
+written again verbatim, and their audit columns give their counts.
 
 The pool's map sends contiguous batches of chunks, about
 BATCHES_PER_WORKER per worker, to no more workers than batches.  Workers
@@ -64,7 +64,7 @@ from contextlib import closing
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -102,14 +102,14 @@ from .spectrum import (
     AxisSpec,
     audit_counts,
     category_values,
-    compute_grid_row,
+    chunk_slices,
+    compute_grid_cells,
     deviation_lines,
 )
 
 COMMANDS = ("static-phase", "driven-phase", "effective-params", "echo")
 OUTPUT_ENV_VAR = "LAMBDAJC_OUT"
 ECHO_ALPHA = 0.01
-EFFECTIVE_CHUNK = 256
 #: Pool tasks per worker: a pool task is a contiguous batch of chunks, so
 #: a worker is sent a few tasks, not one per chunk, and the last batches
 #: still even out the workers' load.
@@ -118,7 +118,7 @@ BATCHES_PER_WORKER = 4
 #: Version of the output format and numbers.  Raise it with every change
 #: that alters any output byte: a run whose manifest has another version
 #: is never served or resumed.
-OUTPUT_VERSION = 3
+OUTPUT_VERSION = 4
 
 GRID_CSV_COLUMNS = ("axis1_name", "axis1_value", "axis2_name", "axis2_value",
                     "energy", "n_label", "m_label", "category", "gap",
@@ -260,20 +260,20 @@ def _read_manifest(out_dir: Path) -> dict | None:
 
 
 class _Sweep(NamedTuple):
-    """compute(chunk) gives every CSV column of a chunk by name: arrays
-    sizes[index] long, or scalars repeated down the chunk.  It must pickle
-    for pool workers.  unit and window word the deviations."""
+    """compute(start, stop) gives every CSV column of chunk (start, stop) by
+    name: arrays of its cells, or scalars repeated down the chunk.  It must
+    pickle for pool workers.  unit and window word the deviations."""
 
     compute: Callable
-    chunks: Sequence
-    sizes: Sequence[int]
+    cells: int
     csv_columns: tuple[str, ...]
     unit: str
     window: int | None = None
 
     @property
-    def cells(self) -> int:
-        return sum(self.sizes)
+    def chunks(self) -> list[tuple[int, int]]:
+        """(start, stop) of each chunk, in index order."""
+        return chunk_slices(self.cells)
 
 
 #: How a true flag reads in the CSV.
@@ -281,8 +281,8 @@ _TRUE = _format_column(np.array([True]))[0]
 
 
 def _chunk_entry(compute, csv_columns, chunk) -> tuple[list[int], str]:
-    """How many cells of a chunk fail each audit, and its CSV text."""
-    columns = compute(chunk)
+    """How many cells of a chunk (start, stop) fail each audit, and its CSV text."""
+    columns = compute(*chunk)
     return audit_counts(columns), _chunk_text([columns[k] for k in csv_columns])
 
 
@@ -290,10 +290,10 @@ def _resume(path: Path, sweep: _Sweep) -> tuple[list[list[int]], str]:
     """The audit counts of each whole chunk that heads a sweep's partial
     CSV, in index order, and the text of those chunks.
 
-    Under the header of csv_columns, chunk i is whole when it holds
-    sizes[i] records of len(csv_columns) fields and its text ends in a line
-    break (csv.reader reads a record torn by a kill as whole).  A partial
-    that cannot be read, or is not UTF-8, resumes nothing.
+    Under the header of csv_columns, chunk (start, stop) is whole when it
+    holds stop - start records of len(csv_columns) fields and its text ends
+    in a line break (csv.reader reads a record torn by a kill as whole).  A
+    partial that cannot be read, or is not UTF-8, resumes nothing.
     """
     header = ",".join(sweep.csv_columns) + "\n"
     counts: list[list[int]] = []
@@ -306,9 +306,9 @@ def _resume(path: Path, sweep: _Sweep) -> tuple[list[list[int]], str]:
         body = io.StringIO(text, newline="")
         body.seek(end)
         reader = csv.reader(body)
-        for size in sweep.sizes:
-            records = list(islice(reader, size))
-            if (len(records) < size or text[body.tell() - 1] != "\n"
+        for start, stop in sweep.chunks:
+            records = list(islice(reader, stop - start))
+            if (len(records) < stop - start or text[body.tell() - 1] != "\n"
                     or any(len(r) != len(sweep.csv_columns) for r in records)):
                 break
             counts.append(audit_counts({k: np.array(v) == _TRUE for k, v in
@@ -335,8 +335,8 @@ def _run_chunks(sweep: _Sweep, start: int, workers: int):
         batches = -(-len(todo) // size)
         # Freeing one 16 MiB block raises glibc's heap trim threshold (it
         # follows the largest freed mmapped block, up to 32 MiB), so the
-        # workers forked below keep the heap pages each row frees rather than
-        # returning them and faulting them in again for the next row.
+        # workers forked below keep the heap pages each chunk frees rather
+        # than returning them and faulting them in again for the next chunk.
         np.empty(1 << 24, dtype=np.uint8)
         with ProcessPoolExecutor(max_workers=min(workers, batches)) as pool:
             yield from pool.map(entry, todo, chunksize=size)
@@ -364,7 +364,7 @@ def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
             counts.append(chunk_counts)
 
     def cells_done():
-        return sum(sweep.sizes[:len(counts)])
+        return sum(stop - start for start, stop in sweep.chunks[:len(counts)])
 
     # the manifest goes first, so a partial CSV always sits beside its
     # run's manifest
@@ -381,42 +381,40 @@ def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
 
 
 def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
-    """A phase grid by axis-1 rows, or the effective-params table by
-    EFFECTIVE_CHUNK-point slices."""
+    """A phase grid, or the effective-params table, as its flattened cells."""
     if command == "effective-params":
         values = axes[0].values()
-        chunks = [values[k:k + EFFECTIVE_CHUNK]
-                  for k in range(0, values.size, EFFECTIVE_CHUNK)]
         return _Sweep(partial(_effective_columns, cfg.model, cfg.drive_or_default(),
-                              axes[0].parameter),
-                      chunks, [c.size for c in chunks], EFFECTIVE_CSV_COLUMNS,
-                      "sweep points")
+                              axes[0].parameter, values),
+                      values.size, EFFECTIVE_CSV_COLUMNS, "sweep points")
     driven = command == "driven-phase"
     drive = cfg.drive_or_default() if driven else None
     window = cfg.truncation.window_for(driven)
     ax1, ax2 = (AxisSpec(ax.name, ax.parameter, ax.values()) for ax in axes)
     return _Sweep(partial(_grid_columns, cfg.model, drive, ax1, ax2, window),
-                  range(ax1.values.size), [ax2.values.size] * ax1.values.size,
-                  GRID_CSV_COLUMNS, "cells", window)
+                  ax1.values.size * ax2.values.size, GRID_CSV_COLUMNS, "cells", window)
 
 
 def _grid_columns(model: SystemParams, drive: DriveParams | None, ax1: AxisSpec,
-                  ax2: AxisSpec, window: int, i: int) -> dict:
-    """The GRID_CSV_COLUMNS of grid row i: compute_grid_row's cells, the
-    axes and each cell's phase category."""
-    row = compute_grid_row(model, drive, ax1, ax2, window, i)
-    row.update(axis1_name=ax1.name, axis1_value=ax1.values[i],
-               axis2_name=ax2.name, axis2_value=ax2.values,
-               category=category_values(row["n_label"], row["m_label"]))
-    return row
+                  ax2: AxisSpec, window: int, start: int, stop: int) -> dict:
+    """The GRID_CSV_COLUMNS of grid cells start to stop:
+    compute_grid_cells's cells, the axes and each cell's phase category."""
+    cells = compute_grid_cells(model, drive, ax1, ax2, window, start, stop)
+    i, j = np.divmod(np.arange(start, stop), ax2.values.size)
+    # the chunk's few axis-1 values are formatted once each, not once per cell
+    rows = np.array(_format_column(ax1.values[i[0]:i[-1] + 1]))
+    cells.update(axis1_name=ax1.name, axis1_value=rows[i - i[0]],
+                 axis2_name=ax2.name, axis2_value=ax2.values[j],
+                 category=category_values(cells["n_label"], cells["m_label"]))
+    return cells
 
 
 def _effective_columns(model: SystemParams, drive: DriveParams, parameter: str,
-                       values: np.ndarray) -> dict:
-    """The effective-params CSV columns at values of parameter (omega_D or
-    A_D), the other drive field fixed."""
+                       values: np.ndarray, start: int, stop: int) -> dict:
+    """The effective-params CSV columns at values[start:stop] of parameter
+    (omega_D or A_D), the other drive field fixed."""
     fields = sweep_values(model, drive)
-    fields[parameter] = values
+    fields[parameter] = values[start:stop]
     table = effective_table(*(fields[k] for k in MODEL_FIELDS),
                             fields["A_D"], fields["omega_D"])
     table["omega_D"] = fields["omega_D"]

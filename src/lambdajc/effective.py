@@ -235,8 +235,6 @@ def effective_table(omega1, omega2, Omega1, Omega2, g1, g2, amplitude,
 
 def find_sidebands(sys: SystemParams, drive: DriveParams) -> SidebandInfo:
     """Resolve the dominant counter-rotating sideband order of each mode."""
-    if drive.frequency <= 0:
-        raise ValueError(f"drive frequency > 0 required, got {drive.frequency}")
     n0, m0, dn0, dm0, delta1, delta2 = _sidebands(
         sys.omega1, sys.omega2, sys.Omega1, sys.Omega2, drive.frequency)
     return SidebandInfo(n0=int(n0), m0=int(m0), Delta_n0=float(dn0),

@@ -37,21 +37,21 @@ divided by 2^e, e the frexp exponent of its largest magnitude, with its
 energies multiplied back.  That changes no rounding, so no result depends
 on the unit the frequencies (with hbar = 1, energies) are written in.
 
-Grids are evaluated by one row engine.  compute_grid_row broadcasts the
-swept field over the axis-2 values and builds the elements of every
-cell's blocks once.  Each block's lowest eigenvalue is bounded below by
-Weyl's inequality (smallest diagonal minus hypot(h12, h13)) and above by
-the smallest diagonal or a Rayleigh quotient that is exact at resonance.
-Only blocks whose lower bound reaches the cell's second-smallest upper
-bound, within a rounding margin, go through the kernel, in one call per
-row; the others cannot be the first or second lowest, so they enter the
-table as +inf.  Each cell's label is the first minimum of its flattened
-table and its gap comes from a partition, with the bytes the full table
-(ground_energy_table) gives.  Driven rows first pass the whole row through
+Grids are evaluated by one engine, compute_grid_cells, over the slices
+chunk_slices cuts a flattened grid (row-major) into, in the library and
+the CLI alike; it builds the elements of every cell's blocks once.  Each
+block's lowest eigenvalue is bounded below by Weyl's inequality (smallest
+diagonal minus hypot(h12, h13)) and above by the smallest diagonal or a
+Rayleigh quotient that is exact at resonance.  Only blocks whose lower
+bound reaches the cell's second-smallest upper bound, within a rounding
+margin, go through the kernel, in one call per slice; the others cannot
+be the first or second lowest, so they enter the table as +inf.  Each
+cell's label is the first minimum of its flattened table and its gap
+comes from a partition, with the bytes the full table
+(ground_energy_table) gives.  Driven slices first pass through
 effective.effective_table, so sidebands, effective parameters and the
 validity audit are array code too.  ground_search and driven_phase_point
-are one-cell rows of the same core; no per-cell parameter objects are
-built on the grid path.
+are one-cell slices of the same core.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class PhaseGrid:
         return _point(vars(self), (i, j))
 
 
-#: The per-cell arrays of a PhaseGrid, which compute_grid_row returns per row.
+#: The per-cell arrays of a PhaseGrid, which compute_grid_cells returns per slice.
 CELL_FIELDS = ("energy", "n_label", "m_label", "gap", "window_capped", "rwa_ok",
                "hierarchy_ok")
 
@@ -375,10 +375,10 @@ _EFFECTIVE_MODEL = ("omega1_eff", "omega2_eff", "Omega1_eff", "Omega2_eff", "gr1
 
 def _ground_cells(fields: dict[str, np.ndarray],
                   block_window: int) -> tuple[dict, dict | None]:
-    """The row core: ground search of every cell of equal-length field arrays.
+    """The slice core: ground search of every cell of equal-length field arrays.
 
     fields holds the six model fields, plus A_D and omega_D for a driven
-    row.
+    slice.
     Each cell's six model parameters are divided by 2^e, e the frexp
     exponent of its largest |parameter| (0 for a zero, inf or NaN), and its
     energy and gap are multiplied back.  The blocks of all cells are built
@@ -444,40 +444,44 @@ def driven_phase_point(sys: SystemParams, drive: DriveParams,
 # grids
 
 
-def _row_fields(sys: SystemParams, drive: DriveParams | None, axis1: AxisSpec,
-                axis2: AxisSpec, i: int) -> dict[str, np.ndarray]:
-    """Field arrays of row i: axis1 fixed at its i-th value, axis2 swept."""
+#: Cells per slice of a sweep's flattened cell index: the unit of work of
+#: sweep_grid, and of the CLI's workers and resuming.
+CHUNK_CELLS = 256
+
+
+def chunk_slices(cells: int) -> list[tuple[int, int]]:
+    """(start, stop) of each CHUNK_CELLS-cell slice of a sweep of cells
+    cells, in index order; only the last may be shorter."""
+    return [(k, min(k + CHUNK_CELLS, cells)) for k in range(0, cells, CHUNK_CELLS)]
+
+
+def compute_grid_cells(sys: SystemParams, drive: DriveParams | None, axis1: AxisSpec,
+                       axis2: AxisSpec, block_window: int, start: int,
+                       stop: int) -> dict[str, np.ndarray]:
+    """Cells start to stop of the grid's flattened index (row-major, axis2
+    fastest), as arrays keyed like PhaseGrid: one pruned block table and one
+    kernel call.  Each cell depends only on its own parameters, so no byte
+    depends on the slicing or on how slices are spread across workers."""
     if axis1.parameter == axis2.parameter:
         raise ValueError(f"sweep parameter {axis1.parameter!r} is swept twice")
     values = sweep_values(sys, drive)
-    for axis, value in ((axis1, axis1.values[i]), (axis2, axis2.values)):
+    for axis, index in zip((axis1, axis2), np.divmod(np.arange(start, stop),
+                                                     axis2.values.size)):
         if axis.parameter not in values:
             raise ValueError(f"sweep parameter {axis.parameter!r} is not a field of "
                              f"the {'model or drive' if drive else 'undriven model'}")
-        values[axis.parameter] = value
-    # every field constraint is a bound and axis2 increases, so its two
-    # ends validate the row
-    for end in (axis2.values[0], axis2.values[-1]):
-        from_sweep_values({**values, axis2.parameter: end})
-    return {k: np.broadcast_to(np.asarray(v, dtype=float), (axis2.values.size,))
-            for k, v in values.items()}
-
-
-def compute_grid_row(sys_template: SystemParams, drive_template: DriveParams | None,
-                     axis1: AxisSpec, axis2: AxisSpec, block_window: int,
-                     i: int) -> dict[str, np.ndarray]:
-    """All cells of one axis1 row, in axis2 order, as arrays keyed like
-    PhaseGrid.
-
-    The row is one (n2, W+1, W+1) block table, pruned by bounds, and one
-    kernel call; each cell's result depends only on its own parameters, so
-    the arrays do not depend on how rows are batched across workers.
-    """
-    fields = _row_fields(sys_template, drive_template, axis1, axis2, i)
-    row, eff = _ground_cells(fields, block_window)
+        values[axis.parameter] = axis.values[index]
+    # every field constraint is a bound, so the smallest and largest value
+    # of each swept field validate the slice
+    for pick in (np.min, np.max):
+        from_sweep_values({**values, **{axis.parameter: pick(values[axis.parameter])
+                                        for axis in (axis1, axis2)}})
+    fields = {k: np.broadcast_to(np.asarray(v, dtype=float), (stop - start,))
+              for k, v in values.items()}
+    cells, eff = _ground_cells(fields, block_window)
     for key in ("rwa_ok", "hierarchy_ok"):
-        row[key] = eff[key] if eff is not None else np.ones(axis2.values.size, dtype=bool)
-    return row
+        cells[key] = eff[key] if eff is not None else np.ones(stop - start, dtype=bool)
+    return cells
 
 
 #: (cell key, the value that flags a cell, what a flagged cell is) of each
@@ -502,23 +506,19 @@ def deviation_lines(counts: list[int], total: int, unit: str = "cells",
             for count, (_, _, what) in zip(counts, AUDITS) if count]
 
 
-def assemble_grid(axis1: AxisSpec, axis2: AxisSpec, block_window: int,
-                  rows: list[dict[str, np.ndarray]]) -> PhaseGrid:
-    """Stack computed rows into a PhaseGrid and tally its deviations."""
-    stack = {k: np.stack([r[k] for r in rows]) for k in rows[0]}
-    deviations = deviation_lines(audit_counts(stack), stack["energy"].size,
-                                 "cells", block_window)
-    return PhaseGrid(axis1=axis1, axis2=axis2, block_window=block_window,
-                     **stack, deviations=deviations)
-
-
 def sweep_grid(sys_template: SystemParams, drive_template: DriveParams | None,
                axis1: AxisSpec, axis2: AxisSpec, block_window: int) -> PhaseGrid:
-    """Dense ground-state sweep over two axes (static when drive is None)."""
-    rows = [compute_grid_row(sys_template, drive_template, axis1, axis2,
-                             block_window, i)
-            for i in range(axis1.values.size)]
-    return assemble_grid(axis1, axis2, block_window, rows)
+    """Dense ground-state sweep over two axes (static when drive is None),
+    evaluated in the slices of chunk_slices, with its deviations tallied."""
+    shape = (axis1.values.size, axis2.values.size)
+    parts = [compute_grid_cells(sys_template, drive_template, axis1, axis2,
+                                block_window, start, stop)
+             for start, stop in chunk_slices(shape[0] * shape[1])]
+    cells = {k: np.concatenate([p[k] for p in parts]).reshape(shape) for k in parts[0]}
+    deviations = deviation_lines(audit_counts(cells), shape[0] * shape[1], "cells",
+                                 block_window)
+    return PhaseGrid(axis1=axis1, axis2=axis2, block_window=block_window,
+                     **cells, deviations=deviations)
 
 
 def phase_grid(sys_template: SystemParams, g1_over_Omega1: np.ndarray,

@@ -65,6 +65,26 @@ def _interrupt(command, cfg, out_dir, after):
             run_command(command, cfg, out_dir=out_dir)
 
 
+def _chunk_by_rows(monkeypatch, doc):
+    """Cut the grid sweep of doc into chunks of one axis-1 row each, by
+    setting CHUNK_CELLS to its row length; an effective-params sweep keeps
+    its slices."""
+    if len(doc["sweep"]) == 2:
+        monkeypatch.setattr(spectrum, "CHUNK_CELLS", doc["sweep"][1]["points"])
+
+
+def _count_chunks(monkeypatch) -> list[int]:
+    """The index of each grid chunk the runner computes, in call order."""
+    chunks = []
+    real = cli.compute_grid_cells
+
+    def counted(*args):
+        chunks.append(args[-2] // spectrum.CHUNK_CELLS)
+        return real(*args)
+    monkeypatch.setattr(cli, "compute_grid_cells", counted)
+    return chunks
+
+
 def _whole_chunks(command, cfg, out_dir) -> int:
     """How many whole chunks head the partial CSV in out_dir."""
     sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
@@ -305,6 +325,7 @@ class TestRunCommand:
         assert "cache hit" in capsys.readouterr().out
 
     def test_failed_write_keeps_previous_csv(self, tmp_path, monkeypatch):
+        _chunk_by_rows(monkeypatch, TINY_STATIC)
         cfg = parse_config(TINY_STATIC)
         assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
         previous = (tmp_path / "grid.csv").read_bytes()
@@ -396,7 +417,8 @@ class TestRunCommand:
         assert ((tmp_path / "w1" / "grid.csv").read_bytes()
                 == (tmp_path / "w2" / "grid.csv").read_bytes())
 
-    def test_resume_after_interrupt(self, tmp_path):
+    def test_resume_after_interrupt(self, tmp_path, monkeypatch):
+        _chunk_by_rows(monkeypatch, TINY_STATIC)
         cfg = parse_config(TINY_STATIC)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("static-phase", cfg, tmp_path / "part", 3)
@@ -405,7 +427,9 @@ class TestRunCommand:
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
                 == (tmp_path / "full" / "grid.csv").read_bytes())
 
-    def test_interrupted_run_leaves_no_csv_and_no_temp_file(self, tmp_path):
+    def test_interrupted_run_leaves_no_csv_and_no_temp_file(self, tmp_path,
+                                                           monkeypatch):
+        _chunk_by_rows(monkeypatch, TINY_STATIC)
         cfg = parse_config(TINY_STATIC)
         _interrupt("static-phase", cfg, tmp_path, 3)
         # the partial CSV is no .csv file: what the rerun resumes from
@@ -415,14 +439,15 @@ class TestRunCommand:
     def test_rows_stream_into_the_csv_as_they_land(self, tmp_path, monkeypatch):
         # a resumed run: rows 0-2 come from the partial CSV as one text, the
         # rest are computed
+        _chunk_by_rows(monkeypatch, TINY_STATIC)
         cfg = parse_config(TINY_STATIC)
         _interrupt("static-phase", cfg, tmp_path / "part", 3)
         events = []
-        real_row, real_write = cli.compute_grid_row, cli.write_csv
+        real_cells, real_write = cli.compute_grid_cells, cli.write_csv
 
         def counted(*args):
-            events.append(f"row {args[-1]}")
-            return real_row(*args)
+            events.append(f"row {args[-2] // spectrum.CHUNK_CELLS}")
+            return real_cells(*args)
 
         def watched(path, columns, texts):
             def each():
@@ -431,7 +456,7 @@ class TestRunCommand:
                     yield text
             return real_write(path, columns, each())
 
-        monkeypatch.setattr(cli, "compute_grid_row", counted)
+        monkeypatch.setattr(cli, "compute_grid_cells", counted)
         monkeypatch.setattr(cli, "write_csv", watched)
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
         # each row's text is written before the next row is computed
@@ -442,7 +467,8 @@ class TestRunCommand:
         assert ((tmp_path / "part" / "grid.csv").read_bytes()
                 == (tmp_path / "full" / "grid.csv").read_bytes())
 
-    def test_driven_resume_after_interrupt(self, tmp_path):
+    def test_driven_resume_after_interrupt(self, tmp_path, monkeypatch):
+        _chunk_by_rows(monkeypatch, TINY_DRIVEN)
         cfg = parse_config(TINY_DRIVEN)
         run_command("driven-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("driven-phase", cfg, tmp_path / "part", 2)
@@ -469,7 +495,9 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["command"] == "driven-phase"
 
-    def test_interrupted_ledger_not_resumed_by_other_command(self, tmp_path):
+    def test_interrupted_partial_not_resumed_by_other_command(self, tmp_path,
+                                                             monkeypatch):
+        _chunk_by_rows(monkeypatch, TINY_STATIC)
         cfg = parse_config(TINY_STATIC)
         run_command("driven-phase", cfg, out_dir=tmp_path / "fresh")
         _interrupt("static-phase", cfg, tmp_path / "part", 3)
@@ -479,9 +507,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("manifest", ["removed", "not_an_object"])
     def test_foreign_ledger_without_manifest_is_not_resumed(self, tmp_path,
-                                                            manifest):
+                                                            monkeypatch, manifest):
         # neither the config hash nor the partial CSV holds the command, so
         # only the manifest tells a static-phase partial from a driven-phase one
+        _chunk_by_rows(monkeypatch, DRIVEN_G1G2)
         cfg = parse_config(DRIVEN_G1G2)
         assert run_command("driven-phase", cfg, out_dir=tmp_path / "fresh") == 0
         _interrupt("static-phase", cfg, tmp_path / "part", 2)
@@ -495,7 +524,8 @@ class TestRunCommand:
             assert ((tmp_path / "part" / name).read_bytes()
                     == (tmp_path / "fresh" / name).read_bytes())
 
-    def test_torn_ledger_tail_keeps_complete_lines(self, tmp_path):
+    def test_torn_partial_tail_keeps_complete_lines(self, tmp_path, monkeypatch):
+        _chunk_by_rows(monkeypatch, TINY_STATIC)
         cfg = parse_config(TINY_STATIC)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("static-phase", cfg, tmp_path / "part", 3)
@@ -557,7 +587,7 @@ class TestRunCommand:
             "sweep": [{"name": "omega_D", "start": 0.1, "stop": 2.0,
                        "points": 600, "parameter": "omega_D"}],
         })
-        assert 600 > 2 * cli.EFFECTIVE_CHUNK
+        assert 600 > 2 * spectrum.CHUNK_CELLS
         run_command("effective-params", cfg, out_dir=tmp_path / "w1", workers=1)
         run_command("effective-params", cfg, out_dir=tmp_path / "w2", workers=2)
         for name in ("effective_params.csv", "manifest.json"):
@@ -748,6 +778,20 @@ GRID_5X4 = {
     ],
 }
 
+#: A driven grid whose cells fail each audit in part or in whole: a one-shot
+#: run reads 52/52 window-capped, 18/52 counter-rotating and 52/52
+#: drive-hierarchy.
+DRIVEN_AUDITS = {
+    "model": {"g1": 0.2, "g2": 0.2},
+    "drive": {"amplitude": 0.036, "frequency": 0.18},
+    "truncation": {"block_window": 5},
+    "sweep": [
+        {"name": "A_D", "start": 0.0, "stop": 0.54, "points": 13, "parameter": "A_D"},
+        {"name": "Omega2", "start": 0.97, "stop": 1.0, "points": 4,
+         "parameter": "Omega2"},
+    ],
+}
+
 #: A static grid of one-cell rows.
 ONE_POINT_AXIS2 = {"sweep": [GRID_5X4["sweep"][0],
                              {**GRID_5X4["sweep"][1], "stop": 0.0, "points": 1}]}
@@ -797,7 +841,35 @@ class TestOutputVersion:
         assert manifest["output_version"] == cli.OUTPUT_VERSION
         assert manifest["csv_blake2b"] == _blake2b(tmp_path / csv_name)
 
-    def test_ledger_entry_of_other_output_version_is_recomputed(self, tmp_path):
+    def test_output_of_older_program_is_recomputed(self, tmp_path, capsys):
+        # output version 3 wrote gap = inf for 4 of the 6 cells of this
+        # sweep, whose coupling norms are subnormal; its directory is whole
+        # by every other rule: config hash, command and CSV digest
+        cfg = parse_config({**json.loads((SAMPLES / "static_phase.json").read_text()),
+                            "sweep": [
+            {"name": "g1", "start": 3.5556433873827877e-162, "stop": 3.6e-162,
+             "points": 2, "parameter": "g1"},
+            {"name": "g2", "start": 0.0, "stop": 1.6e-162, "points": 3,
+             "parameter": "g2"}]})
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        grid = tmp_path / "grid.csv"
+        header, [records] = _chunks(grid, 6)
+        for record in records[0:2] + records[3:5]:
+            record[8] = "inf"
+        grid.write_text(header + "\n" + _text(records))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest.update(output_version=3, csv_blake2b=_blake2b(grid))
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        with open(grid, newline="") as fh:
+            assert [row["gap"] for row in csv.DictReader(fh)] == ["1"] * 6
+
+    def test_partial_of_other_output_version_is_recomputed(self, tmp_path,
+                                                           monkeypatch):
+        _chunk_by_rows(monkeypatch, TINY_STATIC)
         cfg = parse_config(TINY_STATIC)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("static-phase", cfg, tmp_path / "part", 3)
@@ -819,12 +891,13 @@ class TestOutputVersion:
 
 
 class TestLedgerShape:
-    """The partial CSV is the resume ledger.  A chunk at its head is resumed
-    only if it is whole: under the sweep's header, its size of records of
-    one field per column, its text ending in a line break.  The first chunk
-    that is not whole and every chunk after it are computed."""
+    """A chunk at the head of the partial CSV is resumed only if it is
+    whole: under the sweep's header, its size of records of one field per
+    column, its text ending in a line break.  The first chunk that is not
+    whole and every chunk after it are computed."""
 
-    def test_short_chunk_is_recomputed(self, tmp_path, capsys):
+    def test_short_chunk_is_recomputed(self, tmp_path, capsys, monkeypatch):
+        _chunk_by_rows(monkeypatch, GRID_5X4)
         cfg = parse_config(GRID_5X4)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("static-phase", cfg, tmp_path / "part", 1)
@@ -846,6 +919,7 @@ class TestLedgerShape:
         "missing_column", "extra_column", "text_label", "short_text", "blank_line",
         "unterminated_text", "torn_full_record", "other_header", "not_utf8"])
     def test_malformed_entry_is_recomputed(self, tmp_path, monkeypatch, corrupt):
+        _chunk_by_rows(monkeypatch, GRID_5X4)
         cfg = parse_config(GRID_5X4)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("static-phase", cfg, tmp_path / "part", 2)
@@ -880,13 +954,7 @@ class TestLedgerShape:
             # a two-byte character torn after its first byte
             data += "\u00e9".encode()[:1]
         partial.write_bytes(data)
-        rows = []
-        real = cli.compute_grid_row
-
-        def counted(*args):
-            rows.append(args[-1])
-            return real(*args)
-        monkeypatch.setattr(cli, "compute_grid_row", counted)
+        rows = _count_chunks(monkeypatch)
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
         resumed = 0 if corrupt in ("other_header", "not_utf8") else 1
         assert rows == list(range(resumed, 5))
@@ -904,9 +972,10 @@ class TestLedgerShape:
         ("static-phase", ONE_POINT_AXIS2),
         ("effective-params", {"sweep": [{"start": 0.1, "stop": 2.0, "points": 257,
                                          "parameter": "omega_D"}]})])
-    def test_ledger_entries_fit_their_sweep(self, tmp_path, command, doc):
+    def test_ledger_entries_fit_their_sweep(self, tmp_path, monkeypatch, command, doc):
         # a whole-chunk rule that disagreed with the texts the runner writes
         # would recompute every resumed chunk
+        _chunk_by_rows(monkeypatch, doc)
         cfg = parse_config(doc)
         sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
         entries = list(cli._run_chunks(sweep, 0, 1))
@@ -916,17 +985,32 @@ class TestLedgerShape:
         assert cli._resume(path, sweep) == ([c for c, _ in entries], text)
 
     def test_valid_entries_are_reused(self, tmp_path, monkeypatch):
+        _chunk_by_rows(monkeypatch, GRID_5X4)
         cfg = parse_config(GRID_5X4)
         _interrupt("static-phase", cfg, tmp_path, 3)
-        rows = []
-        real = cli.compute_grid_row
-
-        def counted(*args):
-            rows.append(args[-1])
-            return real(*args)
-        monkeypatch.setattr(cli, "compute_grid_row", counted)
+        rows = _count_chunks(monkeypatch)
         assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
         assert rows == [3, 4]
+
+    @pytest.mark.parametrize("command, doc, written, resumed, line", [
+        ("static-phase", GRID_5X4, 4, 6, "resumed 1 of 4 chunks"),
+        ("static-phase", GRID_5X4, 6, 4, "resumed 3 of 5 chunks"),
+        ("driven-phase", DRIVEN_AUDITS, 5, 3, "resumed 3 of 18 chunks")])
+    def test_partial_of_other_chunk_size_resumes(self, tmp_path, monkeypatch, capsys,
+                                                 command, doc, written, resumed, line):
+        # records are cells, so a partial written in chunks of one size is
+        # read back in whole chunks of another
+        cfg = parse_config(doc)
+        assert run_command(command, cfg, out_dir=tmp_path / "full") == 0
+        monkeypatch.setattr(spectrum, "CHUNK_CELLS", written)
+        _interrupt(command, cfg, tmp_path / "part", 2)
+        monkeypatch.setattr(spectrum, "CHUNK_CELLS", resumed)
+        capsys.readouterr()
+        assert run_command(command, cfg, out_dir=tmp_path / "part") == 0
+        assert line in capsys.readouterr().out
+        for name in (cli._CSV_NAME[command], "manifest.json"):
+            assert ((tmp_path / "part" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes())
 
 
 class TestCsvQuoting:
@@ -947,16 +1031,11 @@ class TestCsvQuoting:
         doc = json.loads(json.dumps(GRID_5X4))
         doc["sweep"][0]["name"] = "g1,x\r\ny"
         doc["sweep"][1]["name"] = 'say "g2"'
+        _chunk_by_rows(monkeypatch, doc)
         cfg = parse_config(doc)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("static-phase", cfg, tmp_path / "part", 2)
-        rows = []
-        real = cli.compute_grid_row
-
-        def counted(*args):
-            rows.append(args[-1])
-            return real(*args)
-        monkeypatch.setattr(cli, "compute_grid_row", counted)
+        rows = _count_chunks(monkeypatch)
         assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
         assert rows == [2, 3, 4]
         for name in ("grid.csv", "manifest.json"):
@@ -1071,20 +1150,6 @@ MANY_CHUNKS = {
 }
 
 
-#: A driven grid whose cells fail each audit in part or in whole: a one-shot
-#: run reads 52/52 window-capped, 18/52 counter-rotating and 52/52
-#: drive-hierarchy.
-DRIVEN_AUDITS = {
-    "model": {"g1": 0.2, "g2": 0.2},
-    "drive": {"amplitude": 0.036, "frequency": 0.18},
-    "truncation": {"block_window": 5},
-    "sweep": [
-        {"name": "A_D", "start": 0.0, "stop": 0.54, "points": 13, "parameter": "A_D"},
-        {"name": "Omega2", "start": 0.97, "stop": 1.0, "points": 4,
-         "parameter": "Omega2"},
-    ],
-}
-
 #: Each MANY_CHUNKS sweep, by its command, and DRIVEN_AUDITS.
 MIXED_RESUME = {**{command: (command, doc) for command, doc in MANY_CHUNKS.items()},
                 "driven-phase-audits": ("driven-phase", DRIVEN_AUDITS)}
@@ -1108,8 +1173,10 @@ class TestPool:
         return sizes
 
     @pytest.mark.parametrize("case", sorted(MIXED_RESUME))
-    def test_mixed_resume_matches_one_shot_run(self, tmp_path, pool_sizes, case):
+    def test_mixed_resume_matches_one_shot_run(self, tmp_path, monkeypatch, pool_sizes,
+                                               case):
         command, doc = MIXED_RESUME[case]
+        _chunk_by_rows(monkeypatch, doc)
         cfg = parse_config(doc)
         sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
         assert len(sweep.chunks) - 3 > cli.BATCHES_PER_WORKER * 2
@@ -1126,7 +1193,8 @@ class TestPool:
             assert [line.split()[0] for line in deviations] == [
                 "52/52", "18/52", "52/52"]
 
-    def test_resume_reports_the_chunks_it_resumed(self, tmp_path, capsys):
+    def test_resume_reports_the_chunks_it_resumed(self, tmp_path, capsys, monkeypatch):
+        _chunk_by_rows(monkeypatch, MANY_CHUNKS["static-phase"])
         cfg = parse_config(MANY_CHUNKS["static-phase"])
         assert run_command("static-phase", cfg, out_dir=tmp_path / "full") == 0
         assert "resumed" not in capsys.readouterr().out
@@ -1139,6 +1207,7 @@ class TestPool:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resumed_chunks_are_written_verbatim(self, tmp_path, monkeypatch,
                                                  workers):
+        _chunk_by_rows(monkeypatch, MANY_CHUNKS["static-phase"])
         cfg = parse_config(MANY_CHUNKS["static-phase"])
         _interrupt("static-phase", cfg, tmp_path, 3)
         real_format = cli._format_column
@@ -1152,15 +1221,17 @@ class TestPool:
         monkeypatch.setattr(cli, "_format_column", counting_format)
         assert run_command("static-phase", cfg, out_dir=tmp_path,
                            workers=workers) == 0
-        # the parent formats the ten chunks it computes itself, none it resumes
+        # the parent formats the ten chunks it computes itself, none it
+        # resumes: each column, and once before them the chunk's axis-1 values
         computed = 10 if workers == 1 else 0
-        assert len(calls) == computed * len(cli.GRID_CSV_COLUMNS)
+        assert len(calls) == computed * (1 + len(cli.GRID_CSV_COLUMNS))
 
     # three workers cut the 13 chunks into batches of another size
     @pytest.mark.parametrize("command, workers", [
         pytest.param(command, workers, id=command if workers == 2 else f"{command}-3")
         for workers in (2, 3) for command in sorted(MANY_CHUNKS)])
-    def test_pool_results_match_sequential(self, command, workers):
+    def test_pool_results_match_sequential(self, monkeypatch, command, workers):
+        _chunk_by_rows(monkeypatch, MANY_CHUNKS[command])
         cfg = parse_config(MANY_CHUNKS[command])
         sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
 
@@ -1172,15 +1243,17 @@ class TestPool:
         assert pooled == sequential
         # a resumed run starts at its first missing chunk
         assert run(workers, 3) == sequential[3:]
-        for chunk, size, (counts, text) in zip(sweep.chunks, sweep.sizes, sequential):
-            columns = sweep.compute(chunk)
+        for (start, stop), (counts, text) in zip(sweep.chunks, sequential):
+            columns = sweep.compute(start, stop)
             assert text == cli._chunk_text([columns[k] for k in sweep.csv_columns])
-            assert len(text.splitlines()) == size
+            assert len(text.splitlines()) == stop - start
             assert counts == spectrum.audit_counts(columns)
 
-    def test_pool_has_no_more_workers_than_batches(self, tmp_path, pool_sizes):
+    def test_pool_has_no_more_workers_than_batches(self, tmp_path, monkeypatch,
+                                                   pool_sizes):
         three_rows = json.loads(json.dumps(GRID_5X4))
         three_rows["sweep"][0]["points"] = 3
+        _chunk_by_rows(monkeypatch, three_rows)
         cfg = parse_config(three_rows)
         assert run_command("static-phase", cfg, out_dir=tmp_path / "w8",
                            workers=8) == 0
@@ -1191,7 +1264,8 @@ class TestPool:
                 == (tmp_path / "w1" / "grid.csv").read_bytes())
 
     def test_resume_pool_has_no_more_workers_than_chunks_left(self, tmp_path,
-                                                              pool_sizes):
+                                                              monkeypatch, pool_sizes):
+        _chunk_by_rows(monkeypatch, GRID_5X4)
         cfg = parse_config(GRID_5X4)
         _interrupt("static-phase", cfg, tmp_path, 3)
         assert run_command("static-phase", cfg, out_dir=tmp_path, workers=8) == 0
@@ -1199,19 +1273,20 @@ class TestPool:
 
     def test_dead_worker_exits_2_and_keeps_finished_chunks(self, tmp_path,
                                                            monkeypatch, capsys):
+        _chunk_by_rows(monkeypatch, MANY_CHUNKS["static-phase"])
         cfg = parse_config(MANY_CHUNKS["static-phase"])
         assert run_command("static-phase", cfg, out_dir=tmp_path / "full") == 0
-        real = spectrum.compute_grid_row
+        real = spectrum.compute_grid_cells
 
         def dying(*args):
-            if args[-1] == 5:
+            if args[-2] // spectrum.CHUNK_CELLS == 5:
                 os._exit(1)  # as a worker killed by the OOM killer
             return real(*args)
 
         # pickled by name, so forked workers look it up in the patched module
         dying.__module__, dying.__qualname__ = real.__module__, real.__qualname__
-        monkeypatch.setattr(spectrum, "compute_grid_row", dying)
-        monkeypatch.setattr(cli, "compute_grid_row", dying)
+        monkeypatch.setattr(spectrum, "compute_grid_cells", dying)
+        monkeypatch.setattr(cli, "compute_grid_cells", dying)
         out = tmp_path / "part"
         capsys.readouterr()
         assert run_command("static-phase", cfg, out_dir=out, workers=2) == 2
@@ -1224,12 +1299,8 @@ class TestPool:
         assert manifest["csv_blake2b"] is None
         monkeypatch.undo()
 
-        rows = []
-
-        def counted(*args):
-            rows.append(args[-1])
-            return real(*args)
-        monkeypatch.setattr(cli, "compute_grid_row", counted)
+        _chunk_by_rows(monkeypatch, MANY_CHUNKS["static-phase"])
+        rows = _count_chunks(monkeypatch)
         assert run_command("static-phase", cfg, out_dir=out) == 0
         assert rows == list(range(whole, 13))
         for name in ("grid.csv", "manifest.json"):

@@ -6,19 +6,19 @@ import pytest
 
 from lambdajc.effective import HIERARCHY_RATIO_MAX, RWA_RATIO_MAX, effective_table
 from lambdajc import spectrum
-from lambdajc.params import DriveParams, SystemParams
+from lambdajc.params import DriveParams, SystemParams, sweep_values
 from lambdajc.spectrum import (
     _EFFECTIVE_MODEL,
+    CELL_FIELDS,
     STATIC_BLOCK_WINDOW,
     AxisSpec,
     PhaseCategory,
     _ground_cells,
-    _row_fields,
     _search_tables,
     block_ground_energy,
     block_matrix,
     categorize,
-    compute_grid_row,
+    compute_grid_cells,
     driven_phase_grid,
     driven_phase_point,
     ground_energy_table,
@@ -339,15 +339,18 @@ class TestPhaseGrid:
         assert np.max(np.abs(np.diff(energies))) <= 4.0 * step
 
     def test_row_validates_its_axis_values(self):
+        # a slice is validated by its own cells, across the rows it spans
         ax1 = AxisSpec("g1", "g1", np.array([0.5]))
         for values in ([-0.1, 0.2], [0.1, np.inf]):
             with pytest.raises(ValueError, match="g2"):
-                compute_grid_row(RESONANT, None, ax1, AxisSpec("g2", "g2", values), 4, 0)
+                compute_grid_cells(RESONANT, None, ax1, AxisSpec("g2", "g2", values),
+                                   4, 0, 2)
         ax1 = AxisSpec("Omega1", "Omega1", np.array([0.0, 1.0]))
         ax2 = AxisSpec("g2", "g2", np.array([0.1, 0.2]))
-        with pytest.raises(ValueError, match="Omega1 > 0 required"):
-            compute_grid_row(RESONANT, None, ax1, ax2, 4, 0)
-        compute_grid_row(RESONANT, None, ax1, ax2, 4, 1)
+        for start, stop in ((0, 2), (1, 3), (1, 2)):
+            with pytest.raises(ValueError, match="Omega1 > 0 required"):
+                compute_grid_cells(RESONANT, None, ax1, ax2, 4, start, stop)
+        compute_grid_cells(RESONANT, None, ax1, ax2, 4, 2, 4)
 
     def test_rejects_axes_of_one_parameter(self):
         ax1 = AxisSpec("a", "g1", np.linspace(0.0, 4.0, 3))
@@ -355,14 +358,29 @@ class TestPhaseGrid:
         with pytest.raises(ValueError, match="g1.*twice"):
             sweep_grid(RESONANT, None, ax1, ax2, 6)
 
-    def test_deterministic_under_chunked_evaluation(self):
-        ax1 = AxisSpec("g1", "g1", np.linspace(0.0, 4.0, 7))
-        ax2 = AxisSpec("g2", "g2", np.linspace(0.0, 3.0, 5))
-        full = sweep_grid(RESONANT, None, ax1, ax2, 6)
-        rows = [compute_grid_row(RESONANT, None, ax1, ax2, 6, i)
-                for i in reversed(range(7))]
-        stacked = np.stack([rows[6 - i]["energy"] for i in range(7)])
-        assert np.array_equal(full.energy, stacked)
+    def test_deterministic_under_chunked_evaluation(self, monkeypatch):
+        # uneven slices that span rows, evaluated last first, and sweep_grid
+        # under another slice size give the bytes of sweep_grid, static and
+        # driven
+        bounds = [0, 3, 4, 11, 19, 20, 35]
+        for drive, ax1, ax2 in (
+                (None, AxisSpec("g1", "g1", np.linspace(0.0, 4.0, 7)),
+                 AxisSpec("g2", "g2", np.linspace(0.0, 3.0, 5))),
+                (DriveParams(amplitude=0.0, frequency=0.49),
+                 AxisSpec("A_D", "A_D", np.linspace(0.0, 1.2, 7)),
+                 AxisSpec("Omega2", "Omega2", np.linspace(0.95, 1.0, 5)))):
+            full = sweep_grid(RESONANT, drive, ax1, ax2, 6)
+            parts = [compute_grid_cells(RESONANT, drive, ax1, ax2, 6, start, stop)
+                     for start, stop in reversed(list(zip(bounds, bounds[1:])))]
+            monkeypatch.setattr(spectrum, "CHUNK_CELLS", 8)
+            sliced = sweep_grid(RESONANT, drive, ax1, ax2, 6)
+            monkeypatch.undo()
+            for key in CELL_FIELDS:
+                joined = np.concatenate([p[key] for p in reversed(parts)]).reshape(7, 5)
+                for grid in (joined, getattr(sliced, key)):
+                    assert grid.dtype == getattr(full, key).dtype, key
+                    assert grid.tobytes() == getattr(full, key).tobytes(), key
+            assert sliced.deviations == full.deviations
 
 
 class TestLocateBoundary:
@@ -548,8 +566,9 @@ class TestRowEngineOracles:
     exhaustive sideband scan and the series Bessel values."""
 
     def check_row(self, sys, drive, axis1, axis2, window, i):
-        row = compute_grid_row(sys, drive, axis1, axis2, window, i)
-        assert_pruned_matches_full(_row_fields(sys, drive, axis1, axis2, i), window)
+        n2 = axis2.values.size
+        row = compute_grid_cells(sys, drive, axis1, axis2, window, i * n2, (i + 1) * n2)
+        assert_pruned_matches_full(row_fields(sys, drive, axis1, axis2, i), window)
         base = {k: getattr(sys, k) for k in MODEL_FIELDS}
         if drive is not None:
             base.update(A_D=drive.amplitude, omega_D=drive.frequency)
@@ -611,7 +630,7 @@ class TestRowEngineOracles:
         sys = RESONANT.replace(g1=0.0)
         for i in range(2):
             self.check_row(sys, drive, ax1, ax2, 5, i)
-            row = compute_grid_row(sys, drive, ax1, ax2, 5, i)
+            row = compute_grid_cells(sys, drive, ax1, ax2, 5, 9 * i, 9 * (i + 1))
             assert np.all(row["n_label"] == 0)
             assert np.all(row["window_capped"])
         assert np.any(row["m_label"] < 5)
@@ -674,6 +693,15 @@ def assert_pruned_matches_full(fields, window):
         assert np.array_equal(cells[key], full[key], equal_nan=True), key
 
 
+def row_fields(sys, drive, axis1, axis2, i):
+    """Field arrays of grid row i: axis1 at its i-th value, axis2 swept."""
+    values = sweep_values(sys, drive)
+    values[axis1.parameter] = axis1.values[i]
+    values[axis2.parameter] = axis2.values
+    return {k: np.broadcast_to(np.asarray(v, dtype=float), axis2.values.shape)
+            for k, v in values.items()}
+
+
 def static_fields(omega1, omega2, Omega1, Omega2, g1, g2):
     """Static row fields, each broadcast to the longest argument."""
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float)
@@ -721,7 +749,7 @@ class TestPrunedGroundSearch:
                 ax1 = AxisSpec("g2", "g2", np.array([0.0, 0.05, 0.4]))
                 ax2 = AxisSpec("A_D", "A_D", np.linspace(0.0, 1.0, 21))
                 for i in range(3):
-                    fields = _row_fields(sys, drive, ax1, ax2, i)
+                    fields = row_fields(sys, drive, ax1, ax2, i)
                     assert_pruned_matches_full(fields, 5)
                 cells, _ = _ground_cells(fields, 5)
                 assert cells["window_capped"].all()
@@ -788,6 +816,6 @@ class TestPrunedGroundSearch:
         ax1 = AxisSpec("g1", "g1", np.array([0.5]))
         ax2 = AxisSpec("g2", "g2", np.array([0.1, 0.2]))
         with pytest.raises(ValueError, match="block_window"):
-            compute_grid_row(RESONANT, None, ax1, ax2, 0, 0)
+            compute_grid_cells(RESONANT, None, ax1, ax2, 0, 0, 2)
         with pytest.raises(ValueError, match="block_window"):
             ground_search(RESONANT, block_window=0)
