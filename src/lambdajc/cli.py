@@ -99,9 +99,10 @@ from .params import (
 )
 from .specfun import MAX_ARGUMENT
 from .spectrum import (
+    CATEGORIES,
     AxisSpec,
     audit_counts,
-    category_values,
+    category_index,
     chunk_slices,
     compute_grid_cells,
     deviation_lines,
@@ -163,8 +164,9 @@ def _format_column(values: np.ndarray) -> list[str]:
 def _chunk_text(chunk) -> str:
     """The CSV lines of one chunk: a sequence of values aligned with the
     columns, 1-D arrays of one length or scalars repeated down the chunk,
-    formatted a column at a time."""
-    text = [_format_column(np.atleast_1d(v)) for v in chunk]
+    formatted a column at a time.  A list is a column's texts, already
+    formatted (one text is repeated down the chunk)."""
+    text = [v if type(v) is list else _format_column(np.atleast_1d(v)) for v in chunk]
     rows = max(map(len, text))
     text = [t * rows if len(t) == 1 else t for t in text]
     return "\n".join(map(",".join, zip(*text))) + "\n"
@@ -278,6 +280,9 @@ class _Sweep(NamedTuple):
 
 #: How a true flag reads in the CSV.
 _TRUE = _format_column(np.array([True]))[0]
+#: The CSV text of each phase category, in CATEGORIES order.
+_CATEGORY_TEXT = np.array(_format_column(np.array([c.value for c in CATEGORIES])),
+                          dtype=object)
 
 
 def _chunk_entry(compute, csv_columns, chunk) -> tuple[list[int], str]:
@@ -391,21 +396,24 @@ def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
     drive = cfg.drive_or_default() if driven else None
     window = cfg.truncation.window_for(driven)
     ax1, ax2 = (AxisSpec(ax.name, ax.parameter, ax.values()) for ax in axes)
-    return _Sweep(partial(_grid_columns, cfg.model, drive, ax1, ax2, window),
+    # each axis value is formatted once per sweep, not once per cell
+    texts = [np.array(_format_column(ax.values), dtype=object) for ax in (ax1, ax2)]
+    return _Sweep(partial(_grid_columns, cfg.model, drive, ax1, ax2, window, texts),
                   ax1.values.size * ax2.values.size, GRID_CSV_COLUMNS, "cells", window)
 
 
 def _grid_columns(model: SystemParams, drive: DriveParams | None, ax1: AxisSpec,
-                  ax2: AxisSpec, window: int, start: int, stop: int) -> dict:
+                  ax2: AxisSpec, window: int, texts, start: int, stop: int) -> dict:
     """The GRID_CSV_COLUMNS of grid cells start to stop:
-    compute_grid_cells's cells, the axes and each cell's phase category."""
+    compute_grid_cells's cells, the axes and each cell's phase category.
+    texts holds the CSV text of each axis's values; the axis values and
+    categories are given as texts."""
     cells = compute_grid_cells(model, drive, ax1, ax2, window, start, stop)
     i, j = np.divmod(np.arange(start, stop), ax2.values.size)
-    # the chunk's few axis-1 values are formatted once each, not once per cell
-    rows = np.array(_format_column(ax1.values[i[0]:i[-1] + 1]))
-    cells.update(axis1_name=ax1.name, axis1_value=rows[i - i[0]],
-                 axis2_name=ax2.name, axis2_value=ax2.values[j],
-                 category=category_values(cells["n_label"], cells["m_label"]))
+    index = category_index(cells["n_label"], cells["m_label"])
+    cells.update(axis1_name=ax1.name, axis1_value=texts[0][i].tolist(),
+                 axis2_name=ax2.name, axis2_value=texts[1][j].tolist(),
+                 category=_CATEGORY_TEXT[index].tolist())
     return cells
 
 

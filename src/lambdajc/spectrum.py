@@ -39,16 +39,21 @@ on the unit the frequencies (with hbar = 1, energies) are written in.
 
 Grids are evaluated by one engine, compute_grid_cells, over the slices
 chunk_slices cuts a flattened grid (row-major) into, in the library and
-the CLI alike; it builds the elements of every cell's blocks once.  Each
-block's lowest eigenvalue is bounded below by Weyl's inequality (smallest
-diagonal minus hypot(h12, h13)) and above by the smallest diagonal or a
-Rayleigh quotient that is exact at resonance.  Only blocks whose lower
-bound reaches the cell's second-smallest upper bound, within a rounding
-margin, go through the kernel, in one call per slice; the others cannot
-be the first or second lowest, so they enter the table as +inf.  Each
-cell's label is the first minimum of its flattened table and its gap
-comes from a partition, with the bytes the full table
-(ground_energy_table) gives.  Driven slices first pass through
+the CLI alike.  Each block's lowest eigenvalue is bounded below by Weyl's
+inequality, the smallest diagonal minus hypot(h12, h13), which has the
+closed form
+    L(n, m) = Omega1*n + Omega2*m + c - sqrt(g1^2 (n+1) + g2^2 m),
+    c = min(omega1 + omega2 - Omega2, -omega1 + Omega1 - Omega2, -omega2),
+built per cell from per-n and per-m parts without any block element.  The
+kernel first evaluates the two blocks of smallest L per cell; tau, the
+larger of their energies, bounds the cell's second-lowest energy from
+above.  Then it evaluates every other block with L within a rounding
+margin of tau, building only those blocks' elements.  The rest cannot be
+the first or second lowest, so they enter the table as +inf.  Each cell's
+label is the first minimum of its flattened table and its gap the next
+entry up, with the bytes the full table (ground_energy_table) gives.  At
+resonance L is each block's energy, so about two blocks per cell are
+evaluated.  Driven slices first pass through
 effective.effective_table, so sidebands, effective parameters and the
 validity audit are array code too.  ground_search and driven_phase_point
 are one-cell slices of the same core.
@@ -85,18 +90,17 @@ class PhaseCategory(str, Enum):
     MIXED = "mixed"
 
 
-#: Category values indexed by 2 * (n_label != 0) + (m_label != 0).
-_CATEGORY_VALUES = np.array([c.value for c in (PhaseCategory.NORMAL, PhaseCategory.Y2,
-                                               PhaseCategory.Y1, PhaseCategory.MIXED)])
+#: The phase categories, indexed by category_index.
+CATEGORIES = (PhaseCategory.NORMAL, PhaseCategory.Y2, PhaseCategory.Y1, PhaseCategory.MIXED)
 
 
-def category_values(n_label, m_label) -> np.ndarray:
-    """The PhaseCategory value of every cell of the label arrays."""
-    return _CATEGORY_VALUES[2 * (np.asarray(n_label) != 0) + (np.asarray(m_label) != 0)]
+def category_index(n_label, m_label) -> np.ndarray:
+    """The index into CATEGORIES of every cell of the label arrays."""
+    return 2 * (np.asarray(n_label) != 0) + (np.asarray(m_label) != 0)
 
 
 def categorize(n_label: int, m_label: int) -> PhaseCategory:
-    return PhaseCategory(category_values(n_label, m_label))
+    return CATEGORIES[category_index(n_label, m_label)]
 
 
 @dataclass(frozen=True)
@@ -299,31 +303,35 @@ def ground_energy_table(omega1, omega2, Omega1, Omega2, g1, g2,
         (omega1, omega2, Omega1, Omega2, g1, g2), block_window))
 
 
-def _block_bounds(h11, h22, h33, h12, h13):
-    """Lower and upper bounds on each block's lowest eigenvalue.
-
-    Lower (Weyl): the smallest diagonal minus r = hypot(h12, h13), the
-    largest eigenvalue of the off-diagonal part.  Upper (Rayleigh-Ritz):
-    the smallest diagonal, or the Rayleigh quotient of
-    (1, -h12/r, -h13/r)/sqrt(2) when that is lower; at resonance
-    (h11 = h22 = h33) both bounds are the eigenvalue itself.
-    """
-    low_diag = np.minimum(np.minimum(h11, h22), h33)
-    w2, w3 = h12 * h12, h13 * h13
-    r2 = w2 + w3
-    r = np.sqrt(r2)
-    # a subnormal r2 leaves the products w * h too few digits to bound
-    # the eigenvalue
-    coupled = r2 >= np.finfo(float).tiny
-    quotient = 0.5 * (h11 + (w2 * h22 + w3 * h33) / np.where(coupled, r2, 1.0)) - r
-    return low_diag - r, np.minimum(low_diag, np.where(coupled, quotient, np.inf))
+def _lower_bounds(model, block_window: int) -> np.ndarray:
+    """(cells, blocks) closed-form Weyl bound L(n, m) (module docstring) of
+    every block of the window, from per-n and per-m parts of shape
+    (cells, W+1), without any block element."""
+    omega1, omega2, Omega1, Omega2, g1, g2 = (a[:, None] for a in model)
+    k = np.arange(block_window + 1.0)
+    c = np.minimum(np.minimum(omega1 + omega2 - Omega2, -omega1 + Omega1 - Omega2), -omega2)
+    root = (g1 * g1 * (k + 1.0))[:, :, None] + (g2 * g2 * k)[:, None, :]
+    np.sqrt(root, out=root)
+    low = (Omega1 * k)[:, :, None] + (Omega2 * k + c)[:, None, :]
+    low -= root
+    return low.reshape(low.shape[0], -1)
 
 
-#: A block is evaluated when its lower bound is within PRUNE_MARGIN * 2(W+1)
-#: of its cell's threshold.  Cells are searched at unit scale, where every
-#: element of a W-window block lies below 2(W+1) (|h11| and |h22| come near
-#: it at W = 1), so the margin covers the rounding of the bounds and of the
-#: kernel.
+def _blocks_at(model, block_window: int, index) -> tuple:
+    """Elements of the blocks at flat indices of a (cells, blocks) table,
+    with the bytes _window_elements gives them."""
+    cell, block = np.divmod(index, (block_window + 1) ** 2)
+    n, m = np.divmod(block, block_window + 1)
+    return _block_elements(*(a[cell] for a in model), n, m)
+
+
+#: A block is evaluated when its closed-form lower bound is within
+#: 2 * PRUNE_MARGIN * 2(W+1) of its cell's threshold.  Cells are searched at
+#: unit scale, where every element of a W-window block lies below 2(W+1)
+#: (|h11| and |h22| come near it at W = 1): one PRUNE_MARGIN * 2(W+1) covers
+#: the rounding of the elements and of the kernel.  The closed form rounds
+#: about ten times, each by at most half an ulp of a value below 4(W+1),
+#: some 1e-14 (W+1) in all, which the second share covers many times over.
 PRUNE_MARGIN = 1e-12
 
 
@@ -332,24 +340,40 @@ def _pruned_ground_table(model, block_window: int, finite) -> np.ndarray:
     lower bound can reach its cell's two lowest energies, +inf elsewhere.
 
     model holds the six parameter arrays of the cells at unit scale: each
-    cell's largest |parameter| lies below 1.  Per cell, tau is the
-    second-smallest upper bound, so at least two energies lie at or below
-    it; a block whose lower bound exceeds tau lies strictly above the
-    cell's second-lowest energy.  Replacing it by +inf leaves the first
-    minimum, its energy and the second-lowest energy as the full table has
-    them, and the kernel evaluates the rest with the same bytes.  A cell
-    that is not finite has no bounds and is evaluated in full.
+    cell's largest |parameter| lies below 1.  The lower bounds come in
+    closed form (_lower_bounds).  Per cell, the kernel first evaluates the
+    two blocks of smallest bound, and tau is the larger of their energies:
+    two energies lie at or below it, so it bounds the cell's second-lowest
+    energy from above.  A block whose lower bound exceeds tau (plus the
+    margin) lies strictly above that energy, and replacing it by +inf
+    leaves the first minimum, its energy and the second-lowest energy as
+    the full table has them.  The kernel's second call evaluates every
+    other block within reach, gathering only their elements, with the
+    bytes the full table gives them.  A cell that is not finite has no
+    bounds and is evaluated in full.
     """
-    h = [a.reshape(a.shape[0], -1) for a in
-         _window_elements([a[:, None, None] for a in model], block_window)]
+    if block_window < 1:
+        raise ValueError(f"block_window >= 1 required, got {block_window}")
     # non-finite cells give NaN bounds, which are not used
     with np.errstate(invalid="ignore"):
-        lower, upper = _block_bounds(*h)
-    tau = np.partition(upper, 1, axis=1)[:, 1]
-    margin = PRUNE_MARGIN * 2 * (block_window + 1)
-    keep = np.flatnonzero((lower <= (tau + margin)[:, None]) | ~finite[:, None])
-    table = np.full(lower.shape, np.inf)
-    table.flat[keep] = _lowest_eig_sym3(*(a.take(keep) for a in h))
+        low = _lower_bounds(model, block_window)
+    cells, blocks = low.shape
+    first = np.arange(0, cells * blocks, blocks)
+    picked = []
+    for _ in range(2):
+        picked.append(first + np.argmin(low, axis=1))
+        # a picked bound leaves the search, and the keep test below
+        low.flat[picked[-1]] = np.inf
+    picked = np.stack(picked, axis=1)
+    energy = _lowest_eig_sym3(*_blocks_at(model, block_window, picked))
+    tau = np.max(energy, axis=1)
+    margin = 2 * PRUNE_MARGIN * 2 * (block_window + 1)
+    keep = (low <= (tau + margin)[:, None]) | ~finite[:, None]
+    keep.flat[picked] = False  # the picked blocks of non-finite cells
+    rest = np.flatnonzero(keep)
+    table = np.full(low.shape, np.inf)
+    table.flat[picked] = energy
+    table.flat[rest] = _lowest_eig_sym3(*_blocks_at(model, block_window, rest))
     return table
 
 
@@ -357,9 +381,14 @@ def _search_tables(tables: np.ndarray, window: int, forced_cap=False) -> dict:
     """Ground label, energy, gap and window flag of each table stacked along
     axis 0, as arrays keyed like PhaseGrid."""
     flat = tables.reshape(tables.shape[0], -1)
+    rows = np.arange(flat.shape[0])
     k = np.argmin(flat, axis=1)  # first minimum in C order = lexicographic tie-break
-    energy = np.take_along_axis(flat, k[:, None], axis=1)[:, 0]
-    second = np.partition(flat, 1, axis=1)[:, 1]
+    energy = flat[rows, k]
+    # the second-lowest entry, ties included; a NaN cell has a NaN energy
+    # (argmin finds NaN first), so its gap is NaN whatever the second
+    rest = flat.copy()
+    rest[rows, k] = np.inf
+    second = rest.min(axis=1)
     n_lab, m_lab = np.divmod(k, window + 1)
     return {
         "energy": energy,
@@ -381,9 +410,9 @@ def _ground_cells(fields: dict[str, np.ndarray],
     slice.
     Each cell's six model parameters are divided by 2^e, e the frexp
     exponent of its largest |parameter| (0 for a zero, inf or NaN), and its
-    energy and gap are multiplied back.  The blocks of all cells are built
-    once and pruned by their bounds (_pruned_ground_table), and the rest go
-    through one kernel call.
+    energy and gap are multiplied back.  The blocks of all cells are
+    pruned by their closed-form bounds (_pruned_ground_table), and the
+    rest go through two kernel calls.
     Returns the per-cell arrays keyed like PhaseGrid and, when driven, the
     effective_table the blocks were built from.
     """
@@ -459,8 +488,8 @@ def compute_grid_cells(sys: SystemParams, drive: DriveParams | None, axis1: Axis
                        axis2: AxisSpec, block_window: int, start: int,
                        stop: int) -> dict[str, np.ndarray]:
     """Cells start to stop of the grid's flattened index (row-major, axis2
-    fastest), as arrays keyed like PhaseGrid: one pruned block table and one
-    kernel call.  Each cell depends only on its own parameters, so no byte
+    fastest), as arrays keyed like PhaseGrid: one pruned block table and two
+    kernel calls.  Each cell depends only on its own parameters, so no byte
     depends on the slicing or on how slices are spread across workers."""
     if axis1.parameter == axis2.parameter:
         raise ValueError(f"sweep parameter {axis1.parameter!r} is swept twice")

@@ -818,6 +818,35 @@ def _text(records: list[list[str]]) -> str:
 TINY_ECHO = {"truncation": {"n_c1": 3, "n_c2": 3},
              "dynamics": {"t_max": 10.0, "samples": 20}}
 
+#: Two static sweeps no sample covers: a model off resonance, where the
+#: prune bounds are not exact, and couplings whose norms are subnormal.
+PINNED_GRIDS = {
+    "detuned": {
+        "model": {"omega1": 0.9, "omega2": 0.1, "Omega1": 0.7, "Omega2": 1.6},
+        "truncation": {"block_window": 8},
+        "sweep": [
+            {"name": "g1", "start": 0.0, "stop": 4.0, "points": 21, "parameter": "g1"},
+            {"name": "g2", "start": 0.0, "stop": 5.0, "points": 19, "parameter": "g2"}]},
+    "subnormal-couplings": {
+        "model": {"omega1": 0.5, "omega2": 0.25, "Omega1": 1.25, "Omega2": 1.0},
+        "truncation": {"block_window": 8},
+        "sweep": [
+            {"name": "g1", "start": 3.5556433873827877e-162, "stop": 3.6e-162,
+             "points": 2, "parameter": "g1"},
+            {"name": "g2", "start": 0.0, "stop": 1.6e-162, "points": 3,
+             "parameter": "g2"}]},
+}
+
+#: The grid.csv blake2b of each PINNED_GRIDS sweep, by OUTPUT_VERSION.  A
+#: change that moves a digest must raise OUTPUT_VERSION and pin the new
+#: digests under it, so no cache of the old bytes is served.
+PINNED_GRID_DIGESTS = {
+    4: {"detuned": "0054d96dd87dfa41d759f82b0d2445f79d976c4f3d01d9bda29e08b647f4d07a"
+                   "54edee4489597d65f23b2dfe47493c052a5c254ccee28c0df588e5af33360e8d",
+        "subnormal-couplings": "916fd096549b77fbeac5c959b7164ca405a4c97a410484078ba376bb43b3a955"
+                               "bc755e51cad4cbea47734cb1af5939fda846b0207c4307dd8c3377ba1b804a58"},
+}
+
 
 class TestOutputVersion:
     @pytest.mark.parametrize("stored", ["missing", "previous"])
@@ -866,6 +895,12 @@ class TestOutputVersion:
         assert "cache hit" not in capsys.readouterr().out
         with open(grid, newline="") as fh:
             assert [row["gap"] for row in csv.DictReader(fh)] == ["1"] * 6
+
+    @pytest.mark.parametrize("name", sorted(PINNED_GRIDS))
+    def test_grid_bytes_are_pinned_per_output_version(self, tmp_path, name):
+        cfg = parse_config(PINNED_GRIDS[name])
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        assert _blake2b(tmp_path / "grid.csv") == PINNED_GRID_DIGESTS[cli.OUTPUT_VERSION][name]
 
     def test_partial_of_other_output_version_is_recomputed(self, tmp_path,
                                                            monkeypatch):
@@ -1221,10 +1256,11 @@ class TestPool:
         monkeypatch.setattr(cli, "_format_column", counting_format)
         assert run_command("static-phase", cfg, out_dir=tmp_path,
                            workers=workers) == 0
-        # the parent formats the ten chunks it computes itself, none it
-        # resumes: each column, and once before them the chunk's axis-1 values
+        # the parent formats each axis's values once per sweep, then the ten
+        # chunks it computes itself, none it resumes: each column but the
+        # three it is given as texts (the axis values and the category)
         computed = 10 if workers == 1 else 0
-        assert len(calls) == computed * (1 + len(cli.GRID_CSV_COLUMNS))
+        assert len(calls) == 2 + computed * (len(cli.GRID_CSV_COLUMNS) - 3)
 
     # three workers cut the 13 chunks into batches of another size
     @pytest.mark.parametrize("command, workers", [
