@@ -349,8 +349,9 @@ def _pruned_ground_table(model, block_window: int, finite) -> np.ndarray:
     leaves the first minimum, its energy and the second-lowest energy as
     the full table has them.  The kernel's second call evaluates every
     other block within reach, gathering only their elements, with the
-    bytes the full table gives them.  A cell that is not finite has no
-    bounds and is evaluated in full.
+    bytes the full table gives them; with none in reach it is not made,
+    since an empty call costs about as much as a small one.  A cell that
+    is not finite has no bounds and is evaluated in full.
     """
     if block_window < 1:
         raise ValueError(f"block_window >= 1 required, got {block_window}")
@@ -373,7 +374,8 @@ def _pruned_ground_table(model, block_window: int, finite) -> np.ndarray:
     rest = np.flatnonzero(keep)
     table = np.full(low.shape, np.inf)
     table.flat[picked] = energy
-    table.flat[rest] = _lowest_eig_sym3(*_blocks_at(model, block_window, rest))
+    if rest.size:
+        table.flat[rest] = _lowest_eig_sym3(*_blocks_at(model, block_window, rest))
     return table
 
 
@@ -412,7 +414,7 @@ def _ground_cells(fields: dict[str, np.ndarray],
     exponent of its largest |parameter| (0 for a zero, inf or NaN), and its
     energy and gap are multiplied back.  The blocks of all cells are
     pruned by their closed-form bounds (_pruned_ground_table), and the
-    rest go through two kernel calls.
+    rest go through one or two kernel calls.
     Returns the per-cell arrays keyed like PhaseGrid and, when driven, the
     effective_table the blocks were built from.
     """
@@ -475,7 +477,8 @@ def driven_phase_point(sys: SystemParams, drive: DriveParams,
 
 #: Cells per slice of a sweep's flattened cell index: the unit of work of
 #: sweep_grid, and of the CLI's workers and resuming.
-CHUNK_CELLS = 256
+#: 1024 by measurement on five sweeps (CHANGES.md): 512 was slower on each, 2048 when pooled.
+CHUNK_CELLS = 1024
 
 
 def chunk_slices(cells: int) -> list[tuple[int, int]]:
@@ -488,9 +491,10 @@ def compute_grid_cells(sys: SystemParams, drive: DriveParams | None, axis1: Axis
                        axis2: AxisSpec, block_window: int, start: int,
                        stop: int) -> dict[str, np.ndarray]:
     """Cells start to stop of the grid's flattened index (row-major, axis2
-    fastest), as arrays keyed like PhaseGrid: one pruned block table and two
-    kernel calls.  Each cell depends only on its own parameters, so no byte
-    depends on the slicing or on how slices are spread across workers."""
+    fastest), as arrays keyed like PhaseGrid: one pruned block table and one
+    or two kernel calls.  Each cell depends only on its own parameters, so
+    no byte depends on the slicing or on how slices are spread across
+    workers."""
     if axis1.parameter == axis2.parameter:
         raise ValueError(f"sweep parameter {axis1.parameter!r} is swept twice")
     values = sweep_values(sys, drive)

@@ -65,12 +65,17 @@ def _interrupt(command, cfg, out_dir, after):
             run_command(command, cfg, out_dir=out_dir)
 
 
+#: Points per chunk of the effective-params sweeps below, whose point counts
+#: are written for chunks of this size.
+EFFECTIVE_TEST_CHUNK = 256
+
+
 def _chunk_by_rows(monkeypatch, doc):
     """Cut the grid sweep of doc into chunks of one axis-1 row each, by
-    setting CHUNK_CELLS to its row length; an effective-params sweep keeps
-    its slices."""
-    if len(doc["sweep"]) == 2:
-        monkeypatch.setattr(spectrum, "CHUNK_CELLS", doc["sweep"][1]["points"])
+    setting CHUNK_CELLS to its row length, and an effective-params sweep
+    into chunks of EFFECTIVE_TEST_CHUNK points."""
+    monkeypatch.setattr(spectrum, "CHUNK_CELLS", doc["sweep"][1]["points"]
+                        if len(doc["sweep"]) == 2 else EFFECTIVE_TEST_CHUNK)
 
 
 def _count_chunks(monkeypatch) -> list[int]:
@@ -581,12 +586,15 @@ class TestRunCommand:
         first = lines[1].split(",")
         assert first[-1] in ("true", "false")
 
-    def test_effective_params_worker_count_does_not_change_bytes(self, tmp_path):
-        cfg = parse_config({
+    def test_effective_params_worker_count_does_not_change_bytes(self, tmp_path,
+                                                                 monkeypatch):
+        doc = {
             "drive": {"amplitude": 0.09, "frequency": 0.18},
             "sweep": [{"name": "omega_D", "start": 0.1, "stop": 2.0,
                        "points": 600, "parameter": "omega_D"}],
-        })
+        }
+        _chunk_by_rows(monkeypatch, doc)
+        cfg = parse_config(doc)
         assert 600 > 2 * spectrum.CHUNK_CELLS
         run_command("effective-params", cfg, out_dir=tmp_path / "w1", workers=1)
         run_command("effective-params", cfg, out_dir=tmp_path / "w2", workers=2)
@@ -607,12 +615,13 @@ class TestRunCommand:
         assert all(0.0 <= f <= 1.0 + 1e-12 for f in fidelities)
         assert fidelities[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_effective_params_resume(self, tmp_path):
+    def test_effective_params_resume(self, tmp_path, monkeypatch):
         doc = {
             "drive": {"amplitude": 0.09, "frequency": 0.18},
             "sweep": [{"name": "omega_D", "start": 0.1, "stop": 2.0,
                        "points": 700, "parameter": "omega_D"}],
         }
+        _chunk_by_rows(monkeypatch, doc)
         cfg = parse_config(doc)
         run_command("effective-params", cfg, out_dir=tmp_path / "full")
         _interrupt("effective-params", cfg, tmp_path / "part", 1)
@@ -791,6 +800,10 @@ DRIVEN_AUDITS = {
          "parameter": "Omega2"},
     ],
 }
+
+#: A static grid of more than one chunk of CHUNK_CELLS cells.
+GRID_41X41 = {"sweep": [{**GRID_5X4["sweep"][0], "points": 41},
+                        {**GRID_5X4["sweep"][1], "points": 41}]}
 
 #: A static grid of one-cell rows.
 ONE_POINT_AXIS2 = {"sweep": [GRID_5X4["sweep"][0],
@@ -1030,11 +1043,17 @@ class TestLedgerShape:
     @pytest.mark.parametrize("command, doc, written, resumed, line", [
         ("static-phase", GRID_5X4, 4, 6, "resumed 1 of 4 chunks"),
         ("static-phase", GRID_5X4, 6, 4, "resumed 3 of 5 chunks"),
-        ("driven-phase", DRIVEN_AUDITS, 5, 3, "resumed 3 of 18 chunks")])
+        ("driven-phase", DRIVEN_AUDITS, 5, 3, "resumed 3 of 18 chunks"),
+        # a partial of 256-cell chunks, as output version 4 was first
+        # written, that does not fill a chunk of the current size
+        ("static-phase", GRID_41X41, 256, spectrum.CHUNK_CELLS, None)])
     def test_partial_of_other_chunk_size_resumes(self, tmp_path, monkeypatch, capsys,
                                                  command, doc, written, resumed, line):
         # records are cells, so a partial written in chunks of one size is
         # read back in whole chunks of another
+        if line is None:
+            # the two chunks interrupted below do not fill one resumed chunk
+            assert 2 * written < resumed
         cfg = parse_config(doc)
         assert run_command(command, cfg, out_dir=tmp_path / "full") == 0
         monkeypatch.setattr(spectrum, "CHUNK_CELLS", written)
@@ -1042,7 +1061,8 @@ class TestLedgerShape:
         monkeypatch.setattr(spectrum, "CHUNK_CELLS", resumed)
         capsys.readouterr()
         assert run_command(command, cfg, out_dir=tmp_path / "part") == 0
-        assert line in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert line in out if line else "resumed" not in out
         for name in (cli._CSV_NAME[command], "manifest.json"):
             assert ((tmp_path / "part" / name).read_bytes()
                     == (tmp_path / "full" / name).read_bytes())

@@ -693,6 +693,26 @@ def assert_pruned_matches_full(fields, window):
         assert np.array_equal(cells[key], full[key], equal_nan=True), key
 
 
+def record_kernel_calls(monkeypatch) -> list[dict]:
+    """One record per pruned block table the engine builds: its unit-scale
+    model, the table, and the number of blocks of each kernel call."""
+    calls = []
+    kernel, pruned = spectrum._lowest_eig_sym3, spectrum._pruned_ground_table
+
+    def counted(*h):
+        calls[-1]["sizes"].append(np.size(h[0]))
+        return kernel(*h)
+
+    def recorded(model, window, finite):
+        calls.append({"model": model, "sizes": []})
+        calls[-1]["table"] = pruned(model, window, finite)
+        return calls[-1]["table"]
+
+    monkeypatch.setattr(spectrum, "_lowest_eig_sym3", counted)
+    monkeypatch.setattr(spectrum, "_pruned_ground_table", recorded)
+    return calls
+
+
 def row_fields(sys, drive, axis1, axis2, i):
     """Field arrays of grid row i: axis1 at its i-th value, axis2 swept."""
     values = sweep_values(sys, drive)
@@ -865,23 +885,49 @@ class TestPrunedGroundSearch:
         assert np.isfinite(cells["energy"]).all() and np.isfinite(cells["gap"]).all()
 
     def test_sample_model_evaluates_few_blocks(self, monkeypatch):
-        evaluated = []
-        kernel = spectrum._lowest_eig_sym3
+        # at exact resonance each bound is its block's energy: the two
+        # blocks picked per cell hold its two lowest energies and no other
+        # bound reaches tau, so a chunk makes one kernel call, on 2 blocks
+        # per cell, and no empty second call
+        calls = record_kernel_calls(monkeypatch)
+        ax1 = AxisSpec("g1", "g1", np.linspace(0.0, 5.625, 301))
+        ax2 = AxisSpec("g2", "g2", np.linspace(0.0, 4.5, 301))
+        sweep_grid(SystemParams(*STATIC_SAMPLE), None, ax1, ax2, 8)
+        chunks = spectrum.chunk_slices(301 * 301)
+        assert [call["sizes"] for call in calls] == [[2 * (stop - start)]
+                                                     for start, stop in chunks]
 
-        def counted(*h):
-            evaluated.append(np.size(h[0]))
-            return kernel(*h)
-
-        monkeypatch.setattr(spectrum, "_lowest_eig_sym3", counted)
-        g1 = np.linspace(0.0, 5.625, 301)
-        g2 = np.linspace(0.0, 4.5, 301)
-        rows = range(0, 301, 10)
-        for i in rows:
-            _ground_cells(static_fields(*STATIC_SAMPLE, g1[i], g2), 8)
-        # at most two kernel calls per row, on at most 4 of the 81 blocks
-        # per cell
-        assert len(evaluated) <= 2 * len(rows)
-        assert sum(evaluated) <= 4 * len(rows) * g2.size
+    def test_detuned_model_evaluates_the_blocks_within_reach(self, monkeypatch):
+        # off resonance a chunk may need a second kernel call; it is made,
+        # never empty, exactly when some block besides the two picked per
+        # cell is within reach of tau, so the blocks evaluated are those of
+        # the prune rule, here restated over the full table, at the library's
+        # slicing and in one-cell chunks
+        calls = record_kernel_calls(monkeypatch)
+        window = 8
+        sys = SystemParams(0.9, 0.1, 0.7, 1.6)
+        ax1 = AxisSpec("g1", "g1", np.linspace(0.0, 4.0, 41))
+        ax2 = AxisSpec("g2", "g2", np.linspace(0.0, 5.0, 41))
+        sweep_grid(sys, None, ax1, ax2, window)
+        assert len(calls) == len(spectrum.chunk_slices(41 * 41))
+        for cell in range(0, 41 * 41, 7):
+            compute_grid_cells(sys, None, ax1, ax2, window, cell, cell + 1)
+        monkeypatch.undo()
+        margin = 2 * spectrum.PRUNE_MARGIN * 2 * (window + 1)
+        for call in calls:
+            assert 1 <= len(call["sizes"]) <= 2 and min(call["sizes"]) > 0
+            low = spectrum._lower_bounds(call["model"], window)
+            full = ground_energy_table(*(a[:, None, None] for a in call["model"]),
+                                       window).reshape(low.shape)
+            # the first minimum of the bounds, then the first of the rest
+            picked = np.argsort(low, axis=1, kind="stable")[:, :2]
+            tau = np.take_along_axis(full, picked, axis=1).max(axis=1)
+            reach = low <= (tau + margin)[:, None]
+            np.put_along_axis(reach, picked, True, axis=1)
+            assert sum(call["sizes"]) == np.count_nonzero(reach)
+            assert np.array_equal(np.isfinite(call["table"]), reach)
+        seconds = [len(call["sizes"]) == 2 for call in calls]
+        assert any(seconds) and not all(seconds)
 
     def test_window_below_one_raises_on_grid_path(self):
         ax1 = AxisSpec("g1", "g1", np.array([0.5]))
