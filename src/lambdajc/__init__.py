@@ -30,7 +30,6 @@ from .effective import (
     ValidityReport,
     ZeroCrossing,
     detunings,
-    effective_for_drive,
     effective_parameters,
     find_sidebands,
     omega_zero_frequencies,
@@ -40,7 +39,6 @@ from .params import DriveParams, SystemParams
 from .specfun import bessel_j
 from .spectrum import (
     AxisSpec,
-    DressedBlock,
     PhaseCategory,
     PhaseGrid,
     PhasePoint,
@@ -49,8 +47,6 @@ from .spectrum import (
     categorize,
     driven_phase_grid,
     driven_phase_point,
-    ground_energy_table,
-    ground_occupations,
     ground_search,
     label_sequence,
     locate_boundary,

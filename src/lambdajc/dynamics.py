@@ -66,7 +66,7 @@ from enum import Enum
 
 import numpy as np
 
-from .effective import SidebandInfo, _sideband_bases, effective_for_drive
+from .effective import SidebandInfo, _sideband_bases, effective_parameters, find_sidebands
 from .params import DriveParams, SystemParams
 
 DEFAULT_T_MAX = 200.0
@@ -394,7 +394,8 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
         return TermList(terms=terms, space=space, frame=np.zeros(space.dim))
 
     drive = spec.drive
-    sb, eff = effective_for_drive(sys, drive)
+    sb = find_sidebands(sys, drive)
+    eff = effective_parameters(sys, drive, sb)
 
     if spec.variant is Variant.DRIVE_ROTATED:
         # sum_p g J_p(z) exp(i(phi + p wd)t) = g exp(i(phi t + z sin(wd t)))
@@ -569,7 +570,7 @@ def step_limit(terms: TermList, dt_max: float | None) -> float:
     bound = 2.0 * math.pi / (20.0 * phi_max) if phi_max > 0 else math.inf
     if dt_max is None:
         return bound
-    if dt_max <= 0:
+    if not dt_max > 0:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
     if dt_max > bound * (1 + 1e-12):
         raise ValueError(

@@ -249,12 +249,6 @@ def effective_parameters(sys: SystemParams, drive: DriveParams,
     return EffectiveParams(**{k: float(v) for k, v in eff.items()})
 
 
-def effective_for_drive(sys: SystemParams, drive: DriveParams) -> tuple[SidebandInfo, EffectiveParams]:
-    """Convenience: sidebands and effective parameters in one call."""
-    sb = find_sidebands(sys, drive)
-    return sb, effective_parameters(sys, drive, sb)
-
-
 @dataclass(frozen=True)
 class ZeroCrossing:
     """Drive frequency at which one effective cavity frequency vanishes."""

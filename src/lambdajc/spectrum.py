@@ -51,7 +51,7 @@ above.  Then it evaluates every other block with L within a rounding
 margin of tau, building only those blocks' elements.  The rest cannot be
 the first or second lowest, so they enter the table as +inf.  Each cell's
 label is the first minimum of its flattened table and its gap the next
-entry up, with the bytes the full table (ground_energy_table) gives.  At
+entry up, with the bytes a table of every block's energy gives.  At
 resonance L is each block's energy, so about two blocks per cell are
 evaluated.  Driven slices first pass through
 effective.effective_table, so sidebands, effective parameters and the
@@ -101,13 +101,6 @@ def category_index(n_label, m_label) -> np.ndarray:
 
 def categorize(n_label: int, m_label: int) -> PhaseCategory:
     return CATEGORIES[category_index(n_label, m_label)]
-
-
-@dataclass(frozen=True)
-class DressedBlock:
-    n_ph: int
-    m_ph: int
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -188,18 +181,17 @@ def _block_elements(omega1, omega2, Omega1, Omega2, g1, g2, n, m):
     return h11, h22, h33, h12, h13
 
 
-def block_matrix(sys: SystemParams, n_ph: int, m_ph: int) -> DressedBlock:
+def block_matrix(sys: SystemParams, n_ph: int, m_ph: int) -> np.ndarray:
     """The 3x3 symmetric block for photon label (n_ph, m_ph)."""
     if n_ph < 0 or m_ph < 0:
         raise ValueError(f"photon labels must be non-negative, got ({n_ph}, {m_ph})")
     h11, h22, h33, h12, h13 = _block_elements(
         sys.omega1, sys.omega2, sys.Omega1, sys.Omega2, sys.g1, sys.g2, n_ph, m_ph)
-    mat = np.array([
+    return np.array([
         [h11, h12, h13],
         [h12, h22, 0.0],
         [h13, 0.0, h33],
     ])
-    return DressedBlock(n_ph=n_ph, m_ph=m_ph, matrix=mat)
 
 
 def _lowest_eig_sym3(h11, h22, h33, h12, h13):
@@ -213,15 +205,10 @@ def _lowest_eig_sym3(h11, h22, h33, h12, h13):
     Newton steps on the characteristic polynomial.  A block whose spread
     p = sqrt(p2 / 6) rounds to zero (exactly diagonal, or p2 / 6 below the
     subnormals) short-circuits to the min of its diagonal; where p^3
-    underflows det_b is the determinant of (A - qI)/p.  Elementwise: each
-    output depends only on its own five inputs, so evaluating a subset of
-    blocks gives the same bytes.
+    underflows det_b is the determinant of (A - qI)/p.  Elementwise over
+    the broadcast inputs: each output depends only on its own five, so
+    evaluating a subset of blocks gives the same bytes.
     """
-    if not all(type(a) is np.ndarray and a.dtype == np.float64
-               and a.shape == h11.shape for a in (h11, h22, h33, h12, h13)):
-        b = np.broadcast(h11, h22, h33, h12, h13)
-        h11, h22, h33, h12, h13 = (np.broadcast_to(a, b.shape).astype(float)
-                                   for a in (h11, h22, h33, h12, h13))
     scale, shift = np.frexp(np.maximum(np.maximum(np.maximum(np.abs(h11), np.abs(h22)),
                                                   np.maximum(np.abs(h33), np.abs(h12))),
                                        np.abs(h13)))
@@ -257,50 +244,10 @@ def _lowest_eig_sym3(h11, h22, h33, h12, h13):
     return np.ldexp(lam, shift)
 
 
-def block_ground_energy(block: DressedBlock) -> float:
-    """Lowest eigenvalue of one dressed block."""
-    m = block.matrix
-    return float(_lowest_eig_sym3(m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2]))
-
-
-def ground_occupations(block: DressedBlock) -> tuple[float, float]:
-    """Mode occupations <n1>, <n2> of the block's ground eigenvector.
-
-    Secondary diagnostic: phase labels are the block indices themselves,
-    and this exposes how far the actual photon expectations sit from them
-    (the three basis states carry n1 of n, n+1, n and n2 of m-1, m-1, m).
-    """
-    evals, vecs = np.linalg.eigh(block.matrix)
-    weights = np.abs(vecs[:, 0]) ** 2
-    n, m = block.n_ph, block.m_ph
-    exp_n1 = weights[0] * n + weights[1] * (n + 1) + weights[2] * n
-    exp_n2 = weights[0] * (m - 1) + weights[1] * (m - 1) + weights[2] * m
-    return float(exp_n1), float(exp_n2)
-
-
-def _window_elements(params, block_window: int):
-    """Elements of every block with labels in [0, block_window]^2: params
-    are the six model values, broadcast against the (W+1, W+1) label
-    grid."""
-    if block_window < 1:
-        raise ValueError(f"block_window >= 1 required, got {block_window}")
-    n, m = np.mgrid[0:block_window + 1, 0:block_window + 1]
-    return _block_elements(*params, n, m)
-
-
-def ground_energy_table(omega1, omega2, Omega1, Omega2, g1, g2,
-                        block_window: int) -> np.ndarray:
-    """Ground energies of every block with labels in [0, block_window]^2.
-
-    Takes raw floats rather than SystemParams so the driven engine can feed
-    effective parameters that violate the static positivity invariants
-    (negative effective frequencies, sign-flipped couplings).  The block
-    spectrum only depends on the couplings through their squares.  The
-    parameters may also be arrays of shape (..., 1, 1): the result then
-    holds one (block_window + 1)^2 table per leading index.
-    """
-    return _lowest_eig_sym3(*_window_elements(
-        (omega1, omega2, Omega1, Omega2, g1, g2), block_window))
+def block_ground_energy(matrix: np.ndarray) -> float:
+    """Lowest eigenvalue of one 3x3 dressed block (block_matrix)."""
+    return float(_lowest_eig_sym3(matrix[0, 0], matrix[1, 1], matrix[2, 2],
+                                  matrix[0, 1], matrix[0, 2]))
 
 
 def _lower_bounds(model, block_window: int) -> np.ndarray:
@@ -318,8 +265,8 @@ def _lower_bounds(model, block_window: int) -> np.ndarray:
 
 
 def _blocks_at(model, block_window: int, index) -> tuple:
-    """Elements of the blocks at flat indices of a (cells, blocks) table,
-    with the bytes _window_elements gives them."""
+    """Elements of the blocks at flat indices of a (cells, blocks) table of
+    the window's blocks in row-major (n, m) order."""
     cell, block = np.divmod(index, (block_window + 1) ** 2)
     n, m = np.divmod(block, block_window + 1)
     return _block_elements(*(a[cell] for a in model), n, m)
@@ -347,11 +294,11 @@ def _pruned_ground_table(model, block_window: int, finite) -> np.ndarray:
     energy from above.  A block whose lower bound exceeds tau (plus the
     margin) lies strictly above that energy, and replacing it by +inf
     leaves the first minimum, its energy and the second-lowest energy as
-    the full table has them.  The kernel's second call evaluates every
-    other block within reach, gathering only their elements, with the
-    bytes the full table gives them; with none in reach it is not made,
-    since an empty call costs about as much as a small one.  A cell that
-    is not finite has no bounds and is evaluated in full.
+    a table of every block has them.  The kernel's second call evaluates
+    every other block within reach, gathering only their elements; with
+    none in reach it is not made, since an empty call costs about as much
+    as a small one.  A cell that is not finite has no bounds and is
+    evaluated in full.
     """
     if block_window < 1:
         raise ValueError(f"block_window >= 1 required, got {block_window}")

@@ -831,33 +831,55 @@ def _text(records: list[list[str]]) -> str:
 TINY_ECHO = {"truncation": {"n_c1": 3, "n_c2": 3},
              "dynamics": {"t_max": 10.0, "samples": 20}}
 
-#: Two static sweeps no sample covers: a model off resonance, where the
-#: prune bounds are not exact, and couplings whose norms are subnormal.
+#: (command, CSV name, config) of four sweeps no sample covers: a static
+#: model off resonance, where the prune bounds are not exact; static
+#: couplings whose norms are subnormal; a driven grid of that detuned model
+#: crossing three phase categories; and an effective-params sweep along A_D.
+#: Echo stays unpinned: both echo pairs diagonalize through eigh, whose bits
+#: depend on the LAPACK build.
+DETUNED_MODEL = {"omega1": 0.9, "omega2": 0.1, "Omega1": 0.7, "Omega2": 1.6}
 PINNED_GRIDS = {
-    "detuned": {
-        "model": {"omega1": 0.9, "omega2": 0.1, "Omega1": 0.7, "Omega2": 1.6},
+    "detuned": ("static-phase", "grid.csv", {
+        "model": DETUNED_MODEL,
         "truncation": {"block_window": 8},
         "sweep": [
             {"name": "g1", "start": 0.0, "stop": 4.0, "points": 21, "parameter": "g1"},
-            {"name": "g2", "start": 0.0, "stop": 5.0, "points": 19, "parameter": "g2"}]},
-    "subnormal-couplings": {
+            {"name": "g2", "start": 0.0, "stop": 5.0, "points": 19, "parameter": "g2"}]}),
+    "subnormal-couplings": ("static-phase", "grid.csv", {
         "model": {"omega1": 0.5, "omega2": 0.25, "Omega1": 1.25, "Omega2": 1.0},
         "truncation": {"block_window": 8},
         "sweep": [
             {"name": "g1", "start": 3.5556433873827877e-162, "stop": 3.6e-162,
              "points": 2, "parameter": "g1"},
             {"name": "g2", "start": 0.0, "stop": 1.6e-162, "points": 3,
-             "parameter": "g2"}]},
+             "parameter": "g2"}]}),
+    "detuned-driven": ("driven-phase", "grid.csv", {
+        "model": {**DETUNED_MODEL, "g1": 2.4, "g2": 5.0},
+        "drive": {"amplitude": 0.1, "frequency": 8.0},
+        "truncation": {"block_window": 5},
+        "sweep": [
+            {"name": "A_D", "start": 0.0, "stop": 9.6, "points": 21, "parameter": "A_D"},
+            {"name": "Omega2", "start": 1.2, "stop": 2.0, "points": 17,
+             "parameter": "Omega2"}]}),
+    "amplitude-effective": ("effective-params", "effective_params.csv", {
+        "model": {**DETUNED_MODEL, "g1": 0.05, "g2": 0.08},
+        "drive": {"amplitude": 0.1, "frequency": 0.29},
+        "sweep": [
+            {"name": "A_D", "start": 0.0, "stop": 3.0, "points": 401, "parameter": "A_D"}]}),
 }
 
-#: The grid.csv blake2b of each PINNED_GRIDS sweep, by OUTPUT_VERSION.  A
+#: The CSV blake2b of each PINNED_GRIDS sweep, by OUTPUT_VERSION.  A
 #: change that moves a digest must raise OUTPUT_VERSION and pin the new
 #: digests under it, so no cache of the old bytes is served.
 PINNED_GRID_DIGESTS = {
     4: {"detuned": "0054d96dd87dfa41d759f82b0d2445f79d976c4f3d01d9bda29e08b647f4d07a"
                    "54edee4489597d65f23b2dfe47493c052a5c254ccee28c0df588e5af33360e8d",
         "subnormal-couplings": "916fd096549b77fbeac5c959b7164ca405a4c97a410484078ba376bb43b3a955"
-                               "bc755e51cad4cbea47734cb1af5939fda846b0207c4307dd8c3377ba1b804a58"},
+                               "bc755e51cad4cbea47734cb1af5939fda846b0207c4307dd8c3377ba1b804a58",
+        "detuned-driven": "6b8d6e005f3d2d3250503e7baa53389790c6de145062661a380a401539d83be4"
+                          "4b5edcb4a14faa2d0974b32796b84265ad89c3b4340a3c0fecf24f1d9449113d",
+        "amplitude-effective": "cd99977b15459158106412239cd7a11891ba8e728e131a6d68c020fb89c9ea1e"
+                               "ebeec147986a6feef62a6d64995a1718140dfb555017857224916f27bb70da2d"},
 }
 
 
@@ -911,9 +933,9 @@ class TestOutputVersion:
 
     @pytest.mark.parametrize("name", sorted(PINNED_GRIDS))
     def test_grid_bytes_are_pinned_per_output_version(self, tmp_path, name):
-        cfg = parse_config(PINNED_GRIDS[name])
-        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
-        assert _blake2b(tmp_path / "grid.csv") == PINNED_GRID_DIGESTS[cli.OUTPUT_VERSION][name]
+        command, csv_name, doc = PINNED_GRIDS[name]
+        assert run_command(command, parse_config(doc), out_dir=tmp_path) == 0
+        assert _blake2b(tmp_path / csv_name) == PINNED_GRID_DIGESTS[cli.OUTPUT_VERSION][name]
 
     def test_partial_of_other_output_version_is_recomputed(self, tmp_path,
                                                            monkeypatch):

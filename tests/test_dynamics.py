@@ -314,7 +314,7 @@ class TestSectorEquivalence:
                 for m in range(1, 7):
                     idx = sector_states(space, n, m)
                     sub = dense[np.ix_(idx, idx)]
-                    block = block_matrix(sys, n, m).matrix
+                    block = block_matrix(sys, n, m)
                     assert np.allclose(sub, block, atol=1e-14)
                     ours = float(np.linalg.eigvalsh(sub)[0])
                     assert ours == pytest.approx(
@@ -428,6 +428,15 @@ class TestEvolve:
         bound = 2.0 * math.pi / (20.0 * terms.phi_max)
         with pytest.raises(ValueError, match="dt_max"):
             evolve(spec, space, psi0, t_max=10.0, samples=5, dt_max=2.0 * bound)
+
+    @pytest.mark.parametrize("variant", [Variant.DRIVE_ROTATED, Variant.EFFECTIVE_JC])
+    @pytest.mark.parametrize("dt_max", [math.nan, 0.0, -1.0])
+    def test_dt_max_not_positive_rejected(self, variant, dt_max):
+        # the CF4 path, and a framed variant, which never uses dt_max
+        space = build_space(2, 2)
+        psi0 = coherent_state(space, 0.0, 0.0, "2")
+        with pytest.raises(ValueError, match="dt_max must be positive"):
+            evolve(_spec(variant), space, psi0, t_max=10.0, samples=5, dt_max=dt_max)
 
     def test_dt_halving_converges(self):
         space = build_space(3, 3)

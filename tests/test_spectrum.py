@@ -21,8 +21,6 @@ from lambdajc.spectrum import (
     compute_grid_cells,
     driven_phase_grid,
     driven_phase_point,
-    ground_energy_table,
-    ground_occupations,
     ground_search,
     label_sequence,
     locate_boundary,
@@ -41,6 +39,19 @@ from oracles import (
 RESONANT = SystemParams()
 
 
+def window_elements(model, window):
+    """Elements of every block with labels in [0, window]^2: the six model
+    values broadcast against the (window+1, window+1) label grid."""
+    n, m = np.mgrid[0:window + 1, 0:window + 1]
+    return spectrum._block_elements(*model, n, m)
+
+
+def full_table(model, window):
+    """The kernel over every block of the window: the table the pruned
+    search must agree with bit for bit."""
+    return spectrum._lowest_eig_sym3(*window_elements(model, window))
+
+
 def random_params(rng):
     return SystemParams(
         omega1=float(rng.uniform(-1.0, 2.0)),
@@ -56,24 +67,24 @@ class TestBlockMatrix:
     def test_decoupled_resonant_block_is_scalar(self):
         sys = RESONANT.replace(g1=0.0, g2=0.0)
         block = block_matrix(sys, 0, 1)
-        assert np.allclose(block.matrix, 0.75 * np.eye(3), atol=1e-15)
+        assert np.allclose(block, 0.75 * np.eye(3), atol=1e-15)
 
     def test_mode2_entry_vanishes_at_m_zero(self):
         block = block_matrix(RESONANT.replace(g2=7.7 / 9), 0, 0)
-        assert block.matrix[0, 2] == 0.0
-        assert block.matrix[2, 0] == 0.0
+        assert block[0, 2] == 0.0
+        assert block[2, 0] == 0.0
 
     def test_diagonal_differences_are_detunings(self):
         block = block_matrix(RESONANT.replace(Omega1=1.22), 2, 3)
-        assert block.matrix[0, 0] - block.matrix[1, 1] == pytest.approx(0.03, abs=1e-14)
-        assert block.matrix[0, 0] - block.matrix[2, 2] == pytest.approx(0.0, abs=1e-14)
+        assert block[0, 0] - block[1, 1] == pytest.approx(0.03, abs=1e-14)
+        assert block[0, 0] - block[2, 2] == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal_differences_random(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
             sys = random_params(rng)
             n, m = int(rng.integers(0, 9)), int(rng.integers(0, 9))
-            mat = block_matrix(sys, n, m).matrix
+            mat = block_matrix(sys, n, m)
             d1 = 2 * sys.omega1 + sys.omega2 - sys.Omega1
             d2 = 2 * sys.omega2 + sys.omega1 - sys.Omega2
             assert mat[0, 0] - mat[1, 1] == pytest.approx(d1, abs=1e-14)
@@ -99,7 +110,7 @@ class TestBlockGroundEnergy:
             sys = random_params(rng).replace(g1=0.0, g2=0.0)
             block = block_matrix(sys, int(rng.integers(0, 5)), int(rng.integers(0, 5)))
             assert block_ground_energy(block) == pytest.approx(
-                float(np.min(np.diag(block.matrix))), abs=1e-13)
+                float(np.min(np.diag(block))), abs=1e-13)
 
     def test_matches_dense_eigensolver(self):
         rng = np.random.default_rng(8)
@@ -108,7 +119,7 @@ class TestBlockGroundEnergy:
             n, m = int(rng.integers(0, 12)), int(rng.integers(0, 12))
             ours = block_ground_energy(block_matrix(sys, n, m))
             ref = dense_block_ground(sys, n, m)
-            scale = max(np.abs(block_matrix(sys, n, m).matrix).max(), 1.0)
+            scale = max(np.abs(block_matrix(sys, n, m)).max(), 1.0)
             assert abs(ours - ref) <= 1e-12 * scale
 
     def test_resonant_closed_form_random(self):
@@ -144,7 +155,7 @@ class TestKernelRange:
             for m in range(STATIC_BLOCK_WINDOW + 1):
                 block = block_matrix(sys, n, m)
                 assert block_ground_energy(block) == pytest.approx(
-                    np.linalg.eigvalsh(block.matrix)[0], rel=1e-12, abs=0.0), (n, m)
+                    np.linalg.eigvalsh(block)[0], rel=1e-12, abs=0.0), (n, m)
 
     @pytest.mark.parametrize("g1", [1e-110, 1e-200, 1e200])
     def test_ground_search_is_finite(self, g1):
@@ -168,7 +179,7 @@ class TestKernelRange:
         params = [rng.uniform(lo, hi, (300, 1, 1)) for lo, hi in
                   ((-1.0, 2.0), (-1.0, 2.0), (0.1, 3.0), (0.1, 3.0), (0.0, 3.0), (0.0, 3.0))]
         h = [np.round(x * 2.0**20) / 2.0**20
-             for x in spectrum._window_elements(params, 4)]
+             for x in window_elements(params, 4)]
         unit = spectrum._lowest_eig_sym3(*h)
         scaled = spectrum._lowest_eig_sym3(*(np.ldexp(x, -k) for x in h))
         assert np.array_equal(scaled, np.ldexp(unit, -k))
@@ -195,12 +206,42 @@ class TestKernelRange:
     def test_spread_below_subnormals_is_diagonal(self):
         # p2 = 2 h12^2 = 2^-1073 is nonzero, but p2 / 6 rounds to zero
         assert spectrum._lowest_eig_sym3(0.75, 0.75, 0.75, 2.0**-537, 0.0) == 0.75
-        table = ground_energy_table(*STATIC_SAMPLE, 5.239601353002548e-163, 0.0, 8)
+        table = full_table((*STATIC_SAMPLE, 5.239601353002548e-163, 0.0), 8)
         dense, _ = dense_ground_table(*STATIC_SAMPLE, 5.239601353002548e-163, 0.0, 8)
         assert np.allclose(table, dense, rtol=1e-15, atol=0.0)
         point = ground_search(SystemParams(*STATIC_SAMPLE, 7.879418302766859e-163,
                                            1.5758836605533718e-162))
         assert (point.label, point.energy, point.gap) == ((0, 0), -0.25, 1.0)
+
+    def test_broadcast_inputs_give_the_bytes_of_float_arrays(self):
+        # (cells, 1, 1) couplings against the (W+1, W+1) label grid with
+        # float frequencies, and the other way round; some cells are
+        # diagonal (no coupling) or have a spread whose cube underflows
+        rng = np.random.default_rng(29)
+        freqs = [float(x) for x in rng.uniform(0.1, 2.0, 4)]
+        g1, g2 = rng.uniform(0.0, 3.0, (2, 60, 1, 1))
+        g1[:10] = g2[:10] = 0.0
+        g1[10:20] *= 1e-110
+        g2[10:20] = 0.0
+        cells = [rng.uniform(0.1, 2.0, (60, 1, 1)) for _ in range(4)]
+        for model in ((*freqs, g1, g2), (*cells, 1.3, 0.0)):
+            h = window_elements(model, 5)
+            assert len({np.shape(x) for x in h}) == 2
+            arrays = [np.array(x, dtype=np.float64) for x in np.broadcast_arrays(*h)]
+            assert np.array_equal(spectrum._lowest_eig_sym3(*h),
+                                  spectrum._lowest_eig_sym3(*arrays))
+
+    def test_python_floats_give_the_bytes_of_one_element_arrays(self):
+        rng = np.random.default_rng(31)
+        blocks = [block_matrix(random_params(rng), int(rng.integers(0, 9)),
+                               int(rng.integers(0, 9))) for _ in range(200)]
+        blocks += [block_matrix(RESONANT.replace(g1=g1, g2=0.0), 3, 2)
+                   for g1 in (0.0, 1e-110, 1e-200, 1e200)]
+        for block in blocks:
+            h = [float(block[i, j]) for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2))]
+            one = spectrum._lowest_eig_sym3(*(np.array([x]) for x in h))
+            assert np.array_equal(spectrum._lowest_eig_sym3(*h), one[0])
+            assert block_ground_energy(block) == one[0]
 
     def test_homogeneous_near_resonance(self):
         # near-resonant blocks, whose spread is 1e-170 to 1e-1 of their
@@ -257,7 +298,7 @@ class TestGroundSearch:
 
     def test_gap_is_distance_to_second_best(self):
         point = ground_search(RESONANT)
-        table = ground_energy_table(0.5, 0.25, 1.25, 1.0, 0.05, 0.05, 8)
+        table = full_table((0.5, 0.25, 1.25, 1.0, 0.05, 0.05), 8)
         flat = np.sort(table.ravel())
         assert point.gap == pytest.approx(flat[1] - flat[0], abs=1e-14)
 
@@ -273,19 +314,6 @@ class TestGroundSearch:
         point = ground_search(RESONANT.replace(g1=40.0), block_window=4)
         assert point.label[0] == 4
         assert point.window_capped
-
-    def test_ground_occupations_diagnostic(self):
-        # at resonance the diagonals are degenerate, so the ground vector
-        # splits half-and-half between the upper state and the coupled
-        # pair; equal couplings on block (2,3) give weights (1/2, 1/4, 1/4)
-        # and occupations (n + 1/4, m - 3/4) regardless of g magnitude
-        occ = ground_occupations(block_matrix(RESONANT, 2, 3))
-        assert occ[0] == pytest.approx(2.25, abs=1e-12)
-        assert occ[1] == pytest.approx(2.25, abs=1e-12)
-        # dominant mode-1 coupling pushes the mode-1 weight toward 1/2
-        strong = ground_occupations(block_matrix(RESONANT.replace(g1=50.0), 2, 3))
-        assert strong[0] == pytest.approx(2.5, abs=1e-6)
-        assert strong[1] == pytest.approx(2.0, abs=1e-6)
 
 
 class TestCategorize:
@@ -455,8 +483,8 @@ class TestDrivenPhasePoint:
     def test_coupling_node_decouples_mode1(self):
         # drive ratio at the first zero of the zeroth-order weight
         drive = DriveParams.from_theta(2.404825557695773, 6.0)
-        from lambdajc.effective import effective_for_drive
-        _, eff = effective_for_drive(RESONANT, drive)
+        from lambdajc.effective import effective_parameters, find_sidebands
+        eff = effective_parameters(RESONANT, drive, find_sidebands(RESONANT, drive))
         assert abs(eff.gr1) < 1e-5 * RESONANT.g1
 
     def test_tiny_couplings_still_condense(self):
@@ -686,7 +714,7 @@ def assert_pruned_matches_full(fields, window):
     if eff is not None:
         model = [eff[k] for k in _EFFECTIVE_MODEL]
         forced = (eff["Omega1_eff"] <= 0.0) | (eff["Omega2_eff"] <= 0.0)
-    table = ground_energy_table(*(np.asarray(a)[:, None, None] for a in model), window)
+    table = full_table([np.asarray(a)[:, None, None] for a in model], window)
     full = _search_tables(table, window, forced)
     assert cells.keys() == full.keys()
     for key in full:
@@ -812,7 +840,7 @@ class TestPrunedGroundSearch:
             assert_pruned_matches_full(static_fields(*model, g1[i], g2), window)
         fields = static_fields(*model, g1[20], g2)
         low = spectrum._lower_bounds([fields[k] for k in MODEL_FIELDS], window)
-        table = ground_energy_table(*model, g1[20], g2[:, None, None], window)
+        table = full_table((*model, g1[20], g2[:, None, None]), window)
         assert np.all(low < table.reshape(low.shape))
 
     def test_forced_cap_rows(self):
@@ -917,8 +945,8 @@ class TestPrunedGroundSearch:
         for call in calls:
             assert 1 <= len(call["sizes"]) <= 2 and min(call["sizes"]) > 0
             low = spectrum._lower_bounds(call["model"], window)
-            full = ground_energy_table(*(a[:, None, None] for a in call["model"]),
-                                       window).reshape(low.shape)
+            full = full_table([a[:, None, None] for a in call["model"]],
+                              window).reshape(low.shape)
             # the first minimum of the bounds, then the first of the rest
             picked = np.argsort(low, axis=1, kind="stable")[:, :2]
             tau = np.take_along_axis(full, picked, axis=1).max(axis=1)
