@@ -45,11 +45,9 @@ from .spectrum import (
     block_ground_energy,
     block_matrix,
     categorize,
-    driven_phase_grid,
     driven_phase_point,
     ground_search,
     label_sequence,
     locate_boundary,
-    phase_grid,
     sweep_grid,
 )

@@ -73,7 +73,6 @@ from .params import (
     SystemParams,
     from_sweep_values,
     sweep_values,
-    transition_frequencies,
 )
 
 STATIC_BLOCK_WINDOW = 8
@@ -146,11 +145,6 @@ class PhaseGrid:
 
     def cell(self, i: int, j: int) -> PhasePoint:
         return _point(vars(self), (i, j))
-
-
-#: The per-cell arrays of a PhaseGrid, which compute_grid_cells returns per slice.
-CELL_FIELDS = ("energy", "n_label", "m_label", "gap", "window_capped", "rwa_ok",
-               "hierarchy_ok")
 
 
 def _point(cells, index) -> PhasePoint:
@@ -326,16 +320,15 @@ def _pruned_ground_table(model, block_window: int, finite) -> np.ndarray:
     return table
 
 
-def _search_tables(tables: np.ndarray, window: int, forced_cap=False) -> dict:
-    """Ground label, energy, gap and window flag of each table stacked along
-    axis 0, as arrays keyed like PhaseGrid."""
-    flat = tables.reshape(tables.shape[0], -1)
-    rows = np.arange(flat.shape[0])
-    k = np.argmin(flat, axis=1)  # first minimum in C order = lexicographic tie-break
-    energy = flat[rows, k]
+def _search_tables(table: np.ndarray, window: int, forced_cap) -> dict:
+    """Ground label, energy, gap and window flag of each cell of a (cells,
+    blocks) table, as arrays keyed like PhaseGrid."""
+    rows = np.arange(table.shape[0])
+    k = np.argmin(table, axis=1)  # first minimum in C order = lexicographic tie-break
+    energy = table[rows, k]
     # the second-lowest entry, ties included; a NaN cell has a NaN energy
     # (argmin finds NaN first), so its gap is NaN whatever the second
-    rest = flat.copy()
+    rest = table.copy()
     rest[rows, k] = np.inf
     second = rest.min(axis=1)
     n_lab, m_lab = np.divmod(k, window + 1)
@@ -499,55 +492,6 @@ def sweep_grid(sys_template: SystemParams, drive_template: DriveParams | None,
                                  block_window)
     return PhaseGrid(axis1=axis1, axis2=axis2, block_window=block_window,
                      **cells, deviations=deviations)
-
-
-def phase_grid(sys_template: SystemParams, g1_over_Omega1: np.ndarray,
-               g2_over_Omega2: np.ndarray,
-               block_window: int = STATIC_BLOCK_WINDOW) -> PhaseGrid:
-    """Static phase diagram over the two coupling ratios."""
-    ax1 = AxisSpec("g1/Omega1", "g1",
-                   np.asarray(g1_over_Omega1, dtype=float) * sys_template.Omega1)
-    ax2 = AxisSpec("g2/Omega2", "g2",
-                   np.asarray(g2_over_Omega2, dtype=float) * sys_template.Omega2)
-    return sweep_grid(sys_template, None, ax1, ax2, block_window)
-
-
-def driven_phase_grid(sys_template: SystemParams, drive_template: DriveParams,
-                      theta_axis: np.ndarray, detuning_ratio_axis: np.ndarray,
-                      block_window: int = DRIVEN_BLOCK_WINDOW,
-                      detuning_mode: int = 2) -> PhaseGrid:
-    """Driven diagram over (theta, detuning ratio) at fixed drive frequency.
-
-    The theta axis is realized by varying the drive amplitude at fixed
-    omega_D.  The detuning axis varies the chosen cavity frequency at fixed
-    atomic frequencies: for detuning_mode=2 the ratio is delta2/Omega2 and
-    Omega2 = (2 omega2 + omega1)/(1 + ratio); mode 1 is the mirror image.
-    """
-    amp = np.asarray(theta_axis, dtype=float) * drive_template.frequency
-    if detuning_mode not in (1, 2):
-        raise ValueError(f"detuning_mode must be 1 or 2, got {detuning_mode}")
-    base = transition_frequencies(sys_template.omega1,
-                                  sys_template.omega2)[detuning_mode - 1]
-    parameter, ratio_name = (f"Omega{detuning_mode}",
-                             f"delta{detuning_mode}/Omega{detuning_mode}")
-    ratios = np.asarray(detuning_ratio_axis, dtype=float)
-    bad = ratios[~np.isfinite(ratios)]
-    if bad.size:
-        raise ValueError(f"detuning ratios must be finite, got {bad.tolist()}")
-    if np.any(ratios <= -1.0):
-        raise ValueError(f"detuning ratios > -1 required, got {ratios[ratios <= -1.0][0]}")
-    cavity_vals = base / (1.0 + ratios)
-    ax1 = AxisSpec("theta", "A_D", amp)
-    # the cavity frequency decreases as the ratio grows; AxisSpec wants
-    # increasing values, so sweep in reversed order and flip back
-    order = np.argsort(cavity_vals)
-    ax2 = AxisSpec(ratio_name, parameter, cavity_vals[order])
-    grid = sweep_grid(sys_template, drive_template, ax1, ax2, block_window)
-    inverse = np.argsort(order)
-    for key in CELL_FIELDS:
-        setattr(grid, key, getattr(grid, key)[:, inverse])
-    grid.axis2 = AxisSpec(ratio_name, f"detuning{detuning_mode}_ratio", ratios)
-    return grid
 
 
 # ---------------------------------------------------------------------------

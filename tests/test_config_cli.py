@@ -147,6 +147,43 @@ class TestParseConfig:
         cfg = parse_config({"truncation": {"block_window": 11}})
         assert cfg.truncation.window_for(driven=True) == 11
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"sweep": [{"start": 0, "stop": 1, "points": 0, "parameter": "g1"}]},
+         "points must be >= 1"),
+        ({"sweep": [{"start": 1, "stop": 1, "points": 2, "parameter": "g1"}]},
+         "stop must exceed start"),
+        ({"truncation": {"n_c1": 0}}, "n_c1"),
+        ({"truncation": {"block_window": 0}}, "block_window must be >= 1"),
+        ({"dynamics": {"t_max": 0}}, "t_max must be > 0"),
+        ({"dynamics": {"dt_max": 0}}, "dt_max must be > 0"),
+        ({"dynamics": {"samples": 1}}, "samples must be >= 2"),
+        ({"sweep": [{"start": 0, "stop": 1, "points": 2, "parameter": p}
+                    for p in ("g1", "g2", "A_D")]}, "at most two sweep axes"),
+        ({"output": ""}, "output must be a non-empty"),
+        ({"model": {"g1": "0.1"}}, "model.g1 must be a number"),
+        ({"model": {"g1": float("inf")}}, "model.g1 must be finite"),
+        ({"truncation": {"n_c1": 1.5}}, "truncation.n_c1 must be an integer"),
+        ({"dynamics": 3}, "dynamics must be an object"),
+        ({"sweep": [{"start": 0, "stop": 1, "points": 2}]},
+         "sweep.0. is missing required key 'parameter'"),
+        ([], "config root must be an object, got list"),
+        ({"sweep": 3}, "sweep must be a list of axis objects"),
+    ], ids=["points-0", "stop-at-start", "n_c1-0", "block_window-0", "t_max-0",
+            "dt_max-0", "samples-1", "three-axes", "empty-output", "string-number",
+            "inf-number", "fractional-int", "non-object-section", "axis-no-parameter",
+            "list-root", "sweep-number"])
+    def test_rejection_names_the_field(self, doc, field):
+        with pytest.raises(ConfigError, match=field):
+            parse_config(doc)
+
+    def test_null_root_gives_defaults(self):
+        assert parse_config(None) == parse_config("null") == parse_config({})
+
+    def test_lone_axis_object_is_one_axis_list(self):
+        axis = {"start": 0.0, "stop": 1.0, "points": 3, "parameter": "omega_D"}
+        assert parse_config({"sweep": axis}).sweep == parse_config({"sweep": [axis]}).sweep
+        assert len(parse_config({"sweep": axis}).sweep) == 1
+
 
 class TestConfigHash:
     def test_identical_configs_identical_hash(self):
@@ -385,6 +422,33 @@ class TestRunCommand:
         assert len((tmp_path / "grid.csv").read_text().splitlines()) == 1 + 9 * 7
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config_hash"] == config_hash(cfg)
+
+    def test_malformed_manifest_is_recomputed(self, tmp_path, capsys):
+        cfg = parse_config(TINY_STATIC)
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        full = (tmp_path / "grid.csv").read_bytes()
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        (tmp_path / "manifest.json").write_text('{"command": "static-phase",')
+        capsys.readouterr()
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert (tmp_path / "grid.csv").read_bytes() == full
+        assert (tmp_path / "manifest.json").read_bytes() == manifest
+
+    def test_deleted_csv_of_finished_run_is_recomputed(self, tmp_path, capsys):
+        cfg = parse_config(TINY_STATIC)
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        full = (tmp_path / "grid.csv").read_bytes()
+        (tmp_path / "grid.csv").unlink()
+        capsys.readouterr()
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        assert "cache miss" in capsys.readouterr().out
+        assert (tmp_path / "grid.csv").read_bytes() == full
+
+    def test_unknown_command_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown command 'bogus'"):
+            run_command("bogus", parse_config({}), out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("fields", [
         {"cells_total": "63", "cells_done": "63"},
@@ -1428,6 +1492,23 @@ class TestMainEntry:
             env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_effective_params_of_model_axis_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sweep": [
+            {"start": 0.0, "stop": 1.0, "points": 3, "parameter": "g1"}]}))
+        out = tmp_path / "out"
+        assert main(["effective-params", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "effective-params sweeps omega_D or A_D" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_below_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(TINY_STATIC))
+        assert main(["static-phase", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "file" / "out")]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["static-phase", "--config", str(tmp_path / "nope.json")]) == 1

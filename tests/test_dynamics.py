@@ -70,6 +70,17 @@ class TestHilbertSpace:
         with pytest.raises(ValueError):
             build_space(2, -1)
 
+    def test_index_and_unindex_reject_out_of_range(self):
+        space = build_space(2, 3)
+        with pytest.raises(ValueError, match="atom level"):
+            space.index(4, 0, 0)
+        for n1, n2 in ((3, 0), (0, 4), (-1, 0)):
+            with pytest.raises(ValueError, match="outside cutoffs"):
+                space.index(1, n1, n2)
+        for i in (-1, space.dim):
+            with pytest.raises(ValueError, match="outside"):
+                space.unindex(i)
+
 
 class TestCoherentState:
     def test_zero_amplitude_is_vacuum(self):
@@ -109,6 +120,15 @@ class TestCoherentState:
         space = build_space(2, 2)
         with pytest.raises(ValueError, match="norm"):
             StateVector(np.full(space.dim, np.nan), space)
+
+    def test_rejects_wrong_shape(self):
+        space = build_space(2, 2)
+        with pytest.raises(ValueError, match="shape"):
+            StateVector(np.eye(1, space.dim + 1)[0], space)
+
+    def test_rejects_length_two_atomic_part(self):
+        with pytest.raises(ValueError, match="length-3"):
+            coherent_state(build_space(2, 2), 0.0, 0.0, [1.0, 0.0])
 
     def test_rejects_nan_atomic_part(self):
         space = build_space(2, 2)
@@ -321,6 +341,17 @@ class TestSectorEquivalence:
                         block_ground_energy(block_matrix(sys, n, m)), abs=1e-10)
 
 
+class TestSectorStates:
+    def test_rejects_empty_mode2_label(self):
+        with pytest.raises(ValueError, match="m_ph >= 1"):
+            sector_states(build_space(3, 3), 1, 0)
+
+    @pytest.mark.parametrize("n_ph, m_ph", [(3, 1), (0, 4)])
+    def test_rejects_sector_past_cutoffs(self, n_ph, m_ph):
+        with pytest.raises(ValueError, match="past the Fock cutoffs"):
+            sector_states(build_space(3, 3), n_ph, m_ph)
+
+
 class TestEvolve:
     def test_zero_hamiltonian_freezes_state(self):
         space = build_space(2, 2)
@@ -519,6 +550,14 @@ class TestEvolve:
                      t_max=40.0, samples=60)
         assert res.leakage > 1e-6
         assert any("truncation" in w for w in res.warnings)
+
+    @pytest.mark.parametrize("t_max, samples, message", [
+        (1.0, 1, "at least 2 samples"), (0.0, 3, "t_max > 0")])
+    def test_sample_grid_rejected(self, t_max, samples, message):
+        space = build_space(1, 1)
+        psi0 = coherent_state(space, 0.0, 0.0, "2")
+        with pytest.raises(ValueError, match=message):
+            evolve(_spec(Variant.JC_STATIC), space, psi0, t_max=t_max, samples=samples)
 
     def test_mismatched_space_rejected(self):
         space = build_space(2, 2)

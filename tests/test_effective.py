@@ -164,6 +164,10 @@ class TestZeroFrequencies:
         with pytest.raises(ValueError):
             omega_zero_frequencies(RESONANT, (-2, 2))
 
+    def test_rejects_empty_range(self):
+        with pytest.raises(ValueError, match="empty order range"):
+            omega_zero_frequencies(RESONANT, (3, 1))
+
     def test_zeros_annihilate_effective_frequency(self):
         for z in omega_zero_frequencies(RESONANT, (-18, -1)):
             drive = drive_for(0.1, z.omega_d)

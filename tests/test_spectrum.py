@@ -9,7 +9,6 @@ from lambdajc import spectrum
 from lambdajc.params import DriveParams, SystemParams, sweep_values
 from lambdajc.spectrum import (
     _EFFECTIVE_MODEL,
-    CELL_FIELDS,
     STATIC_BLOCK_WINDOW,
     AxisSpec,
     PhaseCategory,
@@ -19,12 +18,10 @@ from lambdajc.spectrum import (
     block_matrix,
     categorize,
     compute_grid_cells,
-    driven_phase_grid,
     driven_phase_point,
     ground_search,
     label_sequence,
     locate_boundary,
-    phase_grid,
     sweep_grid,
 )
 
@@ -306,7 +303,7 @@ class TestGroundSearch:
         table = np.full((3, 3), 5.0)
         table[1, 0] = -1.0
         table[0, 1] = -1.0
-        cells = _search_tables(table[None], 2)
+        cells = _search_tables(table.reshape(1, -1), 2, False)
         assert (cells["n_label"][0], cells["m_label"][0]) == (0, 1)
 
     def test_edge_argmin_sets_flag(self):
@@ -330,7 +327,10 @@ class TestCategorize:
 class TestPhaseGrid:
     def test_first_mode2_boundary_near_unity(self):
         ratios = np.linspace(0.9, 1.1, 201)
-        grid = phase_grid(RESONANT.replace(g1=0.0), np.array([0.0]), ratios)
+        grid = sweep_grid(RESONANT.replace(g1=0.0), None,
+                          AxisSpec("g1/Omega1", "g1", np.array([0.0])),
+                          AxisSpec("g2/Omega2", "g2", ratios * RESONANT.Omega2),
+                          STATIC_BLOCK_WINDOW)
         labels = [grid.cell(0, j).label for j in range(ratios.size)]
         flips = [j for j in range(1, len(labels)) if labels[j] != labels[j - 1]]
         assert len(flips) == 1
@@ -339,7 +339,10 @@ class TestPhaseGrid:
 
     def test_first_mode1_boundary(self):
         ratios = np.linspace(2.3, 2.5, 201)
-        grid = phase_grid(RESONANT.replace(g2=0.05), ratios, np.array([0.05 / 1.0]))
+        grid = sweep_grid(RESONANT.replace(g2=0.05), None,
+                          AxisSpec("g1/Omega1", "g1", ratios * RESONANT.Omega1),
+                          AxisSpec("g2/Omega2", "g2", np.array([0.05])),
+                          STATIC_BLOCK_WINDOW)
         labels = [grid.cell(i, 0).label for i in range(ratios.size)]
         flips = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
         assert len(flips) == 1
@@ -348,19 +351,29 @@ class TestPhaseGrid:
                                          abs=ratios[1] - ratios[0])
 
     def test_single_cell_grid(self):
-        grid = phase_grid(RESONANT, np.array([0.1]), np.array([0.1]))
+        grid = sweep_grid(RESONANT, None, AxisSpec("g1", "g1", np.array([0.125])),
+                          AxisSpec("g2", "g2", np.array([0.1])), STATIC_BLOCK_WINDOW)
         assert grid.energy.shape == (1, 1)
         assert grid.cell(0, 0).label == (0, 0)
 
     def test_rejects_empty_or_decreasing_axes(self):
-        with pytest.raises(ValueError):
-            phase_grid(RESONANT, np.array([]), np.array([0.1]))
-        with pytest.raises(ValueError):
-            phase_grid(RESONANT, np.array([0.2, 0.1]), np.array([0.1]))
+        with pytest.raises(ValueError, match="at least one value"):
+            AxisSpec("g1", "g1", np.array([]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            AxisSpec("g1", "g1", np.array([0.2, 0.1]))
+
+    def test_rejects_drive_axis_without_drive(self):
+        ax1 = AxisSpec("A_D", "A_D", np.array([0.1]))
+        ax2 = AxisSpec("g2", "g2", np.array([0.1]))
+        with pytest.raises(ValueError, match="'A_D' is not a field of the undriven model"):
+            compute_grid_cells(RESONANT, None, ax1, ax2, 4, 0, 1)
 
     def test_energy_continuous_across_label_jumps(self):
         ratios = np.linspace(0.0, 4.6, 2000)
-        grid = phase_grid(RESONANT.replace(g2=0.5), ratios, np.array([0.5]))
+        grid = sweep_grid(RESONANT.replace(g2=0.5), None,
+                          AxisSpec("g1/Omega1", "g1", ratios * RESONANT.Omega1),
+                          AxisSpec("g2/Omega2", "g2", np.array([0.5])),
+                          STATIC_BLOCK_WINDOW)
         energies = grid.energy[:, 0]
         step = (ratios[1] - ratios[0]) * RESONANT.Omega1
         # |dE/dg1| <= sqrt(window+1); allow a generous Lipschitz margin
@@ -403,7 +416,7 @@ class TestPhaseGrid:
             monkeypatch.setattr(spectrum, "CHUNK_CELLS", 8)
             sliced = sweep_grid(RESONANT, drive, ax1, ax2, 6)
             monkeypatch.undo()
-            for key in CELL_FIELDS:
+            for key in parts[0]:
                 joined = np.concatenate([p[key] for p in reversed(parts)]).reshape(7, 5)
                 for grid in (joined, getattr(sliced, key)):
                     assert grid.dtype == getattr(full, key).dtype, key
@@ -498,63 +511,34 @@ class TestDrivenPhasePoint:
 
 def test_driven_grid_shapes_and_validity_columns():
     drive = DriveParams(amplitude=0.09, frequency=0.18)
-    grid = driven_phase_grid(RESONANT, drive,
-                             theta_axis=np.linspace(0.35, 1.7, 4),
-                             detuning_ratio_axis=np.linspace(0.0, 0.015, 3),
-                             block_window=5)
+    grid = sweep_grid(RESONANT, drive,
+                      AxisSpec("A_D", "A_D", np.linspace(0.35, 1.7, 4) * drive.frequency),
+                      AxisSpec("Omega2", "Omega2", np.linspace(0.985, 1.0, 3)), 5)
     assert grid.energy.shape == (4, 3)
-    assert grid.rwa_ok.shape == (4, 3)
-    assert grid.axis2.values[0] == 0.0
+    assert grid.rwa_ok.shape == grid.hierarchy_ok.shape == (4, 3)
     assert grid.window_capped.any()
     assert grid.deviations
 
 
 def test_driven_grid_mode1_detuning_axis():
+    # each cell is the driven point at its drive amplitude and mode-1
+    # cavity frequency, bit for bit
     drive = DriveParams(amplitude=0.09, frequency=0.18)
-    ratios = np.linspace(0.0, 0.02, 4)
-    grid = driven_phase_grid(RESONANT, drive,
-                             theta_axis=np.linspace(0.2, 1.0, 3),
-                             detuning_ratio_axis=ratios,
-                             block_window=5, detuning_mode=1)
-    assert grid.axis2.name == "delta1/Omega1"
-    assert grid.energy.shape == (3, 4)
-    # each cell is the driven point at Omega1 = base / (1 + ratio), bit for bit
     base = 2 * RESONANT.omega1 + RESONANT.omega2
-    for i, theta in enumerate(np.linspace(0.2, 1.0, 3)):
-        for j, r in enumerate(ratios):
+    ax1 = AxisSpec("A_D", "A_D", np.linspace(0.2, 1.0, 3) * drive.frequency)
+    ax2 = AxisSpec("Omega1", "Omega1", np.sort(base / (1 + np.linspace(0.0, 0.02, 4))))
+    grid = sweep_grid(RESONANT, drive, ax1, ax2, 5)
+    assert grid.energy.shape == (3, 4)
+    for i, amplitude in enumerate(ax1.values):
+        for j, cavity in enumerate(ax2.values):
             point, report = driven_phase_point(
-                RESONANT.replace(Omega1=base / (1 + r)),
-                DriveParams.from_theta(theta, 0.18), block_window=5)
+                RESONANT.replace(Omega1=float(cavity)),
+                DriveParams(float(amplitude), drive.frequency), block_window=5)
             assert (grid.energy[i, j], grid.gap[i, j]) == (point.energy, point.gap)
             assert (grid.n_label[i, j], grid.m_label[i, j]) == point.label
             assert grid.window_capped[i, j] == point.window_capped
             assert grid.rwa_ok[i, j] == report.rwa_ok
             assert grid.hierarchy_ok[i, j] == report.hierarchy_ok
-    with pytest.raises(ValueError, match="detuning_mode"):
-        driven_phase_grid(RESONANT, drive, np.array([0.1]), ratios,
-                          detuning_mode=3)
-
-
-def test_driven_grid_rejects_ratio_at_minus_one_and_decreasing_theta():
-    drive = DriveParams(amplitude=0.09, frequency=0.18)
-    # a ratio of -1 puts the cavity frequency at infinity: rejected before
-    # the division can warn
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="detuning ratios"):
-            driven_phase_grid(RESONANT, drive, np.array([0.1]),
-                              np.array([0.0, -1.0]))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        driven_phase_grid(RESONANT, drive, np.array([0.5, 0.2]),
-                          np.array([0.0]))
-
-
-@pytest.mark.parametrize("ratios", [[0.0, math.nan], [math.inf, 0.0], [math.nan]])
-def test_driven_grid_rejects_ratios_not_finite(ratios):
-    drive = DriveParams(amplitude=0.09, frequency=0.18)
-    with pytest.raises(ValueError, match="detuning ratios must be finite, got "
-                                         r"\[(nan|inf)\]"):
-        driven_phase_grid(RESONANT, drive, np.array([0.1]), np.array(ratios))
 
 
 def test_label_sequence_collapses_duplicates():
@@ -715,7 +699,7 @@ def assert_pruned_matches_full(fields, window):
         model = [eff[k] for k in _EFFECTIVE_MODEL]
         forced = (eff["Omega1_eff"] <= 0.0) | (eff["Omega2_eff"] <= 0.0)
     table = full_table([np.asarray(a)[:, None, None] for a in model], window)
-    full = _search_tables(table, window, forced)
+    full = _search_tables(table.reshape(table.shape[0], -1), window, forced)
     assert cells.keys() == full.keys()
     for key in full:
         assert np.array_equal(cells[key], full[key], equal_nan=True), key
