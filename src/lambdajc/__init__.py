@@ -28,11 +28,8 @@ from .effective import (
     EffectiveParams,
     SidebandInfo,
     ValidityReport,
-    ZeroCrossing,
-    detunings,
     effective_parameters,
     find_sidebands,
-    omega_zero_frequencies,
     validity_report,
 )
 from .params import DriveParams, SystemParams

@@ -40,8 +40,8 @@ Before anything is written, every sweep axis endpoint is checked by
 building the SystemParams or DriveParams it implies, an echo's dt_max
 against the sampling bound of both branches, and the worker count, from
 --workers or the config, by config.worker_count.  A manifest.json that
-is not a JSON object, or whose cell counts or deviations have the wrong JSON
-type, counts as no manifest.
+is not UTF-8, not a JSON object, or whose cell counts or deviations have the
+wrong JSON type, counts as no manifest.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime or validity
 failure (validity failures only fail the run under --strict; a pool
@@ -99,6 +99,7 @@ from .params import (
 )
 from .specfun import MAX_ARGUMENT
 from .spectrum import (
+    AUDITS,
     CATEGORIES,
     AxisSpec,
     audit_counts,
@@ -244,7 +245,7 @@ def _read_manifest(out_dir: Path) -> dict | None:
         return None
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):   # unreadable, not UTF-8, or not JSON
         return None
     if not isinstance(doc, dict):
         return None
@@ -301,6 +302,9 @@ def _resume(path: Path, sweep: _Sweep) -> tuple[list[list[int]], str]:
     partial that cannot be read, or is not UTF-8, resumes nothing.
     """
     header = ",".join(sweep.csv_columns) + "\n"
+    # (position, name) of each audit column: only these are parsed
+    audited = [(sweep.csv_columns.index(k), k) for k, _, _ in AUDITS
+               if k in sweep.csv_columns]
     counts: list[list[int]] = []
     end = len(header)
     try:
@@ -316,8 +320,8 @@ def _resume(path: Path, sweep: _Sweep) -> tuple[list[list[int]], str]:
             if (len(records) < stop - start or text[body.tell() - 1] != "\n"
                     or any(len(r) != len(sweep.csv_columns) for r in records)):
                 break
-            counts.append(audit_counts({k: np.array(v) == _TRUE for k, v in
-                                        zip(sweep.csv_columns, zip(*records))}))
+            counts.append(audit_counts({k: np.array([r[i] for r in records]) == _TRUE
+                                        for i, k in audited}))
             end = body.tell()
     except (OSError, ValueError, csv.Error):
         return [], ""
@@ -618,7 +622,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             try:
                 text = Path(args.config).read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: cannot read config {args.config}: {exc}",
                       file=sys.stderr)
                 return 1

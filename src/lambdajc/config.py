@@ -198,7 +198,7 @@ def parse_config(doc) -> RunConfig:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config is not well-formed JSON: {exc}") from exc
     if doc is None:
         doc = {}

@@ -140,11 +140,6 @@ class HilbertSpace:
             raise ValueError(f"photon numbers ({n1}, {n2}) outside cutoffs")
         return ((atom - 1) * self.d1 + n1) * self.d2 + n2
 
-    def unindex(self, i: int) -> tuple[int, int, int]:
-        if not (0 <= i < self.dim):
-            raise ValueError(f"index {i} outside [0, {self.dim})")
-        return int(self._atom[i]), int(self._n1[i]), int(self._n2[i])
-
     # -- the model's operators, written from the index arrays as the
     # (rows, cols, values) of their entries; every operator is real --
 
@@ -153,14 +148,14 @@ class HilbertSpace:
         keep = np.flatnonzero(entries)
         return keep, keep, entries[keep]
 
-    def jump(self, k: int, mode: int, create: bool) -> Entries:
-        """|3><k| a_mode, or |3><k| a_mode' if create: column (k, n1, n2) goes
-        to row (3, n1 -+ 1, n2) or (3, n1, n2 -+ 1), weighted by the square
-        root of the larger photon number."""
-        n, top = (self._n1, self.n_c1) if mode == 1 else (self._n2, self.n_c2)
+    def jump(self, k: int, create: bool) -> Entries:
+        """|3><k| a_k, or |3><k| a_k' if create: column (k, n1, n2) goes to row
+        (3, n1 -+ 1, n2) for k = 1 or (3, n1, n2 -+ 1) for k = 2, weighted by
+        the square root of the larger photon number."""
+        n, top = (self._n1, self.n_c1) if k == 1 else (self._n2, self.n_c2)
         step = 1 if create else -1
         cols = np.flatnonzero((self._atom == k) & (0 <= n + step) & (n + step <= top))
-        rows = cols + (3 - k) * self.d1 * self.d2 + step * (self.d2 if mode == 1 else 1)
+        rows = cols + (3 - k) * self.d1 * self.d2 + step * (self.d2 if k == 1 else 1)
         return rows, cols, np.sqrt(np.maximum(n[cols], n[cols] + step))
 
 
@@ -376,8 +371,8 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
     """Build the term list of the requested variant on the given space."""
     sys = spec.sys
     terms: list[Term] = []
-    s31a1, s31a1d = space.jump(1, 1, False), space.jump(1, 1, True)
-    s32a2, s32a2d = space.jump(2, 2, False), space.jump(2, 2, True)
+    s31a1, s31a1d = space.jump(1, False), space.jump(1, True)
+    s32a2, s32a2d = space.jump(2, False), space.jump(2, True)
     level = np.eye(3)[space._atom - 1].T          # level[k-1]: diagonal of |k><k|
     s33_s11, s33_s22 = (space.diagonal(level[2] - level[k]) for k in (0, 1))
     # sqrt(n) * sqrt(n), not n: the value of the product a'a (2.0000000000000004

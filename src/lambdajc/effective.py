@@ -95,11 +95,6 @@ class ValidityReport:
     rwa_ok: bool
 
 
-def detunings(sys: SystemParams) -> tuple[float, float]:
-    """Cavity detunings of the two transition/mode pairs."""
-    return _detunings(sys.omega1, sys.omega2, sys.Omega1, sys.Omega2)
-
-
 # ---------------------------------------------------------------------------
 # array stages: every argument may be a float or an array, elementwise.
 # Plain operators serve both; the few steps that need a numpy call on arrays
@@ -247,42 +242,6 @@ def effective_parameters(sys: SystemParams, drive: DriveParams,
     eff = _effective(sb.delta1, sb.delta2, sb.Delta_n0, sb.Delta_m0, sb.n0, sb.m0,
                      sys.g1, sys.g2, drive.theta)
     return EffectiveParams(**{k: float(v) for k, v in eff.items()})
-
-
-@dataclass(frozen=True)
-class ZeroCrossing:
-    """Drive frequency at which one effective cavity frequency vanishes."""
-
-    mode: int
-    order: int
-    omega_d: float
-
-
-def omega_zero_frequencies(sys: SystemParams,
-                           order_range: tuple[int, int]) -> list[ZeroCrossing]:
-    """Drive frequencies where Omega1_eff (mode 1) or Omega2_eff (mode 2)
-    crosses zero, one candidate per sideband order in the closed interval
-    order_range.
-
-    Only positive frequencies are reported.  Order 0 never produces a zero
-    and is rejected (the formula divides by the order).  The formulas hold
-    in the zero-detuning regime where the sideband-valley analysis applies.
-    """
-    lo, hi = int(order_range[0]), int(order_range[1])
-    if lo > hi:
-        raise ValueError(f"empty order range {order_range}")
-    if lo <= 0 <= hi:
-        raise ValueError("order range must exclude 0 (zero order has no zero crossing)")
-    out: list[ZeroCrossing] = []
-    base1, base2 = transition_frequencies(sys.omega1, sys.omega2)
-    for order in range(lo, hi + 1):
-        wd1 = -2.0 * base1 / order
-        if wd1 > 0:
-            out.append(ZeroCrossing(mode=1, order=order, omega_d=wd1))
-        wd2 = -2.0 * base2 / order
-        if wd2 > 0:
-            out.append(ZeroCrossing(mode=2, order=order, omega_d=wd2))
-    return out
 
 
 def validity_report(sys: SystemParams, drive: DriveParams, sb: SidebandInfo,

@@ -168,13 +168,24 @@ class TestParseConfig:
          "sweep.0. is missing required key 'parameter'"),
         ([], "config root must be an object, got list"),
         ({"sweep": 3}, "sweep must be a list of axis objects"),
+        (b'{"model": {}}\xff', "config is not well-formed JSON: 'utf-8' codec"),
     ], ids=["points-0", "stop-at-start", "n_c1-0", "block_window-0", "t_max-0",
             "dt_max-0", "samples-1", "three-axes", "empty-output", "string-number",
             "inf-number", "fractional-int", "non-object-section", "axis-no-parameter",
-            "list-root", "sweep-number"])
+            "list-root", "sweep-number", "non-utf8-bytes"])
     def test_rejection_names_the_field(self, doc, field):
         with pytest.raises(ConfigError, match=field):
             parse_config(doc)
+
+    def test_null_where_the_field_allows_none(self):
+        cfg = parse_config('{"dynamics": {"dt_max": null}, '
+                           '"truncation": {"block_window": null}, '
+                           '"sweep": [{"start": 0, "stop": 1, "points": 2, '
+                           '"parameter": "g1", "name": null}]}')
+        assert cfg.dynamics.dt_max is None
+        assert cfg.truncation.block_window is None
+        assert cfg.truncation.window_for(driven=False) == spectrum.STATIC_BLOCK_WINDOW
+        assert cfg.sweep[0].name == "g1"
 
     def test_null_root_gives_defaults(self):
         assert parse_config(None) == parse_config("null") == parse_config({})
@@ -434,6 +445,29 @@ class TestRunCommand:
         assert "cache hit" not in capsys.readouterr().out
         assert (tmp_path / "grid.csv").read_bytes() == full
         assert (tmp_path / "manifest.json").read_bytes() == manifest
+
+    def test_non_utf8_manifest_is_recomputed(self, tmp_path, capsys):
+        cfg = parse_config(TINY_STATIC)
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        full = (tmp_path / "grid.csv").read_bytes()
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        (tmp_path / "manifest.json").write_bytes(manifest.replace(b"{", b"{\xff", 1))
+        # no readable manifest: the partial CSV is not this run's
+        (tmp_path / ".grid.csv.partial").write_text("junk\n")
+        capsys.readouterr()
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        out = capsys.readouterr().out
+        assert "cache hit" not in out and "resumed" not in out
+        assert (tmp_path / "grid.csv").read_bytes() == full
+        assert (tmp_path / "manifest.json").read_bytes() == manifest
+        assert not (tmp_path / ".grid.csv.partial").exists()
+
+    def test_failed_rename_exits_2(self, tmp_path, capsys):
+        # a directory in the CSV's place makes the final rename fail
+        (tmp_path / "grid.csv").mkdir()
+        assert run_command("static-phase", parse_config(TINY_STATIC), out_dir=tmp_path) == 2
+        assert f"error: failed writing {tmp_path / 'grid.csv'}: " in capsys.readouterr().err
+        assert (tmp_path / "grid.csv").is_dir()
 
     def test_deleted_csv_of_finished_run_is_recomputed(self, tmp_path, capsys):
         cfg = parse_config(TINY_STATIC)
@@ -1518,6 +1552,16 @@ class TestMainEntry:
         path.write_text('{"model": {"omega3": 1}}')
         assert main(["static-phase", "--config", str(path)]) == 1
         assert "omega3" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"model": {}}\xff')
+        out = tmp_path / "out"
+        assert main(["static-phase", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {path}: 'utf-8' codec")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

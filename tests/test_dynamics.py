@@ -45,15 +45,17 @@ class TestHilbertSpace:
         assert build_space(2, 2).dim == 27
 
     def test_index_round_trip(self):
-        space = build_space(2, 2)
+        # index(k, n1, n2) = ((k-1)*(n_c1+1) + n1)*(n_c2+1) + n2, decoded back
+        space = build_space(2, 3)
         seen = set()
         for atom in (1, 2, 3):
             for n1 in range(3):
-                for n2 in range(3):
+                for n2 in range(4):
                     i = space.index(atom, n1, n2)
-                    assert space.unindex(i) == (atom, n1, n2)
+                    assert i == ((atom - 1) * 3 + n1) * 4 + n2
+                    assert (i // 12 + 1, i // 4 % 3, i % 4) == (atom, n1, n2)
                     seen.add(i)
-        assert seen == set(range(27))
+        assert seen == set(range(space.dim))
 
     def test_lowering_matrix_element(self):
         space = build_space(2, 2)
@@ -70,16 +72,13 @@ class TestHilbertSpace:
         with pytest.raises(ValueError):
             build_space(2, -1)
 
-    def test_index_and_unindex_reject_out_of_range(self):
+    def test_index_rejects_out_of_range(self):
         space = build_space(2, 3)
         with pytest.raises(ValueError, match="atom level"):
             space.index(4, 0, 0)
         for n1, n2 in ((3, 0), (0, 4), (-1, 0)):
             with pytest.raises(ValueError, match="outside cutoffs"):
                 space.index(1, n1, n2)
-        for i in (-1, space.dim):
-            with pytest.raises(ValueError, match="outside"):
-                space.unindex(i)
 
 
 class TestCoherentState:

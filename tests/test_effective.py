@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from lambdajc.effective import (
-    detunings,
     effective_parameters,
     effective_table,
     find_sidebands,
-    omega_zero_frequencies,
     validity_report,
 )
 from lambdajc.params import MODEL_FIELDS, DriveParams, SystemParams
@@ -25,16 +23,21 @@ def drive_for(theta: float, omega_d: float) -> DriveParams:
 
 
 class TestDetunings:
+    # delta1 = 2 omega1 + omega2 - Omega1, delta2 = 2 omega2 + omega1 - Omega2
+    def _detunings(self, sys):
+        sb = find_sidebands(sys, drive_for(0.1, 0.18))
+        return sb.delta1, sb.delta2
+
     def test_resonant_defaults(self):
-        assert detunings(RESONANT) == (0.0, 0.0)
+        assert self._detunings(RESONANT) == (0.0, 0.0)
 
     def test_detuned_mode2(self):
-        d1, d2 = detunings(RESONANT.replace(Omega2=0.97))
+        d1, d2 = self._detunings(RESONANT.replace(Omega2=0.97))
         assert d1 == 0.0
         assert d2 == pytest.approx(0.03, abs=1e-15)
 
     def test_detuned_mode1(self):
-        d1, d2 = detunings(RESONANT.replace(Omega1=1.22))
+        d1, d2 = self._detunings(RESONANT.replace(Omega1=1.22))
         assert d1 == pytest.approx(0.03, abs=1e-15)
         assert d2 == 0.0
 
@@ -151,30 +154,13 @@ class TestEffectiveParameters:
 
 
 class TestZeroFrequencies:
-    def test_mode1_and_mode2_values(self):
-        zeros = omega_zero_frequencies(RESONANT, (-5, -4))
-        lookup = {(z.mode, z.order): z.omega_d for z in zeros}
-        assert lookup[(1, -5)] == pytest.approx(0.5, abs=1e-15)
-        assert lookup[(2, -4)] == pytest.approx(0.5, abs=1e-15)
-
-    def test_positive_orders_filtered(self):
-        assert omega_zero_frequencies(RESONANT, (1, 3)) == []
-
-    def test_rejects_zero_in_range(self):
-        with pytest.raises(ValueError):
-            omega_zero_frequencies(RESONANT, (-2, 2))
-
-    def test_rejects_empty_range(self):
-        with pytest.raises(ValueError, match="empty order range"):
-            omega_zero_frequencies(RESONANT, (3, 1))
-
     def test_zeros_annihilate_effective_frequency(self):
-        for z in omega_zero_frequencies(RESONANT, (-18, -1)):
-            drive = drive_for(0.1, z.omega_d)
-            sb = find_sidebands(RESONANT, drive)
-            eff = effective_parameters(RESONANT, drive, sb)
-            value = eff.Omega1_eff if z.mode == 1 else eff.Omega2_eff
-            assert abs(value) <= 1e-12
+        # Omega1_eff vanishes at omega_D = 2 Omega1/|n|, Omega2_eff at 2 Omega2/|n|
+        for order in range(-18, 0):
+            for cavity in ("Omega1", "Omega2"):
+                drive = drive_for(0.1, 2.0 * getattr(RESONANT, cavity) / abs(order))
+                eff = effective_parameters(RESONANT, drive, find_sidebands(RESONANT, drive))
+                assert abs(getattr(eff, f"{cavity}_eff")) <= 1e-12
 
 
 class TestValidityReport:
@@ -246,12 +232,11 @@ class TestValleyStructure:
         assert np.all(values[sat] == RESONANT.Omega1)
 
     def test_order_constant_across_each_zero(self):
-        for z in omega_zero_frequencies(RESONANT, (-18, -1)):
-            if z.mode != 1:
-                continue
+        # the mode-1 zero of order n sits at omega_D = 2 Omega1/|n|
+        for order in range(-18, 0):
             for shift in (-1e-3, 1e-3):
-                sb = find_sidebands(RESONANT, drive_for(0.1, z.omega_d + shift))
-                assert sb.n0 == z.order
+                omega_d = 2.0 * RESONANT.Omega1 / abs(order) + shift
+                assert find_sidebands(RESONANT, drive_for(0.1, omega_d)).n0 == order
 
 
 class TestEffectiveTableValidation:

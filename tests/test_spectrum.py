@@ -6,7 +6,7 @@ import pytest
 
 from lambdajc.effective import HIERARCHY_RATIO_MAX, RWA_RATIO_MAX, effective_table
 from lambdajc import spectrum
-from lambdajc.params import DriveParams, SystemParams, sweep_values
+from lambdajc.params import MODEL_FIELDS, DriveParams, SystemParams, sweep_values
 from lambdajc.spectrum import (
     _EFFECTIVE_MODEL,
     STATIC_BLOCK_WINDOW,
@@ -544,9 +544,6 @@ def test_driven_grid_mode1_detuning_axis():
 def test_label_sequence_collapses_duplicates():
     labels = [(0, 0), (0, 0), (1, 0), (1, 0), (0, 0), (2, 0)]
     assert label_sequence(labels) == [(0, 0), (1, 0), (0, 0), (2, 0)]
-
-
-MODEL_FIELDS = ("omega1", "omega2", "Omega1", "Omega2", "g1", "g2")
 
 
 def oracle_effective(cell):
