@@ -24,14 +24,7 @@ from .dynamics import (
     loschmidt_echo,
     sector_states,
 )
-from .effective import (
-    EffectiveParams,
-    SidebandInfo,
-    ValidityReport,
-    effective_parameters,
-    find_sidebands,
-    validity_report,
-)
+from .effective import effective_point
 from .params import DriveParams, SystemParams
 from .specfun import bessel_j
 from .spectrum import (

@@ -36,16 +36,16 @@ config hash, command and OUTPUT_VERSION.  Under it, a cache hit also needs
 the CSV's digest to match, and the partial CSV is resumed; without it, the
 partial CSV is deleted before any work.
 
-Before anything is written, every sweep axis endpoint is checked by
-building the SystemParams or DriveParams it implies, an echo's dt_max
-against the sampling bound of both branches, and the worker count, from
---workers or the config, by config.worker_count.  A manifest.json that
-is not UTF-8, not a JSON object, or whose cell counts or deviations have the
-wrong JSON type, counts as no manifest.
+Before anything is written, the first and last value of every sweep axis
+is checked by building the SystemParams or DriveParams it implies, an
+echo's dt_max against the sampling bound of both branches, and the worker
+count, from --workers or the config, by config.worker_count.  A
+manifest.json that is not UTF-8, not a JSON object, or whose cell counts
+or deviations have the wrong JSON type, counts as no manifest.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime or validity
-failure (validity failures only fail the run under --strict; a pool
-worker that dies and an echo the propagator cannot take are runtime
+Exit codes: 0 success, 1 usage or configuration error, 2 runtime or
+validity failure (validity failures only fail the run under --strict; a
+pool worker that dies and an echo the propagator cannot take are runtime
 failures).
 """
 
@@ -461,11 +461,12 @@ def _default_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
 def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
     """The command's validated sweep axes (none for echo).
 
-    Each axis endpoint must make valid SystemParams and DriveParams.  Every
-    command but static-phase also has its drive checked over the sweep: the
-    largest Bessel argument 2 theta = 2 A_D / omega_D must be one specfun
-    supports.  An echo's dt_max must be within the sampling bound of both
-    branches of its pair."""
+    The first and last value of each axis (its start alone at one point)
+    must make valid SystemParams and DriveParams.  Every command but
+    static-phase also has its drive checked over the sweep: the largest
+    Bessel argument 2 theta = 2 A_D / omega_D must be one specfun supports.
+    An echo's dt_max must be within the sampling bound of both branches of
+    its pair."""
     axes = []
     if command != "echo":
         axes = cfg.sweep if cfg.sweep else _default_axes(command, cfg)
@@ -481,7 +482,7 @@ def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
     drive = None if command == "static-phase" else cfg.drive_or_default()
     values = sweep_values(cfg.model, drive)
     for ax in axes:
-        for end in (ax.start, ax.stop):
+        for end in ax.values()[[0, -1]].tolist():
             try:
                 from_sweep_values({**values, ax.parameter: end})
             except ValueError as exc:
@@ -603,6 +604,19 @@ def _finish(deviations: list[str], strict: bool) -> int:
     return 0
 
 
+def _workers_flag(text: str) -> int:
+    """--workers takes what the config's workers field takes: a positive
+    integer or "auto", resolved by config.worker_count."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    try:
+        return worker_count(value)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lambdajc",
@@ -613,10 +627,16 @@ def main(argv=None) -> int:
                                          "when omitted)")
     parser.add_argument("--out", help=f"output directory (overrides "
                                       f"${OUTPUT_ENV_VAR} and the config)")
-    parser.add_argument("--workers", type=int, help="parallel worker count")
+    parser.add_argument("--workers", type=_workers_flag,
+                        help="parallel worker count, or auto for one per CPU")
     parser.add_argument("--strict", action="store_true",
                         help="fail (exit 2) on validity deviations")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, a code this CLI keeps for
+        # runtime failures; --help exits 0
+        return 1 if exc.code else 0
 
     try:
         if args.config is not None:

@@ -45,14 +45,16 @@ z*sin(w_D*t) phases are not linear in t; it uses a fourth-order
 commutator-free exponential integrator (CF4: two Gauss-node exponentials
 per substep).  A TermList stores its entries once, on one fixed pattern
 laid out as padded rows; for each exponential their values are rewritten
-and the products are taken row by row with numpy, the weights of every
-exponential of the run are evaluated in one call, and each exponential is
-a Taylor polynomial whose degree is fixed once per run from a norm bound
-so that the dropped remainder is below unit roundoff; the scheme preserves
-the norm to roundoff.  The substep is chosen once per run: the longest
-one, within dt_max and the sampling bound 2*pi/(20*phi_max), whose error
-in the sampled amplitudes, estimated by a Richardson pair on the first
-substep and added up over the run, is at most STEP_TOL (1e-7).  phi_max is
+and the products are taken row by row with numpy, the weights of the
+exponentials are evaluated one block of whole sample intervals at a time
+(at most CF4_BLOCK_EXPONENTIALS exponentials, or one interval), and each
+exponential is a Taylor polynomial whose degree is fixed once per run from
+a norm bound so that the dropped remainder is below unit roundoff; the
+scheme preserves the norm to roundoff.  The substep is chosen once per
+run: the longest one, within dt_max and the sampling bound
+2*pi/(20*phi_max), whose error in the sampled amplitudes, estimated by a
+Richardson pair on the first substep and added up over the run, is at
+most STEP_TOL (1e-7).  phi_max is
 the peak instantaneous frequency max(|phi| + |z|*w_D) over the terms.
 dt_max is checked against that bound for every variant, but it sets only
 the CF4 substep.
@@ -66,7 +68,7 @@ from enum import Enum
 
 import numpy as np
 
-from .effective import SidebandInfo, _sideband_bases, effective_parameters, find_sidebands
+from .effective import _sideband_bases, effective_point
 from .params import DriveParams, SystemParams
 
 DEFAULT_T_MAX = 200.0
@@ -389,50 +391,50 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
         return TermList(terms=terms, space=space, frame=np.zeros(space.dim))
 
     drive = spec.drive
-    sb = find_sidebands(sys, drive)
-    eff = effective_parameters(sys, drive, sb)
+    rec = effective_point(sys, drive)
 
     if spec.variant is Variant.DRIVE_ROTATED:
         # sum_p g J_p(z) exp(i(phi + p wd)t) = g exp(i(phi t + z sin(wd t)))
         theta, wd = drive.theta, drive.frequency
         base1, base2 = _sideband_bases(sys.omega1, sys.omega2, sys.Omega1, sys.Omega2)
-        _pair(terms, s31a1, sys.g1, sb.delta1, theta, wd)
+        _pair(terms, s31a1, sys.g1, rec["delta1"], theta, wd)
         _pair(terms, s31a1d, sys.g1, base1, theta, wd)
-        _pair(terms, s32a2, sys.g2, sb.delta2, 2.0 * theta, wd)
+        _pair(terms, s32a2, sys.g2, rec["delta2"], 2.0 * theta, wd)
         _pair(terms, s32a2d, sys.g2, base2, 2.0 * theta, wd)
         return TermList(terms=terms, space=space)
 
     if spec.variant is Variant.DOMINANT_SIDEBAND:
-        _pair(terms, s31a1, eff.gr1, sb.delta1)
-        _pair(terms, s31a1d, eff.gc1, sb.Delta_n0)
-        _pair(terms, s32a2, eff.gr2, sb.delta2)
-        _pair(terms, s32a2d, eff.gc2, sb.Delta_m0)
-        return TermList(terms=terms, space=space, frame=_dominant_frame(sb, space))
+        _pair(terms, s31a1, rec["gr1"], rec["delta1"])
+        _pair(terms, s31a1d, rec["gc1"], rec["Delta_n0"])
+        _pair(terms, s32a2, rec["gr2"], rec["delta2"])
+        _pair(terms, s32a2d, rec["gc2"], rec["Delta_m0"])
+        return TermList(terms=terms, space=space, frame=_dominant_frame(rec, space))
 
     # time-independent effective variants
-    _self_adjoint(terms, s33_s22, eff.omega2_eff)
-    _self_adjoint(terms, s33_s11, eff.omega1_eff)
-    _self_adjoint(terms, n2, eff.Omega2_eff)
-    _self_adjoint(terms, n1, eff.Omega1_eff)
-    _pair(terms, s31a1, eff.gr1, 0.0)
-    _pair(terms, s32a2, eff.gr2, 0.0)
+    _self_adjoint(terms, s33_s22, rec["omega2_eff"])
+    _self_adjoint(terms, s33_s11, rec["omega1_eff"])
+    _self_adjoint(terms, n2, rec["Omega2_eff"])
+    _self_adjoint(terms, n1, rec["Omega1_eff"])
+    _pair(terms, s31a1, rec["gr1"], 0.0)
+    _pair(terms, s32a2, rec["gr2"], 0.0)
     if spec.variant is Variant.EFFECTIVE_FULL:
-        _pair(terms, s31a1d, eff.gc1, 0.0)
-        _pair(terms, s32a2d, eff.gc2, 0.0)
+        _pair(terms, s31a1d, rec["gc1"], 0.0)
+        _pair(terms, s32a2d, rec["gc2"], 0.0)
     return TermList(terms=terms, space=space, frame=np.zeros(space.dim))
 
 
-def _dominant_frame(sb: SidebandInfo, space: HilbertSpace) -> np.ndarray:
-    """K = alpha*n1 + beta*n2 + e_atom, the frame of DOMINANT_SIDEBAND.
+def _dominant_frame(rec: dict, space: HilbertSpace) -> np.ndarray:
+    """K = alpha*n1 + beta*n2 + e_atom, the frame of DOMINANT_SIDEBAND, from
+    the effective-parameter record rec.
 
     |3><1| a1 (phase delta1) and |3><1| a1' (phase Delta_n0) ask for
     e3 - e1 - alpha = delta1 and e3 - e1 + alpha = Delta_n0, and mode 2
     likewise with beta, e2, delta2 and Delta_m0; e3 = 0 fixes the offset.
+    So alpha = (Delta_n0 - delta1)/2 is Omega1_eff, and beta is Omega2_eff.
     """
-    alpha = (sb.Delta_n0 - sb.delta1) / 2.0
-    beta = (sb.Delta_m0 - sb.delta2) / 2.0
-    e_atom = np.array([-(sb.Delta_n0 + sb.delta1) / 2.0,
-                       -(sb.Delta_m0 + sb.delta2) / 2.0, 0.0])
+    alpha, beta = rec["Omega1_eff"], rec["Omega2_eff"]
+    e_atom = np.array([-(rec["Delta_n0"] + rec["delta1"]) / 2.0,
+                       -(rec["Delta_m0"] + rec["delta2"]) / 2.0, 0.0])
     return alpha * space._n1 + beta * space._n2 + e_atom[space._atom - 1]
 
 
@@ -465,6 +467,9 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # then exp(-ih(X_LO H_early + X_HI H_late)), H_early/late = H(t + node*h)
 _CF4_NODES = np.array([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0])
 _X_HI, _X_LO = 0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0
+#: Most exponentials whose weights evolve holds at once, unless one sample
+#: interval takes more: the weights' memory stays bounded whatever t_max.
+CF4_BLOCK_EXPONENTIALS = 4096
 
 
 def _taylor_degree(terms: TermList, h: float) -> int:
@@ -627,10 +632,13 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
                          max(1, math.ceil(interval / h_max)), times.size - 1)
         h = interval / nsub
         degree = _taylor_degree(terms, h)
-        weights = _cf4_weights(terms, times[:-1], h, nsub)
-        for i, interval_weights in enumerate(weights, start=1):
-            psi = _cf4_steps(terms, psi, interval_weights, h, degree)
-            states[i] = psi
+        starts = times[:-1]
+        block = max(1, CF4_BLOCK_EXPONENTIALS // (2 * nsub))
+        for first in range(0, starts.size, block):
+            weights = _cf4_weights(terms, starts[first:first + block], h, nsub)
+            for i, interval_weights in enumerate(weights, start=first + 1):
+                psi = _cf4_steps(terms, psi, interval_weights, h, degree)
+                states[i] = psi
 
     norms = np.linalg.norm(states, axis=1)
     pop = np.abs(states) ** 2

@@ -28,17 +28,17 @@ The frame change is bookkeeping-exact: delta1 + Omega1_eff = 2 omega1_eff +
 omega2_eff and D_{n0} - Omega1_eff = 2 omega1_eff + omega2_eff (same for
 mode 2), identities the test suite checks on random draws.
 
-The formulas are written once, as array stages that accept floats or
-arrays.  effective_table runs them over whole sweep rows (the driven grid
-and the effective-params command); find_sidebands, effective_parameters
-and validity_report are their one-point forms and agree with it bit for
-bit.
+The formulas are written once, in _record, which builds the one
+effective-parameter record from floats or arrays alike.  effective_table
+runs it over whole slices of cells (CHUNK_CELLS cells of a driven grid or
+of the effective-params axis); effective_point is its one-point form,
+with the same keys as Python floats, ints and bools, and agrees with it
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,51 +56,12 @@ HIERARCHY_RATIO_MAX = 0.4
 RWA_RATIO_MAX = 0.01
 
 
-@dataclass(frozen=True)
-class SidebandInfo:
-    """Resolved sideband orders and the signed minimized phases."""
-
-    n0: int
-    m0: int
-    Delta_n0: float
-    Delta_m0: float
-    delta1: float
-    delta2: float
-
-
-@dataclass(frozen=True)
-class EffectiveParams:
-    Omega1_eff: float
-    Omega2_eff: float
-    omega1_eff: float
-    omega2_eff: float
-    gr1: float
-    gr2: float
-    gc1: float
-    gc2: float
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Eight dimensionless ratios plus the two derived verdicts.
-
-    hierarchy_ok: every scale the drive must dominate (detunings, minimized
-    sideband phases, both couplings) stays below HIERARCHY_RATIO_MAX of
-    omega_D.  rwa_ok: both counter-rotating sideband couplings stay below
-    RWA_RATIO_MAX of their oscillation frequency.
-    """
-
-    ratios: dict[str, float]
-    hierarchy_ok: bool
-    rwa_ok: bool
-
-
 # ---------------------------------------------------------------------------
-# array stages: every argument may be a float or an array, elementwise.
+# the record's helpers: every argument may be a float or an array, elementwise.
 # Plain operators serve both; the few steps that need a numpy call on arrays
-# keep a Python branch for floats so the one-point forms stay cheap:
-# acceptance criterion 6 (10,019 find_sidebands + effective_parameters pairs
-# in under 1 s) takes about ten times as long through array reads.
+# keep a Python branch for floats so the one-point form stays cheap:
+# acceptance criterion 6 (10,019 effective_point calls in under 1 s) takes
+# about ten times as long through array reads.
 
 
 def _clip(x, bound):
@@ -109,17 +70,18 @@ def _clip(x, bound):
     return max(-bound, min(bound, x))
 
 
+def _as_int(x):
+    if isinstance(x, np.ndarray):
+        return x.astype(np.int64)
+    return int(x)
+
+
 def _ratio_or_inf(num, den):
     """|num / den|, infinite where den == 0."""
     if isinstance(den, np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(den != 0.0, abs(num / den), np.inf)
     return abs(num / den) if den != 0.0 else math.inf
-
-
-def _detunings(omega1, omega2, Omega1, Omega2):
-    w1, w2 = transition_frequencies(omega1, omega2)
-    return w1 - Omega1, w2 - Omega2
 
 
 def _argmin_order(base, omega_d):
@@ -142,20 +104,12 @@ def _sideband_bases(omega1, omega2, Omega1, Omega2):
     return w1 + Omega1, w2 + Omega2
 
 
-def _sidebands(omega1, omega2, Omega1, Omega2, omega_d):
-    """(n0, m0, Delta_n0, Delta_m0, delta1, delta2)."""
-    delta1, delta2 = _detunings(omega1, omega2, Omega1, Omega2)
-    base1, base2 = _sideband_bases(omega1, omega2, Omega1, Omega2)
-    n0, dn0 = _argmin_order(base1, omega_d)
-    m0, dm0 = _argmin_order(base2, omega_d)
-    return n0, m0, dn0, dm0, delta1, delta2
-
-
 def _bessel_each(orders, x):
     """bessel_j(order, x) evaluated once per distinct (order, x) pair.
 
-    Along a sweep row theta and the sideband orders rarely change, so the
-    scalar Bessel evaluator runs a handful of times instead of per cell.
+    Within a slice of grid cells theta takes one value per A_D row and the
+    sideband orders rarely change, so the scalar Bessel evaluator runs a
+    handful of times instead of per cell.
     """
     if not isinstance(x, np.ndarray):
         return bessel_j(int(orders), x)
@@ -165,90 +119,63 @@ def _bessel_each(orders, x):
     return np.array([memo[key] for key in keys]).reshape(x.shape)
 
 
-def _effective(d1, d2, dn, dm, n0, m0, g1, g2, theta) -> dict:
-    """The EffectiveParams fields for resolved sidebands."""
-    return {
-        "Omega1_eff": (dn - d1) / 2.0,
-        "Omega2_eff": (dm - d2) / 2.0,
-        "omega1_eff": ((2.0 * d1 - d2) + (2.0 * dn - dm)) / 6.0,
-        "omega2_eff": ((2.0 * d2 - d1) + (2.0 * dm - dn)) / 6.0,
-        "gr1": g1 * _bessel_each(0, theta),
-        "gr2": g2 * _bessel_each(0, 2.0 * theta),
-        "gc1": g1 * _bessel_each(n0, theta),
-        "gc2": g2 * _bessel_each(m0, 2.0 * theta),
-    }
+def _record(omega1, omega2, Omega1, Omega2, g1, g2, amplitude, frequency) -> dict:
+    """The effective-parameter record, elementwise: theta, the sideband
+    orders and signed phases, the detunings, the effective frequencies and
+    couplings, the validity ratios and the two verdicts.
 
-
-RATIO_NAMES = ("delta1/omega_D", "delta2/omega_D", "Delta_n0/omega_D",
-               "Delta_m0/omega_D", "g1/omega_D", "g2/omega_D",
-               "gc1/Delta_n0", "gc2/Delta_m0")
-
-
-def _validity(d1, d2, dn, dm, g1, g2, gc1, gc2, omega_d):
-    """(ratios keyed by RATIO_NAMES, hierarchy_ok, rwa_ok)."""
-    hierarchy = [abs(d1) / omega_d, abs(d2) / omega_d, abs(dn) / omega_d,
-                 abs(dm) / omega_d, g1 / omega_d, g2 / omega_d]
+    hierarchy_ok: every scale the drive must dominate (detunings, minimized
+    sideband phases, both couplings) stays below HIERARCHY_RATIO_MAX of
+    omega_D.  rwa_ok: both counter-rotating sideband couplings stay below
+    RWA_RATIO_MAX of their oscillation frequency.
+    """
+    theta = amplitude / frequency
+    w1, w2 = transition_frequencies(omega1, omega2)
+    d1, d2 = w1 - Omega1, w2 - Omega2
+    base1, base2 = _sideband_bases(omega1, omega2, Omega1, Omega2)
+    n0, dn = _argmin_order(base1, frequency)
+    m0, dm = _argmin_order(base2, frequency)
+    n0, m0 = _as_int(n0), _as_int(m0)
+    gc1, gc2 = g1 * _bessel_each(n0, theta), g2 * _bessel_each(m0, 2.0 * theta)
+    hierarchy = {"delta1/omega_D": abs(d1) / frequency,
+                 "delta2/omega_D": abs(d2) / frequency,
+                 "Delta_n0/omega_D": abs(dn) / frequency,
+                 "Delta_m0/omega_D": abs(dm) / frequency,
+                 "g1/omega_D": g1 / frequency, "g2/omega_D": g2 / frequency}
     # A vanishing sideband phase makes the counter-rotating term secular:
     # report the ratio as infinite and fail the audit outright.
-    rwa = [_ratio_or_inf(gc1, dn), _ratio_or_inf(gc2, dm)]
-    hierarchy_ok = True
-    for r in hierarchy:
+    rwa = {"gc1/Delta_n0": _ratio_or_inf(gc1, dn),
+           "gc2/Delta_m0": _ratio_or_inf(gc2, dm)}
+    hierarchy_ok = rwa_ok = True
+    for r in hierarchy.values():
         hierarchy_ok = hierarchy_ok & (r < HIERARCHY_RATIO_MAX)
-    rwa_ok = (rwa[0] < RWA_RATIO_MAX) & (rwa[1] < RWA_RATIO_MAX)
-    return dict(zip(RATIO_NAMES, hierarchy + rwa)), hierarchy_ok, rwa_ok
+    for r in rwa.values():
+        rwa_ok = rwa_ok & (r < RWA_RATIO_MAX)
+    return {"theta": theta, "n0": n0, "m0": m0, "Delta_n0": dn, "Delta_m0": dm,
+            "delta1": d1, "delta2": d2,
+            "Omega1_eff": (dn - d1) / 2.0, "Omega2_eff": (dm - d2) / 2.0,
+            "omega1_eff": ((2.0 * d1 - d2) + (2.0 * dn - dm)) / 6.0,
+            "omega2_eff": ((2.0 * d2 - d1) + (2.0 * dm - dn)) / 6.0,
+            "gr1": g1 * _bessel_each(0, theta), "gr2": g2 * _bessel_each(0, 2.0 * theta),
+            "gc1": gc1, "gc2": gc2, **hierarchy, **rwa,
+            "hierarchy_ok": hierarchy_ok, "rwa_ok": rwa_ok}
 
 
 def effective_table(omega1, omega2, Omega1, Omega2, g1, g2, amplitude,
                     frequency) -> dict[str, np.ndarray]:
-    """find_sidebands, effective_parameters and validity_report at once for
-    every element of the broadcast model and drive arrays.
-
-    Keys: theta, the SidebandInfo and EffectiveParams field names,
-    RATIO_NAMES, hierarchy_ok and rwa_ok; every value has the broadcast
-    shape.  Each element equals the scalar functions' result bit for bit.
-    """
+    """The effective-parameter record (see _record) of every element of the
+    broadcast model and drive arrays; every value has the broadcast shape."""
     (omega1, omega2, Omega1, Omega2, g1, g2, amplitude, frequency) = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in
           (omega1, omega2, Omega1, Omega2, g1, g2, amplitude, frequency)))
     bad = ~(np.isfinite(frequency) & (frequency > 0))
     if np.any(bad):
         raise ValueError(f"finite drive frequency > 0 required, got {frequency[bad][0]}")
-    theta = amplitude / frequency
-    n0, m0, dn, dm, d1, d2 = _sidebands(omega1, omega2, Omega1, Omega2, frequency)
-    n0, m0 = n0.astype(np.int64), m0.astype(np.int64)
-    eff = _effective(d1, d2, dn, dm, n0, m0, g1, g2, theta)
-    ratios, hierarchy_ok, rwa_ok = _validity(d1, d2, dn, dm, g1, g2, eff["gc1"],
-                                             eff["gc2"], frequency)
-    return {"theta": theta, "n0": n0, "m0": m0, "Delta_n0": dn, "Delta_m0": dm,
-            "delta1": d1, "delta2": d2, **eff, **ratios,
-            "hierarchy_ok": hierarchy_ok, "rwa_ok": rwa_ok}
+    return _record(omega1, omega2, Omega1, Omega2, g1, g2, amplitude, frequency)
 
 
-# ---------------------------------------------------------------------------
-# one-point forms
-
-
-def find_sidebands(sys: SystemParams, drive: DriveParams) -> SidebandInfo:
-    """Resolve the dominant counter-rotating sideband order of each mode."""
-    n0, m0, dn0, dm0, delta1, delta2 = _sidebands(
-        sys.omega1, sys.omega2, sys.Omega1, sys.Omega2, drive.frequency)
-    return SidebandInfo(n0=int(n0), m0=int(m0), Delta_n0=float(dn0),
-                        Delta_m0=float(dm0), delta1=delta1, delta2=delta2)
-
-
-def effective_parameters(sys: SystemParams, drive: DriveParams,
-                         sb: SidebandInfo) -> EffectiveParams:
-    """Effective frequencies and couplings for the resolved sidebands."""
-    eff = _effective(sb.delta1, sb.delta2, sb.Delta_n0, sb.Delta_m0, sb.n0, sb.m0,
-                     sys.g1, sys.g2, drive.theta)
-    return EffectiveParams(**{k: float(v) for k, v in eff.items()})
-
-
-def validity_report(sys: SystemParams, drive: DriveParams, sb: SidebandInfo,
-                    eff: EffectiveParams) -> ValidityReport:
-    """Audit the two approximation layers behind the effective model."""
-    ratios, hierarchy_ok, rwa_ok = _validity(
-        sb.delta1, sb.delta2, sb.Delta_n0, sb.Delta_m0, sys.g1, sys.g2,
-        eff.gc1, eff.gc2, drive.frequency)
-    return ValidityReport(ratios={k: float(v) for k, v in ratios.items()},
-                          hierarchy_ok=bool(hierarchy_ok), rwa_ok=bool(rwa_ok))
+def effective_point(sys: SystemParams, drive: DriveParams) -> dict:
+    """The effective-parameter record of one model and drive: effective_table's
+    keys, as Python floats, ints and bools, equal to its element bit for bit."""
+    return _record(sys.omega1, sys.omega2, sys.Omega1, sys.Omega2, sys.g1, sys.g2,
+                   drive.amplitude, drive.frequency)

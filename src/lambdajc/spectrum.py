@@ -66,7 +66,7 @@ from enum import Enum
 
 import numpy as np
 
-from .effective import RATIO_NAMES, ValidityReport, effective_table
+from .effective import effective_table
 from .params import (
     MODEL_FIELDS,
     DriveParams,
@@ -394,8 +394,9 @@ def ground_search(sys: SystemParams, block_window: int = STATIC_BLOCK_WINDOW) ->
 
 def driven_phase_point(sys: SystemParams, drive: DriveParams,
                        block_window: int = DRIVEN_BLOCK_WINDOW,
-                       ) -> tuple[PhasePoint, ValidityReport]:
-    """Ground block of the drive-renormalized model.
+                       ) -> tuple[PhasePoint, dict]:
+    """Ground block of the drive-renormalized model, and the cell's
+    effective-parameter record (effective.effective_point's keys and values).
 
     The effective frequencies and zeroth-sideband couplings replace the
     bare parameters verbatim - signs included.  A non-positive effective
@@ -405,10 +406,7 @@ def driven_phase_point(sys: SystemParams, drive: DriveParams,
     rejecting the point.
     """
     cells, eff = _ground_cells(_one_cell(sys, drive), block_window)
-    report = ValidityReport(ratios={k: float(eff[k][0]) for k in RATIO_NAMES},
-                            hierarchy_ok=bool(eff["hierarchy_ok"][0]),
-                            rwa_ok=bool(eff["rwa_ok"][0]))
-    return _point(cells, 0), report
+    return _point(cells, 0), {k: v[0].item() for k, v in eff.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import lambdajc as lj
-from lambdajc.effective import effective_parameters, find_sidebands, validity_report
+from lambdajc.effective import effective_point
 from lambdajc.params import DriveParams, SystemParams
 from lambdajc.spectrum import label_sequence, locate_boundary, sweep_grid, AxisSpec
 
@@ -125,19 +125,19 @@ def test_criterion_04_static_phase_sequences():
 def test_criterion_05_sideband_table():
     published = {0.18: (-14, -11), 0.49: (-5, -4)}
     for omega_d, expected in published.items():
-        sb = find_sidebands(RESONANT, DriveParams.from_theta(0.5, omega_d))
-        assert (sb.n0, sb.m0) == expected
+        rec = effective_point(RESONANT, DriveParams.from_theta(0.5, omega_d))
+        assert (rec["n0"], rec["m0"]) == expected
     # the exhaustive argmin is authoritative where it disagrees with the
     # published table
     caption = {0.14: (-17, -14), 0.33: (-7, -6)}
     for omega_d, quoted in caption.items():
-        sb = find_sidebands(RESONANT, DriveParams.from_theta(0.5, omega_d))
+        rec = effective_point(RESONANT, DriveParams.from_theta(0.5, omega_d))
         n_ref, _ = brute_sideband(2.5, omega_d)
         m_ref, _ = brute_sideband(2.0, omega_d)
-        assert (sb.n0, sb.m0) == (n_ref, m_ref)
-        if (sb.n0, sb.m0) != quoted:
+        assert (rec["n0"], rec["m0"]) == (n_ref, m_ref)
+        if (rec["n0"], rec["m0"]) != quoted:
             print(f"DEVIATION criterion 5: omega_D={omega_d} argmin gives "
-                  f"({sb.n0}, {sb.m0}); published table quotes {quoted}")
+                  f"({rec['n0']}, {rec['m0']}); published table quotes {quoted}")
     print("PASS criterion 5: sideband orders match the exhaustive argmin "
           "(published values at 0.18 and 0.49 reproduced)")
 
@@ -147,34 +147,28 @@ def test_criterion_06_effective_frequency_valleys():
     # zeros at drive frequencies 2*Omega1/|n0|
     for order in range(-18, 0):
         omega_d = 2.0 * RESONANT.Omega1 / abs(order)
-        drive = DriveParams.from_theta(0.1, omega_d)
-        sb = find_sidebands(RESONANT, drive)
-        eff = effective_parameters(RESONANT, drive, sb)
-        assert sb.n0 == order
-        assert abs(eff.Omega1_eff) <= 1e-12
+        rec = effective_point(RESONANT, DriveParams.from_theta(0.1, omega_d))
+        assert rec["n0"] == order
+        assert abs(rec["Omega1_eff"]) <= 1e-12
     # piecewise linearity across a dense frequency grid
     omegas = np.linspace(0.05, 12.0, 10_000)
     last_order = None
     for wd in omegas:
-        drive = DriveParams.from_theta(0.1, float(wd))
-        sb = find_sidebands(RESONANT, drive)
-        eff = effective_parameters(RESONANT, drive, sb)
-        expected = (2.5 + sb.n0 * wd) / 2.0
-        assert abs(eff.Omega1_eff - expected) <= 1e-12
+        rec = effective_point(RESONANT, DriveParams.from_theta(0.1, float(wd)))
+        expected = (2.5 + rec["n0"] * wd) / 2.0
+        assert abs(rec["Omega1_eff"] - expected) <= 1e-12
         if last_order is not None:
-            assert sb.n0 >= last_order
-        last_order = sb.n0
+            assert rec["n0"] >= last_order
+        last_order = rec["n0"]
         # exact saturation once the zeroth sideband dominates
         if wd > 2.0 * (2.0 * RESONANT.omega1 + RESONANT.omega2 + RESONANT.Omega1):
-            assert eff.Omega1_eff == RESONANT.Omega1
+            assert rec["Omega1_eff"] == RESONANT.Omega1
     # the saturation onset sits at twice the counter-rotating base frequency
     # (2*(2*omega1+omega2+Omega1) = 5 here, i.e. 4*Omega1), not at
     # 2*(2*omega1+omega2) = 2.5: between those the signed effective
     # frequency is still negative on the last linear ramp.
-    mid = DriveParams.from_theta(0.1, 3.0)
-    sb = find_sidebands(RESONANT, mid)
-    eff = effective_parameters(RESONANT, mid, sb)
-    assert sb.n0 == -1 and eff.Omega1_eff == pytest.approx(-0.25, abs=1e-15)
+    mid = effective_point(RESONANT, DriveParams.from_theta(0.1, 3.0))
+    assert mid["n0"] == -1 and mid["Omega1_eff"] == pytest.approx(-0.25, abs=1e-15)
     print("DEVIATION criterion 6: saturation onset is at "
           "2*(2*omega1+omega2+Omega1) = 5.0 (4*Omega1), not at "
           "2*(2*omega1+omega2) = 2.5; the stated threshold omits the "
@@ -197,11 +191,8 @@ def test_criterion_07_echo_rotated_vs_dominant(omega_d):
 
 def _theta_below_validity(omega_d: float) -> float:
     def worst(theta):
-        drive = DriveParams.from_theta(theta, omega_d)
-        sb = find_sidebands(RESONANT, drive)
-        eff = effective_parameters(RESONANT, drive, sb)
-        rep = validity_report(RESONANT, drive, sb, eff)
-        return max(rep.ratios["gc1/Delta_n0"], rep.ratios["gc2/Delta_m0"])
+        rec = effective_point(RESONANT, DriveParams.from_theta(theta, omega_d))
+        return max(rec["gc1/Delta_n0"], rec["gc2/Delta_m0"])
 
     grid = np.linspace(0.05, 6.0, 300)
     values = [worst(float(t)) for t in grid]
@@ -223,9 +214,7 @@ def test_criterion_08_echo_effective_pair_and_superpositions():
     for omega_d in ECHO_FREQUENCIES:
         theta = _theta_below_validity(omega_d)
         drive = DriveParams.from_theta(theta, omega_d)
-        sb = find_sidebands(RESONANT, drive)
-        eff = effective_parameters(RESONANT, drive, sb)
-        assert validity_report(RESONANT, drive, sb, eff).rwa_ok
+        assert effective_point(RESONANT, drive)["rwa_ok"]
         spec_a = lj.HamiltonianSpec(variant=lj.Variant.EFFECTIVE_FULL,
                                     sys=RESONANT, drive=drive)
         spec_b = lj.HamiltonianSpec(variant=lj.Variant.EFFECTIVE_JC,
@@ -341,14 +330,13 @@ def test_criterion_10_numerical_integrity():
         )
         dr = DriveParams(amplitude=float(rng.uniform(0.0, 5.0)),
                          frequency=float(rng.uniform(0.05, 10.0)))
-        sb = find_sidebands(sys, dr)
-        eff = effective_parameters(sys, dr, sb)
-        lhs = 2.0 * eff.omega1_eff + eff.omega2_eff
-        rhs = eff.omega1_eff + 2.0 * eff.omega2_eff
-        assert abs(sb.delta1 + eff.Omega1_eff - lhs) <= 1e-12
-        assert abs(sb.Delta_n0 - eff.Omega1_eff - lhs) <= 1e-12
-        assert abs(sb.delta2 + eff.Omega2_eff - rhs) <= 1e-12
-        assert abs(sb.Delta_m0 - eff.Omega2_eff - rhs) <= 1e-12
+        rec = effective_point(sys, dr)
+        lhs = 2.0 * rec["omega1_eff"] + rec["omega2_eff"]
+        rhs = rec["omega1_eff"] + 2.0 * rec["omega2_eff"]
+        assert abs(rec["delta1"] + rec["Omega1_eff"] - lhs) <= 1e-12
+        assert abs(rec["Delta_n0"] - rec["Omega1_eff"] - lhs) <= 1e-12
+        assert abs(rec["delta2"] + rec["Omega2_eff"] - rhs) <= 1e-12
+        assert abs(rec["Delta_m0"] - rec["Omega2_eff"] - rhs) <= 1e-12
 
     # special-function identities at their stated tolerances
     for x in np.linspace(0.1, 20.0, 15):
@@ -393,7 +381,7 @@ def test_criterion_11_driven_phase_sequences_best_effort():
     capped = []
     for tt in two_theta:
         drive = DriveParams.from_theta(float(tt) / 2.0, omega_d)
-        point, report = lj.driven_phase_point(RESONANT, drive, block_window=5)
+        point, _ = lj.driven_phase_point(RESONANT, drive, block_window=5)
         assert 0 <= point.label[0] <= 5 and 0 <= point.label[1] <= 5
         labels.append(point.label)
         capped.append(point.window_capped)

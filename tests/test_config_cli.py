@@ -1505,6 +1505,42 @@ class TestMainEntry:
         assert "workers must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["bogus"],
+        ["static-phase", "--nope"],
+        ["static-phase", "--workers", "abc"],
+    ])
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
+        # exit 2 is kept for runtime failures
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lambdajc") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: lambdajc")
+
+    def test_workers_flag_takes_auto(self, monkeypatch):
+        # the flag takes what the config's workers field takes
+        taken = []
+        monkeypatch.setattr(cli, "run_command",
+                            lambda *args, **kw: taken.append(kw["workers"]) or 0)
+        assert main(["static-phase", "--workers", "auto"]) == 0
+        assert taken == [worker_count("auto")]
+
+    def test_one_point_axis_ignores_its_stop(self, tmp_path):
+        # a one-point axis sweeps its start alone, so its stop goes unchecked
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sweep": [
+            {"start": 1.0, "stop": -5.0, "points": 1, "parameter": "g1"},
+            {"start": 0.0, "stop": 1.0, "points": 3, "parameter": "g2"}]}))
+        out = tmp_path / "out"
+        assert main(["static-phase", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = (out / "grid.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [
+            ["g1", "1", "g2", value] for value in ("0", "0.5", "1")]
+
     def test_retired_sideband_eps_key_exits_1(self, tmp_path, capsys):
         # truncation.sideband_eps changed no output since the closed-form
         # sidebands and is no longer a config key

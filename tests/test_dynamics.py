@@ -417,6 +417,35 @@ class TestEvolve:
                         rtol=1e-12, atol=1e-14, t_eval=res.times)
         assert np.max(np.abs(res.states.T - ref.y)) < 1e-8
 
+    def test_cf4_weights_come_in_bounded_blocks(self, monkeypatch):
+        # a drive-rotated run holds the CF4 weights of at most
+        # CF4_BLOCK_EXPONENTIALS exponentials at once, or of one sample
+        # interval, and the blocking moves no bit of the states
+        from lambdajc import dynamics
+        space = build_space(1, 1)
+        spec = _spec(Variant.DRIVE_ROTATED)
+        psi0 = coherent_state(space, 0.0, 0.0, "2+3")
+        shapes = []
+        weights = dynamics._cf4_weights
+
+        def spy(*args):
+            out = weights(*args)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(dynamics, "_cf4_weights", spy)
+        blocked = evolve(spec, space, psi0, t_max=200.0, samples=2000)
+        # the first two calls are the Richardson pair of _substeps
+        (intervals, per_interval, _), *_ = shapes[2:]
+        assert len(shapes) > 3 and intervals > 1
+        assert max(a * b for a, b, _ in shapes) <= dynamics.CF4_BLOCK_EXPONENTIALS
+        for bound, most in ((1, 1), (2 ** 62, 1999)):
+            monkeypatch.setattr(dynamics, "CF4_BLOCK_EXPONENTIALS", bound)
+            shapes.clear()
+            res = evolve(spec, space, psi0, t_max=200.0, samples=2000)
+            assert max(a for a, _, _ in shapes[2:]) == most
+            assert np.array_equal(res.states, blocked.states)
+
     def test_dominant_sideband_matches_reference_integrator(self):
         from scipy.integrate import solve_ivp
         space = build_space(2, 2)

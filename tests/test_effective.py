@@ -1,15 +1,9 @@
-import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from lambdajc.effective import (
-    effective_parameters,
-    effective_table,
-    find_sidebands,
-    validity_report,
-)
+from lambdajc.effective import effective_point, effective_table
 from lambdajc.params import MODEL_FIELDS, DriveParams, SystemParams
 from lambdajc.specfun import MAX_ORDER
 
@@ -25,8 +19,8 @@ def drive_for(theta: float, omega_d: float) -> DriveParams:
 class TestDetunings:
     # delta1 = 2 omega1 + omega2 - Omega1, delta2 = 2 omega2 + omega1 - Omega2
     def _detunings(self, sys):
-        sb = find_sidebands(sys, drive_for(0.1, 0.18))
-        return sb.delta1, sb.delta2
+        rec = effective_point(sys, drive_for(0.1, 0.18))
+        return rec["delta1"], rec["delta2"]
 
     def test_resonant_defaults(self):
         assert self._detunings(RESONANT) == (0.0, 0.0)
@@ -48,86 +42,76 @@ class TestFindSidebands:
         (0.49, (-5, -4)),
     ])
     def test_published_orders(self, omega_d, expected):
-        sb = find_sidebands(RESONANT, drive_for(0.5, omega_d))
-        assert (sb.n0, sb.m0) == expected
+        rec = effective_point(RESONANT, drive_for(0.5, omega_d))
+        assert (rec["n0"], rec["m0"]) == expected
 
     def test_high_frequency_limit(self):
-        sb = find_sidebands(RESONANT, drive_for(0.1, 6.0))
-        assert (sb.n0, sb.m0) == (0, 0)
-        assert sb.Delta_n0 == pytest.approx(2.5, abs=1e-15)
-        assert sb.Delta_m0 == pytest.approx(2.0, abs=1e-15)
+        rec = effective_point(RESONANT, drive_for(0.1, 6.0))
+        assert (rec["n0"], rec["m0"]) == (0, 0)
+        assert rec["Delta_n0"] == pytest.approx(2.5, abs=1e-15)
+        assert rec["Delta_m0"] == pytest.approx(2.0, abs=1e-15)
 
     def test_matches_brute_argmin(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
             omega_d = float(rng.uniform(0.03, 8.0))
-            sb = find_sidebands(RESONANT, drive_for(0.1, omega_d))
+            rec = effective_point(RESONANT, drive_for(0.1, omega_d))
             n_ref, dn_ref = brute_sideband(2.5, omega_d)
             m_ref, dm_ref = brute_sideband(2.0, omega_d)
-            assert (sb.n0, sb.m0) == (n_ref, m_ref)
-            assert sb.Delta_n0 == dn_ref
-            assert sb.Delta_m0 == dm_ref
+            assert (rec["n0"], rec["m0"]) == (n_ref, m_ref)
+            assert rec["Delta_n0"] == dn_ref
+            assert rec["Delta_m0"] == dm_ref
 
     def test_exact_tie_prefers_more_negative(self):
         # base1 = 2.5 exactly, omega_d = 1: |2.5 - 2| = |2.5 - 3| = 0.5
-        sb = find_sidebands(RESONANT, drive_for(0.0, 1.0))
-        assert sb.n0 == -3
-        assert sb.Delta_n0 == -0.5
+        rec = effective_point(RESONANT, drive_for(0.0, 1.0))
+        assert rec["n0"] == -3
+        assert rec["Delta_n0"] == -0.5
         # base2 = 2.0: minimized exactly at -2
-        assert sb.m0 == -2
-        assert sb.Delta_m0 == 0.0
+        assert rec["m0"] == -2
+        assert rec["Delta_m0"] == 0.0
 
     def test_signed_storage(self):
-        sb = find_sidebands(RESONANT, drive_for(0.5, 0.18))
-        assert sb.Delta_n0 == pytest.approx(-0.02, abs=1e-15)
-        assert sb.Delta_m0 == pytest.approx(0.02, abs=1e-15)
+        rec = effective_point(RESONANT, drive_for(0.5, 0.18))
+        assert rec["Delta_n0"] == pytest.approx(-0.02, abs=1e-15)
+        assert rec["Delta_m0"] == pytest.approx(0.02, abs=1e-15)
 
 
 class TestEffectiveParameters:
     def test_drive_free_limit_recovers_bare(self):
-        drive = drive_for(0.0, 6.0)
-        sb = find_sidebands(RESONANT, drive)
-        eff = effective_parameters(RESONANT, drive, sb)
-        assert eff.Omega1_eff == pytest.approx(RESONANT.Omega1, abs=1e-15)
-        assert eff.Omega2_eff == pytest.approx(RESONANT.Omega2, abs=1e-15)
-        assert eff.omega1_eff == pytest.approx(RESONANT.omega1, abs=1e-15)
-        assert eff.omega2_eff == pytest.approx(RESONANT.omega2, abs=1e-15)
-        assert (eff.gr1, eff.gr2) == (RESONANT.g1, RESONANT.g2)
+        rec = effective_point(RESONANT, drive_for(0.0, 6.0))
+        assert rec["Omega1_eff"] == pytest.approx(RESONANT.Omega1, abs=1e-15)
+        assert rec["Omega2_eff"] == pytest.approx(RESONANT.Omega2, abs=1e-15)
+        assert rec["omega1_eff"] == pytest.approx(RESONANT.omega1, abs=1e-15)
+        assert rec["omega2_eff"] == pytest.approx(RESONANT.omega2, abs=1e-15)
+        assert (rec["gr1"], rec["gr2"]) == (RESONANT.g1, RESONANT.g2)
         # at (n0, m0) = (0, 0) the counter weights reduce to J_0(0) = 1
-        assert (eff.gc1, eff.gc2) == (RESONANT.g1, RESONANT.g2)
+        assert (rec["gc1"], rec["gc2"]) == (RESONANT.g1, RESONANT.g2)
 
     def test_mode1_zero_at_matching_drive(self):
-        drive = drive_for(0.3, 0.5)
-        sb = find_sidebands(RESONANT, drive)
-        assert sb.n0 == -5
-        eff = effective_parameters(RESONANT, drive, sb)
-        assert eff.Omega1_eff == 0.0
+        rec = effective_point(RESONANT, drive_for(0.3, 0.5))
+        assert rec["n0"] == -5
+        assert rec["Omega1_eff"] == 0.0
 
     def test_slow_drive_values(self):
-        drive = drive_for(0.5, 0.18)
-        sb = find_sidebands(RESONANT, drive)
-        eff = effective_parameters(RESONANT, drive, sb)
-        assert eff.Omega1_eff == pytest.approx(-0.01, abs=1e-15)
-        assert eff.Omega2_eff == pytest.approx(0.01, abs=1e-15)
-        assert eff.omega1_eff == pytest.approx(-0.01, abs=1e-15)
-        assert eff.omega2_eff == pytest.approx(0.01, abs=1e-15)
+        rec = effective_point(RESONANT, drive_for(0.5, 0.18))
+        assert rec["Omega1_eff"] == pytest.approx(-0.01, abs=1e-15)
+        assert rec["Omega2_eff"] == pytest.approx(0.01, abs=1e-15)
+        assert rec["omega1_eff"] == pytest.approx(-0.01, abs=1e-15)
+        assert rec["omega2_eff"] == pytest.approx(0.01, abs=1e-15)
 
     def test_zero_amplitude_couplings(self):
-        drive = DriveParams(amplitude=0.0, frequency=0.18)
-        sb = find_sidebands(RESONANT, drive)
-        assert sb.n0 == -14
-        eff = effective_parameters(RESONANT, drive, sb)
-        assert (eff.gr1, eff.gr2) == (RESONANT.g1, RESONANT.g2)
-        assert eff.gc1 == 0.0 and eff.gc2 == 0.0
+        rec = effective_point(RESONANT, DriveParams(amplitude=0.0, frequency=0.18))
+        assert rec["n0"] == -14
+        assert (rec["gr1"], rec["gr2"]) == (RESONANT.g1, RESONANT.g2)
+        assert rec["gc1"] == 0.0 and rec["gc2"] == 0.0
 
     def test_signed_coupling_orders(self):
         # gc uses the signed order: J_{-5}(x) = -J_5(x)
-        drive = drive_for(0.5, 0.49)
-        sb = find_sidebands(RESONANT, drive)
-        eff = effective_parameters(RESONANT, drive, sb)
-        assert eff.gc1 == pytest.approx(
+        rec = effective_point(RESONANT, drive_for(0.5, 0.49))
+        assert rec["gc1"] == pytest.approx(
             RESONANT.g1 * (-1) ** 5 * bessel_series(5, 0.5), rel=1e-12)
-        assert eff.gc2 == pytest.approx(
+        assert rec["gc2"] == pytest.approx(
             RESONANT.g2 * bessel_series(4, 1.0), rel=1e-12)
 
     def test_frame_cancellation_identities(self):
@@ -143,14 +127,13 @@ class TestEffectiveParameters:
             )
             drive = DriveParams(amplitude=float(rng.uniform(0.0, 5.0)),
                                 frequency=float(rng.uniform(0.05, 10.0)))
-            sb = find_sidebands(sys, drive)
-            eff = effective_parameters(sys, drive, sb)
-            lhs = 2.0 * eff.omega1_eff + eff.omega2_eff
-            assert abs(sb.delta1 + eff.Omega1_eff - lhs) <= 1e-12
-            assert abs(sb.Delta_n0 - eff.Omega1_eff - lhs) <= 1e-12
-            rhs = eff.omega1_eff + 2.0 * eff.omega2_eff
-            assert abs(sb.delta2 + eff.Omega2_eff - rhs) <= 1e-12
-            assert abs(sb.Delta_m0 - eff.Omega2_eff - rhs) <= 1e-12
+            rec = effective_point(sys, drive)
+            lhs = 2.0 * rec["omega1_eff"] + rec["omega2_eff"]
+            assert abs(rec["delta1"] + rec["Omega1_eff"] - lhs) <= 1e-12
+            assert abs(rec["Delta_n0"] - rec["Omega1_eff"] - lhs) <= 1e-12
+            rhs = rec["omega1_eff"] + 2.0 * rec["omega2_eff"]
+            assert abs(rec["delta2"] + rec["Omega2_eff"] - rhs) <= 1e-12
+            assert abs(rec["Delta_m0"] - rec["Omega2_eff"] - rhs) <= 1e-12
 
 
 class TestZeroFrequencies:
@@ -159,45 +142,41 @@ class TestZeroFrequencies:
         for order in range(-18, 0):
             for cavity in ("Omega1", "Omega2"):
                 drive = drive_for(0.1, 2.0 * getattr(RESONANT, cavity) / abs(order))
-                eff = effective_parameters(RESONANT, drive, find_sidebands(RESONANT, drive))
-                assert abs(getattr(eff, f"{cavity}_eff")) <= 1e-12
+                assert abs(effective_point(RESONANT, drive)[f"{cavity}_eff"]) <= 1e-12
 
 
 class TestValidityReport:
     def _report(self, theta, omega_d, sys=RESONANT):
-        drive = drive_for(theta, omega_d)
-        sb = find_sidebands(sys, drive)
-        eff = effective_parameters(sys, drive, sb)
-        return validity_report(sys, drive, sb, eff)
+        return effective_point(sys, drive_for(theta, omega_d))
 
     def test_zero_amplitude_is_valid(self):
         report = self._report(0.0, 0.18)
-        assert report.rwa_ok
+        assert report["rwa_ok"]
 
     def test_published_operating_point(self):
         report = self._report(0.5, 0.49)
         # counter-rotating weight from the series oracle: J_5(0.5)/Delta
         ratio = RESONANT.g1 * abs(bessel_series(5, 0.5)) / 0.05
         assert ratio < 0.01
-        assert report.ratios["gc1/Delta_n0"] == pytest.approx(ratio, rel=1e-10)
-        assert report.rwa_ok
-        assert report.hierarchy_ok
+        assert report["gc1/Delta_n0"] == pytest.approx(ratio, rel=1e-10)
+        assert report["rwa_ok"]
+        assert report["hierarchy_ok"]
 
     def test_large_theta_breaks_rwa(self):
         report = self._report(5.0, 0.18)
-        assert not report.rwa_ok
+        assert not report["rwa_ok"]
 
     def test_vanishing_sideband_phase_is_flagged_infinite(self):
         # omega_d = 0.5 puts the mode-1 sideband phase exactly at zero
         report = self._report(0.3, 0.5)
-        assert report.ratios["gc1/Delta_n0"] == np.inf
-        assert not report.rwa_ok
+        assert report["gc1/Delta_n0"] == np.inf
+        assert not report["rwa_ok"]
 
     def test_threshold_crossing_in_theta(self):
         # the audit must flip exactly once from valid to invalid as the
         # drive ratio grows at fixed frequency
         thetas = np.linspace(0.05, 4.0, 200)
-        flags = [self._report(float(t), 0.49).rwa_ok for t in thetas]
+        flags = [self._report(float(t), 0.49)["rwa_ok"] for t in thetas]
         assert flags[0] and not flags[-1]
         flips = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
         assert flips == 1
@@ -205,7 +184,7 @@ class TestValidityReport:
     def test_hierarchy_flags_slow_drive(self):
         report = self._report(0.1, 0.06)
         # g/omega_D = 0.83 breaks the scale hierarchy
-        assert not report.hierarchy_ok
+        assert not report["hierarchy_ok"]
 
 
 class TestValleyStructure:
@@ -214,11 +193,9 @@ class TestValleyStructure:
         orders = np.empty(omegas.size, dtype=int)
         values = np.empty(omegas.size)
         for i, wd in enumerate(omegas):
-            drive = drive_for(0.1, float(wd))
-            sb = find_sidebands(RESONANT, drive)
-            eff = effective_parameters(RESONANT, drive, sb)
-            orders[i] = sb.n0
-            values[i] = eff.Omega1_eff
+            rec = effective_point(RESONANT, drive_for(0.1, float(wd)))
+            orders[i] = rec["n0"]
+            values[i] = rec["Omega1_eff"]
         # argmin order is a step function, non-decreasing with frequency
         assert np.all(np.diff(orders) >= 0)
         # within each constant-order segment the curve is exactly linear:
@@ -236,7 +213,7 @@ class TestValleyStructure:
         for order in range(-18, 0):
             for shift in (-1e-3, 1e-3):
                 omega_d = 2.0 * RESONANT.Omega1 / abs(order) + shift
-                assert find_sidebands(RESONANT, drive_for(0.1, omega_d)).n0 == order
+                assert effective_point(RESONANT, drive_for(0.1, omega_d))["n0"] == order
 
 
 class TestEffectiveTableValidation:
@@ -275,15 +252,10 @@ class TestOnePointForms:
                                 [d.amplitude for _, d in points],
                                 [d.frequency for _, d in points])
         for i, (sys, drive) in enumerate(points):
-            sb = find_sidebands(sys, drive)
-            eff = effective_parameters(sys, drive, sb)
-            report = validity_report(sys, drive, sb, eff)
-            for record in (sb, eff):
-                for f in dataclasses.fields(record):
-                    assert getattr(record, f.name) == table[f.name][i], (i, f.name)
-            for name, value in report.ratios.items():
+            rec = effective_point(sys, drive)
+            assert list(rec) == list(table)
+            for name, value in rec.items():
+                assert type(value) in (int, float, bool), (i, name)
                 assert value == table[name][i], (i, name)
-            assert report.hierarchy_ok == table["hierarchy_ok"][i]
-            assert report.rwa_ok == table["rwa_ok"][i]
         assert np.abs(table["n0"]).max() > MAX_ORDER
         assert np.isinf(table["gc1/Delta_n0"][-1])

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lambdajc.effective import HIERARCHY_RATIO_MAX, RWA_RATIO_MAX, effective_table
+from lambdajc.effective import HIERARCHY_RATIO_MAX, RWA_RATIO_MAX, effective_point, effective_table
 from lambdajc import spectrum
 from lambdajc.params import MODEL_FIELDS, DriveParams, SystemParams, sweep_values
 from lambdajc.spectrum import (
@@ -484,21 +484,20 @@ class TestDrivenPhasePoint:
         assert driven.energy == pytest.approx(static.energy, abs=1e-13)
         # at (n0, m0) = (0, 0) the residual counter term is the ordinary
         # counter-rotating correction g/Delta_0 = 0.02, above the 1e-2 rule
-        assert report.ratios["gc1/Delta_n0"] == pytest.approx(0.02, abs=1e-14)
-        assert not report.rwa_ok
+        assert report["gc1/Delta_n0"] == pytest.approx(0.02, abs=1e-14)
+        assert not report["rwa_ok"]
+        assert report == effective_point(RESONANT, drive)
 
     def test_slow_drive_is_window_capped(self):
         drive = DriveParams(amplitude=0.2 * 0.18, frequency=0.18)
         point, report = driven_phase_point(RESONANT, drive, block_window=5)
         assert point.window_capped
-        assert report.hierarchy_ok
+        assert report["hierarchy_ok"]
 
     def test_coupling_node_decouples_mode1(self):
         # drive ratio at the first zero of the zeroth-order weight
         drive = DriveParams.from_theta(2.404825557695773, 6.0)
-        from lambdajc.effective import effective_parameters, find_sidebands
-        eff = effective_parameters(RESONANT, drive, find_sidebands(RESONANT, drive))
-        assert abs(eff.gr1) < 1e-5 * RESONANT.g1
+        assert abs(effective_point(RESONANT, drive)["gr1"]) < 1e-5 * RESONANT.g1
 
     def test_tiny_couplings_still_condense(self):
         # two orders of magnitude below the static critical values, the
@@ -537,8 +536,8 @@ def test_driven_grid_mode1_detuning_axis():
             assert (grid.energy[i, j], grid.gap[i, j]) == (point.energy, point.gap)
             assert (grid.n_label[i, j], grid.m_label[i, j]) == point.label
             assert grid.window_capped[i, j] == point.window_capped
-            assert grid.rwa_ok[i, j] == report.rwa_ok
-            assert grid.hierarchy_ok[i, j] == report.hierarchy_ok
+            assert grid.rwa_ok[i, j] == report["rwa_ok"]
+            assert grid.hierarchy_ok[i, j] == report["hierarchy_ok"]
 
 
 def test_label_sequence_collapses_duplicates():
