@@ -35,7 +35,6 @@ from .spectrum import (
     block_ground_energy,
     block_matrix,
     categorize,
-    driven_phase_point,
     ground_search,
     label_sequence,
     locate_boundary,

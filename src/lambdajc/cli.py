@@ -36,10 +36,10 @@ config hash, command and OUTPUT_VERSION.  Under it, a cache hit also needs
 the CSV's digest to match, and the partial CSV is resumed; without it, the
 partial CSV is deleted before any work.
 
-Before anything is written, the first and last value of every sweep axis
-is checked by building the SystemParams or DriveParams it implies, an
-echo's dt_max against the sampling bound of both branches, and the worker
-count, from --workers or the config, by config.worker_count.  A
+Before anything is written, the sweep axes are checked as a whole by
+spectrum.check_sweep, the rule the library's grids follow, an echo's
+dt_max against the sampling bound of both branches, and the worker count,
+from --workers or the config, by config.worker_count.  A
 manifest.json that is not UTF-8, not a JSON object, or whose cell counts
 or deviations have the wrong JSON type, counts as no manifest.
 
@@ -89,21 +89,15 @@ from .dynamics import (
     step_limit,
 )
 from .effective import effective_table
-from .params import (
-    DRIVE_AXES,
-    MODEL_FIELDS,
-    DriveParams,
-    SystemParams,
-    from_sweep_values,
-    sweep_values,
-)
-from .specfun import MAX_ARGUMENT
+from .params import DRIVE_AXES, MODEL_FIELDS, DriveParams, SystemParams, sweep_values
 from .spectrum import (
     AUDITS,
     CATEGORIES,
     AxisSpec,
     audit_counts,
+    block_window_for,
     category_index,
+    check_sweep,
     chunk_slices,
     compute_grid_cells,
     deviation_lines,
@@ -389,17 +383,17 @@ def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
     return deviation_lines(totals, sweep.cells, sweep.unit, sweep.window)
 
 
-def _sweep(command: str, cfg: RunConfig, axes: list[AxisConfig]) -> _Sweep:
+def _sweep(command: str, cfg: RunConfig, axes: list[AxisSpec]) -> _Sweep:
     """A phase grid, or the effective-params table, as its flattened cells."""
     if command == "effective-params":
-        values = axes[0].values()
+        values = axes[0].values
         return _Sweep(partial(_effective_columns, cfg.model, cfg.drive_or_default(),
                               axes[0].parameter, values),
                       values.size, EFFECTIVE_CSV_COLUMNS, "sweep points")
     driven = command == "driven-phase"
     drive = cfg.drive_or_default() if driven else None
-    window = cfg.truncation.window_for(driven)
-    ax1, ax2 = (AxisSpec(ax.name, ax.parameter, ax.values()) for ax in axes)
+    window = block_window_for(driven, cfg.truncation.block_window)
+    ax1, ax2 = axes
     # each axis value is formatted once per sweep, not once per cell
     texts = [np.array(_format_column(ax.values), dtype=object) for ax in (ax1, ax2)]
     return _Sweep(partial(_grid_columns, cfg.model, drive, ax1, ax2, window, texts),
@@ -458,15 +452,12 @@ def _default_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
                        parameter="omega_D")]
 
 
-def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
+def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisSpec]:
     """The command's validated sweep axes (none for echo).
 
-    The first and last value of each axis (its start alone at one point)
-    must make valid SystemParams and DriveParams.  Every command but
-    static-phase also has its drive checked over the sweep: the largest
-    Bessel argument 2 theta = 2 A_D / omega_D must be one specfun supports.
-    An echo's dt_max must be within the sampling bound of both branches of
-    its pair."""
+    The axes must make a valid sweep (spectrum.check_sweep) of the model,
+    and of the drive for every command but static-phase.  An echo's dt_max
+    must be within the sampling bound of both branches of its pair."""
     axes = []
     if command != "echo":
         axes = cfg.sweep if cfg.sweep else _default_axes(command, cfg)
@@ -476,25 +467,12 @@ def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
                 f"{command} needs exactly {need} sweep axes, got {len(axes)}")
     if command == "effective-params" and axes[0].parameter not in DRIVE_AXES:
         raise ConfigError("effective-params sweeps omega_D or A_D")
-    if command == "static-phase":
-        if any(ax.parameter in DRIVE_AXES for ax in axes):
-            raise ConfigError("static-phase cannot sweep drive parameters")
     drive = None if command == "static-phase" else cfg.drive_or_default()
-    values = sweep_values(cfg.model, drive)
-    for ax in axes:
-        for end in ax.values()[[0, -1]].tolist():
-            try:
-                from_sweep_values({**values, ax.parameter: end})
-            except ValueError as exc:
-                raise ConfigError(f"sweep axis {ax.name!r}: {exc}") from exc
-    if drive is not None:
-        span = {k: [values[k]] for k in DRIVE_AXES}
-        span.update((ax.parameter, ax.values()) for ax in axes if ax.parameter in span)
-        argument = 2.0 * max(span["A_D"]) / min(span["omega_D"])
-        if argument > MAX_ARGUMENT:
-            raise ConfigError(
-                f"drive: Bessel argument 2*A_D/omega_D reaches {argument:g}, "
-                f"above the supported {MAX_ARGUMENT:g}")
+    try:
+        axes = [AxisSpec(ax.name, ax.parameter, ax.values()) for ax in axes]
+        check_sweep(cfg.model, drive, axes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if command == "echo" and cfg.dynamics.dt_max is not None:
         # the bound depends on the term phases only, not on the cutoffs
         space = build_space(1, 1)

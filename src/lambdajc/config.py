@@ -27,7 +27,6 @@ import numpy as np
 
 from .dynamics import ATOMIC_PRESETS, DEFAULT_SAMPLES, DEFAULT_T_MAX, ECHO_PAIRS
 from .params import DRIVE_AXES, DriveParams, SystemParams
-from .spectrum import DRIVEN_BLOCK_WINDOW, STATIC_BLOCK_WINDOW
 
 SWEEPABLE_PARAMETERS = ("g1", "g2", *DRIVE_AXES, "Omega1", "Omega2")
 
@@ -80,18 +79,13 @@ class AxisConfig:
 class TruncationConfig:
     n_c1: int = 6
     n_c2: int = 6
-    block_window: int | None = None   # None: the static or driven default
+    block_window: int | None = None   # None: spectrum.block_window_for's default
 
     def __post_init__(self):
         if self.n_c1 < 1 or self.n_c2 < 1:
             raise ConfigError("Fock cutoffs n_c1, n_c2 must be >= 1")
         if self.block_window is not None and self.block_window < 1:
             raise ConfigError("block_window must be >= 1")
-
-    def window_for(self, driven: bool) -> int:
-        if self.block_window is not None:
-            return self.block_window
-        return DRIVEN_BLOCK_WINDOW if driven else STATIC_BLOCK_WINDOW
 
 
 @dataclass(frozen=True)

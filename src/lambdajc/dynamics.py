@@ -196,22 +196,31 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     alpha = complex(alpha)
     out = np.zeros(cutoff + 1, dtype=complex)
     out[0] = 1.0
-    for n in range(1, cutoff + 1):
-        out[n] = out[n - 1] * alpha / math.sqrt(n)
-    return out * math.exp(-0.5 * abs(alpha) ** 2)
+    # where alpha^n overflows the amplitudes are not finite, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, cutoff + 1):
+            out[n] = out[n - 1] * alpha / math.sqrt(n)
+        return out * math.exp(-0.5 * abs(alpha) ** 2)
 
 
 def _required_cutoff(alpha: complex, tol: float) -> int:
-    """Smallest cutoff whose Poisson tail weight drops below tol."""
+    """Smallest cutoff, up to 100000, whose Poisson tail weight drops below
+    tol.  Each weight is taken from its logarithm, so none underflows.  The
+    weights run until, past the mean lam, the rest is far below tol, and
+    the tail is summed from that end: 1 minus the kept weight rounds too
+    coarsely beside tol."""
     lam = abs(alpha) ** 2
-    term = math.exp(-lam)
-    cdf = term
-    n = 0
-    while 1.0 - cdf >= tol and n < 100000:
-        n += 1
-        term *= lam / n
-        cdf += term
-    return n
+    weights = []
+    for n in range(100001):
+        weights.append(math.exp(n * math.log(lam) - lam - math.lgamma(n + 1)))
+        if n > lam and weights[-1] * lam < 1e-16 * tol * (n + 1 - lam):
+            break
+    tail = 0.0
+    for n in range(len(weights) - 1, -1, -1):
+        if tail >= tol:
+            return n + 1
+        tail += weights[n]
+    return 0 if tail >= tol else 100000
 
 
 def coherent_state(space: HilbertSpace, alpha1: complex, alpha2: complex,
@@ -241,7 +250,8 @@ def coherent_state(space: HilbertSpace, alpha1: complex, alpha2: complex,
                                  (alpha2, space.n_c2, "mode 2")):
         c = _coherent_amplitudes(alpha, cutoff)
         kept = float(np.sum(np.abs(c) ** 2))
-        leak = max(1.0 - kept, 0.0)
+        # a weight that overflowed keeps nothing
+        leak = max(1.0 - kept, 0.0) if math.isfinite(kept) else 1.0
         if leak >= COHERENT_LEAKAGE_MAX:
             need = _required_cutoff(alpha, COHERENT_LEAKAGE_MAX)
             raise TruncationError(

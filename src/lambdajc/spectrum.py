@@ -55,8 +55,9 @@ entry up, with the bytes a table of every block's energy gives.  At
 resonance L is each block's energy, so about two blocks per cell are
 evaluated.  Driven slices first pass through
 effective.effective_table, so sidebands, effective parameters and the
-validity audit are array code too.  ground_search and driven_phase_point
-are one-cell slices of the same core.
+validity audit are array code too.  ground_search, static or driven, is a
+one-cell slice of the same core.  check_sweep is the one rule of a valid
+sweep, for the grids (before any kernel call), the CLI and ground_search.
 """
 
 from __future__ import annotations
@@ -68,12 +69,14 @@ import numpy as np
 
 from .effective import effective_table
 from .params import (
+    DRIVE_AXES,
     MODEL_FIELDS,
     DriveParams,
     SystemParams,
     from_sweep_values,
     sweep_values,
 )
+from .specfun import MAX_ARGUMENT
 
 STATIC_BLOCK_WINDOW = 8
 DRIVEN_BLOCK_WINDOW = 5
@@ -344,8 +347,7 @@ def _search_tables(table: np.ndarray, window: int, forced_cap) -> dict:
 _EFFECTIVE_MODEL = ("omega1_eff", "omega2_eff", "Omega1_eff", "Omega2_eff", "gr1", "gr2")
 
 
-def _ground_cells(fields: dict[str, np.ndarray],
-                  block_window: int) -> tuple[dict, dict | None]:
+def _ground_cells(fields: dict[str, np.ndarray], block_window: int) -> dict:
     """The slice core: ground search of every cell of equal-length field arrays.
 
     fields holds the six model fields, plus A_D and omega_D for a driven
@@ -355,15 +357,16 @@ def _ground_cells(fields: dict[str, np.ndarray],
     energy and gap are multiplied back.  The blocks of all cells are
     pruned by their closed-form bounds (_pruned_ground_table), and the
     rest go through one or two kernel calls.
-    Returns the per-cell arrays keyed like PhaseGrid and, when driven, the
-    effective_table the blocks were built from.
+    Returns the per-cell arrays keyed like PhaseGrid; a static cell passes
+    both validity audits.
     """
     model = [fields[k] for k in MODEL_FIELDS]
-    eff = None
+    audits = {k: np.ones(len(model[0]), dtype=bool) for k in ("rwa_ok", "hierarchy_ok")}
     forced = False
     if "omega_D" in fields:
         eff = effective_table(*model, fields["A_D"], fields["omega_D"])
         model = [eff[k] for k in _EFFECTIVE_MODEL]
+        audits = {k: eff[k] for k in audits}
         # a non-positive effective cavity frequency sends the block energies
         # down without bound in that photon index
         forced = (eff["Omega1_eff"] <= 0.0) | (eff["Omega2_eff"] <= 0.0)
@@ -374,39 +377,30 @@ def _ground_cells(fields: dict[str, np.ndarray],
     cells = _search_tables(table, block_window, forced)
     for key in ("energy", "gap"):
         cells[key] = np.ldexp(cells[key], shift)
-    return cells, eff
+    return {**cells, **audits}
 
 
-def _one_cell(sys: SystemParams, drive: DriveParams | None = None) -> dict:
-    return {k: np.array([v]) for k, v in sweep_values(sys, drive).items()}
+def block_window_for(driven: bool, block_window: int | None = None) -> int:
+    """block_window, or when None the driven or the static default."""
+    default = DRIVEN_BLOCK_WINDOW if driven else STATIC_BLOCK_WINDOW
+    return default if block_window is None else block_window
 
 
-def ground_search(sys: SystemParams, block_window: int = STATIC_BLOCK_WINDOW) -> PhasePoint:
-    """Global ground block over labels in [0, block_window]^2.
+def ground_search(sys: SystemParams, drive: DriveParams | None = None,
+                  block_window: int | None = None) -> PhasePoint:
+    """Global ground block over labels in [0, block_window]^2 of the model,
+    or with a drive of the effective model (effective.effective_point's
+    parameters, signs included): a one-cell sweep_grid.
 
     Exact energy ties resolve to the lexicographically smallest label.  The
     window_capped flag reports an argmin sitting on the window edge, i.e. a
-    window too small to trust.
+    window too small to trust, as a non-positive effective cavity frequency
+    makes it by construction.
     """
-    cells, _ = _ground_cells(_one_cell(sys), block_window)
+    check_sweep(sys, drive, ())
+    cells = _ground_cells({k: np.array([v]) for k, v in sweep_values(sys, drive).items()},
+                          block_window_for(drive is not None, block_window))
     return _point(cells, 0)
-
-
-def driven_phase_point(sys: SystemParams, drive: DriveParams,
-                       block_window: int = DRIVEN_BLOCK_WINDOW,
-                       ) -> tuple[PhasePoint, dict]:
-    """Ground block of the drive-renormalized model, and the cell's
-    effective-parameter record (effective.effective_point's keys and values).
-
-    The effective frequencies and zeroth-sideband couplings replace the
-    bare parameters verbatim - signs included.  A non-positive effective
-    cavity frequency makes the block energies decrease without bound in
-    that photon index, so the argmin lands on the window edge by
-    construction; the window_capped flag records this rather than
-    rejecting the point.
-    """
-    cells, eff = _ground_cells(_one_cell(sys, drive), block_window)
-    return _point(cells, 0), {k: v[0].item() for k, v in eff.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -425,34 +419,50 @@ def chunk_slices(cells: int) -> list[tuple[int, int]]:
     return [(k, min(k + CHUNK_CELLS, cells)) for k in range(0, cells, CHUNK_CELLS)]
 
 
+def check_sweep(sys: SystemParams, drive: DriveParams | None, axes) -> None:
+    """Raise ValueError unless sweeping sys (and drive, when not None) over
+    the AxisSpecs axes is valid: no parameter swept twice, each a field of
+    the model or drive, the first and last value of each valid for it
+    (every field constraint is a bound, and axis values increase) and the
+    largest Bessel argument 2 A_D / omega_D within specfun.MAX_ARGUMENT."""
+    values = sweep_values(sys, drive)
+    parameters = [axis.parameter for axis in axes]
+    for axis in axes:
+        if parameters.count(axis.parameter) > 1:
+            raise ValueError(f"sweep parameter {axis.parameter!r} is swept twice")
+        if axis.parameter not in values:
+            raise ValueError(f"sweep parameter {axis.parameter!r} is not a field of "
+                             f"the {'model or drive' if drive else 'undriven model'}")
+        for end in axis.values[[0, -1]].tolist():
+            try:
+                from_sweep_values({**values, axis.parameter: end})
+            except ValueError as exc:
+                raise ValueError(f"sweep axis {axis.name!r}: {exc}") from exc
+    if drive is not None:
+        ends = {k: (values[k], values[k]) for k in DRIVE_AXES}
+        ends.update((axis.parameter, axis.values[[0, -1]]) for axis in axes)
+        argument = 2.0 * ends["A_D"][-1] / ends["omega_D"][0]
+        if argument > MAX_ARGUMENT:
+            raise ValueError(f"drive: Bessel argument 2*A_D/omega_D reaches {argument:g}, "
+                             f"above the supported {MAX_ARGUMENT:g}")
+
+
 def compute_grid_cells(sys: SystemParams, drive: DriveParams | None, axis1: AxisSpec,
                        axis2: AxisSpec, block_window: int, start: int,
                        stop: int) -> dict[str, np.ndarray]:
     """Cells start to stop of the grid's flattened index (row-major, axis2
     fastest), as arrays keyed like PhaseGrid: one pruned block table and one
-    or two kernel calls.  Each cell depends only on its own parameters, so
-    no byte depends on the slicing or on how slices are spread across
-    workers."""
-    if axis1.parameter == axis2.parameter:
-        raise ValueError(f"sweep parameter {axis1.parameter!r} is swept twice")
+    or two kernel calls, once check_sweep passes the whole sweep.  Each cell
+    depends only on its own parameters, so no byte depends on the slicing
+    or on how slices are spread across workers."""
+    check_sweep(sys, drive, (axis1, axis2))
     values = sweep_values(sys, drive)
     for axis, index in zip((axis1, axis2), np.divmod(np.arange(start, stop),
                                                      axis2.values.size)):
-        if axis.parameter not in values:
-            raise ValueError(f"sweep parameter {axis.parameter!r} is not a field of "
-                             f"the {'model or drive' if drive else 'undriven model'}")
         values[axis.parameter] = axis.values[index]
-    # every field constraint is a bound, so the smallest and largest value
-    # of each swept field validate the slice
-    for pick in (np.min, np.max):
-        from_sweep_values({**values, **{axis.parameter: pick(values[axis.parameter])
-                                        for axis in (axis1, axis2)}})
     fields = {k: np.broadcast_to(np.asarray(v, dtype=float), (stop - start,))
               for k, v in values.items()}
-    cells, eff = _ground_cells(fields, block_window)
-    for key in ("rwa_ok", "hierarchy_ok"):
-        cells[key] = eff[key] if eff is not None else np.ones(stop - start, dtype=bool)
-    return cells
+    return _ground_cells(fields, block_window)
 
 
 #: (cell key, the value that flags a cell, what a flagged cell is) of each
@@ -500,12 +510,14 @@ def locate_boundary(sys: SystemParams, parameter: str,
                     block_a: tuple[int, int], block_b: tuple[int, int],
                     lo: float, hi: float, tol: float | None = None) -> float:
     """Bisect the level crossing E_a(x) = E_b(x) of two blocks along one
-    model parameter in lo < hi.  tol defaults to BOUNDARY_RATIO_TOL scaled
-    by the matching cavity frequency for coupling parameters and must be
-    positive; the bisection also ends when lo and hi are adjacent floats.
+    model parameter in lo < hi, both valid for it (check_sweep).  tol
+    defaults to BOUNDARY_RATIO_TOL scaled by the matching cavity frequency
+    for coupling parameters and must be positive; the bisection also ends
+    when lo and hi are adjacent floats.
     """
     if not lo < hi:
         raise ValueError(f"bracket must have lo < hi, got [{lo}, {hi}]")
+    check_sweep(sys, None, [AxisSpec(parameter, parameter, np.array([lo, hi]))])
     if tol is None:
         scale = {"g1": sys.Omega1, "g2": sys.Omega2}.get(parameter, 1.0)
         tol = BOUNDARY_RATIO_TOL * scale

@@ -381,7 +381,7 @@ def test_criterion_11_driven_phase_sequences_best_effort():
     capped = []
     for tt in two_theta:
         drive = DriveParams.from_theta(float(tt) / 2.0, omega_d)
-        point, _ = lj.driven_phase_point(RESONANT, drive, block_window=5)
+        point = lj.ground_search(RESONANT, drive, block_window=5)
         assert 0 <= point.label[0] <= 5 and 0 <= point.label[1] <= 5
         labels.append(point.label)
         capped.append(point.window_capped)
@@ -404,7 +404,7 @@ def test_criterion_11_driven_phase_sequences_best_effort():
         ratio = 0.015 * k / (steps - 1)
         sys_k = RESONANT.replace(Omega2=base2 / (1.0 + ratio))
         drive = DriveParams.from_theta(tt / 2.0, omega_d)
-        point, _ = lj.driven_phase_point(sys_k, drive, block_window=5)
+        point = lj.ground_search(sys_k, drive, block_window=5)
         labels.append(point.label)
     dotted = label_sequence(labels)
     expected_dotted = [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]

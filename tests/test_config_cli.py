@@ -18,7 +18,7 @@ from lambdajc.cli import (
 )
 from lambdajc.config import ConfigError, config_hash, parse_config, worker_count
 from lambdajc.dynamics import EchoResult
-from lambdajc.params import SystemParams
+from lambdajc.params import DriveParams, SystemParams
 
 TINY_STATIC = {
     "sweep": [
@@ -105,8 +105,8 @@ class TestParseConfig:
                                          g1=0.05, g2=0.05)
         assert cfg.drive is None
         assert cfg.truncation.n_c1 == 6 and cfg.truncation.n_c2 == 6
-        assert cfg.truncation.window_for(driven=False) == 8
-        assert cfg.truncation.window_for(driven=True) == 5
+        assert spectrum.block_window_for(False, cfg.truncation.block_window) == 8
+        assert spectrum.block_window_for(True, cfg.truncation.block_window) == 5
         assert cfg.dynamics.t_max == 200.0
         assert cfg.dynamics.samples == 2000
 
@@ -145,7 +145,7 @@ class TestParseConfig:
 
     def test_explicit_block_window_respected(self):
         cfg = parse_config({"truncation": {"block_window": 11}})
-        assert cfg.truncation.window_for(driven=True) == 11
+        assert spectrum.block_window_for(True, cfg.truncation.block_window) == 11
 
     @pytest.mark.parametrize("doc, field", [
         ({"sweep": [{"start": 0, "stop": 1, "points": 0, "parameter": "g1"}]},
@@ -184,7 +184,8 @@ class TestParseConfig:
                            '"parameter": "g1", "name": null}]}')
         assert cfg.dynamics.dt_max is None
         assert cfg.truncation.block_window is None
-        assert cfg.truncation.window_for(driven=False) == spectrum.STATIC_BLOCK_WINDOW
+        assert (spectrum.block_window_for(False, cfg.truncation.block_window)
+                == spectrum.STATIC_BLOCK_WINDOW)
         assert cfg.sweep[0].name == "g1"
 
     def test_null_root_gives_defaults(self):
@@ -1280,6 +1281,83 @@ class TestDriveValidation:
         assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
 
 
+#: Invalid sweeps, each with the message the library and the CLI give it.
+INVALID_SWEEPS = {
+    "drive-axis-static": ("static-phase", {"sweep": [
+        {"start": 0.0, "stop": 1.0, "points": 3, "parameter": "A_D"},
+        {"start": 0.0, "stop": 1.0, "points": 3, "parameter": "g2"}]},
+        "sweep parameter 'A_D' is not a field of the undriven model"),
+    "endpoint": ("driven-phase", {"sweep": [
+        {"start": -1.0, "stop": 0.3, "points": 3, "parameter": "A_D"},
+        {"start": 0.985, "stop": 1.0, "points": 3, "parameter": "Omega2"}]},
+        "sweep axis 'A_D': drive amplitude >= 0 required, got -1.0"),
+    "swept-twice": ("static-phase", {"sweep": [
+        {"start": 0.0, "stop": 1.0, "points": 3, "parameter": "g1"},
+        {"start": 0.0, "stop": 2.0, "points": 3, "parameter": "g1"}]},
+        "sweep parameter 'g1' is swept twice"),
+    # the first of two chunks stays within the Bessel range
+    "bessel": ("driven-phase", {"drive": {"amplitude": 0.036, "frequency": 0.4}, "sweep": [
+        {"start": 0.0, "stop": 300.0, "points": 31, "parameter": "A_D"},
+        {"start": 0.985, "stop": 1.0, "points": 64, "parameter": "Omega2"}]},
+        "drive: Bessel argument 2*A_D/omega_D reaches 1500, above the supported 1000"),
+    "collapsed-axis": ("static-phase", {"sweep": [
+        {"start": 1.0, "stop": 1.0000000000000002, "points": 5, "parameter": "g1"},
+        {"start": 0.0, "stop": 1.0, "points": 3, "parameter": "g2"}]},
+        "axis 'g1' must be strictly increasing"),
+}
+
+
+class TestSweepRules:
+    """spectrum.check_sweep is the one rule for a valid sweep: sweep_grid
+    and the CLI refuse each invalid sweep with the same message, the
+    library before any kernel call, the CLI before it writes anything."""
+
+    @pytest.mark.parametrize("case", INVALID_SWEEPS)
+    def test_library_refuses_before_any_kernel_call(self, monkeypatch, case):
+        command, doc, message = INVALID_SWEEPS[case]
+        calls = []
+        kernel = spectrum._lowest_eig_sym3
+        monkeypatch.setattr(spectrum, "_lowest_eig_sym3",
+                            lambda *h: calls.append(1) or kernel(*h))
+        drive = None if command == "static-phase" else DriveParams(**doc.get("drive", {}))
+        with pytest.raises(ValueError) as info:
+            axes = [spectrum.AxisSpec(ax["parameter"], ax["parameter"],
+                                      np.linspace(ax["start"], ax["stop"], ax["points"]))
+                    for ax in doc["sweep"]]
+            spectrum.sweep_grid(SystemParams(), drive, *axes, 5)
+        assert str(info.value) == message
+        assert calls == []
+
+    @pytest.mark.parametrize("case", INVALID_SWEEPS)
+    def test_cli_refuses_before_writing(self, tmp_path, capsys, case):
+        command, doc, message = INVALID_SWEEPS[case]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (out / "manifest.json").exists()
+        assert not (out / ".grid.csv.partial").exists()
+        assert not out.exists()
+
+    def test_collapsed_effective_params_axis_exits_1(self, tmp_path, capsys):
+        # five identical omega_D values would be five identical rows
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sweep": [
+            {"start": 1.0, "stop": 1.0000000000000002, "points": 5,
+             "parameter": "omega_D"}]}))
+        out = tmp_path / "out"
+        assert main(["effective-params", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("configuration error: axis 'omega_D' "
+                                           "must be strictly increasing\n")
+        assert not out.exists()
+
+    def test_ground_search_refuses_a_drive_past_the_bessel_range(self):
+        with pytest.raises(ValueError, match="2\\*A_D/omega_D reaches 2000"):
+            spectrum.ground_search(SystemParams(), DriveParams(amplitude=100.0,
+                                                               frequency=0.1))
+
+
 class TestStockSweeps:
     """Without --config each command sweeps its coded axes, scaled by the
     default model (Omega1 = 1.25, Omega2 = 1.0) and drive (omega_D = 0.18)."""
@@ -1292,7 +1370,7 @@ class TestStockSweeps:
     ])
     def test_default_axes(self, command, expected):
         axes = cli._resolve_axes(command, parse_config({}))
-        assert [(ax.name, ax.parameter, ax.start, ax.stop, ax.points)
+        assert [(ax.name, ax.parameter, ax.values[0], ax.values[-1], ax.values.size)
                 for ax in axes] == [
             (name, name, pytest.approx(start, rel=1e-15),
              pytest.approx(stop, rel=1e-15), points)

@@ -110,6 +110,29 @@ class TestCoherentState:
         with pytest.raises(TruncationError, match="cutoff"):
             coherent_state(space, 2.0, 0.0, "2")
 
+    @pytest.mark.parametrize("alpha", [2.0, 5.0, 30.0])
+    def test_required_cutoff_is_the_least_accepted(self, alpha):
+        # past |alpha|^2 ~ 745 exp(-|alpha|^2) underflows; the named cutoff
+        # is the least whose Poisson tail is below 1e-12, which coherent_state
+        # accepts, and one below it is refused
+        from scipy.stats import poisson
+        with pytest.raises(TruncationError) as info:
+            coherent_state(build_space(6, 1), alpha, 0.0, "2")
+        need = int(str(info.value).rsplit("at least ", 1)[1].split()[0])
+        photons = np.arange(int(alpha * alpha + 20 * alpha + 200))
+        assert need == np.argmax(poisson.sf(photons, alpha * alpha) < 1e-12)
+        coherent_state(build_space(need, 1), alpha, 0.0, "2")
+        with pytest.raises(TruncationError, match=f"cutoff {need - 1}; a cutoff of "
+                                                  f"at least {need} is required"):
+            coherent_state(build_space(need - 1, 1), alpha, 0.0, "2")
+
+    def test_overflowing_amplitude_is_a_truncation_error(self):
+        # alpha^n overflows, so the kept weight is not finite: a full leak,
+        # with no RuntimeWarning on the way
+        with pytest.raises(TruncationError, match=r"leaks 1\.000e\+00 past cutoff 6; "
+                                                  r"a cutoff of at least 100000 is"):
+            coherent_state(build_space(6, 6), 1e100, 0.0, "2")
+
     def test_unknown_preset(self):
         space = build_space(1, 1)
         with pytest.raises(ValueError, match="preset"):

@@ -18,7 +18,6 @@ from lambdajc.spectrum import (
     block_matrix,
     categorize,
     compute_grid_cells,
-    driven_phase_point,
     ground_search,
     label_sequence,
     locate_boundary,
@@ -380,7 +379,7 @@ class TestPhaseGrid:
         assert np.max(np.abs(np.diff(energies))) <= 4.0 * step
 
     def test_row_validates_its_axis_values(self):
-        # a slice is validated by its own cells, across the rows it spans
+        # a slice is validated by its whole sweep, whichever rows it spans
         ax1 = AxisSpec("g1", "g1", np.array([0.5]))
         for values in ([-0.1, 0.2], [0.1, np.inf]):
             with pytest.raises(ValueError, match="g2"):
@@ -388,10 +387,9 @@ class TestPhaseGrid:
                                    4, 0, 2)
         ax1 = AxisSpec("Omega1", "Omega1", np.array([0.0, 1.0]))
         ax2 = AxisSpec("g2", "g2", np.array([0.1, 0.2]))
-        for start, stop in ((0, 2), (1, 3), (1, 2)):
+        for start, stop in ((0, 2), (1, 3), (1, 2), (2, 4)):
             with pytest.raises(ValueError, match="Omega1 > 0 required"):
                 compute_grid_cells(RESONANT, None, ax1, ax2, 4, start, stop)
-        compute_grid_cells(RESONANT, None, ax1, ax2, 4, 2, 4)
 
     def test_rejects_axes_of_one_parameter(self):
         ax1 = AxisSpec("a", "g1", np.linspace(0.0, 4.0, 3))
@@ -434,6 +432,10 @@ class TestLocateBoundary:
         sys = RESONANT.replace(g1=0.0)
         g2_star = locate_boundary(sys, "g2", (0, 0), (0, 1), 0.5, 2.0)
         assert g2_star / sys.Omega2 == pytest.approx(1.0, abs=5e-4)
+
+    def test_rejects_a_parameter_not_of_the_model(self):
+        with pytest.raises(ValueError, match="'A_D' is not a field of the undriven model"):
+            locate_boundary(RESONANT, "A_D", (0, 0), (1, 0), 0.0, 1.0)
 
     def test_no_crossing_raises(self):
         with pytest.raises(ValueError):
@@ -478,7 +480,8 @@ class TestLocateBoundary:
 class TestDrivenPhasePoint:
     def test_fast_drive_matches_static(self):
         drive = DriveParams(amplitude=0.0, frequency=6.0)
-        driven, report = driven_phase_point(RESONANT, drive, block_window=8)
+        driven = ground_search(RESONANT, drive, block_window=8)
+        report = effective_point(RESONANT, drive)
         static = ground_search(RESONANT, block_window=8)
         assert driven.label == static.label
         assert driven.energy == pytest.approx(static.energy, abs=1e-13)
@@ -486,13 +489,12 @@ class TestDrivenPhasePoint:
         # counter-rotating correction g/Delta_0 = 0.02, above the 1e-2 rule
         assert report["gc1/Delta_n0"] == pytest.approx(0.02, abs=1e-14)
         assert not report["rwa_ok"]
-        assert report == effective_point(RESONANT, drive)
 
     def test_slow_drive_is_window_capped(self):
         drive = DriveParams(amplitude=0.2 * 0.18, frequency=0.18)
-        point, report = driven_phase_point(RESONANT, drive, block_window=5)
+        point = ground_search(RESONANT, drive, block_window=5)
         assert point.window_capped
-        assert report["hierarchy_ok"]
+        assert effective_point(RESONANT, drive)["hierarchy_ok"]
 
     def test_coupling_node_decouples_mode1(self):
         # drive ratio at the first zero of the zeroth-order weight
@@ -504,7 +506,7 @@ class TestDrivenPhasePoint:
         # driven model still leaves the normal phase
         drive = DriveParams(amplitude=1e-4 * 0.18, frequency=0.18)
         sys = RESONANT.replace(g1=0.03, g2=0.03)
-        point, _ = driven_phase_point(sys, drive, block_window=5)
+        point = ground_search(sys, drive, block_window=5)
         assert point.label != (0, 0)
 
 
@@ -521,7 +523,7 @@ def test_driven_grid_shapes_and_validity_columns():
 
 def test_driven_grid_mode1_detuning_axis():
     # each cell is the driven point at its drive amplitude and mode-1
-    # cavity frequency, bit for bit
+    # cavity frequency, bit for bit, at the default driven window
     drive = DriveParams(amplitude=0.09, frequency=0.18)
     base = 2 * RESONANT.omega1 + RESONANT.omega2
     ax1 = AxisSpec("A_D", "A_D", np.linspace(0.2, 1.0, 3) * drive.frequency)
@@ -530,9 +532,11 @@ def test_driven_grid_mode1_detuning_axis():
     assert grid.energy.shape == (3, 4)
     for i, amplitude in enumerate(ax1.values):
         for j, cavity in enumerate(ax2.values):
-            point, report = driven_phase_point(
-                RESONANT.replace(Omega1=float(cavity)),
-                DriveParams(float(amplitude), drive.frequency), block_window=5)
+            sys = RESONANT.replace(Omega1=float(cavity))
+            drive_i = DriveParams(float(amplitude), drive.frequency)
+            point = ground_search(sys, drive_i)
+            report = effective_point(sys, drive_i)
+            assert grid.cell(i, j) == point
             assert (grid.energy[i, j], grid.gap[i, j]) == (point.energy, point.gap)
             assert (grid.n_label[i, j], grid.m_label[i, j]) == point.label
             assert grid.window_capped[i, j] == point.window_capped
@@ -688,17 +692,26 @@ class TestRowEngineOracles:
 def assert_pruned_matches_full(fields, window):
     """The pruned row core gives every key of every cell as the search over
     the full block table does, NaN for NaN."""
-    cells, eff = _ground_cells(fields, window)
+    cells = _ground_cells(fields, window)
     forced = False
     model = [fields[k] for k in MODEL_FIELDS]
-    if eff is not None:
+    audits = {k: np.ones(len(model[0]), dtype=bool) for k in ("rwa_ok", "hierarchy_ok")}
+    if "omega_D" in fields:
+        eff = fields_effective(fields)
         model = [eff[k] for k in _EFFECTIVE_MODEL]
         forced = (eff["Omega1_eff"] <= 0.0) | (eff["Omega2_eff"] <= 0.0)
+        audits = {k: eff[k] for k in audits}
     table = full_table([np.asarray(a)[:, None, None] for a in model], window)
-    full = _search_tables(table.reshape(table.shape[0], -1), window, forced)
+    full = {**_search_tables(table.reshape(table.shape[0], -1), window, forced), **audits}
     assert cells.keys() == full.keys()
     for key in full:
         assert np.array_equal(cells[key], full[key], equal_nan=True), key
+
+
+def fields_effective(fields):
+    """The effective_table of driven field arrays."""
+    return effective_table(*(fields[k] for k in MODEL_FIELDS), fields["A_D"],
+                           fields["omega_D"])
 
 
 def record_kernel_calls(monkeypatch) -> list[dict]:
@@ -791,8 +804,8 @@ class TestPrunedGroundSearch:
             flipped = model[:4] + [-model[4], -model[5]]
             assert_pruned_matches_full(static_fields(*flipped), window)
             assert_pruned_matches_full(static_fields(*model[:5], -model[5]), window)
-            cells, _ = _ground_cells(static_fields(*flipped), window)
-            plain, _ = _ground_cells(static_fields(*model), window)
+            cells = _ground_cells(static_fields(*flipped), window)
+            plain = _ground_cells(static_fields(*model), window)
             for key in plain:
                 assert np.array_equal(cells[key], plain[key]), key
 
@@ -806,7 +819,7 @@ class TestPrunedGroundSearch:
             for i in range(2):
                 fields = row_fields(RESONANT, drive, ax1, ax2, i)
                 assert_pruned_matches_full(fields, window)
-        _, eff = _ground_cells(fields, 5)
+        eff = fields_effective(fields)
         one, two = eff["Omega1_eff"] <= 0.0, eff["Omega2_eff"] <= 0.0
         assert all(np.any(kind) for kind in (one & ~two, ~one & two, one & two, ~one & ~two))
 
@@ -833,7 +846,7 @@ class TestPrunedGroundSearch:
                 for i in range(3):
                     fields = row_fields(sys, drive, ax1, ax2, i)
                     assert_pruned_matches_full(fields, 5)
-                cells, _ = _ground_cells(fields, 5)
+                cells = _ground_cells(fields, 5)
                 assert cells["window_capped"].all()
 
     def test_resonant_sample_model_ties(self):
@@ -870,7 +883,7 @@ class TestPrunedGroundSearch:
             assert_pruned_matches_full(static_fields(0.3, 0.3, 1.0, 1.0, 0.0, axis), window)
             fields = static_fields(0.5, 0.25, 0.0, axis + 0.1, 0.0, 0.0)
             assert_pruned_matches_full(fields, window)
-            cells, _ = _ground_cells(fields, window)
+            cells = _ground_cells(fields, window)
             assert np.all(cells["n_label"] == 0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -889,7 +902,7 @@ class TestPrunedGroundSearch:
     def test_extreme_couplings_match_full_table(self, g1):
         fields = static_fields(*STATIC_SAMPLE, g1, 0.0)
         assert_pruned_matches_full(fields, 8)
-        cells, _ = _ground_cells(fields, 8)
+        cells = _ground_cells(fields, 8)
         assert np.isfinite(cells["energy"]).all() and np.isfinite(cells["gap"]).all()
 
     def test_sample_model_evaluates_few_blocks(self, monkeypatch):
