@@ -36,10 +36,11 @@ config hash, command and OUTPUT_VERSION.  Under it, a cache hit also needs
 the CSV's digest to match, and the partial CSV is resumed; without it, the
 partial CSV is deleted before any work.
 
-Before anything is written, the sweep axes are checked as a whole by
-spectrum.check_sweep, the rule the library's grids follow, an echo's
-dt_max against the sampling bound of both branches, and the worker count,
-from --workers or the config, by config.worker_count.  A
+Before anything is written, the number of sweep axes is checked (two for
+the grids, one for effective-params, none for echo), then the axes as a
+whole by spectrum.check_sweep, the one sweep rule, an echo's dt_max
+against the sampling bound of both branches, and the worker count, from
+--workers or the config, by config.worker_count.  A
 manifest.json that is not UTF-8, not a JSON object, or whose cell counts
 or deviations have the wrong JSON type, counts as no manifest.
 
@@ -103,7 +104,6 @@ from .spectrum import (
     deviation_lines,
 )
 
-COMMANDS = ("static-phase", "driven-phase", "effective-params", "echo")
 OUTPUT_ENV_VAR = "LAMBDAJC_OUT"
 ECHO_ALPHA = 0.01
 #: Pool tasks per worker: a pool task is a contiguous batch of chunks, so
@@ -132,6 +132,7 @@ _CSV_NAME = {
     "effective-params": "effective_params.csv",
     "echo": "echo.csv",
 }
+COMMANDS = tuple(_CSV_NAME)
 
 
 def _quote(text: str) -> str:
@@ -432,39 +433,29 @@ def _effective_columns(model: SystemParams, drive: DriveParams, parameter: str,
 
 
 def _default_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
-    model = cfg.model
-    if command == "static-phase":
-        return [
-            AxisConfig(name="g1", start=0.0, stop=4.5 * model.Omega1,
-                       points=181, parameter="g1"),
-            AxisConfig(name="g2", start=0.0, stop=4.5 * model.Omega2,
-                       points=181, parameter="g2"),
-        ]
-    if command == "driven-phase":
-        drive = cfg.drive_or_default()
-        return [
-            AxisConfig(name="A_D", start=0.0, stop=2.5 * drive.frequency,
-                       points=121, parameter="A_D"),
-            AxisConfig(name="Omega2", start=0.97 * model.Omega2,
-                       stop=1.0 * model.Omega2, points=61, parameter="Omega2"),
-        ]
-    return [AxisConfig(name="omega_D", start=0.05, stop=6.0, points=1200,
-                       parameter="omega_D")]
+    """The command's stock axes, as many as it takes (none for echo)."""
+    model, drive = cfg.model, cfg.drive_or_default()
+    stock = {
+        "static-phase": [("g1", 0.0, 4.5 * model.Omega1, 181),
+                         ("g2", 0.0, 4.5 * model.Omega2, 181)],
+        "driven-phase": [("A_D", 0.0, 2.5 * drive.frequency, 121),
+                         ("Omega2", 0.97 * model.Omega2, 1.0 * model.Omega2, 61)],
+        "effective-params": [("omega_D", 0.05, 6.0, 1200)],
+        "echo": [],
+    }
+    return [AxisConfig(start=start, stop=stop, points=points, parameter=parameter)
+            for parameter, start, stop, points in stock[command]]
 
 
 def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisSpec]:
-    """The command's validated sweep axes (none for echo).
-
-    The axes must make a valid sweep (spectrum.check_sweep) of the model,
-    and of the drive for every command but static-phase.  An echo's dt_max
-    must be within the sampling bound of both branches of its pair."""
-    axes = []
-    if command != "echo":
-        axes = cfg.sweep if cfg.sweep else _default_axes(command, cfg)
-        need = 1 if command == "effective-params" else 2
-        if len(axes) != need:
-            raise ConfigError(
-                f"{command} needs exactly {need} sweep axes, got {len(axes)}")
+    """The command's validated sweep axes: as many as its stock sweep has,
+    making a valid sweep (spectrum.check_sweep) of the model, and of the
+    drive for every command but static-phase.  An echo's dt_max must be
+    within the sampling bound of both branches of its pair."""
+    stock = _default_axes(command, cfg)
+    axes = cfg.sweep or stock
+    if len(axes) != len(stock):
+        raise ConfigError(f"{command} takes {len(stock)} sweep axes, got {len(axes)}")
     if command == "effective-params" and axes[0].parameter not in DRIVE_AXES:
         raise ConfigError("effective-params sweeps omega_D or A_D")
     drive = None if command == "static-phase" else cfg.drive_or_default()

@@ -4,8 +4,10 @@ A run is fully described by one JSON document whose sections mirror the
 dataclasses below and in params: each section's keys are its dataclass's
 fields, a missing key takes the field's default, each value is checked
 against the field's annotated type, and the dataclass itself checks its
-constraints.  Unknown keys are rejected by name; every physical invariant
-is validated up front so sweeps cannot fail halfway through.  The canonical
+constraints.  Unknown keys are rejected by name.  A sweep axis is checked
+for its schema alone: which sweeps are valid is spectrum.check_sweep's
+rule.  The truncation and dynamics constraints are checked here, as the
+library checks them only once a run has begun.  The canonical
 form (the fully defaulted dataclasses as plain data, sorted keys, numbers
 as floats or integers by field type) feeds a 64-bit content digest used
 for result caching: a change to any field that can change the output bytes
@@ -26,9 +28,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .dynamics import ATOMIC_PRESETS, DEFAULT_SAMPLES, DEFAULT_T_MAX, ECHO_PAIRS
-from .params import DRIVE_AXES, DriveParams, SystemParams
-
-SWEEPABLE_PARAMETERS = ("g1", "g2", *DRIVE_AXES, "Omega1", "Omega2")
+from .params import DriveParams, SystemParams
 
 
 class ConfigError(ValueError):
@@ -61,17 +61,10 @@ class AxisConfig:
     def __post_init__(self):
         if self.name is None:
             object.__setattr__(self, "name", self.parameter)
-        if self.parameter not in SWEEPABLE_PARAMETERS:
-            raise ConfigError(f"parameter must be one of {SWEEPABLE_PARAMETERS}, "
-                              f"got {self.parameter!r}")
         if self.points < 1:
             raise ConfigError("points must be >= 1")
-        if self.points > 1 and not self.stop > self.start:
-            raise ConfigError("stop must exceed start for points > 1")
 
     def values(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([self.start])
         return np.linspace(self.start, self.stop, self.points)
 
 
@@ -107,7 +100,8 @@ class DynamicsConfig:
             raise ConfigError(f"initial_state must be one of {sorted(ATOMIC_PRESETS)}, "
                               f"got {self.initial_state!r}")
         if self.pair not in ECHO_PAIRS:
-            raise ConfigError("pair must be 'rotated' or 'effective'")
+            raise ConfigError(f"pair must be one of {sorted(ECHO_PAIRS)}, "
+                              f"got {self.pair!r}")
 
 
 @dataclass
@@ -121,12 +115,6 @@ class RunConfig:
     workers: int | str = 1
 
     def __post_init__(self):
-        if len(self.sweep) > 2:
-            raise ConfigError("at most two sweep axes are supported")
-        if len({ax.parameter for ax in self.sweep}) < len(self.sweep):
-            # two axes, so both sweep the first one's parameter
-            raise ConfigError(
-                f"sweep parameter {self.sweep[0].parameter!r} is swept twice")
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError("output must be a non-empty directory path")
         worker_count(self.workers)

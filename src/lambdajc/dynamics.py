@@ -62,6 +62,7 @@ the CF4 substep.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -192,6 +193,17 @@ ATOMIC_PRESETS = {
 }
 
 
+_CUTOFF_SEARCH_MAX = 100000   # the largest cutoff _required_cutoff names
+
+
+def _mean_photons(alpha: complex) -> float:
+    """|alpha|^2, or inf where it overflows a float."""
+    try:
+        return abs(alpha) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     alpha = complex(alpha)
     out = np.zeros(cutoff + 1, dtype=complex)
@@ -200,27 +212,31 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, cutoff + 1):
             out[n] = out[n - 1] * alpha / math.sqrt(n)
-        return out * math.exp(-0.5 * abs(alpha) ** 2)
+        return out * math.exp(-0.5 * _mean_photons(alpha))
 
 
 def _required_cutoff(alpha: complex, tol: float) -> int:
-    """Smallest cutoff, up to 100000, whose Poisson tail weight drops below
-    tol.  Each weight is taken from its logarithm, so none underflows.  The
-    weights run until, past the mean lam, the rest is far below tol, and
-    the tail is summed from that end: 1 minus the kept weight rounds too
-    coarsely beside tol."""
-    lam = abs(alpha) ** 2
+    """Smallest cutoff, up to _CUTOFF_SEARCH_MAX (one more when past it),
+    whose Poisson tail weight drops below tol.  Each weight is taken from
+    its logarithm, so none underflows.  The weights run until, past the
+    mean lam, the rest is far below tol, and the tail is summed from a
+    bound on that rest: 1 minus the kept weight rounds too coarsely."""
+    lam = _mean_photons(alpha)
+    if not lam < _CUTOFF_SEARCH_MAX:
+        # a cutoff at or below the mean leaves about half the weight
+        return _CUTOFF_SEARCH_MAX + 1
     weights = []
-    for n in range(100001):
+    for n in range(_CUTOFF_SEARCH_MAX + 1):
         weights.append(math.exp(n * math.log(lam) - lam - math.lgamma(n + 1)))
         if n > lam and weights[-1] * lam < 1e-16 * tol * (n + 1 - lam):
             break
-    tail = 0.0
+    # past the mean, weight n + 1 is at most lam / (n + 1) times weight n
+    tail = weights[-1] * lam / (len(weights) - lam)
     for n in range(len(weights) - 1, -1, -1):
         if tail >= tol:
             return n + 1
         tail += weights[n]
-    return 0 if tail >= tol else 100000
+    return 0
 
 
 def coherent_state(space: HilbertSpace, alpha1: complex, alpha2: complex,
@@ -248,15 +264,19 @@ def coherent_state(space: HilbertSpace, alpha1: complex, alpha2: complex,
     parts = []
     for alpha, cutoff, label in ((alpha1, space.n_c1, "mode 1"),
                                  (alpha2, space.n_c2, "mode 2")):
+        if not cmath.isfinite(alpha):
+            raise ValueError(f"{label} coherent amplitude {alpha!r} is not finite")
         c = _coherent_amplitudes(alpha, cutoff)
         kept = float(np.sum(np.abs(c) ** 2))
         # a weight that overflowed keeps nothing
         leak = max(1.0 - kept, 0.0) if math.isfinite(kept) else 1.0
         if leak >= COHERENT_LEAKAGE_MAX:
             need = _required_cutoff(alpha, COHERENT_LEAKAGE_MAX)
+            advice = (f"at least {need}" if need <= _CUTOFF_SEARCH_MAX
+                      else f"more than {_CUTOFF_SEARCH_MAX}")
             raise TruncationError(
                 f"{label} coherent amplitude {alpha!r} leaks {leak:.3e} past "
-                f"cutoff {cutoff}; a cutoff of at least {need} is required")
+                f"cutoff {cutoff}; a cutoff of {advice} is required")
         parts.append(c)
     amps = np.kron(np.kron(at, parts[0]), parts[1])
     amps = amps / np.linalg.norm(amps)

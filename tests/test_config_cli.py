@@ -17,7 +17,7 @@ from lambdajc.cli import (
     write_csv,
 )
 from lambdajc.config import ConfigError, config_hash, parse_config, worker_count
-from lambdajc.dynamics import EchoResult
+from lambdajc.dynamics import ECHO_PAIRS, EchoResult
 from lambdajc.params import DriveParams, SystemParams
 
 TINY_STATIC = {
@@ -130,14 +130,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json")
 
-    def test_bad_axis_parameter(self):
-        with pytest.raises(ConfigError, match="parameter"):
-            parse_config({"sweep": [{"start": 0, "stop": 1, "points": 3,
-                                     "parameter": "g3"}]})
-
     def test_bad_pair(self):
-        with pytest.raises(ConfigError, match="pair"):
+        with pytest.raises(ConfigError, match="pair") as info:
             parse_config({"dynamics": {"pair": "both"}})
+        # the message names every pair the echo takes
+        assert all(repr(pair) in str(info.value) for pair in ECHO_PAIRS)
 
     def test_bad_initial_state(self):
         with pytest.raises(ConfigError, match="initial_state"):
@@ -150,15 +147,11 @@ class TestParseConfig:
     @pytest.mark.parametrize("doc, field", [
         ({"sweep": [{"start": 0, "stop": 1, "points": 0, "parameter": "g1"}]},
          "points must be >= 1"),
-        ({"sweep": [{"start": 1, "stop": 1, "points": 2, "parameter": "g1"}]},
-         "stop must exceed start"),
         ({"truncation": {"n_c1": 0}}, "n_c1"),
         ({"truncation": {"block_window": 0}}, "block_window must be >= 1"),
         ({"dynamics": {"t_max": 0}}, "t_max must be > 0"),
         ({"dynamics": {"dt_max": 0}}, "dt_max must be > 0"),
         ({"dynamics": {"samples": 1}}, "samples must be >= 2"),
-        ({"sweep": [{"start": 0, "stop": 1, "points": 2, "parameter": p}
-                    for p in ("g1", "g2", "A_D")]}, "at most two sweep axes"),
         ({"output": ""}, "output must be a non-empty"),
         ({"model": {"g1": "0.1"}}, "model.g1 must be a number"),
         ({"model": {"g1": float("inf")}}, "model.g1 must be finite"),
@@ -169,8 +162,8 @@ class TestParseConfig:
         ([], "config root must be an object, got list"),
         ({"sweep": 3}, "sweep must be a list of axis objects"),
         (b'{"model": {}}\xff', "config is not well-formed JSON: 'utf-8' codec"),
-    ], ids=["points-0", "stop-at-start", "n_c1-0", "block_window-0", "t_max-0",
-            "dt_max-0", "samples-1", "three-axes", "empty-output", "string-number",
+    ], ids=["points-0", "n_c1-0", "block_window-0", "t_max-0",
+            "dt_max-0", "samples-1", "empty-output", "string-number",
             "inf-number", "fractional-int", "non-object-section", "axis-no-parameter",
             "list-root", "sweep-number", "non-utf8-bytes"])
     def test_rejection_names_the_field(self, doc, field):
@@ -1304,6 +1297,30 @@ INVALID_SWEEPS = {
         {"start": 1.0, "stop": 1.0000000000000002, "points": 5, "parameter": "g1"},
         {"start": 0.0, "stop": 1.0, "points": 3, "parameter": "g2"}]},
         "axis 'g1' must be strictly increasing"),
+    "unknown-parameter": ("static-phase", {"sweep": [
+        {"start": 0.0, "stop": 1.0, "points": 3, "parameter": "g3"},
+        {"start": 0.0, "stop": 1.0, "points": 3, "parameter": "g2"}]},
+        "sweep parameter 'g3' is not a field of the undriven model"),
+    "stop-at-start": ("static-phase", {"sweep": [
+        {"start": 1.0, "stop": 1.0, "points": 2, "parameter": "g1"},
+        {"start": 0.0, "stop": 1.0, "points": 3, "parameter": "g2"}]},
+        "axis 'g1' must be strictly increasing"),
+    "stop-before-start": ("static-phase", {"sweep": [
+        {"start": 1.0, "stop": 0.5, "points": 3, "parameter": "g1"},
+        {"start": 0.0, "stop": 1.0, "points": 3, "parameter": "g2"}]},
+        "axis 'g1' must be strictly increasing"),
+}
+
+#: Sweeps with the wrong number of axes for their command, which the CLI
+#: alone refuses: a library grid takes two axes by its signature.
+WRONG_ARITY = {
+    "three-axes": ("static-phase", {"sweep": [
+        {"start": 0.0, "stop": 1.0, "points": 2, "parameter": p}
+        for p in ("g1", "g2", "A_D")]},
+        "static-phase takes 2 sweep axes, got 3"),
+    "echo-sweep": ("echo", {"sweep": [
+        {"start": 0.0, "stop": 1.0, "points": 2, "parameter": "g1"}]},
+        "echo takes 0 sweep axes, got 1"),
 }
 
 
@@ -1328,9 +1345,11 @@ class TestSweepRules:
         assert str(info.value) == message
         assert calls == []
 
-    @pytest.mark.parametrize("case", INVALID_SWEEPS)
+    @pytest.mark.parametrize("case", {**INVALID_SWEEPS, **WRONG_ARITY})
     def test_cli_refuses_before_writing(self, tmp_path, capsys, case):
-        command, doc, message = INVALID_SWEEPS[case]
+        command, doc, message = {**INVALID_SWEEPS, **WRONG_ARITY}[case]
+        # the config checks an axis's schema alone, so it takes the sweep
+        parse_config(doc)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -1339,6 +1358,37 @@ class TestSweepRules:
         assert not (out / "manifest.json").exists()
         assert not (out / ".grid.csv.partial").exists()
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, doc", [
+        ("static-phase", {"sweep": [
+            {"start": 0.3, "stop": 0.7, "points": 5, "parameter": "omega1"},
+            {"start": 0.0, "stop": 3.0, "points": 4, "parameter": "g2"}]}),
+        ("driven-phase", {"drive": {"amplitude": 0.09, "frequency": 0.18}, "sweep": [
+            {"start": 0.01, "stop": 0.3, "points": 4, "parameter": "A_D"},
+            {"start": 0.1, "stop": 0.4, "points": 5, "parameter": "omega2"}]}),
+    ], ids=["static-omega1", "driven-omega2"])
+    def test_cli_sweeps_what_the_library_sweeps(self, tmp_path, command, doc):
+        # omega1 and omega2 are model fields, so the CLI sweeps them as
+        # sweep_grid does, cell for cell
+        cfg = parse_config(doc)
+        assert run_command(command, cfg, out_dir=tmp_path) == 0
+        with open(tmp_path / "grid.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        drive = cfg.drive if command == "driven-phase" else None
+        axes = [spectrum.AxisSpec(ax.name, ax.parameter, ax.values()) for ax in cfg.sweep]
+        grid = spectrum.sweep_grid(cfg.model, drive, *axes,
+                                   spectrum.block_window_for(drive is not None, None))
+        i, j = np.divmod(np.arange(len(rows)), axes[1].values.size)
+        assert [(row["axis1_name"], row["axis2_name"]) for row in rows] == [
+            (axes[0].name, axes[1].name)] * grid.energy.size
+        for key, values in (("axis1_value", axes[0].values[i]),
+                            ("axis2_value", axes[1].values[j])):
+            np.testing.assert_array_equal([float(row[key]) for row in rows], values)
+        for key in ("energy", "n_label", "m_label", "gap"):
+            np.testing.assert_array_equal([float(row[key]) for row in rows],
+                                          getattr(grid, key).ravel())
+        for key in ("window_capped", "rwa_ok", "hierarchy_ok"):
+            assert [row[key] == "true" for row in rows] == getattr(grid, key).ravel().tolist()
 
     def test_collapsed_effective_params_axis_exits_1(self, tmp_path, capsys):
         # five identical omega_D values would be five identical rows

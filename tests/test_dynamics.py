@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -127,11 +128,27 @@ class TestCoherentState:
             coherent_state(build_space(need - 1, 1), alpha, 0.0, "2")
 
     def test_overflowing_amplitude_is_a_truncation_error(self):
-        # alpha^n overflows, so the kept weight is not finite: a full leak,
-        # with no RuntimeWarning on the way
-        with pytest.raises(TruncationError, match=r"leaks 1\.000e\+00 past cutoff 6; "
-                                                  r"a cutoff of at least 100000 is"):
-            coherent_state(build_space(6, 6), 1e100, 0.0, "2")
+        # alpha^n overflows, and past |alpha| ~ 1.3e154 so does |alpha|^2:
+        # the kept weight is not finite, a full leak, with no RuntimeWarning
+        # on the way, and the cutoff it needs is past the search
+        for alpha in (1e100, 1e155, 1e200):
+            with pytest.raises(TruncationError, match=r"leaks 1\.000e\+00 past cutoff 6; "
+                                                      r"a cutoff of more than 100000 is"):
+                coherent_state(build_space(6, 6), alpha, 0.0, "2")
+
+    @pytest.mark.parametrize("alpha", [315.0, 316.3])
+    def test_cutoff_past_the_search_is_more_than_it(self, alpha):
+        # |alpha|^2 is just below and just above the 100000 search, and the
+        # Poisson tail past 100000 is far above 1e-12 for both
+        with pytest.raises(TruncationError, match="a cutoff of more than 100000 is"):
+            coherent_state(build_space(6, 1), alpha, 0.0, "2")
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(math.nan, 0.0)])
+    def test_non_finite_amplitude_is_named(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mode 2 coherent amplitude {alpha!r} is not finite")) as info:
+            coherent_state(build_space(6, 6), 0.0, alpha, "2")
+        assert not isinstance(info.value, TruncationError)
 
     def test_unknown_preset(self):
         space = build_space(1, 1)
