@@ -38,11 +38,12 @@ partial CSV is deleted before any work.
 
 Before anything is written, the number of sweep axes is checked (two for
 the grids, one for effective-params, none for echo), then the axes as a
-whole by spectrum.check_sweep, the one sweep rule, an echo's dt_max
-against the sampling bound of both branches, and the worker count, from
---workers or the config, by config.worker_count.  A
-manifest.json that is not UTF-8, not a JSON object, or whose cell counts
-or deviations have the wrong JSON type, counts as no manifest.
+whole by spectrum.check_sweep, the one sweep rule; then an echo's
+initial state is built, so a cutoff that cannot represent it is a
+configuration error; then the worker count and the output directory
+(--out, else the config's output) are checked.  A manifest.json that is
+not UTF-8, not a JSON object, or whose cell counts or deviations have the
+wrong JSON type, counts as no manifest.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime or
 validity failure (validity failures only fail the run under --strict; a
@@ -70,24 +71,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import (
-    AxisConfig,
-    ConfigError,
-    RunConfig,
-    config_hash,
-    parse_config,
-    worker_count,
-)
+from .config import AxisConfig, ConfigError, RunConfig, config_hash, parse_config
 from .dynamics import (
     ECHO_PAIRS,
     HamiltonianSpec,
+    HilbertSpace,
     PropagationError,
     TruncationError,
-    assemble_terms,
     build_space,
     coherent_state,
     loschmidt_echo,
-    step_limit,
 )
 from .effective import effective_table
 from .params import DRIVE_AXES, MODEL_FIELDS, DriveParams, SystemParams, sweep_values
@@ -104,7 +97,6 @@ from .spectrum import (
     deviation_lines,
 )
 
-OUTPUT_ENV_VAR = "LAMBDAJC_OUT"
 ECHO_ALPHA = 0.01
 #: Pool tasks per worker: a pool task is a contiguous batch of chunks, so
 #: a worker is sent a few tasks, not one per chunk, and the last batches
@@ -450,8 +442,7 @@ def _default_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
 def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisSpec]:
     """The command's validated sweep axes: as many as its stock sweep has,
     making a valid sweep (spectrum.check_sweep) of the model, and of the
-    drive for every command but static-phase.  An echo's dt_max must be
-    within the sampling bound of both branches of its pair."""
+    drive for every command but static-phase."""
     stock = _default_axes(command, cfg)
     axes = cfg.sweep or stock
     if len(axes) != len(stock):
@@ -464,33 +455,33 @@ def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisSpec]:
         check_sweep(cfg.model, drive, axes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if command == "echo" and cfg.dynamics.dt_max is not None:
-        # the bound depends on the term phases only, not on the cutoffs
-        space = build_space(1, 1)
-        for variant in ECHO_PAIRS[cfg.dynamics.pair]:
-            spec = HamiltonianSpec(variant=variant, sys=cfg.model, drive=drive)
-            try:
-                step_limit(assemble_terms(spec, space), cfg.dynamics.dt_max)
-            except ValueError as exc:
-                raise ConfigError(f"dynamics: {variant.value}: {exc}") from exc
     return axes
+
+
+def _echo_state(cfg: RunConfig) -> tuple[HilbertSpace, np.ndarray]:
+    """The echo's space and initial state; a cutoff that cannot represent
+    the state is a configuration error."""
+    space = build_space(cfg.truncation.n_c1, cfg.truncation.n_c2)
+    try:
+        return space, coherent_state(space, ECHO_ALPHA, ECHO_ALPHA,
+                                     cfg.dynamics.initial_state)
+    except TruncationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _run_echo(cfg: RunConfig, out_dir: Path, digest: str) -> list[str]:
+def _run_echo(cfg: RunConfig, space: HilbertSpace, psi0: np.ndarray,
+              out_dir: Path, digest: str) -> list[str]:
     drive = cfg.drive_or_default()
-    trunc = cfg.truncation
     dyn = cfg.dynamics
-    space = build_space(trunc.n_c1, trunc.n_c2)
-    psi0 = coherent_state(space, ECHO_ALPHA, ECHO_ALPHA, dyn.initial_state)
     spec_a, spec_b = (HamiltonianSpec(variant=v, sys=cfg.model, drive=drive)
                       for v in ECHO_PAIRS[dyn.pair])
     _write_manifest(out_dir, "echo", digest, 1, 0, [])
     echo = loschmidt_echo(spec_a, spec_b, space, psi0, t_max=dyn.t_max,
-                          samples=dyn.samples, dt_max=dyn.dt_max)
+                          samples=dyn.samples)
     write_csv(out_dir / _CSV_NAME["echo"], ECHO_CSV_COLUMNS,
               [_chunk_text((echo.times, echo.fidelity, echo.norm_a, echo.norm_b,
                             echo.leakage_series))])
@@ -498,19 +489,18 @@ def _run_echo(cfg: RunConfig, out_dir: Path, digest: str) -> list[str]:
 
 
 def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
-                workers: int | None = None, strict: bool = False) -> int:
-    """Execute one command; returns the process exit code.
-
-    Output directory precedence: explicit out_dir argument, then the
-    LAMBDAJC_OUT environment variable, then the config's output field.
-    """
+                workers: int | str = 1, strict: bool = False) -> int:
+    """Execute one command into out_dir, else the config's output
+    directory; returns the process exit code."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
     axes = _resolve_axes(command, cfg)
-    workers = worker_count(cfg.workers if workers is None else workers)
-    if out_dir is None:
-        out_dir = os.environ.get(OUTPUT_ENV_VAR) or cfg.output
-    out_dir = Path(out_dir)
+    echo_state = _echo_state(cfg) if command == "echo" else None
+    workers = worker_count(workers)
+    if out_dir == "":
+        # Path("") is the working directory
+        raise ConfigError("output must be a non-empty directory path")
+    out_dir = Path(cfg.output if out_dir is None else out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -539,15 +529,11 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     try:
         if command == "echo":
             cells = 1
-            deviations = _run_echo(cfg, out_dir, digest)
+            deviations = _run_echo(cfg, *echo_state, out_dir, digest)
         else:
             sweep = _sweep(command, cfg, axes)
             cells = sweep.cells
             deviations = _run_sweep(command, sweep, out_dir, digest, workers)
-    except TruncationError as exc:
-        # the configured cutoffs cannot represent the requested state
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, BrokenProcessPool, PropagationError) as exc:
         # a dead pool worker leaves the partial CSV for a rerun to resume; an
         # echo the propagator cannot take leaves its manifest unfinished
@@ -573,9 +559,24 @@ def _finish(deviations: list[str], strict: bool) -> int:
     return 0
 
 
+def worker_count(workers: int | str) -> int:
+    """The pool size a workers value asks for: a positive integer, or
+    "auto" for one worker per CPU this process may run on (its affinity
+    mask, which taskset and container limits narrow, where the platform
+    reports one)."""
+    if workers == "auto":
+        try:
+            return len(os.sched_getaffinity(0)) or 1
+        except (AttributeError, OSError):
+            return os.cpu_count() or 1
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError("workers must be a positive integer or 'auto'")
+    return workers
+
+
 def _workers_flag(text: str) -> int:
-    """--workers takes what the config's workers field takes: a positive
-    integer or "auto", resolved by config.worker_count."""
+    """--workers takes a positive integer or "auto", resolved by
+    worker_count."""
     try:
         value = int(text)
     except ValueError:
@@ -594,9 +595,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="JSON run configuration (defaults apply "
                                          "when omitted)")
-    parser.add_argument("--out", help=f"output directory (overrides "
-                                      f"${OUTPUT_ENV_VAR} and the config)")
-    parser.add_argument("--workers", type=_workers_flag,
+    parser.add_argument("--out", help="output directory (overrides the config)")
+    parser.add_argument("--workers", type=_workers_flag, default=1,
                         help="parallel worker count, or auto for one per CPU")
     parser.add_argument("--strict", action="store_true",
                         help="fail (exit 2) on validity deviations")

@@ -21,7 +21,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import get_args, get_origin, get_type_hints
 
@@ -33,21 +32,6 @@ from .params import DriveParams, SystemParams
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
-
-
-def worker_count(workers: int | str) -> int:
-    """The pool size a workers value asks for: a positive integer, or
-    "auto" for one worker per CPU this process may run on (its affinity
-    mask, which taskset and container limits narrow, where the platform
-    reports one)."""
-    if workers == "auto":
-        try:
-            return len(os.sched_getaffinity(0)) or 1
-        except (AttributeError, OSError):
-            return os.cpu_count() or 1
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers must be a positive integer or 'auto'")
-    return workers
 
 
 @dataclass(frozen=True)
@@ -84,7 +68,6 @@ class TruncationConfig:
 @dataclass(frozen=True)
 class DynamicsConfig:
     t_max: float = DEFAULT_T_MAX
-    dt_max: float | None = None
     samples: int = DEFAULT_SAMPLES
     initial_state: str = "2"
     pair: str = "rotated"    # a key of ECHO_PAIRS
@@ -92,8 +75,6 @@ class DynamicsConfig:
     def __post_init__(self):
         if not self.t_max > 0:
             raise ConfigError("t_max must be > 0")
-        if self.dt_max is not None and not self.dt_max > 0:
-            raise ConfigError("dt_max must be > 0")
         if self.samples < 2:
             raise ConfigError("samples must be >= 2")
         if self.initial_state not in ATOMIC_PRESETS:
@@ -112,12 +93,10 @@ class RunConfig:
     sweep: list[AxisConfig] = field(default_factory=list)
     dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
     output: str = "runs"
-    workers: int | str = 1
 
     def __post_init__(self):
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError("output must be a non-empty directory path")
-        worker_count(self.workers)
 
     def drive_or_default(self) -> DriveParams:
         return self.drive if self.drive is not None else DriveParams()
@@ -176,7 +155,7 @@ def parse_config(doc) -> RunConfig:
     """Validate a parsed JSON document (or JSON text) into a RunConfig.
 
     A key whose field holds a dataclass (or a list of them, for sweep) is a
-    section; output and workers are checked by RunConfig itself."""
+    section; output is checked by RunConfig itself."""
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
@@ -209,6 +188,6 @@ def config_hash(cfg: RunConfig) -> str:
     field that can change the output bytes, fully defaulted, as JSON with
     sorted keys."""
     doc = dataclasses.asdict(cfg)
-    del doc["output"], doc["workers"]
+    del doc["output"]
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()

@@ -10,13 +10,8 @@ import numpy as np
 import pytest
 
 from lambdajc import cli, spectrum
-from lambdajc.cli import (
-    OUTPUT_ENV_VAR,
-    main,
-    run_command,
-    write_csv,
-)
-from lambdajc.config import ConfigError, config_hash, parse_config, worker_count
+from lambdajc.cli import main, run_command, worker_count, write_csv
+from lambdajc.config import ConfigError, config_hash, parse_config
 from lambdajc.dynamics import ECHO_PAIRS, EchoResult
 from lambdajc.params import DriveParams, SystemParams
 
@@ -150,7 +145,6 @@ class TestParseConfig:
         ({"truncation": {"n_c1": 0}}, "n_c1"),
         ({"truncation": {"block_window": 0}}, "block_window must be >= 1"),
         ({"dynamics": {"t_max": 0}}, "t_max must be > 0"),
-        ({"dynamics": {"dt_max": 0}}, "dt_max must be > 0"),
         ({"dynamics": {"samples": 1}}, "samples must be >= 2"),
         ({"output": ""}, "output must be a non-empty"),
         ({"model": {"g1": "0.1"}}, "model.g1 must be a number"),
@@ -162,20 +156,22 @@ class TestParseConfig:
         ([], "config root must be an object, got list"),
         ({"sweep": 3}, "sweep must be a list of axis objects"),
         (b'{"model": {}}\xff', "config is not well-formed JSON: 'utf-8' codec"),
+        # the integrator picks the echo's step, and --workers the pool size
+        ({"dynamics": {"dt_max": 0.1}}, "unknown key 'dt_max' in dynamics"),
+        ({"workers": 2}, "unknown key 'workers' in config"),
     ], ids=["points-0", "n_c1-0", "block_window-0", "t_max-0",
-            "dt_max-0", "samples-1", "empty-output", "string-number",
+            "samples-1", "empty-output", "string-number",
             "inf-number", "fractional-int", "non-object-section", "axis-no-parameter",
-            "list-root", "sweep-number", "non-utf8-bytes"])
+            "list-root", "sweep-number", "non-utf8-bytes", "dt_max-unknown",
+            "workers-unknown"])
     def test_rejection_names_the_field(self, doc, field):
         with pytest.raises(ConfigError, match=field):
             parse_config(doc)
 
     def test_null_where_the_field_allows_none(self):
-        cfg = parse_config('{"dynamics": {"dt_max": null}, '
-                           '"truncation": {"block_window": null}, '
+        cfg = parse_config('{"truncation": {"block_window": null}, '
                            '"sweep": [{"start": 0, "stop": 1, "points": 2, '
                            '"parameter": "g1", "name": null}]}')
-        assert cfg.dynamics.dt_max is None
         assert cfg.truncation.block_window is None
         assert (spectrum.block_window_for(False, cfg.truncation.block_window)
                 == spectrum.STATIC_BLOCK_WINDOW)
@@ -211,7 +207,6 @@ class TestConfigHash:
             "dynamics": {"t_max": 100.0, "samples": 500, "initial_state": "2",
                          "pair": "rotated"},
             "output": "runs",
-            "workers": 2,
         }
         h0 = config_hash(parse_config(base))
         mutations = [
@@ -238,7 +233,7 @@ class TestConfigHash:
         assert config_hash(parse_config(doc)) != h0
 
     @pytest.mark.parametrize("doc, digest", [
-        ({}, "24c2ca7fff7381d3"),
+        ({}, "328376562cc4b220"),
         ({"model": {"g1": 0.05, "g2": 0.05},
           "drive": {"amplitude": 0.036, "frequency": 0.18},
           "truncation": {"block_window": 5},
@@ -247,17 +242,17 @@ class TestConfigHash:
                "parameter": "A_D"},
               {"name": "Omega2", "start": 0.985, "stop": 1.0, "points": 61,
                "parameter": "Omega2"}],
-          "output": "runs/driven"}, "e883844714d2cdfd"),
+          "output": "runs/driven"}, "785730c846d5d4c9"),
         ({"model": {"g1": 0.05, "g2": 0.05},
           "drive": {"amplitude": 0.036, "frequency": 0.18},
           "truncation": {"n_c1": 6, "n_c2": 6},
           "dynamics": {"t_max": 200.0, "samples": 2000, "initial_state": "2",
                        "pair": "rotated"},
-          "output": "runs/echo"}, "d40d00090bd02690"),
+          "output": "runs/echo"}, "43e2e0ec4b710ac6"),
         ({"drive": {"amplitude": 0.036, "frequency": 0.18},
           "sweep": [{"name": "omega_D", "start": 0.05, "stop": 6.0,
                      "points": 2400, "parameter": "omega_D"}],
-          "output": "runs/effective"}, "9f4ec3a8d0b7c136"),
+          "output": "runs/effective"}, "8dfaab12b0e46f7a"),
         ({"model": {"omega1": 0.5, "omega2": 0.25, "Omega1": 1.25, "Omega2": 1.0},
           "truncation": {"block_window": 8},
           "sweep": [
@@ -265,7 +260,7 @@ class TestConfigHash:
                "parameter": "g1"},
               {"name": "g2", "start": 0.0, "stop": 4.5, "points": 301,
                "parameter": "g2"}],
-          "output": "runs/static"}, "d36f12cb2dae6281"),
+          "output": "runs/static"}, "cf5925c1f3935994"),
     ], ids=["empty", "driven", "echo", "effective", "static"])
     def test_hash_is_pinned(self, doc, digest):
         # a cache key that drifts silently recomputes every stored run
@@ -397,7 +392,6 @@ class TestRunCommand:
             "grid.csv", "manifest.json", ".grid.csv.partial"}
 
     @pytest.mark.parametrize("section, key, value", [
-        ("workers", None, 2),
         ("output", None, "elsewhere"),
     ])
     def test_inert_field_change_is_cache_hit(self, tmp_path, capsys,
@@ -749,20 +743,26 @@ class TestRunCommand:
 
     def test_unrepresentable_cutoff_is_config_error(self, tmp_path, capsys):
         # the coherent factors leak 5e-9 past a single-photon cutoff, above
-        # the 1e-12 representation rule
-        cfg = parse_config({"truncation": {"n_c1": 1, "n_c2": 1},
-                            "dynamics": {"t_max": 5.0, "samples": 10}})
-        assert run_command("echo", cfg, out_dir=tmp_path) == 1
-        assert "cutoff" in capsys.readouterr().err
+        # the 1e-12 representation rule: refused before anything is written
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"truncation": {"n_c1": 1, "n_c2": 1},
+                                        "dynamics": {"t_max": 5.0, "samples": 10}}))
+        out = tmp_path / "out"
+        assert main(["echo", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: ")
+        assert "cutoff" in err[0]
+        assert not out.exists()
 
     def test_echo_dt_max_past_sampling_bound_is_config_error(self, tmp_path,
                                                              capsys):
+        # the integrator picks the echo's step, so dt_max is no config key
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {"dynamics": {"t_max": 5.0, "samples": 11, "dt_max": 5.0}}))
         out = tmp_path / "out"
         assert main(["echo", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert "dt_max" in capsys.readouterr().err
+        assert "unknown key 'dt_max' in dynamics" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("g1", [300.0, 1e150])
@@ -798,13 +798,6 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith("error: propagator")
         assert json.loads((out / "manifest.json").read_text())["csv_blake2b"] is None
         assert not (out / "echo.csv").exists()
-
-    def test_effective_echo_takes_any_dt_max(self, tmp_path):
-        # neither effective branch oscillates, so no dt_max is past a bound
-        cfg = parse_config({"truncation": {"n_c1": 2, "n_c2": 2},
-                            "dynamics": {"t_max": 5.0, "samples": 11,
-                                         "dt_max": 5.0, "pair": "effective"}})
-        assert run_command("echo", cfg, out_dir=tmp_path) == 0
 
     def test_axis_count_validation(self, tmp_path):
         cfg = parse_config({"sweep": [{"name": "g1", "start": 0.0, "stop": 1.0,
@@ -1650,7 +1643,6 @@ class TestMainEntry:
         assert capsys.readouterr().out.startswith("usage: lambdajc")
 
     def test_workers_flag_takes_auto(self, monkeypatch):
-        # the flag takes what the config's workers field takes
         taken = []
         monkeypatch.setattr(cli, "run_command",
                             lambda *args, **kw: taken.append(kw["workers"]) or 0)
@@ -1727,23 +1719,35 @@ class TestMainEntry:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    def test_env_var_output_dir(self, tmp_path, monkeypatch):
-        target = tmp_path / "from_env"
-        monkeypatch.setenv(OUTPUT_ENV_VAR, str(target))
+    def test_env_var_output_dir(self, tmp_path):
+        # without --out, the config's output directory is used
+        target = tmp_path / "from_config"
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(TINY_STATIC))
+        cfg_path.write_text(json.dumps({**TINY_STATIC, "output": str(target)}))
         assert main(["static-phase", "--config", str(cfg_path)]) == 0
         assert (target / "grid.csv").exists()
 
-    def test_out_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "env_dir"))
+    def test_out_flag_beats_env(self, tmp_path):
+        # --out wins over the config's output directory, which is not made
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(TINY_STATIC))
+        cfg_path.write_text(json.dumps({**TINY_STATIC,
+                                        "output": str(tmp_path / "config_dir")}))
         out = tmp_path / "flag_dir"
         assert main(["static-phase", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
         assert (out / "grid.csv").exists()
-        assert not (tmp_path / "env_dir").exists()
+        assert not (tmp_path / "config_dir").exists()
+
+    def test_empty_out_flag_exits_1(self, tmp_path, capsys, monkeypatch):
+        # as "output": "" is refused, so is --out "", which would be the
+        # working directory
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(TINY_STATIC))
+        assert main(["static-phase", "--config", str(cfg_path), "--out", ""]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: output must be a non-empty directory path"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_console_script_runs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
