@@ -7,14 +7,12 @@ __version__ = "0.1.0"
 
 from .config import ConfigError, RunConfig, config_hash, parse_config
 from .dynamics import (
-    ATOMIC_PRESETS,
     EchoResult,
     EvolutionResult,
     HamiltonianSpec,
     HilbertSpace,
     PropagationError,
     StateVector,
-    TermList,
     TruncationError,
     Variant,
     assemble_terms,
@@ -22,7 +20,6 @@ from .dynamics import (
     coherent_state,
     evolve,
     loschmidt_echo,
-    sector_states,
 )
 from .effective import effective_point
 from .params import DriveParams, SystemParams
@@ -36,7 +33,6 @@ from .spectrum import (
     block_matrix,
     categorize,
     ground_search,
-    label_sequence,
     locate_boundary,
     sweep_grid,
 )

@@ -16,12 +16,14 @@ commands share one runner: a sweep is its flattened cells, cut into
 chunks by spectrum.chunk_slices as sweep_grid cuts a grid, and one
 picklable function that gives every CSV column of a chunk by name.  One
 function turns a chunk into its audit counts (cells failing each validity
-audit) and its CSV text, with text fields quoted per RFC 4180.  The texts
-are one stream in index order, from map or, under --workers, the pool's
-map, written and flushed one by one into a partial file that is renamed
-onto the CSV when whole.  An interrupted sweep resumes from the whole
-chunks that head its partial CSV, a record per cell: their text is
-written again verbatim, and their audit columns give their counts.
+audit) and its CSV text, one line per cell: no field holds a comma, a
+double quote or a line break (config.AxisConfig refuses such axis names),
+so no field is quoted.  The texts are one stream in index order, from map
+or, under --workers, the pool's map, written and flushed one by one into a
+partial file that is renamed onto the CSV when whole.  An interrupted
+sweep resumes from the whole chunks that head its partial CSV, a line per
+cell: their text is written again verbatim, and their audit columns give
+their counts.
 
 The pool's map sends contiguous batches of chunks, about
 BATCHES_PER_WORKER per worker, to no more workers than batches.  Workers
@@ -54,9 +56,7 @@ failures).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
 import sys
@@ -64,7 +64,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from functools import partial
-from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -127,26 +126,15 @@ _CSV_NAME = {
 COMMANDS = tuple(_CSV_NAME)
 
 
-def _quote(text: str) -> str:
-    """text as one CSV field (RFC 4180): enclosed in double quotes, with
-    inner quotes doubled, when it holds a comma, a quote or a line break."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _format_column(values: np.ndarray) -> list[str]:
     """The CSV text of each value of a 1-D column, by dtype: round-trip
-    exact floats, plain integers, true/false booleans, quoted text."""
+    exact floats, plain integers, true/false booleans, text as it is."""
     kind = values.dtype.kind
     if kind == "b":
         return np.where(values, "true", "false").tolist()
     if kind == "f":
         return list(map("{:.17g}".format, values.tolist()))
-    text = list(map(str, values.tolist()))
-    if kind in "UO" and any(_quote(t) != t for t in set(text)):
-        text = list(map(_quote, text))
-    return text
+    return list(map(str, values.tolist()))
 
 
 def _chunk_text(chunk) -> str:
@@ -284,34 +272,36 @@ def _resume(path: Path, sweep: _Sweep) -> tuple[list[list[int]], str]:
     CSV, in index order, and the text of those chunks.
 
     Under the header of csv_columns, chunk (start, stop) is whole when it
-    holds stop - start records of len(csv_columns) fields and its text ends
-    in a line break (csv.reader reads a record torn by a kill as whole).  A
-    partial that cannot be read, or is not UTF-8, resumes nothing.
+    holds stop - start lines, each ended by a line break, holding no CR and
+    splitting into len(csv_columns) fields.  A record torn by a kill has no
+    line break, so it is not a line.  A partial that cannot be read, or is
+    not UTF-8, resumes nothing.
     """
     header = ",".join(sweep.csv_columns) + "\n"
     # (position, name) of each audit column: only these are parsed
     audited = [(sweep.csv_columns.index(k), k) for k, _, _ in AUDITS
                if k in sweep.csv_columns]
-    counts: list[list[int]] = []
-    end = len(header)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
-        if not text.startswith(header):
-            return counts, ""
-        body = io.StringIO(text, newline="")
-        body.seek(end)
-        reader = csv.reader(body)
-        for start, stop in sweep.chunks:
-            records = list(islice(reader, stop - start))
-            if (len(records) < stop - start or text[body.tell() - 1] != "\n"
-                    or any(len(r) != len(sweep.csv_columns) for r in records)):
-                break
-            counts.append(audit_counts({k: np.array([r[i] for r in records]) == _TRUE
-                                        for i, k in audited}))
-            end = body.tell()
-    except (OSError, ValueError, csv.Error):
+    except (OSError, ValueError):
         return [], ""
+    if not text.startswith(header):
+        return [], ""
+    # split on line feeds alone: str.splitlines also splits on characters
+    # an axis name may hold
+    lines = text[len(header):].split("\n")[:-1]
+    counts: list[list[int]] = []
+    end = len(header)
+    for start, stop in sweep.chunks:
+        chunk = lines[start:stop]
+        records = [line.split(",") for line in chunk]
+        if (len(records) < stop - start or any("\r" in line for line in chunk)
+                or any(len(r) != len(sweep.csv_columns) for r in records)):
+            break
+        counts.append(audit_counts({k: np.array([r[i] for r in records]) == _TRUE
+                                    for i, k in audited}))
+        end += sum(map(len, chunk)) + len(chunk)
     return counts, text[len(header):end]
 
 

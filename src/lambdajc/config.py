@@ -5,13 +5,14 @@ dataclasses below and in params: each section's keys are its dataclass's
 fields, a missing key takes the field's default, each value is checked
 against the field's annotated type, and the dataclass itself checks its
 constraints.  Unknown keys are rejected by name.  A sweep axis is checked
-for its schema alone: which sweeps are valid is spectrum.check_sweep's
-rule.  The truncation and dynamics constraints are checked here, as the
-library checks them only once a run has begun.  The canonical
-form (the fully defaulted dataclasses as plain data, sorted keys, numbers
-as floats or integers by field type) feeds a 64-bit content digest used
-for result caching: a change to any field that can change the output bytes
-changes the hash.  The output directory and the worker count cannot, so
+for its schema alone, and for a name that fits one CSV field unquoted (no
+comma, double quote, CR or LF): which sweeps are valid is
+spectrum.check_sweep's rule.  The truncation and dynamics constraints are
+checked here, as the library checks them only once a run has begun.  The
+canonical form (the fully defaulted dataclasses as plain data, sorted keys,
+numbers as floats or integers by field type) feeds a 64-bit content digest
+used for result caching: a change to any field that can change the output
+bytes changes the hash.  The output directory and the worker count cannot, so
 they are validated but left out of the hash.
 """
 
@@ -45,6 +46,10 @@ class AxisConfig:
     def __post_init__(self):
         if self.name is None:
             object.__setattr__(self, "name", self.parameter)
+        elif any(c in self.name for c in ',"\r\n'):
+            # the name is a CSV field, and a CSV record is one line
+            raise ConfigError("name must hold no comma, double quote, CR or LF, "
+                              f"got {self.name!r}")
         if self.points < 1:
             raise ConfigError("points must be >= 1")
 

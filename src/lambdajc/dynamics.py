@@ -727,21 +727,3 @@ def loschmidt_echo(spec_a: HamiltonianSpec, spec_b: HamiltonianSpec,
         leakage=float(leak.max()),
         warnings=res_a.warnings + res_b.warnings,
     )
-
-
-def sector_states(space: HilbertSpace, n_ph: int, m_ph: int) -> list[int]:
-    """Flat indices of the excitation sector containing block (n_ph, m_ph).
-
-    The sector is the joint eigenspace of a1'a1 - |1><1| and a2'a2 - |2><2|
-    with eigenvalues (n_ph, m_ph - 1); for m_ph >= 1 and n_ph + 1 within
-    the cutoff it is spanned by exactly the three block basis states.
-    """
-    if m_ph < 1:
-        raise ValueError("sector correspondence requires m_ph >= 1")
-    if n_ph + 1 > space.n_c1 or m_ph > space.n_c2:
-        raise ValueError("sector extends past the Fock cutoffs")
-    return [
-        space.index(3, n_ph, m_ph - 1),
-        space.index(1, n_ph + 1, m_ph - 1),
-        space.index(2, n_ph, m_ph),
-    ]

@@ -551,14 +551,3 @@ def locate_boundary(sys: SystemParams, parameter: str,
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def label_sequence(labels) -> list[tuple[int, int]]:
-    """Ordered distinct (n, m) labels along a 1-D scan (consecutive
-    duplicates collapsed)."""
-    out: list[tuple[int, int]] = []
-    for n, m in labels:
-        lab = (int(n), int(m))
-        if not out or out[-1] != lab:
-            out.append(lab)
-    return out

@@ -15,7 +15,7 @@ import pytest
 import lambdajc as lj
 from lambdajc.effective import effective_point
 from lambdajc.params import DriveParams, SystemParams
-from lambdajc.spectrum import label_sequence, locate_boundary, sweep_grid, AxisSpec
+from lambdajc.spectrum import locate_boundary, sweep_grid, AxisSpec
 
 from oracles import brute_sideband
 
@@ -94,6 +94,17 @@ def test_criterion_03_triple_point():
     assert elapsed < 5.0
     print(f"PASS criterion 3: triple point at ({r1:.4f}, {r2:.4f}) "
           f"(closed form ({oracle[0]:.4f}, {oracle[1]:.4f})) in {elapsed:.3f}s")
+
+
+def label_sequence(labels) -> list[tuple[int, int]]:
+    """Ordered distinct (n, m) labels along a 1-D scan (consecutive
+    duplicates collapsed)."""
+    out: list[tuple[int, int]] = []
+    for n, m in labels:
+        lab = (int(n), int(m))
+        if not out or out[-1] != lab:
+            out.append(lab)
+    return out
 
 
 def _scan_labels(sys, parameter, values):
@@ -253,7 +264,8 @@ def test_criterion_08_echo_effective_pair_and_superpositions():
 
 
 def test_criterion_09_cross_oracle_spectrum_equivalence():
-    from lambdajc.dynamics import assemble_terms, sector_states
+    from lambdajc.dynamics import assemble_terms
+    from test_dynamics import sector_states
     from lambdajc.spectrum import block_ground_energy, block_matrix
 
     start = time.monotonic()

@@ -620,8 +620,8 @@ class TestRunCommand:
         cfg = parse_config(TINY_STATIC)
         run_command("static-phase", cfg, out_dir=tmp_path / "full")
         _interrupt("static-phase", cfg, tmp_path / "part", 3)
-        # csv.reader reads a record torn by the kill, "torn,5" without its line
-        # break, as a whole one
+        # a record torn by the kill, "torn,5" without its line break, is no
+        # line, so it ends the resumed part
         with open(tmp_path / "part" / ".grid.csv.partial", "a") as fh:
             fh.write("torn,5")
         assert _whole_chunks("static-phase", cfg, tmp_path / "part") == 3
@@ -902,8 +902,7 @@ def _blake2b(path: Path) -> str:
 
 
 def _chunks(path: Path, size: int) -> tuple[str, list[list[list[str]]]]:
-    """The header of a partial CSV and its records in chunks of size, for
-    axis names that hold no comma, quote or line break."""
+    """The header of a partial CSV and its records in chunks of size."""
     header, *lines = path.read_text().splitlines()
     records = [line.split(",") for line in lines]
     return header, [records[k:k + size] for k in range(0, len(records), size)]
@@ -1072,7 +1071,7 @@ class TestLedgerShape:
 
     @pytest.mark.parametrize("corrupt", [
         "missing_column", "extra_column", "text_label", "short_text", "blank_line",
-        "unterminated_text", "torn_full_record", "other_header", "not_utf8"])
+        "unterminated_text", "torn_full_record", "other_header", "not_utf8", "crlf"])
     def test_malformed_entry_is_recomputed(self, tmp_path, monkeypatch, corrupt):
         _chunk_by_rows(monkeypatch, GRID_5X4)
         cfg = parse_config(GRID_5X4)
@@ -1098,7 +1097,11 @@ class TestLedgerShape:
             # of the same length, over records of the same shape
             header = header.replace("energy", "ENERGY")
         text = _text(last)
-        if corrupt == "unterminated_text":
+        if corrupt == "crlf":
+            # line ends rewritten as CR LF, as a copy through another
+            # platform's tools could leave them
+            text = text.replace("\n", "\r\n")
+        elif corrupt == "unterminated_text":
             text = text[:-1]
         elif corrupt == "torn_full_record":
             # torn inside the last field, true or false: the record still
@@ -1176,33 +1179,28 @@ class TestLedgerShape:
 
 
 class TestCsvQuoting:
-    def test_text_fields_round_trip_through_csv_reader(self, tmp_path):
-        doc = json.loads(json.dumps(TINY_STATIC))
-        doc["sweep"][0]["name"] = "g1,x"
-        doc["sweep"][1]["name"] = 'say "g2"'
-        assert run_command("static-phase", parse_config(doc), out_dir=tmp_path) == 0
-        with open(tmp_path / "grid.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 1 + 9 * 7
-        assert {len(row) for row in rows} == {12}
-        assert {(row[0], row[2]) for row in rows[1:]} == {("g1,x", 'say "g2"')}
+    """A CSV record is one line: no text field the CLI writes needs quoting,
+    so an axis name that would is a configuration error."""
 
-    def test_quoted_axis_names_resume(self, tmp_path, monkeypatch):
-        # a quoted field holds a comma, a doubled quote or a line break, and
-        # is still one field of the record a resumed chunk must hold
-        doc = json.loads(json.dumps(GRID_5X4))
-        doc["sweep"][0]["name"] = "g1,x\r\ny"
-        doc["sweep"][1]["name"] = 'say "g2"'
-        _chunk_by_rows(monkeypatch, doc)
-        cfg = parse_config(doc)
-        run_command("static-phase", cfg, out_dir=tmp_path / "full")
-        _interrupt("static-phase", cfg, tmp_path / "part", 2)
-        rows = _count_chunks(monkeypatch)
-        assert run_command("static-phase", cfg, out_dir=tmp_path / "part") == 0
-        assert rows == [2, 3, 4]
-        for name in ("grid.csv", "manifest.json"):
-            assert ((tmp_path / "part" / name).read_bytes()
-                    == (tmp_path / "full" / name).read_bytes())
+    @pytest.mark.parametrize("name", ["g1,x", 'say "g2"', "a\rb", "a\nb"])
+    def test_axis_name_that_needs_quoting_rejected(self, name):
+        doc = json.loads(json.dumps(TINY_STATIC))
+        doc["sweep"][0]["name"] = name
+        with pytest.raises(ConfigError, match=r"^sweep\[0\]: name must hold no comma"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("name", ["g1,x", 'say "g2"', "a\rb", "a\nb"])
+    def test_axis_name_that_needs_quoting_exits_1(self, tmp_path, capsys, name):
+        doc = json.loads(json.dumps(TINY_STATIC))
+        doc["sweep"][0]["name"] = name
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["static-phase", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sweep[0]: name must hold")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", [{"a": 1}, 3, ["g1"], True])
     def test_non_string_axis_name_rejected(self, name):

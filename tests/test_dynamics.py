@@ -17,7 +17,6 @@ from lambdajc.dynamics import (
     coherent_state,
     evolve,
     loschmidt_echo,
-    sector_states,
 )
 from lambdajc.dynamics import _expm_apply, _taylor_degree
 from lambdajc.params import DriveParams, SystemParams
@@ -26,6 +25,7 @@ from lambdajc.spectrum import block_ground_energy, block_matrix
 from oracles import dense, expm_propagate, kron_lower, kron_number, kron_sigma
 
 SAMPLES = Path(__file__).parent.parent / "configs"
+
 RESONANT = SystemParams()
 DRIVE = DriveParams(amplitude=0.036, frequency=0.18)  # theta = 0.2
 
@@ -39,6 +39,24 @@ def random_params(rng):
         g1=float(rng.uniform(0.0, 0.6)),
         g2=float(rng.uniform(0.0, 0.6)),
     )
+
+
+def sector_states(space, n_ph: int, m_ph: int) -> list[int]:
+    """Flat indices of the excitation sector containing block (n_ph, m_ph).
+
+    The sector is the joint eigenspace of a1'a1 - |1><1| and a2'a2 - |2><2|
+    with eigenvalues (n_ph, m_ph - 1); for m_ph >= 1 and n_ph + 1 within
+    the cutoff it is spanned by exactly the three block basis states.
+    """
+    if m_ph < 1:
+        raise ValueError("sector correspondence requires m_ph >= 1")
+    if n_ph + 1 > space.n_c1 or m_ph > space.n_c2:
+        raise ValueError("sector extends past the Fock cutoffs")
+    return [
+        space.index(3, n_ph, m_ph - 1),
+        space.index(1, n_ph + 1, m_ph - 1),
+        space.index(2, n_ph, m_ph),
+    ]
 
 
 class TestHilbertSpace:

@@ -19,7 +19,6 @@ from lambdajc.spectrum import (
     categorize,
     compute_grid_cells,
     ground_search,
-    label_sequence,
     locate_boundary,
     sweep_grid,
 )
@@ -31,6 +30,7 @@ from oracles import (
     dense_ground_table,
     resonant_block_ground,
 )
+from test_acceptance import label_sequence
 
 RESONANT = SystemParams()
 
