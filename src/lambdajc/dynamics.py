@@ -3,9 +3,10 @@
 State space
 -----------
 Three atomic levels tensor two truncated Fock ladders.  Basis order is
-lexicographic with the atom outermost and mode 2 innermost:
+lexicographic with the atom outermost and mode 2 innermost, so |k, n1, n2>
+is basis state
 
-    index(k, n1, n2) = ((k-1)*(n_c1+1) + n1)*(n_c2+1) + n2,   k in {1,2,3}.
+    ((k-1)*(n_c1+1) + n1)*(n_c2+1) + n2,   k in {1,2,3}.
 
 Hamiltonian variants
 --------------------
@@ -47,14 +48,18 @@ per substep).  A TermList stores its entries once, on one fixed pattern
 laid out as padded rows; for each exponential their values are rewritten
 and the products are taken row by row with numpy, the weights of the
 exponentials are evaluated one block of whole sample intervals at a time
-(at most CF4_BLOCK_EXPONENTIALS exponentials, or one interval), and each
-exponential is a Taylor polynomial whose degree is fixed once per run from
-a norm bound so that the dropped remainder is below unit roundoff; the
-scheme preserves the norm to roundoff.  The substep is chosen once per
+(at most CF4_BLOCK_EXPONENTIALS exponentials, or one interval).  The run's
+error budget, STEP_TOL (1e-7) in the sampled amplitudes, is split 0.9 to
+the step and 0.1 to the Taylor remainders.  The substep is chosen once per
 run: the longest one, within dt_max and the sampling bound
 2*pi/(20*phi_max), whose error in the sampled amplitudes, estimated by a
 Richardson pair on the first substep and added up over the run, is at
-most STEP_TOL (1e-7).  phi_max is
+most 0.9*STEP_TOL.  Each exponential is then a Taylor polynomial whose
+degree is fixed once per run from a norm bound: the smallest whose dropped
+remainders, added up over the run's exponentials, are at most
+0.1*STEP_TOL, and never more than the degree that drops below unit
+roundoff.  That share also bounds the norm drift the truncation leaves:
+1e-8, NORM_DRIFT_MAX.  phi_max is
 the peak instantaneous frequency max(|phi| + |z|*w_D) over the terms.
 dt_max is checked against that bound for every variant, but it sets only
 the CF4 substep.
@@ -88,7 +93,7 @@ class TruncationError(ValueError):
 class PropagationError(RuntimeError):
     """Raised when the Hamiltonian's norm bound is too large to propagate:
     past what the eigensolver of a framed variant takes, or such that no
-    Taylor degree keeps a substep's remainder below unit roundoff."""
+    Taylor degree keeps the remainders within their share of STEP_TOL."""
 
 
 class Variant(str, Enum):
@@ -135,13 +140,6 @@ class HilbertSpace:
         self._atom = idx // (self.d1 * self.d2) + 1
         self.top1_mask = self._n1 == self.n_c1
         self.top2_mask = self._n2 == self.n_c2
-
-    def index(self, atom: int, n1: int, n2: int) -> int:
-        if atom not in (1, 2, 3):
-            raise ValueError(f"atom level must be 1, 2 or 3, got {atom}")
-        if not (0 <= n1 <= self.n_c1) or not (0 <= n2 <= self.n_c2):
-            raise ValueError(f"photon numbers ({n1}, {n2}) outside cutoffs")
-        return ((atom - 1) * self.d1 + n1) * self.d2 + n2
 
     # -- the model's operators, written from the index arrays as the
     # (rows, cols, values) of their entries; every operator is real --
@@ -481,11 +479,18 @@ class EvolutionResult:
     norm_drift: float
     leakage: float
     warnings: list[str] = field(default_factory=list)
+    # what the CF4 integrator did: substeps per sample interval, the Taylor
+    # degree and the exponentials of the run; None on the framed path
+    substeps: int | None = None
+    taylor_degree: int | None = None
+    exponentials: int | None = None
 
 
-#: Largest error the default substep may leave in the sampled amplitudes
-#: (max |delta psi| over a run), as _substeps estimates it.
+#: Largest error a drive-rotated run may leave in the sampled amplitudes
+#: (max |delta psi| over a run): _substeps spends 1 - _TAYLOR_SHARE of it
+#: on the step error, _taylor_degree _TAYLOR_SHARE on the Taylor remainders.
 STEP_TOL = 1e-7
+_TAYLOR_SHARE = 0.1
 _MAX_TAYLOR_DEGREE = 63
 # Largest norm bound of H(0) + K the framed path diagonalizes: past it the
 # squares of entries overflow, and near the float limit the eigensolver has
@@ -502,24 +507,35 @@ _X_HI, _X_LO = 0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0
 CF4_BLOCK_EXPONENTIALS = 4096
 
 
-def _taylor_degree(terms: TermList, h: float) -> int:
-    """Taylor degree for every exponential of a CF4 substep of length h.
+def _taylor_degree(terms: TermList, h: float, exponentials: float) -> int:
+    """Taylor degree for every exponential of a run of this many CF4
+    exponentials of substep h: the smallest m whose remainder bounds, added
+    up over the run, are at most _TAYLOR_SHARE * STEP_TOL, and never more
+    than the degree whose remainder is below unit roundoff (exponentials =
+    inf asks for that one).
 
-    Each exponent is h times a mix of two H(t) whose weights sum to 1/sqrt(3)
-    in magnitude, so theta = h * norm_bound / sqrt(3) bounds its norm, and
-    the smallest m with theta^(m+1)/(m+1)! * e^theta below unit roundoff
-    bounds the dropped remainder (the degree is chosen from a norm bound as
-    in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).
+    An exponent is h * sum_k w_k O_k with w_k = X_HI c_k(t1) + X_LO c_k(t2),
+    or the nodes swapped, and |c_k| = |a_k|.  The nodes are h/sqrt(3) apart,
+    so the phases of c_k(t1) and c_k(t2) differ by at most delta =
+    phi_max*h/sqrt(3), and |w_k| <= |a_k| |X_HI + X_LO e^(i delta)|, which
+    grows with delta up to 1/sqrt(3) at pi.  So theta = h * norm_bound *
+    |X_HI + X_LO e^(i delta)| bounds the exponent's norm and
+    theta^(m+1)/(m+1)! * e^theta the remainder degree m drops (a norm-bound
+    degree choice as in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488,
+    2011).
     """
-    theta = float(h * terms.norm_bound / _SQRT3)   # overflows to inf silently
+    delta = min(terms.phi_max * h / _SQRT3, math.pi)
+    mix = abs(_X_HI + _X_LO * cmath.exp(1j * delta))
+    theta = float(h * terms.norm_bound * mix)   # overflows to inf silently
     try:
         growth = math.exp(theta)
     except OverflowError:
         growth = math.inf
+    share = max(_UNIT_ROUNDOFF, _TAYLOR_SHARE * STEP_TOL / exponentials)
     power = 1.0
     for m in range(_MAX_TAYLOR_DEGREE + 1):
         power *= theta / (m + 1)          # theta^(m+1) / (m+1)!
-        if power * growth <= _UNIT_ROUNDOFF:
+        if power * growth <= share:
             return m
     raise PropagationError(
         f"propagator Taylor series failed to converge: norm bound "
@@ -531,9 +547,9 @@ def _expm_apply(columns: np.ndarray, values: np.ndarray, factor: complex,
     """exp(factor*H) @ psi by its Taylor polynomial of the given degree, for
     the H with values on the padded rows of TermList.columns.
 
-    With the degree from _taylor_degree the dropped remainder is below unit
-    roundoff, so the result is unitary to roundoff whenever factor*H is
-    anti-Hermitian.
+    With the degree from _taylor_degree the remainders a run drops add up
+    to at most STEP_TOL/10, and whenever factor*H is anti-Hermitian they
+    bound how far the norm moves as well.
     """
     out = psi.copy()
     term = psi
@@ -574,22 +590,25 @@ def _substeps(terms: TermList, psi: np.ndarray, t0: float,
               interval: float, n_min: int, intervals: int) -> int:
     """CF4 substeps per sample interval: the fewest, n_min or more, whose
     estimated error in the sampled amplitudes over the run is at most
-    STEP_TOL.
+    (1 - _TAYLOR_SHARE) * STEP_TOL.
 
     A Richardson pair on the first substep (one step of interval/n_min
     against two of half that) estimates the local error of the coarse step
     as 16/15 of their largest amplitude difference.  The run's local errors
     are taken to add up, and each scales as h^5, so n substeps per interval
-    leave about n_min * intervals * error * (n_min/n)^4.
+    leave about n_min * intervals * error * (n_min/n)^4.  The pair takes
+    the unit-roundoff Taylor degree, so that its difference is step error
+    alone.
     """
     h = interval / n_min
-    degree = _taylor_degree(terms, h)
+    degree = _taylor_degree(terms, h, math.inf)
     start = np.array([t0])
     coarse = _cf4_steps(terms, psi, _cf4_weights(terms, start, h, 1)[0], h, degree)
     fine = _cf4_steps(terms, psi, _cf4_weights(terms, start, h / 2, 2)[0],
                       h / 2, degree)
     error = n_min * intervals * 16.0 / 15.0 * float(np.max(np.abs(coarse - fine)))
-    return max(n_min, math.ceil(n_min * (error / STEP_TOL) ** 0.25))
+    budget = (1.0 - _TAYLOR_SHARE) * STEP_TOL
+    return max(n_min, math.ceil(n_min * (error / budget) ** 0.25))
 
 
 def step_limit(terms: TermList, dt_max: float | None) -> float:
@@ -628,8 +647,10 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
     TermList.frame is sampled exactly, so dt_max changes nothing there.
     Otherwise the CF4 substep is the longest one within dt_max and that
     bound whose estimated error in the sampled amplitudes over the run is
-    at most STEP_TOL (see _substeps), so halving dt_max perturbs sampled
-    amplitudes far below 1e-6.
+    at most 0.9*STEP_TOL (see _substeps), and the Taylor degree leaves the
+    other 0.1 (see _taylor_degree), so halving dt_max perturbs sampled
+    amplitudes far below 1e-6.  The result records the substeps per
+    interval, the degree and the exponentials taken.
     """
     if (psi0.space.n_c1, psi0.space.n_c2) != (space.n_c1, space.n_c2):
         raise ValueError("initial state lives in a different space")
@@ -640,6 +661,7 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
     states = np.empty((times.size, space.dim), dtype=complex)
     psi = psi0.amplitudes.astype(complex).copy()
     states[0] = psi
+    nsub = degree = exponentials = None
 
     if terms.frame is not None:
         # psi(t) = exp(iKt) exp(-i(H(0) + K)t) psi(0)
@@ -661,7 +683,8 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
         nsub = _substeps(terms, psi, times[0], interval,
                          max(1, math.ceil(interval / h_max)), times.size - 1)
         h = interval / nsub
-        degree = _taylor_degree(terms, h)
+        exponentials = 2 * nsub * (times.size - 1)
+        degree = _taylor_degree(terms, h, exponentials)
         starts = times[:-1]
         block = max(1, CF4_BLOCK_EXPONENTIALS // (2 * nsub))
         for first in range(0, starts.size, block):
@@ -678,6 +701,7 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
         times=times, states=states, norms=norms, leakage_series=leak,
         norm_drift=float(np.max(np.abs(norms - 1.0))),
         leakage=float(leak.max()),
+        substeps=nsub, taylor_degree=degree, exponentials=exponentials,
     )
     # NaN states must warn as well, hence the negated comparisons
     if not result.norm_drift <= NORM_DRIFT_MAX:

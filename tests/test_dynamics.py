@@ -7,6 +7,7 @@ import pytest
 
 from lambdajc.config import parse_config
 from lambdajc.dynamics import (
+    NORM_DRIFT_MAX,
     STEP_TOL,
     HamiltonianSpec,
     StateVector,
@@ -18,7 +19,8 @@ from lambdajc.dynamics import (
     evolve,
     loschmidt_echo,
 )
-from lambdajc.dynamics import _expm_apply, _taylor_degree
+from lambdajc.dynamics import (
+    _cf4_steps, _cf4_weights, _expm_apply, _taylor_degree, step_limit)
 from lambdajc.params import DriveParams, SystemParams
 from lambdajc.spectrum import block_ground_energy, block_matrix
 
@@ -41,6 +43,15 @@ def random_params(rng):
     )
 
 
+def index(space, atom: int, n1: int, n2: int) -> int:
+    """Flat index of basis state |atom, n1, n2> in space."""
+    if atom not in (1, 2, 3):
+        raise ValueError(f"atom level must be 1, 2 or 3, got {atom}")
+    if not (0 <= n1 <= space.n_c1) or not (0 <= n2 <= space.n_c2):
+        raise ValueError(f"photon numbers ({n1}, {n2}) outside cutoffs")
+    return ((atom - 1) * space.d1 + n1) * space.d2 + n2
+
+
 def sector_states(space, n_ph: int, m_ph: int) -> list[int]:
     """Flat indices of the excitation sector containing block (n_ph, m_ph).
 
@@ -53,9 +64,9 @@ def sector_states(space, n_ph: int, m_ph: int) -> list[int]:
     if n_ph + 1 > space.n_c1 or m_ph > space.n_c2:
         raise ValueError("sector extends past the Fock cutoffs")
     return [
-        space.index(3, n_ph, m_ph - 1),
-        space.index(1, n_ph + 1, m_ph - 1),
-        space.index(2, n_ph, m_ph),
+        index(space, 3, n_ph, m_ph - 1),
+        index(space, 1, n_ph + 1, m_ph - 1),
+        index(space, 2, n_ph, m_ph),
     ]
 
 
@@ -70,7 +81,7 @@ class TestHilbertSpace:
         for atom in (1, 2, 3):
             for n1 in range(3):
                 for n2 in range(4):
-                    i = space.index(atom, n1, n2)
+                    i = index(space, atom, n1, n2)
                     assert i == ((atom - 1) * 3 + n1) * 4 + n2
                     assert (i // 12 + 1, i // 4 % 3, i % 4) == (atom, n1, n2)
                     seen.add(i)
@@ -79,11 +90,11 @@ class TestHilbertSpace:
     def test_lowering_matrix_element(self):
         space = build_space(2, 2)
         a1 = kron_lower(1, 2, 2)
-        src = space.index(1, 1, 0)
-        dst = space.index(1, 0, 0)
+        src = index(space, 1, 1, 0)
+        dst = index(space, 1, 0, 0)
         assert a1[dst, src] == pytest.approx(1.0)
-        src2 = space.index(1, 2, 0)
-        assert a1[space.index(1, 1, 0), src2] == pytest.approx(math.sqrt(2.0))
+        src2 = index(space, 1, 2, 0)
+        assert a1[index(space, 1, 1, 0), src2] == pytest.approx(math.sqrt(2.0))
 
     def test_rejects_bad_cutoffs(self):
         with pytest.raises(ValueError):
@@ -94,10 +105,10 @@ class TestHilbertSpace:
     def test_index_rejects_out_of_range(self):
         space = build_space(2, 3)
         with pytest.raises(ValueError, match="atom level"):
-            space.index(4, 0, 0)
+            index(space, 4, 0, 0)
         for n1, n2 in ((3, 0), (0, 4), (-1, 0)):
             with pytest.raises(ValueError, match="outside cutoffs"):
-                space.index(1, n1, n2)
+                index(space, 1, n1, n2)
 
 
 class TestCoherentState:
@@ -105,7 +116,7 @@ class TestCoherentState:
         space = build_space(3, 3)
         psi = coherent_state(space, 0.0, 0.0, "2")
         expected = np.zeros(space.dim, complex)
-        expected[space.index(2, 0, 0)] = 1.0
+        expected[index(space, 2, 0, 0)] = 1.0
         assert np.allclose(psi.amplitudes, expected, atol=1e-15)
 
     def test_mean_occupation(self):
@@ -196,8 +207,8 @@ class TestCoherentState:
         space = build_space(2, 2)
         psi = coherent_state(space, 0.0, 0.0, np.array([1.0, 0.0, 1.0]))
         pop = np.abs(psi.amplitudes) ** 2
-        assert pop[space.index(1, 0, 0)] == pytest.approx(0.5)
-        assert pop[space.index(3, 0, 0)] == pytest.approx(0.5)
+        assert pop[index(space, 1, 0, 0)] == pytest.approx(0.5)
+        assert pop[index(space, 3, 0, 0)] == pytest.approx(0.5)
 
 
 def padded_values(terms, t):
@@ -409,6 +420,18 @@ class TestSectorStates:
             sector_states(build_space(3, 3), n_ph, m_ph)
 
 
+@pytest.fixture(scope="module")
+def sample_rotated_run():
+    """configs/echo.json's drive-rotated branch over the sample horizon."""
+    cfg = parse_config((SAMPLES / "echo.json").read_text())
+    space = build_space(cfg.truncation.n_c1, cfg.truncation.n_c2)
+    psi0 = coherent_state(space, 0.01, 0.01, cfg.dynamics.initial_state)
+    spec = HamiltonianSpec(variant=Variant.DRIVE_ROTATED, sys=cfg.model,
+                           drive=cfg.drive_or_default())
+    return evolve(spec, space, psi0, t_max=cfg.dynamics.t_max,
+                  samples=cfg.dynamics.samples)
+
+
 class TestEvolve:
     def test_zero_hamiltonian_freezes_state(self):
         space = build_space(2, 2)
@@ -566,8 +589,10 @@ class TestEvolve:
         assert np.max(np.abs(r1.states - r2.states)) < 1e-6
 
     def test_taylor_degree_reaches_roundoff(self):
-        # one exponential at the chosen degree against the dense oracle, up
-        # to steps far longer than the integrator takes
+        # one exponential at the degree of a run so long that each
+        # exponential's share of STEP_TOL/10 is below unit roundoff, so the
+        # roundoff cap sets it, against the dense oracle, up to steps far
+        # longer than the integrator takes
         space = build_space(2, 2)
         terms = assemble_terms(_spec(Variant.DRIVE_ROTATED,
                                      drive=DriveParams.from_theta(0.8, 0.33)), space)
@@ -576,11 +601,37 @@ class TestEvolve:
         psi0 /= np.linalg.norm(psi0)
         H = terms.matrix_at(1.7)
         for h in (0.05, 0.5, 2.0):
-            degree = _taylor_degree(terms, h)
+            degree = _taylor_degree(terms, h, 10 ** 12)
             ours = _expm_apply(terms.columns, padded_values(terms, 1.7), -1j * h,
                                psi0, degree)
             ref = expm_propagate(H, psi0, [h])[0]
             assert np.max(np.abs(ours - ref)) < 1e-14
+
+    def test_budget_degree_meets_its_share_of_the_tolerance(self):
+        # 2000 CF4 exponentials at the sampling bound, chained at the degree
+        # the run's budget asks for, against dense exponentials: the dropped
+        # remainders add up to at most STEP_TOL/10
+        import scipy.linalg
+        cfg = parse_config((SAMPLES / "echo.json").read_text())
+        space = build_space(3, 3)
+        terms = assemble_terms(HamiltonianSpec(
+            variant=Variant.DRIVE_ROTATED, sys=cfg.model,
+            drive=cfg.drive_or_default()), space)
+        h = step_limit(terms, None)
+        weights = _cf4_weights(terms, h * np.arange(1000), h, 1)
+        weights = weights.reshape(-1, len(terms.terms))
+        degree = _taylor_degree(terms, h, len(weights))
+        assert degree < _taylor_degree(terms, h, math.inf)
+        rng = np.random.default_rng(8)
+        psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        psi0 /= np.linalg.norm(psi0)
+        ref = psi0
+        for row in weights:
+            H = np.zeros((space.dim, space.dim), dtype=complex)
+            H[terms._rows, terms._cols] = terms.data_map @ row
+            ref = scipy.linalg.expm(-1j * h * H) @ ref
+        ours = _cf4_steps(terms, psi0, weights, h, degree)
+        assert np.max(np.abs(ours - ref)) <= STEP_TOL / 10
 
     @pytest.mark.parametrize("cutoffs", [(2, 3), (3, 1)])
     def test_product_adds_in_csr_order(self, cutoffs):
@@ -620,10 +671,30 @@ class TestEvolve:
                          dt_max=interval / 16)
             assert np.max(np.abs(res.states - ref.states)) <= STEP_TOL
 
+    def test_sample_run_counts(self, sample_rotated_run):
+        # configs/echo.json's drive-rotated branch: 3 substeps per interval
+        # and the budget degree 4 (6 under unit roundoff) over 2*3*1999
+        # exponentials
+        res = sample_rotated_run
+        assert (res.substeps, res.taylor_degree, res.exponentials) == (3, 4, 11994)
+
+    def test_sample_run_keeps_the_norm(self, sample_rotated_run):
+        # the budget degree's truncation breaks unitarity by at most its
+        # share of STEP_TOL over the sample's whole horizon
+        assert sample_rotated_run.norm_drift <= NORM_DRIFT_MAX
+        assert not sample_rotated_run.warnings
+
+    def test_framed_run_reports_no_integrator_counts(self):
+        space = build_space(2, 2)
+        psi0 = coherent_state(space, 0.0, 0.0, "2")
+        res = evolve(_spec(Variant.DOMINANT_SIDEBAND), space, psi0,
+                     t_max=1.0, samples=3)
+        assert (res.substeps, res.taylor_degree, res.exponentials) == (None,) * 3
+
     def test_nan_state_warns(self):
         space = build_space(2, 2)
         psi0 = coherent_state(space, 0.0, 0.0, "2")
-        psi0.amplitudes[space.index(1, 0, 0)] = np.nan
+        psi0.amplitudes[index(space, 1, 0, 0)] = np.nan
         res = evolve(_spec(Variant.JC_STATIC), space, psi0, t_max=1.0, samples=3)
         assert math.isnan(res.norm_drift) and math.isnan(res.leakage)
         assert [w.split()[0] for w in res.warnings] == ["norm", "truncation:"]
