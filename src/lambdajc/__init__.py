@@ -25,13 +25,12 @@ from .effective import effective_point
 from .params import DriveParams, SystemParams
 from .specfun import bessel_j
 from .spectrum import (
+    CATEGORIES,
     AxisSpec,
-    PhaseCategory,
     PhaseGrid,
-    PhasePoint,
     block_ground_energy,
     block_matrix,
-    categorize,
+    category_index,
     ground_search,
     locate_boundary,
     sweep_grid,

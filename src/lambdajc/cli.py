@@ -76,6 +76,7 @@ from .dynamics import (
     HamiltonianSpec,
     HilbertSpace,
     PropagationError,
+    StateVector,
     TruncationError,
     build_space,
     coherent_state,
@@ -257,8 +258,7 @@ class _Sweep(NamedTuple):
 #: How a true flag reads in the CSV.
 _TRUE = _format_column(np.array([True]))[0]
 #: The CSV text of each phase category, in CATEGORIES order.
-_CATEGORY_TEXT = np.array(_format_column(np.array([c.value for c in CATEGORIES])),
-                          dtype=object)
+_CATEGORY_TEXT = np.array(CATEGORIES, dtype=object)
 
 
 def _chunk_entry(compute, csv_columns, chunk) -> tuple[list[int], str]:
@@ -448,7 +448,7 @@ def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisSpec]:
     return axes
 
 
-def _echo_state(cfg: RunConfig) -> tuple[HilbertSpace, np.ndarray]:
+def _echo_state(cfg: RunConfig) -> tuple[HilbertSpace, StateVector]:
     """The echo's space and initial state; a cutoff that cannot represent
     the state is a configuration error."""
     space = build_space(cfg.truncation.n_c1, cfg.truncation.n_c2)
@@ -463,7 +463,7 @@ def _echo_state(cfg: RunConfig) -> tuple[HilbertSpace, np.ndarray]:
 # commands
 
 
-def _run_echo(cfg: RunConfig, space: HilbertSpace, psi0: np.ndarray,
+def _run_echo(cfg: RunConfig, space: HilbertSpace, psi0: StateVector,
               out_dir: Path, digest: str) -> list[str]:
     drive = cfg.drive_or_default()
     dyn = cfg.dynamics

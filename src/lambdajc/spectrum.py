@@ -27,6 +27,8 @@ intentionally excluded from the ground search.
 
 Phase taxonomy over the block label of the global ground state:
 (0,0) normal; (n>0, 0) type y1; (0, m>0) type y2; (n>0, m>0) mixed.
+category_index maps a label, or arrays of them, to its index into
+CATEGORIES, the names of the four phases.
 
 The lowest eigenvalue of each block is computed by the closed-form
 trigonometric solution of the symmetric 3x3 characteristic polynomial with
@@ -56,14 +58,15 @@ resonance L is each block's energy, so about two blocks per cell are
 evaluated.  Driven slices first pass through
 effective.effective_table, so sidebands, effective parameters and the
 validity audit are array code too.  ground_search, static or driven, is a
-one-cell slice of the same core.  check_sweep is the one rule of a valid
+one-cell slice of the same core, and returns that cell's record (energy,
+labels, gap, window flag and both validity audits) as Python scalars.
+check_sweep is the one rule of a valid
 sweep, for the grids (before any kernel call), the CLI and ground_search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -85,33 +88,13 @@ BOUNDARY_RATIO_TOL = 1e-4
 _TWO_PI_3 = 2.0 * np.pi / 3.0
 
 
-class PhaseCategory(str, Enum):
-    NORMAL = "normal"
-    Y1 = "y1"
-    Y2 = "y2"
-    MIXED = "mixed"
-
-
 #: The phase categories, indexed by category_index.
-CATEGORIES = (PhaseCategory.NORMAL, PhaseCategory.Y2, PhaseCategory.Y1, PhaseCategory.MIXED)
+CATEGORIES = ("normal", "y2", "y1", "mixed")
 
 
 def category_index(n_label, m_label) -> np.ndarray:
-    """The index into CATEGORIES of every cell of the label arrays."""
+    """The index into CATEGORIES of a label, or of every cell of label arrays."""
     return 2 * (np.asarray(n_label) != 0) + (np.asarray(m_label) != 0)
-
-
-def categorize(n_label: int, m_label: int) -> PhaseCategory:
-    return CATEGORIES[category_index(n_label, m_label)]
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    label: tuple[int, int]
-    category: PhaseCategory
-    energy: float
-    gap: float
-    window_capped: bool = False
 
 
 @dataclass(frozen=True)
@@ -145,21 +128,6 @@ class PhaseGrid:
     rwa_ok: np.ndarray
     hierarchy_ok: np.ndarray
     deviations: list[str] = field(default_factory=list)
-
-    def cell(self, i: int, j: int) -> PhasePoint:
-        return _point(vars(self), (i, j))
-
-
-def _point(cells, index) -> PhasePoint:
-    """The PhasePoint at index of per-cell arrays keyed like PhaseGrid."""
-    label = (int(cells["n_label"][index]), int(cells["m_label"][index]))
-    return PhasePoint(
-        label=label,
-        category=categorize(*label),
-        energy=float(cells["energy"][index]),
-        gap=float(cells["gap"][index]),
-        window_capped=bool(cells["window_capped"][index]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +355,12 @@ def block_window_for(driven: bool, block_window: int | None = None) -> int:
 
 
 def ground_search(sys: SystemParams, drive: DriveParams | None = None,
-                  block_window: int | None = None) -> PhasePoint:
+                  block_window: int | None = None) -> dict:
     """Global ground block over labels in [0, block_window]^2 of the model,
     or with a drive of the effective model (effective.effective_point's
-    parameters, signs included): a one-cell sweep_grid.
+    parameters, signs included): the cell of a one-cell sweep_grid, as a
+    dict of Python scalars with the keys and bits of compute_grid_cells's
+    cells, audits included.
 
     Exact energy ties resolve to the lexicographically smallest label.  The
     window_capped flag reports an argmin sitting on the window edge, i.e. a
@@ -400,7 +370,7 @@ def ground_search(sys: SystemParams, drive: DriveParams | None = None,
     check_sweep(sys, drive, ())
     cells = _ground_cells({k: np.array([v]) for k, v in sweep_values(sys, drive).items()},
                           block_window_for(drive is not None, block_window))
-    return _point(cells, 0)
+    return {k: v.item() for k, v in cells.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -394,9 +394,10 @@ def test_criterion_11_driven_phase_sequences_best_effort():
     for tt in two_theta:
         drive = DriveParams.from_theta(float(tt) / 2.0, omega_d)
         point = lj.ground_search(RESONANT, drive, block_window=5)
-        assert 0 <= point.label[0] <= 5 and 0 <= point.label[1] <= 5
-        labels.append(point.label)
-        capped.append(point.window_capped)
+        label = (point["n_label"], point["m_label"])
+        assert 0 <= label[0] <= 5 and 0 <= label[1] <= 5
+        labels.append(label)
+        capped.append(point["window_capped"])
     dashed = label_sequence(labels)
     expected_dashed = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0)]
     if dashed != expected_dashed:
@@ -417,7 +418,7 @@ def test_criterion_11_driven_phase_sequences_best_effort():
         sys_k = RESONANT.replace(Omega2=base2 / (1.0 + ratio))
         drive = DriveParams.from_theta(tt / 2.0, omega_d)
         point = lj.ground_search(sys_k, drive, block_window=5)
-        labels.append(point.label)
+        labels.append((point["n_label"], point["m_label"]))
     dotted = label_sequence(labels)
     expected_dotted = [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
     if dotted != expected_dotted:

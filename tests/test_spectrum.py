@@ -10,13 +10,13 @@ from lambdajc.params import MODEL_FIELDS, DriveParams, SystemParams, sweep_value
 from lambdajc.spectrum import (
     _EFFECTIVE_MODEL,
     STATIC_BLOCK_WINDOW,
+    CATEGORIES,
     AxisSpec,
-    PhaseCategory,
     _ground_cells,
     _search_tables,
     block_ground_energy,
     block_matrix,
-    categorize,
+    category_index,
     compute_grid_cells,
     ground_search,
     locate_boundary,
@@ -33,6 +33,21 @@ from oracles import (
 from test_acceptance import label_sequence
 
 RESONANT = SystemParams()
+
+
+def label(rec) -> tuple[int, int]:
+    """The block label of a ground_search record."""
+    return rec["n_label"], rec["m_label"]
+
+
+def category(rec) -> str:
+    """The phase category of a ground_search record."""
+    return CATEGORIES[category_index(rec["n_label"], rec["m_label"])]
+
+
+def grid_cell(grid, i, j) -> dict:
+    """Cell (i, j) of a PhaseGrid's per-cell arrays, as Python scalars."""
+    return {k: v[i, j].item() for k, v in vars(grid).items() if isinstance(v, np.ndarray)}
 
 
 def window_elements(model, window):
@@ -161,10 +176,10 @@ class TestKernelRange:
                  for n in range(STATIC_BLOCK_WINDOW + 1)
                  for m in range(STATIC_BLOCK_WINDOW + 1)}
         lowest, second = sorted(dense.values())[:2]
-        assert point.label == min(dense, key=dense.get)
-        assert point.energy == pytest.approx(lowest, rel=1e-12, abs=0.0)
+        assert label(point) == min(dense, key=dense.get)
+        assert point["energy"] == pytest.approx(lowest, rel=1e-12, abs=0.0)
         # at g1 = 1e200 the m labels of n = 8 agree to all digits
-        assert point.gap == pytest.approx(second - lowest, abs=1e-12 * abs(lowest))
+        assert point["gap"] == pytest.approx(second - lowest, abs=1e-12 * abs(lowest))
 
     @pytest.mark.parametrize("k", [340, 530, 600, 1000])
     def test_scale_invariance(self, k):
@@ -207,7 +222,7 @@ class TestKernelRange:
         assert np.allclose(table, dense, rtol=1e-15, atol=0.0)
         point = ground_search(SystemParams(*STATIC_SAMPLE, 7.879418302766859e-163,
                                            1.5758836605533718e-162))
-        assert (point.label, point.energy, point.gap) == ((0, 0), -0.25, 1.0)
+        assert (label(point), point["energy"], point["gap"]) == ((0, 0), -0.25, 1.0)
 
     def test_broadcast_inputs_give_the_bytes_of_float_arrays(self):
         # (cells, 1, 1) couplings against the (W+1, W+1) label grid with
@@ -263,40 +278,40 @@ class TestKernelRange:
         model = (*STATIC_SAMPLE, 4.703564751425735e-120, 3.573901020227392e-75)
         unit = ground_search(SystemParams(*model))
         scaled = ground_search(SystemParams(*(math.ldexp(x, k) for x in model)))
-        assert scaled.label == unit.label
-        assert scaled.energy == math.ldexp(unit.energy, k)
-        assert scaled.gap == math.ldexp(unit.gap, k)
+        assert label(scaled) == label(unit)
+        assert scaled["energy"] == math.ldexp(unit["energy"], k)
+        assert scaled["gap"] == math.ldexp(unit["gap"], k)
 
     def test_scaled_ground_search_label(self):
         sys = RESONANT.replace(g1=3.2, g2=3.0)
-        assert ground_search(sys).label == (0, 1)
+        assert label(ground_search(sys)) == (0, 1)
         tiny = SystemParams(**{f: math.ldexp(getattr(sys, f), -600) for f in MODEL_FIELDS})
-        assert ground_search(tiny).label == (0, 1)
+        assert label(ground_search(tiny)) == (0, 1)
 
 
 class TestGroundSearch:
     def test_weak_coupling_normal_phase(self):
         point = ground_search(RESONANT)
-        assert point.label == (0, 0)
-        assert point.category is PhaseCategory.NORMAL
-        assert point.energy == pytest.approx(-0.3, abs=1e-13)
-        assert not point.window_capped
+        assert label(point) == (0, 0)
+        assert category(point) == "normal"
+        assert point["energy"] == pytest.approx(-0.3, abs=1e-13)
+        assert not point["window_capped"]
 
     def test_mode2_condensed(self):
         point = ground_search(RESONANT.replace(g1=0.0, g2=1.5))
-        assert point.label == (0, 1)
-        assert point.category is PhaseCategory.Y2
+        assert label(point) == (0, 1)
+        assert category(point) == "y2"
 
     def test_mode1_condensed(self):
         point = ground_search(RESONANT.replace(g1=3.2, g2=0.05))
-        assert point.label == (1, 0)
-        assert point.category is PhaseCategory.Y1
+        assert label(point) == (1, 0)
+        assert category(point) == "y1"
 
     def test_gap_is_distance_to_second_best(self):
         point = ground_search(RESONANT)
         table = full_table((0.5, 0.25, 1.25, 1.0, 0.05, 0.05), 8)
         flat = np.sort(table.ravel())
-        assert point.gap == pytest.approx(flat[1] - flat[0], abs=1e-14)
+        assert point["gap"] == pytest.approx(flat[1] - flat[0], abs=1e-14)
 
     def test_lexicographic_tie_break(self):
         table = np.full((3, 3), 5.0)
@@ -308,19 +323,25 @@ class TestGroundSearch:
     def test_edge_argmin_sets_flag(self):
         # strong mode-1 coupling pushes the minimum to the window edge
         point = ground_search(RESONANT.replace(g1=40.0), block_window=4)
-        assert point.label[0] == 4
-        assert point.window_capped
+        assert point["n_label"] == 4
+        assert point["window_capped"]
+        grid = sweep_grid(RESONANT, None, AxisSpec("g1", "g1", np.array([0.05, 40.0])),
+                          AxisSpec("g2", "g2", np.array([0.05])), 4)
+        assert grid_cell(grid, 1, 0) == point
+        assert grid_cell(grid, 0, 0) == ground_search(RESONANT, block_window=4)
 
 
 class TestCategorize:
     @pytest.mark.parametrize("label,expected", [
-        ((0, 0), PhaseCategory.NORMAL),
-        ((3, 0), PhaseCategory.Y1),
-        ((0, 5), PhaseCategory.Y2),
-        ((1, 5), PhaseCategory.MIXED),
+        ((0, 0), "normal"),
+        ((3, 0), "y1"),
+        ((0, 5), "y2"),
+        ((1, 5), "mixed"),
     ])
     def test_mapping(self, label, expected):
-        assert categorize(*label) is expected
+        assert CATEGORIES[category_index(*label)] == expected
+        index = category_index([label[0], 0], [label[1], 0])
+        assert [CATEGORIES[k] for k in index] == [expected, "normal"]
 
 
 class TestPhaseGrid:
@@ -330,7 +351,7 @@ class TestPhaseGrid:
                           AxisSpec("g1/Omega1", "g1", np.array([0.0])),
                           AxisSpec("g2/Omega2", "g2", ratios * RESONANT.Omega2),
                           STATIC_BLOCK_WINDOW)
-        labels = [grid.cell(0, j).label for j in range(ratios.size)]
+        labels = list(zip(grid.n_label[0], grid.m_label[0]))
         flips = [j for j in range(1, len(labels)) if labels[j] != labels[j - 1]]
         assert len(flips) == 1
         crossing = 0.5 * (ratios[flips[0]] + ratios[flips[0] - 1])
@@ -342,7 +363,7 @@ class TestPhaseGrid:
                           AxisSpec("g1/Omega1", "g1", ratios * RESONANT.Omega1),
                           AxisSpec("g2/Omega2", "g2", np.array([0.05])),
                           STATIC_BLOCK_WINDOW)
-        labels = [grid.cell(i, 0).label for i in range(ratios.size)]
+        labels = list(zip(grid.n_label[:, 0], grid.m_label[:, 0]))
         flips = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
         assert len(flips) == 1
         crossing = 0.5 * (ratios[flips[0]] + ratios[flips[0] - 1])
@@ -353,7 +374,7 @@ class TestPhaseGrid:
         grid = sweep_grid(RESONANT, None, AxisSpec("g1", "g1", np.array([0.125])),
                           AxisSpec("g2", "g2", np.array([0.1])), STATIC_BLOCK_WINDOW)
         assert grid.energy.shape == (1, 1)
-        assert grid.cell(0, 0).label == (0, 0)
+        assert (grid.n_label[0, 0], grid.m_label[0, 0]) == (0, 0)
 
     def test_rejects_empty_or_decreasing_axes(self):
         with pytest.raises(ValueError, match="at least one value"):
@@ -483,8 +504,8 @@ class TestDrivenPhasePoint:
         driven = ground_search(RESONANT, drive, block_window=8)
         report = effective_point(RESONANT, drive)
         static = ground_search(RESONANT, block_window=8)
-        assert driven.label == static.label
-        assert driven.energy == pytest.approx(static.energy, abs=1e-13)
+        assert label(driven) == label(static)
+        assert driven["energy"] == pytest.approx(static["energy"], abs=1e-13)
         # at (n0, m0) = (0, 0) the residual counter term is the ordinary
         # counter-rotating correction g/Delta_0 = 0.02, above the 1e-2 rule
         assert report["gc1/Delta_n0"] == pytest.approx(0.02, abs=1e-14)
@@ -493,7 +514,7 @@ class TestDrivenPhasePoint:
     def test_slow_drive_is_window_capped(self):
         drive = DriveParams(amplitude=0.2 * 0.18, frequency=0.18)
         point = ground_search(RESONANT, drive, block_window=5)
-        assert point.window_capped
+        assert point["window_capped"]
         assert effective_point(RESONANT, drive)["hierarchy_ok"]
 
     def test_coupling_node_decouples_mode1(self):
@@ -507,7 +528,28 @@ class TestDrivenPhasePoint:
         drive = DriveParams(amplitude=1e-4 * 0.18, frequency=0.18)
         sys = RESONANT.replace(g1=0.03, g2=0.03)
         point = ground_search(sys, drive, block_window=5)
-        assert point.label != (0, 0)
+        assert label(point) != (0, 0)
+
+    def test_record_is_its_grid_cell(self):
+        # a grid where some cells fail the counter-rotating rule, every cell
+        # fails the hierarchy rule and every cell is window-capped: the
+        # record of each point is its cell of the grid, audits included
+        sys = RESONANT.replace(g1=0.2, g2=0.2)
+        drive = DriveParams(amplitude=0.036, frequency=0.18)
+        ax1 = AxisSpec("A_D", "A_D", np.linspace(0.0, 0.54, 13))
+        ax2 = AxisSpec("Omega2", "Omega2", np.linspace(0.97, 1.0, 4))
+        grid = sweep_grid(sys, drive, ax1, ax2, 5)
+        cells = compute_grid_cells(sys, drive, ax1, ax2, 5, 0, grid.energy.size)
+        assert 0 < np.count_nonzero(~grid.rwa_ok) < grid.rwa_ok.size
+        assert not grid.hierarchy_ok.any()
+        assert grid.window_capped.all()
+        for i, amplitude in enumerate(ax1.values):
+            for j, cavity in enumerate(ax2.values):
+                point = ground_search(sys.replace(Omega2=float(cavity)),
+                                      DriveParams(float(amplitude), drive.frequency))
+                assert point == {k: v[i * ax2.values.size + j].item() for k, v in cells.items()}
+                assert point == grid_cell(grid, i, j)
+                assert all(type(v) in (int, float, bool) for v in point.values())
 
 
 def test_driven_grid_shapes_and_validity_columns():
@@ -536,10 +578,10 @@ def test_driven_grid_mode1_detuning_axis():
             drive_i = DriveParams(float(amplitude), drive.frequency)
             point = ground_search(sys, drive_i)
             report = effective_point(sys, drive_i)
-            assert grid.cell(i, j) == point
-            assert (grid.energy[i, j], grid.gap[i, j]) == (point.energy, point.gap)
-            assert (grid.n_label[i, j], grid.m_label[i, j]) == point.label
-            assert grid.window_capped[i, j] == point.window_capped
+            assert grid_cell(grid, i, j) == point
+            assert (grid.energy[i, j], grid.gap[i, j]) == (point["energy"], point["gap"])
+            assert (grid.n_label[i, j], grid.m_label[i, j]) == label(point)
+            assert grid.window_capped[i, j] == point["window_capped"]
             assert grid.rwa_ok[i, j] == report["rwa_ok"]
             assert grid.hierarchy_ok[i, j] == report["hierarchy_ok"]
 
@@ -669,7 +711,7 @@ class TestRowEngineOracles:
         for i in range(2):
             self.check_row(SystemParams(*STATIC_SAMPLE), None, ax1, ax2, 8, i)
         point = ground_search(SystemParams(*STATIC_SAMPLE, 3.5556433873827877e-162, 0.0))
-        assert point.gap == 1.0
+        assert point["gap"] == 1.0
 
     def test_driven_amplitude_on_axis2(self):
         # theta, hence every Bessel argument, changes from cell to cell
