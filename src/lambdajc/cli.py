@@ -56,6 +56,7 @@ failures).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -74,7 +75,6 @@ from .config import AxisConfig, ConfigError, RunConfig, config_hash, parse_confi
 from .dynamics import (
     ECHO_PAIRS,
     HamiltonianSpec,
-    HilbertSpace,
     PropagationError,
     StateVector,
     TruncationError,
@@ -448,13 +448,13 @@ def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisSpec]:
     return axes
 
 
-def _echo_state(cfg: RunConfig) -> tuple[HilbertSpace, StateVector]:
-    """The echo's space and initial state; a cutoff that cannot represent
-    the state is a configuration error."""
+def _echo_state(cfg: RunConfig) -> StateVector:
+    """The echo's initial state, on the space of the config's cutoffs; a
+    cutoff that cannot represent the state is a configuration error."""
     space = build_space(cfg.truncation.n_c1, cfg.truncation.n_c2)
     try:
-        return space, coherent_state(space, ECHO_ALPHA, ECHO_ALPHA,
-                                     cfg.dynamics.initial_state)
+        return coherent_state(space, ECHO_ALPHA, ECHO_ALPHA,
+                              cfg.dynamics.initial_state)
     except TruncationError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -463,19 +463,25 @@ def _echo_state(cfg: RunConfig) -> tuple[HilbertSpace, StateVector]:
 # commands
 
 
-def _run_echo(cfg: RunConfig, space: HilbertSpace, psi0: StateVector,
-              out_dir: Path, digest: str) -> list[str]:
+def _run_echo(cfg: RunConfig, psi0: StateVector, out_dir: Path,
+              digest: str) -> list[str]:
+    """Write the echo CSV; returns the branches' deviation lines."""
     drive = cfg.drive_or_default()
     dyn = cfg.dynamics
     spec_a, spec_b = (HamiltonianSpec(variant=v, sys=cfg.model, drive=drive)
                       for v in ECHO_PAIRS[dyn.pair])
     _write_manifest(out_dir, "echo", digest, 1, 0, [])
-    echo = loschmidt_echo(spec_a, spec_b, space, psi0, t_max=dyn.t_max,
-                          samples=dyn.samples)
-    write_csv(out_dir / _CSV_NAME["echo"], ECHO_CSV_COLUMNS,
-              [_chunk_text((echo.times, echo.fidelity, echo.norm_a, echo.norm_b,
-                            echo.leakage_series))])
-    return list(echo.warnings)
+    try:
+        echo = loschmidt_echo(spec_a, spec_b, psi0, t_max=dyn.t_max,
+                              samples=dyn.samples)
+        a, b = echo.a, echo.b
+        write_csv(out_dir / _CSV_NAME["echo"], ECHO_CSV_COLUMNS,
+                  [_chunk_text((a.times, echo.fidelity, a.norms, b.norms,
+                                np.maximum(a.leakage_series, b.leakage_series)))])
+    except KeyboardInterrupt:
+        _write_manifest(out_dir, "echo", digest, 1, 0, ["interrupted"])
+        raise
+    return a.warnings + b.warnings
 
 
 def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
@@ -485,12 +491,12 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
     axes = _resolve_axes(command, cfg)
-    echo_state = _echo_state(cfg) if command == "echo" else None
+    psi0 = _echo_state(cfg) if command == "echo" else None
     workers = worker_count(workers)
-    if out_dir == "":
-        # Path("") is the working directory
-        raise ConfigError("output must be a non-empty directory path")
-    out_dir = Path(cfg.output if out_dir is None else out_dir)
+    if out_dir is not None:
+        # RunConfig refuses "", which Path would take for the working directory
+        cfg = dataclasses.replace(cfg, output=str(out_dir))
+    out_dir = Path(cfg.output)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -519,7 +525,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     try:
         if command == "echo":
             cells = 1
-            deviations = _run_echo(cfg, *echo_state, out_dir, digest)
+            deviations = _run_echo(cfg, psi0, out_dir, digest)
         else:
             sweep = _sweep(command, cfg, axes)
             cells = sweep.cells

@@ -28,10 +28,11 @@ construction and no conjugate phase can ever be entered with the wrong sign.
     EFFECTIVE_JC      final effective excitation-conserving model (gc terms
                       dropped).
 
-Echoes compare two branches evolved from one initial state; branches must
-live in the same frame (DRIVE_ROTATED vs DOMINANT_SIDEBAND, or
-EFFECTIVE_FULL vs EFFECTIVE_JC) because cross-frame overlaps are not frame
--invariant and would silently measure the wrong thing.
+Echoes compare two branches evolved from one initial state, on its space;
+branches must live in the same frame (DRIVE_ROTATED vs DOMINANT_SIDEBAND,
+or EFFECTIVE_FULL vs EFFECTIVE_JC) because cross-frame overlaps are not
+frame-invariant and would silently measure the wrong thing.  An echo
+keeps its fidelity and each branch's record as evolve returns it.
 
 Propagation
 -----------
@@ -636,10 +637,10 @@ def _sample_grid(t_max: float, samples: int) -> np.ndarray:
     return np.linspace(0.0, t_max, samples)
 
 
-def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
-           t_max: float = DEFAULT_T_MAX, dt_max: float | None = None,
-           samples: int = DEFAULT_SAMPLES) -> EvolutionResult:
-    """Propagate psi0 and sample the state on a uniform time grid.
+def evolve(spec: HamiltonianSpec, psi0: StateVector, *,
+           t_max: float = DEFAULT_T_MAX, samples: int = DEFAULT_SAMPLES,
+           dt_max: float | None = None) -> EvolutionResult:
+    """Propagate psi0 on its space, sampled at samples times over [0, t_max].
 
     dt_max must respect the sampling bound 2*pi/(20*phi_max), where phi_max
     is the peak instantaneous frequency max(|phi| + |z|*w_D) of any
@@ -652,8 +653,7 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
     amplitudes far below 1e-6.  The result records the substeps per
     interval, the degree and the exponentials taken.
     """
-    if (psi0.space.n_c1, psi0.space.n_c2) != (space.n_c1, space.n_c2):
-        raise ValueError("initial state lives in a different space")
+    space = psi0.space
     terms = assemble_terms(spec, space)
     times = _sample_grid(t_max, samples)
     h_max = step_limit(terms, dt_max)
@@ -716,21 +716,19 @@ def evolve(spec: HamiltonianSpec, space: HilbertSpace, psi0: StateVector,
 
 @dataclass
 class EchoResult:
-    times: np.ndarray
+    """An echo's fidelity |<psi_a(t)|psi_b(t)>|^2 on the branches' common
+    time grid, and the branches' records a and b as evolve returns them."""
     fidelity: np.ndarray
-    norm_a: np.ndarray
-    norm_b: np.ndarray
-    leakage_series: np.ndarray
-    norm_drift: float
-    leakage: float
-    warnings: list[str] = field(default_factory=list)
+    a: EvolutionResult
+    b: EvolutionResult
 
 
 def loschmidt_echo(spec_a: HamiltonianSpec, spec_b: HamiltonianSpec,
-                   space: HilbertSpace, psi0: StateVector,
-                   t_max: float = DEFAULT_T_MAX, samples: int = DEFAULT_SAMPLES,
+                   psi0: StateVector, *, t_max: float = DEFAULT_T_MAX,
+                   samples: int = DEFAULT_SAMPLES,
                    dt_max: float | None = None) -> EchoResult:
-    """Squared overlap of the two branches evolved from a common state.
+    """Squared overlap of the two branches evolved from a common state, each
+    by evolve with these arguments.
 
     Both branches must live in the same frame; comparing across frames
     would require the explicit frame-change unitary and is rejected.
@@ -739,15 +737,7 @@ def loschmidt_echo(spec_a: HamiltonianSpec, spec_b: HamiltonianSpec,
         raise ValueError(
             f"echo branches must share a frame: got {spec_a.frame!r} vs "
             f"{spec_b.frame!r}")
-    res_a = evolve(spec_a, space, psi0, t_max=t_max, dt_max=dt_max, samples=samples)
-    res_b = evolve(spec_b, space, psi0, t_max=t_max, dt_max=dt_max, samples=samples)
-    overlap = np.einsum("ij,ij->i", res_a.states.conj(), res_b.states)
-    fidelity = np.abs(overlap) ** 2
-    leak = np.maximum(res_a.leakage_series, res_b.leakage_series)
-    return EchoResult(
-        times=res_a.times, fidelity=fidelity,
-        norm_a=res_a.norms, norm_b=res_b.norms, leakage_series=leak,
-        norm_drift=max(res_a.norm_drift, res_b.norm_drift),
-        leakage=float(leak.max()),
-        warnings=res_a.warnings + res_b.warnings,
-    )
+    a, b = (evolve(spec, psi0, t_max=t_max, samples=samples, dt_max=dt_max)
+            for spec in (spec_a, spec_b))
+    overlap = np.einsum("ij,ij->i", a.states.conj(), b.states)
+    return EchoResult(fidelity=np.abs(overlap) ** 2, a=a, b=b)

@@ -46,7 +46,7 @@ def _rotated_echo(omega_d: float):
         spec_a, spec_b = _rotated_pair(drive)
         psi0 = lj.coherent_state(_space(), 0.01, 0.01, "2")
         start = time.monotonic()
-        echo = lj.loschmidt_echo(spec_a, spec_b, _space(), psi0,
+        echo = lj.loschmidt_echo(spec_a, spec_b, psi0,
                                  t_max=200.0, samples=2000)
         _echo_cache[key] = (echo, time.monotonic() - start)
     return _echo_cache[key]
@@ -230,7 +230,7 @@ def test_criterion_08_echo_effective_pair_and_superpositions():
                                     sys=RESONANT, drive=drive)
         spec_b = lj.HamiltonianSpec(variant=lj.Variant.EFFECTIVE_JC,
                                     sys=RESONANT, drive=drive)
-        echo = lj.loschmidt_echo(spec_a, spec_b, _space(), psi0,
+        echo = lj.loschmidt_echo(spec_a, spec_b, psi0,
                                  t_max=200.0, samples=2000)
         min_f = float(echo.fidelity.min())
         assert min_f >= 0.9
@@ -247,7 +247,7 @@ def test_criterion_08_echo_effective_pair_and_superpositions():
     spec_a, spec_b = _rotated_pair(drive)
     for tag in ("1-2", "1+3", "2+3"):
         psi = lj.coherent_state(_space(), 0.01, 0.01, tag)
-        echo = lj.loschmidt_echo(spec_a, spec_b, _space(), psi,
+        echo = lj.loschmidt_echo(spec_a, spec_b, psi,
                                  t_max=200.0, samples=2000)
         _echo_cache[("sup", tag)] = (echo, 0.0)
         min_f = float(echo.fidelity.min())
@@ -304,8 +304,9 @@ def test_criterion_10_numerical_integrity():
         if key == "space":
             continue
         echo, _ = value
-        assert echo.norm_drift <= 1e-8
-        assert echo.leakage <= 1e-6
+        for branch in (echo.a, echo.b):
+            assert branch.norm_drift <= 1e-8
+            assert branch.leakage <= 1e-6
 
     # step-halving convergence of the sampled fidelity
     drive = DriveParams.from_theta(ECHO_THETA, 0.18)
@@ -313,9 +314,9 @@ def test_criterion_10_numerical_integrity():
     psi0 = lj.coherent_state(_space(), 0.01, 0.01, "2")
     terms = assemble_terms(spec_a, _space())
     bound = 2.0 * math.pi / (20.0 * terms.phi_max)
-    e1 = lj.loschmidt_echo(spec_a, spec_b, _space(), psi0, t_max=200.0,
+    e1 = lj.loschmidt_echo(spec_a, spec_b, psi0, t_max=200.0,
                            samples=500, dt_max=bound / 4)
-    e2 = lj.loschmidt_echo(spec_a, spec_b, _space(), psi0, t_max=200.0,
+    e2 = lj.loschmidt_echo(spec_a, spec_b, psi0, t_max=200.0,
                            samples=500, dt_max=bound / 8)
     df = float(np.max(np.abs(e1.fidelity - e2.fidelity)))
     assert df <= 1e-6

@@ -12,7 +12,7 @@ import pytest
 from lambdajc import cli, spectrum
 from lambdajc.cli import main, run_command, worker_count, write_csv
 from lambdajc.config import ConfigError, config_hash, parse_config
-from lambdajc.dynamics import ECHO_PAIRS, EchoResult
+from lambdajc.dynamics import ECHO_PAIRS, EchoResult, EvolutionResult
 from lambdajc.params import DriveParams, SystemParams
 
 TINY_STATIC = {
@@ -284,11 +284,12 @@ class TestWriters:
         assert categories <= {"normal", "y1", "y2", "mixed"}
 
     def test_echo_csv_shape(self, tmp_path, monkeypatch):
-        echo = EchoResult(
-            times=np.array([0.0, 1.0, 2.0]),
-            fidelity=np.array([1.0, 0.999, 0.998]),
-            norm_a=np.ones(3), norm_b=np.ones(3),
-            leakage_series=np.zeros(3), norm_drift=0.0, leakage=0.0)
+        branch = EvolutionResult(
+            times=np.array([0.0, 1.0, 2.0]), states=np.zeros((3, 1)),
+            norms=np.ones(3), leakage_series=np.zeros(3), norm_drift=0.0,
+            leakage=0.0)
+        echo = EchoResult(fidelity=np.array([1.0, 0.999, 0.998]),
+                          a=branch, b=branch)
         monkeypatch.setattr(cli, "loschmidt_echo", lambda *args, **kwargs: echo)
         cfg = parse_config({"truncation": {"n_c1": 2, "n_c2": 2}})
         assert run_command("echo", cfg, out_dir=tmp_path) == 0
@@ -526,6 +527,21 @@ class TestRunCommand:
         # the partial CSV is no .csv file: what the rerun resumes from
         assert {p.name for p in tmp_path.iterdir()} == {"manifest.json",
                                                         ".grid.csv.partial"}
+
+    def test_interrupted_echo_says_so(self, tmp_path, monkeypatch):
+        # as an interrupted sweep's, the manifest reads "interrupted" and
+        # names no CSV digest, and no echo CSV, whole or partial, is left
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "loschmidt_echo", interrupt)
+        cfg = parse_config({"truncation": {"n_c1": 2, "n_c2": 2}})
+        with pytest.raises(KeyboardInterrupt):
+            run_command("echo", cfg, out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["deviations"] == ["interrupted"]
+        assert manifest["csv_blake2b"] is None
+        assert {p.name for p in tmp_path.iterdir()} == {"manifest.json"}
 
     def test_rows_stream_into_the_csv_as_they_land(self, tmp_path, monkeypatch):
         # a resumed run: rows 0-2 come from the partial CSV as one text, the

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from pathlib import Path
@@ -428,7 +429,7 @@ def sample_rotated_run():
     psi0 = coherent_state(space, 0.01, 0.01, cfg.dynamics.initial_state)
     spec = HamiltonianSpec(variant=Variant.DRIVE_ROTATED, sys=cfg.model,
                            drive=cfg.drive_or_default())
-    return evolve(spec, space, psi0, t_max=cfg.dynamics.t_max,
+    return evolve(spec, psi0, t_max=cfg.dynamics.t_max,
                   samples=cfg.dynamics.samples)
 
 
@@ -439,7 +440,7 @@ class TestEvolve:
                            g1=0.0, g2=0.0)
         # vacuum annihilates every surviving term, so H|psi0> = 0 exactly
         psi0 = coherent_state(space, 0.0, 0.0, "2")
-        res = evolve(_spec(Variant.JC_STATIC, sys=sys), space, psi0,
+        res = evolve(_spec(Variant.JC_STATIC, sys=sys), psi0,
                      t_max=7.0, samples=8)
         assert np.max(np.abs(res.states - psi0.amplitudes)) < 1e-12
 
@@ -449,7 +450,7 @@ class TestEvolve:
         H = assemble_terms(spec, space).matrix_at(0.0)
         evals, vecs = np.linalg.eigh(H)
         psi0 = StateVector(amplitudes=vecs[:, 3].astype(complex), space=space)
-        res = evolve(spec, space, psi0, t_max=11.0, samples=23)
+        res = evolve(spec, psi0, t_max=11.0, samples=23)
         overlap = np.abs(res.states @ psi0.amplitudes.conj())
         assert np.max(np.abs(overlap - 1.0)) < 1e-12
 
@@ -457,7 +458,7 @@ class TestEvolve:
         space = build_space(2, 2)
         spec = _spec(Variant.EFFECTIVE_JC)
         psi0 = coherent_state(space, 0.01, 0.01, "2")
-        res = evolve(spec, space, psi0, t_max=50.0, samples=26)
+        res = evolve(spec, psi0, t_max=50.0, samples=26)
         H = assemble_terms(spec, space).matrix_at(0.0)
         ref = expm_propagate(H, psi0.amplitudes, res.times)
         assert np.max(np.abs(res.states - ref)) < 1e-8
@@ -470,7 +471,7 @@ class TestEvolve:
         spec = _spec(Variant.DRIVE_ROTATED,
                      drive=DriveParams.from_theta(theta, wd))
         psi0 = coherent_state(space, 0.0, 0.0, "2+3")
-        res = evolve(spec, space, psi0, t_max=20.0, samples=5)
+        res = evolve(spec, psi0, t_max=20.0, samples=5)
 
         # the drive-rotated Hamiltonian as the explicit sideband series
         # sum_{|p| <= 40} g J_p(z) exp(i(phi + p wd)t) of each coupling
@@ -515,7 +516,7 @@ class TestEvolve:
             return out
 
         monkeypatch.setattr(dynamics, "_cf4_weights", spy)
-        blocked = evolve(spec, space, psi0, t_max=200.0, samples=2000)
+        blocked = evolve(spec, psi0, t_max=200.0, samples=2000)
         # the first two calls are the Richardson pair of _substeps
         (intervals, per_interval, _), *_ = shapes[2:]
         assert len(shapes) > 3 and intervals > 1
@@ -523,7 +524,7 @@ class TestEvolve:
         for bound, most in ((1, 1), (2 ** 62, 1999)):
             monkeypatch.setattr(dynamics, "CF4_BLOCK_EXPONENTIALS", bound)
             shapes.clear()
-            res = evolve(spec, space, psi0, t_max=200.0, samples=2000)
+            res = evolve(spec, psi0, t_max=200.0, samples=2000)
             assert max(a for a, _, _ in shapes[2:]) == most
             assert np.array_equal(res.states, blocked.states)
 
@@ -537,7 +538,7 @@ class TestEvolve:
         spec = _spec(Variant.DOMINANT_SIDEBAND, sys=sys,
                      drive=DriveParams.from_theta(0.8, 0.33))
         psi0 = coherent_state(space, 0.0, 0.0, "2+3")
-        res = evolve(spec, space, psi0, t_max=20.0, samples=5)
+        res = evolve(spec, psi0, t_max=20.0, samples=5)
 
         # H(t) summed term by term from each term's own phase
         terms = [(dense(term.op, space.dim) * term.amplitude, term.phase)
@@ -556,7 +557,7 @@ class TestEvolve:
         space = build_space(3, 3)
         spec = _spec(Variant.DRIVE_ROTATED)
         psi0 = coherent_state(space, 0.01, 0.01, "2")
-        res = evolve(spec, space, psi0, t_max=60.0, samples=40)
+        res = evolve(spec, psi0, t_max=60.0, samples=40)
         assert res.norm_drift < 1e-10
 
     def test_step_bound_enforced(self):
@@ -567,7 +568,7 @@ class TestEvolve:
         terms = assemble_terms(spec, space)
         bound = 2.0 * math.pi / (20.0 * terms.phi_max)
         with pytest.raises(ValueError, match="dt_max"):
-            evolve(spec, space, psi0, t_max=10.0, samples=5, dt_max=2.0 * bound)
+            evolve(spec, psi0, t_max=10.0, samples=5, dt_max=2.0 * bound)
 
     @pytest.mark.parametrize("variant", [Variant.DRIVE_ROTATED, Variant.EFFECTIVE_JC])
     @pytest.mark.parametrize("dt_max", [math.nan, 0.0, -1.0])
@@ -576,7 +577,7 @@ class TestEvolve:
         space = build_space(2, 2)
         psi0 = coherent_state(space, 0.0, 0.0, "2")
         with pytest.raises(ValueError, match="dt_max must be positive"):
-            evolve(_spec(variant), space, psi0, t_max=10.0, samples=5, dt_max=dt_max)
+            evolve(_spec(variant), psi0, t_max=10.0, samples=5, dt_max=dt_max)
 
     def test_dt_halving_converges(self):
         space = build_space(3, 3)
@@ -584,8 +585,8 @@ class TestEvolve:
         psi0 = coherent_state(space, 0.01, 0.01, "2")
         terms = assemble_terms(spec, space)
         bound = 2.0 * math.pi / (20.0 * terms.phi_max)
-        r1 = evolve(spec, space, psi0, t_max=40.0, samples=11, dt_max=bound / 4)
-        r2 = evolve(spec, space, psi0, t_max=40.0, samples=11, dt_max=bound / 8)
+        r1 = evolve(spec, psi0, t_max=40.0, samples=11, dt_max=bound / 4)
+        r2 = evolve(spec, psi0, t_max=40.0, samples=11, dt_max=bound / 8)
         assert np.max(np.abs(r1.states - r2.states)) < 1e-6
 
     def test_taylor_degree_reaches_roundoff(self):
@@ -666,8 +667,8 @@ class TestEvolve:
         for variant in (Variant.DRIVE_ROTATED, Variant.DOMINANT_SIDEBAND):
             spec = HamiltonianSpec(variant=variant, sys=cfg.model,
                                    drive=cfg.drive_or_default())
-            res = evolve(spec, space, psi0, t_max=200.0, samples=2000)
-            ref = evolve(spec, space, psi0, t_max=200.0, samples=2000,
+            res = evolve(spec, psi0, t_max=200.0, samples=2000)
+            ref = evolve(spec, psi0, t_max=200.0, samples=2000,
                          dt_max=interval / 16)
             assert np.max(np.abs(res.states - ref.states)) <= STEP_TOL
 
@@ -687,7 +688,7 @@ class TestEvolve:
     def test_framed_run_reports_no_integrator_counts(self):
         space = build_space(2, 2)
         psi0 = coherent_state(space, 0.0, 0.0, "2")
-        res = evolve(_spec(Variant.DOMINANT_SIDEBAND), space, psi0,
+        res = evolve(_spec(Variant.DOMINANT_SIDEBAND), psi0,
                      t_max=1.0, samples=3)
         assert (res.substeps, res.taylor_degree, res.exponentials) == (None,) * 3
 
@@ -695,7 +696,7 @@ class TestEvolve:
         space = build_space(2, 2)
         psi0 = coherent_state(space, 0.0, 0.0, "2")
         psi0.amplitudes[index(space, 1, 0, 0)] = np.nan
-        res = evolve(_spec(Variant.JC_STATIC), space, psi0, t_max=1.0, samples=3)
+        res = evolve(_spec(Variant.JC_STATIC), psi0, t_max=1.0, samples=3)
         assert math.isnan(res.norm_drift) and math.isnan(res.leakage)
         assert [w.split()[0] for w in res.warnings] == ["norm", "truncation:"]
 
@@ -703,7 +704,7 @@ class TestEvolve:
         space = build_space(1, 1)
         sys = RESONANT.replace(g1=0.5, g2=0.5)
         psi0 = coherent_state(space, 0.0, 0.0, "2+3")
-        res = evolve(_spec(Variant.JC_STATIC, sys=sys), space, psi0,
+        res = evolve(_spec(Variant.JC_STATIC, sys=sys), psi0,
                      t_max=40.0, samples=60)
         assert res.leakage > 1e-6
         assert any("truncation" in w for w in res.warnings)
@@ -714,14 +715,7 @@ class TestEvolve:
         space = build_space(1, 1)
         psi0 = coherent_state(space, 0.0, 0.0, "2")
         with pytest.raises(ValueError, match=message):
-            evolve(_spec(Variant.JC_STATIC), space, psi0, t_max=t_max, samples=samples)
-
-    def test_mismatched_space_rejected(self):
-        space = build_space(2, 2)
-        other = build_space(3, 3)
-        psi0 = coherent_state(other, 0.0, 0.0, "2")
-        with pytest.raises(ValueError, match="space"):
-            evolve(_spec(Variant.JC_STATIC), space, psi0, t_max=1.0, samples=3)
+            evolve(_spec(Variant.JC_STATIC), psi0, t_max=t_max, samples=samples)
 
 
 class TestEcho:
@@ -729,26 +723,52 @@ class TestEcho:
         space = build_space(2, 2)
         spec = _spec(Variant.DOMINANT_SIDEBAND)
         psi0 = coherent_state(space, 0.01, 0.01, "2")
-        echo = loschmidt_echo(spec, spec, space, psi0, t_max=30.0, samples=31)
+        echo = loschmidt_echo(spec, spec, psi0, t_max=30.0, samples=31)
         assert np.max(np.abs(echo.fidelity - 1.0)) < 1e-10
 
     def test_initial_sample_and_range(self):
         space = build_space(2, 2)
         echo = loschmidt_echo(_spec(Variant.DRIVE_ROTATED),
                               _spec(Variant.DOMINANT_SIDEBAND),
-                              space, coherent_state(space, 0.01, 0.01, "2"),
+                              coherent_state(space, 0.01, 0.01, "2"),
                               t_max=30.0, samples=31)
         assert abs(echo.fidelity[0] - 1.0) < 1e-12
         assert np.all(echo.fidelity >= 0.0)
         assert np.all(echo.fidelity <= 1.0 + 1e-12)
+
+    def test_branches_are_the_evolve_records(self):
+        # the echo keeps each branch's record as evolve returns it, the
+        # integrator's counts included (None on the framed path)
+        space = build_space(2, 2)
+        psi0 = coherent_state(space, 0.01, 0.01, "1-2")
+        specs = _spec(Variant.DRIVE_ROTATED), _spec(Variant.DOMINANT_SIDEBAND)
+        echo = loschmidt_echo(*specs, psi0, t_max=30.0, samples=31)
+        for branch, spec in zip((echo.a, echo.b), specs):
+            ref = evolve(spec, psi0, t_max=30.0, samples=31)
+            assert np.array_equal(branch.states, ref.states)
+            assert np.array_equal(branch.norms, ref.norms)
+            assert ((branch.substeps, branch.taylor_degree, branch.exponentials)
+                    == (ref.substeps, ref.taylor_degree, ref.exponentials))
+        assert echo.a.substeps is not None and echo.b.substeps is None
+        overlap = np.einsum("ij,ij->i", echo.a.states.conj(), echo.b.states)
+        assert np.array_equal(echo.fidelity, np.abs(overlap) ** 2)
+
+    def test_run_arguments_are_keyword_only(self):
+        # the space is the state's, and the run's arguments take no position
+        for function in (evolve, loschmidt_echo):
+            params = inspect.signature(function).parameters
+            assert "space" not in params
+            for name in ("t_max", "samples", "dt_max"):
+                assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+        assert next(iter(inspect.signature(evolve).parameters)) == "spec"
 
     def test_symmetry_in_branch_order(self):
         space = build_space(2, 2)
         a = _spec(Variant.DRIVE_ROTATED)
         b = _spec(Variant.DOMINANT_SIDEBAND)
         psi0 = coherent_state(space, 0.01, 0.01, "1-2")
-        e_ab = loschmidt_echo(a, b, space, psi0, t_max=25.0, samples=26)
-        e_ba = loschmidt_echo(b, a, space, psi0, t_max=25.0, samples=26)
+        e_ab = loschmidt_echo(a, b, psi0, t_max=25.0, samples=26)
+        e_ba = loschmidt_echo(b, a, psi0, t_max=25.0, samples=26)
         assert np.max(np.abs(e_ab.fidelity - e_ba.fidelity)) < 1e-12
 
     def test_cross_frame_comparison_rejected(self):
@@ -757,4 +777,4 @@ class TestEcho:
         with pytest.raises(ValueError, match="frame"):
             loschmidt_echo(_spec(Variant.DRIVE_ROTATED),
                            _spec(Variant.EFFECTIVE_JC),
-                           space, psi0, t_max=10.0, samples=5)
+                           psi0, t_max=10.0, samples=5)
