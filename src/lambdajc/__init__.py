@@ -27,7 +27,6 @@ from .specfun import bessel_j
 from .spectrum import (
     CATEGORIES,
     AxisSpec,
-    PhaseGrid,
     block_ground_energy,
     block_matrix,
     category_index,

@@ -370,11 +370,11 @@ def _sweep(command: str, cfg: RunConfig, axes: list[AxisSpec]) -> _Sweep:
     """A phase grid, or the effective-params table, as its flattened cells."""
     if command == "effective-params":
         values = axes[0].values
-        return _Sweep(partial(_effective_columns, cfg.model, cfg.drive_or_default(),
+        return _Sweep(partial(_effective_columns, cfg.model, cfg.drive,
                               axes[0].parameter, values),
                       values.size, EFFECTIVE_CSV_COLUMNS, "sweep points")
     driven = command == "driven-phase"
-    drive = cfg.drive_or_default() if driven else None
+    drive = cfg.drive if driven else None
     window = block_window_for(driven, cfg.truncation.block_window)
     ax1, ax2 = axes
     # each axis value is formatted once per sweep, not once per cell
@@ -416,7 +416,7 @@ def _effective_columns(model: SystemParams, drive: DriveParams, parameter: str,
 
 def _default_axes(command: str, cfg: RunConfig) -> list[AxisConfig]:
     """The command's stock axes, as many as it takes (none for echo)."""
-    model, drive = cfg.model, cfg.drive_or_default()
+    model, drive = cfg.model, cfg.drive
     stock = {
         "static-phase": [("g1", 0.0, 4.5 * model.Omega1, 181),
                          ("g2", 0.0, 4.5 * model.Omega2, 181)],
@@ -439,7 +439,7 @@ def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisSpec]:
         raise ConfigError(f"{command} takes {len(stock)} sweep axes, got {len(axes)}")
     if command == "effective-params" and axes[0].parameter not in DRIVE_AXES:
         raise ConfigError("effective-params sweeps omega_D or A_D")
-    drive = None if command == "static-phase" else cfg.drive_or_default()
+    drive = None if command == "static-phase" else cfg.drive
     try:
         axes = [AxisSpec(ax.name, ax.parameter, ax.values()) for ax in axes]
         check_sweep(cfg.model, drive, axes)
@@ -466,9 +466,8 @@ def _echo_state(cfg: RunConfig) -> StateVector:
 def _run_echo(cfg: RunConfig, psi0: StateVector, out_dir: Path,
               digest: str) -> list[str]:
     """Write the echo CSV; returns the branches' deviation lines."""
-    drive = cfg.drive_or_default()
     dyn = cfg.dynamics
-    spec_a, spec_b = (HamiltonianSpec(variant=v, sys=cfg.model, drive=drive)
+    spec_a, spec_b = (HamiltonianSpec(variant=v, sys=cfg.model, drive=cfg.drive)
                       for v in ECHO_PAIRS[dyn.pair])
     _write_manifest(out_dir, "echo", digest, 1, 0, [])
     try:

@@ -2,18 +2,19 @@
 
 A run is fully described by one JSON document whose sections mirror the
 dataclasses below and in params: each section's keys are its dataclass's
-fields, a missing key takes the field's default, each value is checked
-against the field's annotated type, and the dataclass itself checks its
-constraints.  Unknown keys are rejected by name.  A sweep axis is checked
-for its schema alone, and for a name that fits one CSV field unquoted (no
-comma, double quote, CR or LF): which sweeps are valid is
+fields, a missing key takes the field's default (a missing section its
+dataclass's defaults; null is no section and is refused), each value is
+checked against the field's annotated type, and the dataclass itself
+checks its constraints.  Unknown keys are rejected by name.  A sweep axis
+is checked for its schema alone, and for a name that fits one CSV field
+unquoted (no comma, double quote, CR or LF): which sweeps are valid is
 spectrum.check_sweep's rule.  The truncation and dynamics constraints are
 checked here, as the library checks them only once a run has begun.  The
 canonical form (the fully defaulted dataclasses as plain data, sorted keys,
 numbers as floats or integers by field type) feeds a 64-bit content digest
 used for result caching: a change to any field that can change the output
-bytes changes the hash.  The output directory and the worker count cannot, so
-they are validated but left out of the hash.
+bytes changes the hash.  The output directory cannot, so it is validated
+but left out of the hash.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class DynamicsConfig:
 @dataclass
 class RunConfig:
     model: SystemParams = field(default_factory=SystemParams)
-    drive: DriveParams | None = None
+    drive: DriveParams = field(default_factory=DriveParams)
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
     sweep: list[AxisConfig] = field(default_factory=list)
     dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
@@ -102,9 +103,6 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError("output must be a non-empty directory path")
-
-    def drive_or_default(self) -> DriveParams:
-        return self.drive if self.drive is not None else DriveParams()
 
 
 def _check_keys(section: str, doc: dict, cls):
@@ -174,16 +172,16 @@ def parse_config(doc) -> RunConfig:
     hints = get_type_hints(RunConfig)
     kwargs = {}
     for key, value in doc.items():
-        kinds = get_args(hints[key]) or (hints[key],)
-        if get_origin(hints[key]) is list:
+        hint = hints[key]
+        if get_origin(hint) is list:
             if isinstance(value, dict):
                 value = [value]
             if not isinstance(value, list):
                 raise ConfigError(f"{key} must be a list of axis objects")
-            value = [_section(kinds[0], f"{key}[{i}]", v) for i, v in enumerate(value)]
-        elif dataclasses.is_dataclass(kinds[0]) and not (
-                value is None and type(None) in kinds):
-            value = _section(kinds[0], key, value)
+            value = [_section(get_args(hint)[0], f"{key}[{i}]", v)
+                     for i, v in enumerate(value)]
+        elif dataclasses.is_dataclass(hint):
+            value = _section(hint, key, value)
         kwargs[key] = value
     return RunConfig(**kwargs)
 

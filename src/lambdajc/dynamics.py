@@ -239,27 +239,19 @@ def _required_cutoff(alpha: complex, tol: float) -> int:
 
 
 def coherent_state(space: HilbertSpace, alpha1: complex, alpha2: complex,
-                   atom) -> StateVector:
+                   atom: str) -> StateVector:
     """Normalized product state: atomic part (x) coherent (x) coherent.
 
-    atom is a length-3 complex vector or one of the ATOMIC_PRESETS keys.
-    The truncated weight each coherent factor loses must stay below 1e-12,
-    otherwise a TruncationError reports the cutoff that would suffice.
+    atom is one of the ATOMIC_PRESETS keys; any other state is a
+    StateVector.  The truncated weight each coherent factor loses must
+    stay below 1e-12, otherwise a TruncationError reports the cutoff that
+    would suffice.
     """
-    if isinstance(atom, str):
-        try:
-            at = ATOMIC_PRESETS[atom].astype(complex)
-        except KeyError:
-            raise ValueError(f"unknown atomic preset {atom!r}; "
-                             f"choose from {sorted(ATOMIC_PRESETS)}") from None
-    else:
-        at = np.asarray(atom, dtype=complex)
-        if at.shape != (3,):
-            raise ValueError("atomic part must be a length-3 vector or a preset name")
-        nrm = np.linalg.norm(at)
-        if not 0 < nrm < math.inf:
-            raise ValueError(f"atomic part must be non-zero and finite, norm {nrm}")
-        at = at / nrm
+    # a list is no dict key: test the type first
+    if not isinstance(atom, str) or atom not in ATOMIC_PRESETS:
+        raise ValueError(f"unknown atomic preset {atom!r}; "
+                         f"choose from {sorted(ATOMIC_PRESETS)}")
+    at = ATOMIC_PRESETS[atom].astype(complex)
     parts = []
     for alpha, cutoff, label in ((alpha1, space.n_c1, "mode 1"),
                                  (alpha2, space.n_c2, "mode 2")):

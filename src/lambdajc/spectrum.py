@@ -59,14 +59,15 @@ evaluated.  Driven slices first pass through
 effective.effective_table, so sidebands, effective parameters and the
 validity audit are array code too.  ground_search, static or driven, is a
 one-cell slice of the same core, and returns that cell's record (energy,
-labels, gap, window flag and both validity audits) as Python scalars.
+labels, gap, window flag and both validity audits) as Python scalars;
+sweep_grid returns the same seven keys as arrays in grid shape.
 check_sweep is the one rule of a valid
 sweep, for the grids (before any kernel call), the CLI and ground_search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,21 +114,6 @@ class AxisSpec:
         if vals.size > 1 and not np.all(np.diff(vals) > 0):
             raise ValueError(f"axis {self.name!r} must be strictly increasing")
         object.__setattr__(self, "values", vals)
-
-
-@dataclass
-class PhaseGrid:
-    axis1: AxisSpec
-    axis2: AxisSpec
-    block_window: int
-    energy: np.ndarray
-    n_label: np.ndarray
-    m_label: np.ndarray
-    gap: np.ndarray
-    window_capped: np.ndarray
-    rwa_ok: np.ndarray
-    hierarchy_ok: np.ndarray
-    deviations: list[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +279,7 @@ def _pruned_ground_table(model, block_window: int, finite) -> np.ndarray:
 
 def _search_tables(table: np.ndarray, window: int, forced_cap) -> dict:
     """Ground label, energy, gap and window flag of each cell of a (cells,
-    blocks) table, as arrays keyed like PhaseGrid."""
+    blocks) table, as arrays under the keys of ground_search's record."""
     rows = np.arange(table.shape[0])
     k = np.argmin(table, axis=1)  # first minimum in C order = lexicographic tie-break
     energy = table[rows, k]
@@ -325,8 +311,8 @@ def _ground_cells(fields: dict[str, np.ndarray], block_window: int) -> dict:
     energy and gap are multiplied back.  The blocks of all cells are
     pruned by their closed-form bounds (_pruned_ground_table), and the
     rest go through one or two kernel calls.
-    Returns the per-cell arrays keyed like PhaseGrid; a static cell passes
-    both validity audits.
+    Returns the cell record, an array for each key of ground_search's; a
+    static cell passes both validity audits.
     """
     model = [fields[k] for k in MODEL_FIELDS]
     audits = {k: np.ones(len(model[0]), dtype=bool) for k in ("rwa_ok", "hierarchy_ok")}
@@ -421,10 +407,10 @@ def compute_grid_cells(sys: SystemParams, drive: DriveParams | None, axis1: Axis
                        axis2: AxisSpec, block_window: int, start: int,
                        stop: int) -> dict[str, np.ndarray]:
     """Cells start to stop of the grid's flattened index (row-major, axis2
-    fastest), as arrays keyed like PhaseGrid: one pruned block table and one
-    or two kernel calls, once check_sweep passes the whole sweep.  Each cell
-    depends only on its own parameters, so no byte depends on the slicing
-    or on how slices are spread across workers."""
+    fastest), as arrays keyed like ground_search's record: one pruned block
+    table and one or two kernel calls, once check_sweep passes the whole
+    sweep.  Each cell depends only on its own parameters, so no byte
+    depends on the slicing or on how slices are spread across workers."""
     check_sweep(sys, drive, (axis1, axis2))
     values = sweep_values(sys, drive)
     for axis, index in zip((axis1, axis2), np.divmod(np.arange(start, stop),
@@ -449,8 +435,8 @@ def audit_counts(cells: dict[str, np.ndarray]) -> list[int]:
             for key, flag, _ in AUDITS]
 
 
-def deviation_lines(counts: list[int], total: int, unit: str = "cells",
-                    block_window: int | None = None) -> list[str]:
+def deviation_lines(counts: list[int], total: int, unit: str,
+                    block_window: int | None) -> list[str]:
     """One "count/total unit what" line per audit that some of total cells
     fail, from audit_counts summed over them."""
     return [f"{count}/{total} {unit} {what.format(block_window)}"
@@ -458,18 +444,17 @@ def deviation_lines(counts: list[int], total: int, unit: str = "cells",
 
 
 def sweep_grid(sys_template: SystemParams, drive_template: DriveParams | None,
-               axis1: AxisSpec, axis2: AxisSpec, block_window: int) -> PhaseGrid:
-    """Dense ground-state sweep over two axes (static when drive is None),
-    evaluated in the slices of chunk_slices, with its deviations tallied."""
+               axis1: AxisSpec, axis2: AxisSpec,
+               block_window: int) -> dict[str, np.ndarray]:
+    """Dense ground-state sweep over two axes (static when drive is None):
+    compute_grid_cells's cells over the slices of chunk_slices, joined and
+    shaped (axis1 points, axis2 points), under the seven keys of
+    ground_search's record."""
     shape = (axis1.values.size, axis2.values.size)
     parts = [compute_grid_cells(sys_template, drive_template, axis1, axis2,
                                 block_window, start, stop)
              for start, stop in chunk_slices(shape[0] * shape[1])]
-    cells = {k: np.concatenate([p[k] for p in parts]).reshape(shape) for k in parts[0]}
-    deviations = deviation_lines(audit_counts(cells), shape[0] * shape[1], "cells",
-                                 block_window)
-    return PhaseGrid(axis1=axis1, axis2=axis2, block_window=block_window,
-                     **cells, deviations=deviations)
+    return {k: np.concatenate([p[k] for p in parts]).reshape(shape) for k in parts[0]}
 
 
 # ---------------------------------------------------------------------------

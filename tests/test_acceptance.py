@@ -111,8 +111,8 @@ def _scan_labels(sys, parameter, values):
     varying = AxisSpec(parameter, parameter, values)
     fixed = AxisSpec("fixed", "omega1", np.array([sys.omega1]))
     grid = sweep_grid(sys, None, varying, fixed, block_window=8)
-    return label_sequence(list(zip(grid.n_label[:, 0].tolist(),
-                                   grid.m_label[:, 0].tolist())))
+    return label_sequence(list(zip(grid["n_label"][:, 0].tolist(),
+                                   grid["m_label"][:, 0].tolist())))
 
 
 def test_criterion_04_static_phase_sequences():

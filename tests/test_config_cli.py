@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -98,7 +99,7 @@ class TestParseConfig:
         assert cfg.model == SystemParams(omega1=0.5, omega2=0.25,
                                          Omega1=1.25, Omega2=1.0,
                                          g1=0.05, g2=0.05)
-        assert cfg.drive is None
+        assert cfg.drive == DriveParams()
         assert cfg.truncation.n_c1 == 6 and cfg.truncation.n_c2 == 6
         assert spectrum.block_window_for(False, cfg.truncation.block_window) == 8
         assert spectrum.block_window_for(True, cfg.truncation.block_window) == 5
@@ -151,6 +152,7 @@ class TestParseConfig:
         ({"model": {"g1": float("inf")}}, "model.g1 must be finite"),
         ({"truncation": {"n_c1": 1.5}}, "truncation.n_c1 must be an integer"),
         ({"dynamics": 3}, "dynamics must be an object"),
+        ({"drive": None}, "drive must be an object"),
         ({"sweep": [{"start": 0, "stop": 1, "points": 2}]},
          "sweep.0. is missing required key 'parameter'"),
         ([], "config root must be an object, got list"),
@@ -161,7 +163,8 @@ class TestParseConfig:
         ({"workers": 2}, "unknown key 'workers' in config"),
     ], ids=["points-0", "n_c1-0", "block_window-0", "t_max-0",
             "samples-1", "empty-output", "string-number",
-            "inf-number", "fractional-int", "non-object-section", "axis-no-parameter",
+            "inf-number", "fractional-int", "non-object-section", "null-drive",
+            "axis-no-parameter",
             "list-root", "sweep-number", "non-utf8-bytes", "dt_max-unknown",
             "workers-unknown"])
     def test_rejection_names_the_field(self, doc, field):
@@ -196,6 +199,12 @@ class TestConfigHash:
         a = parse_config({"model": {"g1": 1}})
         b = parse_config({"model": {"g1": 1.0}})
         assert config_hash(a) == config_hash(b)
+
+    def test_missing_drive_is_the_default_drive(self):
+        # one job, one cache key, however its default drive is spelled
+        default = dataclasses.asdict(DriveParams())
+        assert len({config_hash(parse_config(doc))
+                    for doc in ({}, {"drive": {}}, {"drive": default})}) == 1
 
     def test_any_field_change_changes_hash(self):
         base = {
@@ -233,7 +242,7 @@ class TestConfigHash:
         assert config_hash(parse_config(doc)) != h0
 
     @pytest.mark.parametrize("doc, digest", [
-        ({}, "328376562cc4b220"),
+        ({}, "43e2e0ec4b710ac6"),
         ({"model": {"g1": 0.05, "g2": 0.05},
           "drive": {"amplitude": 0.036, "frequency": 0.18},
           "truncation": {"block_window": 5},
@@ -260,7 +269,7 @@ class TestConfigHash:
                "parameter": "g1"},
               {"name": "g2", "start": 0.0, "stop": 4.5, "points": 301,
                "parameter": "g2"}],
-          "output": "runs/static"}, "cf5925c1f3935994"),
+          "output": "runs/static"}, "44db58eab4510442"),
     ], ids=["empty", "driven", "echo", "effective", "static"])
     def test_hash_is_pinned(self, doc, digest):
         # a cache key that drifts silently recomputes every stored run
@@ -351,6 +360,14 @@ class TestRunCommand:
         assert "cache hit" in out
         assert (tmp_path / "grid.csv").read_bytes() == first
         assert (tmp_path / "grid.csv").stat().st_mtime_ns == mtime
+
+    def test_missing_drive_section_is_a_cache_hit(self, tmp_path, capsys):
+        doc = json.loads((SAMPLES / "effective_params.json").read_text())
+        assert run_command("effective-params", parse_config(doc), out_dir=tmp_path) == 0
+        del doc["drive"]
+        capsys.readouterr()
+        assert run_command("effective-params", parse_config(doc), out_dir=tmp_path) == 0
+        assert "cache hit" in capsys.readouterr().out
 
     def test_truncated_csv_is_recomputed(self, tmp_path, capsys):
         cfg = parse_config(TINY_STATIC)
@@ -1390,15 +1407,15 @@ class TestSweepRules:
                                    spectrum.block_window_for(drive is not None, None))
         i, j = np.divmod(np.arange(len(rows)), axes[1].values.size)
         assert [(row["axis1_name"], row["axis2_name"]) for row in rows] == [
-            (axes[0].name, axes[1].name)] * grid.energy.size
+            (axes[0].name, axes[1].name)] * grid["energy"].size
         for key, values in (("axis1_value", axes[0].values[i]),
                             ("axis2_value", axes[1].values[j])):
             np.testing.assert_array_equal([float(row[key]) for row in rows], values)
         for key in ("energy", "n_label", "m_label", "gap"):
             np.testing.assert_array_equal([float(row[key]) for row in rows],
-                                          getattr(grid, key).ravel())
+                                          grid[key].ravel())
         for key in ("window_capped", "rwa_ok", "hierarchy_ok"):
-            assert [row[key] == "true" for row in rows] == getattr(grid, key).ravel().tolist()
+            assert [row[key] == "true" for row in rows] == grid[key].ravel().tolist()
 
     def test_collapsed_effective_params_axis_exits_1(self, tmp_path, capsys):
         # five identical omega_D values would be five identical rows

@@ -182,8 +182,9 @@ class TestCoherentState:
 
     def test_unknown_preset(self):
         space = build_space(1, 1)
-        with pytest.raises(ValueError, match="preset"):
-            coherent_state(space, 0.0, 0.0, "nope")
+        for atom in ("nope", [1.0, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="preset"):
+                coherent_state(space, 0.0, 0.0, atom)
 
     def test_rejects_nan_amplitudes(self):
         space = build_space(2, 2)
@@ -195,18 +196,9 @@ class TestCoherentState:
         with pytest.raises(ValueError, match="shape"):
             StateVector(np.eye(1, space.dim + 1)[0], space)
 
-    def test_rejects_length_two_atomic_part(self):
-        with pytest.raises(ValueError, match="length-3"):
-            coherent_state(build_space(2, 2), 0.0, 0.0, [1.0, 0.0])
-
-    def test_rejects_nan_atomic_part(self):
-        space = build_space(2, 2)
-        with pytest.raises(ValueError, match="finite"):
-            coherent_state(space, 0.0, 0.0, [np.nan, 1.0, 0.0])
-
     def test_explicit_atomic_vector(self):
         space = build_space(2, 2)
-        psi = coherent_state(space, 0.0, 0.0, np.array([1.0, 0.0, 1.0]))
+        psi = coherent_state(space, 0.0, 0.0, "1+3")
         pop = np.abs(psi.amplitudes) ** 2
         assert pop[index(space, 1, 0, 0)] == pytest.approx(0.5)
         assert pop[index(space, 3, 0, 0)] == pytest.approx(0.5)
@@ -428,7 +420,7 @@ def sample_rotated_run():
     space = build_space(cfg.truncation.n_c1, cfg.truncation.n_c2)
     psi0 = coherent_state(space, 0.01, 0.01, cfg.dynamics.initial_state)
     spec = HamiltonianSpec(variant=Variant.DRIVE_ROTATED, sys=cfg.model,
-                           drive=cfg.drive_or_default())
+                           drive=cfg.drive)
     return evolve(spec, psi0, t_max=cfg.dynamics.t_max,
                   samples=cfg.dynamics.samples)
 
@@ -617,7 +609,7 @@ class TestEvolve:
         space = build_space(3, 3)
         terms = assemble_terms(HamiltonianSpec(
             variant=Variant.DRIVE_ROTATED, sys=cfg.model,
-            drive=cfg.drive_or_default()), space)
+            drive=cfg.drive), space)
         h = step_limit(terms, None)
         weights = _cf4_weights(terms, h * np.arange(1000), h, 1)
         weights = weights.reshape(-1, len(terms.terms))
@@ -666,7 +658,7 @@ class TestEvolve:
         interval = 200.0 / 1999
         for variant in (Variant.DRIVE_ROTATED, Variant.DOMINANT_SIDEBAND):
             spec = HamiltonianSpec(variant=variant, sys=cfg.model,
-                                   drive=cfg.drive_or_default())
+                                   drive=cfg.drive)
             res = evolve(spec, psi0, t_max=200.0, samples=2000)
             ref = evolve(spec, psi0, t_max=200.0, samples=2000,
                          dt_max=interval / 16)

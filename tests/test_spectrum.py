@@ -14,10 +14,12 @@ from lambdajc.spectrum import (
     AxisSpec,
     _ground_cells,
     _search_tables,
+    audit_counts,
     block_ground_energy,
     block_matrix,
     category_index,
     compute_grid_cells,
+    deviation_lines,
     ground_search,
     locate_boundary,
     sweep_grid,
@@ -46,8 +48,8 @@ def category(rec) -> str:
 
 
 def grid_cell(grid, i, j) -> dict:
-    """Cell (i, j) of a PhaseGrid's per-cell arrays, as Python scalars."""
-    return {k: v[i, j].item() for k, v in vars(grid).items() if isinstance(v, np.ndarray)}
+    """Cell (i, j) of a sweep_grid record, as Python scalars."""
+    return {k: v[i, j].item() for k, v in grid.items()}
 
 
 def window_elements(model, window):
@@ -209,10 +211,10 @@ class TestKernelRange:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             scaled = grid(-540)
-        assert not np.isnan(scaled.energy).any()
-        assert np.array_equal(scaled.n_label, unit.n_label)
-        assert np.array_equal(scaled.m_label, unit.m_label)
-        assert np.array_equal(scaled.energy, np.ldexp(unit.energy, -540))
+        assert not np.isnan(scaled["energy"]).any()
+        assert np.array_equal(scaled["n_label"], unit["n_label"])
+        assert np.array_equal(scaled["m_label"], unit["m_label"])
+        assert np.array_equal(scaled["energy"], np.ldexp(unit["energy"], -540))
 
     def test_spread_below_subnormals_is_diagonal(self):
         # p2 = 2 h12^2 = 2^-1073 is nonzero, but p2 / 6 rounds to zero
@@ -351,7 +353,7 @@ class TestPhaseGrid:
                           AxisSpec("g1/Omega1", "g1", np.array([0.0])),
                           AxisSpec("g2/Omega2", "g2", ratios * RESONANT.Omega2),
                           STATIC_BLOCK_WINDOW)
-        labels = list(zip(grid.n_label[0], grid.m_label[0]))
+        labels = list(zip(grid["n_label"][0], grid["m_label"][0]))
         flips = [j for j in range(1, len(labels)) if labels[j] != labels[j - 1]]
         assert len(flips) == 1
         crossing = 0.5 * (ratios[flips[0]] + ratios[flips[0] - 1])
@@ -363,7 +365,7 @@ class TestPhaseGrid:
                           AxisSpec("g1/Omega1", "g1", ratios * RESONANT.Omega1),
                           AxisSpec("g2/Omega2", "g2", np.array([0.05])),
                           STATIC_BLOCK_WINDOW)
-        labels = list(zip(grid.n_label[:, 0], grid.m_label[:, 0]))
+        labels = list(zip(grid["n_label"][:, 0], grid["m_label"][:, 0]))
         flips = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
         assert len(flips) == 1
         crossing = 0.5 * (ratios[flips[0]] + ratios[flips[0] - 1])
@@ -373,8 +375,8 @@ class TestPhaseGrid:
     def test_single_cell_grid(self):
         grid = sweep_grid(RESONANT, None, AxisSpec("g1", "g1", np.array([0.125])),
                           AxisSpec("g2", "g2", np.array([0.1])), STATIC_BLOCK_WINDOW)
-        assert grid.energy.shape == (1, 1)
-        assert (grid.n_label[0, 0], grid.m_label[0, 0]) == (0, 0)
+        assert grid["energy"].shape == (1, 1)
+        assert (grid["n_label"][0, 0], grid["m_label"][0, 0]) == (0, 0)
 
     def test_rejects_empty_or_decreasing_axes(self):
         with pytest.raises(ValueError, match="at least one value"):
@@ -394,7 +396,7 @@ class TestPhaseGrid:
                           AxisSpec("g1/Omega1", "g1", ratios * RESONANT.Omega1),
                           AxisSpec("g2/Omega2", "g2", np.array([0.5])),
                           STATIC_BLOCK_WINDOW)
-        energies = grid.energy[:, 0]
+        energies = grid["energy"][:, 0]
         step = (ratios[1] - ratios[0]) * RESONANT.Omega1
         # |dE/dg1| <= sqrt(window+1); allow a generous Lipschitz margin
         assert np.max(np.abs(np.diff(energies))) <= 4.0 * step
@@ -437,10 +439,9 @@ class TestPhaseGrid:
             monkeypatch.undo()
             for key in parts[0]:
                 joined = np.concatenate([p[key] for p in reversed(parts)]).reshape(7, 5)
-                for grid in (joined, getattr(sliced, key)):
-                    assert grid.dtype == getattr(full, key).dtype, key
-                    assert grid.tobytes() == getattr(full, key).tobytes(), key
-            assert sliced.deviations == full.deviations
+                for grid in (joined, sliced[key]):
+                    assert grid.dtype == full[key].dtype, key
+                    assert grid.tobytes() == full[key].tobytes(), key
 
 
 class TestLocateBoundary:
@@ -539,15 +540,16 @@ class TestDrivenPhasePoint:
         ax1 = AxisSpec("A_D", "A_D", np.linspace(0.0, 0.54, 13))
         ax2 = AxisSpec("Omega2", "Omega2", np.linspace(0.97, 1.0, 4))
         grid = sweep_grid(sys, drive, ax1, ax2, 5)
-        cells = compute_grid_cells(sys, drive, ax1, ax2, 5, 0, grid.energy.size)
-        assert 0 < np.count_nonzero(~grid.rwa_ok) < grid.rwa_ok.size
-        assert not grid.hierarchy_ok.any()
-        assert grid.window_capped.all()
+        cells = compute_grid_cells(sys, drive, ax1, ax2, 5, 0, grid["energy"].size)
+        assert 0 < np.count_nonzero(~grid["rwa_ok"]) < grid["rwa_ok"].size
+        assert not grid["hierarchy_ok"].any()
+        assert grid["window_capped"].all()
         for i, amplitude in enumerate(ax1.values):
             for j, cavity in enumerate(ax2.values):
                 point = ground_search(sys.replace(Omega2=float(cavity)),
                                       DriveParams(float(amplitude), drive.frequency))
                 assert point == {k: v[i * ax2.values.size + j].item() for k, v in cells.items()}
+                assert grid.keys() == point.keys()
                 assert point == grid_cell(grid, i, j)
                 assert all(type(v) in (int, float, bool) for v in point.values())
 
@@ -557,10 +559,10 @@ def test_driven_grid_shapes_and_validity_columns():
     grid = sweep_grid(RESONANT, drive,
                       AxisSpec("A_D", "A_D", np.linspace(0.35, 1.7, 4) * drive.frequency),
                       AxisSpec("Omega2", "Omega2", np.linspace(0.985, 1.0, 3)), 5)
-    assert grid.energy.shape == (4, 3)
-    assert grid.rwa_ok.shape == grid.hierarchy_ok.shape == (4, 3)
-    assert grid.window_capped.any()
-    assert grid.deviations
+    assert grid["energy"].shape == (4, 3)
+    assert grid["rwa_ok"].shape == grid["hierarchy_ok"].shape == (4, 3)
+    assert grid["window_capped"].any()
+    assert deviation_lines(audit_counts(grid), grid["energy"].size, "cells", 5)
 
 
 def test_driven_grid_mode1_detuning_axis():
@@ -571,7 +573,7 @@ def test_driven_grid_mode1_detuning_axis():
     ax1 = AxisSpec("A_D", "A_D", np.linspace(0.2, 1.0, 3) * drive.frequency)
     ax2 = AxisSpec("Omega1", "Omega1", np.sort(base / (1 + np.linspace(0.0, 0.02, 4))))
     grid = sweep_grid(RESONANT, drive, ax1, ax2, 5)
-    assert grid.energy.shape == (3, 4)
+    assert grid["energy"].shape == (3, 4)
     for i, amplitude in enumerate(ax1.values):
         for j, cavity in enumerate(ax2.values):
             sys = RESONANT.replace(Omega1=float(cavity))
@@ -579,11 +581,11 @@ def test_driven_grid_mode1_detuning_axis():
             point = ground_search(sys, drive_i)
             report = effective_point(sys, drive_i)
             assert grid_cell(grid, i, j) == point
-            assert (grid.energy[i, j], grid.gap[i, j]) == (point["energy"], point["gap"])
-            assert (grid.n_label[i, j], grid.m_label[i, j]) == label(point)
-            assert grid.window_capped[i, j] == point["window_capped"]
-            assert grid.rwa_ok[i, j] == report["rwa_ok"]
-            assert grid.hierarchy_ok[i, j] == report["hierarchy_ok"]
+            assert (grid["energy"][i, j], grid["gap"][i, j]) == (point["energy"], point["gap"])
+            assert (grid["n_label"][i, j], grid["m_label"][i, j]) == label(point)
+            assert grid["window_capped"][i, j] == point["window_capped"]
+            assert grid["rwa_ok"][i, j] == report["rwa_ok"]
+            assert grid["hierarchy_ok"][i, j] == report["hierarchy_ok"]
 
 
 def test_label_sequence_collapses_duplicates():
