@@ -106,7 +106,7 @@ BATCHES_PER_WORKER = 4
 #: Version of the output format and numbers.  Raise it with every change
 #: that alters any output byte: a run whose manifest has another version
 #: is never served or resumed.
-OUTPUT_VERSION = 5
+OUTPUT_VERSION = 6
 
 GRID_CSV_COLUMNS = ("axis1_name", "axis1_value", "axis2_name", "axis2_value",
                     "energy", "n_label", "m_label", "category", "gap",
@@ -115,7 +115,7 @@ ECHO_CSV_COLUMNS = ("t", "fidelity", "norm_a", "norm_b", "leakage")
 #: The effective-params CSV columns, which _effective_columns returns.
 EFFECTIVE_CSV_COLUMNS = ("omega_D", "theta", "n0", "m0", "Delta_n0", "Delta_m0",
                          "Omega1_eff", "Omega2_eff", "omega1_eff", "omega2_eff",
-                         "gr1", "gr2", "gc1", "gc2", "rwa_ok")
+                         "gr1", "gr2", "gc1", "gc2", "rwa_ok", "hierarchy_ok")
 
 _MANIFEST = "manifest.json"
 _CSV_NAME = {

@@ -42,14 +42,22 @@ K_r - K_c = phi on every entry (r, c) of every term (TermList.frame),
 H(t) = exp(iKt) H(0) exp(-iKt), so psi(t) = exp(iKt) exp(-i(H(0) + K)t)
 psi(0) is sampled exactly from one diagonalization.  K = 0 for the
 time-independent variants; DOMINANT_SIDEBAND has K = alpha*n1 + beta*n2 +
-e_atom (see _dominant_frame).  DRIVE_ROTATED has no such frame, since its
-z*sin(w_D*t) phases are not linear in t; it uses a fourth-order
-commutator-free exponential integrator (CF4: two Gauss-node exponentials
-per substep).  A TermList stores its entries once, on one fixed pattern
-laid out as padded rows; for each exponential their values are rewritten
-and the products are taken row by row with numpy, the weights of the
-exponentials are evaluated one block of whole sample intervals at a time
-(at most CF4_BLOCK_EXPONENTIALS exponentials, or one interval).  The run's
+e_atom (see _dominant_frame).  Every amplitude these variants hold is
+real, so H(0) + K is real symmetric and takes one real eigh (a complex
+one is refused), and with eigenpairs (E, V) and c = V^T psi(0) every
+sample of a block of at most CF4_BLOCK_EXPONENTIALS times comes from one
+matrix product: exp(iKt) * ((exp(-iEt) * c) @ V^T), t down the rows.
+DRIVE_ROTATED has no such frame, since its z*sin(w_D*t) phases are not
+linear in t; it uses a fourth-order commutator-free exponential
+integrator (CF4: two Gauss-node exponentials per substep).  A TermList
+stores its entries once, on one fixed pattern laid out as padded rows.
+The weights of the exponentials are evaluated, already scaled by -ih,
+one block of whole sample intervals at a time (at most
+CF4_BLOCK_EXPONENTIALS exponentials, or one interval); for each
+exponential the values of its exponent A are rewritten from them, each
+Taylor power A^k psi is written in place into a (degree + 1, dim) buffer
+allocated once per run, its rows summed with numpy, and the polynomial
+is one sum of the powers weighted by 1/k!.  The run's
 error budget, STEP_TOL (1e-7) in the sampled amplitudes, is split 0.9 to
 the step and 0.1 to the Taylor remainders.  The substep is chosen once per
 run: the longest one, within dt_max and the sampling bound
@@ -92,9 +100,10 @@ class TruncationError(ValueError):
 
 
 class PropagationError(RuntimeError):
-    """Raised when the Hamiltonian's norm bound is too large to propagate:
-    past what the eigensolver of a framed variant takes, or such that no
-    Taylor degree keeps the remainders within their share of STEP_TOL."""
+    """Raised when the Hamiltonian cannot be propagated: its norm bound is
+    past what the eigensolver of a framed variant takes, or so large that
+    no Taylor degree keeps the remainders within their share of STEP_TOL,
+    or a framed variant's H(0) + K is not real."""
 
 
 class Variant(str, Enum):
@@ -485,6 +494,9 @@ class EvolutionResult:
 STEP_TOL = 1e-7
 _TAYLOR_SHARE = 0.1
 _MAX_TAYLOR_DEGREE = 63
+# 1/k! for k up to _MAX_TAYLOR_DEGREE, the weights of the Taylor powers
+_INVERSE_FACTORIALS = np.array(
+    [1.0 / math.factorial(k) for k in range(_MAX_TAYLOR_DEGREE + 1)], dtype=complex)
 # Largest norm bound of H(0) + K the framed path diagonalizes: past it the
 # squares of entries overflow, and near the float limit the eigensolver has
 # aborted the interpreter
@@ -496,7 +508,8 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _CF4_NODES = np.array([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0])
 _X_HI, _X_LO = 0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0
 #: Most exponentials whose weights evolve holds at once, unless one sample
-#: interval takes more: the weights' memory stays bounded whatever t_max.
+#: interval takes more, and most samples of a framed variant taken from one
+#: matrix product: either way the memory stays bounded whatever t_max.
 CF4_BLOCK_EXPONENTIALS = 4096
 
 
@@ -535,48 +548,61 @@ def _taylor_degree(terms: TermList, h: float, exponentials: float) -> int:
         f"{terms.norm_bound:.3g} is too large for the substep {h:.3g}")
 
 
-def _expm_apply(columns: np.ndarray, values: np.ndarray, factor: complex,
-                psi: np.ndarray, degree: int) -> np.ndarray:
-    """exp(factor*H) @ psi by its Taylor polynomial of the given degree, for
-    the H with values on the padded rows of TermList.columns.
+def _expm_apply(columns: np.ndarray, values: np.ndarray, powers: np.ndarray,
+                out: np.ndarray) -> None:
+    """Write exp(A) @ powers[0] into out by the Taylor polynomial of degree
+    len(powers) - 1, for the A with values on the padded rows of
+    TermList.columns.
 
+    Each power A^k psi is written in place into powers[k], its rows summed
+    from zero in pattern order; out is their one sum weighted by 1/k!.
     With the degree from _taylor_degree the remainders a run drops add up
-    to at most STEP_TOL/10, and whenever factor*H is anti-Hermitian they
-    bound how far the norm moves as well.
+    to at most STEP_TOL/10, and whenever A is anti-Hermitian they bound how
+    far the norm moves as well.
     """
-    out = psi.copy()
-    term = psi
-    for k in range(1, degree + 1):
-        # H @ term, each row summed from zero in pattern order
-        term = np.einsum("ij,ij->i", values, term[columns])
-        term *= factor / k
-        out += term
-    return out
+    for k in range(1, len(powers)):
+        np.einsum("ij,ij->i", values, powers[k - 1][columns], out=powers[k])
+    np.dot(_INVERSE_FACTORIALS[:len(powers)], powers, out=out)
 
 
 def _cf4_weights(terms: TermList, starts: np.ndarray, h: float,
                  nsub: int) -> np.ndarray:
     """The term weights of every exponential of nsub CF4 substeps of length
-    h from each start time, shape (starts, 2*nsub, terms) in the order the
+    h from each start time, scaled by -ih so that data_map @ weight is the
+    exponent's values, shape (starts, 2*nsub, terms) in the order the
     exponentials apply; the coefficients at all their Gauss nodes come from
     one call."""
     nodes = starts[:, None, None] + h * (np.arange(nsub)[:, None] + _CF4_NODES)
     early, late = np.moveaxis(terms.coefficients(nodes), -1, 0)
     mixed = np.stack([_X_HI * early + _X_LO * late,
                       _X_LO * early + _X_HI * late], axis=-1)
+    mixed *= -1j * h
     return np.moveaxis(mixed, 0, -1).reshape(starts.size, 2 * nsub, -1)
 
 
-def _cf4_steps(terms: TermList, psi: np.ndarray, weights: np.ndarray,
-               h: float, degree: int) -> np.ndarray:
-    """psi advanced by the exponentials of substeps of length h, one per row
-    of weights (one start time of _cf4_weights)."""
-    # the pattern's values, then the zero that pads the rows
-    data = np.zeros(terms.data_map.shape[0] + 1, dtype=complex)
-    for row in weights:
-        np.dot(terms.data_map, row, out=data[:-1])
-        psi = _expm_apply(terms.columns, data[terms.slots], -1j * h, psi, degree)
-    return psi
+class _CF4Steps:
+    """CF4 exponentials on one TermList at one Taylor degree, with the work
+    buffers of a whole run allocated once: the pattern's values and the
+    zero that pads the rows, and two (degree + 1, dim) arrays of Taylor
+    powers, one holding the current exponential's and one taking its
+    result, which starts the next."""
+
+    def __init__(self, terms: TermList, degree: int):
+        self.terms = terms
+        self._data = np.zeros(terms.data_map.shape[0] + 1, dtype=complex)
+        self._powers = np.empty((2, degree + 1, terms.space.dim), dtype=complex)
+
+    def __call__(self, psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """psi advanced by one exponential per row of weights, in order (the
+        rows of one start time of _cf4_weights)."""
+        terms, data = self.terms, self._data
+        powers, spare = self._powers
+        powers[0] = psi
+        for row in weights:
+            np.dot(terms.data_map, row, out=data[:-1])
+            _expm_apply(terms.columns, data[terms.slots], powers, spare[0])
+            powers, spare = spare, powers
+        return powers[0].copy()
 
 
 def _substeps(terms: TermList, psi: np.ndarray, t0: float,
@@ -594,11 +620,10 @@ def _substeps(terms: TermList, psi: np.ndarray, t0: float,
     alone.
     """
     h = interval / n_min
-    degree = _taylor_degree(terms, h, math.inf)
+    steps = _CF4Steps(terms, _taylor_degree(terms, h, math.inf))
     start = np.array([t0])
-    coarse = _cf4_steps(terms, psi, _cf4_weights(terms, start, h, 1)[0], h, degree)
-    fine = _cf4_steps(terms, psi, _cf4_weights(terms, start, h / 2, 2)[0],
-                      h / 2, degree)
+    coarse = steps(psi, _cf4_weights(terms, start, h, 1)[0])
+    fine = steps(psi, _cf4_weights(terms, start, h / 2, 2)[0])
     error = n_min * intervals * 16.0 / 15.0 * float(np.max(np.abs(coarse - fine)))
     budget = (1.0 - _TAYLOR_SHARE) * STEP_TOL
     return max(n_min, math.ceil(n_min * (error / budget) ** 0.25))
@@ -665,11 +690,23 @@ def evolve(spec: HamiltonianSpec, psi0: StateVector, *,
                 f"{norm:.3g} exceeds {_EIGH_NORM_MAX:.3g}")
         H = terms.matrix_at(0.0)
         H[np.diag_indices_from(H)] += K
-        evals, vecs = np.linalg.eigh(H)
-        coeff = vecs.conj().T @ psi
-        for i, t in enumerate(times[1:], start=1):
-            states[i] = np.exp(1j * K * t) * (
-                vecs @ (np.exp(-1j * evals * t) * coeff))
+        if H.imag.any():
+            raise PropagationError(
+                f"propagator cannot diagonalize the {spec.variant.value} "
+                f"Hamiltonian: H(0) + K of its diagonal frame is not real")
+        evals, vecs = np.linalg.eigh(H.real)
+        coeff = vecs.T @ psi
+        # the samples block by block, each block from one matrix product
+        # written into the states, with one block of phases beside it
+        for first in range(1, times.size, CF4_BLOCK_EXPONENTIALS):
+            t = times[first:first + CF4_BLOCK_EXPONENTIALS, None]
+            block = states[first:first + CF4_BLOCK_EXPONENTIALS]
+            phases = np.multiply(-1j * evals, t)
+            np.exp(phases, out=phases)
+            phases *= coeff
+            np.matmul(phases, vecs.T, out=block)
+            np.exp(np.multiply(1j * K, t, out=phases), out=phases)
+            block *= phases
     else:
         interval = times[1] - times[0]
         nsub = _substeps(terms, psi, times[0], interval,
@@ -677,13 +714,13 @@ def evolve(spec: HamiltonianSpec, psi0: StateVector, *,
         h = interval / nsub
         exponentials = 2 * nsub * (times.size - 1)
         degree = _taylor_degree(terms, h, exponentials)
+        steps = _CF4Steps(terms, degree)
         starts = times[:-1]
         block = max(1, CF4_BLOCK_EXPONENTIALS // (2 * nsub))
         for first in range(0, starts.size, block):
             weights = _cf4_weights(terms, starts[first:first + block], h, nsub)
             for i, interval_weights in enumerate(weights, start=first + 1):
-                psi = _cf4_steps(terms, psi, interval_weights, h, degree)
-                states[i] = psi
+                psi = states[i] = steps(psi, interval_weights)
 
     norms = np.linalg.norm(states, axis=1)
     pop = np.abs(states) ** 2

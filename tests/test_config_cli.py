@@ -692,6 +692,23 @@ class TestRunCommand:
         assert "--strict" in captured.err
         assert run_command("driven-phase", cfg, out_dir=tmp_path) == 0
 
+    def test_effective_params_reports_hierarchy_failures(self, tmp_path, capsys):
+        # the effective-params sample fails both audits in part: each is a
+        # deviation line and a column, and each fails a --strict run
+        cfg = parse_config((SAMPLES / "effective_params.json").read_text())
+        assert run_command("effective-params", cfg, out_dir=tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["deviations"] == [
+            "911/2400 sweep points fail the counter-rotating validity rule",
+            "1418/2400 sweep points fail the drive-hierarchy validity rule"]
+        with open(tmp_path / "effective_params.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sum(row["hierarchy_ok"] == "false" for row in rows) == 1418
+        capsys.readouterr()
+        assert run_command("effective-params", cfg, out_dir=tmp_path / "strict",
+                           strict=True) == 2
+        assert "1418/2400 sweep points fail the drive-hierarchy" in capsys.readouterr().out
+
     def test_effective_params_csv(self, tmp_path):
         cfg = parse_config({
             "drive": {"amplitude": 0.09, "frequency": 0.18},
@@ -1001,6 +1018,13 @@ PINNED_GRID_DIGESTS = {
 # version 5 moved the drive-rotated echo bytes (Taylor degree from the
 # run's error budget) and no grid byte
 PINNED_GRID_DIGESTS[5] = PINNED_GRID_DIGESTS[4]
+# version 6 moved both echo branches' bytes (one batched product for the
+# framed branch, Taylor powers weighted by 1/k! for CF4) and added the
+# effective-params hierarchy_ok column; no grid byte moved
+PINNED_GRID_DIGESTS[6] = {
+    **PINNED_GRID_DIGESTS[5],
+    "amplitude-effective": "873478cf45279f9dbdb211cb81a169a3dd4ce049f40e90f1166006d568269532"
+                           "a1e47e08351e830bb1b37b9ad14950a10de8db8dc714068a97f8ce587f8d3243"}
 
 
 class TestOutputVersion:
@@ -1259,8 +1283,8 @@ class TestCsvQuoting:
          "682e667ca4c155b02031b0c20608fa52025d592d8f0f74e2a308422daf7fd6b3"
          "2420769bbd91e213cc91cb5951dd14bb5ac66c569b3ed356c61ca37fb220df50"),
         ("effective-params", "effective_params.json", "effective_params.csv",
-         "01b2d64420b46f043697ab55560448a14ed7635b649af36ad1653d2cbae1740a"
-         "d18bbf2a1c40b4afdf87bef920aedc8d84aeb17327677d9bd66c7297acdaf0df"),
+         "d80d4da6629e2acc9d34485d71fd8b369497218481710232e4eb83f79717979a"
+         "6574b336bf278ec38fd2bb63e71bbfda187e13511541a44a9e69365b13e0b632"),
     ])
     def test_sample_configs_keep_csv_bytes(self, tmp_path, command, config,
                                            csv_name, digest):

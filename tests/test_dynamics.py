@@ -21,7 +21,7 @@ from lambdajc.dynamics import (
     loschmidt_echo,
 )
 from lambdajc.dynamics import (
-    _cf4_steps, _cf4_weights, _expm_apply, _taylor_degree, step_limit)
+    _CF4Steps, _cf4_weights, _expm_apply, _taylor_degree, step_limit)
 from lambdajc.params import DriveParams, SystemParams
 from lambdajc.spectrum import block_ground_energy, block_matrix
 
@@ -204,10 +204,21 @@ class TestCoherentState:
         assert pop[index(space, 3, 0, 0)] == pytest.approx(0.5)
 
 
-def padded_values(terms, t):
-    """H(t)'s values on the padded rows of terms.columns: the pattern's
-    values and the zero the padding slot points at."""
-    return np.append(terms.data_map @ terms.coefficients(t), 0.0)[terms.slots]
+def exponent_values(terms, t, factor):
+    """The values of A = factor*H(t) on the pattern, from the coefficients
+    pre-scaled by factor, as _cf4_weights pre-scales its weights."""
+    return terms.data_map @ (factor * terms.coefficients(t))
+
+
+def taylor_apply(terms, values, psi, degree):
+    """_expm_apply's exp(A) @ psi at this degree, for the A with these
+    values on the pattern, given on the padded rows of terms.columns with
+    the zero the padding slot points at."""
+    powers = np.empty((degree + 1, psi.size), dtype=complex)
+    powers[0] = psi
+    out = np.empty_like(psi)
+    _expm_apply(terms.columns, np.append(values, 0.0)[terms.slots], powers, out)
+    return out
 
 
 def _spec(variant, sys=RESONANT, drive=DRIVE):
@@ -455,6 +466,59 @@ class TestEvolve:
         ref = expm_propagate(H, psi0.amplitudes, res.times)
         assert np.max(np.abs(res.states - ref)) < 1e-8
 
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_framed_variants_match_dense_expm(self, monkeypatch, block):
+        # each framed variant, from one real diagonalization and one product
+        # per block of samples (the default block, and blocks of 7 that
+        # leave a remainder), against a dense exponential per sample:
+        # psi(t) = exp(iKt) expm(-i(H(0) + K)t) psi(0)
+        import scipy.linalg
+        from lambdajc import dynamics
+        if block is not None:
+            monkeypatch.setattr(dynamics, "CF4_BLOCK_EXPONENTIALS", block)
+        space = build_space(2, 3)
+        sys = SystemParams(omega1=0.6, omega2=0.3, Omega1=1.1, Omega2=0.9,
+                           g1=0.3, g2=0.2)
+        drive = DriveParams.from_theta(0.8, 0.33)
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        psi0 = StateVector(amplitudes=amps / np.linalg.norm(amps), space=space)
+        for variant in (Variant.JC_STATIC, Variant.DOMINANT_SIDEBAND,
+                        Variant.EFFECTIVE_FULL, Variant.EFFECTIVE_JC):
+            spec = _spec(variant, sys=sys, drive=drive)
+            terms = assemble_terms(spec, space)
+            H = terms.matrix_at(0.0)
+            H[np.diag_indices_from(H)] += terms.frame
+            assert not H.imag.any(), variant
+            res = evolve(spec, psi0, t_max=30.0, samples=24)
+            for t, state in zip(res.times, res.states):
+                ref = np.exp(1j * terms.frame * t) * (
+                    scipy.linalg.expm(-1j * H * t) @ psi0.amplitudes)
+                assert np.max(np.abs(state - ref)) < 1e-10, (variant, t)
+            # only the dominant-sideband frame rotates
+            assert np.any(terms.frame) == (variant is Variant.DOMINANT_SIDEBAND)
+            assert np.max(np.abs(res.states[-1] - psi0.amplitudes)) > 0.1
+
+    def test_framed_hamiltonian_must_be_real(self, monkeypatch):
+        # every amplitude assemble_terms writes is real; a Hermitian but
+        # complex H(0) + K is refused, not diagonalized
+        from dataclasses import replace
+        from lambdajc import dynamics
+        space = build_space(2, 2)
+        spec = _spec(Variant.JC_STATIC)
+        terms = assemble_terms(spec, space).terms
+        # the g1 pair, its amplitudes i*g1 and -i*g1
+        terms[4:6] = [replace(terms[4], amplitude=1j * terms[4].amplitude),
+                      replace(terms[5], amplitude=-1j * terms[5].amplitude)]
+        complex_terms = dynamics.TermList(terms=terms, space=space,
+                                          frame=np.zeros(space.dim))
+        H = complex_terms.matrix_at(0.0)
+        assert np.array_equal(H, H.conj().T) and H.imag.any()
+        monkeypatch.setattr(dynamics, "assemble_terms", lambda *_: complex_terms)
+        psi0 = coherent_state(space, 0.0, 0.0, "1+3")
+        with pytest.raises(dynamics.PropagationError, match="not real"):
+            evolve(spec, psi0, t_max=1.0, samples=3)
+
     def test_matches_reference_integrator_time_dependent(self):
         from scipy.integrate import solve_ivp
         from scipy.special import jv
@@ -595,8 +659,8 @@ class TestEvolve:
         H = terms.matrix_at(1.7)
         for h in (0.05, 0.5, 2.0):
             degree = _taylor_degree(terms, h, 10 ** 12)
-            ours = _expm_apply(terms.columns, padded_values(terms, 1.7), -1j * h,
-                               psi0, degree)
+            ours = taylor_apply(terms, exponent_values(terms, 1.7, -1j * h),
+                                psi0, degree)
             ref = expm_propagate(H, psi0, [h])[0]
             assert np.max(np.abs(ours - ref)) < 1e-14
 
@@ -620,34 +684,39 @@ class TestEvolve:
         psi0 /= np.linalg.norm(psi0)
         ref = psi0
         for row in weights:
-            H = np.zeros((space.dim, space.dim), dtype=complex)
-            H[terms._rows, terms._cols] = terms.data_map @ row
-            ref = scipy.linalg.expm(-1j * h * H) @ ref
-        ours = _cf4_steps(terms, psi0, weights, h, degree)
+            # the weights come scaled by -ih: the exponent itself
+            A = np.zeros((space.dim, space.dim), dtype=complex)
+            A[terms._rows, terms._cols] = terms.data_map @ row
+            ref = scipy.linalg.expm(A) @ ref
+        ours = _CF4Steps(terms, degree)(psi0, weights)
         assert np.max(np.abs(ours - ref)) <= STEP_TOL / 10
 
     @pytest.mark.parametrize("cutoffs", [(2, 3), (3, 1)])
     def test_product_adds_in_csr_order(self, cutoffs):
         # the padded-row product sums each row in the order of scipy's CSR
         # product, on which the drive-rotated echo bytes depend: the Taylor
-        # polynomial is the same, bit for bit, with scipy's product in it
+        # polynomial is the same, bit for bit, with scipy's product of the
+        # pre-scaled values in it and the same 1/k!-weighted sum of powers
         import scipy.sparse
         space = build_space(*cutoffs)
         rng = np.random.default_rng(41)
         drive = DriveParams.from_theta(0.8, 0.33)
+        inverse_factorials = np.array([1.0 / math.factorial(k) for k in range(7)],
+                                      dtype=complex)
         for variant in Variant:
             terms = assemble_terms(_spec(variant, sys=random_params(rng),
                                          drive=drive), space)
             for t in rng.uniform(0.0, 300.0, 5):
-                H = scipy.sparse.csr_matrix(terms.matrix_at(float(t)))
+                values = exponent_values(terms, float(t), -0.5j)
+                A = np.zeros((space.dim, space.dim), dtype=complex)
+                A[terms._rows, terms._cols] = values
+                A = scipy.sparse.csr_matrix(A)
                 x = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-                ours = _expm_apply(terms.columns, padded_values(terms, float(t)),
-                                   -0.5j, x, 6)
-                ref, term = x.copy(), x
-                for k in range(1, 7):
-                    term = H @ term
-                    term *= -0.5j / k
-                    ref += term
+                ours = taylor_apply(terms, values, x, 6)
+                powers = [x]
+                for _ in range(6):
+                    powers.append(A @ powers[-1])
+                ref = np.dot(inverse_factorials, np.array(powers))
                 assert np.array_equal(ours, ref), variant
 
     def test_default_step_meets_tolerance(self):
