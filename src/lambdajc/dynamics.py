@@ -56,8 +56,8 @@ one block of whole sample intervals at a time (at most
 CF4_BLOCK_EXPONENTIALS exponentials, or one interval); for each
 exponential the values of its exponent A are rewritten from them, each
 Taylor power A^k psi is written in place into a (degree + 1, dim) buffer
-allocated once per run, its rows summed with numpy, and the polynomial
-is one sum of the powers weighted by 1/k!.  The run's
+allocated once per sample interval, its rows summed with numpy, and the
+polynomial is one sum of the powers weighted by 1/k!.  The run's
 error budget, STEP_TOL (1e-7) in the sampled amplitudes, is split 0.9 to
 the step and 0.1 to the Taylor remainders.  The substep is chosen once per
 run: the longest one, within dt_max and the sampling bound
@@ -548,21 +548,20 @@ def _taylor_degree(terms: TermList, h: float, exponentials: float) -> int:
         f"{terms.norm_bound:.3g} is too large for the substep {h:.3g}")
 
 
-def _expm_apply(columns: np.ndarray, values: np.ndarray, powers: np.ndarray,
-                out: np.ndarray) -> None:
-    """Write exp(A) @ powers[0] into out by the Taylor polynomial of degree
-    len(powers) - 1, for the A with values on the padded rows of
-    TermList.columns.
+def _expm_apply(columns: np.ndarray, values: np.ndarray,
+                powers: np.ndarray) -> np.ndarray:
+    """exp(A) @ powers[0] by the Taylor polynomial of degree len(powers) - 1,
+    for the A with values on the padded rows of TermList.columns.
 
     Each power A^k psi is written in place into powers[k], its rows summed
-    from zero in pattern order; out is their one sum weighted by 1/k!.
-    With the degree from _taylor_degree the remainders a run drops add up
-    to at most STEP_TOL/10, and whenever A is anti-Hermitian they bound how
-    far the norm moves as well.
+    from zero in pattern order; the polynomial is their one sum weighted by
+    1/k!.  With the degree from _taylor_degree the remainders a run drops
+    add up to at most STEP_TOL/10, and whenever A is anti-Hermitian they
+    bound how far the norm moves as well.
     """
     for k in range(1, len(powers)):
         np.einsum("ij,ij->i", values, powers[k - 1][columns], out=powers[k])
-    np.dot(_INVERSE_FACTORIALS[:len(powers)], powers, out=out)
+    return np.dot(_INVERSE_FACTORIALS[:len(powers)], powers)
 
 
 def _cf4_weights(terms: TermList, starts: np.ndarray, h: float,
@@ -580,29 +579,18 @@ def _cf4_weights(terms: TermList, starts: np.ndarray, h: float,
     return np.moveaxis(mixed, 0, -1).reshape(starts.size, 2 * nsub, -1)
 
 
-class _CF4Steps:
-    """CF4 exponentials on one TermList at one Taylor degree, with the work
-    buffers of a whole run allocated once: the pattern's values and the
-    zero that pads the rows, and two (degree + 1, dim) arrays of Taylor
-    powers, one holding the current exponential's and one taking its
-    result, which starts the next."""
-
-    def __init__(self, terms: TermList, degree: int):
-        self.terms = terms
-        self._data = np.zeros(terms.data_map.shape[0] + 1, dtype=complex)
-        self._powers = np.empty((2, degree + 1, terms.space.dim), dtype=complex)
-
-    def __call__(self, psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """psi advanced by one exponential per row of weights, in order (the
-        rows of one start time of _cf4_weights)."""
-        terms, data = self.terms, self._data
-        powers, spare = self._powers
+def _cf4_steps(terms: TermList, psi: np.ndarray, weights: np.ndarray,
+               degree: int) -> np.ndarray:
+    """psi advanced by one exponential per row of weights, in order (the
+    rows of one start time of _cf4_weights)."""
+    # the pattern's values, then the zero that pads the rows
+    data = np.zeros(terms.data_map.shape[0] + 1, dtype=complex)
+    powers = np.empty((degree + 1, psi.size), dtype=complex)
+    for row in weights:
+        np.dot(terms.data_map, row, out=data[:-1])
         powers[0] = psi
-        for row in weights:
-            np.dot(terms.data_map, row, out=data[:-1])
-            _expm_apply(terms.columns, data[terms.slots], powers, spare[0])
-            powers, spare = spare, powers
-        return powers[0].copy()
+        psi = _expm_apply(terms.columns, data[terms.slots], powers)
+    return psi
 
 
 def _substeps(terms: TermList, psi: np.ndarray, t0: float,
@@ -620,10 +608,10 @@ def _substeps(terms: TermList, psi: np.ndarray, t0: float,
     alone.
     """
     h = interval / n_min
-    steps = _CF4Steps(terms, _taylor_degree(terms, h, math.inf))
+    degree = _taylor_degree(terms, h, math.inf)
     start = np.array([t0])
-    coarse = steps(psi, _cf4_weights(terms, start, h, 1)[0])
-    fine = steps(psi, _cf4_weights(terms, start, h / 2, 2)[0])
+    coarse = _cf4_steps(terms, psi, _cf4_weights(terms, start, h, 1)[0], degree)
+    fine = _cf4_steps(terms, psi, _cf4_weights(terms, start, h / 2, 2)[0], degree)
     error = n_min * intervals * 16.0 / 15.0 * float(np.max(np.abs(coarse - fine)))
     budget = (1.0 - _TAYLOR_SHARE) * STEP_TOL
     return max(n_min, math.ceil(n_min * (error / budget) ** 0.25))
@@ -714,13 +702,12 @@ def evolve(spec: HamiltonianSpec, psi0: StateVector, *,
         h = interval / nsub
         exponentials = 2 * nsub * (times.size - 1)
         degree = _taylor_degree(terms, h, exponentials)
-        steps = _CF4Steps(terms, degree)
         starts = times[:-1]
         block = max(1, CF4_BLOCK_EXPONENTIALS // (2 * nsub))
         for first in range(0, starts.size, block):
             weights = _cf4_weights(terms, starts[first:first + block], h, nsub)
             for i, interval_weights in enumerate(weights, start=first + 1):
-                psi = states[i] = steps(psi, interval_weights)
+                psi = states[i] = _cf4_steps(terms, psi, interval_weights, degree)
 
     norms = np.linalg.norm(states, axis=1)
     pop = np.abs(states) ** 2

@@ -21,7 +21,7 @@ from lambdajc.dynamics import (
     loschmidt_echo,
 )
 from lambdajc.dynamics import (
-    _CF4Steps, _cf4_weights, _expm_apply, _taylor_degree, step_limit)
+    _cf4_steps, _cf4_weights, _expm_apply, _taylor_degree, step_limit)
 from lambdajc.params import DriveParams, SystemParams
 from lambdajc.spectrum import block_ground_energy, block_matrix
 
@@ -216,9 +216,7 @@ def taylor_apply(terms, values, psi, degree):
     the zero the padding slot points at."""
     powers = np.empty((degree + 1, psi.size), dtype=complex)
     powers[0] = psi
-    out = np.empty_like(psi)
-    _expm_apply(terms.columns, np.append(values, 0.0)[terms.slots], powers, out)
-    return out
+    return _expm_apply(terms.columns, np.append(values, 0.0)[terms.slots], powers)
 
 
 def _spec(variant, sys=RESONANT, drive=DRIVE):
@@ -682,13 +680,18 @@ class TestEvolve:
         rng = np.random.default_rng(8)
         psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         psi0 /= np.linalg.norm(psi0)
+        # the reference takes its own CF4 weights, unscaled, from the
+        # coefficients at each substep's two Gauss nodes
+        nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+        hi, lo = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
         ref = psi0
-        for row in weights:
-            # the weights come scaled by -ih: the exponent itself
-            A = np.zeros((space.dim, space.dim), dtype=complex)
-            A[terms._rows, terms._cols] = terms.data_map @ row
-            ref = scipy.linalg.expm(A) @ ref
-        ours = _CF4Steps(terms, degree)(psi0, weights)
+        for start in h * np.arange(1000):
+            early, late = (terms.coefficients(float(start + h * x)) for x in nodes)
+            for mix in (hi * early + lo * late, lo * early + hi * late):
+                H = np.zeros((space.dim, space.dim), dtype=complex)
+                H[terms._rows, terms._cols] = terms.data_map @ mix
+                ref = scipy.linalg.expm(-1j * h * H) @ ref
+        ours = _cf4_steps(terms, psi0, weights, degree)
         assert np.max(np.abs(ours - ref)) <= STEP_TOL / 10
 
     @pytest.mark.parametrize("cutoffs", [(2, 3), (3, 1)])
