@@ -106,7 +106,7 @@ BATCHES_PER_WORKER = 4
 #: Version of the output format and numbers.  Raise it with every change
 #: that alters any output byte: a run whose manifest has another version
 #: is never served or resumed.
-OUTPUT_VERSION = 6
+OUTPUT_VERSION = 7
 
 GRID_CSV_COLUMNS = ("axis1_name", "axis1_value", "axis2_name", "axis2_value",
                     "energy", "n_label", "m_label", "category", "gap",

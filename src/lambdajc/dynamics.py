@@ -37,39 +37,35 @@ keeps its fidelity and each branch's record as evolve returns it.
 Propagation
 -----------
 A variant whose every coefficient is a pure phase A*exp(i*phi*t) is
-stationary in a diagonal frame: for one real diagonal K with
-K_r - K_c = phi on every entry (r, c) of every term (TermList.frame),
-H(t) = exp(iKt) H(0) exp(-iKt), so psi(t) = exp(iKt) exp(-i(H(0) + K)t)
-psi(0) is sampled exactly from one diagonalization.  K = 0 for the
-time-independent variants; DOMINANT_SIDEBAND has K = alpha*n1 + beta*n2 +
-e_atom (see _dominant_frame).  Every amplitude these variants hold is
-real, so H(0) + K is real symmetric and takes one real eigh (a complex
-one is refused), and with eigenpairs (E, V) and c = V^T psi(0) every
-sample of a block of at most CF4_BLOCK_EXPONENTIALS times comes from one
-matrix product: exp(iKt) * ((exp(-iEt) * c) @ V^T), t down the rows.
+stationary in a diagonal frame: for one real diagonal K = alpha*n1 +
+beta*n2 + e_atom with K_r - K_c = phi on every entry (r, c) of every term
+(TermList.frame; K = 0 for the time-independent variants), H(t) =
+exp(iKt) H(0) exp(-iKt), so psi(t) = exp(iKt) exp(-i(H(0) + K)t) psi(0)
+is sampled exactly from one diagonalization.  Their amplitudes are real,
+so H(0) + K is real symmetric (a complex one is refused) and takes one
+real eigh; with eigenpairs (E, V) and c = V^T psi(0), each block of at
+most CF4_BLOCK_EXPONENTIALS samples is one matrix product
+(exp(-iEt) * c) @ V^T, t down the rows, times exp(iKt), the outer
+product of a small table per term of K.
 DRIVE_ROTATED has no such frame, since its z*sin(w_D*t) phases are not
 linear in t; it uses a fourth-order commutator-free exponential
 integrator (CF4: two Gauss-node exponentials per substep).  A TermList
-stores its entries once, on one fixed pattern laid out as padded rows.
-The weights of the exponentials are evaluated, already scaled by -ih,
-one block of whole sample intervals at a time (at most
-CF4_BLOCK_EXPONENTIALS exponentials, or one interval); for each
-exponential the values of its exponent A are rewritten from them, each
-Taylor power A^k psi is written in place into a (degree + 1, dim) buffer
-allocated once per sample interval, its rows summed with numpy, and the
-polynomial is one sum of the powers weighted by 1/k!.  The run's
-error budget, STEP_TOL (1e-7) in the sampled amplitudes, is split 0.9 to
-the step and 0.1 to the Taylor remainders.  The substep is chosen once per
-run: the longest one, within dt_max and the sampling bound
-2*pi/(20*phi_max), whose error in the sampled amplitudes, estimated by a
-Richardson pair on the first substep and added up over the run, is at
-most 0.9*STEP_TOL.  Each exponential is then a Taylor polynomial whose
-degree is fixed once per run from a norm bound: the smallest whose dropped
-remainders, added up over the run's exponentials, are at most
-0.1*STEP_TOL, and never more than the degree that drops below unit
-roundoff.  That share also bounds the norm drift the truncation leaves:
-1e-8, NORM_DRIFT_MAX.  phi_max is
-the peak instantaneous frequency max(|phi| + |z|*w_D) over the terms.
+stores its entries once, on one fixed pattern laid out as transposed
+padded rows.  The weights of the exponentials are evaluated, already
+scaled by -ih, at most CF4_BLOCK_EXPONENTIALS exponentials (or one
+sample interval) at a time.  Each exponential rewrites its exponent A's
+values from them, writes each Taylor power A^k psi in place as one
+multiply and one sum of the padded rows in pattern order (no einsum), and
+ends in one sum of the powers weighted by 1/k!.  The run's error budget,
+STEP_TOL (1e-7) in the sampled amplitudes, goes 0.9 to the step and 0.1
+to the Taylor remainders.  The substep, chosen once per run, is the
+longest within dt_max and the sampling bound 2*pi/(20*phi_max) whose
+error, estimated by a Richardson pair on the first substep and added up
+over the run, is at most 0.9*STEP_TOL.  The Taylor degree, fixed once per
+run from a norm bound, is the smallest whose remainders, added up over
+the run, are at most 0.1*STEP_TOL (never past the unit-roundoff degree);
+that share bounds the norm drift too: 1e-8, NORM_DRIFT_MAX.  phi_max is
+the peak instantaneous frequency max(|phi| + |z|*w_D) over the terms;
 dt_max is checked against that bound for every variant, but it sets only
 the CF4 substep.
 """
@@ -325,17 +321,18 @@ class TermList:
     fixed pattern, the sorted union of the term operators' entries, with
     the (nnz, terms) map from term coefficients to the values on it, so the
     instantaneous Hamiltonian's values are one product data_map @ c(t).
-    The pattern is kept as padded rows (ELL): row i of columns and slots
-    holds the column and pattern index of each entry of row i in order,
-    padded to the widest row with column 0 and slot nnz (a zero value).
+    The pattern is kept as transposed padded rows (ELL): column i of
+    columns and slots, shape (width, dim), holds the column and pattern
+    index of each entry of row i in order, padded with column 0 and slot
+    nnz (a zero value).
 
-    frame is the diagonal of a real K with K_r - K_c = phase on every entry
-    (r, c) of every term, so that H(t) = exp(iKt) H(0) exp(-iKt); None when
-    the variant has no such frame."""
+    frame is (alpha, beta, e_atom) of the real diagonal K = alpha*n1 +
+    beta*n2 + e_atom[atom - 1] with K_r - K_c = phase on every entry (r, c)
+    of every term, so H(t) = exp(iKt) H(0) exp(-iKt); None if there is none."""
 
     terms: list[Term]
     space: HilbertSpace
-    frame: np.ndarray | None = None
+    frame: tuple[float, float, np.ndarray] | None = None
 
     def __post_init__(self):
         dim = self.space.dim
@@ -351,8 +348,8 @@ class TermList:
         # each entry's place in its row: its slot less its row's first slot
         place = np.arange(pattern.size) - np.searchsorted(self._rows, self._rows)
         width = int(place.max()) + 1
-        self.slots = np.full((dim, width), pattern.size)
-        self.slots[self._rows, place] = np.arange(pattern.size)
+        self.slots = np.full((width, dim), pattern.size)
+        self.slots[place, self._rows] = np.arange(pattern.size)
         self.columns = np.append(self._cols, 0)[self.slots]
         self._params = [np.array([getattr(t, k) for t in self.terms])
                         for k in ("amplitude", "phase", "depth", "rate")]
@@ -418,7 +415,7 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
         _self_adjoint(terms, n2, sys.Omega2)
         _pair(terms, s31a1, sys.g1, 0.0)
         _pair(terms, s32a2, sys.g2, 0.0)
-        return TermList(terms=terms, space=space, frame=np.zeros(space.dim))
+        return TermList(terms=terms, space=space, frame=(0.0, 0.0, np.zeros(3)))
 
     drive = spec.drive
     rec = effective_point(sys, drive)
@@ -438,7 +435,7 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
         _pair(terms, s31a1d, rec["gc1"], rec["Delta_n0"])
         _pair(terms, s32a2, rec["gr2"], rec["delta2"])
         _pair(terms, s32a2d, rec["gc2"], rec["Delta_m0"])
-        return TermList(terms=terms, space=space, frame=_dominant_frame(rec, space))
+        return TermList(terms=terms, space=space, frame=_dominant_frame(rec))
 
     # time-independent effective variants
     _self_adjoint(terms, s33_s22, rec["omega2_eff"])
@@ -450,12 +447,12 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
     if spec.variant is Variant.EFFECTIVE_FULL:
         _pair(terms, s31a1d, rec["gc1"], 0.0)
         _pair(terms, s32a2d, rec["gc2"], 0.0)
-    return TermList(terms=terms, space=space, frame=np.zeros(space.dim))
+    return TermList(terms=terms, space=space, frame=(0.0, 0.0, np.zeros(3)))
 
 
-def _dominant_frame(rec: dict, space: HilbertSpace) -> np.ndarray:
-    """K = alpha*n1 + beta*n2 + e_atom, the frame of DOMINANT_SIDEBAND, from
-    the effective-parameter record rec.
+def _dominant_frame(rec: dict) -> tuple[float, float, np.ndarray]:
+    """(alpha, beta, e_atom) of K = alpha*n1 + beta*n2 + e_atom, the frame
+    of DOMINANT_SIDEBAND, from the effective-parameter record rec.
 
     |3><1| a1 (phase delta1) and |3><1| a1' (phase Delta_n0) ask for
     e3 - e1 - alpha = delta1 and e3 - e1 + alpha = Delta_n0, and mode 2
@@ -465,7 +462,7 @@ def _dominant_frame(rec: dict, space: HilbertSpace) -> np.ndarray:
     alpha, beta = rec["Omega1_eff"], rec["Omega2_eff"]
     e_atom = np.array([-(rec["Delta_n0"] + rec["delta1"]) / 2.0,
                        -(rec["Delta_m0"] + rec["delta2"]) / 2.0, 0.0])
-    return alpha * space._n1 + beta * space._n2 + e_atom[space._atom - 1]
+    return alpha, beta, e_atom
 
 
 # ---------------------------------------------------------------------------
@@ -548,19 +545,16 @@ def _taylor_degree(terms: TermList, h: float, exponentials: float) -> int:
         f"{terms.norm_bound:.3g} is too large for the substep {h:.3g}")
 
 
-def _expm_apply(columns: np.ndarray, values: np.ndarray,
-                powers: np.ndarray) -> np.ndarray:
+def _expm_apply(columns: np.ndarray, values: np.ndarray, powers: np.ndarray,
+                products: np.ndarray) -> np.ndarray:
     """exp(A) @ powers[0] by the Taylor polynomial of degree len(powers) - 1,
-    for the A with values on the padded rows of TermList.columns.
-
-    Each power A^k psi is written in place into powers[k], its rows summed
-    from zero in pattern order; the polynomial is their one sum weighted by
-    1/k!.  With the degree from _taylor_degree the remainders a run drops
-    add up to at most STEP_TOL/10, and whenever A is anti-Hermitian they
-    bound how far the norm moves as well.
-    """
+    for the A with values on the transposed padded rows of TermList.columns:
+    each power A^k psi is one multiply of the values by the gathered entries
+    of A^(k-1) psi into products and one sum of its rows, in pattern order,
+    into powers[k]; the polynomial is their sum weighted by 1/k!."""
     for k in range(1, len(powers)):
-        np.einsum("ij,ij->i", values, powers[k - 1][columns], out=powers[k])
+        np.multiply(values, powers[k - 1][columns], out=products)
+        np.add.reduce(products, axis=0, out=powers[k])
     return np.dot(_INVERSE_FACTORIALS[:len(powers)], powers)
 
 
@@ -586,10 +580,11 @@ def _cf4_steps(terms: TermList, psi: np.ndarray, weights: np.ndarray,
     # the pattern's values, then the zero that pads the rows
     data = np.zeros(terms.data_map.shape[0] + 1, dtype=complex)
     powers = np.empty((degree + 1, psi.size), dtype=complex)
+    products = np.empty(terms.slots.shape, dtype=complex)
     for row in weights:
         np.dot(terms.data_map, row, out=data[:-1])
         powers[0] = psi
-        psi = _expm_apply(terms.columns, data[terms.slots], powers)
+        psi = _expm_apply(terms.columns, data[terms.slots], powers, products)
     return psi
 
 
@@ -670,7 +665,8 @@ def evolve(spec: HamiltonianSpec, psi0: StateVector, *,
 
     if terms.frame is not None:
         # psi(t) = exp(iKt) exp(-i(H(0) + K)t) psi(0)
-        K = terms.frame
+        alpha, beta, e_atom = terms.frame
+        K = alpha * space._n1 + beta * space._n2 + e_atom[space._atom - 1]
         norm = terms.norm_bound + float(np.max(np.abs(K)))
         if not norm <= _EIGH_NORM_MAX:
             raise PropagationError(
@@ -684,8 +680,10 @@ def evolve(spec: HamiltonianSpec, psi0: StateVector, *,
                 f"Hamiltonian: H(0) + K of its diagonal frame is not real")
         evals, vecs = np.linalg.eigh(H.real)
         coeff = vecs.T @ psi
-        # the samples block by block, each block from one matrix product
-        # written into the states, with one block of phases beside it
+        # each block of samples is one matrix product into the states, times
+        # exp(iKt): the outer product of a table per term of K (atom, n1, n2)
+        factors = np.concatenate([e_atom, alpha * np.arange(space.d1),
+                                  beta * np.arange(space.d2)])
         for first in range(1, times.size, CF4_BLOCK_EXPONENTIALS):
             t = times[first:first + CF4_BLOCK_EXPONENTIALS, None]
             block = states[first:first + CF4_BLOCK_EXPONENTIALS]
@@ -693,7 +691,9 @@ def evolve(spec: HamiltonianSpec, psi0: StateVector, *,
             np.exp(phases, out=phases)
             phases *= coeff
             np.matmul(phases, vecs.T, out=block)
-            np.exp(np.multiply(1j * K, t, out=phases), out=phases)
+            atom, mode1, mode2 = np.split(np.exp(1j * factors * t), [3, 3 + space.d1], 1)
+            np.multiply((atom[:, :, None] * mode1[:, None]).reshape(t.size, -1, 1),
+                        mode2[:, None], out=phases.reshape(t.size, -1, space.d2))
             block *= phases
     else:
         interval = times[1] - times[0]

@@ -109,14 +109,22 @@ def _bessel_each(orders, x):
 
     Within a slice of grid cells theta takes one value per A_D row and the
     sideband orders rarely change, so the scalar Bessel evaluator runs a
-    handful of times instead of per cell.
+    handful of times instead of per cell.  One stable lexsort brings equal
+    pairs together, each run of them evaluated at its first cell's pair,
+    and the values are scattered back to the cells.
     """
     if not isinstance(x, np.ndarray):
         return bessel_j(int(orders), x)
     orders, x = np.broadcast_arrays(orders, x)
-    keys = list(zip(orders.ravel().tolist(), x.ravel().tolist()))
-    memo = {key: bessel_j(*key) for key in dict.fromkeys(keys)}
-    return np.array([memo[key] for key in keys]).reshape(x.shape)
+    order = np.lexsort((x.ravel(), orders.ravel()))
+    n, z = orders.ravel()[order], x.ravel()[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (n[1:] != n[:-1]) | (z[1:] != z[:-1])
+    values = np.array([bessel_j(*pair) for pair in zip(n[first].tolist(),
+                                                        z[first].tolist())])
+    out = np.empty(order.size)
+    out[order] = values[np.cumsum(first) - 1]
+    return out.reshape(x.shape)
 
 
 def _record(omega1, omega2, Omega1, Omega2, g1, g2, amplitude, frequency) -> dict:

@@ -212,11 +212,20 @@ def exponent_values(terms, t, factor):
 
 def taylor_apply(terms, values, psi, degree):
     """_expm_apply's exp(A) @ psi at this degree, for the A with these
-    values on the pattern, given on the padded rows of terms.columns with
-    the zero the padding slot points at."""
+    values on the pattern, given on the transposed padded rows of
+    terms.columns with the zero the padding slot points at."""
     powers = np.empty((degree + 1, psi.size), dtype=complex)
     powers[0] = psi
-    return _expm_apply(terms.columns, np.append(values, 0.0)[terms.slots], powers)
+    padded = np.append(values, 0.0)[terms.slots]
+    return _expm_apply(terms.columns, padded, powers, np.empty_like(padded))
+
+
+def frame_diagonal(terms):
+    """The diagonal of K for terms.frame = (alpha, beta, e_atom): alpha per
+    mode-1 photon, beta per mode-2 photon and e_atom[k - 1] for level k."""
+    alpha, beta, e_atom = terms.frame
+    space = terms.space
+    return alpha * space._n1 + beta * space._n2 + e_atom[space._atom - 1]
 
 
 def _spec(variant, sys=RESONANT, drive=DRIVE):
@@ -345,7 +354,7 @@ class TestAssembly:
                 if terms.frame is None:
                     continue
                 framed += 1
-                K = terms.frame
+                K = frame_diagonal(terms)
                 H0 = terms.matrix_at(0.0)
                 for t in rng.uniform(0.0, 300.0, 10):
                     phase = np.exp(1j * K * t)
@@ -485,16 +494,17 @@ class TestEvolve:
                         Variant.EFFECTIVE_FULL, Variant.EFFECTIVE_JC):
             spec = _spec(variant, sys=sys, drive=drive)
             terms = assemble_terms(spec, space)
+            K = frame_diagonal(terms)
             H = terms.matrix_at(0.0)
-            H[np.diag_indices_from(H)] += terms.frame
+            H[np.diag_indices_from(H)] += K
             assert not H.imag.any(), variant
             res = evolve(spec, psi0, t_max=30.0, samples=24)
             for t, state in zip(res.times, res.states):
-                ref = np.exp(1j * terms.frame * t) * (
+                ref = np.exp(1j * K * t) * (
                     scipy.linalg.expm(-1j * H * t) @ psi0.amplitudes)
                 assert np.max(np.abs(state - ref)) < 1e-10, (variant, t)
             # only the dominant-sideband frame rotates
-            assert np.any(terms.frame) == (variant is Variant.DOMINANT_SIDEBAND)
+            assert np.any(K) == (variant is Variant.DOMINANT_SIDEBAND)
             assert np.max(np.abs(res.states[-1] - psi0.amplitudes)) > 0.1
 
     def test_framed_hamiltonian_must_be_real(self, monkeypatch):
@@ -509,7 +519,7 @@ class TestEvolve:
         terms[4:6] = [replace(terms[4], amplitude=1j * terms[4].amplitude),
                       replace(terms[5], amplitude=-1j * terms[5].amplitude)]
         complex_terms = dynamics.TermList(terms=terms, space=space,
-                                          frame=np.zeros(space.dim))
+                                          frame=(0.0, 0.0, np.zeros(3)))
         H = complex_terms.matrix_at(0.0)
         assert np.array_equal(H, H.conj().T) and H.imag.any()
         monkeypatch.setattr(dynamics, "assemble_terms", lambda *_: complex_terms)
@@ -696,16 +706,32 @@ class TestEvolve:
 
     @pytest.mark.parametrize("cutoffs", [(2, 3), (3, 1)])
     def test_product_adds_in_csr_order(self, cutoffs):
-        # the padded-row product sums each row in the order of scipy's CSR
-        # product, on which the drive-rotated echo bytes depend: the Taylor
-        # polynomial is the same, bit for bit, with scipy's product of the
-        # pre-scaled values in it and the same 1/k!-weighted sum of powers
+        # the padded-row product adds each row's entries in CSR order, one
+        # product at a time, on which the drive-rotated echo bytes depend:
+        # the Taylor polynomial is the same, bit for bit, with each power
+        # summed that way from scipy's CSR entries of the pre-scaled values
+        # and the same 1/k!-weighted sum of powers; and it is the dense
+        # polynomial within rounding
         import scipy.sparse
         space = build_space(*cutoffs)
         rng = np.random.default_rng(41)
         drive = DriveParams.from_theta(0.8, 0.33)
         inverse_factorials = np.array([1.0 / math.factorial(k) for k in range(7)],
                                       dtype=complex)
+
+        def ordered_product(A, x):
+            # acc = v[0]*x[c[0]], then acc = acc + v[j]*x[c[j]] along each
+            # row, position j of every row at once: numpy's array multiply
+            # may round otherwise than its scalar one
+            lengths = np.diff(A.indptr)
+            out = np.zeros(A.shape[0], dtype=complex)
+            for j in range(lengths.max()):
+                rows = np.flatnonzero(lengths > j)
+                at = A.indptr[rows] + j
+                products = A.data[at] * x[A.indices[at]]
+                out[rows] = products if j == 0 else out[rows] + products
+            return out
+
         for variant in Variant:
             terms = assemble_terms(_spec(variant, sys=random_params(rng),
                                          drive=drive), space)
@@ -713,14 +739,18 @@ class TestEvolve:
                 values = exponent_values(terms, float(t), -0.5j)
                 A = np.zeros((space.dim, space.dim), dtype=complex)
                 A[terms._rows, terms._cols] = values
-                A = scipy.sparse.csr_matrix(A)
+                csr = scipy.sparse.csr_matrix(A)
+                assert csr.has_sorted_indices
                 x = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
                 ours = taylor_apply(terms, values, x, 6)
-                powers = [x]
+                ordered, dense = [x], [x]
                 for _ in range(6):
-                    powers.append(A @ powers[-1])
-                ref = np.dot(inverse_factorials, np.array(powers))
+                    ordered.append(ordered_product(csr, ordered[-1]))
+                    dense.append(A @ dense[-1])
+                ref = np.dot(inverse_factorials, np.array(ordered))
                 assert np.array_equal(ours, ref), variant
+                dense = np.dot(inverse_factorials, np.array(dense))
+                assert np.max(np.abs(ours - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_default_step_meets_tolerance(self):
         # configs/echo.json's model and drive over the default horizon

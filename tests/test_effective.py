@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from lambdajc.effective import effective_point, effective_table
+from lambdajc.effective import _bessel_each, effective_point, effective_table
 from lambdajc.params import MODEL_FIELDS, DriveParams, SystemParams
-from lambdajc.specfun import MAX_ORDER
+from lambdajc.specfun import MAX_ORDER, bessel_j
 
 from oracles import bessel_series, brute_sideband
 
@@ -113,6 +113,24 @@ class TestEffectiveParameters:
             RESONANT.g1 * (-1) ** 5 * bessel_series(5, 0.5), rel=1e-12)
         assert rec["gc2"] == pytest.approx(
             RESONANT.g2 * bessel_series(4, 1.0), rel=1e-12)
+
+    def test_bessel_each_matches_per_cell_calls(self):
+        # one evaluation per distinct (order, x) pair, scattered back to the
+        # cells, has the bits of one bessel_j call per cell: mixed orders,
+        # repeated arguments and both signed zeros, per-cell and scalar orders
+        x = np.array([[0.0, -0.0, 1.3, 1.3, 0.2],
+                      [-0.0, 2.5, 0.0, 1.3, 0.2],
+                      [2.5, 0.7, -1.3, 0.0, -0.0]])
+        orders = np.array([[0, -1, -14, 3, 1],
+                           [-1, -14, 0, -14, 1],
+                           [2, 0, -14, 1, 1]])
+        for n in (orders, 0, -11):
+            cells = np.broadcast_to(n, x.shape)
+            want = np.array([bessel_j(int(k), float(z))
+                             for k, z in zip(cells.ravel(), x.ravel())])
+            got = _bessel_each(n, x)
+            assert got.shape == x.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_frame_cancellation_identities(self):
         rng = np.random.default_rng(42)
