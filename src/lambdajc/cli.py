@@ -25,13 +25,18 @@ sweep resumes from the whole chunks that head its partial CSV, a line per
 cell: their text is written again verbatim, and their audit columns give
 their counts.
 
-The pool's map sends contiguous batches of chunks, about
-BATCHES_PER_WORKER per worker, to no more workers than batches.  Workers
-and a sequential run make the same texts, so the bytes do not depend on
-the worker count or the batching.  A batch that finishes ahead of an
-earlier one is written only when the earlier one is, so an interrupt may
-recompute it too; the stream is closed on every way out, which cancels
-the batches no worker has started.
+--workers N counts the processes that compute, this one included, so it
+forks N - 1.  This process computes the head of the chunks left, the
+first ceil(chunks / N), and its texts are written as they are made; the
+pool's map sends the tail in contiguous batches of chunks, about
+BATCHES_PER_WORKER per worker, to no more workers than batches.  The
+tail's texts wait in memory until the head is written.  Workers and a
+sequential run make the same texts, so the bytes do not depend on the
+worker count or the batching.  A batch that finishes ahead of an earlier
+chunk is written only when that chunk is, so an interrupt during the head
+discards the tail's finished batches, and a resumed run computes them
+again.  The stream is closed on every way out, which cancels the batches
+the pool has not yet sent to a worker and waits for its processes to end.
 
 One rule decides what a run may reuse: a readable manifest of this
 config hash, command and OUTPUT_VERSION.  Under it, a cache hit also needs
@@ -98,9 +103,9 @@ from .spectrum import (
 )
 
 ECHO_ALPHA = 0.01
-#: Pool tasks per worker: a pool task is a contiguous batch of chunks, so
-#: a worker is sent a few tasks, not one per chunk, and the last batches
-#: still even out the workers' load.
+#: Pool tasks per forked worker: a pool task is a contiguous batch of the
+#: tail's chunks, so a worker is sent a few tasks, not one per chunk, and
+#: the last batches still even out the workers' load.
 BATCHES_PER_WORKER = 4
 
 #: Version of the output format and numbers.  Raise it with every change
@@ -309,23 +314,35 @@ def _run_chunks(sweep: _Sweep, start: int, workers: int):
     """Yield the audit counts and CSV text of each chunk from index start
     on, in index order.
 
-    Under workers, the pool's map sends contiguous batches of chunks, about
-    BATCHES_PER_WORKER per worker, and the pool has no more workers than
-    batches.  A batch that finishes ahead of an earlier one waits for it.
-    Closing the generator cancels the batches no worker has started.
+    workers counts the processes that compute, this one included.  Under
+    workers N > 1 this process computes the head, the first ceil(chunks / N)
+    chunks, and yields each as it is made; a pool of N - 1 workers, or
+    fewer when there are fewer batches, computes the tail meanwhile, in
+    contiguous batches of chunks, about BATCHES_PER_WORKER per worker.  The
+    tail's results wait in memory until the head is yielded, then follow in
+    order.  Closing the generator cancels the batches the pool has not yet
+    sent to a worker, and returns once the pool's processes have ended.
     """
     entry = partial(_chunk_entry, sweep.compute, sweep.csv_columns)
     todo = sweep.chunks[start:]
     if workers > 1 and len(todo) > 1:
-        size = -(-len(todo) // (BATCHES_PER_WORKER * workers))
-        batches = -(-len(todo) // size)
+        cut = -(-len(todo) // workers)
+        head, tail = todo[:cut], todo[cut:]
+        size = -(-len(tail) // (BATCHES_PER_WORKER * (workers - 1)))
+        batches = -(-len(tail) // size)
         # Freeing one 16 MiB block raises glibc's heap trim threshold (it
-        # follows the largest freed mmapped block, up to 32 MiB), so the
-        # workers forked below keep the heap pages each chunk frees rather
-        # than returning them and faulting them in again for the next chunk.
+        # follows the largest freed mmapped block, up to 32 MiB), so this
+        # process and the workers forked below keep the heap pages each
+        # chunk frees rather than returning them and faulting them in again
+        # for the next chunk.
         np.empty(1 << 24, dtype=np.uint8)
-        with ProcessPoolExecutor(max_workers=min(workers, batches)) as pool:
-            yield from pool.map(entry, todo, chunksize=size)
+        pool = ProcessPoolExecutor(max_workers=min(workers - 1, batches))
+        try:
+            results = pool.map(entry, tail, chunksize=size)
+            yield from map(entry, head)
+            yield from results
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         yield from map(entry, todo)
 
@@ -555,10 +572,10 @@ def _finish(deviations: list[str], strict: bool) -> int:
 
 
 def worker_count(workers: int | str) -> int:
-    """The pool size a workers value asks for: a positive integer, or
-    "auto" for one worker per CPU this process may run on (its affinity
-    mask, which taskset and container limits narrow, where the platform
-    reports one)."""
+    """The number of processes a workers value asks to compute a sweep,
+    this one included: a positive integer, or "auto" for one per CPU this
+    process may run on (its affinity mask, which taskset and container
+    limits narrow, where the platform reports one)."""
     if workers == "auto":
         try:
             return len(os.sched_getaffinity(0)) or 1
@@ -592,7 +609,8 @@ def main(argv=None) -> int:
                                          "when omitted)")
     parser.add_argument("--out", help="output directory (overrides the config)")
     parser.add_argument("--workers", type=_workers_flag, default=1,
-                        help="parallel worker count, or auto for one per CPU")
+                        help="processes that compute a sweep, this one "
+                             "included, or auto for one per CPU")
     parser.add_argument("--strict", action="store_true",
                         help="fail (exit 2) on validity deviations")
     try:

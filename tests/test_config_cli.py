@@ -2,9 +2,11 @@ import csv
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1489,8 +1491,9 @@ class TestStockSweeps:
 
 
 #: One sweep of each command with 13 chunks, so that 10 are left after an
-#: interrupt at 3: more than BATCHES_PER_WORKER per worker of a two-worker
-#: pool, which then sends batches of several chunks.
+#: interrupt at 3.  Under --workers 2 the runner computes the first 5 and
+#: its one-worker pool the other 5: more than BATCHES_PER_WORKER, so the
+#: pool is sent batches of several chunks.
 MANY_CHUNKS = {
     "static-phase": {"sweep": [
         {"name": "g1", "start": 0.0, "stop": 4.0, "points": 13, "parameter": "g1"},
@@ -1513,10 +1516,18 @@ MIXED_RESUME = {**{command: (command, doc) for command, doc in MANY_CHUNKS.items
                 "driven-phase-audits": ("driven-phase", DRIVEN_AUDITS)}
 
 
+def _head(chunks: int, workers: int) -> int:
+    """How many of `chunks` left the runner computes itself under
+    --workers `workers`: ceil(chunks / workers)."""
+    return -(-chunks // workers)
+
+
 class TestPool:
-    """The pool's map sends contiguous batches of chunks whose audit counts
-    and CSV text the workers make, and hands them back in chunk order;
-    resumed chunks are written verbatim."""
+    """Under --workers N the runner computes the head of the chunks itself
+    while a pool of N - 1 workers computes the tail, sent by the pool's map
+    in contiguous batches; both make each chunk's audit counts and CSV text
+    with the same function, and they reach the CSV in chunk order.  Resumed
+    chunks are written verbatim."""
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -1537,11 +1548,13 @@ class TestPool:
         _chunk_by_rows(monkeypatch, doc)
         cfg = parse_config(doc)
         sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
-        assert len(sweep.chunks) - 3 > cli.BATCHES_PER_WORKER * 2
+        left = len(sweep.chunks) - 3
+        assert left - _head(left, 2) > cli.BATCHES_PER_WORKER
         assert run_command(command, cfg, out_dir=tmp_path / "full", workers=1) == 0
         _interrupt(command, cfg, tmp_path / "part", 3)
         assert run_command(command, cfg, out_dir=tmp_path / "part", workers=2) == 0
-        assert pool_sizes == [2]
+        # two computing processes: the runner and one forked worker
+        assert pool_sizes == [1]
         for name in (cli._CSV_NAME[command], "manifest.json"):
             assert ((tmp_path / "part" / name).read_bytes()
                     == (tmp_path / "full" / name).read_bytes())
@@ -1579,10 +1592,12 @@ class TestPool:
         monkeypatch.setattr(cli, "_format_column", counting_format)
         assert run_command("static-phase", cfg, out_dir=tmp_path,
                            workers=workers) == 0
-        # the parent formats each axis's values once per sweep, then the ten
-        # chunks it computes itself, none it resumes: each column but the
-        # three it is given as texts (the axis values and the category)
-        computed = 10 if workers == 1 else 0
+        # the parent formats each axis's values once per sweep, then the
+        # chunks it computes itself (all ten left, or under two workers the
+        # head of five, the pool's worker formatting the rest in its own
+        # copy), none it resumes: each column but the three it is given as
+        # texts (the axis values and the category)
+        computed = _head(10, workers)
         assert len(calls) == 2 + computed * (len(cli.GRID_CSV_COLUMNS) - 3)
 
     # three workers cut the 13 chunks into batches of another size
@@ -1616,7 +1631,8 @@ class TestPool:
         cfg = parse_config(three_rows)
         assert run_command("static-phase", cfg, out_dir=tmp_path / "w8",
                            workers=8) == 0
-        assert pool_sizes == [3]
+        # the runner computes one chunk and the pool two batches of one
+        assert pool_sizes == [2]
         assert run_command("static-phase", cfg, out_dir=tmp_path / "w1",
                            workers=1) == 0
         assert ((tmp_path / "w8" / "grid.csv").read_bytes()
@@ -1628,7 +1644,8 @@ class TestPool:
         cfg = parse_config(GRID_5X4)
         _interrupt("static-phase", cfg, tmp_path, 3)
         assert run_command("static-phase", cfg, out_dir=tmp_path, workers=8) == 0
-        assert pool_sizes == [2]
+        # of the two chunks left, the runner computes one and the pool one
+        assert pool_sizes == [1]
 
     def test_dead_worker_exits_2_and_keeps_finished_chunks(self, tmp_path,
                                                            monkeypatch, capsys):
@@ -1638,7 +1655,9 @@ class TestPool:
         real = spectrum.compute_grid_cells
 
         def dying(*args):
-            if args[-2] // spectrum.CHUNK_CELLS == 5:
+            # chunk 10 is in the pool's share: the runner computes chunks 0-6
+            # and its worker the batches 7-8, 9-10 and 11-12
+            if args[-2] // spectrum.CHUNK_CELLS == 10:
                 os._exit(1)  # as a worker killed by the OOM killer
             return real(*args)
 
@@ -1650,9 +1669,11 @@ class TestPool:
         capsys.readouterr()
         assert run_command("static-phase", cfg, out_dir=out, workers=2) == 2
         assert "error: " in capsys.readouterr().err
-        # the worker that runs row 5 has finished an earlier batch
+        # the runner's head is written, and the worker that runs chunk 10
+        # has finished an earlier batch, which is written after it
         whole = _whole_chunks("static-phase", cfg, out)
-        assert 0 < whole <= 5
+        assert _head(13, 2) <= whole <= 10
+        assert not multiprocessing.active_children()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["cells_done"] == 4 * whole
         assert manifest["csv_blake2b"] is None
@@ -1662,6 +1683,82 @@ class TestPool:
         rows = _count_chunks(monkeypatch)
         assert run_command("static-phase", cfg, out_dir=out) == 0
         assert rows == list(range(whole, 13))
+        for name in ("grid.csv", "manifest.json"):
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    @pytest.mark.parametrize("workers, rows, forked", [(2, 13, 1), (3, 13, 2), (4, 3, 2)])
+    def test_workers_fork_all_but_the_runner(self, tmp_path, monkeypatch, pool_sizes,
+                                             workers, rows, forked):
+        # 13 chunks leave the pool more batches than workers; 3 chunks under
+        # four workers leave it two batches
+        doc = json.loads(json.dumps(MANY_CHUNKS["static-phase"]))
+        doc["sweep"][0]["points"] = rows
+        _chunk_by_rows(monkeypatch, doc)
+        cfg = parse_config(doc)
+        runner, real = os.getpid(), cli.compute_grid_cells
+        alive = []
+
+        def counting(*args):
+            if os.getpid() == runner:
+                alive.append(len(multiprocessing.active_children()))
+            return real(*args)
+
+        monkeypatch.setattr(cli, "compute_grid_cells", counting)
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "pool",
+                           workers=workers) == 0
+        assert pool_sizes == [forked]
+        # the pool's processes run while the runner computes its head, and
+        # none outlives the run
+        assert alive and set(alive) == {forked}
+        assert not multiprocessing.active_children()
+        monkeypatch.setattr(cli, "compute_grid_cells", real)
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "seq") == 0
+        assert ((tmp_path / "pool" / "grid.csv").read_bytes()
+                == (tmp_path / "seq" / "grid.csv").read_bytes())
+
+    def test_interrupt_in_the_head_cancels_the_queued_batches(self, tmp_path,
+                                                              monkeypatch):
+        doc = json.loads(json.dumps(MANY_CHUNKS["static-phase"]))
+        doc["sweep"][0]["points"] = 16
+        _chunk_by_rows(monkeypatch, doc)
+        cfg = parse_config(doc)
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "full") == 0
+        # the runner computes chunks 0-7; its one worker is sent the batches
+        # 8-9, 10-11, 12-13 and 14-15, each chunk slowed so that the
+        # interrupt comes while the worker runs its first batch
+        head = _head(16, 2)
+        runner, real = os.getpid(), cli.compute_grid_cells
+        marks = tmp_path / "marks"
+        marks.mkdir()
+
+        def slow_tail(*args):
+            chunk = args[-2] // spectrum.CHUNK_CELLS
+            if os.getpid() == runner:
+                if chunk == 2:
+                    raise KeyboardInterrupt
+            else:
+                (marks / str(chunk)).touch()
+                time.sleep(0.1)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "compute_grid_cells", slow_tail)
+        out = tmp_path / "part"
+        with pytest.raises(KeyboardInterrupt):
+            run_command("static-phase", cfg, out_dir=out, workers=2)
+        assert not multiprocessing.active_children()
+        # the last batch was cancelled: the pool computed at most the batch
+        # its worker ran and the two queued for it (a process pool queues
+        # one task more than it has workers)
+        assert {int(p.name) for p in marks.iterdir()} <= set(range(head, 14))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["deviations"] == ["interrupted"]
+        assert manifest["cells_done"] == 2 * 4
+        # the partial holds the two whole chunks the runner wrote, nothing of
+        # the tail
+        full = (tmp_path / "full" / "grid.csv").read_text().split("\n")
+        assert (out / ".grid.csv.partial").read_text() == "\n".join(full[:1 + 2 * 4]) + "\n"
+        monkeypatch.setattr(cli, "compute_grid_cells", real)
+        assert run_command("static-phase", cfg, out_dir=out, workers=2) == 0
         for name in ("grid.csv", "manifest.json"):
             assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
