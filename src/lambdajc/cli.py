@@ -19,24 +19,16 @@ function turns a chunk into its audit counts (cells failing each validity
 audit) and its CSV text, one line per cell: no field holds a comma, a
 double quote or a line break (config.AxisConfig refuses such axis names),
 so no field is quoted.  The texts are one stream in index order, from map
-or, under --workers, the pool's map, written and flushed one by one into a
-partial file that is renamed onto the CSV when whole.  An interrupted
-sweep resumes from the whole chunks that head its partial CSV, a line per
-cell: their text is written again verbatim, and their audit columns give
-their counts.
+or, under --workers, from this process and a pool, written and flushed one
+by one into a partial file that is renamed onto the CSV when whole.  An
+interrupted sweep resumes from the whole chunks that head its partial
+CSV, a line per cell: their text is written again verbatim, and their
+audit columns give their counts.
 
 --workers N counts the processes that compute, this one included, so it
-forks N - 1.  This process computes the head of the chunks left, the
-first ceil(chunks / N), and its texts are written as they are made; the
-pool's map sends the tail in contiguous batches of chunks, about
-BATCHES_PER_WORKER per worker, to no more workers than batches.  The
-tail's texts wait in memory until the head is written.  Workers and a
+forks N - 1; _run_chunks says how they share the chunks.  Workers and a
 sequential run make the same texts, so the bytes do not depend on the
-worker count or the batching.  A batch that finishes ahead of an earlier
-chunk is written only when that chunk is, so an interrupt during the head
-discards the tail's finished batches, and a resumed run computes them
-again.  The stream is closed on every way out, which cancels the batches
-the pool has not yet sent to a worker and waits for its processes to end.
+worker count or the batching.
 
 One rule decides what a run may reuse: a readable manifest of this
 config hash, command and OUTPUT_VERSION.  Under it, a cache hit also needs
@@ -104,7 +96,7 @@ from .spectrum import (
 
 ECHO_ALPHA = 0.01
 #: Pool tasks per forked worker: a pool task is a contiguous batch of the
-#: tail's chunks, so a worker is sent a few tasks, not one per chunk, and
+#: pool's chunks, so a worker is sent a few tasks, not one per chunk, and
 #: the last batches still even out the workers' load.
 BATCHES_PER_WORKER = 4
 
@@ -310,37 +302,52 @@ def _resume(path: Path, sweep: _Sweep) -> tuple[list[list[int]], str]:
     return counts, text[len(header):end]
 
 
+def _pool_batch(entry, chunks) -> list[tuple[list[int], str]]:
+    """The entry of each chunk of one pool batch, in order."""
+    return list(map(entry, chunks))
+
+
 def _run_chunks(sweep: _Sweep, start: int, workers: int):
     """Yield the audit counts and CSV text of each chunk from index start
     on, in index order.
 
     workers counts the processes that compute, this one included.  Under
-    workers N > 1 this process computes the head, the first ceil(chunks / N)
-    chunks, and yields each as it is made; a pool of N - 1 workers, or
-    fewer when there are fewer batches, computes the tail meanwhile, in
-    contiguous batches of chunks, about BATCHES_PER_WORKER per worker.  The
-    tail's results wait in memory until the head is yielded, then follow in
-    order.  Closing the generator cancels the batches the pool has not yet
-    sent to a worker, and returns once the pool's processes have ended.
+    workers N > 1, with more than one chunk left, this process computes
+    its own share, the last ceil(chunks / N) chunks, while a pool of N - 1
+    workers, or fewer when there are fewer batches, computes the chunks
+    before them in contiguous batches, about BATCHES_PER_WORKER per worker.
+    After each chunk of its own, this process yields the pool's finished
+    batches that come next in order, so the partial CSV grows as the pool
+    works; its own share waits in memory until the pool's last batch is
+    yielded.  Closing the generator, as an interrupt or a dead worker does,
+    discards that share, which a resumed run computes again, cancels the
+    batches the pool has not yet sent to a worker, and returns once the
+    pool's processes have ended.
     """
     entry = partial(_chunk_entry, sweep.compute, sweep.csv_columns)
     todo = sweep.chunks[start:]
     if workers > 1 and len(todo) > 1:
-        cut = -(-len(todo) // workers)
-        head, tail = todo[:cut], todo[cut:]
-        size = -(-len(tail) // (BATCHES_PER_WORKER * (workers - 1)))
-        batches = -(-len(tail) // size)
+        share = -(-len(todo) // workers)
+        pooled, own = todo[:-share], todo[-share:]
+        size = -(-len(pooled) // (BATCHES_PER_WORKER * (workers - 1)))
+        batches = [pooled[i:i + size] for i in range(0, len(pooled), size)]
         # Freeing one 16 MiB block raises glibc's heap trim threshold (it
         # follows the largest freed mmapped block, up to 32 MiB), so this
         # process and the workers forked below keep the heap pages each
         # chunk frees rather than returning them and faulting them in again
         # for the next chunk.
         np.empty(1 << 24, dtype=np.uint8)
-        pool = ProcessPoolExecutor(max_workers=min(workers - 1, batches))
+        pool = ProcessPoolExecutor(max_workers=min(workers - 1, len(batches)))
         try:
-            results = pool.map(entry, tail, chunksize=size)
-            yield from map(entry, head)
-            yield from results
+            futures = [pool.submit(_pool_batch, entry, batch) for batch in batches]
+            held = []
+            for chunk in own:
+                held.append(entry(chunk))
+                while futures and futures[0].done():
+                    yield from futures.pop(0).result()
+            for future in futures:
+                yield from future.result()
+            yield from held
         finally:
             pool.shutdown(cancel_futures=True)
     else:

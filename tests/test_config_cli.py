@@ -1491,9 +1491,9 @@ class TestStockSweeps:
 
 
 #: One sweep of each command with 13 chunks, so that 10 are left after an
-#: interrupt at 3.  Under --workers 2 the runner computes the first 5 and
-#: its one-worker pool the other 5: more than BATCHES_PER_WORKER, so the
-#: pool is sent batches of several chunks.
+#: interrupt at 3.  Under --workers 2 the runner computes the last 5 and
+#: its one-worker pool the 5 before them: more than BATCHES_PER_WORKER, so
+#: the pool is sent batches of several chunks.
 MANY_CHUNKS = {
     "static-phase": {"sweep": [
         {"name": "g1", "start": 0.0, "stop": 4.0, "points": 13, "parameter": "g1"},
@@ -1516,18 +1516,19 @@ MIXED_RESUME = {**{command: (command, doc) for command, doc in MANY_CHUNKS.items
                 "driven-phase-audits": ("driven-phase", DRIVEN_AUDITS)}
 
 
-def _head(chunks: int, workers: int) -> int:
+def _own(chunks: int, workers: int) -> int:
     """How many of `chunks` left the runner computes itself under
-    --workers `workers`: ceil(chunks / workers)."""
+    --workers `workers`: the last ceil(chunks / workers)."""
     return -(-chunks // workers)
 
 
 class TestPool:
-    """Under --workers N the runner computes the head of the chunks itself
-    while a pool of N - 1 workers computes the tail, sent by the pool's map
-    in contiguous batches; both make each chunk's audit counts and CSV text
-    with the same function, and they reach the CSV in chunk order.  Resumed
-    chunks are written verbatim."""
+    """Under --workers N the runner computes the last chunks itself while a
+    pool of N - 1 workers computes the chunks before them, sent in
+    contiguous batches; both make each chunk's audit counts and CSV text
+    with the same function, and they reach the CSV in chunk order, the
+    pool's batches as the runner goes.  Resumed chunks are written
+    verbatim."""
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -1549,7 +1550,7 @@ class TestPool:
         cfg = parse_config(doc)
         sweep = cli._sweep(command, cfg, cli._resolve_axes(command, cfg))
         left = len(sweep.chunks) - 3
-        assert left - _head(left, 2) > cli.BATCHES_PER_WORKER
+        assert left - _own(left, 2) > cli.BATCHES_PER_WORKER
         assert run_command(command, cfg, out_dir=tmp_path / "full", workers=1) == 0
         _interrupt(command, cfg, tmp_path / "part", 3)
         assert run_command(command, cfg, out_dir=tmp_path / "part", workers=2) == 0
@@ -1594,10 +1595,10 @@ class TestPool:
                            workers=workers) == 0
         # the parent formats each axis's values once per sweep, then the
         # chunks it computes itself (all ten left, or under two workers the
-        # head of five, the pool's worker formatting the rest in its own
+        # last five, the pool's worker formatting the others in its own
         # copy), none it resumes: each column but the three it is given as
         # texts (the axis values and the category)
-        computed = _head(10, workers)
+        computed = _own(10, workers)
         assert len(calls) == 2 + computed * (len(cli.GRID_CSV_COLUMNS) - 3)
 
     # three workers cut the 13 chunks into batches of another size
@@ -1631,7 +1632,7 @@ class TestPool:
         cfg = parse_config(three_rows)
         assert run_command("static-phase", cfg, out_dir=tmp_path / "w8",
                            workers=8) == 0
-        # the runner computes one chunk and the pool two batches of one
+        # the runner computes the last chunk and the pool two batches of one
         assert pool_sizes == [2]
         assert run_command("static-phase", cfg, out_dir=tmp_path / "w1",
                            workers=1) == 0
@@ -1652,12 +1653,14 @@ class TestPool:
         _chunk_by_rows(monkeypatch, MANY_CHUNKS["static-phase"])
         cfg = parse_config(MANY_CHUNKS["static-phase"])
         assert run_command("static-phase", cfg, out_dir=tmp_path / "full") == 0
-        real = spectrum.compute_grid_cells
+        runner, real = os.getpid(), spectrum.compute_grid_cells
 
         def dying(*args):
-            # chunk 10 is in the pool's share: the runner computes chunks 0-6
-            # and its worker the batches 7-8, 9-10 and 11-12
-            if args[-2] // spectrum.CHUNK_CELLS == 10:
+            # chunk 5 is in the pool's share: the runner computes chunks 6-12
+            # and its worker the batches 0-1, 2-3 and 4-5
+            if args[-2] // spectrum.CHUNK_CELLS == 5:
+                # an exit here would end the test process
+                assert os.getpid() != runner, "chunk 5 is the runner's"
                 os._exit(1)  # as a worker killed by the OOM killer
             return real(*args)
 
@@ -1669,10 +1672,10 @@ class TestPool:
         capsys.readouterr()
         assert run_command("static-phase", cfg, out_dir=out, workers=2) == 2
         assert "error: " in capsys.readouterr().err
-        # the runner's head is written, and the worker that runs chunk 10
-        # has finished an earlier batch, which is written after it
+        # the batches 0-1 and 2-3 the worker finished before it died are
+        # written; the runner's chunks, which follow the pool's, are not
         whole = _whole_chunks("static-phase", cfg, out)
-        assert _head(13, 2) <= whole <= 10
+        assert whole == 4
         assert not multiprocessing.active_children()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["cells_done"] == 4 * whole
@@ -1707,7 +1710,7 @@ class TestPool:
         assert run_command("static-phase", cfg, out_dir=tmp_path / "pool",
                            workers=workers) == 0
         assert pool_sizes == [forked]
-        # the pool's processes run while the runner computes its head, and
+        # the pool's processes run while the runner computes its share, and
         # none outlives the run
         assert alive and set(alive) == {forked}
         assert not multiprocessing.active_children()
@@ -1716,32 +1719,72 @@ class TestPool:
         assert ((tmp_path / "pool" / "grid.csv").read_bytes()
                 == (tmp_path / "seq" / "grid.csv").read_bytes())
 
-    def test_interrupt_in_the_head_cancels_the_queued_batches(self, tmp_path,
-                                                              monkeypatch):
+    def test_pool_batches_are_written_while_the_runner_computes(self, tmp_path,
+                                                                monkeypatch):
+        _chunk_by_rows(monkeypatch, MANY_CHUNKS["static-phase"])
+        cfg = parse_config(MANY_CHUNKS["static-phase"])
+        assert run_command("static-phase", cfg, out_dir=tmp_path / "full") == 0
+        # the runner computes chunks 6-12 and its one worker the batches
+        # 0-1, 2-3 and 4-5; the runner waits in chunk 11 until the worker
+        # has computed chunk 5, then reads the partial CSV in chunk 12
+        runner, real = os.getpid(), cli.compute_grid_cells
+        marks, out = tmp_path / "marks", tmp_path / "pool"
+        marks.mkdir()
+        seen = []
+
+        def watched(*args):
+            chunk = args[-2] // spectrum.CHUNK_CELLS
+            if os.getpid() != runner:
+                cells = real(*args)
+                (marks / str(chunk)).touch()
+                return cells
+            if chunk == 11:
+                for _ in range(1000):
+                    if (marks / "5").exists():
+                        break
+                    time.sleep(0.01)
+                # time for the worker to send the batch and for the pool to
+                # hand it over
+                time.sleep(0.3)
+            elif chunk == 12:
+                seen.append((out / ".grid.csv.partial").read_text())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "compute_grid_cells", watched)
+        assert run_command("static-phase", cfg, out_dir=out, workers=2) == 0
+        # before its last chunk, the runner has written all six of the
+        # pool's, and none of its own
+        full = (tmp_path / "full" / "grid.csv").read_text().split("\n")
+        assert seen == ["\n".join(full[:1 + 6 * 4]) + "\n"]
+        for name in ("grid.csv", "manifest.json"):
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_interrupt_in_the_runners_share_cancels_the_queued_batches(
+            self, tmp_path, monkeypatch):
         doc = json.loads(json.dumps(MANY_CHUNKS["static-phase"]))
         doc["sweep"][0]["points"] = 16
         _chunk_by_rows(monkeypatch, doc)
         cfg = parse_config(doc)
         assert run_command("static-phase", cfg, out_dir=tmp_path / "full") == 0
-        # the runner computes chunks 0-7; its one worker is sent the batches
-        # 8-9, 10-11, 12-13 and 14-15, each chunk slowed so that the
-        # interrupt comes while the worker runs its first batch
-        head = _head(16, 2)
+        # the runner computes chunks 8-15; its one worker is sent the batches
+        # 0-1, 2-3, 4-5 and 6-7, each chunk slowed so that the interrupt, in
+        # the runner's third chunk, comes while the worker runs its first
+        # batch
         runner, real = os.getpid(), cli.compute_grid_cells
         marks = tmp_path / "marks"
         marks.mkdir()
 
-        def slow_tail(*args):
+        def slow_pool(*args):
             chunk = args[-2] // spectrum.CHUNK_CELLS
             if os.getpid() == runner:
-                if chunk == 2:
+                if chunk == 10:
                     raise KeyboardInterrupt
             else:
                 (marks / str(chunk)).touch()
                 time.sleep(0.1)
             return real(*args)
 
-        monkeypatch.setattr(cli, "compute_grid_cells", slow_tail)
+        monkeypatch.setattr(cli, "compute_grid_cells", slow_pool)
         out = tmp_path / "part"
         with pytest.raises(KeyboardInterrupt):
             run_command("static-phase", cfg, out_dir=out, workers=2)
@@ -1749,14 +1792,14 @@ class TestPool:
         # the last batch was cancelled: the pool computed at most the batch
         # its worker ran and the two queued for it (a process pool queues
         # one task more than it has workers)
-        assert {int(p.name) for p in marks.iterdir()} <= set(range(head, 14))
+        assert {int(p.name) for p in marks.iterdir()} <= set(range(6))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["deviations"] == ["interrupted"]
-        assert manifest["cells_done"] == 2 * 4
-        # the partial holds the two whole chunks the runner wrote, nothing of
-        # the tail
+        # no batch had finished, and the runner's two finished chunks are
+        # discarded: the partial holds the header alone
+        assert manifest["cells_done"] == 0
         full = (tmp_path / "full" / "grid.csv").read_text().split("\n")
-        assert (out / ".grid.csv.partial").read_text() == "\n".join(full[:1 + 2 * 4]) + "\n"
+        assert (out / ".grid.csv.partial").read_text() == full[0] + "\n"
         monkeypatch.setattr(cli, "compute_grid_cells", real)
         assert run_command("static-phase", cfg, out_dir=out, workers=2) == 0
         for name in ("grid.csv", "manifest.json"):
