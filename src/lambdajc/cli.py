@@ -58,6 +58,8 @@ import hashlib
 import json
 import os
 import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
@@ -124,14 +126,23 @@ _CSV_NAME = {
 COMMANDS = tuple(_CSV_NAME)
 
 
+#: The CSV text of a false and a true flag, indexed by the flag.
+_FLAG_TEXT = np.array(["false", "true"], dtype=object)
+
+
 def _format_column(values: np.ndarray) -> list[str]:
     """The CSV text of each value of a 1-D column, by dtype: round-trip
-    exact floats, plain integers, true/false booleans, text as it is."""
+    exact floats, plain integers, true/false booleans, text as it is.  A
+    flag or integer column holds few distinct values, so each is formatted
+    once and its text gathered down the column."""
     kind = values.dtype.kind
     if kind == "b":
-        return np.where(values, "true", "false").tolist()
+        return _FLAG_TEXT[values.view(np.uint8)].tolist()
     if kind == "f":
         return list(map("{:.17g}".format, values.tolist()))
+    if kind in "iu":
+        distinct, index = np.unique(values, return_inverse=True)
+        return np.array(list(map(str, distinct.tolist())), dtype=object)[index].tolist()
     return list(map(str, values.tolist()))
 
 
@@ -151,28 +162,35 @@ def _partial(path: Path) -> Path:
     return path.with_name(f".{path.name}.partial")
 
 
-def write_csv(path: Path, columns, texts):
+def write_csv(path: Path, columns, texts) -> str:
     """Write a CSV with header columns from an iterable of chunk texts, as
     _chunk_text gives them, into path's partial file, then rename it onto
-    path.  Each text is written and flushed before the next is read, so a
-    failure part way leaves the previous CSV whole and the partial as far
-    as it got: the record a sweep resumes from."""
+    path; returns the blake2b hex digest of the file's bytes, taken from
+    each text as it is written, so the CSV is not read again.  Each text is
+    written and flushed before the next is read, so a failure part way
+    leaves the previous CSV whole and the partial as far as it got: the
+    record a sweep resumes from."""
     part = _partial(path)
+    header = (",".join(columns) + "\n").encode("utf-8")
+    digest = hashlib.blake2b(header)
     try:
-        with open(part, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(columns) + "\n")
+        with open(part, "wb") as fh:
+            fh.write(header)
             for text in texts:
-                fh.write(text)
+                data = text.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
                 fh.flush()
         os.replace(part, path)
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
+    return digest.hexdigest()
 
 
 def _file_digest(path: Path) -> str | None:
-    """blake2b hex digest of a file's bytes, None when it cannot be read.
-    The file is read a megabyte at a time, so a large CSV is never kept
-    whole."""
+    """blake2b hex digest of a file's bytes, None when it cannot be read:
+    the cache check of a finished run's CSV.  The file is read a megabyte
+    at a time, so a large CSV is never kept whole."""
     digest = hashlib.blake2b()
     try:
         with open(path, "rb") as fh:
@@ -307,6 +325,27 @@ def _pool_batch(entry, chunks) -> list[tuple[list[int], str]]:
     return list(map(entry, chunks))
 
 
+#: Seconds between a pool worker's checks that its parent is alive.
+PARENT_POLL_S = 0.25
+
+
+def _exit_with_parent():
+    """Pool worker initializer: a daemon thread ends this worker once its
+    parent pid has changed, as it does when the parent dies.  A worker
+    blocks on its call queue, so it would otherwise outlive a parent killed
+    without closing the pool.  The parent is read here, in the worker, as
+    the process that started it: the CLI process, or a fork server that
+    exits with it."""
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 def _run_chunks(sweep: _Sweep, start: int, workers: int):
     """Yield the audit counts and CSV text of each chunk from index start
     on, in index order.
@@ -322,8 +361,18 @@ def _run_chunks(sweep: _Sweep, start: int, workers: int):
     yielded.  Closing the generator, as an interrupt or a dead worker does,
     discards that share, which a resumed run computes again, cancels the
     batches the pool has not yet sent to a worker, and returns once the
-    pool's processes have ended.
+    pool's processes have ended.  A worker whose parent dies without
+    closing the pool (a kill) exits within a poll of _exit_with_parent.
+
+    On every path, sequential or pooled, this process and its workers keep
+    the memory each chunk frees for the next chunk (see below).
     """
+    # Freeing one 16 MiB block raises glibc's heap trim threshold (it
+    # follows the largest freed mmapped block, up to 32 MiB), so this
+    # process and the workers forked below keep the heap pages each chunk
+    # frees rather than returning them and faulting them in again for the
+    # next chunk.
+    np.empty(1 << 24, dtype=np.uint8)
     entry = partial(_chunk_entry, sweep.compute, sweep.csv_columns)
     todo = sweep.chunks[start:]
     if workers > 1 and len(todo) > 1:
@@ -331,13 +380,8 @@ def _run_chunks(sweep: _Sweep, start: int, workers: int):
         pooled, own = todo[:-share], todo[-share:]
         size = -(-len(pooled) // (BATCHES_PER_WORKER * (workers - 1)))
         batches = [pooled[i:i + size] for i in range(0, len(pooled), size)]
-        # Freeing one 16 MiB block raises glibc's heap trim threshold (it
-        # follows the largest freed mmapped block, up to 32 MiB), so this
-        # process and the workers forked below keep the heap pages each
-        # chunk frees rather than returning them and faulting them in again
-        # for the next chunk.
-        np.empty(1 << 24, dtype=np.uint8)
-        pool = ProcessPoolExecutor(max_workers=min(workers - 1, len(batches)))
+        pool = ProcessPoolExecutor(max_workers=min(workers - 1, len(batches)),
+                                   initializer=_exit_with_parent)
         try:
             futures = [pool.submit(_pool_batch, entry, batch) for batch in batches]
             held = []
@@ -355,11 +399,11 @@ def _run_chunks(sweep: _Sweep, start: int, workers: int):
 
 
 def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
-               workers: int) -> list[str]:
+               workers: int) -> tuple[list[str], str]:
     """Write the whole chunks that head the partial CSV verbatim as one
     text, then each chunk _run_chunks computes as it comes; returns the
-    deviation lines.  counts keeps the audit counts of each chunk written;
-    the stream of chunks is closed on every way out."""
+    deviation lines and the CSV's digest.  counts keeps the audit counts of
+    each chunk written; the stream of chunks is closed on every way out."""
     path = out_dir / _CSV_NAME[command]
     counts, head = _resume(_partial(path), sweep)
     if counts:
@@ -381,13 +425,13 @@ def _run_sweep(command: str, sweep: _Sweep, out_dir: Path, digest: str,
     _write_manifest(out_dir, command, digest, sweep.cells, cells_done(), [])
     try:
         with closing(_run_chunks(sweep, len(counts), workers)) as stream:
-            write_csv(path, sweep.csv_columns, texts(stream))
+            csv_digest = write_csv(path, sweep.csv_columns, texts(stream))
     except (KeyboardInterrupt, BrokenProcessPool):
         _write_manifest(out_dir, command, digest, sweep.cells, cells_done(),
                         ["interrupted"])
         raise
     totals = [sum(c) for c in zip(*counts)]
-    return deviation_lines(totals, sweep.cells, sweep.unit, sweep.window)
+    return deviation_lines(totals, sweep.cells, sweep.unit, sweep.window), csv_digest
 
 
 def _sweep(command: str, cfg: RunConfig, axes: list[AxisSpec]) -> _Sweep:
@@ -488,8 +532,9 @@ def _echo_state(cfg: RunConfig) -> StateVector:
 
 
 def _run_echo(cfg: RunConfig, psi0: StateVector, out_dir: Path,
-              digest: str) -> list[str]:
-    """Write the echo CSV; returns the branches' deviation lines."""
+              digest: str) -> tuple[list[str], str]:
+    """Write the echo CSV; returns the branches' deviation lines and the
+    CSV's digest."""
     dyn = cfg.dynamics
     spec_a, spec_b = (HamiltonianSpec(variant=v, sys=cfg.model, drive=cfg.drive)
                       for v in ECHO_PAIRS[dyn.pair])
@@ -498,13 +543,13 @@ def _run_echo(cfg: RunConfig, psi0: StateVector, out_dir: Path,
         echo = loschmidt_echo(spec_a, spec_b, psi0, t_max=dyn.t_max,
                               samples=dyn.samples)
         a, b = echo.a, echo.b
-        write_csv(out_dir / _CSV_NAME["echo"], ECHO_CSV_COLUMNS,
-                  [_chunk_text((a.times, echo.fidelity, a.norms, b.norms,
+        csv_digest = write_csv(out_dir / _CSV_NAME["echo"], ECHO_CSV_COLUMNS,
+                               [_chunk_text((a.times, echo.fidelity, a.norms, b.norms,
                                 np.maximum(a.leakage_series, b.leakage_series)))])
     except KeyboardInterrupt:
         _write_manifest(out_dir, "echo", digest, 1, 0, ["interrupted"])
         raise
-    return a.warnings + b.warnings
+    return a.warnings + b.warnings, csv_digest
 
 
 def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
@@ -548,19 +593,19 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     try:
         if command == "echo":
             cells = 1
-            deviations = _run_echo(cfg, psi0, out_dir, digest)
+            deviations, csv_digest = _run_echo(cfg, psi0, out_dir, digest)
         else:
             sweep = _sweep(command, cfg, axes)
             cells = sweep.cells
-            deviations = _run_sweep(command, sweep, out_dir, digest, workers)
+            deviations, csv_digest = _run_sweep(command, sweep, out_dir, digest,
+                                                workers)
     except (OSError, BrokenProcessPool, PropagationError) as exc:
         # a dead pool worker leaves the partial CSV for a rerun to resume; an
         # echo the propagator cannot take leaves its manifest unfinished
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _write_manifest(out_dir, command, digest, cells, cells, deviations,
-                    _file_digest(csv_path))
+    _write_manifest(out_dir, command, digest, cells, cells, deviations, csv_digest)
     code = _finish(deviations, strict)
     if code == 0:
         print(f"wrote {csv_path} ({cells} cells, config {digest})")

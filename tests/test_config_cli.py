@@ -1805,6 +1805,64 @@ class TestPool:
         for name in ("grid.csv", "manifest.json"):
             assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process states from /proc")
+    def test_worker_exits_when_the_runner_is_killed(self, tmp_path):
+        # a --workers 2 run in its own process, each chunk one cell slowed
+        # by 0.2 s: its worker computes batches of eight chunks
+        config, marks = tmp_path / "cfg.json", tmp_path / "marks"
+        config.write_text(json.dumps(TINY_STATIC))
+        marks.mkdir()
+        script = (
+            "import os, sys, time\n"
+            "from lambdajc import cli, spectrum\n"
+            "spectrum.CHUNK_CELLS = 1\n"
+            "runner, real = os.getpid(), cli.compute_grid_cells\n"
+            "def slow(*args):\n"
+            "    if os.getpid() != runner:\n"
+            "        open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
+            "    time.sleep(0.2)\n"
+            "    return real(*args)\n"
+            "cli.compute_grid_cells = slow\n"
+            "sys.exit(cli.main(['static-phase', '--config', sys.argv[2],\n"
+            "                   '--workers', '2', '--out', sys.argv[3]]))\n")
+
+        def alive(pid):
+            # a zombie has ended; it waits only for its new parent to reap it
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except OSError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        with open(tmp_path / "run.log", "w") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", script, str(marks), str(config),
+                 str(tmp_path / "out")], stdout=log, stderr=subprocess.STDOUT,
+                env={**os.environ,
+                     "PYTHONPATH": str(Path(__file__).parent.parent / "src")})
+        workers = []
+        try:
+            for _ in range(1000):
+                workers = [int(p.name) for p in marks.iterdir()]
+                if workers or proc.poll() is not None:
+                    break
+                time.sleep(0.01)
+            assert workers, (tmp_path / "run.log").read_text()
+            # the CLI process alone is killed, as the OOM killer would
+            proc.kill()
+            assert proc.wait(timeout=10) == -9
+            deadline = time.monotonic() + 5.0
+            while any(map(alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(alive, workers))
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            for pid in workers:
+                if alive(pid):
+                    os.kill(pid, 9)
+
     def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
                             raising=False)
@@ -1815,6 +1873,78 @@ class TestPool:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
         assert worker_count("auto") == 16
+
+
+class TestFormatColumn:
+    """Each distinct flag or integer of a column is formatted once; the
+    texts read as str of each value and true/false, value by value."""
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(np.array([-14, -11, 0, 3, -14, -11, 3]), id="negative"),
+        pytest.param(np.tile(np.arange(9), 5)[::-1], id="labels-0-to-W"),
+        pytest.param(np.array([0, 7, 2**62 + 1, 7, -(2**63)]), id="large"),
+        pytest.param(np.array([], dtype=np.int64), id="empty"),
+        pytest.param(np.array([3, -2, 3], dtype=np.int32), id="int32"),
+        pytest.param(np.array([2**64 - 1, 0], dtype=np.uint64), id="uint64"),
+    ])
+    def test_integers_read_as_str(self, values):
+        assert cli._format_column(values) == [str(v) for v in values.tolist()]
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(np.array([True, False, False, True, True]), id="mixed"),
+        pytest.param(np.ones(5, dtype=bool), id="all-true"),
+        pytest.param(np.zeros(5, dtype=bool), id="all-false"),
+        pytest.param(np.array([], dtype=bool), id="empty"),
+        pytest.param(np.array([True, False, True, True, False, False])[::2],
+                     id="strided"),
+    ])
+    def test_flags_read_as_true_false(self, values):
+        assert cli._format_column(values) == [
+            "true" if v else "false" for v in values.tolist()]
+
+    def test_floats_round_trip(self):
+        values = np.array([0.1, -0.0, 1e-300, 2.0 / 3.0, np.inf])
+        assert cli._format_column(values) == list(map("{:.17g}".format, values.tolist()))
+
+
+class TestCsvDigest:
+    """write_csv returns the blake2b of the bytes it writes, the header and
+    every text; the final manifest's csv_blake2b is that digest."""
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "x.csv"
+        assert write_csv(path, ("a", "b"), []) == _blake2b(path)
+        assert path.read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("command, doc, workers", [
+        pytest.param("static-phase", TINY_STATIC, 1, id="static-w1"),
+        pytest.param("static-phase", TINY_STATIC, 2, id="static-w2"),
+        pytest.param("effective-params", {**TINY_DRIVEN, "sweep": [
+            {"parameter": "omega_D", "start": 0.1, "stop": 2.0, "points": 40}]},
+            1, id="effective"),
+        pytest.param("echo", TINY_ECHO, 1, id="echo"),
+    ])
+    def test_manifest_digest_is_the_csvs(self, tmp_path, monkeypatch, capsys,
+                                         command, doc, workers):
+        if command == "static-phase":
+            _chunk_by_rows(monkeypatch, doc)
+        cfg = parse_config(doc)
+        assert run_command(command, cfg, out_dir=tmp_path, workers=workers) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["csv_blake2b"] == _blake2b(tmp_path / cli._CSV_NAME[command])
+        capsys.readouterr()
+        assert run_command(command, cfg, out_dir=tmp_path, workers=workers) == 0
+        assert "cache hit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resumed_run_digests_its_head(self, tmp_path, monkeypatch, workers):
+        _chunk_by_rows(monkeypatch, MANY_CHUNKS["static-phase"])
+        cfg = parse_config(MANY_CHUNKS["static-phase"])
+        _interrupt("static-phase", cfg, tmp_path, 3)
+        assert run_command("static-phase", cfg, out_dir=tmp_path,
+                           workers=workers) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["csv_blake2b"] == _blake2b(tmp_path / "grid.csv")
 
 
 class TestMainEntry:
