@@ -32,8 +32,9 @@ worker count or the batching.
 
 One rule decides what a run may reuse: a readable manifest of this
 config hash, command and OUTPUT_VERSION.  Under it, a cache hit also needs
-the CSV's digest to match, and the partial CSV is resumed; without it, the
-partial CSV is deleted before any work.
+the CSV's digest to match (write_csv takes it from the bytes as it writes
+them), and the partial CSV is resumed; without it, the partial CSV is
+deleted before any work.
 
 Before anything is written, the number of sweep axes is checked (two for
 the grids, one for effective-params, none for echo), then the axes as a
@@ -543,9 +544,10 @@ def _run_echo(cfg: RunConfig, psi0: StateVector, out_dir: Path,
         echo = loschmidt_echo(spec_a, spec_b, psi0, t_max=dyn.t_max,
                               samples=dyn.samples)
         a, b = echo.a, echo.b
+        leakage = np.maximum(a.leakage_series, b.leakage_series)
         csv_digest = write_csv(out_dir / _CSV_NAME["echo"], ECHO_CSV_COLUMNS,
-                               [_chunk_text((a.times, echo.fidelity, a.norms, b.norms,
-                                np.maximum(a.leakage_series, b.leakage_series)))])
+                               [_chunk_text((a.times, echo.fidelity, a.norms,
+                                             b.norms, leakage))])
     except KeyboardInterrupt:
         _write_manifest(out_dir, "echo", digest, 1, 0, ["interrupted"])
         raise

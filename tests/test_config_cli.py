@@ -1902,10 +1902,6 @@ class TestFormatColumn:
         assert cli._format_column(values) == [
             "true" if v else "false" for v in values.tolist()]
 
-    def test_floats_round_trip(self):
-        values = np.array([0.1, -0.0, 1e-300, 2.0 / 3.0, np.inf])
-        assert cli._format_column(values) == list(map("{:.17g}".format, values.tolist()))
-
 
 class TestCsvDigest:
     """write_csv returns the blake2b of the bytes it writes, the header and
