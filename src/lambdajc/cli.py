@@ -10,8 +10,9 @@ Commands:
     echo              overlap of two Hamiltonian branches over time
 
 Every run writes a CSV data file plus manifest.json into the output
-directory.  Runs are cached: the same command on an unchanged
-configuration with a complete manifest is not recomputed.  The three sweep
+directory.  Runs are cached: the same command on a configuration
+unchanged in what it computes from, with a complete manifest, is not
+recomputed.  The three sweep
 commands share one runner: a sweep is its flattened cells, cut into
 chunks by spectrum.chunk_slices as sweep_grid cuts a grid, and one
 picklable function that gives every CSV column of a chunk by name.  One
@@ -30,11 +31,18 @@ forks N - 1; _run_chunks says how they share the chunks.  Workers and a
 sequential run make the same texts, so the bytes do not depend on the
 worker count or the batching.
 
-One rule decides what a run may reuse: a readable manifest of this
-config hash, command and OUTPUT_VERSION.  Under it, a cache hit also needs
-the CSV's digest to match (write_csv takes it from the bytes as it writes
-them), and the partial CSV is resumed; without it, the partial CSV is
-deleted before any work.
+A run is its command and one picklable partial, its compute, whose
+arguments are everything the run reads of the config: a sweep's model,
+drive (None for static-phase), axes and resolved block window, or the
+echo's model, drive, cutoffs and dynamics.  The run key (run_key) is the
+config.canonical_digest of the command and those arguments, so a config
+field the run does not compute from does not move it, and the key is
+taken from the code's own inputs, not from a list of fields kept beside
+them.  One rule decides what a run may reuse: a readable manifest of this
+run key (its config_hash field), command and OUTPUT_VERSION.  Under it, a
+cache hit also needs the CSV's digest to match (write_csv takes it from
+the bytes as it writes them), and the partial CSV is resumed; without it,
+the partial CSV is deleted before any work.
 
 Before anything is written, the number of sweep axes is checked (two for
 the grids, one for effective-params, none for echo), then the axes as a
@@ -71,9 +79,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import AxisConfig, ConfigError, RunConfig, config_hash, parse_config
+from .config import (
+    AxisConfig,
+    ConfigError,
+    DynamicsConfig,
+    RunConfig,
+    canonical_digest,
+    parse_config,
+)
 from .dynamics import (
     ECHO_PAIRS,
+    EchoResult,
     HamiltonianSpec,
     PropagationError,
     StateVector,
@@ -517,32 +533,55 @@ def _resolve_axes(command: str, cfg: RunConfig) -> list[AxisSpec]:
     return axes
 
 
-def _echo_state(cfg: RunConfig) -> StateVector:
-    """The echo's initial state, on the space of the config's cutoffs; a
+def _echo_state(n_c1: int, n_c2: int, initial_state: str) -> StateVector:
+    """The echo's initial state, on the space of cutoffs n_c1, n_c2; a
     cutoff that cannot represent the state is a configuration error."""
-    space = build_space(cfg.truncation.n_c1, cfg.truncation.n_c2)
     try:
-        return coherent_state(space, ECHO_ALPHA, ECHO_ALPHA,
-                              cfg.dynamics.initial_state)
+        return coherent_state(build_space(n_c1, n_c2), ECHO_ALPHA, ECHO_ALPHA,
+                              initial_state)
     except TruncationError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _echo(model: SystemParams, drive: DriveParams, n_c1: int, n_c2: int,
+          dyn: DynamicsConfig) -> EchoResult:
+    """The echo of dyn's pair from dyn's initial state on cutoffs n_c1, n_c2."""
+    spec_a, spec_b = (HamiltonianSpec(variant=v, sys=model, drive=drive)
+                      for v in ECHO_PAIRS[dyn.pair])
+    return loschmidt_echo(spec_a, spec_b, _echo_state(n_c1, n_c2, dyn.initial_state),
+                          t_max=dyn.t_max, samples=dyn.samples)
+
+
+def _plan(command: str, cfg: RunConfig) -> tuple[partial, _Sweep | None]:
+    """The run's compute, a partial of all it reads of cfg, and its sweep
+    (None for echo).  Every configuration error is raised here: the sweep
+    axes, and an echo cutoff that cannot represent the initial state."""
+    axes = _resolve_axes(command, cfg)
+    if command == "echo":
+        trunc = cfg.truncation
+        _echo_state(trunc.n_c1, trunc.n_c2, cfg.dynamics.initial_state)
+        return partial(_echo, cfg.model, cfg.drive, trunc.n_c1, trunc.n_c2,
+                       cfg.dynamics), None
+    sweep = _sweep(command, cfg, axes)
+    return sweep.compute, sweep
+
+
+def run_key(command: str, compute: partial) -> str:
+    """The cache key of a run: the canonical digest of its command and its
+    compute's arguments."""
+    return canonical_digest([command, compute.args])
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _run_echo(cfg: RunConfig, psi0: StateVector, out_dir: Path,
-              digest: str) -> tuple[list[str], str]:
-    """Write the echo CSV; returns the branches' deviation lines and the
-    CSV's digest."""
-    dyn = cfg.dynamics
-    spec_a, spec_b = (HamiltonianSpec(variant=v, sys=cfg.model, drive=cfg.drive)
-                      for v in ECHO_PAIRS[dyn.pair])
+def _run_echo(compute: partial, out_dir: Path, digest: str) -> tuple[list[str], str]:
+    """Write the CSV of the echo compute gives; returns the branches'
+    deviation lines and the CSV's digest."""
     _write_manifest(out_dir, "echo", digest, 1, 0, [])
     try:
-        echo = loschmidt_echo(spec_a, spec_b, psi0, t_max=dyn.t_max,
-                              samples=dyn.samples)
+        echo = compute()
         a, b = echo.a, echo.b
         leakage = np.maximum(a.leakage_series, b.leakage_series)
         csv_digest = write_csv(out_dir / _CSV_NAME["echo"], ECHO_CSV_COLUMNS,
@@ -560,8 +599,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     directory; returns the process exit code."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
-    axes = _resolve_axes(command, cfg)
-    psi0 = _echo_state(cfg) if command == "echo" else None
+    compute, sweep = _plan(command, cfg)
     workers = worker_count(workers)
     if out_dir is not None:
         # RunConfig refuses "", which Path would take for the working directory
@@ -573,7 +611,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
         print(f"error: cannot create output directory {out_dir}: {exc}",
               file=sys.stderr)
         return 2
-    digest = config_hash(cfg)
+    digest = run_key(command, compute)
     manifest = _read_manifest(out_dir)
     csv_path = out_dir / _CSV_NAME[command]
     same_run = (manifest is not None
@@ -587,17 +625,16 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     elif manifest.get("csv_blake2b") is not None:
         # only a finished run's manifest carries its CSV's digest
         if manifest["csv_blake2b"] == _file_digest(csv_path):
-            print(f"cache hit: {csv_path} is up to date (config {digest})")
+            print(f"cache hit: {csv_path} is up to date (run key {digest})")
             return _finish(manifest["deviations"], strict)
         print(f"cache miss: {csv_path} is missing or differs from the manifest "
               "digest; recomputing")
 
     try:
-        if command == "echo":
+        if sweep is None:
             cells = 1
-            deviations, csv_digest = _run_echo(cfg, psi0, out_dir, digest)
+            deviations, csv_digest = _run_echo(compute, out_dir, digest)
         else:
-            sweep = _sweep(command, cfg, axes)
             cells = sweep.cells
             deviations, csv_digest = _run_sweep(command, sweep, out_dir, digest,
                                                 workers)
@@ -610,7 +647,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     _write_manifest(out_dir, command, digest, cells, cells, deviations, csv_digest)
     code = _finish(deviations, strict)
     if code == 0:
-        print(f"wrote {csv_path} ({cells} cells, config {digest})")
+        print(f"wrote {csv_path} ({cells} cells, run key {digest})")
     return code
 
 

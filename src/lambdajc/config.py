@@ -1,4 +1,4 @@
-"""Run configuration: JSON parsing, validation, defaults, canonical hash.
+"""Run configuration: JSON parsing, validation, defaults, canonical digest.
 
 A run is fully described by one JSON document whose sections mirror the
 dataclasses below and in params: each section's keys are its dataclass's
@@ -9,12 +9,16 @@ checks its constraints.  Unknown keys are rejected by name.  A sweep axis
 is checked for its schema alone, and for a name that fits one CSV field
 unquoted (no comma, double quote, CR or LF): which sweeps are valid is
 spectrum.check_sweep's rule.  The truncation and dynamics constraints are
-checked here, as the library checks them only once a run has begun.  The
-canonical form (the fully defaulted dataclasses as plain data, sorted keys,
-numbers as floats or integers by field type) feeds a 64-bit content digest
-used for result caching: a change to any field that can change the output
-bytes changes the hash.  The output directory cannot, so it is validated
-but left out of the hash.
+checked here, as the library checks them only once a run has begun.
+Every string of the document, keys included, must encode as UTF-8: a run
+writes its strings into CSV fields, a manifest and paths.
+
+canonical_digest is the one canonical form: JSON with sorted keys and
+compact separators, floats by repr, dataclasses as their fields and arrays
+as lists, hashed to 64 bits.  config_hash is that digest of the whole
+fully defaulted config but its output directory.  The CLI's cache key is
+not: it is the digest of what each run computes from (cli.run_key), so a
+field a command never reads does not move it.
 """
 
 from __future__ import annotations
@@ -154,6 +158,24 @@ def _section(cls, section: str, doc):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+def _check_text(doc, where: str = "config"):
+    """Refuse a string of the document, key or value, that UTF-8 cannot
+    encode: a lone surrogate, which JSON text may escape ("\\ud800")."""
+    if isinstance(doc, str):
+        try:
+            doc.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{where} holds a lone surrogate, which UTF-8 "
+                              f"cannot encode: {doc!r}") from None
+    elif isinstance(doc, dict):
+        for key, value in doc.items():
+            _check_text(key, f"a key of {where}")
+            _check_text(value, f"{where}.{key}" if where != "config" else key)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            _check_text(value, f"{where}[{i}]")
+
+
 def parse_config(doc) -> RunConfig:
     """Validate a parsed JSON document (or JSON text) into a RunConfig.
 
@@ -168,6 +190,7 @@ def parse_config(doc) -> RunConfig:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
+    _check_text(doc)
     _check_keys("config", doc, RunConfig)
     hints = get_type_hints(RunConfig)
     kwargs = {}
@@ -186,11 +209,28 @@ def parse_config(doc) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+def _plain(obj):
+    """The JSON form of what json cannot write itself: a dataclass as its
+    fields, an array as a list."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"no canonical form for {type(obj).__name__}")
+
+
+def canonical_digest(obj) -> str:
+    """64-bit blake2b hex digest of obj's canonical JSON: sorted keys,
+    compact separators, floats by repr, dataclasses as their fields, arrays
+    as lists.  It depends on no hash seed."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+
+
 def config_hash(cfg: RunConfig) -> str:
-    """64-bit content digest of the configuration's canonical form: every
-    field that can change the output bytes, fully defaulted, as JSON with
-    sorted keys."""
+    """canonical_digest of the whole config, fully defaulted, but its output
+    directory.  Not the CLI's cache key (cli.run_key), which covers only
+    what a run computes from."""
     doc = dataclasses.asdict(cfg)
     del doc["output"]
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+    return canonical_digest(doc)

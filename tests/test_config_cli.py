@@ -14,7 +14,15 @@ import pytest
 
 from lambdajc import cli, spectrum
 from lambdajc.cli import main, run_command, worker_count, write_csv
-from lambdajc.config import ConfigError, config_hash, parse_config
+from lambdajc.config import (
+    AxisConfig,
+    ConfigError,
+    DynamicsConfig,
+    RunConfig,
+    TruncationConfig,
+    config_hash,
+    parse_config,
+)
 from lambdajc.dynamics import ECHO_PAIRS, EchoResult, EvolutionResult
 from lambdajc.params import DriveParams, SystemParams
 
@@ -33,6 +41,14 @@ TINY_DRIVEN = {
          "parameter": "Omega2"},
     ],
 }
+
+TINY_EFFECTIVE = {
+    "sweep": [{"name": "omega_D", "start": 0.1, "stop": 2.0, "points": 5,
+               "parameter": "omega_D"}],
+}
+
+TINY_ECHO = {"truncation": {"n_c1": 3, "n_c2": 3},
+             "dynamics": {"t_max": 10.0, "samples": 20}}
 
 #: A drive and a coupling grid on which static and driven rows differ.
 DRIVEN_G1G2 = {
@@ -86,6 +102,11 @@ def _count_chunks(monkeypatch) -> list[int]:
         return real(*args)
     monkeypatch.setattr(cli, "compute_grid_cells", counted)
     return chunks
+
+
+def _run_key(command, cfg) -> str:
+    """The cache key of command's run of cfg, recomputed from its plan."""
+    return cli.run_key(command, cli._plan(command, cfg)[0])
 
 
 def _whole_chunks(command, cfg, out_dir) -> int:
@@ -278,6 +299,143 @@ class TestConfigHash:
         assert config_hash(parse_config(doc)) == digest
 
 
+#: The unperturbed config of each command in the run-key soundness test:
+#: a run of a few cells.
+TINY_RUNS = {
+    "static-phase": {"sweep": [
+        {"name": "g1", "start": 0.0, "stop": 4.0, "points": 3, "parameter": "g1"},
+        {"name": "g2", "start": 0.0, "stop": 3.0, "points": 2, "parameter": "g2"}]},
+    "driven-phase": {"drive": {"amplitude": 0.09, "frequency": 0.18}, "sweep": [
+        {"name": "A_D", "start": 0.01, "stop": 0.3, "points": 3, "parameter": "A_D"},
+        {"name": "Omega2", "start": 0.985, "stop": 1.0, "points": 2,
+         "parameter": "Omega2"}]},
+    "effective-params": {"sweep": [
+        {"name": "omega_D", "start": 0.1, "stop": 2.0, "points": 3,
+         "parameter": "omega_D"}]},
+    "echo": {"truncation": {"n_c1": 2, "n_c2": 2},
+             "dynamics": {"t_max": 2.0, "samples": 3}},
+}
+
+#: Other values of each field of each object section: none is a TINY_RUNS
+#: value, and block_window also takes the static (8) and driven (5)
+#: defaults spelled out.
+SECTION_CHANGES = {
+    "model": {"omega1": [0.55], "omega2": [0.3], "Omega1": [1.3], "Omega2": [1.05],
+              "g1": [0.06], "g2": [0.07]},
+    "drive": {"amplitude": [0.04], "frequency": [0.2]},
+    "truncation": {"n_c1": [3], "n_c2": [3], "block_window": [4, 5, 8]},
+    "dynamics": {"t_max": [3.0], "samples": [4], "initial_state": ["1-2"],
+                 "pair": ["effective"]},
+}
+#: Another valid parameter for each TINY_RUNS axis.
+OTHER_PARAMETER = {"g1": "omega1", "g2": "omega2", "A_D": "g1", "Omega2": "Omega1",
+                   "omega_D": "A_D"}
+#: Another value of each field of a sweep axis, from the axis.
+AXIS_CHANGES = {
+    "start": lambda ax: ax["start"] + (ax["stop"] - ax["start"]) / 4,
+    "stop": lambda ax: ax["stop"] - (ax["stop"] - ax["start"]) / 4,
+    "points": lambda ax: ax["points"] + 1,
+    "parameter": lambda ax: OTHER_PARAMETER[ax["parameter"]],
+    "name": lambda ax: "renamed",
+}
+#: The config sections each command computes from.
+SECTIONS_READ = {
+    "static-phase": {"model", "truncation", "sweep"},
+    "driven-phase": {"model", "drive", "truncation", "sweep"},
+    "effective-params": {"model", "drive", "sweep"},
+    "echo": {"model", "drive", "truncation", "dynamics"},
+}
+
+
+def _set(doc: dict, path: tuple, value):
+    """doc with the field at path (keys and list indices) set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target.setdefault(key, {}) if isinstance(target, dict) else target[key]
+    target[last] = value
+    return doc
+
+
+def _perturbed(base: dict):
+    """(section, label, config) for each leaf field of the config and each
+    other value of it: base with that one field changed.  echo takes no
+    sweep axis, so its config has no axis field."""
+    for section, changes in SECTION_CHANGES.items():
+        for key, values in changes.items():
+            for value in values:
+                yield section, f"{section}.{key}={value}", _set(base, (section, key), value)
+    for i, axis in enumerate(base.get("sweep", [])):
+        for key, change in AXIS_CHANGES.items():
+            yield "sweep", f"sweep[{i}].{key}", _set(base, ("sweep", i, key), change(axis))
+    yield "output", "output", _set(base, ("output",), "elsewhere")
+
+
+class TestRunKey:
+    """The cache key of a run is the digest of what it computes from."""
+
+    def test_every_leaf_field_is_perturbed(self):
+        # a new config field fails here until the soundness test covers it
+        sections = {"model": SystemParams, "drive": DriveParams,
+                    "truncation": TruncationConfig, "dynamics": DynamicsConfig}
+        for section, cls in sections.items():
+            assert set(SECTION_CHANGES[section]) == {f.name for f in dataclasses.fields(cls)}
+        assert set(AXIS_CHANGES) == {f.name for f in dataclasses.fields(AxisConfig)}
+        assert ({f.name for f in dataclasses.fields(RunConfig)}
+                == set(sections) | {"sweep", "output"})
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_key_moves_or_the_bytes_stay(self, tmp_path, command):
+        """A config with one leaf field changed gets another run key, or
+        writes the CSV and manifest of the unchanged config byte for byte;
+        and some field of each section the command reads moves the key."""
+        names = (cli._CSV_NAME[command], "manifest.json")
+
+        def run(doc, out_dir):
+            assert run_command(command, parse_config(doc), out_dir=out_dir) == 0
+            return [(out_dir / name).read_bytes() for name in names]
+
+        base = run(TINY_RUNS[command], tmp_path / "base")
+        key = json.loads(base[1])["config_hash"]
+        moved = set()
+        for n, (section, label, doc) in enumerate(_perturbed(TINY_RUNS[command])):
+            written = run(doc, tmp_path / str(n))
+            if json.loads(written[1])["config_hash"] != key:
+                moved.add(section)
+            else:
+                assert written == base, label
+        assert moved == SECTIONS_READ[command]
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("static-phase", "static_phase.json", "1b6cace7ec80ab56"),
+        ("driven-phase", "driven_phase.json", "b21a637f9ad27b29"),
+        ("effective-params", "effective_params.json", "391277d6248d88ce"),
+        ("echo", "echo.json", "c6c4f314b9322122"),
+    ])
+    def test_sample_run_keys_are_pinned(self, command, config, key):
+        # a run key that drifts silently recomputes every stored run
+        assert _run_key(command, parse_config((SAMPLES / config).read_text())) == key
+
+    def test_key_does_not_depend_on_the_hash_seed(self):
+        script = ("import json, sys; from lambdajc import cli, config\n"
+                  "docs = json.loads(sys.argv[1])\n"
+                  "print(json.dumps({c: cli.run_key(c, cli._plan(c, config.parse_config(d))[0])"
+                  " for c, d in docs.items()}))")
+        docs = json.dumps(TINY_RUNS)
+        keys = []
+        for seed in ("0", "4242"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, docs], capture_output=True, text=True,
+                timeout=120, env={**os.environ, "PYTHONHASHSEED": seed,
+                                  "PYTHONPATH": str(Path(__file__).parent.parent / "src")})
+            assert proc.returncode == 0, proc.stderr
+            keys.append(json.loads(proc.stdout))
+        assert keys[0] == keys[1] == {c: _run_key(c, parse_config(d))
+                                      for c, d in TINY_RUNS.items()}
+        assert len(set(keys[0].values())) == len(cli.COMMANDS)
+
+
 class TestWriters:
     def test_grid_csv_shape(self, tmp_path):
         cfg = parse_config({
@@ -328,8 +486,11 @@ class TestRunCommand:
         assert len(grid) == 1 + 9 * 7
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["cells_total"] == manifest["cells_done"] == 63
-        assert manifest["config_hash"] == config_hash(cfg)
+        assert manifest["config_hash"] == _run_key("static-phase", cfg)
         assert {p.name for p in tmp_path.iterdir()} == {"grid.csv", "manifest.json"}
+        capsys.readouterr()
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        assert "cache hit" in capsys.readouterr().out
 
     @pytest.mark.parametrize("scale, g1, g2", [
         # the static sample's model written in a unit 2^100 times as large
@@ -411,26 +572,35 @@ class TestRunCommand:
         assert {p.name for p in tmp_path.iterdir()} <= {
             "grid.csv", "manifest.json", ".grid.csv.partial"}
 
-    @pytest.mark.parametrize("section, key, value", [
-        ("output", None, "elsewhere"),
-    ])
-    def test_inert_field_change_is_cache_hit(self, tmp_path, capsys,
-                                             section, key, value):
-        cfg = parse_config(TINY_STATIC)
-        assert run_command("static-phase", cfg, out_dir=tmp_path, workers=1) == 0
-        first = (tmp_path / "grid.csv").read_bytes()
-        mtime = (tmp_path / "grid.csv").stat().st_mtime_ns
-        doc = json.loads(json.dumps(TINY_STATIC))
-        if key is None:
-            doc[section] = value
-        else:
-            doc[section] = {key: value}
+    # each changes a field the run does not compute from
+    @pytest.mark.parametrize("command, doc, path, value", [
+        ("static-phase", TINY_STATIC, ("output",), "elsewhere"),
+        ("static-phase", TINY_STATIC, ("drive", "amplitude"), 0.04),
+        ("static-phase", TINY_STATIC, ("dynamics", "t_max"), 100.0),
+        ("static-phase", TINY_STATIC, ("truncation", "n_c1"), 7),
+        ("driven-phase", TINY_DRIVEN, ("truncation", "n_c1"), 7),
+        # null is the driven default window, 5
+        ("driven-phase", TINY_DRIVEN, ("truncation", "block_window"), 5),
+        ("effective-params", TINY_EFFECTIVE, ("truncation", "block_window"), 6),
+        ("effective-params", TINY_EFFECTIVE, ("sweep", 0, "name"), "wD"),
+        ("echo", TINY_ECHO, ("truncation", "block_window"), 6),
+    ], ids=["static-output", "static-drive.amplitude", "static-dynamics.t_max",
+            "static-truncation.n_c1", "driven-truncation.n_c1",
+            "driven-truncation.block_window",
+            "effective-truncation.block_window", "effective-sweep.name",
+            "echo-truncation.block_window"])
+    def test_inert_field_change_is_cache_hit(self, tmp_path, capsys, command, doc,
+                                             path, value):
+        csv_path = tmp_path / cli._CSV_NAME[command]
+        assert run_command(command, parse_config(doc), out_dir=tmp_path) == 0
+        first = csv_path.read_bytes()
+        mtime = csv_path.stat().st_mtime_ns
         capsys.readouterr()
-        assert run_command("static-phase", parse_config(doc), out_dir=tmp_path,
-                           workers=1) == 0
+        assert run_command(command, parse_config(_set(doc, path, value)),
+                           out_dir=tmp_path) == 0
         assert "cache hit" in capsys.readouterr().out
-        assert (tmp_path / "grid.csv").read_bytes() == first
-        assert (tmp_path / "grid.csv").stat().st_mtime_ns == mtime
+        assert csv_path.read_bytes() == first
+        assert csv_path.stat().st_mtime_ns == mtime
 
     @pytest.mark.parametrize("text", ["[]", '"done"', "3"])
     def test_non_object_manifest_is_recomputed(self, tmp_path, capsys, text):
@@ -440,7 +610,10 @@ class TestRunCommand:
         assert "cache hit" not in capsys.readouterr().out
         assert len((tmp_path / "grid.csv").read_text().splitlines()) == 1 + 9 * 7
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["config_hash"] == config_hash(cfg)
+        assert manifest["config_hash"] == _run_key("static-phase", cfg)
+        capsys.readouterr()
+        assert run_command("static-phase", cfg, out_dir=tmp_path) == 0
+        assert "cache hit" in capsys.readouterr().out
 
     def test_malformed_manifest_is_recomputed(self, tmp_path, capsys):
         cfg = parse_config(TINY_STATIC)
@@ -963,9 +1136,6 @@ def _chunks(path: Path, size: int) -> tuple[str, list[list[list[str]]]]:
 def _text(records: list[list[str]]) -> str:
     return "".join(",".join(record) + "\n" for record in records)
 
-
-TINY_ECHO = {"truncation": {"n_c1": 3, "n_c2": 3},
-             "dynamics": {"t_max": 10.0, "samples": 20}}
 
 #: (command, CSV name, config) of four sweeps no sample covers: a static
 #: model off resonance, where the prune bounds are not exact; static
@@ -2046,6 +2216,23 @@ class TestMainEntry:
         assert err.startswith(f"error: cannot read config {path}: 'utf-8' codec")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("path, where", [
+        (("sweep", 0, "name"), "sweep[0].name"), (("output",), "output")])
+    def test_lone_surrogate_exits_1(self, tmp_path, capsys, monkeypatch, path, where):
+        # JSON text may escape a lone surrogate, which UTF-8 cannot encode,
+        # so no CSV field, manifest or path could hold it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(_set(TINY_STATIC, path, "x\ud800")))
+        assert main(["static-phase", "--config", "cfg.json"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: {where} holds a lone surrogate, "
+                       "which UTF-8 cannot encode: 'x\\ud800'\n")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_lone_surrogate_key_rejected(self):
+        with pytest.raises(ConfigError, match="^a key of model holds a lone surrogate"):
+            parse_config({"model": {"g\ud800": 1.0}})
 
     def test_env_var_output_dir(self, tmp_path):
         # without --out, the config's output directory is used
