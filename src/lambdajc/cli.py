@@ -122,7 +122,7 @@ BATCHES_PER_WORKER = 4
 #: Version of the output format and numbers.  Raise it with every change
 #: that alters any output byte: a run whose manifest has another version
 #: is never served or resumed.
-OUTPUT_VERSION = 7
+OUTPUT_VERSION = 8
 
 GRID_CSV_COLUMNS = ("axis1_name", "axis1_value", "axis2_name", "axis2_value",
                     "energy", "n_label", "m_label", "category", "gap",
@@ -632,10 +632,11 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
 
     try:
         if sweep is None:
-            cells = 1
+            cells, rows = 1, f"{cfg.dynamics.samples} samples"
             deviations, csv_digest = _run_echo(compute, out_dir, digest)
         else:
             cells = sweep.cells
+            rows = f"{cells} cells"
             deviations, csv_digest = _run_sweep(command, sweep, out_dir, digest,
                                                 workers)
     except (OSError, BrokenProcessPool, PropagationError) as exc:
@@ -647,7 +648,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path | None = None,
     _write_manifest(out_dir, command, digest, cells, cells, deviations, csv_digest)
     code = _finish(deviations, strict)
     if code == 0:
-        print(f"wrote {csv_path} ({cells} cells, run key {digest})")
+        print(f"wrote {csv_path} ({rows}, run key {digest})")
     return code
 
 

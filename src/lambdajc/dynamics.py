@@ -73,6 +73,7 @@ the CF4 substep.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -86,7 +87,6 @@ DEFAULT_T_MAX = 200.0
 DEFAULT_SAMPLES = 2000
 COHERENT_LEAKAGE_MAX = 1e-12
 LEAKAGE_WARN = 1e-6
-NORM_DRIFT_MAX = 1e-8
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -197,7 +197,7 @@ ATOMIC_PRESETS = {
 }
 
 
-_CUTOFF_SEARCH_MAX = 100000   # the largest cutoff _required_cutoff names
+_CUTOFF_SEARCH_MAX = 100000   # the largest cutoff a TruncationError names
 
 
 def _mean_photons(alpha: complex) -> float:
@@ -208,39 +208,47 @@ def _mean_photons(alpha: complex) -> float:
         return math.inf
 
 
-def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    alpha = complex(alpha)
-    out = np.zeros(cutoff + 1, dtype=complex)
-    out[0] = 1.0
-    # where alpha^n overflows the amplitudes are not finite, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, cutoff + 1):
-            out[n] = out[n - 1] * alpha / math.sqrt(n)
-        return out * math.exp(-0.5 * _mean_photons(alpha))
-
-
-def _required_cutoff(alpha: complex, tol: float) -> int:
-    """Smallest cutoff, up to _CUTOFF_SEARCH_MAX (one more when past it),
-    whose Poisson tail weight drops below tol.  Each weight is taken from
-    its logarithm, so none underflows.  The weights run until, past the
-    mean lam, the rest is far below tol, and the tail is summed from a
-    bound on that rest: 1 minus the kept weight rounds too coarsely."""
-    lam = _mean_photons(alpha)
+def _poisson_tails(lam: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Poisson weights w_n of mean lam, n = 0 to at least cutoff, and
+    their tails sum_{k > n} w_k.  Each weight is taken from its logarithm,
+    so none overflows or underflows early.  The weights run until, past
+    cutoff and the mean, the rest is far below COHERENT_LEAKAGE_MAX, and
+    the tails are summed from a bound on that rest: 1 minus the kept weight
+    rounds too coarsely.  A mean at or past the search, or not finite, is
+    not expanded: every tail is 1, as a cutoff the search can name is at or
+    below the mean and loses about half the weight or more."""
+    if lam == 0:                # the vacuum, where log lam is undefined
+        return np.eye(1, cutoff + 1)[0], np.zeros(cutoff + 1)
     if not lam < _CUTOFF_SEARCH_MAX:
-        # a cutoff at or below the mean leaves about half the weight
-        return _CUTOFF_SEARCH_MAX + 1
+        return np.zeros(cutoff + 1), np.ones(cutoff + 1)
     weights = []
-    for n in range(_CUTOFF_SEARCH_MAX + 1):
+    for n in itertools.count():
         weights.append(math.exp(n * math.log(lam) - lam - math.lgamma(n + 1)))
-        if n > lam and weights[-1] * lam < 1e-16 * tol * (n + 1 - lam):
+        if (n >= cutoff and n > lam
+                and weights[-1] * lam < 1e-16 * COHERENT_LEAKAGE_MAX * (n + 1 - lam)):
             break
     # past the mean, weight n + 1 is at most lam / (n + 1) times weight n
-    tail = weights[-1] * lam / (len(weights) - lam)
-    for n in range(len(weights) - 1, -1, -1):
-        if tail >= tol:
-            return n + 1
-        tail += weights[n]
-    return 0
+    rest = weights[-1] * lam / (len(weights) - lam)
+    return np.array(weights), np.cumsum([rest] + weights[:0:-1])[::-1]
+
+
+def _coherent_factor(alpha: complex, cutoff: int, label: str) -> np.ndarray:
+    """The amplitudes sqrt(w_n) e^(i n arg alpha), n = 0..cutoff, of the
+    coherent state alpha, w the Poisson weights of |alpha|^2; a
+    TruncationError if their tail past cutoff is not below
+    COHERENT_LEAKAGE_MAX."""
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"{label} coherent amplitude {alpha!r} is not finite")
+    weights, tails = _poisson_tails(_mean_photons(alpha), cutoff)
+    if not tails[cutoff] < COHERENT_LEAKAGE_MAX:
+        need = np.flatnonzero(tails < COHERENT_LEAKAGE_MAX)
+        advice = (f"at least {need[0]}" if need.size and need[0] <= _CUTOFF_SEARCH_MAX
+                  else f"more than {_CUTOFF_SEARCH_MAX}")
+        raise TruncationError(
+            f"{label} coherent amplitude {alpha!r} leaks {tails[cutoff]:.3e} past "
+            f"cutoff {cutoff}; a cutoff of {advice} is required")
+    n = np.arange(cutoff + 1)
+    return np.sqrt(weights[:cutoff + 1]) * np.exp(1j * cmath.phase(alpha) * n)
 
 
 def coherent_state(space: HilbertSpace, alpha1: complex, alpha2: complex,
@@ -248,33 +256,18 @@ def coherent_state(space: HilbertSpace, alpha1: complex, alpha2: complex,
     """Normalized product state: atomic part (x) coherent (x) coherent.
 
     atom is one of the ATOMIC_PRESETS keys; any other state is a
-    StateVector.  The truncated weight each coherent factor loses must
-    stay below 1e-12, otherwise a TruncationError reports the cutoff that
-    would suffice.
+    StateVector.  The Poisson tail of |alpha|^2 past each mode's cutoff,
+    the weight its coherent factor loses, must be below 1e-12
+    (COHERENT_LEAKAGE_MAX); otherwise a TruncationError names that tail and
+    the least cutoff whose tail is below 1e-12.
     """
     # a list is no dict key: test the type first
     if not isinstance(atom, str) or atom not in ATOMIC_PRESETS:
         raise ValueError(f"unknown atomic preset {atom!r}; "
                          f"choose from {sorted(ATOMIC_PRESETS)}")
-    at = ATOMIC_PRESETS[atom].astype(complex)
-    parts = []
-    for alpha, cutoff, label in ((alpha1, space.n_c1, "mode 1"),
-                                 (alpha2, space.n_c2, "mode 2")):
-        if not cmath.isfinite(alpha):
-            raise ValueError(f"{label} coherent amplitude {alpha!r} is not finite")
-        c = _coherent_amplitudes(alpha, cutoff)
-        kept = float(np.sum(np.abs(c) ** 2))
-        # a weight that overflowed keeps nothing
-        leak = max(1.0 - kept, 0.0) if math.isfinite(kept) else 1.0
-        if leak >= COHERENT_LEAKAGE_MAX:
-            need = _required_cutoff(alpha, COHERENT_LEAKAGE_MAX)
-            advice = (f"at least {need}" if need <= _CUTOFF_SEARCH_MAX
-                      else f"more than {_CUTOFF_SEARCH_MAX}")
-            raise TruncationError(
-                f"{label} coherent amplitude {alpha!r} leaks {leak:.3e} past "
-                f"cutoff {cutoff}; a cutoff of {advice} is required")
-        parts.append(c)
-    amps = np.kron(np.kron(at, parts[0]), parts[1])
+    amps = np.kron(np.kron(ATOMIC_PRESETS[atom].astype(complex),
+                           _coherent_factor(alpha1, space.n_c1, "mode 1")),
+                   _coherent_factor(alpha2, space.n_c2, "mode 2"))
     amps = amps / np.linalg.norm(amps)
     return StateVector(amplitudes=amps, space=space)
 
@@ -490,6 +483,8 @@ class EvolutionResult:
 #: on the step error, _taylor_degree _TAYLOR_SHARE on the Taylor remainders.
 STEP_TOL = 1e-7
 _TAYLOR_SHARE = 0.1
+#: Largest norm drift a run may show without a warning: the Taylor share.
+NORM_DRIFT_MAX = _TAYLOR_SHARE * STEP_TOL
 _MAX_TAYLOR_DEGREE = 63
 # 1/k! for k up to _MAX_TAYLOR_DEGREE, the weights of the Taylor powers
 _INVERSE_FACTORIALS = np.array(

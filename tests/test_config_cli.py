@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lambdajc import cli, spectrum
+from lambdajc import cli, dynamics, spectrum
 from lambdajc.cli import main, run_command, worker_count, write_csv
 from lambdajc.config import (
     AxisConfig,
@@ -926,6 +926,18 @@ class TestRunCommand:
         assert all(0.0 <= f <= 1.0 + 1e-12 for f in fidelities)
         assert fidelities[0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("command, doc, csv_name, rows, cells", [
+        ("echo", TINY_ECHO, "echo.csv", "20 samples", 1),
+        ("static-phase", TINY_STATIC, "grid.csv", "63 cells", 63)])
+    def test_wrote_line_counts_the_rows(self, tmp_path, capsys, command, doc,
+                                        csv_name, rows, cells):
+        # an echo counts its samples, not its one manifest cell
+        assert run_command(command, parse_config(doc), out_dir=tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"wrote {tmp_path / csv_name} ({rows}, run key {manifest['config_hash']})")
+        assert manifest["cells_total"] == manifest["cells_done"] == cells
+
     def test_effective_params_resume(self, tmp_path, monkeypatch):
         doc = {
             "drive": {"amplitude": 0.09, "frequency": 0.18},
@@ -1201,6 +1213,27 @@ PINNED_GRID_DIGESTS[6] = {
 # and one ordered sum of the padded rows, the frame phases from a table per
 # term of K) and no grid byte
 PINNED_GRID_DIGESTS[7] = PINNED_GRID_DIGESTS[6]
+# version 8 moved both echo branches' bytes (the coherent amplitudes from
+# the Poisson weights) and no grid byte
+PINNED_GRID_DIGESTS[8] = PINNED_GRID_DIGESTS[7]
+
+#: The blake2b of one mode's coherent amplitudes at ECHO_ALPHA, as the
+#: echo's initial state takes them before it is normalized (so no BLAS sum
+#: enters them), by OUTPUT_VERSION and cutoff: the cutoffs of the sample
+#: echo runs, from 2, the least that represents ECHO_ALPHA.  The echo CSVs
+#: move with these bytes.  Versions before 8 pin none.
+PINNED_ECHO_AMPLITUDE_DIGESTS = {
+    8: {2: "d089e11b7cf214bc4052a34bcebd54fc528a51de1364bb5b0d05c1faa8193015"
+           "fd0cae8c2f84d8df1426a4a9747a7fa7d45d1bb012b79d9798c1891944b9d168",
+        3: "17128fbb8ceb50043d156a99281093553bb3f1f24a89ae0c64337f9aa9a1a2a7"
+           "2484ace231ae02a9d80083c18da30333db854e14e0212b975a915e37361fbc11",
+        4: "9d134139de9ff372ceac049f72180a3b0a93a15a181a9c2cbf17d07acad9d1b4"
+           "799cf5cf133b2f03f0a3ddec4a15b30a027a162bdf776a64739698af13773b18",
+        5: "0410efd3a033b6b984e0366953308f336c7d5fe6be22704df9b1b946596c2a3d"
+           "e7357607e6052f9aadd2360b2f66e262eabff9b22ed02b013fc390489fbd4c62",
+        6: "8fd5e1fc1ea6f13f4d92cc3a8235e2a283a16ec851585bf1175abf58f75cdd47"
+           "2436d003b6d0ef86474b94b4651697cb255c9bb72f2f32303ac40e52dfba1fb8"},
+}
 
 
 class TestOutputVersion:
@@ -1256,6 +1289,13 @@ class TestOutputVersion:
         command, csv_name, doc = PINNED_GRIDS[name]
         assert run_command(command, parse_config(doc), out_dir=tmp_path) == 0
         assert _blake2b(tmp_path / csv_name) == PINNED_GRID_DIGESTS[cli.OUTPUT_VERSION][name]
+
+    @pytest.mark.parametrize("cutoff", sorted(PINNED_ECHO_AMPLITUDE_DIGESTS[8]))
+    def test_echo_amplitudes_are_pinned_per_output_version(self, cutoff):
+        amps = dynamics._coherent_factor(cli.ECHO_ALPHA, cutoff, "mode 1")
+        assert amps.dtype == np.complex128
+        assert (hashlib.blake2b(amps.tobytes()).hexdigest()
+                == PINNED_ECHO_AMPLITUDE_DIGESTS[cli.OUTPUT_VERSION][cutoff])
 
     def test_partial_of_other_output_version_is_recomputed(self, tmp_path,
                                                            monkeypatch):

@@ -1,3 +1,4 @@
+import cmath
 import inspect
 import math
 import re
@@ -141,11 +142,12 @@ class TestCoherentState:
         with pytest.raises(TruncationError, match="cutoff"):
             coherent_state(space, 2.0, 0.0, "2")
 
-    @pytest.mark.parametrize("alpha", [2.0, 5.0, 30.0])
+    @pytest.mark.parametrize("alpha", [2.0, 5.0, 30.0, 5.173070175438597, 40.0])
     def test_required_cutoff_is_the_least_accepted(self, alpha):
         # past |alpha|^2 ~ 745 exp(-|alpha|^2) underflows; the named cutoff
         # is the least whose Poisson tail is below 1e-12, which coherent_state
-        # accepts, and one below it is refused
+        # accepts, and one below it is refused (the tail past 70 is 1.001e-12
+        # at 5.173070175438597; 40 needs 1889)
         from scipy.stats import poisson
         with pytest.raises(TruncationError) as info:
             coherent_state(build_space(6, 1), alpha, 0.0, "2")
@@ -157,10 +159,31 @@ class TestCoherentState:
                                                   f"at least {need} is required"):
             coherent_state(build_space(need - 1, 1), alpha, 0.0, "2")
 
+    @pytest.mark.parametrize("alpha", [
+        *(float(r) for r in np.linspace(0.0, 60.0, 13)),
+        *(cmath.rect(float(r), phase) for r, phase in
+          zip(np.linspace(2.5, 57.5, 12), [0.7, 2.0, -1.3, math.pi] * 3)),
+        -7.5, 1e-3j])
+    def test_advised_cutoff_matches_the_poisson_tail(self, alpha):
+        # the least accepted cutoff is the least whose Poisson tail of
+        # |alpha|^2 is below 1e-12; one below it is refused with that tail
+        # and that cutoff named (the space takes cutoffs from 1)
+        from scipy.stats import poisson
+        lam = abs(alpha) ** 2
+        tail = poisson.sf(np.arange(int(lam + 20 * abs(alpha) + 200)), lam)
+        need = int(np.argmax(tail < 1e-12))
+        coherent_state(build_space(max(need, 1), 1), alpha, 0.0, "2")
+        if need > 1:
+            with pytest.raises(TruncationError, match=f"cutoff {need - 1}; a cutoff "
+                                                      f"of at least {need} is") as info:
+                coherent_state(build_space(need - 1, 1), alpha, 0.0, "2")
+            leak = float(re.search(r"leaks (\S+) past", str(info.value))[1])
+            assert leak == pytest.approx(tail[need - 1], rel=1e-3)
+
     def test_overflowing_amplitude_is_a_truncation_error(self):
-        # alpha^n overflows, and past |alpha| ~ 1.3e154 so does |alpha|^2:
-        # the kept weight is not finite, a full leak, with no RuntimeWarning
-        # on the way, and the cutoff it needs is past the search
+        # |alpha|^2 is past the 100000 search, and past |alpha| ~ 1.3e154 it
+        # overflows: no Poisson weight is kept, a full leak, with no
+        # RuntimeWarning on the way, and the cutoff it needs is past the search
         for alpha in (1e100, 1e155, 1e200):
             with pytest.raises(TruncationError, match=r"leaks 1\.000e\+00 past cutoff 6; "
                                                       r"a cutoff of more than 100000 is"):
