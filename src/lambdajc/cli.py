@@ -65,6 +65,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import threading
@@ -375,11 +376,12 @@ def _run_chunks(sweep: _Sweep, start: int, workers: int):
     After each chunk of its own, this process yields the pool's finished
     batches that come next in order, so the partial CSV grows as the pool
     works; its own share waits in memory until the pool's last batch is
-    yielded.  Closing the generator, as an interrupt or a dead worker does,
-    discards that share, which a resumed run computes again, cancels the
-    batches the pool has not yet sent to a worker, and returns once the
-    pool's processes have ended.  A worker whose parent dies without
-    closing the pool (a kill) exits within a poll of _exit_with_parent.
+    yielded.  Leaving before the end, by an interrupt, a dead worker or
+    closing the generator, discards that share, which a resumed run
+    computes again, terminates the pool's workers with the batches they
+    run or hold (no other child of this process), and returns once the
+    pool has shut down.  A worker whose parent dies without closing the
+    pool (a kill) exits within a poll of _exit_with_parent.
 
     On every path, sequential or pooled, this process and its workers keep
     the memory each chunk frees for the next chunk (see below).
@@ -397,6 +399,7 @@ def _run_chunks(sweep: _Sweep, start: int, workers: int):
         pooled, own = todo[:-share], todo[-share:]
         size = -(-len(pooled) // (BATCHES_PER_WORKER * (workers - 1)))
         batches = [pooled[i:i + size] for i in range(0, len(pooled), size)]
+        others = set(multiprocessing.active_children())
         pool = ProcessPoolExecutor(max_workers=min(workers - 1, len(batches)),
                                    initializer=_exit_with_parent)
         try:
@@ -409,6 +412,12 @@ def _run_chunks(sweep: _Sweep, start: int, workers: int):
             for future in futures:
                 yield from future.result()
             yield from held
+        except BaseException:
+            # an interrupt, a closed generator or a dead worker: end the
+            # pool's workers, not the other children of this process
+            for worker in set(multiprocessing.active_children()) - others:
+                worker.terminate()
+            raise
         finally:
             pool.shutdown(cancel_futures=True)
     else:

@@ -23,10 +23,10 @@ construction and no conjugate phase can ever be entered with the wrong sign.
                       closed form by Jacobi-Anger (z = theta, 2*theta).
     DOMINANT_SIDEBAND drive frame keeping only the zeroth co-rotating and
                       the slowest counter-rotating sideband of each mode.
-    EFFECTIVE_FULL    time-independent effective model including the
-                      residual counter-rotating couplings gc1, gc2.
-    EFFECTIVE_JC      final effective excitation-conserving model (gc terms
-                      dropped).
+    EFFECTIVE_JC      JC_STATIC's model at the effective parameters
+                      (effective.EFFECTIVE_MODEL).
+    EFFECTIVE_FULL    EFFECTIVE_JC plus the residual counter-rotating
+                      couplings gc1, gc2.
 
 Echoes compare two branches evolved from one initial state, on its space;
 branches must live in the same frame (DRIVE_ROTATED vs DOMINANT_SIDEBAND,
@@ -52,8 +52,7 @@ linear in t; it uses a fourth-order commutator-free exponential
 integrator (CF4: two Gauss-node exponentials per substep).  A TermList
 stores its entries once, on one fixed pattern laid out as transposed
 padded rows.  The weights of the exponentials are evaluated, already
-scaled by -ih, at most CF4_BLOCK_EXPONENTIALS exponentials (or one
-sample interval) at a time.  Each exponential rewrites its exponent A's
+scaled by -ih, at most CF4_BLOCK_EXPONENTIALS exponentials at a time.  Each exponential rewrites its exponent A's
 values from them, writes each Taylor power A^k psi in place as one
 multiply and one sum of the padded rows in pattern order (no einsum), and
 ends in one sum of the powers weighted by 1/k!.  The run's error budget,
@@ -80,8 +79,8 @@ from enum import Enum
 
 import numpy as np
 
-from .effective import _sideband_bases, effective_point
-from .params import DriveParams, SystemParams
+from .effective import EFFECTIVE_MODEL, _sideband_bases, effective_point
+from .params import MODEL_FIELDS, DriveParams, SystemParams
 
 DEFAULT_T_MAX = 200.0
 DEFAULT_SAMPLES = 2000
@@ -214,12 +213,13 @@ def _poisson_tails(lam: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     so none overflows or underflows early.  The weights run until, past
     cutoff and the mean, the rest is far below COHERENT_LEAKAGE_MAX, and
     the tails are summed from a bound on that rest: 1 minus the kept weight
-    rounds too coarsely.  A mean at or past the search, or not finite, is
-    not expanded: every tail is 1, as a cutoff the search can name is at or
-    below the mean and loses about half the weight or more."""
+    rounds too coarsely.  A mean at or past both cutoff and the search, or
+    not finite, is not expanded: every tail is 1, as cutoff and every cutoff
+    the search can name are at or below the mean and lose about half the
+    weight or more."""
     if lam == 0:                # the vacuum, where log lam is undefined
         return np.eye(1, cutoff + 1)[0], np.zeros(cutoff + 1)
-    if not lam < _CUTOFF_SEARCH_MAX:
+    if not lam < max(cutoff, _CUTOFF_SEARCH_MAX):
         return np.zeros(cutoff + 1), np.ones(cutoff + 1)
     weights = []
     for n in itertools.count():
@@ -402,20 +402,14 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
     n1, n2 = (space.diagonal(np.sqrt(n) * np.sqrt(n)) for n in (space._n1, space._n2))
 
     if spec.variant is Variant.JC_STATIC:
-        _self_adjoint(terms, s33_s11, sys.omega1)
-        _self_adjoint(terms, s33_s22, sys.omega2)
-        _self_adjoint(terms, n1, sys.Omega1)
-        _self_adjoint(terms, n2, sys.Omega2)
-        _pair(terms, s31a1, sys.g1, 0.0)
-        _pair(terms, s32a2, sys.g2, 0.0)
-        return TermList(terms=terms, space=space, frame=(0.0, 0.0, np.zeros(3)))
-
-    drive = spec.drive
-    rec = effective_point(sys, drive)
+        model = [getattr(sys, k) for k in MODEL_FIELDS]
+    else:
+        rec = effective_point(sys, spec.drive)
+        model = [rec[k] for k in EFFECTIVE_MODEL]
 
     if spec.variant is Variant.DRIVE_ROTATED:
         # sum_p g J_p(z) exp(i(phi + p wd)t) = g exp(i(phi t + z sin(wd t)))
-        theta, wd = drive.theta, drive.frequency
+        theta, wd = spec.drive.theta, spec.drive.frequency
         base1, base2 = _sideband_bases(sys.omega1, sys.omega2, sys.Omega1, sys.Omega2)
         _pair(terms, s31a1, sys.g1, rec["delta1"], theta, wd)
         _pair(terms, s31a1d, sys.g1, base1, theta, wd)
@@ -430,13 +424,14 @@ def assemble_terms(spec: HamiltonianSpec, space: HilbertSpace) -> TermList:
         _pair(terms, s32a2d, rec["gc2"], rec["Delta_m0"])
         return TermList(terms=terms, space=space, frame=_dominant_frame(rec))
 
-    # time-independent effective variants
-    _self_adjoint(terms, s33_s22, rec["omega2_eff"])
-    _self_adjoint(terms, s33_s11, rec["omega1_eff"])
-    _self_adjoint(terms, n2, rec["Omega2_eff"])
-    _self_adjoint(terms, n1, rec["Omega1_eff"])
-    _pair(terms, s31a1, rec["gr1"], 0.0)
-    _pair(terms, s32a2, rec["gr2"], 0.0)
+    # the JC model; the effective pair's echo bytes depend on this order
+    omega1, omega2, Omega1, Omega2, g1, g2 = model
+    _self_adjoint(terms, s33_s22, omega2)
+    _self_adjoint(terms, s33_s11, omega1)
+    _self_adjoint(terms, n2, Omega2)
+    _self_adjoint(terms, n1, Omega1)
+    _pair(terms, s31a1, g1, 0.0)
+    _pair(terms, s32a2, g2, 0.0)
     if spec.variant is Variant.EFFECTIVE_FULL:
         _pair(terms, s31a1d, rec["gc1"], 0.0)
         _pair(terms, s32a2d, rec["gc2"], 0.0)
@@ -499,9 +494,9 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # then exp(-ih(X_LO H_early + X_HI H_late)), H_early/late = H(t + node*h)
 _CF4_NODES = np.array([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0])
 _X_HI, _X_LO = 0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0
-#: Most exponentials whose weights evolve holds at once, unless one sample
-#: interval takes more, and most samples of a framed variant taken from one
-#: matrix product: either way the memory stays bounded whatever t_max.
+#: Most exponentials whose weights evolve holds at once (at least the two of
+#: one substep), and most samples of a framed variant taken from one matrix
+#: product: either way the memory stays bounded whatever t_max and samples.
 CF4_BLOCK_EXPONENTIALS = 4096
 
 
@@ -554,18 +549,18 @@ def _expm_apply(columns: np.ndarray, values: np.ndarray, powers: np.ndarray,
 
 
 def _cf4_weights(terms: TermList, starts: np.ndarray, h: float,
-                 nsub: int) -> np.ndarray:
-    """The term weights of every exponential of nsub CF4 substeps of length
-    h from each start time, scaled by -ih so that data_map @ weight is the
-    exponent's values, shape (starts, 2*nsub, terms) in the order the
-    exponentials apply; the coefficients at all their Gauss nodes come from
-    one call."""
-    nodes = starts[:, None, None] + h * (np.arange(nsub)[:, None] + _CF4_NODES)
+                 substeps: np.ndarray) -> np.ndarray:
+    """The term weights of every exponential of the CF4 substeps k in
+    substeps, each of length h from start + k*h, for each start time,
+    scaled by -ih so that data_map @ weight is the exponent's values, shape
+    (starts, 2*len(substeps), terms) in the order the exponentials apply; the
+    coefficients at all their Gauss nodes come from one call."""
+    nodes = starts[:, None, None] + h * (substeps[:, None] + _CF4_NODES)
     early, late = np.moveaxis(terms.coefficients(nodes), -1, 0)
     mixed = np.stack([_X_HI * early + _X_LO * late,
                       _X_LO * early + _X_HI * late], axis=-1)
     mixed *= -1j * h
-    return np.moveaxis(mixed, 0, -1).reshape(starts.size, 2 * nsub, -1)
+    return np.moveaxis(mixed, 0, -1).reshape(starts.size, 2 * substeps.size, -1)
 
 
 def _cf4_steps(terms: TermList, psi: np.ndarray, weights: np.ndarray,
@@ -600,8 +595,9 @@ def _substeps(terms: TermList, psi: np.ndarray, t0: float,
     h = interval / n_min
     degree = _taylor_degree(terms, h, math.inf)
     start = np.array([t0])
-    coarse = _cf4_steps(terms, psi, _cf4_weights(terms, start, h, 1)[0], degree)
-    fine = _cf4_steps(terms, psi, _cf4_weights(terms, start, h / 2, 2)[0], degree)
+    coarse, fine = (
+        _cf4_steps(terms, psi, _cf4_weights(terms, start, h / n, np.arange(n))[0], degree)
+        for n in (1, 2))
     error = n_min * intervals * 16.0 / 15.0 * float(np.max(np.abs(coarse - fine)))
     budget = (1.0 - _TAYLOR_SHARE) * STEP_TOL
     return max(n_min, math.ceil(n_min * (error / budget) ** 0.25))
@@ -698,11 +694,16 @@ def evolve(spec: HamiltonianSpec, psi0: StateVector, *,
         exponentials = 2 * nsub * (times.size - 1)
         degree = _taylor_degree(terms, h, exponentials)
         starts = times[:-1]
-        block = max(1, CF4_BLOCK_EXPONENTIALS // (2 * nsub))
+        # a block holds at most `steps` substeps: whole intervals, or the
+        # substeps of one interval in turn, the last of which leaves its state
+        steps = max(1, CF4_BLOCK_EXPONENTIALS // 2)
+        block = max(1, steps // nsub)
         for first in range(0, starts.size, block):
-            weights = _cf4_weights(terms, starts[first:first + block], h, nsub)
-            for i, interval_weights in enumerate(weights, start=first + 1):
-                psi = states[i] = _cf4_steps(terms, psi, interval_weights, degree)
+            for k in range(0, nsub, steps):
+                weights = _cf4_weights(terms, starts[first:first + block], h,
+                                       np.arange(k, min(k + steps, nsub)))
+                for i, interval_weights in enumerate(weights, start=first + 1):
+                    psi = states[i] = _cf4_steps(terms, psi, interval_weights, degree)
 
     norms = np.linalg.norm(states, axis=1)
     pop = np.abs(states) ** 2

@@ -55,6 +55,9 @@ HIERARCHY_RATIO_MAX = 0.4
 #: Counter-rotating sidebands are negligible while |gc/D| stays below 1e-2.
 RWA_RATIO_MAX = 0.01
 
+#: The record keys of the effective JC model's parameters, in params.MODEL_FIELDS order.
+EFFECTIVE_MODEL = ("omega1_eff", "omega2_eff", "Omega1_eff", "Omega2_eff", "gr1", "gr2")
+
 
 # ---------------------------------------------------------------------------
 # the record's helpers: every argument may be a float or an array, elementwise.

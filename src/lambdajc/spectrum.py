@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import effective_table
+from .effective import EFFECTIVE_MODEL, effective_table
 from .params import (
     DRIVE_AXES,
     MODEL_FIELDS,
@@ -298,9 +298,6 @@ def _search_tables(table: np.ndarray, window: int, forced_cap) -> dict:
     }
 
 
-_EFFECTIVE_MODEL = ("omega1_eff", "omega2_eff", "Omega1_eff", "Omega2_eff", "gr1", "gr2")
-
-
 def _ground_cells(fields: dict[str, np.ndarray], block_window: int) -> dict:
     """The slice core: ground search of every cell of equal-length field arrays.
 
@@ -319,7 +316,7 @@ def _ground_cells(fields: dict[str, np.ndarray], block_window: int) -> dict:
     forced = False
     if "omega_D" in fields:
         eff = effective_table(*model, fields["A_D"], fields["omega_D"])
-        model = [eff[k] for k in _EFFECTIVE_MODEL]
+        model = [eff[k] for k in EFFECTIVE_MODEL]
         audits = {k: eff[k] for k in audits}
         # a non-positive effective cavity frequency sends the block energies
         # down without bound in that photon index

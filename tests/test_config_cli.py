@@ -1977,9 +1977,8 @@ class TestPool:
         cfg = parse_config(doc)
         assert run_command("static-phase", cfg, out_dir=tmp_path / "full") == 0
         # the runner computes chunks 8-15; its one worker is sent the batches
-        # 0-1, 2-3, 4-5 and 6-7, each chunk slowed so that the interrupt, in
-        # the runner's third chunk, comes while the worker runs its first
-        # batch
+        # 0-1, 2-3, 4-5 and 6-7, each chunk slowed, and the interrupt, in the
+        # runner's third chunk, comes once the worker runs its first batch
         runner, real = os.getpid(), cli.compute_grid_cells
         marks = tmp_path / "marks"
         marks.mkdir()
@@ -1988,6 +1987,9 @@ class TestPool:
             chunk = args[-2] // spectrum.CHUNK_CELLS
             if os.getpid() == runner:
                 if chunk == 10:
+                    deadline = time.monotonic() + 30.0
+                    while not (marks / "0").exists() and time.monotonic() < deadline:
+                        time.sleep(0.001)
                     raise KeyboardInterrupt
             else:
                 (marks / str(chunk)).touch()
@@ -1996,13 +1998,20 @@ class TestPool:
 
         monkeypatch.setattr(cli, "compute_grid_cells", slow_pool)
         out = tmp_path / "part"
-        with pytest.raises(KeyboardInterrupt):
-            run_command("static-phase", cfg, out_dir=out, workers=2)
-        assert not multiprocessing.active_children()
-        # the last batch was cancelled: the pool computed at most the batch
-        # its worker ran and the two queued for it (a process pool queues
-        # one task more than it has workers)
-        assert {int(p.name) for p in marks.iterdir()} <= set(range(6))
+        # a child of this process that is not the pool's outlives the interrupt
+        bystander = multiprocessing.Process(target=time.sleep, args=(60,))
+        bystander.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_command("static-phase", cfg, out_dir=out, workers=2)
+            assert multiprocessing.active_children() == [bystander]
+        finally:
+            bystander.terminate()
+            bystander.join(timeout=10)
+        # the worker was ended in its first batch: the batches queued for it
+        # (a process pool queues one task more than it has workers) were not
+        # computed
+        assert {int(p.name) for p in marks.iterdir()} <= set(range(2))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["deviations"] == ["interrupted"]
         # no batch had finished, and the runner's two finished chunks are

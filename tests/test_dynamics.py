@@ -22,7 +22,7 @@ from lambdajc.dynamics import (
     loschmidt_echo,
 )
 from lambdajc.dynamics import (
-    _cf4_steps, _cf4_weights, _expm_apply, _taylor_degree, step_limit)
+    _cf4_steps, _cf4_weights, _coherent_factor, _expm_apply, _taylor_degree, step_limit)
 from lambdajc.params import DriveParams, SystemParams
 from lambdajc.spectrum import block_ground_energy, block_matrix
 
@@ -196,6 +196,18 @@ class TestCoherentState:
         with pytest.raises(TruncationError, match="a cutoff of more than 100000 is"):
             coherent_state(build_space(6, 1), alpha, 0.0, "2")
 
+    def test_cutoff_past_a_mean_past_the_search_is_judged_by_its_tail(self):
+        # |316.3|^2 = 100045.69 is past the 100000 search, but a cutoff past
+        # it keeps the Poisson weights: 103000 leaks far below 1e-12, and
+        # 101000 is refused with its own leak, not a full one
+        from scipy.stats import poisson
+        amps = _coherent_factor(316.3, 103000, "mode 1")
+        assert np.allclose(np.abs(amps) ** 2, poisson.pmf(np.arange(103001), 316.3 ** 2),
+                           rtol=1e-8, atol=1e-15)
+        with pytest.raises(TruncationError, match=r"leaks 1\.287e-03 past cutoff 101000; "
+                                                  r"a cutoff of more than 100000 is"):
+            _coherent_factor(316.3, 101000, "mode 1")
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(math.nan, 0.0)])
     def test_non_finite_amplitude_is_named(self, alpha):
         with pytest.raises(ValueError, match=re.escape(
@@ -284,15 +296,14 @@ class TestAssembly:
         s31a1, s31a1d = s[3, 1] @ a1, s[3, 1] @ a1.T
         s32a2, s32a2d = s[3, 2] @ a2, s[3, 2] @ a2.T
         rotated = pairs(s31a1, s31a1d, s32a2, s32a2d)
-        effective = [s[3, 3] - s[2, 2], s[3, 3] - s[1, 1], n2, n1,
-                     *pairs(s31a1, s32a2)]
+        # the static and effective models share one JC term list
+        jc = [s[3, 3] - s[2, 2], s[3, 3] - s[1, 1], n2, n1, *pairs(s31a1, s32a2)]
         expected = {
-            Variant.JC_STATIC: [s[3, 3] - s[1, 1], s[3, 3] - s[2, 2], n1, n2,
-                                *pairs(s31a1, s32a2)],
+            Variant.JC_STATIC: jc,
             Variant.DRIVE_ROTATED: rotated,
             Variant.DOMINANT_SIDEBAND: rotated,
-            Variant.EFFECTIVE_FULL: effective + pairs(s31a1d, s32a2d),
-            Variant.EFFECTIVE_JC: effective,
+            Variant.EFFECTIVE_FULL: jc + pairs(s31a1d, s32a2d),
+            Variant.EFFECTIVE_JC: jc,
         }
         space = build_space(*cutoffs)
         for variant in Variant:
@@ -588,8 +599,9 @@ class TestEvolve:
 
     def test_cf4_weights_come_in_bounded_blocks(self, monkeypatch):
         # a drive-rotated run holds the CF4 weights of at most
-        # CF4_BLOCK_EXPONENTIALS exponentials at once, or of one sample
-        # interval, and the blocking moves no bit of the states
+        # CF4_BLOCK_EXPONENTIALS exponentials at once, or of one substep
+        # when the bound is below two, and the blocking moves no bit of the
+        # states
         from lambdajc import dynamics
         space = build_space(1, 1)
         spec = _spec(Variant.DRIVE_ROTATED)
@@ -608,11 +620,15 @@ class TestEvolve:
         (intervals, per_interval, _), *_ = shapes[2:]
         assert len(shapes) > 3 and intervals > 1
         assert max(a * b for a, b, _ in shapes) <= dynamics.CF4_BLOCK_EXPONENTIALS
-        for bound, most in ((1, 1), (2 ** 62, 1999)):
+        # bounds below one interval's exponentials split its substeps into
+        # blocks: of one substep, and of all but one, then the last one
+        assert per_interval >= 4
+        for bound, most in ((1, 1), (per_interval - 2, 1), (2 ** 62, 1999)):
             monkeypatch.setattr(dynamics, "CF4_BLOCK_EXPONENTIALS", bound)
             shapes.clear()
             res = evolve(spec, psi0, t_max=200.0, samples=2000)
             assert max(a for a, _, _ in shapes[2:]) == most
+            assert max(a * b for a, b, _ in shapes[2:]) <= max(2, bound)
             assert np.array_equal(res.states, blocked.states)
 
     def test_dominant_sideband_matches_reference_integrator(self):
@@ -706,7 +722,7 @@ class TestEvolve:
             variant=Variant.DRIVE_ROTATED, sys=cfg.model,
             drive=cfg.drive), space)
         h = step_limit(terms, None)
-        weights = _cf4_weights(terms, h * np.arange(1000), h, 1)
+        weights = _cf4_weights(terms, h * np.arange(1000), h, np.arange(1))
         weights = weights.reshape(-1, len(terms.terms))
         degree = _taylor_degree(terms, h, len(weights))
         assert degree < _taylor_degree(terms, h, math.inf)

@@ -4,11 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from lambdajc.effective import HIERARCHY_RATIO_MAX, RWA_RATIO_MAX, effective_point, effective_table
+from lambdajc.effective import (
+    EFFECTIVE_MODEL,
+    HIERARCHY_RATIO_MAX,
+    RWA_RATIO_MAX,
+    effective_point,
+    effective_table,
+)
 from lambdajc import spectrum
 from lambdajc.params import MODEL_FIELDS, DriveParams, SystemParams, sweep_values
 from lambdajc.spectrum import (
-    _EFFECTIVE_MODEL,
     STATIC_BLOCK_WINDOW,
     CATEGORIES,
     AxisSpec,
@@ -742,7 +747,7 @@ def assert_pruned_matches_full(fields, window):
     audits = {k: np.ones(len(model[0]), dtype=bool) for k in ("rwa_ok", "hierarchy_ok")}
     if "omega_D" in fields:
         eff = fields_effective(fields)
-        model = [eff[k] for k in _EFFECTIVE_MODEL]
+        model = [eff[k] for k in EFFECTIVE_MODEL]
         forced = (eff["Omega1_eff"] <= 0.0) | (eff["Omega2_eff"] <= 0.0)
         audits = {k: eff[k] for k in audits}
     table = full_table([np.asarray(a)[:, None, None] for a in model], window)
